@@ -12,7 +12,6 @@ from .geometry import (
     Complement,
     DegenerateDomain,
     EmptySet,
-    HalfSpaceIntersection,
     Implicit,
     Inflated,
     Intersection,
@@ -23,13 +22,13 @@ from .geometry import (
     dist_to_set,
     inflate,
     make_proper_indicator,
+    sample_region,
 )
 from .hybrid import (
     DimensionMismatch,
     Disturbance,
     HybridArc,
     HybridSystem,
-    HybridTime,
     HybridTimeDomain,
     OutOfDomain,
     Termination,
@@ -46,7 +45,6 @@ from .report import CheckReport, Counterexample, Verdict
 from .simulate import (
     BadInitialCondition,
     HorizonTooShort,
-    Priority,
     SimConfig,
     SolveReport,
     closeness,
@@ -55,7 +53,7 @@ from .simulate import (
     estimate_lipschitz,
     reachable_sample,
     solve,
-    solve_batch,
+    solve_many,
     verify_solution,
 )
 from .monitor import (

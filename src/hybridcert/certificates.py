@@ -13,7 +13,7 @@ optimizing over the ball.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -34,7 +34,6 @@ from .geometry import (
     Implicit,
     Inflated,
     Intersection,
-    SetRegion,
     Union,
     contains,
     make_proper_indicator,
@@ -309,10 +308,11 @@ def _atomic_write(path, write_fn):
 
 
 def write_json(path, obj):
-    _atomic_write(
-        path,
-        lambda tmp: open(tmp, "w").write(json.dumps(obj, indent=1) + "\n"),
-    )
+    def _write(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(obj, indent=1) + "\n")
+
+    _atomic_write(path, _write)
 
 
 def write_csv_rows(path, header, rows):

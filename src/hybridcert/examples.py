@@ -6,7 +6,7 @@ the CLI.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -19,7 +19,13 @@ from .controller import (
     initial_augmented,
     make_sample_hold_policy,
 )
-from .geometry import AxisBox, Ball, Implicit, make_proper_indicator
+from .geometry import (
+    AxisBox,
+    Ball,
+    Implicit,
+    as_vector,
+    make_proper_indicator,
+)
 from .hybrid import HybridSystem
 from .monitor import RASSpec
 from .simulate import SimConfig, solve
@@ -268,14 +274,14 @@ def moore_greitzer(params: MooreGreitzerParams = None):
     r = p.protect_radius
 
     def V_val(x):
-        d = as_np(x) - zeta
+        d = as_vector(x) - zeta
         return float(d @ d)
 
     def V_grad(x):
-        return 2.0 * (as_np(x) - zeta)
+        return 2.0 * (as_vector(x) - zeta)
 
     def h_val(x):
-        v = as_np(x)
+        v = as_vector(x)
         return max(abs(v[0] - center[0]), abs(v[1] - center[1])) - r
 
     def B_val(x):
@@ -285,7 +291,7 @@ def moore_greitzer(params: MooreGreitzerParams = None):
         return math.log1p(h) - math.log(h)
 
     def B_grad(x):
-        v = as_np(x)
+        v = as_vector(x)
         h = h_val(x)
         if h <= 0.0:
             raise DomainViolation("barrier gradient inside the singular box")
@@ -297,7 +303,7 @@ def moore_greitzer(params: MooreGreitzerParams = None):
 
     def B_domain(x):
         # keep FD stencils off the singular locus and the face switch
-        v = as_np(x)
+        v = as_vector(x)
         d0, d1 = abs(v[0] - center[0]), abs(v[1] - center[1])
         return max(d0, d1) - r >= 0.01 and abs(d0 - d1) >= 0.01
 
@@ -322,10 +328,6 @@ def moore_greitzer(params: MooreGreitzerParams = None):
         rate_limits=(None, p.gamma_rate),
     )
     return plant, cert, spec, shc
-
-
-def as_np(x):
-    return np.asarray(x, dtype=float)
 
 
 def mg_equilibrium(gamma, params: MooreGreitzerParams = None):

@@ -111,29 +111,6 @@ class AxisBox(SetRegion):
         return f"AxisBox({self.lo.tolist()}, {self.hi.tolist()})"
 
 
-class HalfSpaceIntersection(SetRegion):
-    """{x : n_k . x <= b_k for all k}, normals stored unit length.
-
-    Membership uses the max normalized residual: exact at tol
-    0, over-accepting by at most the corner factor for tol > 0. No exact
-    distance (projection onto a polyhedron is out of scope).
-    """
-
-    def __init__(self, rows):
-        norm_rows = []
-        for normal, offset in rows:
-            n = as_vector(normal)
-            s = float(np.linalg.norm(n))
-            if s == 0.0:
-                raise ValueError("zero normal in half-space row")
-            norm_rows.append((n / s, float(offset) / s))
-        self.rows = tuple(norm_rows)
-
-    def contains(self, x, tol=DEFAULT_TOL):
-        v = as_vector(x)
-        return all(float(n @ v) - b <= tol for n, b in self.rows)
-
-
 class Implicit(SetRegion):
     """Predicate-defined region with a required bounding box for sampling.
 
@@ -291,6 +268,27 @@ def contains(region, x, tol=DEFAULT_TOL):
 def inflate(region, r):
     """region + rB."""
     return Inflated(region, r)
+
+
+def sample_region(region, n, rng):
+    """n points of region by rejection from its bounding box.
+
+    Draws rng.uniform(lo, hi) and keeps the draws inside region, giving up
+    with ValueError after 1000 * n draws.
+    """
+    bbox = region.bounding_box()
+    if bbox is None:
+        raise ValueError("sampled region needs a bounding box")
+    out = []
+    for _ in range(1000 * n):
+        if len(out) == n:
+            break
+        p = rng.uniform(bbox.lo, bbox.hi)
+        if contains(region, p, 0.0):
+            out.append(p)
+    if len(out) < n:
+        raise ValueError("could not draw %d points from region" % n)
+    return out
 
 
 class ProperIndicator:

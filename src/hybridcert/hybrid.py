@@ -8,7 +8,7 @@ perturbation level delta realized through bounded disturbances.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,19 +24,8 @@ class OutOfDomain(Exception):
     """Hybrid time (t, j) outside the arc's domain."""
 
 
-@dataclass(frozen=True)
-class HybridTime:
-    t: float
-    j: int
-
-    def total(self):
-        return self.t + self.j
-
-
 def total_time(ht):
-    """t + j for a HybridTime or (t, j) pair."""
-    if isinstance(ht, HybridTime):
-        return ht.t + ht.j
+    """t + j for a (t, j) pair."""
     t, j = ht
     return t + j
 
@@ -68,12 +57,6 @@ class HybridTimeDomain:
 
     def __eq__(self, other):
         return isinstance(other, HybridTimeDomain) and self.intervals == other.intervals
-
-    def contains_time(self, t, j, slack=0.0):
-        if not 0 <= j < len(self.intervals):
-            return False
-        a, b = self.intervals[j]
-        return a - slack <= t <= b + slack
 
 
 class HybridArc:

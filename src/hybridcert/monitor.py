@@ -7,14 +7,22 @@ needed to judge the evidence.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SetRegion, contains, dist_to_set, inflate
+from .geometry import (
+    Complement,
+    SetRegion,
+    UnsupportedDistance,
+    contains,
+    dist_to_set,
+    inflate,
+    sample_region,
+)
 from .hybrid import as_vector
 from .report import CheckReport, Counterexample, Verdict
-from .simulate import BadInitialCondition, SimConfig, solve
+from .simulate import BadInitialCondition, _membership_margin, solve_many
 
 log = logging.getLogger(__name__)
 
@@ -24,24 +32,9 @@ class EmptyEstimate(RuntimeError):
     nonempty below grid resolution."""
 
 
-def _sample_region(region, n, rng, cap_factor=1000):
-    bbox = region.bounding_box()
-    if bbox is None:
-        raise ValueError("initial-condition region needs a bounding box")
-    lo, hi = bbox.lo, bbox.hi
-    out = []
-    for _ in range(cap_factor * n):
-        p = rng.uniform(lo, hi)
-        if contains(region, p, 0.0):
-            out.append(p)
-            if len(out) == n:
-                return out
-    raise ValueError("could not draw %d points from region" % n)
-
-
 def _initial_points(x0, n, seed=0):
     if isinstance(x0, SetRegion):
-        return _sample_region(x0, n, np.random.default_rng(seed))
+        return sample_region(x0, n, np.random.default_rng(seed))
     return [as_vector(p) for p in x0]
 
 
@@ -95,34 +88,24 @@ class StabSafeSpec:
 
 def _penetration(region, x):
     """How deep x sits inside region; 0 when the depth is not computable."""
-    from .geometry import Complement
-
     try:
         return dist_to_set(x, Complement(region))
-    except Exception:
+    except UnsupportedDistance:
         return 0.0
 
 
 def _solve_all(system, points, config, n_dist=1, seed=0):
     """Arcs from each point under n_dist disturbance draws; errors logged."""
+    starts = [p for p in points for _ in range(n_dist)]
+    keys = [[seed, i, k] for i in range(len(points)) for k in range(n_dist)]
     runs = []
     skipped = 0
-    for i, p in enumerate(points):
-        for k in range(n_dist):
-            cfg = SimConfig(
-                h=config.h,
-                T_max=config.T_max,
-                J_max=config.J_max,
-                event_tol=config.event_tol,
-                priority=config.priority,
-                disturbance=config.disturbance.reseed([seed, i, k]),
-                t_min=config.t_min,
-            )
-            try:
-                runs.append((p, solve(system, p, cfg)))
-            except BadInitialCondition as err:
-                skipped += 1
-                log.warning("no solution from %s: %s", p, err)
+    for p, rep in zip(starts, solve_many(system, starts, config, keys)):
+        if isinstance(rep, BadInitialCondition):
+            skipped += 1
+            log.warning("no solution from %s: %s", p, rep)
+        else:
+            runs.append((p, rep))
     return runs, skipped
 
 
@@ -140,7 +123,7 @@ def check_forward_invariance(system, K, n_init, config, seed=0):
         for j, t, x in rep.arc.samples():
             n_samples += 1
             if not contains(K_slack, x, 0.0):
-                margin = dist_to_set(x, K) - config.event_tol
+                margin = _membership_margin(K, x, config.event_tol)
                 worst = max(worst, margin)
                 ces.append(
                     Counterexample("invariance", x, margin=margin, witness=(j, t))
@@ -208,7 +191,8 @@ def check_ras(system, spec: RASSpec, n_init, n_dist, config, seed=0):
             ces.append(
                 Counterexample(
                     "reach-stay", x,
-                    margin=dist_to_set(x, spec.target), witness=(j, t),
+                    margin=_membership_margin(spec.target, x, 0.0),
+                    witness=(j, t),
                 )
             )
         else:
@@ -259,7 +243,7 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
         nonlocal n_arcs
         shell = inflate(A, delta)
         try:
-            points = _sample_region(shell, n_init, np.random.default_rng(seed))
+            points = sample_region(shell, n_init, np.random.default_rng(seed))
         except ValueError:
             return None
         runs, _ = _solve_all(system, points, config, seed=seed)
@@ -373,19 +357,9 @@ def estimate_invariant_core(system, I, grid_n, n_dist, config, seed=0):
             continue
         ok = True
         solved = 0
-        for k in range(n_dist):
-            cfg = SimConfig(
-                h=config.h,
-                T_max=config.T_max,
-                J_max=config.J_max,
-                event_tol=config.event_tol,
-                priority=config.priority,
-                disturbance=config.disturbance.reseed([seed, idx, k]),
-                t_min=config.t_min,
-            )
-            try:
-                rep = solve(system, p, cfg)
-            except BadInitialCondition:
+        keys = [[seed, idx, k] for k in range(n_dist)]
+        for rep in solve_many(system, [p] * n_dist, config, keys):
+            if isinstance(rep, BadInitialCondition):
                 continue
             solved += 1
             if any(

@@ -26,7 +26,7 @@ class Counterexample:
     def to_json_obj(self):
         obj = {
             "condition": self.condition,
-            "margin": self.margin,
+            "margin": _jsonable(self.margin),
             "x": [float(v) for v in self.point] if self.point is not None else None,
         }
         if self.witness is not None:

@@ -7,13 +7,11 @@ held constant across each accepted step, which keeps perturbed runs
 reproducible from a single seed.
 """
 
-import logging
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import contains
+from .geometry import UnsupportedDistance, contains, dist_to_set, sample_region
 from .hybrid import (
     Disturbance,
     HybridArc,
@@ -22,8 +20,6 @@ from .hybrid import (
     as_vector,
 )
 from .report import CheckReport, Counterexample, Verdict
-
-log = logging.getLogger(__name__)
 
 _MAX_BISECT = 200
 
@@ -36,11 +32,6 @@ class HorizonTooShort(ValueError):
     """Arc does not reach the requested total time."""
 
 
-class Priority(Enum):
-    JUMP_FIRST = "JumpFirst"
-    FLOW_FIRST = "FlowFirst"
-
-
 @dataclass
 class SimConfig:
     """Solver knobs.
@@ -48,14 +39,14 @@ class SimConfig:
     t_min is the smallest positive gap allowed between consecutive jumps;
     a shorter (but still positive) gap triggers the system's zeno_map when
     present and a ZenoAccumulation stop otherwise.  Zero-gap jump chains
-    are left alone so purely discrete systems run normally.
+    are left alone so purely discrete systems run normally.  Where the flow
+    and jump sets overlap, the solver jumps.
     """
 
     h: float = 1e-3
     T_max: float = 10.0
     J_max: int = 1000
     event_tol: float = 1e-9
-    priority: Priority = Priority.JUMP_FIRST
     disturbance: Disturbance = None
     t_min: float = 1e-6
 
@@ -192,13 +183,11 @@ def solve(system: HybridSystem, x0, config: SimConfig) -> SolveReport:
         if t >= config.T_max:
             termination = Termination.HORIZON_REACHED
             break
-        in_D = contains(system.jump_set, x, 0.0)
-        in_C = contains(system.flow_set, x, tol)
-        if in_D and (config.priority == Priority.JUMP_FIRST or not in_C):
+        if contains(system.jump_set, x, 0.0):
             if not do_jump():
                 break
             continue
-        if not in_C:
+        if not contains(system.flow_set, x, tol):
             termination = Termination.LEFT_FLOW_AND_JUMP_SETS
             break
 
@@ -206,9 +195,7 @@ def solve(system: HybridSystem, x0, config: SimConfig) -> SolveReport:
         d = draw(t, j)
         x_prop = _rk4_step(system.flow, x, dt, d)
 
-        if config.priority == Priority.JUMP_FIRST and contains(
-            system.jump_set, x_prop, 0.0
-        ):
+        if contains(system.jump_set, x_prop, 0.0):
             pred = lambda y: contains(system.jump_set, y, 0.0)
             _, _, th, x_star = _bisect_event(
                 system.flow, x, dt, d, pred, x_prop, tol
@@ -259,29 +246,21 @@ def solve(system: HybridSystem, x0, config: SimConfig) -> SolveReport:
     )
 
 
-def solve_batch(system, initial_states, config, base_seed=0):
-    """Solve from each initial state; entries are SolveReport or the error.
+def solve_many(system, points, config, keys):
+    """Lazily solve from each point, one disturbance seed key per point.
 
-    Random disturbances are re-seeded per index so results are independent
-    of batch order and reproducible run to run.
+    Yields, in order, a SolveReport per point, or the BadInitialCondition
+    raised for a point with no solution.  Random disturbances are reseeded
+    from each point's key, so results do not depend on order and repeat
+    run to run.
     """
-    out = []
-    for i, x0 in enumerate(initial_states):
-        cfg = SimConfig(
-            h=config.h,
-            T_max=config.T_max,
-            J_max=config.J_max,
-            event_tol=config.event_tol,
-            priority=config.priority,
-            disturbance=config.disturbance.reseed([base_seed, i]),
-            t_min=config.t_min,
-        )
+    for x0, key in zip(points, keys, strict=True):
+        cfg = replace(config, disturbance=config.disturbance.reseed(key))
         try:
-            out.append(solve(system, x0, cfg))
+            rep = solve(system, x0, cfg)
         except BadInitialCondition as err:
-            log.warning("batch item %d rejected: %s", i, err)
-            out.append(err)
-    return out
+            rep = err
+        yield rep
 
 
 def reachable_sample(system, X0, T, n_init, n_dist, config, seed=0):
@@ -291,46 +270,17 @@ def reachable_sample(system, X0, T, n_init, n_dist, config, seed=0):
     driven under n_dist disturbance realizations and every stored sample
     with t + j <= T is collected.
     """
-    bbox = X0.bounding_box()
-    if bbox is None:
-        raise ValueError("X0 must expose a finite bounding box for sampling")
-    lo, hi = bbox.lo, bbox.hi
-    rng = np.random.default_rng(seed)
-    points = []
-    attempts = 0
-    cap = max(10000, 1000 * n_init)
-    while len(points) < n_init and attempts < cap:
-        p = rng.uniform(lo, hi)
-        attempts += 1
-        if contains(X0, p, 0.0):
-            points.append(p)
-    if len(points) < n_init:
-        raise ValueError("could not draw %d points from X0" % n_init)
-
-    cloud = [np.array(p, dtype=float) for p in points]
+    points = sample_region(X0, n_init, np.random.default_rng(seed))
     if T <= 0.0:
-        return cloud
+        return points
 
+    starts = [p for p in points for _ in range(n_dist)]
+    keys = [[seed, i, k] for i in range(len(points)) for k in range(n_dist)]
+    horizon = replace(config, T_max=min(config.T_max, T + 1.0))
     cloud = []
-    horizon = min(config.T_max, T + 1.0)
-    for i, p in enumerate(points):
-        for k in range(n_dist):
-            cfg = SimConfig(
-                h=config.h,
-                T_max=horizon,
-                J_max=config.J_max,
-                event_tol=config.event_tol,
-                priority=config.priority,
-                disturbance=config.disturbance.reseed([seed, i, k]),
-                t_min=config.t_min,
-            )
-            try:
-                rep = solve(system, p, cfg)
-            except BadInitialCondition:
-                continue
-            for jj, tt, xx in rep.arc.samples():
-                if tt + jj <= T:
-                    cloud.append(xx)
+    for rep in solve_many(system, starts, horizon, keys):
+        if not isinstance(rep, BadInitialCondition):
+            cloud.extend(x for j, t, x in rep.arc.samples() if t + j <= T)
     return cloud
 
 
@@ -587,9 +537,8 @@ def verify_solution(system, arc, slope_tol=1e-3, membership_tol=None):
 
 
 def _membership_margin(region, x, tol):
+    """dist(x, region) - tol, or inf when the region has no distance."""
     try:
-        from .geometry import dist_to_set
-
         return dist_to_set(x, region) - tol
-    except Exception:
+    except UnsupportedDistance:
         return float("inf")

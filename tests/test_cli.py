@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import hybridcert
+from hybridcert import cli
 
 # The children run from a temporary directory, where a relative entry such
 # as PYTHONPATH=src resolves to nothing.  Put the directory holding the
@@ -49,6 +51,32 @@ check:
 BALL_SCENARIO = """\
 system: bouncing-ball
 sim: {h: 0.002, t_max: 2.0}
+"""
+
+# the README's falling mass: its target is implicit, with no distance oracle
+FALLING_MASS_SCENARIO = """\
+system:
+  variables: [y, z]
+  flow_map: ["z", "-9.8"]
+  flow_set: {kind: axis_box, lo: [0.0, -50.0], hi: [100.0, 50.0]}
+  jump_set:
+    kind: implicit
+    predicate: "y <= 0 and z < 0"
+    bbox: {lo: [-1.0, -50.0], hi: [0.0, 0.0]}
+  jump_map: ["y", "-0.8*z"]
+  bounds: {kind: axis_box, lo: [-1.0, -50.0], hi: [100.0, 50.0]}
+certificates: {V: "z**2/2 + 9.8*y"}
+spec:
+  kind: ras
+  x0: [[10.0, 0.0]]
+  unsafe: {kind: axis_box, lo: [50.0, -50.0], hi: [100.0, 50.0]}
+  target:
+    kind: implicit
+    predicate: "y <= 0.1"
+    bbox: {lo: [0.0, -50.0], hi: [0.1, 50.0]}
+  t_spec: 30.0
+check: {seed: 0, n_init: 4}
+sim: {h: 0.002, t_max: 30.0}
 """
 
 
@@ -194,6 +222,33 @@ def test_check_pair_vb(tmp_path):
     report = json.loads((out / "check_report.json").read_text())
     assert report["mode"] == "pair-vb"
     assert report["verdict"] == "PASS"
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError("not JSON: %s" % name)
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("mode, overrides, condition", [
+    ("invariance", [], "invariance"),
+    ("ras", ["spec.t_spec=2.0", "sim.t_max=3.0"], "reach-stay"),
+], ids=["invariance", "ras-unsettled"])
+def test_check_margin_to_set_without_distance(tmp_path, mode, overrides,
+                                              condition):
+    scen = write(tmp_path, "falling.yaml", FALLING_MASS_SCENARIO)
+    out = tmp_path / "chk"
+    args = ["check", "--mode", mode, "--scenario", scen, "--out", str(out)]
+    for pair in overrides:
+        args += ["--override", pair]
+    code, stdout, stderr = run_cli(args, tmp_path)
+    assert code == 1, stderr
+    assert "Traceback" not in stderr
+    assert stdout.strip() == "check[%s]: FAIL" % mode
+    report = strict_json((out / "check_report.json").read_text())
+    assert report["verdict"] == "FAIL"
+    assert report["counterexamples"][0]["condition"] == condition
 
 
 def test_check_ras_requires_seed(tmp_path):
@@ -342,3 +397,11 @@ def test_no_temp_files_left_behind(tmp_path):
     assert code == 0, stderr
     stray = [p for p in tmp_path.rglob("*") if ".tmp" in p.name]
     assert stray == []
+
+
+def test_write_json_closes_its_file(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cli.write_json(str(tmp_path / "a.json"), {"a": 1})
+    assert not [w for w in caught if w.category is ResourceWarning]
+    assert json.loads((tmp_path / "a.json").read_text()) == {"a": 1}

@@ -18,6 +18,7 @@ from hybridcert import (
     dist_to_set,
     inflate,
     make_proper_indicator,
+    sample_region,
 )
 
 
@@ -191,3 +192,23 @@ def test_inflated_keeps_base_reference():
     infl = inflate(A, 0.2)
     assert isinstance(infl, Inflated)
     assert dist_to_set(np.array([1.5]), infl) == pytest.approx(0.3)
+
+
+def test_sample_region_keeps_in_region_draws_in_order():
+    disk = Ball((0.0, 0.0), 1.0)
+    pts = sample_region(disk, 5, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    expected = [p for p in (rng.uniform([-1.0, -1.0], [1.0, 1.0])
+                            for _ in range(20)) if contains(disk, p, 0.0)]
+    assert len(pts) == 5
+    assert all(np.array_equal(a, b)
+               for a, b in zip(pts, expected[:5], strict=True))
+
+
+def test_sample_region_empty_unbounded_and_unreachable():
+    rng = np.random.default_rng(0)
+    assert sample_region(Ball((0.0,), 1.0), 0, rng) == []
+    with pytest.raises(ValueError):
+        sample_region(AxisBox([0.0], [np.inf]), 1, rng)
+    with pytest.raises(ValueError):
+        sample_region(Implicit(lambda x: False, AxisBox([0.0], [1.0])), 2, rng)

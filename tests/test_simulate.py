@@ -1,5 +1,6 @@
 """Solver behavior: events, Zeno handling, batches, companions, verification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from hybridcert import (
     perturb,
     reachable_sample,
     solve,
-    solve_batch,
+    solve_many,
     verify_solution,
 )
 
@@ -160,34 +161,72 @@ def test_solve_is_deterministic():
         assert np.array_equal(ta, tb) and np.array_equal(xa, xb)
 
 
-def test_solve_batch_singleton_matches_solve():
+def same_arcs(a, b):
+    return (a.termination == b.termination
+            and len(a.phases) == len(b.phases)
+            and all(np.array_equal(ta, tb) and np.array_equal(xa, xb)
+                    for (ta, xa), (tb, xb) in zip(a.phases, b.phases)))
+
+
+def test_solve_many_singleton_matches_solve():
     system, _, spec = bouncing_ball()
     cfg = SimConfig(h=1e-3, T_max=3.0, J_max=10)
     x0 = np.asarray(spec.x0[0])
     single = solve(system, x0, cfg).arc
-    batch = solve_batch(system, [x0], cfg)
+    batch = list(solve_many(system, [x0], cfg, [[7, 0]]))
     assert len(batch) == 1
-    for (ta, xa), (tb, xb) in zip(single.phases, batch[0].arc.phases):
-        assert np.array_equal(ta, tb) and np.array_equal(xa, xb)
+    assert same_arcs(single, batch[0].arc)
 
 
-def test_solve_batch_empty():
+def test_solve_many_empty():
     system, _, _ = bouncing_ball()
-    assert solve_batch(system, [], SimConfig(h=1e-3, T_max=1.0)) == []
+    assert list(solve_many(system, [], SimConfig(h=1e-3, T_max=1.0), [])) == []
 
 
-def test_solve_batch_seeded_rerun_is_bitwise():
+def test_solve_many_seeded_rerun_is_bitwise():
     system, _, spec = bouncing_ball()
     sysd = perturb(system, 0.01)
     cfg = SimConfig(h=1e-3, T_max=2.0, J_max=10,
                     disturbance=Disturbance.random_uniform_ball(42))
     starts = [np.asarray(spec.x0[0]) + np.array([0.0, k * 0.1, 0.0])
               for k in range(3)]
-    runs1 = solve_batch(sysd, starts, cfg, base_seed=7)
-    runs2 = solve_batch(sysd, starts, cfg, base_seed=7)
+    keys = [[7, i] for i in range(len(starts))]
+    runs1 = list(solve_many(sysd, starts, cfg, keys))
+    runs2 = list(solve_many(sysd, starts, cfg, keys))
+    assert len(runs1) == len(runs2) == 3
     for r1, r2 in zip(runs1, runs2):
-        for (ta, xa), (tb, xb) in zip(r1.arc.phases, r2.arc.phases):
-            assert np.array_equal(ta, tb) and np.array_equal(xa, xb)
+        assert same_arcs(r1.arc, r2.arc)
+
+
+def test_solve_many_item_is_solve_under_its_reseeded_disturbance():
+    system, _, spec = bouncing_ball()
+    sysd = perturb(system, 0.02)
+    cfg = SimConfig(h=1e-3, T_max=1.5, J_max=10,
+                    disturbance=Disturbance.random_uniform_ball(5))
+    x0 = np.asarray(spec.x0[0])
+    outside = np.array([0.0, -1.0, 0.5])  # below the simulation bounds
+    starts = [x0, outside, x0, x0 + np.array([0.0, 0.5, 0.0])]
+    keys = [[3, 0], [3, 1], [3, 2], [3, 3]]
+    got = list(solve_many(sysd, starts, cfg, keys))
+    assert len(got) == len(starts)
+    assert isinstance(got[1], BadInitialCondition)
+    for i in (0, 2, 3):
+        direct = solve(sysd, starts[i], dataclasses.replace(
+            cfg, disturbance=cfg.disturbance.reseed(keys[i])))
+        assert same_arcs(got[i].arc, direct.arc)
+        assert got[i].flow_time == direct.flow_time
+        assert got[i].jump_count == direct.jump_count
+    # same start, different keys: the draws differ
+    assert not same_arcs(got[0].arc, got[2].arc)
+
+
+def test_solve_many_is_lazy():
+    system, _, spec = bouncing_ball()
+    cfg = SimConfig(h=1e-3, T_max=1.0, J_max=10)
+    x0 = np.asarray(spec.x0[0])
+    # the second start is never reached unless the generator is advanced
+    reports = solve_many(system, [x0, None], cfg, [[0, 0], [0, 1]])
+    assert next(reports).arc.num_phases >= 1
 
 
 def test_random_disturbance_actually_moves_the_state():
