@@ -193,6 +193,18 @@ def _ball_directions(delta, dim, grads):
     return dirs
 
 
+def _jump_directions(cert, cand, delta, grad_V):
+    """Disturbances tried at the jump image cand: _ball_directions along
+    grad_V and, for delta > 0, along grad B(cand), where the barrier-jump
+    margin B(x) - B(cand + d) is worst.  grad_V is not read at delta = 0."""
+    if delta <= 0.0:
+        return [np.zeros(cand.size)]
+    grads = [grad_V]
+    if cert.B.admissible(cand):
+        grads.append(cert.B.gradient(cand))
+    return _ball_directions(delta, cand.size, grads)
+
+
 def _clamp(v):
     if v != v:
         # NaN means the evaluation broke; surface it as a violation
@@ -419,8 +431,7 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
             bjump = np.inf
             for cand in sys_delta.jump_candidates(p):
                 cand = as_vector(cand)
-                gv2 = V.gradient(cand)
-                for d in _ball_directions(delta, p.size, [gv2]):
+                for d in _jump_directions(cert, cand, delta, V.gradient(cand)):
                     dec = min(dec, vx - V(cand + d))
                     bjump = min(bjump, B(cand + d) - b)
             note("i-jump-decrease", cert.required_decrease(dist_A) - dec, p)
@@ -527,9 +538,13 @@ def condition_margin_fn(sys_delta, cert, condition_id, spec=None):
             if not contains(sys_delta.jump_set, p, 0.0):
                 return None
             bx = B(p)
-            return max(
-                bx - B(as_vector(c)) for c in sys_delta.jump_candidates(p)
-            )
+            worst = -np.inf
+            for c in sys_delta.jump_candidates(p):
+                c = as_vector(c)
+                gv = V.gradient(c) if delta > 0.0 else None
+                for d in _jump_directions(cert, c, delta, gv):
+                    worst = max(worst, bx - B(c + d))
+            return worst
     elif condition_id == "unsafe-negative":
         if B is None:
             raise MissingBarrier(condition_id)

@@ -10,6 +10,7 @@ condition, 3 inconclusive, 4 usage or scenario error.
 """
 
 import argparse
+import collections
 import dataclasses
 import json
 import os
@@ -57,7 +58,6 @@ EXIT_ERROR = 4
 
 CHECK_MODES = ("ras", "stability-safety", "single-v", "pair-vb", "invariance")
 RANDOM_MODES = ("ras", "stability-safety", "invariance")
-EXAMPLES = ("bouncing-ball", "moore-greitzer")
 
 
 class ScenarioError(ValueError):
@@ -122,15 +122,13 @@ def _parse_spec(node, variables=None):
     raise ScenarioError("unknown spec kind %r" % kind)
 
 
-def _parse_certificates(node, variables, default):
+def _parse_certificates(node, variables, example, default):
     if node is None:
         return default
     if isinstance(node, str):
-        if node not in EXAMPLES:
-            raise ScenarioError("unknown certificate name %r" % node)
-        if default is None:
+        if node != example:
             raise ScenarioError(
-                "certificate name %r needs the matching system" % node
+                "certificate name %r needs 'system: %s'" % (node, node)
             )
         return default
     if not variables:
@@ -178,7 +176,6 @@ def _parse_check(node):
 
 @dataclasses.dataclass
 class Scenario:
-    raw: dict
     system: object
     delta: float
     spec: object
@@ -239,10 +236,11 @@ def parse_scenario(doc):
     spec = spec0
     if doc.get("spec") is not None:
         spec = _parse_spec(doc["spec"], variables)
-    cert = _parse_certificates(doc.get("certificates"), variables, cert0)
+    cert = _parse_certificates(
+        doc.get("certificates"), variables, example, cert0
+    )
     sim = _parse_sim(doc.get("sim"), t_default)
     return Scenario(
-        raw=doc,
         system=system,
         delta=float(doc.get("delta", 0.0)),
         spec=spec,
@@ -327,11 +325,10 @@ def write_csv_rows(path, header, rows):
     _atomic_write(path, _write)
 
 
-def _write_arc(arc, out_dir):
+def _write_arc_csv(arc, out_dir):
     _atomic_write(
         os.path.join(out_dir, "arc.csv"), lambda tmp: arc_to_csv(arc, tmp)
     )
-    write_json(os.path.join(out_dir, "arc.json"), arc_to_json_obj(arc))
 
 
 def _solve_report_obj(report):
@@ -353,8 +350,8 @@ def _error_json(exc):
     print(json.dumps(payload), file=sys.stderr)
 
 
-def _require_seed(scenario, cli_seed, what):
-    seed = cli_seed if cli_seed is not None else scenario.check.get("seed")
+def _require_seed(scenario, what):
+    seed = scenario.check.get("seed")
     if seed is None:
         raise ScenarioError("%s samples randomly; set --seed or check.seed"
                             % what)
@@ -372,35 +369,50 @@ def _perturbed(scenario):
     return scenario.system
 
 
-def _grid_or_default(scenario):
+def _grid_or_default(scenario, bbox=None):
     grid = scenario.check["grid"]
     if grid is not None:
         return grid
-    bbox = scenario.system.bounds.bounding_box()
+    if bbox is None:
+        bbox = scenario.system.bounds.bounding_box()
     if bbox is None:
         raise ScenarioError("no check.grid and system bounds are unbounded")
     return GridSpec(bbox.lo, bbox.hi, 21)
 
 
+def _solve_scenario(scenario):
+    """The scenario's one run, as (solve report, decision log, plant dim).
+
+    For moore-greitzer that is the sample-and-hold loop from its
+    equilibrium: its states carry the held input and the timer after the
+    first dim coordinates.  Otherwise the perturbed system is solved from
+    spec.x0[0] and the decision log is None.
+    """
+    if scenario.example == "moore-greitzer":
+        if scenario.delta > 0.0:
+            raise ScenarioError(
+                "the moore-greitzer loop runs without disturbances;"
+                " delta must be 0"
+            )
+        report, decisions, _, plant, _ = ex.mg_closed_loop(
+            scenario.params, horizon=scenario.sim.T_max, h=scenario.sim.h
+        )
+        return report, decisions, plant.dim_x
+    if scenario.spec is None:
+        raise ScenarioError("simulate needs spec.x0")
+    x0 = np.asarray(scenario.spec.x0[0], dtype=float)
+    system = _perturbed(scenario)
+    return solve(system, x0, scenario.sim), None, system.dim
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_simulate(scenario, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    if scenario.example == "moore-greitzer":
-        report, _, _, _, _ = ex.mg_closed_loop(
-            scenario.params, horizon=scenario.sim.T_max, h=scenario.sim.h
-        )
-    else:
-        if scenario.spec is None:
-            raise ScenarioError("simulate needs spec.x0")
-        x0 = np.asarray(scenario.spec.x0[0], dtype=float)
-        try:
-            report = solve(_perturbed(scenario), x0, scenario.sim)
-        except BadInitialCondition as exc:
-            _error_json(exc)
-            return EXIT_BAD_INIT
-    _write_arc(report.arc, out_dir)
+    report, _, _ = _solve_scenario(scenario)
     obj = _solve_report_obj(report)
+    os.makedirs(out_dir, exist_ok=True)
+    _write_arc_csv(report.arc, out_dir)
+    write_json(os.path.join(out_dir, "arc.json"), arc_to_json_obj(report.arc))
     write_json(os.path.join(out_dir, "report.json"), obj)
     print(
         "simulate: %s T=%.6g J=%d -> %s"
@@ -426,10 +438,9 @@ def cmd_check(scenario, mode, out_dir):
         raise ScenarioError(
             "check mode must be one of %s" % ", ".join(CHECK_MODES)
         )
-    os.makedirs(out_dir, exist_ok=True)
     ck = scenario.check
     if mode in RANDOM_MODES:
-        seed = _require_seed(scenario, None, "check mode %r" % mode)
+        seed = _require_seed(scenario, "check mode %r" % mode)
     sysd = _perturbed(scenario)
 
     if mode == "ras":
@@ -473,6 +484,7 @@ def cmd_check(scenario, mode, out_dir):
 
     obj = rpt.to_json_obj()
     obj["mode"] = mode
+    os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "check_report.json"), obj)
     print("check[%s]: %s" % (mode, rpt.verdict.value))
     return {
@@ -485,8 +497,7 @@ def cmd_check(scenario, mode, out_dir):
 def cmd_falsify(scenario, condition_id, out_dir):
     if not condition_id:
         raise ScenarioError("falsify needs --mode <condition id>")
-    os.makedirs(out_dir, exist_ok=True)
-    seed = _require_seed(scenario, None, "falsify")
+    seed = _require_seed(scenario, "falsify")
     sysd = _perturbed(scenario)
     if scenario.cert is None:
         raise ScenarioError("falsify needs certificates")
@@ -505,6 +516,7 @@ def cmd_falsify(scenario, condition_id, out_dir):
             "x": [float(v) for v in point],
             "margin": float(margin),
         }
+    os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "falsify.json"), obj)
     print(
         "falsify[%s]: %s"
@@ -513,111 +525,76 @@ def cmd_falsify(scenario, condition_id, out_dir):
     return EXIT_FAIL if obj["found"] else EXIT_OK
 
 
-def _barrier_series(arc, cert, slice_dim=None):
+def _barrier_series(arc, cert, dim):
+    return [
+        [j, repr(float(t)), repr(cert.V(x[:dim])), repr(cert.B(x[:dim]))]
+        for j, t, x in arc.samples()
+    ]
+
+
+def _control_rows(arc, decisions):
+    # decision k is taken at the jump into phase k+1
     rows = []
-    for j, t, x in arc.samples():
-        xs = x[:slice_dim] if slice_dim else x
+    for k, dec in enumerate(decisions):
+        t_k = float(arc.phases[k + 1][0][0]) if k + 1 < len(arc.phases) \
+            else float(arc.phases[-1][0][-1])
         rows.append(
-            [j, repr(float(t)), repr(cert.V(xs)), repr(cert.B(xs))]
+            [k, k + 1, repr(t_k), dec["level"], repr(dec["sigma"]),
+             repr(float(dec["u"][0])), repr(float(dec["u"][1])),
+             repr(dec["margin_V"]), repr(dec["margin_B"])]
         )
     return rows
 
 
-def cmd_example(name, overrides, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    doc = apply_overrides({"system": name}, overrides or [])
-    scenario = parse_scenario(doc)
-
-    if name == "bouncing-ball":
-        system, cert, spec = ex.bouncing_ball(scenario.params)
-        report = solve(system, np.asarray(spec.x0[0]), scenario.sim)
-        _atomic_write(
-            os.path.join(out_dir, "arc.csv"),
-            lambda tmp: arc_to_csv(report.arc, tmp),
-        )
-        write_csv_rows(
-            os.path.join(out_dir, "barrier_series.csv"),
-            ["j", "t", "V", "B"],
-            _barrier_series(report.arc, cert),
-        )
-        grid = scenario.check["grid"]
-        if grid is None:
-            box = ex.ball_operating_box()
-            grid = GridSpec(box.lo, box.hi, 21)
+def cmd_example(scenario, out_dir):
+    """A built-in study: its simulate run plus what the study adds, the
+    ball's V/B pair check on its operating box or the loop's decisions."""
+    name = scenario.example
+    report, decisions, dim = _solve_scenario(scenario)
+    arc = report.arc
+    obj = {"study": name, "simulate": _solve_report_obj(report)}
+    if decisions is None:
+        grid = _grid_or_default(scenario, ex.ball_operating_box())
         check = check_pair_VB(
-            system, cert, _pair_spec(scenario), grid, tol=1e-7,
-            exclude_radius=0.05,
+            _perturbed(scenario), scenario.cert, _pair_spec(scenario), grid,
+            tol=scenario.check["tol"], exclude_radius=0.05,
         )
-        obj = {
-            "study": name,
-            "simulate": _solve_report_obj(report),
-            "check_pair_vb": check.to_json_obj(),
-        }
-        write_json(os.path.join(out_dir, "report.json"), obj)
-        print(
-            "example[%s]: %s, pair check %s -> %s"
-            % (name, obj["simulate"]["termination"],
-               check.verdict.value, out_dir)
+        obj["check_pair_vb"] = check.to_json_obj()
+        summary = "pair check %s" % check.verdict.value
+    else:
+        zeta = np.asarray(scenario.params.zeta, dtype=float)
+        x_end = arc.phases[-1][1][-1][:dim]
+        levels = collections.Counter(dec["level"] for dec in decisions)
+        unsafe = scenario.spec.unsafe
+        in_unsafe = sum(
+            1 for _, _, x in arc.samples() if contains(unsafe, x[:dim], 0.0)
         )
-        return EXIT_OK
+        obj["final_plant_state"] = [float(v) for v in x_end]
+        obj["distance_to_equilibrium"] = float(np.linalg.norm(x_end - zeta))
+        obj["decision_levels"] = {str(k): v for k, v in sorted(levels.items())}
+        obj["samples_in_unsafe"] = int(in_unsafe)
+        summary = "final distance %.4g" % obj["distance_to_equilibrium"]
 
-    if name == "moore-greitzer":
-        report, decisions, _, plant, cert = ex.mg_closed_loop(
-            scenario.params, horizon=scenario.sim.T_max, h=scenario.sim.h
-        )
-        arc = report.arc
-        _atomic_write(
-            os.path.join(out_dir, "arc.csv"), lambda tmp: arc_to_csv(arc, tmp)
-        )
-        write_csv_rows(
-            os.path.join(out_dir, "barrier_series.csv"),
-            ["j", "t", "V", "B"],
-            _barrier_series(arc, cert, slice_dim=plant.dim_x),
-        )
-        # decision k is taken at the jump into phase k+1
-        rows = []
-        for k, dec in enumerate(decisions):
-            t_k = float(arc.phases[k + 1][0][0]) if k + 1 < len(arc.phases) \
-                else float(arc.phases[-1][0][-1])
-            rows.append(
-                [k, k + 1, repr(t_k), dec["level"], repr(dec["sigma"]),
-                 repr(float(dec["u"][0])), repr(float(dec["u"][1])),
-                 repr(dec["margin_V"]), repr(dec["margin_B"])]
-            )
+    os.makedirs(out_dir, exist_ok=True)
+    _write_arc_csv(arc, out_dir)
+    write_csv_rows(
+        os.path.join(out_dir, "barrier_series.csv"),
+        ["j", "t", "V", "B"],
+        _barrier_series(arc, scenario.cert, dim),
+    )
+    if decisions is not None:
         write_csv_rows(
             os.path.join(out_dir, "controls.csv"),
             ["k", "j", "t", "level", "sigma", "v", "gamma",
              "margin_V", "margin_B"],
-            rows,
+            _control_rows(arc, decisions),
         )
-        zeta = np.asarray(scenario.params.zeta, dtype=float)
-        x_end = arc.phases[-1][1][-1][: plant.dim_x]
-        levels = {}
-        for dec in decisions:
-            levels[dec["level"]] = levels.get(dec["level"], 0) + 1
-        unsafe = scenario.spec.unsafe
-        in_unsafe = sum(
-            1
-            for _, _, x in arc.samples()
-            if contains(unsafe, x[: plant.dim_x], 0.0)
-        )
-        obj = {
-            "study": name,
-            "simulate": _solve_report_obj(report),
-            "final_plant_state": [float(v) for v in x_end],
-            "distance_to_equilibrium": float(np.linalg.norm(x_end - zeta)),
-            "decision_levels": {str(k): v for k, v in sorted(levels.items())},
-            "samples_in_unsafe": int(in_unsafe),
-        }
-        write_json(os.path.join(out_dir, "report.json"), obj)
-        print(
-            "example[%s]: %s, final distance %.4g -> %s"
-            % (name, obj["simulate"]["termination"],
-               obj["distance_to_equilibrium"], out_dir)
-        )
-        return EXIT_OK
-
-    raise ScenarioError("unknown example %r" % name)
+    write_json(os.path.join(out_dir, "report.json"), obj)
+    print(
+        "example[%s]: %s, %s -> %s"
+        % (name, obj["simulate"]["termination"], summary, out_dir)
+    )
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- dispatch
@@ -655,7 +632,10 @@ def main(argv=None):
             name = args.name or args.mode
             if not name:
                 raise ScenarioError("example needs a study name")
-            return cmd_example(name, args.override, args.out)
+            scenario = parse_scenario(
+                apply_overrides({"system": name}, args.override)
+            )
+            return cmd_example(scenario, args.out)
         if not args.scenario:
             raise ScenarioError("%s needs --scenario" % args.command)
         scenario = load_scenario(args.scenario, args.override, args.seed)

@@ -48,13 +48,6 @@ class CheckReport:
     def passed(self):
         return self.verdict == Verdict.PASS
 
-    def worst(self, condition=None):
-        pool = [
-            c for c in self.counterexamples
-            if condition is None or c.condition == condition
-        ]
-        return max(pool, key=lambda c: c.margin) if pool else None
-
     def to_json_obj(self):
         return {
             "verdict": self.verdict.value,

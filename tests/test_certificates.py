@@ -148,6 +148,46 @@ def test_pair_check_requires_barrier():
         check_pair_VB(perturb(system, 0.0), bare, ss, GridSpec([0.0], [1.0], 3))
 
 
+def ball_jump_layer(delta):
+    """Perturbed ball, its pair report and barrier-jump margins over a grid
+    of jump points on y = 0 through x = 0, where grad B is steepest in x."""
+    system, cert, spec = bouncing_ball()
+    sys_delta = perturb(system, delta)
+    ss = StabSafeSpec(x0=spec.x0, unsafe=spec.unsafe, attractor=ball_attractor())
+    grid = GridSpec([-1.0, 0.0, -1.0], [1.0, 0.0, 0.0], (3, 1, 5))
+    rep = check_pair_VB(sys_delta, cert, ss, grid)
+    margin = condition_margin_fn(sys_delta, cert, "barrier-jump")
+    points = [p for p in grid.points() if margin(p) is not None]
+    return sys_delta, cert, rep, margin, points
+
+
+def test_barrier_jump_tries_the_worst_disturbance():
+    delta = 0.05
+    sys_delta, cert, rep, margin, points = ball_jump_layer(delta)
+    assert len(points) == 15
+    B = cert.B
+    for p in points:
+        (g,) = sys_delta.jump_candidates(p)
+        gb = B.gradient(g)
+        along_grad_B = B(p) - B(g - delta * gb / np.linalg.norm(gb))
+        assert margin(p) >= along_grad_B
+    # at (0, 0, 0) the barrier drops by delta |grad B| to first order
+    worst = max(margin(p) for p in points)
+    assert worst == pytest.approx(delta * math.hypot(1.0, 0.625), rel=1e-3)
+    # the pair check and falsification score the same margin
+    assert rep.stats["worst_margins"]["iv-barrier-jump"] == worst
+
+
+def test_barrier_jump_undisturbed_margin_is_the_plain_drop():
+    sys_delta, cert, rep, margin, points = ball_jump_layer(0.0)
+    drops = []
+    for p in points:
+        (g,) = sys_delta.jump_candidates(p)
+        drops.append(cert.B(p) - cert.B(g))
+        assert margin(p) == drops[-1]
+    assert rep.stats["worst_margins"]["iv-barrier-jump"] == max(drops)
+
+
 def test_condition_margin_fn_rejects_unknown_id():
     cert = CertificatePair(V=quadratic_V())
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+import yaml
 
 import hybridcert
 from hybridcert import cli
@@ -158,6 +159,37 @@ def test_example_unknown_name(tmp_path):
     code, _, stderr = run_cli(["example", "no-such-study"], tmp_path)
     assert code == 4, stderr
     assert json.loads(stderr.splitlines()[-1])["error"] == "ScenarioError"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("bouncing-ball", []),
+    ("moore-greitzer", ["sim.t_max=5"]),
+])
+def test_example_and_simulate_write_the_same_arc(tmp_path, name, overrides):
+    scen = write(tmp_path, "study.yaml", "system: %s\n" % name)
+    runs = [["example", name], ["simulate", "--scenario", scen]]
+    extra = [a for pair in overrides for a in ("--override", pair)]
+    arcs = []
+    for k, args in enumerate(runs):
+        out = tmp_path / str(k)
+        code, _, stderr = run_cli(args + extra + ["--out", str(out)], tmp_path)
+        assert code == 0, stderr
+        arcs.append((out / "arc.csv").read_bytes())
+    assert arcs[0] == arcs[1]
+
+
+def test_simulate_rejects_delta_on_moore_greitzer(tmp_path):
+    scen = write(tmp_path, "mg.yaml", "system: moore-greitzer\ndelta: 0.01\n")
+    out = tmp_path / "sim"
+    code, _, stderr = run_cli(
+        ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
+    )
+    assert code == 4, stderr
+    payload = json.loads(stderr.splitlines()[-1])
+    assert payload["error"] == "ScenarioError"
+    assert "delta" in payload["message"]
+    assert not out.exists()
 
 
 def test_simulate_named_system(tmp_path):
@@ -203,6 +235,7 @@ def test_simulate_bad_initial_condition(tmp_path):
     assert code == 2, stderr
     payload = json.loads(stderr.splitlines()[-1])
     assert payload["error"] == "BadInitialCondition"
+    assert not (tmp_path / "o").exists()
 
 
 def test_check_pair_vb(tmp_path):
@@ -260,6 +293,7 @@ def test_check_ras_requires_seed(tmp_path):
     )
     assert code == 4, stderr
     assert "seed" in json.loads(stderr.splitlines()[-1])["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_check_ras_ball_passes_with_seed(tmp_path):
@@ -397,6 +431,27 @@ def test_no_temp_files_left_behind(tmp_path):
     assert code == 0, stderr
     stray = [p for p in tmp_path.rglob("*") if ".tmp" in p.name]
     assert stray == []
+
+
+@pytest.mark.parametrize("system, name", [
+    ("bouncing-ball", "moore-greitzer"),
+    ("moore-greitzer", "bouncing-ball"),
+    ("{variables: [x], flow_map: ['-x'], jump_map: ['x'],"
+     " flow_set: {kind: ball, center: [0], radius: 1},"
+     " jump_set: {kind: ball, center: [5], radius: 1}}", "bouncing-ball"),
+])
+def test_certificate_name_must_match_system(system, name):
+    doc = yaml.safe_load("system: %s\ncertificates: %s\n" % (system, name))
+    with pytest.raises(cli.ScenarioError, match="certificate name"):
+        cli.parse_scenario(doc)
+
+
+def test_certificate_name_of_its_own_system_is_the_study_pair():
+    named = cli.parse_scenario(
+        {"system": "bouncing-ball", "certificates": "bouncing-ball"}
+    )
+    assert named.cert.V.name == "ball-V"
+    assert named.cert.B.name == "ball-B"
 
 
 def test_write_json_closes_its_file(tmp_path):
