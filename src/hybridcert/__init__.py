@@ -15,6 +15,7 @@ from .geometry import (
     Implicit,
     Inflated,
     Intersection,
+    SamplingError,
     SetRegion,
     Union,
     UnsupportedDistance,

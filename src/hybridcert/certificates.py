@@ -431,7 +431,8 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
             bjump = np.inf
             for cand in sys_delta.jump_candidates(p):
                 cand = as_vector(cand)
-                for d in _jump_directions(cert, cand, delta, V.gradient(cand)):
+                gv = V.gradient(cand) if delta > 0.0 else None
+                for d in _jump_directions(cert, cand, delta, gv):
                     dec = min(dec, vx - V(cand + d))
                     bjump = min(bjump, B(cand + d) - b)
             note("i-jump-decrease", cert.required_decrease(dist_A) - dec, p)

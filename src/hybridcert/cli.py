@@ -527,8 +527,9 @@ def cmd_falsify(scenario, condition_id, out_dir):
 
 def _barrier_series(arc, cert, dim):
     return [
-        [j, repr(float(t)), repr(cert.V(x[:dim])), repr(cert.B(x[:dim]))]
-        for j, t, x in arc.samples()
+        [j, repr(t), repr(cert.V(x)), repr(cert.B(x))]
+        for j, (times, states) in enumerate(arc.phases)
+        for t, x in zip(times.tolist(), states[:, :dim])
     ]
 
 
@@ -567,7 +568,8 @@ def cmd_example(scenario, out_dir):
         levels = collections.Counter(dec["level"] for dec in decisions)
         unsafe = scenario.spec.unsafe
         in_unsafe = sum(
-            1 for _, _, x in arc.samples() if contains(unsafe, x[:dim], 0.0)
+            1 for _, states in arc.phases for x in states[:, :dim]
+            if contains(unsafe, x, 0.0)
         )
         obj["final_plant_state"] = [float(v) for v in x_end]
         obj["distance_to_equilibrium"] = float(np.linalg.norm(x_end - zeta))

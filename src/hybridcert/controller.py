@@ -86,6 +86,15 @@ class QPProblem:
         self.rows = [(as_vector(a), float(b)) for a, b in self.rows]
         if np.any(np.linalg.eigvalsh(self.Q) <= 0.0):
             raise ValueError("cost matrix must be positive definite")
+        n = self.q.size
+        self._box_rows = []
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = 1.0
+            if np.isfinite(self.ub[i]):
+                self._box_rows.append((e, float(self.ub[i])))
+            if np.isfinite(self.lb[i]):
+                self._box_rows.append((-e, float(-self.lb[i])))
 
     def cost(self, u):
         u = as_vector(u)
@@ -93,16 +102,7 @@ class QPProblem:
 
     def all_rows(self):
         """Inequality rows including the box faces."""
-        n = self.q.size
-        rows = list(self.rows)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            if np.isfinite(self.ub[i]):
-                rows.append((e, float(self.ub[i])))
-            if np.isfinite(self.lb[i]):
-                rows.append((-e, float(-self.lb[i])))
-        return rows
+        return self.rows + self._box_rows
 
     def feasible(self, u, slack=1e-9):
         return all(float(a @ u) <= b + slack for a, b in self.all_rows())
@@ -121,11 +121,13 @@ def solve_qp(qp: QPProblem, feas_slack=1e-9):
     if n > 2:
         raise ValueError("active-set enumeration is limited to dim_u <= 2")
     rows = qp.all_rows()
+    A_all = np.array([a for a, _ in rows]).reshape(len(rows), n)
+    b_all = np.array([b for _, b in rows])
     best = None
     for k in range(n + 1):
         for combo in combinations(range(len(rows)), k):
-            A = np.array([rows[i][0] for i in combo]).reshape(k, n)
-            b = np.array([rows[i][1] for i in combo])
+            active = list(combo)
+            A, b = A_all[active], b_all[active]
             M = np.zeros((n + k, n + k))
             M[:n, :n] = 2.0 * qp.Q
             M[:n, n:] = A.T
@@ -301,12 +303,14 @@ def augment_sample_hold(plant: ControlledPlant, policy, cfg: SampleHoldConfig,
         free_x + [cfg.period - JUMP_SLACK], [inf] * (nx + nu) + [inf]
     )
 
+    drift, input_matrix = plant.drift, plant.input_matrix
+    held = np.zeros(dim)  # u' = 0, tau' = 1; x' is filled in per call
+    held[-1] = 1.0
+
     def flow_map(z):
         x, u = z[:nx], z[nx:nx + nu]
-        out = np.empty(dim)
-        out[:nx] = plant.vector_field(x, u)
-        out[nx:nx + nu] = 0.0
-        out[-1] = 1.0
+        out = held.copy()
+        out[:nx] = drift(x) + input_matrix(x) @ u
         return out
 
     def jump_map(z):

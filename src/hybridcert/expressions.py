@@ -15,7 +15,8 @@ from .geometry import as_vector
 
 
 class ExpressionError(ValueError):
-    """Expression uses a name or construct outside the whitelist."""
+    """Expression uses a name or construct outside the whitelist, is nested
+    too deeply to parse, or overflows or divides by zero when evaluated."""
 
 
 def _sign(t):
@@ -76,6 +77,8 @@ _NODE_TYPES = (
 
 
 def _validate(tree, variables, source):
+    # checks every node against the whitelist and turns int literals into
+    # floats in place
     for node in ast.walk(tree):
         if not isinstance(node, _NODE_TYPES):
             raise ExpressionError(
@@ -103,6 +106,15 @@ def _validate(tree, variables, source):
                 raise ExpressionError(
                     "literal %r not allowed in %r" % (node.value, source)
                 )
+            if type(node.value) is int:
+                # float arithmetic overflows at once where exact ints would
+                # grow without bound (9**9**9)
+                try:
+                    node.value = float(node.value)
+                except OverflowError:
+                    raise ExpressionError(
+                        "literal too large in %r" % source
+                    ) from None
 
 
 class Expr:
@@ -122,12 +134,19 @@ class Expr:
                 raise ExpressionError("variable %r shadows a builtin" % name)
         try:
             tree = ast.parse(self.source, mode="eval")
+            _validate(tree, self.variables, self.source)
+            self._code = compile(tree, "<expr>", "eval")
         except SyntaxError as exc:
             raise ExpressionError(
                 "syntax error in %r: %s" % (self.source, exc)
             ) from None
-        _validate(tree, self.variables, self.source)
-        self._code = compile(tree, "<expr>", "eval")
+        except (RecursionError, MemoryError):
+            # one level of recursion per level of nesting: the parser runs
+            # out of its own stack (MemoryError), the compiler out of
+            # Python's (RecursionError)
+            raise ExpressionError(
+                "expression nested too deeply: %r" % self.source[:80]
+            ) from None
         self._globals = {"__builtins__": {}}
         self._globals.update(FUNCTIONS)
         self._globals.update(CONSTANTS)
@@ -140,7 +159,12 @@ class Expr:
                 % (len(self.variables), x.size)
             )
         env = {name: float(v) for name, v in zip(self.variables, x)}
-        return eval(self._code, self._globals, env)
+        try:
+            return eval(self._code, self._globals, env)
+        except ArithmeticError as exc:
+            raise ExpressionError(
+                "%s: %s in %r" % (type(exc).__name__, exc, self.source)
+            ) from None
 
     def __repr__(self):
         return "Expr(%r, variables=%r)" % (self.source, self.variables)

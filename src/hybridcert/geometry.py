@@ -17,6 +17,10 @@ class DegenerateDomain(Exception):
     """Indicator target is not strictly inside its open domain."""
 
 
+class SamplingError(ValueError):
+    """A sampled region has no bounding box, or too few draws land in it."""
+
+
 def as_vector(x):
     """Coerce to a 1-D float64 array without copying when possible."""
     v = np.asarray(x, dtype=float)
@@ -76,6 +80,14 @@ class AxisBox(SetRegion):
             raise ValueError("lo/hi dimension mismatch")
         if np.any(self.lo > self.hi):
             raise ValueError("box needs lo <= hi componentwise")
+        # no point lies beyond an infinite face, so contains screens only
+        # the finite ones
+        self._lo_faces = [
+            (i, float(v)) for i, v in enumerate(self.lo) if np.isfinite(v)
+        ]
+        self._hi_faces = [
+            (i, float(v)) for i, v in enumerate(self.hi) if np.isfinite(v)
+        ]
 
     def distance(self, x):
         q = np.minimum(np.maximum(as_vector(x), self.lo), self.hi)
@@ -86,16 +98,16 @@ class AxisBox(SetRegion):
         # simulator's per-step loop; only borderline points pay for the
         # exact Euclidean distance
         v = as_vector(x)
-        lo, hi = self.lo, self.hi
+        xs = v.tolist()
         borderline = False
-        for i in range(v.size):
-            xi = v[i]
-            if xi < lo[i]:
-                if xi < lo[i] - tol:
+        for i, lo in self._lo_faces:
+            if xs[i] < lo:
+                if xs[i] < lo - tol:
                     return False
                 borderline = True
-            elif xi > hi[i]:
-                if xi > hi[i] + tol:
+        for i, hi in self._hi_faces:
+            if xs[i] > hi:
+                if xs[i] > hi + tol:
                     return False
                 borderline = True
         if not borderline:
@@ -274,11 +286,11 @@ def sample_region(region, n, rng):
     """n points of region by rejection from its bounding box.
 
     Draws rng.uniform(lo, hi) and keeps the draws inside region, giving up
-    with ValueError after 1000 * n draws.
+    with SamplingError after 1000 * n draws.
     """
     bbox = region.bounding_box()
     if bbox is None:
-        raise ValueError("sampled region needs a bounding box")
+        raise SamplingError("sampled region needs a bounding box")
     out = []
     for _ in range(1000 * n):
         if len(out) == n:
@@ -287,7 +299,7 @@ def sample_region(region, n, rng):
         if contains(region, p, 0.0):
             out.append(p)
     if len(out) < n:
-        raise ValueError("could not draw %d points from region" % n)
+        raise SamplingError("could not draw %d points from region" % n)
     return out
 
 

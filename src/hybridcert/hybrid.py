@@ -312,8 +312,9 @@ def arc_to_csv(arc, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["j", "t"] + [f"x_{k + 1}" for k in range(arc.dim)])
-        for j, t, x in arc.samples():
-            w.writerow([j, repr(t)] + [repr(float(v)) for v in x])
+        for j, (times, states) in enumerate(arc.phases):
+            for t, x in zip(times.tolist(), states.tolist()):
+                w.writerow([j, repr(t)] + [repr(v) for v in x])
         w.writerow(["termination", arc.termination.value])
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .geometry import (
     Complement,
+    SamplingError,
     SetRegion,
     UnsupportedDistance,
     contains,
@@ -244,7 +245,7 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
         shell = inflate(A, delta)
         try:
             points = sample_region(shell, n_init, np.random.default_rng(seed))
-        except ValueError:
+        except SamplingError:
             return None
         runs, _ = _solve_all(system, points, config, seed=seed)
         n_arcs += len(runs)

@@ -74,11 +74,22 @@ class SolveReport:
 
 
 def _rk4_step(f, x, dt, d):
+    # x + (dt/6) (k1 + 2 k2 + 2 k3 + k4), combined in place in that order;
+    # every k is a fresh array (f's result plus d), so f's output is never
+    # written to
+    half = 0.5 * dt
     k1 = f(x) + d
-    k2 = f(x + 0.5 * dt * k1) + d
-    k3 = f(x + 0.5 * dt * k2) + d
+    k2 = f(x + half * k1) + d
+    k3 = f(x + half * k2) + d
     k4 = f(x + dt * k3) + d
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 *= 2.0
+    k3 *= 2.0
+    k1 += k2
+    k1 += k3
+    k1 += k4
+    k1 *= dt / 6.0
+    k1 += x
+    return k1
 
 
 def _bisect_event(f, x0, dt, d, pred, x_full, event_tol):
@@ -179,17 +190,22 @@ def solve(system: HybridSystem, x0, config: SimConfig) -> SolveReport:
         x = x_plus
         return True
 
+    # a plain step only accepts a state outside D and inside C, so the
+    # membership tests at the loop top are skipped right after one
+    stepped = False
     while termination is None:
         if t >= config.T_max:
             termination = Termination.HORIZON_REACHED
             break
-        if contains(system.jump_set, x, 0.0):
-            if not do_jump():
+        if not stepped:
+            if contains(system.jump_set, x, 0.0):
+                if not do_jump():
+                    break
+                continue
+            if not contains(system.flow_set, x, tol):
+                termination = Termination.LEFT_FLOW_AND_JUMP_SETS
                 break
-            continue
-        if not contains(system.flow_set, x, tol):
-            termination = Termination.LEFT_FLOW_AND_JUMP_SETS
-            break
+        stepped = False
 
         dt = min(config.h, config.T_max - t)
         d = draw(t, j)
@@ -238,6 +254,7 @@ def solve(system: HybridSystem, x0, config: SimConfig) -> SolveReport:
         t += dt
         x = x_prop
         builder.append(t, x)
+        stepped = True
 
     arc = builder.build(termination)
     flow_time = sum(times[-1] - times[0] for times, _ in arc.phases)

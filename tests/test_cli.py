@@ -192,6 +192,20 @@ def test_simulate_rejects_delta_on_moore_greitzer(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flow", ["10**400", "-" * 5000 + "x", "x/0"],
+                         ids=["overflow", "deep-nesting", "zero-division"])
+def test_hostile_expression_exits_4_with_one_json_object(tmp_path, flow):
+    scen = write(tmp_path, "hostile.yaml", DECAY_SCENARIO.replace(
+        '["-x"]', json.dumps([flow])))
+    out = tmp_path / "sim"
+    code, _, stderr = run_cli(
+        ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
+    )
+    assert code == 4, stderr
+    assert json.loads(stderr)["error"] == "ExpressionError"
+    assert not out.exists()
+
+
 def test_simulate_named_system(tmp_path):
     scen = write(tmp_path, "ball.yaml", BALL_SCENARIO)
     out = tmp_path / "sim"

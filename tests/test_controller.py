@@ -186,6 +186,25 @@ def test_augmented_timer_jumps_each_period():
     assert rep.termination.name == "HORIZON_REACHED"
 
 
+def test_augmented_flow_is_plant_field_held_input_unit_timer():
+    plant = ControlledPlant(
+        dim_x=2, dim_u=2,
+        drift=lambda x: np.array([x[1] - x[0] ** 3, np.sin(x[0])]),
+        input_matrix=lambda x: np.array([[1.0, x[0]], [0.0, -np.sqrt(x[1])]]),
+        input_box=AxisBox([-1.0, 0.0], [1.0, 2.0]),
+    )
+    cfg = SampleHoldConfig(period=0.5, sigma_margin=0.07)
+    system = augment_sample_hold(plant, lambda z: np.zeros(2), cfg)
+    z = np.array([0.3, 0.8, -0.4, 1.2, 0.1])
+    want = np.concatenate(
+        [plant.vector_field(z[:2], z[2:4]), [0.0, 0.0, 1.0]]
+    )
+    out = system.flow(z)
+    assert out.tobytes() == want.tobytes()
+    out[:] = 7.0  # a caller writing to one result leaves the next intact
+    assert system.flow(z).tobytes() == want.tobytes()
+
+
 def test_random_qps_satisfy_kkt():
     rng = np.random.default_rng(11)
     solved = 0

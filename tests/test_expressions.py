@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridcert.expressions import (
+    Expr,
     ExpressionError,
     predicate_fn,
     scalar_fn,
@@ -88,6 +89,36 @@ def test_dimension_mismatch_at_call():
     f = scalar_fn("x", ("x",))
     with pytest.raises(ExpressionError):
         f([1.0, 2.0])
+
+
+def test_overflow_is_an_expression_error():
+    f = scalar_fn("10**400", ["x"])
+    with pytest.raises(ExpressionError, match="OverflowError"):
+        f([0.0])
+
+
+def test_zero_division_is_an_expression_error():
+    f = scalar_fn("1/x", ["x"])
+    assert f([4.0]) == 0.25
+    with pytest.raises(ExpressionError, match="ZeroDivisionError"):
+        f([0.0])
+
+
+@pytest.mark.parametrize("source", ["-" * 5000 + "x", "x" + "+x" * 5000],
+                         ids=["parser", "compiler"])
+def test_deep_nesting_is_an_expression_error_at_parse_time(source):
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        scalar_fn(source, ["x"])
+
+
+def test_integer_literals_compile_as_floats():
+    # exact ints would let a power tower such as 9**9**9 build a huge
+    # number instead of overflowing at once
+    value = Expr("2**3 + 7 % 4", ())([])
+    assert type(value) is float and value == 11.0
+    assert Expr("True", ())([]) is True
+    with pytest.raises(ExpressionError, match="literal too large"):
+        scalar_fn("1" + "0" * 400, ["x"])
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6,

@@ -13,6 +13,7 @@ from hybridcert import (
     Implicit,
     Inflated,
     Intersection,
+    SamplingError,
     Union,
     contains,
     dist_to_set,
@@ -91,6 +92,42 @@ def test_inflation_distance_duality(cx, cy, rad, r, px, py):
     x = np.array([px, py])
     tol = 1e-9
     assert contains(inflate(A, r), x, tol) == (dist_to_set(x, A) <= r + tol)
+
+
+@st.composite
+def box_and_point(draw):
+    """An axis box with some +-inf faces and a point that is free, far out
+    along an infinite face, or placed at +-{0, 0.5, 1, 2} tol off a face.
+    Coordinates are multiples of 1/8, so no nonzero gap to a face is small
+    enough to underflow in the distance's norm."""
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25]))
+    dim = draw(st.integers(1, 4))
+    lo, hi, x = [], [], []
+    for _ in range(dim):
+        a, b = sorted(draw(st.integers(-64, 64)) / 8.0 for _ in range(2))
+        a = -np.inf if draw(st.booleans()) else a
+        b = np.inf if draw(st.booleans()) else b
+        lo.append(a)
+        hi.append(b)
+        place = draw(st.sampled_from(["free", "far", "lo", "hi"]))
+        if place == "free":
+            x.append(draw(st.integers(-100, 100)) / 8.0)
+        elif place == "far":
+            x.append(draw(st.sampled_from([-1e6, 1e6])))
+        else:
+            face = a if place == "lo" else b
+            if not np.isfinite(face):
+                face = 0.0
+            s = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]))
+            x.append(face + s * tol)
+    return AxisBox(lo, hi), np.array(x), tol
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(case=box_and_point())
+def test_axis_box_contains_is_the_distance_definition(case):
+    box, x, tol = case
+    assert contains(box, x, tol) == (dist_to_set(x, box) <= tol)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -208,7 +245,7 @@ def test_sample_region_keeps_in_region_draws_in_order():
 def test_sample_region_empty_unbounded_and_unreachable():
     rng = np.random.default_rng(0)
     assert sample_region(Ball((0.0,), 1.0), 0, rng) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(SamplingError):
         sample_region(AxisBox([0.0], [np.inf]), 1, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(SamplingError):
         sample_region(Implicit(lambda x: False, AxisBox([0.0], [1.0])), 2, rng)

@@ -24,6 +24,7 @@ from hybridcert import (
     estimate_invariant_core,
     make_system,
 )
+from hybridcert.expressions import ExpressionError, predicate_fn
 
 
 def scalar_flow(rate, bound=50.0):
@@ -160,6 +161,20 @@ def test_stability_ball_records_unsampleable_shell():
     assert rep.stats["delta_per_eps"] == {0.5: None}
     # settle is measured in total time: ~12.3 of flow plus the jump count
     assert 26.0 < rep.stats["settle_times"][0.5] < 28.0
+
+
+def test_stability_check_raises_a_broken_attractor_predicate():
+    # the predicate overflows for x > 0.71; that is an error in the
+    # scenario, not a shell with nothing to sample
+    attractor = Implicit(
+        predicate_fn("exp(1000*x) < 0 or x*x < 0.01", ["x"]),
+        AxisBox([-1.0], [1.0]),
+    )
+    spec = StabSafeSpec(x0=[np.array([0.5])], unsafe=AxisBox([8.0], [9.0]),
+                        attractor=attractor)
+    with pytest.raises(ExpressionError, match="OverflowError"):
+        check_stability_safety(scalar_flow(-1.0), spec, n_init=2,
+                               config=SimConfig(h=1e-2, T_max=2.0))
 
 
 def test_invariance_of_contracted_box():

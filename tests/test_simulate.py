@@ -14,6 +14,7 @@ from hybridcert import (
     EmptySet,
     HorizonTooShort,
     HybridSystem,
+    SetRegion,
     SimConfig,
     Termination,
     arc_eval,
@@ -30,6 +31,8 @@ from hybridcert import (
     solve_many,
     verify_solution,
 )
+
+from hybridcert.simulate import _rk4_step
 
 # closed-form first impact of the ballistic fall from (y, z) = (9, 0.8)
 FIRST_IMPACT = 1.4393508064065221
@@ -58,6 +61,76 @@ def raw_ball(zeno_map=None):
         bounds=AxisBox([-5.0, -1.0, -50.0], [100.0, 20.0, 50.0]),
         zeno_map=zeno_map,
     )
+
+
+class CountingRegion(SetRegion):
+    """A region that counts the membership questions asked of it."""
+
+    def __init__(self, base):
+        self.base = base
+        self.calls = 0
+
+    def distance(self, x):
+        return self.base.distance(x)
+
+    def contains(self, x, tol=1e-9):
+        self.calls += 1
+        return self.base.contains(x, tol)
+
+    def bounding_box(self):
+        return self.base.bounding_box()
+
+
+def counted(system):
+    """system with a counting jump set and a flow map that counts RK4
+    stages; returns (system, jump set, list of flow evaluations)."""
+    flows = []
+
+    def flow_map(x):
+        flows.append(1)
+        return system.flow_map(x)
+
+    jump_set = CountingRegion(system.jump_set)
+    return (dataclasses.replace(system, jump_set=jump_set, flow_map=flow_map),
+            jump_set, flows)
+
+
+def test_solve_asks_the_jump_set_once_per_plain_step():
+    # no events: one question at the loop top at t = 0, then one per step
+    system, jump_set, _ = counted(linear_decay())
+    rep = solve(system, np.array([1.0]), SimConfig(h=0.01, T_max=1.0))
+    steps = rep.arc.phases[0][0].size - 1
+    assert steps == 100
+    assert jump_set.calls == steps + 1
+
+
+def test_solve_asks_the_jump_set_once_per_rk4_step_with_events():
+    system, jump_set, flows = counted(raw_ball())
+    rep = solve(system, np.array([0.0, 9.0, 0.8]),
+                SimConfig(h=1e-3, T_max=4.0))
+    assert rep.jump_count >= 2
+    rk4_steps = len(flows) // 4  # plain steps and bisection probes
+    # beyond one question per RK4 step: the loop top at t = 0, after each
+    # jump and at each located jump-set entry
+    assert jump_set.calls <= rk4_steps + 1 + 2 * rep.jump_count
+
+
+def test_rk4_step_is_the_textbook_combination_bitwise():
+    def f(x):
+        return np.array([x[1], -math.sin(x[0]) - 0.1 * x[1]])
+
+    x, d = np.array([0.7, -0.3]), np.array([1e-3, -2e-3])
+    for dt in (1e-3, 0.05, 0.3):
+        k1 = f(x) + d
+        k2 = f(x + 0.5 * dt * k1) + d
+        k3 = f(x + 0.5 * dt * k2) + d
+        k4 = f(x + dt * k3) + d
+        want = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert _rk4_step(f, x, dt, d).tobytes() == want.tobytes()
+    # the stages are combined in place, never in the map's own result
+    shared = np.array([1.0, 2.0])
+    _rk4_step(lambda y: shared, x, 0.1, d)
+    assert shared.tolist() == [1.0, 2.0] and x.tolist() == [0.7, -0.3]
 
 
 def test_first_impact_matches_quadratic_root():
