@@ -30,7 +30,6 @@ from .hybrid import (
     Disturbance,
     HybridArc,
     HybridSystem,
-    HybridTimeDomain,
     OutOfDomain,
     Termination,
     arc_eval,

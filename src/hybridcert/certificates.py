@@ -30,6 +30,12 @@ DEFAULT_TOL = 1e-7
 # require finite margins
 NEG_CLAMP = -1e12
 
+# central-difference step of gradients without an analytic form
+FD_STEP = 1e-5
+
+# how far from zero V and the indicator may sit where the other vanishes
+SANDWICH_BAND = 1e-3
+
 
 class MissingIndicator(ValueError):
     pass
@@ -44,14 +50,13 @@ class ScalarField:
     """A scalar function with an optional analytic gradient.
 
     When grad is absent, gradient() falls back to central differences with
-    step grad_fd_step.  domain, when given, is a predicate marking points
-    where the field (and its FD stencil) is well defined; probe generators
-    use it to reject points near singularities.
+    step FD_STEP.  domain, when given, is a predicate marking points where
+    the field (and its FD stencil) is well defined; probe generators use it
+    to reject points near singularities.
     """
 
     value: object
     grad: object = None
-    grad_fd_step: float = 1e-5
     name: str = ""
     domain: object = None
 
@@ -67,37 +72,28 @@ class ScalarField:
             return as_vector(self.grad(x))
         return self.fd_gradient(x)
 
-    def fd_gradient(self, x, step=None):
+    def fd_gradient(self, x):
         x = as_vector(x)
-        h = self.grad_fd_step if step is None else step
         g = np.empty(x.size)
         for i in range(x.size):
             e = np.zeros(x.size)
-            e[i] = h
-            g[i] = (self.value(x + e) - self.value(x - e)) / (2.0 * h)
+            e[i] = FD_STEP
+            g[i] = (self.value(x + e) - self.value(x - e)) / (2.0 * FD_STEP)
         return g
 
 
 @dataclass
 class CertificatePair:
-    """V with optional barrier B, decrease margin rho, indicator omega.
+    """V with optional barrier B and indicator omega.
 
-    region is the open certificate domain O; rho, when present, maps the
-    distance to the attractor to the required decrease margin.  With rho
-    absent the pair checker fits the largest constant c with decrease
-    >= c * |x|_A and fails when c <= 0.
+    region is the open certificate domain O.  The pair checker fits the
+    largest constant c with decrease >= c * |x|_A and fails when c <= 0.
     """
 
     V: ScalarField
     B: ScalarField = None
-    rho: object = None
     omega: object = None
     region: object = None
-
-    def required_decrease(self, dist_A):
-        if self.rho is None:
-            return 0.0
-        return float(self.rho(dist_A))
 
 
 @dataclass
@@ -232,14 +228,14 @@ def _fit_envelopes(pairs, knots=24):
     return w, lower, upper
 
 
-def _sandwich_check(pairs, tol, band, ces):
+def _sandwich_check(pairs, tol, ces):
     """Decidable content of the class-K sandwich on sampled (omega, V).
 
     A monotone-through-origin envelope pair exists iff V vanishes exactly
-    where omega does: points with omega <= tol must have V <= band and
-    vice versa, and V must be nonnegative.
+    where omega does: points with omega <= tol must have V <= SANDWICH_BAND
+    and vice versa, and V must be nonnegative.
     """
-    worst = 0.0
+    band = SANDWICH_BAND
     for w, v, x in pairs:
         if v < -tol:
             ces.append(
@@ -249,12 +245,23 @@ def _sandwich_check(pairs, tol, band, ces):
             ces.append(Counterexample("sandwich-upper", x, margin=v - band))
         if v <= tol and w > band:
             ces.append(Counterexample("sandwich-lower", x, margin=w - band))
-        worst = max(worst, min(w, v))
-    return worst
+
+
+def _sweep(grid, visit):
+    """visit(p), which returns the margins scored at p, on every grid point;
+    then each refinement level re-grids around the 4 worst margins so far."""
+    hot = []
+    for p in grid.points():
+        hot.extend((m, p) for m in visit(p))
+    for level in range(1, grid.refinement_depth + 1):
+        hot.sort(key=lambda s: -s[0])
+        for _, c in hot[:4]:
+            for p in grid.refined_around(c, level).points():
+                hot.extend((m, p) for m in visit(p))
 
 
 def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
-                   tol=DEFAULT_TOL, sandwich_band=1e-3):
+                   tol=DEFAULT_TOL):
     """Single-Lyapunov-function conditions on a perturbed system.
 
     Over grid points of C_delta intersected with O: worst-case flow decrease
@@ -269,40 +276,34 @@ def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
     V = cert.V
     ces = []
     pairs = []
-    hot = []
     n_flow = n_jump = n_region = 0
     worst_flow = worst_jump = -np.inf
 
     def visit(p):
         nonlocal n_flow, n_jump, n_region, worst_flow, worst_jump
+        scored = []
         if not _in_region(O, p):
-            return
+            return scored
         n_region += 1
         pairs.append((float(cert.omega(p)), V(p), p))
         if contains(sys_delta.flow_set, p, 0.0):
             n_flow += 1
             m = _flow_margin_single(sys_delta, V, p, delta)
             worst_flow = max(worst_flow, m)
-            hot.append((m, p))
+            scored.append(m)
             if m > tol:
                 ces.append(Counterexample("flow-decrease", p, margin=m))
         if contains(sys_delta.jump_set, p, 0.0):
             n_jump += 1
             m = _jump_margin_single(sys_delta, V, p, delta)
             worst_jump = max(worst_jump, m)
-            hot.append((m, p))
+            scored.append(m)
             if m > tol:
                 ces.append(Counterexample("jump-decrease", p, margin=m))
+        return scored
 
-    for p in grid.points():
-        visit(p)
-    for level in range(1, grid.refinement_depth + 1):
-        hot.sort(key=lambda s: -s[0])
-        for _, c in hot[:4]:
-            for p in grid.refined_around(c, level).points():
-                visit(p)
-
-    _sandwich_check(pairs, tol, sandwich_band, ces)
+    _sweep(grid, visit)
+    _sandwich_check(pairs, tol, ces)
     env = _fit_envelopes([(w, v) for w, v, _ in pairs])
 
     stats = {
@@ -351,15 +352,56 @@ def _jump_margin_single(sys_delta, V, p, delta):
     return worst
 
 
+def _pair_flow(sys_delta, cert, p):
+    """At a point of C_delta: the least decrease -dV.(f+d) and the
+    iv-barrier-flow margin, the largest decrease -dB.(f+d), over the
+    disturbances along grad V and grad B.  The margin is None where B is
+    not admissible."""
+    V, B = cert.V, cert.B
+    gv = V.gradient(p)
+    gb = B.gradient(p) if B.admissible(p) else None
+    f = sys_delta.flow(p)
+    grads = [gv] + ([gb] if gb is not None else [])
+    dec = np.inf
+    bflow = np.inf
+    for d in _ball_directions(sys_delta.delta, p.size, grads):
+        dec = min(dec, -float(np.dot(gv, f + d)))
+        if gb is not None:
+            bflow = min(bflow, float(np.dot(gb, f + d)))
+    return dec, (None if gb is None else -bflow)
+
+
+def _pair_jump(sys_delta, cert, p, b):
+    """At a point of D_delta with B(p) = b: the least decrease V(p) -
+    V(g + d) and the iv-barrier-jump margin, the largest drop b - B(g + d),
+    over the jump candidates g and the disturbances of _jump_directions."""
+    V, B = cert.V, cert.B
+    delta = sys_delta.delta
+    vx = V(p)
+    dec = np.inf
+    bjump = np.inf
+    for cand in sys_delta.jump_candidates(p):
+        cand = as_vector(cand)
+        gv = V.gradient(cand) if delta > 0.0 else None
+        for d in _jump_directions(cert, cand, delta, gv):
+            dec = min(dec, vx - V(cand + d))
+            bjump = min(bjump, B(cand + d) - b)
+    return dec, -bjump
+
+
+def _unsafe_margin(B, p):
+    """iii-unsafe-negative margin at a point of U: B(p), clamped."""
+    return _clamp(B(p))
+
+
 def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
-                  tol=DEFAULT_TOL, exclude_radius=0.0, sandwich_band=None):
+                  tol=DEFAULT_TOL, exclude_radius=0.0):
     """Split Lyapunov-barrier conditions on a perturbed system.
 
     (i)   sandwich bounds of V in |x|_A plus strict decrease along flows and
-          jumps: with cert.rho given, decrease >= rho(|x|_A); without it the
-          largest constant c with decrease >= c*|x|_A is fitted and must be
-          positive.  Points within exclude_radius of A are left out of the
-          fit (the decrease degenerates on A itself).
+          jumps: the largest constant c with decrease >= c*|x|_A is fitted
+          and must be positive.  Points within exclude_radius of A are left
+          out of the fit (the decrease degenerates on A itself).
     (ii)  S = {B >= 0} lies inside O and every X0 sample lies in S.
     (iii) B < 0 everywhere on the unsafe set (strict sign test).
     (iv)  B nondecreasing along flows and across jumps.
@@ -374,8 +416,6 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
     U = spec.unsafe
     O = cert.region
     V, B = cert.V, cert.B
-    delta = sys_delta.delta
-    fit_mode = cert.rho is None
     ces = []
     counts = {}
     worst = {}
@@ -384,14 +424,12 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
     pairs = []
     outside_O = 0
 
-    hot = []
-
     def note(cond, margin, p):
         counts[cond] = counts.get(cond, 0) + 1
         worst[cond] = max(worst.get(cond, -np.inf), margin)
-        hot.append((margin, p))
         if margin > tol:
             ces.append(Counterexample(cond, p, margin=_clamp(margin)))
+        return margin
 
     def visit(p):
         nonlocal outside_O
@@ -399,91 +437,67 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
         in_O = _in_region(O, p)
         b = B(p)
         if not in_O:
-            if b >= 0.0:
-                note("ii-S-in-O", _clamp(b), p)
             if contains(sys_delta.flow_set, p, 0.0) or contains(
                 sys_delta.jump_set, p, 0.0
             ):
                 outside_O += 1
-            return
+            return [note("ii-S-in-O", _clamp(b), p)] if b >= 0.0 else []
         pairs.append((dist_A, V(p), p))
+        fit = dist_A > max(exclude_radius, tol)
+        scored = []
 
         if contains(sys_delta.flow_set, p, 0.0):
-            gv = V.gradient(p)
-            gb = B.gradient(p) if B.admissible(p) else None
-            f = sys_delta.flow(p)
-            grads = [gv] + ([gb] if gb is not None else [])
-            dec = np.inf
-            bflow = np.inf
-            for d in _ball_directions(delta, p.size, grads):
-                dec = min(dec, -float(np.dot(gv, f + d)))
-                if gb is not None:
-                    bflow = min(bflow, float(np.dot(gb, f + d)))
-            note("i-flow-decrease", cert.required_decrease(dist_A) - dec, p)
-            if fit_mode and dist_A > max(exclude_radius, tol):
+            dec, m_b = _pair_flow(sys_delta, cert, p)
+            # the required decrease is 0; 0.0 - dec keeps +0.0 at dec = 0
+            scored.append(note("i-flow-decrease", 0.0 - dec, p))
+            if fit:
                 ratios_flow.append((dec / dist_A, p))
-            if gb is not None:
-                note("iv-barrier-flow", -bflow, p)
+            if m_b is not None:
+                scored.append(note("iv-barrier-flow", m_b, p))
 
         if contains(sys_delta.jump_set, p, 0.0):
-            vx = V(p)
-            dec = np.inf
-            bjump = np.inf
-            for cand in sys_delta.jump_candidates(p):
-                cand = as_vector(cand)
-                gv = V.gradient(cand) if delta > 0.0 else None
-                for d in _jump_directions(cert, cand, delta, gv):
-                    dec = min(dec, vx - V(cand + d))
-                    bjump = min(bjump, B(cand + d) - b)
-            note("i-jump-decrease", cert.required_decrease(dist_A) - dec, p)
-            note("iv-barrier-jump", -bjump, p)
-            if fit_mode and dist_A > max(exclude_radius, tol):
+            dec, m_b = _pair_jump(sys_delta, cert, p, b)
+            scored.append(note("i-jump-decrease", 0.0 - dec, p))
+            scored.append(note("iv-barrier-jump", m_b, p))
+            if fit:
                 ratios_jump.append((dec / dist_A, p))
 
         if contains(U, p, 0.0):
-            note("iii-unsafe-negative", _clamp(b), p)
+            scored.append(note("iii-unsafe-negative", _unsafe_margin(B, p), p))
+        return scored
 
-    for p in grid.points():
-        visit(p)
-    for level in range(1, grid.refinement_depth + 1):
-        hot.sort(key=lambda s: -s[0])
-        for _, c in hot[:4]:
-            for p in grid.refined_around(c, level).points():
-                visit(p)
+    _sweep(grid, visit)
 
     # (iii) gets its own grid over U's bounding box: U need not meet O
     ubox = U.bounding_box()
     if ubox is not None:
         for p in GridSpec(ubox.lo, ubox.hi, grid.counts).points():
             if contains(U, p, 0.0):
-                note("iii-unsafe-negative", _clamp(B(p)), p)
+                note("iii-unsafe-negative", _unsafe_margin(B, p), p)
 
-    x0s = spec.initial_points()
-    for p in x0s:
+    for p in spec.initial_points():
         p = as_vector(p)
         note("ii-X0-in-S", -B(p), p)
 
-    band = sandwich_band if sandwich_band is not None else 1e-3
-    _sandwich_check(pairs, tol, band, ces)
+    _sandwich_check(pairs, tol, ces)
     env = _fit_envelopes([(w, v) for w, v, _ in pairs])
 
     fitted_c = None
-    if fit_mode:
-        pool = ratios_flow + ratios_jump
-        if pool:
-            fitted_c = min(r for r, _ in pool)
-            if fitted_c <= 0.0:
-                _, p_bad = min(pool, key=lambda rp: rp[0])
-                ces.append(
-                    Counterexample("i-fitted-c", p_bad, margin=-fitted_c + tol)
-                )
+    pool = ratios_flow + ratios_jump
+    if pool:
+        fitted_c = min(r for r, _ in pool)
+        if fitted_c <= 0.0:
+            _, p_bad = min(pool, key=lambda rp: rp[0])
+            ces.append(
+                Counterexample("i-fitted-c", p_bad, margin=-fitted_c + tol)
+            )
 
     stats = {
         "counts": counts,
         "worst_margins": {k: _clamp(v) for k, v in worst.items()},
         "fitted_c": fitted_c,
         "skipped_outside_region": outside_O,
-        "delta": delta,
+        "delta": sys_delta.delta,
         "tol": tol,
         "exclude_radius": exclude_radius,
     }
@@ -502,66 +516,41 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
 # ---------------------------------------------------------------------------
 # Falsification: named condition margins searched by LHS + grid + descent.
 
+
 def condition_margin_fn(sys_delta, cert, condition_id, spec=None):
     """Margin function (positive = violated) for a named certificate
-    condition; returns None at points where the condition does not apply."""
+    condition; returns None at points where the condition does not apply.
+
+    flow-decrease and jump-decrease are the single-V check's conditions;
+    barrier-flow, barrier-jump and unsafe-negative score the pair check's
+    iv-barrier-flow, iv-barrier-jump and iii-unsafe-negative.  Like the
+    pair check, unsafe-negative applies on all of U, the others only in O.
+    """
     delta = sys_delta.delta
     V, B = cert.V, cert.B
+    C, D, O = sys_delta.flow_set, sys_delta.jump_set, cert.region
+    barrier_ids = ("barrier-flow", "barrier-jump", "unsafe-negative")
+    if B is None and condition_id in barrier_ids:
+        raise MissingBarrier(condition_id)
 
     if condition_id == "flow-decrease":
-        def fn(p):
-            if not contains(sys_delta.flow_set, p, 0.0):
-                return None
-            return _flow_margin_single(sys_delta, V, p, delta)
+        where, fn = C, lambda p: _flow_margin_single(sys_delta, V, p, delta)
     elif condition_id == "jump-decrease":
-        def fn(p):
-            if not contains(sys_delta.jump_set, p, 0.0):
-                return None
-            return _jump_margin_single(sys_delta, V, p, delta)
+        where, fn = D, lambda p: _jump_margin_single(sys_delta, V, p, delta)
     elif condition_id == "barrier-flow":
-        if B is None:
-            raise MissingBarrier(condition_id)
-
-        def fn(p):
-            if not contains(sys_delta.flow_set, p, 0.0) or not B.admissible(p):
-                return None
-            gb = B.gradient(p)
-            f = sys_delta.flow(p)
-            return max(
-                -float(np.dot(gb, f + d))
-                for d in _ball_directions(delta, p.size, [gb])
-            )
+        where, fn = C, lambda p: _pair_flow(sys_delta, cert, p)[1]
     elif condition_id == "barrier-jump":
-        if B is None:
-            raise MissingBarrier(condition_id)
-
-        def fn(p):
-            if not contains(sys_delta.jump_set, p, 0.0):
-                return None
-            bx = B(p)
-            worst = -np.inf
-            for c in sys_delta.jump_candidates(p):
-                c = as_vector(c)
-                gv = V.gradient(c) if delta > 0.0 else None
-                for d in _jump_directions(cert, c, delta, gv):
-                    worst = max(worst, bx - B(c + d))
-            return worst
+        where, fn = D, lambda p: _pair_jump(sys_delta, cert, p, B(p))[1]
     elif condition_id == "unsafe-negative":
-        if B is None:
-            raise MissingBarrier(condition_id)
         if spec is None:
             raise ValueError("unsafe-negative needs a spec with spec.unsafe")
-
-        def fn(p):
-            if not contains(spec.unsafe, p, 0.0):
-                return None
-            return _clamp(B(p))
+        where, fn, O = spec.unsafe, lambda p: _unsafe_margin(B, p), None
     else:
         raise ValueError("unknown condition id %r" % condition_id)
 
     def wrapped(p):
         p = as_vector(p)
-        if cert.region is not None and not contains(cert.region, p, 0.0):
+        if not _in_region(O, p) or not contains(where, p, 0.0):
             return None
         return fn(p)
 
@@ -619,9 +608,7 @@ def falsify(sys_delta, cert, condition_id, region, budget, seed=0,
         consider(p)
 
     n_grid_axis = max(2, int(round((0.3 * budget) ** (1.0 / dim))))
-    axes = [np.linspace(lo[k], hi[k], n_grid_axis) for k in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    for p in np.stack([m.ravel() for m in mesh], axis=-1):
+    for p in GridSpec(lo, hi, n_grid_axis).points():
         if evals[0] >= budget:
             break
         consider(p)

@@ -24,6 +24,9 @@ log = logging.getLogger(__name__)
 # hair before the period, and a closed representable set is needed anyway
 JUMP_SLACK = 1e-9
 
+# rows within this distance of equality count as active in kkt_residual
+ACTIVE_TOL = 1e-8
+
 
 @dataclass
 class ControlledPlant:
@@ -108,7 +111,7 @@ class QPProblem:
         return all(float(a @ u) <= b + slack for a, b in self.all_rows())
 
 
-def solve_qp(qp: QPProblem, feas_slack=1e-9):
+def solve_qp(qp: QPProblem):
     """Exact minimizer by active-set enumeration; None if infeasible.
 
     Every subset of at most dim_u constraints is made active in turn and the
@@ -139,7 +142,7 @@ def solve_qp(qp: QPProblem, feas_slack=1e-9):
                 continue
             # snap roundoff off the box so returned inputs obey it exactly
             u = np.clip(sol[:n], qp.lb, qp.ub)
-            if not qp.feasible(u, feas_slack):
+            if not qp.feasible(u):
                 continue
             cu = qp.cost(u)
             if best is None or cu < best[0]:
@@ -147,7 +150,7 @@ def solve_qp(qp: QPProblem, feas_slack=1e-9):
     return None if best is None else best[1]
 
 
-def kkt_residual(qp: QPProblem, u, active_tol=1e-8):
+def kkt_residual(qp: QPProblem, u):
     """Max of primal violation and stationarity residual at u.
 
     Multipliers for the active rows are recovered by nonnegative least
@@ -158,7 +161,7 @@ def kkt_residual(qp: QPProblem, u, active_tol=1e-8):
     primal = max((float(a @ u) - b for a, b in rows), default=0.0)
     primal = max(0.0, primal)
     grad = 2.0 * qp.Q @ u + qp.q
-    active = [a for a, b in rows if abs(float(a @ u) - b) <= active_tol]
+    active = [a for a, b in rows if abs(float(a @ u) - b) <= ACTIVE_TOL]
     if not active:
         stationarity = float(np.linalg.norm(grad))
     else:
@@ -287,12 +290,13 @@ def make_sample_hold_policy(plant, V, B, cfg, log_list=None,
     return policy
 
 
-def augment_sample_hold(plant: ControlledPlant, policy, cfg: SampleHoldConfig,
-                        x_bounds=None):
+def augment_sample_hold(plant: ControlledPlant, policy, cfg: SampleHoldConfig):
     """Timer-augmented hybrid system z = (x, u, tau) for sample-and-hold.
 
     Flow set {tau in [0, period]}, jump set {tau >= period - JUMP_SLACK};
     flows hold u and advance tau, jumps reset tau and refresh u = policy(z).
+    The x-part of the bounds is the plant's operating box, or +-1e6
+    without one.
     """
     nx, nu = plant.dim_x, plant.dim_u
     dim = nx + nu + 1
@@ -319,10 +323,8 @@ def augment_sample_hold(plant: ControlledPlant, policy, cfg: SampleHoldConfig,
         out[-1] = 0.0
         return [out]
 
-    if x_bounds is None:
-        x_bounds = plant.operating_box
-    if x_bounds is not None:
-        xlo, xhi = x_bounds.lo, x_bounds.hi
+    if plant.operating_box is not None:
+        xlo, xhi = plant.operating_box.lo, plant.operating_box.hi
     else:
         xlo, xhi = np.full(nx, -1e6), np.full(nx, 1e6)
     ulo, uhi = plant.input_box.lo, plant.input_box.hi

@@ -58,18 +58,18 @@ class BouncingBallParams:
             raise ValueError("a must be positive")
 
 
-def bouncing_ball(params: BouncingBallParams = None, t_spec=30.0,
-                  impact_tol=1e-9):
+def bouncing_ball(params: BouncingBallParams = None):
     """Ball system, its (V, B) certificates and its reach-avoid-stay spec.
 
     The flow set is the closed half-space {y >= 0}; impacts live on
-    {y <= impact_tol, z < 0} and rely on jump priority, which realizes the
+    {y <= 1e-9, z < 0} and rely on jump priority, which realizes the
     usual open-condition phrasing with closed, event-detectable sets.  A
     snap-to-rest map resolves the Zeno accumulation.
     """
     p = params or BouncingBallParams()
     a, lam = p.a, p.restitution
     inf = np.inf
+    impact_tol = 1e-9
 
     flow_set = AxisBox([-inf, 0.0, -inf], [inf, inf, inf])
 
@@ -148,7 +148,7 @@ def bouncing_ball(params: BouncingBallParams = None, t_spec=30.0,
     unsafe = AxisBox([-10.0, 10.0 + 1e-9, -15.0], [60.0, 15.0, 15.0])
     target = AxisBox([-inf, 0.0, -inf], [inf, 0.1, inf])
     spec = RASSpec(x0=[np.array(p.x0, dtype=float)], unsafe=unsafe,
-                   target=target, t_spec=t_spec)
+                   target=target, t_spec=30.0)
     return system, cert, spec
 
 
@@ -367,17 +367,17 @@ def mg_equilibrium(gamma, params: MooreGreitzerParams = None):
     raise NoConvergence("no equilibrium after 100 iterations")
 
 
-def mg_closed_loop(params: MooreGreitzerParams = None, gamma0=None,
-                   horizon=100.0, h=1e-3, j_max=None):
+def mg_closed_loop(params: MooreGreitzerParams = None, horizon=100.0,
+                   h=1e-3):
     """Assemble and run the sample-and-hold loop from the equilibrium.
 
     Returns (solve report, decision log, augmented system, plant, cert).
-    The held input starts at (0, gamma0) and the timer at the period, so
-    the first QP decision lands at t = 0.
+    The held input starts at (0, params.gamma0) and the timer at the
+    period, so the first QP decision lands at t = 0.  Jumps are capped at
+    50 more than the horizon's sampling instants.
     """
     p = params or MooreGreitzerParams()
-    if gamma0 is None:
-        gamma0 = p.gamma0
+    gamma0 = p.gamma0
     plant, cert, spec, shc = moore_greitzer(p)
     decisions = []
     # B diverges on the protected box, so the barrier row is used as a
@@ -391,8 +391,7 @@ def mg_closed_loop(params: MooreGreitzerParams = None, gamma0=None,
     system = augment_sample_hold(plant, policy, shc)
     x_eq = mg_equilibrium(gamma0, p)
     z0 = initial_augmented(x_eq, [0.0, gamma0], shc)
-    if j_max is None:
-        j_max = int(horizon / shc.period) + 50
+    j_max = int(horizon / shc.period) + 50
     cfg = SimConfig(h=h, T_max=horizon, J_max=j_max)
     report = solve(system, z0, cfg)
     return report, decisions, system, plant, cert

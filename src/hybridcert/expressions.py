@@ -19,6 +19,11 @@ class ExpressionError(ValueError):
     too deeply to parse, or overflows or divides by zero when evaluated."""
 
 
+def _quote(source):
+    """repr of the first 80 characters of untrusted text, for messages."""
+    return repr(source[:80])
+
+
 def _sign(t):
     return float((t > 0) - (t < 0))
 
@@ -82,15 +87,14 @@ def _validate(tree, variables, source):
     for node in ast.walk(tree):
         if not isinstance(node, _NODE_TYPES):
             raise ExpressionError(
-                "%r not allowed in %r" % (type(node).__name__, source)
+                "%r not allowed in %s" % (type(node).__name__, _quote(source))
             )
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.keywords:
-                raise ExpressionError("bad call in %r" % source)
+                raise ExpressionError("bad call in %s" % _quote(source))
             if node.func.id not in FUNCTIONS:
-                raise ExpressionError(
-                    "unknown function %r in %r" % (node.func.id, source)
-                )
+                raise ExpressionError("unknown function %s in %s"
+                                      % (_quote(node.func.id), _quote(source)))
         elif isinstance(node, ast.Name):
             known = (
                 node.id in variables
@@ -99,13 +103,13 @@ def _validate(tree, variables, source):
             )
             if not known:
                 raise ExpressionError(
-                    "unknown name %r in %r" % (node.id, source)
+                    "unknown name %s in %s" % (_quote(node.id), _quote(source))
                 )
         elif isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float, bool)):
                 raise ExpressionError(
-                    "literal %r not allowed in %r" % (node.value, source)
-                )
+                    "%s literal not allowed in %s"
+                    % (type(node.value).__name__, _quote(source)))
             if type(node.value) is int:
                 # float arithmetic overflows at once where exact ints would
                 # grow without bound (9**9**9)
@@ -113,7 +117,7 @@ def _validate(tree, variables, source):
                     node.value = float(node.value)
                 except OverflowError:
                     raise ExpressionError(
-                        "literal too large in %r" % source
+                        "literal too large in %s" % _quote(source)
                     ) from None
 
 
@@ -129,7 +133,7 @@ class Expr:
         self.variables = tuple(variables)
         for name in self.variables:
             if not name.isidentifier():
-                raise ExpressionError("bad variable name %r" % name)
+                raise ExpressionError("bad variable name %s" % _quote(name))
             if name in FUNCTIONS or name in CONSTANTS:
                 raise ExpressionError("variable %r shadows a builtin" % name)
         try:
@@ -138,14 +142,14 @@ class Expr:
             self._code = compile(tree, "<expr>", "eval")
         except SyntaxError as exc:
             raise ExpressionError(
-                "syntax error in %r: %s" % (self.source, exc)
+                "syntax error in %s: %s" % (_quote(self.source), exc)
             ) from None
         except (RecursionError, MemoryError):
             # one level of recursion per level of nesting: the parser runs
             # out of its own stack (MemoryError), the compiler out of
             # Python's (RecursionError)
             raise ExpressionError(
-                "expression nested too deeply: %r" % self.source[:80]
+                "expression nested too deeply: %s" % _quote(self.source)
             ) from None
         self._globals = {"__builtins__": {}}
         self._globals.update(FUNCTIONS)
@@ -163,7 +167,7 @@ class Expr:
             return eval(self._code, self._globals, env)
         except ArithmeticError as exc:
             raise ExpressionError(
-                "%s: %s in %r" % (type(exc).__name__, exc, self.source)
+                "%s: %s in %s" % (type(exc).__name__, exc, _quote(self.source))
             ) from None
 
     def __repr__(self):

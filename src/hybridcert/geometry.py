@@ -90,8 +90,15 @@ class AxisBox(SetRegion):
         ]
 
     def distance(self, x):
-        q = np.minimum(np.maximum(as_vector(x), self.lo), self.hi)
-        return float(np.linalg.norm(as_vector(x) - q))
+        v = as_vector(x)
+        gap = v - np.minimum(np.maximum(v, self.lo), self.hi)
+        d = float(np.linalg.norm(gap))
+        if d == 0.0 and gap.any():
+            # gaps below ~1.5e-162 square to 0; scaled by the largest gap,
+            # such a point stays outside, as contains says
+            s = float(np.max(np.abs(gap)))
+            d = s * float(np.linalg.norm(gap / s))
+        return d
 
     def contains(self, x, tol=DEFAULT_TOL):
         # componentwise screen without array temporaries: this sits in the

@@ -37,35 +37,13 @@ class Termination(Enum):
     ZENO_ACCUMULATION = "ZenoAccumulation"
 
 
-class HybridTimeDomain:
-    """Ordered intervals (t_j, t_{j+1}) per jump index, t_0 = 0."""
-
-    def __init__(self, intervals):
-        self.intervals = tuple((float(a), float(b)) for a, b in intervals)
-        if not self.intervals:
-            raise ValueError("empty hybrid time domain")
-        if self.intervals[0][0] != 0.0:
-            raise ValueError("hybrid time domain must start at t=0")
-        for j, (a, b) in enumerate(self.intervals):
-            if b < a:
-                raise ValueError(f"interval {j} reversed: [{a}, {b}]")
-            if j > 0 and a != self.intervals[j - 1][1]:
-                raise ValueError(f"interval {j} not contiguous with its predecessor")
-
-    def __len__(self):
-        return len(self.intervals)
-
-    def __eq__(self, other):
-        return isinstance(other, HybridTimeDomain) and self.intervals == other.intervals
-
-
 class HybridArc:
     """Sampled hybrid arc: per jump index j an ordered list of (t, x) samples.
 
     phases: list of (times, states) with times shape (m,), states (m, dim).
-    The domain is derived from the phase endpoints, so the structural
-    invariants (phase j starts where the domain says, jumps share their t)
-    hold by construction and are re-checked by validate().
+    The time domain is the union of [t_0, t_last] x {j} over the phases;
+    validate() checks that it starts at t = 0 and that each jump keeps its
+    t (phase j starts at phase j-1's last time).
     """
 
     def __init__(self, phases, termination):
@@ -76,9 +54,6 @@ class HybridArc:
             for t, x in phases
         ]
         self.termination = termination
-        self.domain = HybridTimeDomain(
-            [(t[0], t[-1]) for t, _ in self.phases]
-        )
         self.validate()
 
     @property
@@ -91,14 +66,17 @@ class HybridArc:
 
     def validate(self):
         dim = self.dim
+        t_prev = 0.0
         for j, (t, x) in enumerate(self.phases):
-            if t.ndim != 1 or x.shape != (t.size, dim):
+            if t.ndim != 1 or t.size == 0 or x.shape != (t.size, dim):
                 raise ValueError(f"phase {j}: malformed sample arrays")
             if t.size > 1 and not np.all(np.diff(t) > 0):
                 raise ValueError(f"phase {j}: times not strictly increasing")
-            a, b = self.domain.intervals[j]
-            if t[0] != a or t[-1] != b:
-                raise ValueError(f"phase {j}: samples disagree with domain")
+            if t[0] != t_prev:
+                raise ValueError(
+                    f"phase {j} starts at t={t[0]}, not at {t_prev}"
+                )
+            t_prev = t[-1]
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"phase {j}: non-finite state")
         return True
@@ -348,7 +326,7 @@ def arc_from_csv(path):
 
 def arc_to_json_obj(arc):
     return {
-        "domain": [[a, b] for a, b in arc.domain.intervals],
+        "domain": [[float(t[0]), float(t[-1])] for t, _ in arc.phases],
         "phases": [
             {"j": j, "t": t.tolist(), "x": x.tolist()}
             for j, (t, x) in enumerate(arc.phases)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import GridSpec
 from .geometry import (
     Complement,
     SamplingError,
@@ -28,19 +29,27 @@ from .simulate import BadInitialCondition, _membership_margin, solve_many
 log = logging.getLogger(__name__)
 
 
+# halvings of the initial offset in the stability sweep
+BISECT_ITERS = 8
+
+
 class EmptyEstimate(RuntimeError):
     """No grid point survived the invariance sweep; the core may still be
     nonempty below grid resolution."""
 
 
-def _initial_points(x0, n, seed=0):
-    if isinstance(x0, SetRegion):
-        return sample_region(x0, n, np.random.default_rng(seed))
-    return [as_vector(p) for p in x0]
+class _Spec:
+    """Initial points of a spec whose x0 is a list of points or a region."""
+
+    def initial_points(self, n=16, seed=0):
+        """The listed points, or n seeded draws from the region."""
+        if isinstance(self.x0, SetRegion):
+            return sample_region(self.x0, n, np.random.default_rng(seed))
+        return [as_vector(p) for p in self.x0]
 
 
 @dataclass
-class RASSpec:
+class RASSpec(_Spec):
     """Reach-avoid-stay: avoid `unsafe`, settle into `target` by total time
     t_spec and remain there through the horizon."""
 
@@ -65,12 +74,9 @@ class RASSpec:
                 log.warning("target and unsafe sets overlap near %s", p)
                 return
 
-    def initial_points(self, n=16, seed=0):
-        return _initial_points(self.x0, n, seed)
-
 
 @dataclass
-class StabSafeSpec:
+class StabSafeSpec(_Spec):
     """Stability with safety: `attractor` uniformly pre-asymptotically
     stable with basin covering x0, all solutions avoiding `unsafe`."""
 
@@ -83,8 +89,27 @@ class StabSafeSpec:
         if any(e <= 0.0 for e in self.eps_levels):
             raise ValueError("eps_levels must be positive")
 
-    def initial_points(self, n=16, seed=0):
-        return _initial_points(self.x0, n, seed)
+
+def _first_hit(arc, hit):
+    """The first stored sample (j, t, x) of arc with hit(x) true, or None,
+    and the number of samples read up to and including it."""
+    n = 0
+    for j, t, x in arc.samples():
+        n += 1
+        if hit(x):
+            return (j, t, x), n
+    return None, n
+
+
+def _safety_scan(arc, unsafe):
+    """A "safety" counterexample at the first sample in unsafe, or None,
+    and the number of samples read."""
+    hit, n = _first_hit(arc, lambda x: contains(unsafe, x, 0.0))
+    if hit is not None:
+        j, t, x = hit
+        hit = Counterexample("safety", x, margin=_penetration(unsafe, x),
+                             witness=(j, t))
+    return hit, n
 
 
 def _penetration(region, x):
@@ -114,22 +139,22 @@ def check_forward_invariance(system, K, n_init, config, seed=0):
     """Do all sampled solutions from K stay in inflate(K, event_tol)?"""
     if not isinstance(K, SetRegion):
         raise ValueError("K must be a SetRegion")
-    points = _initial_points(K, n_init, seed)
+    points = sample_region(K, n_init, np.random.default_rng(seed))
     K_slack = inflate(K, config.event_tol)
     runs, skipped = _solve_all(system, points, config, seed=seed)
     ces = []
     n_samples = 0
     worst = 0.0
     for p, rep in runs:
-        for j, t, x in rep.arc.samples():
-            n_samples += 1
-            if not contains(K_slack, x, 0.0):
-                margin = _membership_margin(K, x, config.event_tol)
-                worst = max(worst, margin)
-                ces.append(
-                    Counterexample("invariance", x, margin=margin, witness=(j, t))
-                )
-                break  # first escaping sample per arc
+        escape, n = _first_hit(rep.arc, lambda x: not contains(K_slack, x, 0.0))
+        n_samples += n
+        if escape is not None:
+            j, t, x = escape
+            margin = _membership_margin(K, x, config.event_tol)
+            worst = max(worst, margin)
+            ces.append(
+                Counterexample("invariance", x, margin=margin, witness=(j, t))
+            )
     verdict = Verdict.PASS if not ces else Verdict.FAIL
     if not runs:
         verdict = Verdict.INCONCLUSIVE
@@ -176,16 +201,10 @@ def check_ras(system, spec: RASSpec, n_init, n_dist, config, seed=0):
     n_samples = 0
     short_arcs = 0
     for p, rep in runs:
-        for j, t, x in rep.arc.samples():
-            n_samples += 1
-            if contains(spec.unsafe, x, 0.0):
-                ces.append(
-                    Counterexample(
-                        "safety", x, margin=_penetration(spec.unsafe, x),
-                        witness=(j, t),
-                    )
-                )
-                break
+        unsafe_ce, n = _safety_scan(rep.arc, spec.unsafe)
+        n_samples += n
+        if unsafe_ce is not None:
+            ces.append(unsafe_ce)
         settle, exit_sample = _settle_total_time(rep.arc, target_slack)
         if settle is None:
             j, t, x = exit_sample
@@ -226,7 +245,7 @@ def check_ras(system, spec: RASSpec, n_init, n_dist, config, seed=0):
 
 
 def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
-                           seed=0, bisect_iters=8):
+                           seed=0):
     """Empirical UpAS-with-safety verdict.
 
     For each eps level, bisection over initial offsets finds the largest
@@ -250,9 +269,9 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
         runs, _ = _solve_all(system, points, config, seed=seed)
         n_arcs += len(runs)
         for _, rep in runs:
-            for j, t, x in rep.arc.samples():
-                if dist_to_set(x, A) >= eps:
-                    return (j, t, x)
+            escape, _ = _first_hit(rep.arc, lambda x: dist_to_set(x, A) >= eps)
+            if escape is not None:
+                return escape
         return False
 
     for eps in spec.eps_levels:
@@ -266,7 +285,7 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
         if escape is False:
             delta_found[eps] = hi
             continue
-        floor = hi / 2.0**bisect_iters
+        floor = hi / 2.0**BISECT_ITERS
         escape = all_stay_below(floor, eps)
         if escape:
             j, t, x = escape
@@ -279,7 +298,7 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
             delta_found[eps] = 0.0
             continue
         lo = floor
-        for _ in range(bisect_iters):
+        for _ in range(BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             if all_stay_below(mid, eps) is False:
                 lo = mid
@@ -292,15 +311,9 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
     n_arcs += len(runs)
     settle_times = {float(eps): 0.0 for eps in spec.eps_levels}
     for p, rep in runs:
-        for j, t, x in rep.arc.samples():
-            if contains(spec.unsafe, x, 0.0):
-                ces.append(
-                    Counterexample(
-                        "safety", x, margin=_penetration(spec.unsafe, x),
-                        witness=(j, t),
-                    )
-                )
-                break
+        unsafe_ce, _ = _safety_scan(rep.arc, spec.unsafe)
+        if unsafe_ce is not None:
+            ces.append(unsafe_ce)
         for eps in spec.eps_levels:
             shell = inflate(A, float(eps))
             settle, exit_sample = _settle_total_time(rep.arc, shell)
@@ -343,12 +356,7 @@ def estimate_invariant_core(system, I, grid_n, n_dist, config, seed=0):
     bbox = I.bounding_box()
     if bbox is None:
         raise ValueError("I needs a bounding box")
-    lo, hi = bbox.lo, bbox.hi
-    if np.isscalar(grid_n) or isinstance(grid_n, int):
-        grid_n = (int(grid_n),) * lo.size
-    axes = [np.linspace(lo[k], hi[k], grid_n[k]) for k in range(lo.size)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid_pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    grid_pts = GridSpec(bbox.lo, bbox.hi, grid_n).points()
 
     I_slack = inflate(I, config.event_tol)
     survivors = []
@@ -363,9 +371,10 @@ def estimate_invariant_core(system, I, grid_n, n_dist, config, seed=0):
             if isinstance(rep, BadInitialCondition):
                 continue
             solved += 1
-            if any(
-                not contains(I_slack, x, 0.0) for _, _, x in rep.arc.samples()
-            ):
+            escape, _ = _first_hit(
+                rep.arc, lambda x: not contains(I_slack, x, 0.0)
+            )
+            if escape is not None:
                 ok = False
                 break
         if ok:

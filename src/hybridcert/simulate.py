@@ -444,21 +444,19 @@ def companion_radius_bound(delta, tau, lip_flow, lip_jump, delta_prime=0.0):
     return (delta - delta_prime) / scale
 
 
-def verify_solution(system, arc, slope_tol=1e-3, membership_tol=None):
+def verify_solution(system, arc, slope_tol=1e-3):
     """Check an arc against a system's data: membership, slopes, jumps.
 
-    (a) every flow sample lies in the flow set within membership_tol,
+    (a) every flow sample lies in the flow set within 1e-9,
     (b) each stored segment's chord slope matches the flow map at the
         segment midpoint state within delta + slope_tol,
     (c) each jump departs from the jump set and lands within
         delta + slope_tol of some jump-map candidate.
     """
-    if membership_tol is None:
-        membership_tol = 1e-9
     delta = system.delta
     # set inflation lives in flow_set/jump_set themselves (see perturb);
     # delta only widens the slack on map mismatches here
-    set_tol = membership_tol
+    set_tol = 1e-9
     ces = []
     n_samples = 0
     n_segments = 0

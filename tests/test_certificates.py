@@ -148,17 +148,29 @@ def test_pair_check_requires_barrier():
         check_pair_VB(perturb(system, 0.0), bare, ss, GridSpec([0.0], [1.0], 3))
 
 
-def ball_jump_layer(delta):
-    """Perturbed ball, its pair report and barrier-jump margins over a grid
-    of jump points on y = 0 through x = 0, where grad B is steepest in x."""
+def ball_condition_layer(delta, condition, grid):
+    """Perturbed ball, its pair report over grid, the named falsify
+    condition's margin function, and the points where that applies among
+    the pair check's grid points: grid and, for (iii), the grid over U's
+    bounding box."""
     system, cert, spec = bouncing_ball()
     sys_delta = perturb(system, delta)
     ss = StabSafeSpec(x0=spec.x0, unsafe=spec.unsafe, attractor=ball_attractor())
-    grid = GridSpec([-1.0, 0.0, -1.0], [1.0, 0.0, 0.0], (3, 1, 5))
     rep = check_pair_VB(sys_delta, cert, ss, grid)
-    margin = condition_margin_fn(sys_delta, cert, "barrier-jump")
-    points = [p for p in grid.points() if margin(p) is not None]
+    margin = condition_margin_fn(sys_delta, cert, condition, spec=ss)
+    ubox = ss.unsafe.bounding_box()
+    probes = np.concatenate(
+        [grid.points(), GridSpec(ubox.lo, ubox.hi, grid.counts).points()]
+    )
+    points = [p for p in probes if margin(p) is not None]
     return sys_delta, cert, rep, margin, points
+
+
+def ball_jump_layer(delta):
+    """ball_condition_layer for barrier-jump over jump points on y = 0
+    through x = 0, where grad B is steepest in x."""
+    grid = GridSpec([-1.0, 0.0, -1.0], [1.0, 0.0, 0.0], (3, 1, 5))
+    return ball_condition_layer(delta, "barrier-jump", grid)
 
 
 def test_barrier_jump_tries_the_worst_disturbance():
@@ -186,6 +198,23 @@ def test_barrier_jump_undisturbed_margin_is_the_plain_drop():
         drops.append(cert.B(p) - cert.B(g))
         assert margin(p) == drops[-1]
     assert rep.stats["worst_margins"]["iv-barrier-jump"] == max(drops)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+@pytest.mark.parametrize("condition, pair_id", [
+    ("barrier-flow", "iv-barrier-flow"),
+    ("barrier-jump", "iv-barrier-jump"),
+    ("unsafe-negative", "iii-unsafe-negative"),
+])
+def test_falsify_conditions_score_the_pair_check_margins(delta, condition,
+                                                         pair_id):
+    # the ball's U = {y > 10} lies outside O = {y < 10}, so (iii) is scored
+    # only on the grid over U's box, in the pair check and in falsify alike
+    box = ball_operating_box()
+    grid = GridSpec(box.lo, box.hi, (3, 5, 7))
+    _, _, rep, margin, points = ball_condition_layer(delta, condition, grid)
+    assert len(points) == rep.stats["counts"][pair_id]
+    assert rep.stats["worst_margins"][pair_id] == max(margin(p) for p in points)
 
 
 def test_condition_margin_fn_rejects_unknown_id():

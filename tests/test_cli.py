@@ -192,8 +192,12 @@ def test_simulate_rejects_delta_on_moore_greitzer(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flow", ["10**400", "-" * 5000 + "x", "x/0"],
-                         ids=["overflow", "deep-nesting", "zero-division"])
+# the last is a flat 100 kB source with an unknown name, which the error
+# message quotes
+@pytest.mark.parametrize("flow", ["10**400", "-" * 5000 + "x", "x/0",
+                                  "max(" + "x, " * 34000 + "q)"],
+                         ids=["overflow", "deep-nesting", "zero-division",
+                              "100kB-source"])
 def test_hostile_expression_exits_4_with_one_json_object(tmp_path, flow):
     scen = write(tmp_path, "hostile.yaml", DECAY_SCENARIO.replace(
         '["-x"]', json.dumps([flow])))
@@ -201,7 +205,9 @@ def test_hostile_expression_exits_4_with_one_json_object(tmp_path, flow):
     code, _, stderr = run_cli(
         ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
     )
-    assert code == 4, stderr
+    assert code == 4, stderr[:1000]
+    assert len(stderr.splitlines()) == 1
+    assert len(stderr.encode()) < 1024
     assert json.loads(stderr)["error"] == "ExpressionError"
     assert not out.exists()
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybridcert import (
     AxisBox,
@@ -98,8 +98,8 @@ def test_inflation_distance_duality(cx, cy, rad, r, px, py):
 def box_and_point(draw):
     """An axis box with some +-inf faces and a point that is free, far out
     along an infinite face, or placed at +-{0, 0.5, 1, 2} tol off a face.
-    Coordinates are multiples of 1/8, so no nonzero gap to a face is small
-    enough to underflow in the distance's norm."""
+    Coordinates are multiples of 1/8; the explicit examples of the test
+    add gaps small enough to underflow when squared."""
     tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25]))
     dim = draw(st.integers(1, 4))
     lo, hi, x = [], [], []
@@ -125,6 +125,13 @@ def box_and_point(draw):
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(case=box_and_point())
+@example(case=(AxisBox([0.0], [1.0]), np.array([-5e-324]), 0.0))
+@example(case=(AxisBox([0.0], [1.0]), np.array([1.0 + 2**-52]), 0.0))
+@example(case=(AxisBox([0.0, 0.0], [1.0, 1.0]), np.array([-1e-160, 5e-324]),
+               0.0))
+@example(case=(AxisBox([0.0, -np.inf], [1.0, 0.0]),
+               np.array([0.5, 5e-324]), 0.0))
+@example(case=(AxisBox([0.0], [1.0]), np.array([-1e-160]), 1e-160))
 def test_axis_box_contains_is_the_distance_definition(case):
     box, x, tol = case
     assert contains(box, x, tol) == (dist_to_set(x, box) <= tol)

@@ -11,6 +11,7 @@ from hybridcert import (
     HybridSystem,
     OutOfDomain,
     SimConfig,
+    Termination,
     arc_eval,
     arc_from_csv,
     arc_from_json,
@@ -136,6 +137,15 @@ def test_arc_eval_pre_and_post_jump():
     assert post[2] == pytest.approx(-0.8 * pre[2], rel=1e-12)
 
 
+@pytest.mark.parametrize("phases", [
+    [([0.5, 1.0], [[0.0], [1.0]])],
+    [([0.0, 1.0], [[0.0], [1.0]]), ([1.5, 2.0], [[0.0], [1.0]])],
+], ids=["nonzero-start", "gap-between-phases"])
+def test_arc_rejects_a_broken_time_domain(phases):
+    with pytest.raises(ValueError, match="starts at"):
+        HybridArc(phases, Termination.HORIZON_REACHED)
+
+
 def test_arc_eval_outside_domain_raises():
     sys1 = unit_decay()
     arc = solve(sys1, np.array([1.0]), SimConfig(h=1e-2, T_max=1.0)).arc
@@ -146,7 +156,6 @@ def test_arc_eval_outside_domain_raises():
 
 
 def test_arc_validator_rejects_decreasing_times():
-    from hybridcert import Termination
     with pytest.raises(ValueError):
         HybridArc(
             [(np.array([0.0, 0.2, 0.1]), np.zeros((3, 1)))],

@@ -1,6 +1,8 @@
-"""Import hygiene: every module-level import in the package is used."""
+"""Import hygiene: every module-level import in the package is used, and
+every exported name is used by another module or by a test."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import hybridcert
 PACKAGE_DIR = Path(hybridcert.__file__).resolve().parent
 # __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
 
 
 def unused_imports(source):
@@ -34,3 +37,44 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(source):
+    """Identifiers the code uses: names, attributes, imported names and the
+    parts of imported module paths.  Strings and comments do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+    return names
+
+
+def home_module(name):
+    """Stem of the module that defines an exported name."""
+    obj = getattr(hybridcert, name)
+    if isinstance(obj, types.ModuleType):
+        return obj.__name__.rpartition(".")[2]
+    return obj.__module__.rpartition(".")[2]
+
+
+def test_reference_scan_ignores_strings():
+    source = "from .geometry import contains\nx = np.linalg.norm\n'solve'\n"
+    assert referenced_names(source) == {
+        "geometry", "contains", "x", "np", "linalg", "norm",
+    }
+
+
+def test_every_export_is_used_elsewhere_or_tested():
+    uses = {p: referenced_names(p.read_text()) for p in MODULES + TESTS}
+    unused = [
+        name for name in hybridcert.__all__
+        if not any(name in names and (p in TESTS or p.stem != home_module(name))
+                   for p, names in uses.items())
+    ]
+    assert unused == []

@@ -16,6 +16,7 @@ from hybridcert import (
     HybridSystem,
     SetRegion,
     SimConfig,
+    SolveReport,
     Termination,
     arc_eval,
     bouncing_ball,
@@ -228,7 +229,9 @@ def test_jump_localization_within_event_tol():
 def test_solve_is_deterministic():
     system, _, spec = bouncing_ball()
     cfg = SimConfig(h=1e-3, T_max=5.0, J_max=10)
-    a = solve(system, np.asarray(spec.x0[0]), cfg).arc
+    report = solve(system, np.asarray(spec.x0[0]), cfg)
+    assert isinstance(report, SolveReport)
+    a = report.arc
     b = solve(system, np.asarray(spec.x0[0]), cfg).arc
     for (ta, xa), (tb, xb) in zip(a.phases, b.phases):
         assert np.array_equal(ta, tb) and np.array_equal(xa, xb)
