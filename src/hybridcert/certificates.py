@@ -371,13 +371,13 @@ def _pair_flow(sys_delta, cert, p):
     return dec, (None if gb is None else -bflow)
 
 
-def _pair_jump(sys_delta, cert, p, b):
-    """At a point of D_delta with B(p) = b: the least decrease V(p) -
-    V(g + d) and the iv-barrier-jump margin, the largest drop b - B(g + d),
-    over the jump candidates g and the disturbances of _jump_directions."""
+def _pair_jump(sys_delta, cert, p, vx, b):
+    """At a point of D_delta with V(p) = vx and B(p) = b: the least decrease
+    vx - V(g + d) and the iv-barrier-jump margin, the largest drop
+    b - B(g + d), over the jump candidates g and the disturbances of
+    _jump_directions."""
     V, B = cert.V, cert.B
     delta = sys_delta.delta
-    vx = V(p)
     dec = np.inf
     bjump = np.inf
     for cand in sys_delta.jump_candidates(p):
@@ -442,7 +442,8 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
             ):
                 outside_O += 1
             return [note("ii-S-in-O", _clamp(b), p)] if b >= 0.0 else []
-        pairs.append((dist_A, V(p), p))
+        vx = V(p)
+        pairs.append((dist_A, vx, p))
         fit = dist_A > max(exclude_radius, tol)
         scored = []
 
@@ -456,7 +457,7 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
                 scored.append(note("iv-barrier-flow", m_b, p))
 
         if contains(sys_delta.jump_set, p, 0.0):
-            dec, m_b = _pair_jump(sys_delta, cert, p, b)
+            dec, m_b = _pair_jump(sys_delta, cert, p, vx, b)
             scored.append(note("i-jump-decrease", 0.0 - dec, p))
             scored.append(note("iv-barrier-jump", m_b, p))
             if fit:
@@ -540,7 +541,7 @@ def condition_margin_fn(sys_delta, cert, condition_id, spec=None):
     elif condition_id == "barrier-flow":
         where, fn = C, lambda p: _pair_flow(sys_delta, cert, p)[1]
     elif condition_id == "barrier-jump":
-        where, fn = D, lambda p: _pair_jump(sys_delta, cert, p, B(p))[1]
+        where, fn = D, lambda p: _pair_jump(sys_delta, cert, p, V(p), B(p))[1]
     elif condition_id == "unsafe-negative":
         if spec is None:
             raise ValueError("unsafe-negative needs a spec with spec.unsafe")

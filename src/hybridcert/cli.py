@@ -28,7 +28,13 @@ from .certificates import (
     check_single_V,
     falsify,
 )
-from .expressions import ExpressionError, predicate_fn, scalar_fn, vector_fn
+from .expressions import (
+    ExpressionError,
+    predicate_fn,
+    quote,
+    scalar_fn,
+    vector_fn,
+)
 from .geometry import (
     AxisBox,
     Ball,
@@ -69,7 +75,9 @@ class ScenarioError(ValueError):
 def parse_set(node, variables=None):
     """Build a SetRegion from a {kind: ...} mapping."""
     if not isinstance(node, dict) or "kind" not in node:
-        raise ScenarioError("set needs a mapping with a 'kind' key: %r" % node)
+        raise ScenarioError(
+            "set needs a mapping with a 'kind' key: %s" % quote(node)
+        )
     kind = node["kind"]
     if kind == "axis_box":
         return AxisBox(node["lo"], node["hi"])
@@ -91,7 +99,7 @@ def parse_set(node, variables=None):
         return Union([parse_set(m, variables) for m in node["of"]])
     if kind == "intersection":
         return Intersection([parse_set(m, variables) for m in node["of"]])
-    raise ScenarioError("unknown set kind %r" % kind)
+    raise ScenarioError("unknown set kind %s" % quote(kind))
 
 
 def _parse_points(node):
@@ -119,7 +127,7 @@ def _parse_spec(node, variables=None):
                 spec, eps_levels=tuple(float(e) for e in node["eps_levels"])
             )
         return spec
-    raise ScenarioError("unknown spec kind %r" % kind)
+    raise ScenarioError("unknown spec kind %s" % quote(kind))
 
 
 def _parse_certificates(node, variables, example, default):
@@ -128,7 +136,8 @@ def _parse_certificates(node, variables, example, default):
     if isinstance(node, str):
         if node != example:
             raise ScenarioError(
-                "certificate name %r needs 'system: %s'" % (node, node)
+                "certificate name %s is not the scenario's system"
+                % quote(node)
             )
         return default
     if not variables:
@@ -209,7 +218,7 @@ def parse_scenario(doc):
             system = None  # closed loop is assembled at run time
             t_default = params.t_spec
         else:
-            raise ScenarioError("unknown system name %r" % sys_node)
+            raise ScenarioError("unknown system name %s" % quote(sys_node))
     elif isinstance(sys_node, dict):
         if "variables" not in sys_node:
             raise ScenarioError("inline system needs 'variables'")
@@ -259,7 +268,7 @@ def _apply_params(params, node):
     fields = {f.name for f in dataclasses.fields(params)}
     unknown = set(node) - fields
     if unknown:
-        raise ScenarioError("unknown params %s" % sorted(unknown))
+        raise ScenarioError("unknown params %s" % quote(sorted(unknown)))
     coerced = {}
     for key, val in node.items():
         cur = getattr(params, key)
@@ -281,14 +290,16 @@ def apply_overrides(doc, pairs):
     document, values are parsed as YAML scalars."""
     for pair in pairs:
         if "=" not in pair:
-            raise ScenarioError("override needs key=value, got %r" % pair)
+            raise ScenarioError(
+                "override needs key=value, got %s" % quote(pair)
+            )
         key, _, value = pair.partition("=")
         node = doc
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
-                raise ScenarioError("cannot override through %r" % part)
+                raise ScenarioError("cannot override through %s" % quote(part))
         node[parts[-1]] = yaml.safe_load(value)
     return doc
 

@@ -8,6 +8,7 @@ loading a scenario never executes arbitrary code.
 
 import ast
 import math
+import reprlib
 
 import numpy as np
 
@@ -19,9 +20,13 @@ class ExpressionError(ValueError):
     too deeply to parse, or overflows or divides by zero when evaluated."""
 
 
-def _quote(source):
-    """repr of the first 80 characters of untrusted text, for messages."""
-    return repr(source[:80])
+def quote(node):
+    """Short repr of untrusted input, for messages: the first 80 characters
+    of a string, or reprlib's size-limited repr of any other value cut to
+    80 characters."""
+    if isinstance(node, str):
+        return repr(node[:80])
+    return reprlib.repr(node)[:80]
 
 
 def _sign(t):
@@ -87,14 +92,14 @@ def _validate(tree, variables, source):
     for node in ast.walk(tree):
         if not isinstance(node, _NODE_TYPES):
             raise ExpressionError(
-                "%r not allowed in %s" % (type(node).__name__, _quote(source))
+                "%r not allowed in %s" % (type(node).__name__, quote(source))
             )
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.keywords:
-                raise ExpressionError("bad call in %s" % _quote(source))
+                raise ExpressionError("bad call in %s" % quote(source))
             if node.func.id not in FUNCTIONS:
                 raise ExpressionError("unknown function %s in %s"
-                                      % (_quote(node.func.id), _quote(source)))
+                                      % (quote(node.func.id), quote(source)))
         elif isinstance(node, ast.Name):
             known = (
                 node.id in variables
@@ -103,13 +108,13 @@ def _validate(tree, variables, source):
             )
             if not known:
                 raise ExpressionError(
-                    "unknown name %s in %s" % (_quote(node.id), _quote(source))
+                    "unknown name %s in %s" % (quote(node.id), quote(source))
                 )
         elif isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float, bool)):
                 raise ExpressionError(
                     "%s literal not allowed in %s"
-                    % (type(node.value).__name__, _quote(source)))
+                    % (type(node.value).__name__, quote(source)))
             if type(node.value) is int:
                 # float arithmetic overflows at once where exact ints would
                 # grow without bound (9**9**9)
@@ -117,7 +122,7 @@ def _validate(tree, variables, source):
                     node.value = float(node.value)
                 except OverflowError:
                     raise ExpressionError(
-                        "literal too large in %s" % _quote(source)
+                        "literal too large in %s" % quote(source)
                     ) from None
 
 
@@ -133,7 +138,7 @@ class Expr:
         self.variables = tuple(variables)
         for name in self.variables:
             if not name.isidentifier():
-                raise ExpressionError("bad variable name %s" % _quote(name))
+                raise ExpressionError("bad variable name %s" % quote(name))
             if name in FUNCTIONS or name in CONSTANTS:
                 raise ExpressionError("variable %r shadows a builtin" % name)
         try:
@@ -142,14 +147,14 @@ class Expr:
             self._code = compile(tree, "<expr>", "eval")
         except SyntaxError as exc:
             raise ExpressionError(
-                "syntax error in %s: %s" % (_quote(self.source), exc)
+                "syntax error in %s: %s" % (quote(self.source), exc)
             ) from None
         except (RecursionError, MemoryError):
             # one level of recursion per level of nesting: the parser runs
             # out of its own stack (MemoryError), the compiler out of
             # Python's (RecursionError)
             raise ExpressionError(
-                "expression nested too deeply: %s" % _quote(self.source)
+                "expression nested too deeply: %s" % quote(self.source)
             ) from None
         self._globals = {"__builtins__": {}}
         self._globals.update(FUNCTIONS)
@@ -167,7 +172,7 @@ class Expr:
             return eval(self._code, self._globals, env)
         except ArithmeticError as exc:
             raise ExpressionError(
-                "%s: %s in %s" % (type(exc).__name__, exc, _quote(self.source))
+                "%s: %s in %s" % (type(exc).__name__, exc, quote(self.source))
             ) from None
 
     def __repr__(self):

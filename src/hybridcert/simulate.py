@@ -301,44 +301,75 @@ def reachable_sample(system, X0, T, n_init, n_dist, config, seed=0):
     return cloud
 
 
-def _point_segment_dist(p, a, b):
+def _interp(times, states, s):
+    """State at time s in [times[0], times[-1]] on the sampled polyline."""
+    if len(times) == 1:
+        return states[0]
+    k = int(np.searchsorted(times, s, side="right")) - 1
+    k = min(max(k, 0), len(times) - 2)
+    t0, t1 = times[k], times[k + 1]
+    w = 0.0 if t1 == t0 else (s - t0) / (t1 - t0)
+    return states[k] + w * (states[k + 1] - states[k])
+
+
+def _rowdot(u, v):
+    # row-wise dot product; the columns are summed in order, so a row's
+    # value does not depend on how many rows come with it
+    acc = u[:, 0] * v[:, 0]
+    for k in range(1, u.shape[1]):
+        acc = acc + u[:, k] * v[:, k]
+    return acc
+
+
+def _segment_dist2(x, a, b):
+    """Squared distance from x to each segment [a[r], b[r]] (x one point or
+    one point per segment).  Row r's value depends on row r's inputs alone."""
     ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    s = float(np.dot(p - a, ab)) / denom
-    s = min(1.0, max(0.0, s))
-    return float(np.linalg.norm(p - (a + s * ab)))
+    denom = _rowdot(ab, ab)
+    # projection onto each segment, clipped to it; 0 on zero-length ones
+    s = np.divide(_rowdot(x - a, ab), denom, out=np.zeros_like(denom),
+                  where=denom != 0.0)
+    np.clip(s, 0.0, 1.0, out=s)
+    gap = x - (a + s[:, None] * ab)
+    return _rowdot(gap, gap)
 
 
 def _window_dist(x, times, states, s0, s1):
-    """Min distance from x to the polyline restricted to times in [s0, s1]."""
-    t_lo, t_hi = times[0], times[-1]
-    s0 = max(s0, t_lo)
-    s1 = min(s1, t_hi)
+    """Min distance from x to the polyline restricted to times in [s0, s1],
+    or None when the window misses [times[0], times[-1]].
+
+    The window's vertices are the interpolated ends and the stored samples
+    strictly inside (s0, s1); all its segments are measured in one pass.
+    At s0 == s1 the window is one point, a segment of length 0.
+    """
+    s0 = max(s0, times[0])
+    s1 = min(s1, times[-1])
     if s0 > s1:
         return None
+    i0 = np.searchsorted(times, s0, side="right")
+    i1 = np.searchsorted(times, s1, side="left")
+    pts = np.vstack([_interp(times, states, s0), states[i0:i1],
+                     _interp(times, states, s1)])
+    return float(np.sqrt(_segment_dist2(x, pts[:-1], pts[1:]).min()))
 
-    def interp(s):
-        k = int(np.searchsorted(times, s, side="right")) - 1
-        k = min(max(k, 0), len(times) - 2) if len(times) > 1 else 0
-        if len(times) == 1:
-            return states[0]
-        t0, t1 = times[k], times[k + 1]
-        w = 0.0 if t1 == t0 else (s - t0) / (t1 - t0)
-        return states[k] + w * (states[k + 1] - states[k])
 
-    pa = interp(s0)
-    if s1 == s0:
-        return float(np.linalg.norm(x - pa))
-    best = np.inf
-    prev = pa
-    inside = (times > s0) & (times < s1)
-    for idx in np.nonzero(inside)[0]:
-        best = min(best, _point_segment_dist(x, prev, states[idx]))
-        prev = states[idx]
-    best = min(best, _point_segment_dist(x, prev, interp(s1)))
-    return best
+def _close_on_own_segment(ts, xs, times, states, eps):
+    """Per sample (ts[k], xs[k]): whether the stored segment of the polyline
+    that spans time ts[k] lies strictly inside the sample's window and
+    passes within eps of xs[k].  That segment is one _window_dist measures,
+    with the same arithmetic, so True there means the window passes."""
+    ok = np.zeros(ts.size, dtype=bool)
+    if times.size < 2:
+        return ok
+    i = np.searchsorted(times, ts, side="right") - 1
+    i = np.clip(i, 0, times.size - 2)
+    inside = (times[i] > np.maximum(ts - eps, times[0])) & (
+        times[i + 1] < np.minimum(ts + eps, times[-1])
+    )
+    i = i[inside]
+    d2 = _segment_dist2(xs[inside], states[i], states[i + 1])
+    ok[inside] = np.sqrt(d2) < eps
+    return ok
 
 
 def closeness(arc_a, arc_b, tau, eps):
@@ -347,6 +378,9 @@ def closeness(arc_a, arc_b, tau, eps):
     Each sample (t, j, x) with t + j <= tau must have a point of the other
     arc, at the same jump index and within eps in time, closer than eps in
     state.  Linear interpolation stands in for the unstored continuum.
+    Each sample first tries the other arc's segment at its own time, in one
+    array pass per phase; only samples that fail it scan their whole
+    window, at O(samples in the window) array work each.
     """
     return _one_sided_close(arc_a, arc_b, tau, eps) and _one_sided_close(
         arc_b, arc_a, tau, eps
@@ -354,15 +388,23 @@ def closeness(arc_a, arc_b, tau, eps):
 
 
 def _one_sided_close(src, dst, tau, eps):
-    for j, t, x in src.samples():
-        if t + j > tau:
-            continue
+    for j, (src_times, src_states) in enumerate(src.phases):
+        # t + j never decreases along an arc: the samples up to tau are a
+        # prefix, and the first one past it ends the scan
+        n = int(np.searchsorted(src_times + j, tau, side="right"))
+        if n == 0:
+            return True
         if j >= dst.num_phases:
             return False
+        ts, xs = src_times[:n], src_states[:n]
         times, states = dst.phases[j]
-        d = _window_dist(x, times, states, t - eps, t + eps)
-        if d is None or d >= eps:
-            return False
+        near = _close_on_own_segment(ts, xs, times, states, eps)
+        for k in np.flatnonzero(~near):
+            d = _window_dist(xs[k], times, states, ts[k] - eps, ts[k] + eps)
+            if d is None or d >= eps:
+                return False
+        if n < src_times.size:
+            return True
     return True
 
 
@@ -383,38 +425,27 @@ def construct_perturbed(arc, x_new, T):
     x_new = as_vector(x_new)
     offset = x_new - arc.phases[0][1][0]
 
-    phases = []
-    for j, (times, states) in enumerate(arc.phases):
-        totals = times + j
-        keep = totals < T
-        ts = list(times[keep])
-        xs = [states[k] for k in np.nonzero(keep)[0]]
-        if np.all(keep):
-            phases.append((ts, xs, j))
-            continue
-        t_star = T - j
-        if ts:
-            ts.append(t_star)
-            xs.append(arc.eval(t_star, j))
-        else:
-            # whole phase starts at or past T: keep its first sample only
-            ts.append(float(times[0]))
-            xs.append(states[0])
-        phases.append((ts, xs, j))
-        break
-
     out_phases = []
-    for ts, xs, j in phases:
-        shifted = []
-        for t, x in zip(ts, xs):
-            lam = max(0.0, 1.0 - (t + j) / T)
-            if j == 0 and t == 0.0:
-                shifted.append(x_new.copy())
-            elif lam > 0.0:
-                shifted.append(x + lam * offset)
+    for j, (times, states) in enumerate(arc.phases):
+        keep = times + j < T
+        ts, xs = times[keep], states[keep]
+        rejoined = not keep.all()
+        if rejoined:
+            if ts.size:
+                t_star = T - j
+                ts = np.append(ts, t_star)
+                xs = np.vstack([xs, arc.eval(t_star, j)])
             else:
-                shifted.append(np.array(x, dtype=float))
-        out_phases.append((np.array(ts), np.vstack(shifted)))
+                # whole phase starts at or past T: keep its first sample only
+                ts, xs = times[:1].copy(), states[:1].copy()
+        lam = np.maximum(0.0, 1.0 - (ts + j) / T)
+        shift = lam > 0.0
+        xs[shift] += lam[shift, None] * offset
+        if j == 0:
+            xs[0] = x_new  # phase 0 starts at t = 0
+        out_phases.append((ts, xs))
+        if rejoined:
+            break
     return HybridArc(out_phases, termination=Termination.HORIZON_REACHED)
 
 

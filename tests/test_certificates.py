@@ -1,5 +1,7 @@
 """Certificate fields, grid checks, falsification, arc decrement."""
 
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -171,6 +173,27 @@ def ball_jump_layer(delta):
     through x = 0, where grad B is steepest in x."""
     grid = GridSpec([-1.0, 0.0, -1.0], [1.0, 0.0, 0.0], (3, 1, 5))
     return ball_condition_layer(delta, "barrier-jump", grid)
+
+
+def test_pair_check_evaluates_V_once_per_jump_point():
+    system, cert, spec = bouncing_ball()
+    calls = collections.Counter()
+
+    def value(x):
+        calls[tuple(x)] += 1
+        return cert.V.value(x)
+
+    counting = dataclasses.replace(
+        cert, V=dataclasses.replace(cert.V, value=value)
+    )
+    ss = StabSafeSpec(x0=spec.x0, unsafe=spec.unsafe, attractor=ball_attractor())
+    grid = GridSpec([-1.0, 0.0, -1.0], [1.0, 0.0, 0.0], (3, 1, 5))
+    rep = check_pair_VB(perturb(system, 0.0), counting, ss, grid)
+    n_jump = rep.stats["counts"]["i-jump-decrease"]
+    assert n_jump == 12
+    # one call at each grid point, plus one at each jump image
+    assert [calls[tuple(p)] for p in grid.points()] == [1] * 15
+    assert sum(calls.values()) == 15 + n_jump
 
 
 def test_barrier_jump_tries_the_worst_disturbance():

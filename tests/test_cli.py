@@ -212,6 +212,28 @@ def test_hostile_expression_exits_4_with_one_json_object(tmp_path, flow):
     assert not out.exists()
 
 
+# scenario nodes that the error messages quote: a 90 kB list where a set
+# belongs, and 100 kB names of a set kind and of a system
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["system"].update(flow_set=[0] * 30000),
+    lambda doc: doc["system"]["flow_set"].update(kind="k" * 100000),
+    lambda doc: doc.update(system="s" * 100000),
+], ids=["30000-zero-flow-set", "100kB-set-kind", "100kB-system-name"])
+def test_hostile_scenario_node_exits_4_with_one_json_object(tmp_path, edit):
+    doc = yaml.safe_load(DECAY_SCENARIO)
+    edit(doc)
+    scen = write(tmp_path, "hostile.yaml", json.dumps(doc))
+    out = tmp_path / "sim"
+    code, _, stderr = run_cli(
+        ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
+    )
+    assert code == 4, stderr[:1000]
+    assert len(stderr.splitlines()) == 1
+    assert len(stderr.encode()) < 1024
+    assert json.loads(stderr)["error"] == "ScenarioError"
+    assert not out.exists()
+
+
 def test_simulate_named_system(tmp_path):
     scen = write(tmp_path, "ball.yaml", BALL_SCENARIO)
     out = tmp_path / "sim"

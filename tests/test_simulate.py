@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridcert import (
     AxisBox,
@@ -13,6 +14,7 @@ from hybridcert import (
     Disturbance,
     EmptySet,
     HorizonTooShort,
+    HybridArc,
     HybridSystem,
     SetRegion,
     SimConfig,
@@ -33,7 +35,7 @@ from hybridcert import (
     verify_solution,
 )
 
-from hybridcert.simulate import _rk4_step
+from hybridcert.simulate import _one_sided_close, _rk4_step, _window_dist
 
 # closed-form first impact of the ballistic fall from (y, z) = (9, 0.8)
 FIRST_IMPACT = 1.4393508064065221
@@ -400,6 +402,207 @@ def test_closeness_monotone_in_eps():
         assert later or not earlier
 
 
+# Scalar reference for closeness: one Python call per polyline segment.
+# The array form in simulate must return the same booleans; its distances
+# may differ from these in the last bits, since np.dot may sum in another
+# order or fuse multiply-adds.
+
+def ref_point_segment_dist(p, a, b):
+    ab = b - a
+    denom = float(np.dot(ab, ab))
+    if denom == 0.0:
+        return float(np.linalg.norm(p - a))
+    s = float(np.dot(p - a, ab)) / denom
+    s = min(1.0, max(0.0, s))
+    return float(np.linalg.norm(p - (a + s * ab)))
+
+
+def ref_window_dist(x, times, states, s0, s1):
+    t_lo, t_hi = times[0], times[-1]
+    s0 = max(s0, t_lo)
+    s1 = min(s1, t_hi)
+    if s0 > s1:
+        return None
+
+    def interp(s):
+        k = int(np.searchsorted(times, s, side="right")) - 1
+        k = min(max(k, 0), len(times) - 2) if len(times) > 1 else 0
+        if len(times) == 1:
+            return states[0]
+        t0, t1 = times[k], times[k + 1]
+        w = 0.0 if t1 == t0 else (s - t0) / (t1 - t0)
+        return states[k] + w * (states[k + 1] - states[k])
+
+    pa = interp(s0)
+    if s1 == s0:
+        return float(np.linalg.norm(x - pa))
+    best = np.inf
+    prev = pa
+    inside = (times > s0) & (times < s1)
+    for idx in np.nonzero(inside)[0]:
+        best = min(best, ref_point_segment_dist(x, prev, states[idx]))
+        prev = states[idx]
+    best = min(best, ref_point_segment_dist(x, prev, interp(s1)))
+    return best
+
+
+def ref_one_sided_close(src, dst, tau, eps):
+    for j, t, x in src.samples():
+        if t + j > tau:
+            continue
+        if j >= dst.num_phases:
+            return False
+        times, states = dst.phases[j]
+        d = ref_window_dist(x, times, states, t - eps, t + eps)
+        if d is None or d >= eps:
+            return False
+    return True
+
+
+def ref_closeness(arc_a, arc_b, tau, eps):
+    return ref_one_sided_close(arc_a, arc_b, tau, eps) and ref_one_sided_close(
+        arc_b, arc_a, tau, eps
+    )
+
+
+def assert_same_window_dist(x, times, states, s0, s1):
+    got = _window_dist(x, times, states, s0, s1)
+    want = ref_window_dist(x, times, states, s0, s1)
+    if want is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("times, s0, s1", [
+    ([0.0], -0.5, 0.5),  # single-sample phase
+    ([0.0, 1.0, 2.0], 2.5, 3.0),  # window past the phase: None
+    ([0.0, 1.0, 2.0], -3.0, -0.5),  # window before the phase: None
+    ([0.0, 1.0, 2.0], 1.5, 1.5),  # s0 == s1 inside a segment
+    ([0.0, 1.0, 2.0], 1.0, 1.0),  # s0 == s1 on a sample
+    ([0.0, 1.0, 2.0], 2.0, 3.0),  # window touching the last sample
+    ([0.0, 1.0, 2.0], 0.25, 0.75),  # no sample strictly inside
+    ([0.0, 0.5, 1.0, 1.5, 2.0], -1.0, 3.0),  # whole phase
+    ([0.0, 0.5, 1.0, 1.5, 2.0], 0.5, 1.5),  # ends on samples
+], ids=["single-sample", "after", "before", "point-in-segment",
+        "point-on-sample", "touch-end", "inside-one-segment", "whole",
+        "ends-on-samples"])
+def test_window_dist_matches_scalar_reference(times, s0, s1):
+    rng = np.random.default_rng(len(times))
+    times = np.asarray(times)
+    states = rng.standard_normal((times.size, 3))
+    if times.size > 2:
+        states[2] = states[1]  # a zero-length segment
+    for x in rng.standard_normal((8, 3)):
+        assert_same_window_dist(x, times, states, s0, s1)
+
+
+def test_closeness_fails_where_destination_lacks_the_phase():
+    two = HybridArc([([0.0, 1.0], [[0.0], [0.0]]),
+                     ([1.0, 2.0], [[0.0], [0.0]])],
+                    termination=Termination.HORIZON_REACHED)
+    one = HybridArc([([0.0, 2.0], [[0.0], [0.0]])],
+                    termination=Termination.HORIZON_REACHED)
+    assert not closeness(two, one, 5.0, 0.5)
+    assert not ref_closeness(two, one, 5.0, 0.5)
+    # the extra phase lies past tau, so no sample asks for it
+    assert closeness(two, one, 1.5, 0.5) and ref_closeness(two, one, 1.5, 0.5)
+
+
+@st.composite
+def arc_pairs(draw):
+    """Two arcs of 1-3 phases with 1-40 samples each, states on random walks
+    whose zero steps repeat a state; the second arc is either a noisy copy
+    of the first, possibly missing its last phase, or independent."""
+    dim = draw(st.integers(1, 3))
+
+    def arc(phase_sizes):
+        phases, t_prev, x = [], 0.0, np.zeros(dim)
+        for m in phase_sizes:
+            steps = draw(st.lists(st.floats(0.01, 0.5),
+                                  min_size=m - 1, max_size=m - 1))
+            times = np.concatenate([[t_prev], t_prev + np.cumsum(steps)])
+            moves = draw(st.lists(
+                st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim),
+                min_size=m, max_size=m))
+            states = x + np.cumsum(np.asarray(moves).reshape(m, dim), axis=0)
+            phases.append((times, states))
+            t_prev, x = times[-1], states[-1]
+        return HybridArc(phases, termination=Termination.HORIZON_REACHED)
+
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    a = arc(sizes)
+    if draw(st.booleans()):
+        return a, arc(draw(st.lists(st.integers(1, 40), min_size=1,
+                                    max_size=3)))
+    noise = draw(st.floats(0.0, 0.2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    keep = a.num_phases - draw(st.integers(0, a.num_phases - 1))
+    b = HybridArc(
+        [(t, x + noise * rng.standard_normal(x.shape))
+         for t, x in a.phases[:keep]],
+        termination=Termination.HORIZON_REACHED,
+    )
+    return a, b
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(pair=arc_pairs(), tau=st.floats(0.0, 30.0), eps=st.floats(0.0, 2.0))
+def test_closeness_matches_scalar_reference(pair, tau, eps):
+    a, b = pair
+    assert closeness(a, b, tau, eps) == ref_closeness(a, b, tau, eps)
+
+
+def c08_arc_and_companion(seed=1):
+    """The c08 arc and a companion started 1e-2 away in a seeded direction,
+    rejoining at total time 2."""
+    system, _, spec = bouncing_ball()
+    x0 = np.asarray(spec.x0[0])
+    arc = solve(system, x0, SimConfig(h=1e-3, T_max=3.0, J_max=5)).arc
+    v = np.random.default_rng([seed, 2]).standard_normal(3)
+    x_new = x0 + 1e-2 * v / np.linalg.norm(v)
+    return arc, construct_perturbed(arc, x_new, 2.0)
+
+
+@pytest.mark.parametrize("eps, close", [(0.05, True), (1e-3, False)])
+def test_closeness_of_c08_companion_matches_reference(eps, close):
+    arc, psi = c08_arc_and_companion()
+    assert closeness(arc, psi, 2.0, eps) is close
+    assert ref_closeness(arc, psi, 2.0, eps) is close
+
+
+class PhaseLog(list):
+    """Phases of a probed arc: records which phases were handed out."""
+
+    def __init__(self, phases):
+        super().__init__(phases)
+        self.read = set()
+
+    def __getitem__(self, j):
+        self.read.add(j)
+        return super().__getitem__(j)
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+
+def test_closeness_reads_no_source_sample_past_tau():
+    arc, psi = c08_arc_and_companion()
+    tau = 1.0  # inside phase 0; phase 1 starts at t + j ~ 2.44
+    times, states = arc.phases[0]
+    past = times > tau
+    # past tau the source runs far from the companion, so any sample there
+    # that is scanned fails
+    poisoned = states.copy()
+    poisoned[past] += 100.0
+    probe = HybridArc([(times, poisoned)] + arc.phases[1:],
+                      termination=arc.termination)
+    assert not _one_sided_close(probe, psi, times[past][0], 0.05)
+    probe.phases = PhaseLog(probe.phases)
+    assert _one_sided_close(probe, psi, tau, 0.05)
+    assert probe.phases.read == {0}
+
+
 def test_construct_perturbed_zero_offset_reproduces_truncation():
     system, _, spec = bouncing_ball()
     arc = solve(system, np.asarray(spec.x0[0]),
@@ -443,6 +646,60 @@ def test_construct_perturbed_rejoins_bitwise():
                 assert np.array_equal(x, xa[k])
                 matched += 1
     assert matched >= 1
+
+
+def ref_construct_perturbed(arc, x_new, T):
+    """construct_perturbed sample by sample, the loop the array form must
+    reproduce bit for bit."""
+    offset = x_new - arc.phases[0][1][0]
+    phases = []
+    for j, (times, states) in enumerate(arc.phases):
+        keep = times + j < T
+        ts = list(times[keep])
+        xs = [states[k] for k in np.nonzero(keep)[0]]
+        if np.all(keep):
+            phases.append((ts, xs, j))
+            continue
+        t_star = T - j
+        if ts:
+            ts.append(t_star)
+            xs.append(arc.eval(t_star, j))
+        else:
+            ts.append(float(times[0]))
+            xs.append(states[0])
+        phases.append((ts, xs, j))
+        break
+    out = []
+    for ts, xs, j in phases:
+        shifted = []
+        for t, x in zip(ts, xs):
+            lam = max(0.0, 1.0 - (t + j) / T)
+            if j == 0 and t == 0.0:
+                shifted.append(x_new.copy())
+            elif lam > 0.0:
+                shifted.append(x + lam * offset)
+            else:
+                shifted.append(np.array(x, dtype=float))
+        out.append((np.array(ts), np.vstack(shifted)))
+    return out
+
+
+# T = 2 rejoins before phase 1's first sample (t + j ~ 2.44); T = 3 carries
+# a nonzero shift across the jump and rejoins inside phase 1
+@pytest.mark.parametrize("T", [2.0, 3.0])
+def test_construct_perturbed_matches_the_loop_form_bitwise(T):
+    system, _, spec = bouncing_ball()
+    x0 = np.asarray(spec.x0[0])
+    arc = solve(system, x0, SimConfig(h=1e-3, T_max=3.0, J_max=5)).arc
+    x_new = x0 + np.array([3e-2, -2e-2, 1e-2])
+    psi = construct_perturbed(arc, x_new, T)
+    want = ref_construct_perturbed(arc, x_new, T)
+    assert len(psi.phases) == len(want) == 2
+    for (tp, xp), (tw, xw) in zip(psi.phases, want):
+        assert tp.tobytes() == tw.tobytes()
+        assert xp.tobytes() == xw.tobytes()
+    if T > 2.5:
+        assert not np.array_equal(psi.phases[1][1][0], arc.phases[1][1][0])
 
 
 def test_construct_perturbed_needs_long_enough_arc():
