@@ -375,16 +375,18 @@ def _pair_jump(sys_delta, cert, p, vx, b):
     """At a point of D_delta with V(p) = vx and B(p) = b: the least decrease
     vx - V(g + d) and the iv-barrier-jump margin, the largest drop
     b - B(g + d), over the jump candidates g and the disturbances of
-    _jump_directions."""
+    _jump_directions.  With vx None, V is not evaluated and the decrease
+    is None."""
     V, B = cert.V, cert.B
     delta = sys_delta.delta
-    dec = np.inf
+    dec = None if vx is None else np.inf
     bjump = np.inf
     for cand in sys_delta.jump_candidates(p):
         cand = as_vector(cand)
         gv = V.gradient(cand) if delta > 0.0 else None
         for d in _jump_directions(cert, cand, delta, gv):
-            dec = min(dec, vx - V(cand + d))
+            if vx is not None:
+                dec = min(dec, vx - V(cand + d))
             bjump = min(bjump, B(cand + d) - b)
     return dec, -bjump
 
@@ -541,7 +543,7 @@ def condition_margin_fn(sys_delta, cert, condition_id, spec=None):
     elif condition_id == "barrier-flow":
         where, fn = C, lambda p: _pair_flow(sys_delta, cert, p)[1]
     elif condition_id == "barrier-jump":
-        where, fn = D, lambda p: _pair_jump(sys_delta, cert, p, V(p), B(p))[1]
+        where, fn = D, lambda p: _pair_jump(sys_delta, cert, p, None, B(p))[1]
     elif condition_id == "unsafe-negative":
         if spec is None:
             raise ValueError("unsafe-negative needs a spec with spec.unsafe")

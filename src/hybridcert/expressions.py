@@ -3,10 +3,13 @@
 Maps, predicates and certificates in a scenario are plain strings.  They
 are parsed with the ast module and restricted to arithmetic, comparisons,
 boolean connectives, conditionals and a fixed table of math functions, so
-loading a scenario never executes arbitrary code.
+loading a scenario never executes arbitrary code.  Each validated
+expression, or each list of them, compiles to one Python function whose
+parameters are the variables.
 """
 
 import ast
+import keyword
 import math
 import reprlib
 
@@ -126,6 +129,76 @@ def _validate(tree, variables, source):
                     ) from None
 
 
+_GLOBALS = {"__builtins__": {}, **FUNCTIONS, **CONSTANTS}
+
+
+def _compile(source, variables):
+    """One Python function of the variables, positional in their order,
+    that evaluates source; a list of sources gives a function that returns
+    the tuple of their values."""
+    many = isinstance(source, list)
+    try:
+        bodies = []
+        for where in source if many else [source]:
+            tree = ast.parse(where, mode="eval")
+            _validate(tree, variables, where)
+            bodies.append(tree.body)
+        where = source
+        params = ast.arguments(
+            posonlyargs=[], args=[ast.arg(arg=v) for v in variables],
+            kwonlyargs=[], kw_defaults=[], defaults=[],
+        )
+        body = ast.Tuple(elts=bodies, ctx=ast.Load()) if many else bodies[0]
+        tree = ast.Expression(body=ast.Lambda(args=params, body=body))
+        code = compile(ast.fix_missing_locations(tree), "<expr>", "eval")
+    except SyntaxError as exc:
+        raise ExpressionError(
+            "syntax error in %s: %s" % (quote(where), exc)
+        ) from None
+    except (RecursionError, MemoryError):
+        # one level of recursion per level of nesting: the parser runs
+        # out of its own stack (MemoryError), the compiler out of
+        # Python's (RecursionError)
+        raise ExpressionError(
+            "expression nested too deeply: %s" % quote(where)
+        ) from None
+    return eval(code, _GLOBALS)
+
+
+def _checked(variables):
+    """variables as a tuple of names that can be the parameters of a
+    compiled function."""
+    variables = tuple(variables)
+    for name in variables:
+        if not isinstance(name, str) or not name.isidentifier():
+            raise ExpressionError("bad variable name %s" % quote(name))
+        if keyword.iskeyword(name) or name == "__debug__":
+            # neither can name a parameter of the compiled function
+            raise ExpressionError("variable name %s is reserved" % quote(name))
+        if name in FUNCTIONS or name in CONSTANTS:
+            raise ExpressionError("variable %r shadows a builtin" % name)
+    if len(set(variables)) < len(variables):
+        raise ExpressionError(
+            "duplicate variable names in %s" % quote(variables))
+    return variables
+
+
+def _arguments(x, variables):
+    x = as_vector(x)
+    if x.size != len(variables):
+        raise ExpressionError(
+            "expected %d components, got %d" % (len(variables), x.size)
+        )
+    # tolist gives the Python floats that float(x[i]) would
+    return x.tolist()
+
+
+def _arithmetic_error(exc, source):
+    return ExpressionError(
+        "%s: %s in %s" % (type(exc).__name__, exc, quote(source))
+    )
+
+
 class Expr:
     """One compiled expression over named state components.
 
@@ -135,45 +208,14 @@ class Expr:
 
     def __init__(self, source, variables):
         self.source = str(source)
-        self.variables = tuple(variables)
-        for name in self.variables:
-            if not name.isidentifier():
-                raise ExpressionError("bad variable name %s" % quote(name))
-            if name in FUNCTIONS or name in CONSTANTS:
-                raise ExpressionError("variable %r shadows a builtin" % name)
-        try:
-            tree = ast.parse(self.source, mode="eval")
-            _validate(tree, self.variables, self.source)
-            self._code = compile(tree, "<expr>", "eval")
-        except SyntaxError as exc:
-            raise ExpressionError(
-                "syntax error in %s: %s" % (quote(self.source), exc)
-            ) from None
-        except (RecursionError, MemoryError):
-            # one level of recursion per level of nesting: the parser runs
-            # out of its own stack (MemoryError), the compiler out of
-            # Python's (RecursionError)
-            raise ExpressionError(
-                "expression nested too deeply: %s" % quote(self.source)
-            ) from None
-        self._globals = {"__builtins__": {}}
-        self._globals.update(FUNCTIONS)
-        self._globals.update(CONSTANTS)
+        self.variables = _checked(variables)
+        self._fn = _compile(self.source, self.variables)
 
     def __call__(self, x):
-        x = as_vector(x)
-        if x.size != len(self.variables):
-            raise ExpressionError(
-                "expected %d components, got %d"
-                % (len(self.variables), x.size)
-            )
-        env = {name: float(v) for name, v in zip(self.variables, x)}
         try:
-            return eval(self._code, self._globals, env)
+            return self._fn(*_arguments(x, self.variables))
         except ArithmeticError as exc:
-            raise ExpressionError(
-                "%s: %s in %s" % (type(exc).__name__, exc, quote(self.source))
-            ) from None
+            raise _arithmetic_error(exc, self.source) from None
 
     def __repr__(self):
         return "Expr(%r, variables=%r)" % (self.source, self.variables)
@@ -192,6 +234,22 @@ def predicate_fn(source, variables):
 
 
 def vector_fn(sources, variables):
-    """Compile a list of expressions into x -> ndarray, one row per entry."""
-    exprs = [Expr(s, variables) for s in sources]
-    return lambda x: np.array([float(e(x)) for e in exprs])
+    """Compile a list of expressions into x -> ndarray, one row per entry;
+    all entries are one function, called once per evaluation."""
+    sources = [str(s) for s in sources]
+    variables = _checked(variables)
+    fn = _compile(sources, variables)
+
+    def vector(x):
+        args = _arguments(x, variables)
+        try:
+            values = fn(*args)
+        except ArithmeticError as exc:
+            # evaluated alone, the failing entry raises again and its
+            # message quotes that entry rather than the whole list
+            for source in sources:
+                Expr(source, variables)(x)
+            raise _arithmetic_error(exc, sources) from None
+        return np.array([float(v) for v in values])
+
+    return vector

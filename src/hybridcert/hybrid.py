@@ -35,6 +35,8 @@ class Termination(Enum):
     LEFT_FLOW_AND_JUMP_SETS = "LeftFlowAndJumpSets"
     ESCAPED_BOUNDS = "EscapedBounds"
     ZENO_ACCUMULATION = "ZenoAccumulation"
+    # only runs under a watch region end so (see simulate.solve)
+    LEFT_WATCH_REGION = "LeftWatchRegion"
 
 
 class HybridArc:

@@ -101,6 +101,16 @@ def _first_hit(arc, hit):
     return None, n
 
 
+def _watched_escape(arc, watch):
+    """For an arc solved under watch: its first stored sample (j, t, x)
+    outside watch, or None, and the number of samples read, as _first_hit
+    would give them.  The solve tested every sample but the last against
+    watch and stopped at the first one outside, so only the last can be."""
+    t, j, x = arc.last()
+    n = sum(times.size for times, _ in arc.phases)
+    return (None if contains(watch, x, 0.0) else (j, t, x)), n
+
+
 def _safety_scan(arc, unsafe):
     """A "safety" counterexample at the first sample in unsafe, or None,
     and the number of samples read."""
@@ -120,13 +130,15 @@ def _penetration(region, x):
         return 0.0
 
 
-def _solve_all(system, points, config, n_dist=1, seed=0):
-    """Arcs from each point under n_dist disturbance draws; errors logged."""
+def _solve_all(system, points, config, n_dist=1, seed=0, watch=None):
+    """Arcs from each point under n_dist disturbance draws, each ending at
+    its first stored sample outside watch (if given); errors logged."""
     starts = [p for p in points for _ in range(n_dist)]
     keys = [[seed, i, k] for i in range(len(points)) for k in range(n_dist)]
     runs = []
     skipped = 0
-    for p, rep in zip(starts, solve_many(system, starts, config, keys)):
+    for p, rep in zip(starts, solve_many(system, starts, config, keys,
+                                         watch=watch)):
         if isinstance(rep, BadInitialCondition):
             skipped += 1
             log.warning("no solution from %s: %s", p, rep)
@@ -141,12 +153,13 @@ def check_forward_invariance(system, K, n_init, config, seed=0):
         raise ValueError("K must be a SetRegion")
     points = sample_region(K, n_init, np.random.default_rng(seed))
     K_slack = inflate(K, config.event_tol)
-    runs, skipped = _solve_all(system, points, config, seed=seed)
+    runs, skipped = _solve_all(system, points, config, seed=seed,
+                               watch=K_slack)
     ces = []
     n_samples = 0
     worst = 0.0
     for p, rep in runs:
-        escape, n = _first_hit(rep.arc, lambda x: not contains(K_slack, x, 0.0))
+        escape, n = _watched_escape(rep.arc, K_slack)
         n_samples += n
         if escape is not None:
             j, t, x = escape
@@ -266,7 +279,10 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
             points = sample_region(shell, n_init, np.random.default_rng(seed))
         except SamplingError:
             return None
-        runs, _ = _solve_all(system, points, config, seed=seed)
+        # a sample outside inflate(A, eps) is already an escape, so each arc
+        # is needed only up to the first one
+        runs, _ = _solve_all(system, points, config, seed=seed,
+                             watch=inflate(A, eps))
         n_arcs += len(runs)
         for _, rep in runs:
             escape, _ = _first_hit(rep.arc, lambda x: dist_to_set(x, A) >= eps)
@@ -367,13 +383,12 @@ def estimate_invariant_core(system, I, grid_n, n_dist, config, seed=0):
         ok = True
         solved = 0
         keys = [[seed, idx, k] for k in range(n_dist)]
-        for rep in solve_many(system, [p] * n_dist, config, keys):
+        for rep in solve_many(system, [p] * n_dist, config, keys,
+                              watch=I_slack):
             if isinstance(rep, BadInitialCondition):
                 continue
             solved += 1
-            escape, _ = _first_hit(
-                rep.arc, lambda x: not contains(I_slack, x, 0.0)
-            )
+            escape, _ = _watched_escape(rep.arc, I_slack)
             if escape is not None:
                 ok = False
                 break

@@ -116,24 +116,36 @@ def _bisect_event(f, x0, dt, d, pred, x_full, event_tol):
 
 
 class _ArcBuilder:
-    """Accumulates phases sample by sample, tolerating zero-length phases."""
+    """Accumulates phases sample by sample, tolerating zero-length phases.
 
-    def __init__(self, t0, x0):
+    With a watch region, a sample is tested against it once it is final:
+    when a sample at a later time or a jump follows it (until then an
+    append at the same time may still replace it).  The first final sample
+    outside the watch sets ``left``, and nothing is stored after it.
+    """
+
+    def __init__(self, t0, x0, watch=None):
         self.phases = []
         self.times = [t0]
         self.states = [np.array(x0, dtype=float)]
+        self.watch = watch
+        self.left = False
 
     def append(self, t, x):
         if t <= self.times[-1]:
             # Event refinement can land within float resolution of the last
             # accepted sample; fold it in rather than storing a dead segment.
             self.states[-1] = np.array(x, dtype=float)
-        else:
+        elif self.keeps_last():
             self.times.append(t)
             self.states.append(np.array(x, dtype=float))
 
-    def last(self):
-        return self.times[-1], self.states[-1]
+    def keeps_last(self):
+        """Test the last sample, which is now final, against the watch;
+        False once a final sample lies outside it."""
+        if self.watch is not None:
+            self.left = not contains(self.watch, self.states[-1], 0.0)
+        return not self.left
 
     def new_phase(self, t, x_plus):
         self.phases.append((np.array(self.times), np.vstack(self.states)))
@@ -145,8 +157,14 @@ class _ArcBuilder:
         return HybridArc(self.phases, termination=termination)
 
 
-def solve(system: HybridSystem, x0, config: SimConfig) -> SolveReport:
-    """Integrate one maximal solution from x0 under the stop rules in config."""
+def solve(system: HybridSystem, x0, config: SimConfig,
+          watch=None) -> SolveReport:
+    """Integrate one maximal solution from x0 under the stop rules in config.
+
+    With a watch region the run also ends at the first stored sample outside
+    it, without bisection, as LEFT_WATCH_REGION: the arc is then the prefix
+    of the unwatched arc up to and including that sample.
+    """
     x0 = as_vector(x0)
     if x0.size != system.dim:
         raise BadInitialCondition(
@@ -161,7 +179,7 @@ def solve(system: HybridSystem, x0, config: SimConfig) -> SolveReport:
         raise BadInitialCondition("x0 outside both flow and jump sets")
 
     draw = config.disturbance.start(system.dim, system.delta)
-    builder = _ArcBuilder(0.0, x0)
+    builder = _ArcBuilder(0.0, x0, watch)
     t, j, x = 0.0, 0, x0.copy()
     jump_count = 0
     zeno_snapped = False
@@ -174,10 +192,13 @@ def solve(system: HybridSystem, x0, config: SimConfig) -> SolveReport:
             termination = Termination.HORIZON_REACHED
             return False
         gap = None if last_jump_t is None else t - last_jump_t
-        if gap is not None and 0.0 < gap < config.t_min:
-            if system.zeno_map is None:
-                termination = Termination.ZENO_ACCUMULATION
-                return False
+        snap = gap is not None and 0.0 < gap < config.t_min
+        if snap and system.zeno_map is None:
+            termination = Termination.ZENO_ACCUMULATION
+            return False
+        if not builder.keeps_last():
+            return False
+        if snap:
             x_plus = as_vector(system.zeno_map(x))
             zeno_snapped = True
         else:
@@ -193,7 +214,7 @@ def solve(system: HybridSystem, x0, config: SimConfig) -> SolveReport:
     # a plain step only accepts a state outside D and inside C, so the
     # membership tests at the loop top are skipped right after one
     stepped = False
-    while termination is None:
+    while termination is None and not builder.left:
         if t >= config.T_max:
             termination = Termination.HORIZON_REACHED
             break
@@ -256,6 +277,11 @@ def solve(system: HybridSystem, x0, config: SimConfig) -> SolveReport:
         builder.append(t, x)
         stepped = True
 
+    if builder.left:
+        # the arc ends at its first final sample outside the watch; the
+        # sample or jump that made it final was not stored, and any stop
+        # reason set with it does not apply
+        termination = Termination.LEFT_WATCH_REGION
     arc = builder.build(termination)
     flow_time = sum(times[-1] - times[0] for times, _ in arc.phases)
     return SolveReport(
@@ -263,18 +289,18 @@ def solve(system: HybridSystem, x0, config: SimConfig) -> SolveReport:
     )
 
 
-def solve_many(system, points, config, keys):
+def solve_many(system, points, config, keys, watch=None):
     """Lazily solve from each point, one disturbance seed key per point.
 
     Yields, in order, a SolveReport per point, or the BadInitialCondition
     raised for a point with no solution.  Random disturbances are reseeded
     from each point's key, so results do not depend on order and repeat
-    run to run.
+    run to run.  Every solve runs under the same watch region.
     """
     for x0, key in zip(points, keys, strict=True):
         cfg = replace(config, disturbance=config.disturbance.reseed(key))
         try:
-            rep = solve(system, x0, cfg)
+            rep = solve(system, x0, cfg, watch=watch)
         except BadInitialCondition as err:
             rep = err
         yield rep

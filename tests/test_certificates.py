@@ -33,6 +33,7 @@ from hybridcert import (
     perturb,
     solve,
 )
+from hybridcert.certificates import _pair_jump
 
 BALL_B_AT_START = 0.7173469387755102
 
@@ -194,6 +195,42 @@ def test_pair_check_evaluates_V_once_per_jump_point():
     # one call at each grid point, plus one at each jump image
     assert [calls[tuple(p)] for p in grid.points()] == [1] * 15
     assert sum(calls.values()) == 15 + n_jump
+
+
+class CountingField:
+    """A scalar field that counts value and gradient evaluations."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = 0
+        self.gradients = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.field(x)
+
+    def gradient(self, x):
+        self.gradients += 1
+        return self.field.gradient(x)
+
+    def admissible(self, x):
+        return self.field.admissible(x)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_barrier_jump_margin_evaluates_no_V(delta):
+    sys_delta, cert, _, _, points = ball_jump_layer(delta)
+    V = CountingField(cert.V)
+    margin = condition_margin_fn(sys_delta, dataclasses.replace(cert, V=V),
+                                 "barrier-jump")
+    # D inflated by delta reaches the grid's three z = 0 points
+    assert len(points) == (15 if delta > 0.0 else 12)
+    for p in points:
+        full = _pair_jump(sys_delta, cert, p, cert.V(p), cert.B(p))[1]
+        assert margin(p).hex() == full.hex()
+    assert V.calls == 0
+    # grad V still picks the disturbances tried at each jump image
+    assert V.gradients == (len(points) if delta > 0.0 else 0)
 
 
 def test_barrier_jump_tries_the_worst_disturbance():

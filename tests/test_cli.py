@@ -192,15 +192,44 @@ def test_simulate_rejects_delta_on_moore_greitzer(tmp_path):
     assert not out.exists()
 
 
-# the last is a flat 100 kB source with an unknown name, which the error
-# message quotes
-@pytest.mark.parametrize("flow", ["10**400", "-" * 5000 + "x", "x/0",
-                                  "max(" + "x, " * 34000 + "q)"],
-                         ids=["overflow", "deep-nesting", "zero-division",
-                              "100kB-source"])
-def test_hostile_expression_exits_4_with_one_json_object(tmp_path, flow):
-    scen = write(tmp_path, "hostile.yaml", DECAY_SCENARIO.replace(
-        '["-x"]', json.dumps([flow])))
+def flow(source):
+    return [('["-x"]', json.dumps([source]))]
+
+
+def variable(name):
+    return [("variables: [x]", "variables: [%s]" % name),
+            ('["-x"]', '["1.0"]'), ('jump_map: ["x"]', 'jump_map: ["0.0"]')]
+
+
+# each case is a list of (old, new) edits of DECAY_SCENARIO and a piece of
+# the message; 100kB-source is a flat source with an unknown name, which
+# the message quotes
+@pytest.mark.parametrize("edits, message", [
+    (flow("10**400"), "OverflowError"),
+    (flow("-" * 5000 + "x"), "nested too deeply"),
+    (flow("x/0"), "ZeroDivisionError"),
+    (flow("max(" + "x, " * 34000 + "q)"), "unknown name 'q'"),
+    # names that cannot be parameters of the compiled function, and a
+    # number where a name belongs
+    (variable("lambda"), "variable name"),
+    (variable("None"), "variable name"),
+    (variable("__debug__"), "variable name"),
+    (variable("1"), "variable name"),
+    # lists where one source belongs
+    ([("target: {kind: ball, center: [0.0], radius: 0.5}",
+       'target: {kind: implicit, predicate: ["x*x < 0.25"], '
+       "bbox: {lo: [-0.5], hi: [0.5]}}")], "'List' not allowed"),
+    ([("sim:", 'certificates: {V: ["x**2"]}\nsim:')], "'List' not allowed"),
+], ids=["overflow", "deep-nesting", "zero-division", "100kB-source",
+        "keyword-variable", "None-variable", "__debug__-variable",
+        "number-variable", "list-predicate", "list-certificate"])
+def test_hostile_expression_exits_4_with_one_json_object(tmp_path, edits,
+                                                         message):
+    text = DECAY_SCENARIO
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    scen = write(tmp_path, "hostile.yaml", text)
     out = tmp_path / "sim"
     code, _, stderr = run_cli(
         ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
@@ -208,7 +237,9 @@ def test_hostile_expression_exits_4_with_one_json_object(tmp_path, flow):
     assert code == 4, stderr[:1000]
     assert len(stderr.splitlines()) == 1
     assert len(stderr.encode()) < 1024
-    assert json.loads(stderr)["error"] == "ExpressionError"
+    payload = json.loads(stderr)
+    assert payload["error"] == "ExpressionError"
+    assert message in payload["message"]
     assert not out.exists()
 
 

@@ -1,18 +1,24 @@
 """The scenario expression language: arithmetic, guards, and its whitelist."""
 
+import ast
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridcert.expressions import (
+    CONSTANTS,
+    FUNCTIONS,
     Expr,
     ExpressionError,
+    _validate,
     predicate_fn,
     scalar_fn,
     vector_fn,
 )
+from hybridcert.geometry import as_vector
 
 
 def test_arithmetic_against_math():
@@ -85,6 +91,36 @@ def test_variable_names_validated():
         scalar_fn("sin", ("sin",))
 
 
+@pytest.mark.parametrize("name", ["lambda", "None", "if", "__debug__"])
+def test_reserved_variable_names_are_rejected(name):
+    # a compiled expression takes its variables as parameters
+    with pytest.raises(ExpressionError, match="reserved"):
+        scalar_fn("1.0", ("x", name))
+
+
+def test_soft_keywords_and_bad_names():
+    assert scalar_fn("match + case", ("match", "case"))([1.0, 2.0]) == 3.0
+    with pytest.raises(ExpressionError, match="bad variable name"):
+        scalar_fn("1.0", (1,))
+    with pytest.raises(ExpressionError, match="duplicate"):
+        scalar_fn("x", ("x", "x"))
+
+
+def test_vector_fn_errors_quote_the_failing_entry():
+    # the entry sits past the first 80 characters of the list's repr
+    f = vector_fn(["x + " * 30 + "x", "1/x"], ("x",))
+    with pytest.raises(ExpressionError,
+                       match=r"^ZeroDivisionError: .* in '1/x'$"):
+        f([0.0])
+
+
+@pytest.mark.parametrize("make", [scalar_fn, predicate_fn, Expr])
+def test_only_vector_fn_takes_a_list(make):
+    # a list where one source belongs is a list literal, not a vector map
+    with pytest.raises(ExpressionError, match="'List' not allowed"):
+        make(["x < 0"], ("x",))
+
+
 def test_dimension_mismatch_at_call():
     f = scalar_fn("x", ("x",))
     with pytest.raises(ExpressionError):
@@ -133,3 +169,93 @@ def test_polynomial_round_trip(a, b, c, x):
     # repr round-trips floats exactly, so both sides run identical arithmetic
     f = scalar_fn("%r + %r*x + %r*x**2" % (a, b, c), ("x",))
     assert f([x]) == a + b * x + c * x**2
+
+
+def reference_eval(source, variables, x):
+    """The evaluation the compiled function replaced: the validated tree
+    compiled on its own and run by eval with the variables as locals."""
+    source = str(source)
+    tree = ast.parse(source, mode="eval")
+    _validate(tree, variables, source)
+    code = compile(tree, "<expr>", "eval")
+    env = {name: float(v) for name, v in zip(variables, as_vector(x))}
+    try:
+        return eval(code, {"__builtins__": {}, **FUNCTIONS, **CONSTANTS}, env)
+    except ArithmeticError as exc:
+        raise ExpressionError(str(exc)) from None
+
+
+def outcome(f):
+    """f()'s value, or the type of the exception it raised."""
+    try:
+        return f()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+def same_outcome(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.tobytes() == b.tobytes())
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+ONE_ARG = tuple(sorted(set(FUNCTIONS) - {"atan2", "hypot", "max", "min"}))
+TWO_ARG = ("atan2", "hypot", "max", "min")
+
+leaves = st.one_of(
+    st.sampled_from(["x", "y", "pi", "e", "tau", "inf", "True", "False",
+                     "0", "1", "3", "1e308", "5e-324"]),
+    st.floats(-1e3, 1e3).map(lambda v: "(%r)" % v),
+)
+
+
+def extend(sub):
+    return st.one_of(
+        st.tuples(st.sampled_from(["-", "+", "not "]), sub).map(
+            lambda t: "%s(%s)" % t),
+        st.tuples(sub, st.sampled_from(
+            ["+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=",
+             "and", "or"]), sub).map(lambda t: "(%s) %s (%s)" % t),
+        st.tuples(sub, sub, sub).map(lambda t: "(%s) < (%s) <= (%s)" % t),
+        # integral exponents only: no complex results and no unbounded
+        # integer powers
+        st.tuples(sub, st.sampled_from(["-1.0", "0", "2", "3.0"])).map(
+            lambda t: "(%s) ** %s" % t),
+        st.tuples(sub, sub, sub).map(lambda t: "(%s) if (%s) else (%s)" % t),
+        st.tuples(st.sampled_from(ONE_ARG), sub).map(lambda t: "%s(%s)" % t),
+        st.tuples(st.sampled_from(TWO_ARG), sub, sub).map(
+            lambda t: "%s(%s, %s)" % t),
+    )
+
+
+sources = st.recursive(leaves, extend, max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(source=sources, x=st.floats(), y=st.floats())
+def test_compiled_function_matches_the_eval_reference(source, x, y):
+    variables, point = ("x", "y"), [x, y]
+    vec = [source, "x*y", source]
+
+    def ref():
+        return reference_eval(source, variables, point)
+
+    pairs = [
+        (outcome(ref), outcome(lambda: Expr(source, variables)(point))),
+        (outcome(lambda: float(ref())),
+         outcome(lambda: scalar_fn(source, variables)(point))),
+        (outcome(lambda: bool(ref())),
+         outcome(lambda: predicate_fn(source, variables)(point))),
+        (outcome(lambda: np.array(
+            [float(reference_eval(s, variables, point)) for s in vec])),
+         outcome(lambda: vector_fn(vec, variables)(point))),
+    ]
+    for want, got in pairs:
+        assert same_outcome(want, got), (source, x, y, want, got)

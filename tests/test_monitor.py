@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from hybridcert import monitor, simulate
 from hybridcert import (
     AxisBox,
     Ball,
+    Disturbance,
     EmptyEstimate,
     EmptySet,
     Implicit,
@@ -21,8 +23,10 @@ from hybridcert import (
     check_forward_invariance,
     check_ras,
     check_stability_safety,
+    contains,
     estimate_invariant_core,
     make_system,
+    perturb,
 )
 from hybridcert.expressions import ExpressionError, predicate_fn
 
@@ -284,3 +288,89 @@ def test_invariant_core_empty_raises():
     cfg = SimConfig(h=2e-3, T_max=1.0, J_max=10)
     with pytest.raises(EmptyEstimate):
         estimate_invariant_core(system, I, (1, 3, 3), 1, cfg)
+
+
+def count_samples(monkeypatch, use_watch=True):
+    """Patch simulate.solve to sum the samples of the arcs it returns.
+    With use_watch False it also drops the watch region, and the monitors
+    scan each whole arc for its first sample outside the region instead of
+    testing only the last one, as they did before solves took a watch."""
+    solve = simulate.solve
+    stored = [0]
+
+    def counted(system, x0, config, watch=None):
+        rep = solve(system, x0, config, watch=watch if use_watch else None)
+        stored[0] += sum(times.size for times, _ in rep.arc.phases)
+        return rep
+
+    def scanned(arc, region):
+        return monitor._first_hit(arc, lambda x: not contains(region, x, 0.0))
+
+    monkeypatch.setattr(simulate, "solve", counted)
+    if not use_watch:
+        monkeypatch.setattr(monitor, "_watched_escape", scanned)
+    return stored
+
+
+@pytest.mark.parametrize("use_watch, samples", [(True, 24916),
+                                                (False, 51635)])
+def test_invariant_core_stops_each_arc_at_its_first_exit(monkeypatch,
+                                                         use_watch, samples):
+    # c09's band on the (1, 5, 5) grid: 13 of the 25 arcs leave it early
+    system, _, _ = bouncing_ball()
+    stored = count_samples(monkeypatch, use_watch)
+    cfg = SimConfig(h=2e-3, T_max=4.0, J_max=120)
+    survivors = estimate_invariant_core(system, peak_core_region(), (1, 5, 5),
+                                        1, cfg)
+    assert stored[0] == samples
+    assert len(survivors) == 12
+    a, lam = 9.8, 0.8
+
+    def peak(p):
+        top = p[1] + p[2] ** 2 / (2.0 * a)
+        return top if p[2] >= 0.0 else lam**2 * top
+
+    assert all(peak(p) <= 0.1 + 1e-6 for p in survivors)
+
+
+def report_bits(rep):
+    """Verdict, counterexamples with points and margins as float hex, and
+    stats, for bitwise comparison of reports."""
+    ces = [(ce.condition, [float(v).hex() for v in ce.point],
+            float(ce.margin).hex(), ce.witness) for ce in rep.counterexamples]
+    return rep.verdict, ces, repr(rep.stats)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("check", ["invariance", "stability", "core"])
+def test_watched_monitors_report_what_unwatched_ones_do(monkeypatch, check,
+                                                        seed):
+    system, _, _ = bouncing_ball()
+    sys_delta = perturb(system, 0.02)
+    cfg = SimConfig(h=5e-3, T_max=2.0, J_max=100,
+                    disturbance=Disturbance.random_uniform_ball(seed))
+    band = peak_core_region()
+
+    def run():
+        if check == "invariance":
+            return report_bits(check_forward_invariance(
+                sys_delta, band, n_init=6, config=cfg, seed=seed))
+        if check == "stability":
+            # falls out of the (0.05)-shell at every offset; the 3.0-level
+            # sweep bisects between offsets that stay and ones that escape
+            spec = StabSafeSpec(
+                x0=[np.array([0.0, 0.05, 0.0])],
+                unsafe=AxisBox([-1.0, 5.0, -1.0], [1.0, 6.0, 1.0]),
+                attractor=AxisBox([-9.0, 0.0, -1.0], [40.0, 0.3, 1.0]),
+                eps_levels=(0.05, 3.0))
+            return report_bits(check_stability_safety(
+                sys_delta, spec, n_init=6, config=cfg, seed=seed))
+        # delta 0: any disturbance kicks the ball at rest out of the band
+        survivors = estimate_invariant_core(system, band, (1, 3, 5), 2,
+                                            cfg, seed=seed)
+        return [[float(v).hex() for v in p] for p in survivors]
+
+    watched = run()
+    stored = count_samples(monkeypatch, use_watch=False)
+    assert run() == watched
+    assert stored[0] > 0

@@ -20,6 +20,7 @@ from hybridcert import (
     SimConfig,
     SolveReport,
     Termination,
+    Union,
     arc_eval,
     bouncing_ball,
     ball_operating_box,
@@ -35,6 +36,8 @@ from hybridcert import (
     verify_solution,
 )
 
+from hybridcert.geometry import contains
+from hybridcert.monitor import _first_hit
 from hybridcert.simulate import _one_sided_close, _rk4_step, _window_dist
 
 # closed-form first impact of the ballistic fall from (y, z) = (9, 0.8)
@@ -305,6 +308,115 @@ def test_solve_many_is_lazy():
     # the second start is never reached unless the generator is advanced
     reports = solve_many(system, [x0, None], cfg, [[0, 0], [0, 1]])
     assert next(reports).arc.num_phases >= 1
+
+
+def outside(watch):
+    return lambda x: not contains(watch, x, 0.0)
+
+
+def sample_count(arc):
+    return sum(times.size for times, _ in arc.phases)
+
+
+def watched_and_full(system, x0, cfg, watch):
+    """Solve x0 with and without the watch and check that the watched arc
+    is a bitwise prefix of the full one that ends at the full arc's first
+    sample outside the watch, where _first_hit agrees on both arcs."""
+    (cut,) = solve_many(system, [x0], cfg, [[0]], watch=watch)
+    full = solve(system, x0, cfg)
+    a, b = cut.arc, full.arc
+    last = a.num_phases - 1
+    assert last < b.num_phases
+    for j, (times, states) in enumerate(a.phases):
+        full_times, full_states = b.phases[j]
+        if j < last:
+            assert times.size == full_times.size
+        assert times.tobytes() == full_times[:times.size].tobytes()
+        assert states.tobytes() == full_states[:times.size].tobytes()
+    hit_a, n_a = _first_hit(a, outside(watch))
+    hit_b, n_b = _first_hit(b, outside(watch))
+    assert n_a == n_b
+    if hit_b is None:
+        assert hit_a is None
+    else:
+        (ja, ta, xa), (jb, tb, xb) = hit_a, hit_b
+        assert (ja, ta, xa.tobytes()) == (jb, tb, xb.tobytes())
+        assert n_a == sample_count(a)  # the watched arc ends there
+    if sample_count(a) < sample_count(b):
+        assert a.termination == Termination.LEFT_WATCH_REGION
+        assert hit_b is not None
+    else:
+        assert same_arcs(a, b)
+    assert cut.jump_count == a.num_phases - 1
+    assert cut.zeno_snapped <= full.zeno_snapped
+    return cut, full
+
+
+WATCH_CFG = SimConfig(h=5e-3, T_max=3.0, J_max=200, t_min=1e-2)
+
+
+def box(x_hi=100.0, y=(-1.0, 15.0), z=(-20.0, 20.0)):
+    return AxisBox([-10.0, y[0], z[0]], [x_hi, y[1], z[1]])
+
+
+@pytest.mark.parametrize("x0, watch, what", [
+    ((0.0, 1.0, 0.0), box(x_hi=1.5), "after impacts"),
+    ((0.0, 1.0, 0.0), box(y=(1e-6, 15.0)), "at the first impact"),
+    ((0.0, 0.05, 0.0), box(x_hi=2.0), "after a Zeno snap"),
+    ((0.0, 5.0, 19.0), box(y=(-1.0, 14.0)), "before a bounds exit"),
+    ((0.0, 5.0, 19.0), box(z=(-20.0, 18.0)), "at the start"),
+])
+def test_watched_run_stops_at_its_first_sample_outside(x0, watch, what):
+    cut, full = watched_and_full(bouncing_ball()[0], np.array(x0),
+                                 WATCH_CFG, watch)
+    assert cut.termination == Termination.LEFT_WATCH_REGION
+    n = sample_count(cut.arc)
+    if what == "after impacts":
+        assert cut.jump_count >= 2
+    elif what == "at the first impact":
+        # the pre-impact sample is outside; the jump is not taken
+        assert cut.jump_count == 0 and full.jump_count >= 2
+        assert abs(cut.arc.last()[2][1]) <= 1e-9
+    elif what == "after a Zeno snap":
+        assert cut.zeno_snapped
+    elif what == "before a bounds exit":
+        assert full.termination == Termination.ESCAPED_BOUNDS
+    else:
+        assert n == 1
+    assert n < sample_count(full.arc)
+
+
+def test_watch_tests_a_sample_only_once_it_is_final():
+    # x' = 1 from -2**60 in steps of 2**58 reaches x = 0 at t = 2**60; the
+    # jump set x >= 1e-3 is entered 1e-3 later, which rounds to the same t,
+    # so the event sample replaces x = 0 (outside the watch) by x = 1e-3
+    # (inside).  The jump then sends x far below 0.
+    big = 2.0**60
+    system = make_system(
+        1, AxisBox([-np.inf], [np.inf]), lambda x: np.array([1.0]),
+        AxisBox([1e-3], [np.inf]), lambda x: [np.array([-4.0 * big])],
+        AxisBox([-8.0 * big], [8.0 * big]),
+    )
+    cfg = SimConfig(h=big / 4.0, T_max=1.5 * big)
+    watch = Union([AxisBox([-np.inf], [-1.0]), AxisBox([1e-4], [np.inf])])
+    cut, full = watched_and_full(system, np.array([-big]), cfg, watch)
+    assert full.jump_count == 1
+    assert full.arc.phases[0][1][-1][0] >= 1e-3
+    assert same_arcs(cut.arc, full.arc)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    y=st.one_of(st.floats(0.0, 0.3), st.floats(0.0, 14.0)),
+    z=st.one_of(st.floats(-1.0, 1.0), st.floats(-19.0, 19.0)),
+    x_hi=st.floats(0.0, 4.0),
+    y_box=st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 16.0)),
+    z_box=st.tuples(st.floats(-21.0, 0.0), st.floats(0.0, 21.0)),
+)
+def test_watched_arc_is_a_prefix_of_the_full_arc(y, z, x_hi, y_box, z_box):
+    watch = box(x_hi=x_hi, y=(min(y_box), max(y_box)), z=z_box)
+    watched_and_full(bouncing_ball()[0], np.array([0.0, y, z]), WATCH_CFG,
+                     watch)
 
 
 def test_random_disturbance_actually_moves_the_state():
