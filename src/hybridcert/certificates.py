@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_vector, contains, dist_to_set
+from .geometry import (
+    Intersection, SamplingError, as_vector, contains, sample_region,
+)
 from .report import CheckReport, Counterexample, Verdict
 
 log = logging.getLogger(__name__)
@@ -35,6 +37,10 @@ FD_STEP = 1e-5
 
 # how far from zero V and the indicator may sit where the other vanishes
 SANDWICH_BAND = 1e-3
+
+# step halvings in a row without a gain that end falsify's descent from
+# one seed
+DESCENT_STALL = 2
 
 
 class MissingIndicator(ValueError):
@@ -248,16 +254,27 @@ def _sandwich_check(pairs, tol, ces):
 
 
 def _sweep(grid, visit):
-    """visit(p), which returns the margins scored at p, on every grid point;
-    then each refinement level re-grids around the 4 worst margins so far."""
-    hot = []
-    for p in grid.points():
-        hot.extend((m, p) for m in visit(p))
+    """visit(P) on the array of grid points, then on each refinement grid:
+    each level re-grids around the 4 worst margins so far.  visit returns
+    the (margin, point) pairs it scored, in row order."""
+    hot = visit(grid.points())
     for level in range(1, grid.refinement_depth + 1):
         hot.sort(key=lambda s: -s[0])
         for _, c in hot[:4]:
-            for p in grid.refined_around(c, level).points():
-                hot.extend((m, p) for m in visit(p))
+            hot.extend(visit(grid.refined_around(c, level).points()))
+
+
+def _in_region(O, P):
+    """Which rows of the point array P lie in O (all of them without O)."""
+    return np.ones(len(P), dtype=bool) if O is None else O.contains_many(P, 0.0)
+
+
+def _members(region, P, rows):
+    """Which rows of P lie in region, tested on the rows flagged in rows
+    only; the others read False."""
+    out = np.zeros(len(P), dtype=bool)
+    out[rows] = region.contains_many(P[rows], 0.0)
+    return out
 
 
 def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
@@ -279,27 +296,29 @@ def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
     n_flow = n_jump = n_region = 0
     worst_flow = worst_jump = -np.inf
 
-    def visit(p):
+    def visit(P):
         nonlocal n_flow, n_jump, n_region, worst_flow, worst_jump
+        P = P[_in_region(O, P)]
+        in_C = sys_delta.flow_set.contains_many(P, 0.0).tolist()
+        in_D = sys_delta.jump_set.contains_many(P, 0.0).tolist()
         scored = []
-        if not _in_region(O, p):
-            return scored
-        n_region += 1
-        pairs.append((float(cert.omega(p)), V(p), p))
-        if contains(sys_delta.flow_set, p, 0.0):
-            n_flow += 1
-            m = _flow_margin_single(sys_delta, V, p, delta)
-            worst_flow = max(worst_flow, m)
-            scored.append(m)
-            if m > tol:
-                ces.append(Counterexample("flow-decrease", p, margin=m))
-        if contains(sys_delta.jump_set, p, 0.0):
-            n_jump += 1
-            m = _jump_margin_single(sys_delta, V, p, delta)
-            worst_jump = max(worst_jump, m)
-            scored.append(m)
-            if m > tol:
-                ces.append(Counterexample("jump-decrease", p, margin=m))
+        for p, c, d in zip(P, in_C, in_D):
+            n_region += 1
+            pairs.append((float(cert.omega(p)), V(p), p))
+            if c:
+                n_flow += 1
+                m = _flow_margin_single(sys_delta, V, p, delta)
+                worst_flow = max(worst_flow, m)
+                scored.append((m, p))
+                if m > tol:
+                    ces.append(Counterexample("flow-decrease", p, margin=m))
+            if d:
+                n_jump += 1
+                m = _jump_margin_single(sys_delta, V, p, delta)
+                worst_jump = max(worst_jump, m)
+                scored.append((m, p))
+                if m > tol:
+                    ces.append(Counterexample("jump-decrease", p, margin=m))
         return scored
 
     _sweep(grid, visit)
@@ -325,10 +344,6 @@ def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
     if n_region == 0:
         verdict = Verdict.INCONCLUSIVE
     return CheckReport(verdict=verdict, counterexamples=ces, stats=stats)
-
-
-def _in_region(O, p):
-    return O is None or contains(O, p, 0.0)
 
 
 def _flow_margin_single(sys_delta, V, p, delta):
@@ -433,40 +448,49 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
             ces.append(Counterexample(cond, p, margin=_clamp(margin)))
         return margin
 
-    def visit(p):
+    def visit(P):
         nonlocal outside_O
-        dist_A = dist_to_set(p, A)
-        in_O = _in_region(O, p)
-        b = B(p)
-        if not in_O:
-            if contains(sys_delta.flow_set, p, 0.0) or contains(
-                sys_delta.jump_set, p, 0.0
-            ):
-                outside_O += 1
-            return [note("ii-S-in-O", _clamp(b), p)] if b >= 0.0 else []
-        vx = V(p)
-        pairs.append((dist_A, vx, p))
-        fit = dist_A > max(exclude_radius, tol)
+        dist_A = A.distance_many(P).tolist()
+        in_O = _in_region(O, P)
+        in_C = sys_delta.flow_set.contains_many(P, 0.0)
+        # outside O, D is tested only where "in C or in D" still needs it
+        in_D = _members(sys_delta.jump_set, P, in_O | ~in_C)
+        in_U = _members(U, P, in_O)
         scored = []
+        for p, d_A, o, c, d, u in zip(P, dist_A, in_O.tolist(), in_C.tolist(),
+                                      in_D.tolist(), in_U.tolist()):
+            b = B(p)
+            if not o:
+                if c or d:
+                    outside_O += 1
+                if b >= 0.0:
+                    scored.append((note("ii-S-in-O", _clamp(b), p), p))
+                continue
+            vx = V(p)
+            pairs.append((d_A, vx, p))
+            fit = d_A > max(exclude_radius, tol)
+            margins = []
 
-        if contains(sys_delta.flow_set, p, 0.0):
-            dec, m_b = _pair_flow(sys_delta, cert, p)
-            # the required decrease is 0; 0.0 - dec keeps +0.0 at dec = 0
-            scored.append(note("i-flow-decrease", 0.0 - dec, p))
-            if fit:
-                ratios_flow.append((dec / dist_A, p))
-            if m_b is not None:
-                scored.append(note("iv-barrier-flow", m_b, p))
+            if c:
+                dec, m_b = _pair_flow(sys_delta, cert, p)
+                # the required decrease is 0; 0.0 - dec keeps +0.0 at dec = 0
+                margins.append(note("i-flow-decrease", 0.0 - dec, p))
+                if fit:
+                    ratios_flow.append((dec / d_A, p))
+                if m_b is not None:
+                    margins.append(note("iv-barrier-flow", m_b, p))
 
-        if contains(sys_delta.jump_set, p, 0.0):
-            dec, m_b = _pair_jump(sys_delta, cert, p, vx, b)
-            scored.append(note("i-jump-decrease", 0.0 - dec, p))
-            scored.append(note("iv-barrier-jump", m_b, p))
-            if fit:
-                ratios_jump.append((dec / dist_A, p))
+            if d:
+                dec, m_b = _pair_jump(sys_delta, cert, p, vx, b)
+                margins.append(note("i-jump-decrease", 0.0 - dec, p))
+                margins.append(note("iv-barrier-jump", m_b, p))
+                if fit:
+                    ratios_jump.append((dec / d_A, p))
 
-        if contains(U, p, 0.0):
-            scored.append(note("iii-unsafe-negative", _unsafe_margin(B, p), p))
+            if u:
+                margins.append(
+                    note("iii-unsafe-negative", _unsafe_margin(B, p), p))
+            scored.extend((m, p) for m in margins)
         return scored
 
     _sweep(grid, visit)
@@ -474,9 +498,9 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
     # (iii) gets its own grid over U's bounding box: U need not meet O
     ubox = U.bounding_box()
     if ubox is not None:
-        for p in GridSpec(ubox.lo, ubox.hi, grid.counts).points():
-            if contains(U, p, 0.0):
-                note("iii-unsafe-negative", _unsafe_margin(B, p), p)
+        pts = GridSpec(ubox.lo, ubox.hi, grid.counts).points()
+        for p in pts[U.contains_many(pts, 0.0)]:
+            note("iii-unsafe-negative", _unsafe_margin(B, p), p)
 
     for p in spec.initial_points():
         p = as_vector(p)
@@ -529,6 +553,12 @@ def condition_margin_fn(sys_delta, cert, condition_id, spec=None):
     iv-barrier-flow, iv-barrier-jump and iii-unsafe-negative.  Like the
     pair check, unsafe-negative applies on all of U, the others only in O.
     """
+    return _condition(sys_delta, cert, condition_id, spec)[1]
+
+
+def _condition(sys_delta, cert, condition_id, spec):
+    """The set where the named condition applies (C, D or U) and the
+    condition's margin function."""
     delta = sys_delta.delta
     V, B = cert.V, cert.B
     C, D, O = sys_delta.flow_set, sys_delta.jump_set, cert.region
@@ -553,11 +583,12 @@ def condition_margin_fn(sys_delta, cert, condition_id, spec=None):
 
     def wrapped(p):
         p = as_vector(p)
-        if not _in_region(O, p) or not contains(where, p, 0.0):
+        in_O = O is None or contains(O, p, 0.0)
+        if not in_O or not contains(where, p, 0.0):
             return None
         return fn(p)
 
-    return wrapped
+    return where, wrapped
 
 
 def latin_hypercube(n, lo, hi, rng):
@@ -576,8 +607,10 @@ def falsify(sys_delta, cert, condition_id, region, budget, seed=0,
     """Search region for a violation of the named condition.
 
     Budget is split between Latin-hypercube probes, a coarse full grid, and
-    coordinate descent from the worst probes.  Returns (point, margin) for
-    the worst violation found with margin > tol, else None.
+    coordinate descent from the worst probes; when no probe lands where the
+    condition applies, draws from that part of region give the descent its
+    starts.  Returns (point, margin) for the worst violation found with
+    margin > tol, else None.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -587,7 +620,7 @@ def falsify(sys_delta, cert, condition_id, region, budget, seed=0,
     lo, hi = bbox.lo, bbox.hi
     dim = lo.size
     rng = np.random.default_rng(seed)
-    margin_fn = condition_margin_fn(sys_delta, cert, condition_id, spec=spec)
+    where, margin_fn = _condition(sys_delta, cert, condition_id, spec)
 
     evals = [0]
 
@@ -616,6 +649,17 @@ def falsify(sys_delta, cert, condition_id, region, budget, seed=0,
             break
         consider(p)
 
+    if not scored and evals[0] < budget:
+        # no probe met the set where the condition applies (a thin band,
+        # say), so descent has no start: half its share draws starts there
+        try:
+            band = sample_region(Intersection([where, region]),
+                                 (budget - evals[0]) // 2, rng)
+        except SamplingError:
+            band = []
+        for p in band:
+            consider(p)
+
     scored.sort(key=lambda s: -s[0])
     seeds = [p for _, p in scored[:5]]
     step0 = (hi - lo) / max(4, n_grid_axis)
@@ -626,7 +670,12 @@ def falsify(sys_delta, cert, condition_id, region, budget, seed=0,
         if m is None:
             continue
         step = step0.copy()
-        while evals[0] < budget and np.max(step) > 1e-12:
+        # a seed on a plateau gains nothing from ever smaller steps: after
+        # DESCENT_STALL halvings in a row without a gain, the next seed
+        # gets the budget that is left
+        stalled = 0
+        while (evals[0] < budget and np.max(step) > 1e-12
+               and stalled < DESCENT_STALL):
             improved = False
             for k in range(dim):
                 for sgn in (1.0, -1.0):
@@ -636,6 +685,7 @@ def falsify(sys_delta, cert, condition_id, region, budget, seed=0,
                     if mq is not None and mq > m:
                         p, m = q, mq
                         improved = True
+            stalled = 0 if improved else stalled + 1
             if not improved:
                 step *= 0.5
         if best is None or m > best[0]:

@@ -42,7 +42,6 @@ from .geometry import (
     Inflated,
     Intersection,
     Union,
-    contains,
     make_proper_indicator,
 )
 from .hybrid import arc_to_csv, arc_to_json_obj, make_system, perturb
@@ -579,8 +578,8 @@ def cmd_example(scenario, out_dir):
         levels = collections.Counter(dec["level"] for dec in decisions)
         unsafe = scenario.spec.unsafe
         in_unsafe = sum(
-            1 for _, states in arc.phases for x in states[:, :dim]
-            if contains(unsafe, x, 0.0)
+            int(np.count_nonzero(unsafe.contains_many(states[:, :dim], 0.0)))
+            for _, states in arc.phases
         )
         obj["final_plant_state"] = [float(v) for v in x_end]
         obj["distance_to_equilibrium"] = float(np.linalg.norm(x_end - zeta))

@@ -36,6 +36,15 @@ def _sign(t):
     return float((t > 0) - (t < 0))
 
 
+def _floor(t):
+    # math.floor returns an int, and exact int powers grow without bound
+    return float(math.floor(t))
+
+
+def _ceil(t):
+    return float(math.ceil(t))
+
+
 def _expit(t):
     # logistic; evaluate on the non-overflowing branch
     if t >= 0.0:
@@ -50,12 +59,12 @@ FUNCTIONS = {
     "asin": math.asin,
     "atan": math.atan,
     "atan2": math.atan2,
-    "ceil": math.ceil,
+    "ceil": _ceil,
     "cos": math.cos,
     "cosh": math.cosh,
     "exp": math.exp,
     "expit": _expit,
-    "floor": math.floor,
+    "floor": _floor,
     "hypot": math.hypot,
     "log": math.log,
     "log1p": math.log1p,
@@ -89,9 +98,27 @@ _NODE_TYPES = (
 )
 
 
+def _as_float(node):
+    """node, or node * 1.0 where its value may be a bool.  A comparison,
+    `not`, `and`/`or` (which pass a comparison's bool on), a conditional or
+    a bool literal may give a bool, and bools add and power as ints:
+    ((x>0)+(x>0))**((x>0)+(x>0)) is the int 4.  Times 1.0 is float() of a
+    bool and leaves every float's bits alone."""
+    boolish = (
+        isinstance(node, (ast.Compare, ast.BoolOp, ast.IfExp))
+        or (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not))
+        or (isinstance(node, ast.Constant) and isinstance(node.value, bool))
+    )
+    if not boolish:
+        return node
+    product = ast.BinOp(left=node, op=ast.Mult(), right=ast.Constant(1.0))
+    return ast.fix_missing_locations(ast.copy_location(product, node))
+
+
 def _validate(tree, variables, source):
-    # checks every node against the whitelist and turns int literals into
-    # floats in place
+    # checks every node against the whitelist; in place, it turns int
+    # literals into floats and makes each operand of arithmetic and each
+    # argument of a function a float
     for node in ast.walk(tree):
         if not isinstance(node, _NODE_TYPES):
             raise ExpressionError(
@@ -127,6 +154,15 @@ def _validate(tree, variables, source):
                     raise ExpressionError(
                         "literal too large in %s" % quote(source)
                     ) from None
+    # the nodes as parsed: the products added below are not revisited
+    for node in list(ast.walk(tree)):
+        if isinstance(node, ast.BinOp):
+            node.left = _as_float(node.left)
+            node.right = _as_float(node.right)
+        elif isinstance(node, ast.UnaryOp) and not isinstance(node.op, ast.Not):
+            node.operand = _as_float(node.operand)
+        elif isinstance(node, ast.Call):
+            node.args = [_as_float(a) for a in node.args]
 
 
 _GLOBALS = {"__builtins__": {}, **FUNCTIONS, **CONSTANTS}

@@ -2,6 +2,11 @@
 
 State vectors are plain 1-D numpy arrays. Regions are immutable after
 construction and safe for concurrent reads.
+
+Every region answers for one point (``contains``, ``distance``) and for the
+rows of a 2-D array of points (``contains_many``, ``distance_many``).  The
+array forms give, row for row, the bits the one-point forms give; regions
+built on user code (an Implicit predicate or sdf) loop over the rows.
 """
 
 import numpy as np
@@ -29,14 +34,50 @@ def as_vector(x):
     return v
 
 
+def as_rows(X):
+    """Coerce to a C-contiguous 2-D float64 array, one point per row."""
+    A = np.ascontiguousarray(X, dtype=float)
+    if A.ndim != 2:
+        raise ValueError("expected a 2-D array with one point per row")
+    return A
+
+
+def _row_norms(G):
+    # np.linalg.norm of a 1-D array is sqrt(dot(x, x)); vecdot runs the same
+    # dot on each row, so each row norm has the bits of its scalar form
+    with np.errstate(all="ignore"):
+        return np.sqrt(np.vecdot(G, G))
+
+
+def _clip0(v):
+    """max(0.0, v) per entry as Python computes it: NaN and -0.0 give 0.0."""
+    return np.where(v > 0.0, v, 0.0)
+
+
 class SetRegion:
-    """Base region. Subclasses override distance and/or a membership predicate."""
+    """Base region. Subclasses override distance and/or a membership predicate.
+
+    contains_many and distance_many loop over rows here; the regions that
+    run no user code override them with array forms.
+    """
+
+    # whether membership or distance calls user code, which the array forms
+    # then call once per row
+    runs_user_code = True
 
     def distance(self, x):
         raise UnsupportedDistance(f"{type(self).__name__} has no distance oracle")
 
     def contains(self, x, tol=DEFAULT_TOL):
         return self.distance(as_vector(x)) <= tol
+
+    def distance_many(self, X):
+        """[distance(x) for x in X] as a float array."""
+        return np.array([self.distance(x) for x in as_rows(X)], dtype=float)
+
+    def contains_many(self, X, tol=DEFAULT_TOL):
+        """[contains(x, tol) for x in X] as a bool array."""
+        return np.array([self.contains(x, tol) for x in as_rows(X)], dtype=bool)
 
     def bounding_box(self):
         """AxisBox enclosing the region for sampling, or None."""
@@ -46,14 +87,24 @@ class SetRegion:
 class EmptySet(SetRegion):
     """The empty region (e.g. jump set of a pure-flow system)."""
 
+    runs_user_code = False
+
     def distance(self, x):
         return np.inf
 
     def contains(self, x, tol=DEFAULT_TOL):
         return False
 
+    def distance_many(self, X):
+        return np.full(as_rows(X).shape[0], np.inf)
+
+    def contains_many(self, X, tol=DEFAULT_TOL):
+        return np.zeros(as_rows(X).shape[0], dtype=bool)
+
 
 class Ball(SetRegion):
+    runs_user_code = False
+
     def __init__(self, center, radius):
         self.center = as_vector(center)
         if radius < 0:
@@ -62,6 +113,12 @@ class Ball(SetRegion):
 
     def distance(self, x):
         return max(0.0, float(np.linalg.norm(as_vector(x) - self.center)) - self.radius)
+
+    def distance_many(self, X):
+        return _clip0(_row_norms(as_rows(X) - self.center) - self.radius)
+
+    def contains_many(self, X, tol=DEFAULT_TOL):
+        return self.distance_many(X) <= tol
 
     def bounding_box(self):
         return AxisBox(self.center - self.radius, self.center + self.radius)
@@ -72,6 +129,8 @@ class Ball(SetRegion):
 
 class AxisBox(SetRegion):
     """Axis-aligned box; lo/hi entries may be -inf/+inf for half-bounded sets."""
+
+    runs_user_code = False
 
     def __init__(self, lo, hi):
         self.lo = as_vector(lo)
@@ -120,6 +179,31 @@ class AxisBox(SetRegion):
         if not borderline:
             return True
         return self.distance(v) <= tol
+
+    def distance_many(self, X):
+        X = as_rows(X)
+        with np.errstate(invalid="ignore"):
+            gap = X - np.minimum(np.maximum(X, self.lo), self.hi)
+        d = _row_norms(gap)
+        for i in np.flatnonzero((d == 0.0) & gap.any(axis=1)):
+            # a gap below ~1.5e-162: rescaled as the scalar form does
+            d[i] = self.distance(X[i])
+        return d
+
+    def contains_many(self, X, tol=DEFAULT_TOL):
+        X = as_rows(X)
+        inside = np.ones(X.shape[0], dtype=bool)
+        borderline = np.zeros(X.shape[0], dtype=bool)
+        for i, lo in self._lo_faces:
+            inside &= ~(X[:, i] < lo - tol)
+            borderline |= X[:, i] < lo
+        for i, hi in self._hi_faces:
+            inside &= ~(X[:, i] > hi + tol)
+            borderline |= X[:, i] > hi
+        rows = np.flatnonzero(inside & borderline)
+        if rows.size:
+            inside[rows] = self.distance_many(X[rows]) <= tol
+        return inside
 
     def bounding_box(self):
         if np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)):
@@ -178,6 +262,10 @@ class Inflated(SetRegion):
         self.base = base
         self.r = float(r)
 
+    @property
+    def runs_user_code(self):
+        return self.base.runs_user_code
+
     def distance(self, x):
         return max(0.0, self.base.distance(x) - self.r)
 
@@ -189,11 +277,38 @@ class Inflated(SetRegion):
         except UnsupportedDistance:
             return self.base.contains(x, self.r + tol)
 
+    def distance_many(self, X):
+        return _clip0(self.base.distance_many(X) - self.r)
+
+    def contains_many(self, X, tol=DEFAULT_TOL):
+        if self.r == 0.0:
+            return self.base.contains_many(X, tol)
+        try:
+            return self.base.distance_many(X) <= self.r + tol
+        except UnsupportedDistance:
+            return self.base.contains_many(X, self.r + tol)
+
     def bounding_box(self):
         bb = self.base.bounding_box()
         if bb is None:
             return None
         return AxisBox(bb.lo - self.r, bb.hi + self.r)
+
+
+def _decide_rows(parts, X, tol, decisive):
+    """Per row, any (decisive True) or all (decisive False) of the parts'
+    membership; like any() and all(), a part is tested only on the rows
+    that no earlier part decided."""
+    X = as_rows(X)
+    out = np.full(X.shape[0], not decisive)
+    open_rows = np.arange(X.shape[0])
+    for p in parts:
+        if not open_rows.size:
+            break
+        decided = p.contains_many(X[open_rows], tol) == decisive
+        out[open_rows[decided]] = decisive
+        open_rows = open_rows[~decided]
+    return out
 
 
 class Union(SetRegion):
@@ -202,11 +317,26 @@ class Union(SetRegion):
         if not self.parts:
             raise ValueError("empty union")
 
+    @property
+    def runs_user_code(self):
+        return any(p.runs_user_code for p in self.parts)
+
     def distance(self, x):
         return min(p.distance(x) for p in self.parts)
 
     def contains(self, x, tol=DEFAULT_TOL):
         return any(p.contains(x, tol) for p in self.parts)
+
+    def distance_many(self, X):
+        # min() keeps the earliest of equal values: replace on < only
+        out = self.parts[0].distance_many(X)
+        for p in self.parts[1:]:
+            d = p.distance_many(X)
+            out = np.where(d < out, d, out)
+        return out
+
+    def contains_many(self, X, tol=DEFAULT_TOL):
+        return _decide_rows(self.parts, X, tol, True)
 
     def bounding_box(self):
         boxes = [p.bounding_box() for p in self.parts]
@@ -227,11 +357,26 @@ class Intersection(SetRegion):
         if not self.parts:
             raise ValueError("empty intersection")
 
+    @property
+    def runs_user_code(self):
+        return any(p.runs_user_code for p in self.parts)
+
     def distance(self, x):
         return max(p.distance(x) for p in self.parts)
 
     def contains(self, x, tol=DEFAULT_TOL):
         return all(p.contains(x, tol) for p in self.parts)
+
+    def distance_many(self, X):
+        # max() keeps the earliest of equal values: replace on > only
+        out = self.parts[0].distance_many(X)
+        for p in self.parts[1:]:
+            d = p.distance_many(X)
+            out = np.where(d > out, d, out)
+        return out
+
+    def contains_many(self, X, tol=DEFAULT_TOL):
+        return _decide_rows(self.parts, X, tol, False)
 
     def bounding_box(self):
         boxes = [b for b in (p.bounding_box() for p in self.parts) if b is not None]
@@ -249,6 +394,10 @@ class Complement(SetRegion):
 
     def __init__(self, base):
         self.base = base
+
+    @property
+    def runs_user_code(self):
+        return self.base.runs_user_code
 
     def distance(self, x):
         v = as_vector(x)
@@ -270,6 +419,25 @@ class Complement(SetRegion):
             return self.distance(x) <= tol
         except UnsupportedDistance:
             return not self.base.contains(x, 0.0)
+
+    def distance_many(self, X):
+        b = self.base
+        if isinstance(b, Ball):
+            return _clip0(b.radius - _row_norms(as_rows(X) - b.center))
+        if isinstance(b, AxisBox):
+            X = as_rows(X)
+            with np.errstate(invalid="ignore"):
+                g = np.minimum(X - b.lo, b.hi - X).min(axis=1)
+            d = np.where(np.isfinite(g), _clip0(g), np.inf)
+            return np.where(b.contains_many(X, 0.0), d, 0.0)
+        # complement_sdf is user code; any other base raises at the first row
+        return super().distance_many(X)
+
+    def contains_many(self, X, tol=DEFAULT_TOL):
+        try:
+            return self.distance_many(X) <= tol
+        except UnsupportedDistance:
+            return ~self.base.contains_many(X, 0.0)
 
 
 def dist_to_set(x, region):

@@ -90,14 +90,25 @@ class StabSafeSpec(_Spec):
             raise ValueError("eps_levels must be positive")
 
 
-def _first_hit(arc, hit):
+def _first_hit(arc, hit, hits, lazy):
     """The first stored sample (j, t, x) of arc with hit(x) true, or None,
-    and the number of samples read up to and including it."""
+    and the number of samples read up to and including it.
+
+    hits(X) gives hit of each row of an (m, d) array and is called once
+    per phase.  A lazy scan, for a hit test that runs user code, calls hit
+    on one state at a time and stops at the first hit, so that code sees
+    no later state.
+    """
     n = 0
-    for j, t, x in arc.samples():
-        n += 1
-        if hit(x):
-            return (j, t, x), n
+    for j, (times, states) in enumerate(arc.phases):
+        if lazy:
+            k = next((k for k, x in enumerate(states) if hit(x)), None)
+        else:
+            flags = hits(states)
+            k = int(flags.argmax()) if flags.any() else None
+        if k is not None:
+            return (j, float(times[k]), states[k]), n + k + 1
+        n += times.size
     return None, n
 
 
@@ -114,7 +125,9 @@ def _watched_escape(arc, watch):
 def _safety_scan(arc, unsafe):
     """A "safety" counterexample at the first sample in unsafe, or None,
     and the number of samples read."""
-    hit, n = _first_hit(arc, lambda x: contains(unsafe, x, 0.0))
+    hit, n = _first_hit(arc, lambda x: unsafe.contains(x, 0.0),
+                        lambda X: unsafe.contains_many(X, 0.0),
+                        unsafe.runs_user_code)
     if hit is not None:
         j, t, x = hit
         hit = Counterexample("safety", x, margin=_penetration(unsafe, x),
@@ -186,17 +199,21 @@ def check_forward_invariance(system, K, n_init, config, seed=0):
 def _settle_total_time(arc, slack_region):
     """Least total time T with every later sample inside the slack region;
     None when the arc never settles (its last sample is outside)."""
-    last_exit = None
-    entry_after_exit = 0.0
-    for j, t, x in arc.samples():
-        if not contains(slack_region, x, 0.0):
-            last_exit = (j, t, x)
-            entry_after_exit = None
-        elif entry_after_exit is None:
-            entry_after_exit = t + j
-    if last_exit is not None and entry_after_exit is None:
-        return None, last_exit
-    return entry_after_exit, None
+    inside = [slack_region.contains_many(states, 0.0)
+              for _, states in arc.phases]
+    for j in reversed(range(arc.num_phases)):
+        times, states = arc.phases[j]
+        outside = np.flatnonzero(~inside[j])
+        if not outside.size:
+            continue
+        k = outside[-1] + 1
+        # T is the total time of the sample after the last one outside
+        if k < times.size:
+            return float(times[k]) + j, None
+        if j + 1 < arc.num_phases:
+            return float(arc.phases[j + 1][0][0]) + j + 1, None
+        return None, (j, float(times[k - 1]), states[k - 1])
+    return 0.0, None
 
 
 def check_ras(system, spec: RASSpec, n_init, n_dist, config, seed=0):
@@ -285,7 +302,9 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
                              watch=inflate(A, eps))
         n_arcs += len(runs)
         for _, rep in runs:
-            escape, _ = _first_hit(rep.arc, lambda x: dist_to_set(x, A) >= eps)
+            escape, _ = _first_hit(rep.arc, lambda x: A.distance(x) >= eps,
+                                   lambda X: A.distance_many(X) >= eps,
+                                   A.runs_user_code)
             if escape is not None:
                 return escape
         return False
@@ -377,9 +396,8 @@ def estimate_invariant_core(system, I, grid_n, n_dist, config, seed=0):
     I_slack = inflate(I, config.event_tol)
     survivors = []
     vacuous = 0
-    for idx, p in enumerate(grid_pts):
-        if not contains(I, p, 0.0):
-            continue
+    for idx in np.flatnonzero(I.contains_many(grid_pts, 0.0)).tolist():
+        p = grid_pts[idx]
         ok = True
         solved = 0
         keys = [[seed, idx, k] for k in range(n_dist)]

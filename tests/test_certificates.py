@@ -13,6 +13,7 @@ from hybridcert import (
     CertificatePair,
     EmptySet,
     GridSpec,
+    Implicit,
     MissingBarrier,
     MissingIndicator,
     ScalarField,
@@ -33,6 +34,7 @@ from hybridcert import (
     perturb,
     solve,
 )
+from hybridcert import certificates, geometry
 from hybridcert.certificates import _pair_jump
 
 BALL_B_AT_START = 0.7173469387755102
@@ -197,6 +199,61 @@ def test_pair_check_evaluates_V_once_per_jump_point():
     assert sum(calls.values()) == 15 + n_jump
 
 
+@pytest.mark.parametrize("lo_y, hi_y", [(0.0, 10.0), (-2.0, 12.0)],
+                         ids=["operating-box", "past-C-and-O"])
+def test_pair_check_asks_the_jump_predicate_where_the_sweep_did(lo_y, hi_y):
+    # one call at each point in O, and at each point outside O that is
+    # also outside C (where "in C or in D" reaches D); the operating box
+    # lies in O, the wider box has rows below C and above O
+    system, cert, spec = bouncing_ball()
+    D = system.jump_set
+    seen = []
+
+    def pred(x):
+        seen.append(tuple(x))
+        return D.pred(x)
+
+    counted = dataclasses.replace(
+        system, jump_set=Implicit(pred, D.bbox, sdf=D.sdf))
+    ss = StabSafeSpec(x0=spec.x0, unsafe=spec.unsafe, attractor=ball_attractor())
+    grid = GridSpec([-1.0, lo_y, -14.0], [21.0, hi_y, 14.0], (3, 5, 7))
+    check_pair_VB(perturb(counted, 0.0), cert, ss, grid)
+    O, C = cert.region, system.flow_set
+    want = [tuple(p) for p in grid.points()
+            if O.contains(p, 0.0) or not C.contains(p, 0.0)]
+    assert sorted(seen) == sorted(want)
+    assert len(want) == (105 if hi_y <= 10.0 else 84)
+
+
+def test_pair_check_makes_no_one_point_geometry_call(monkeypatch):
+    # every membership and distance of the sweeps is an array pass; a
+    # one-point call is a sweep that went back to testing point by point
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (certificates, geometry):
+        for name in ("contains", "dist_to_set"):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(geometry, name)),
+                                raising=False)
+    for name in ("contains", "distance"):
+        monkeypatch.setattr(AxisBox, name,
+                            counting("AxisBox." + name, vars(AxisBox)[name]))
+    system, cert, spec = bouncing_ball()
+    ss = StabSafeSpec(x0=spec.x0, unsafe=spec.unsafe, attractor=ball_attractor())
+    box = ball_operating_box()
+    rep = check_pair_VB(perturb(system, 0.0), cert, ss,
+                        GridSpec(box.lo, box.hi, (3, 5, 7)))
+    assert rep.verdict == Verdict.PASS
+    assert sum(rep.stats["counts"].values()) > 0
+    assert calls == {}
+
+
 class CountingField:
     """A scalar field that counts value and gradient evaluations."""
 
@@ -304,6 +361,24 @@ def test_falsify_clean_system_returns_none():
     cert = CertificatePair(V=quadratic_V())
     assert falsify(flow_only(-1.0), cert, "flow-decrease",
                    AxisBox([-1.0], [1.0]), budget=200) is None
+
+
+def test_falsify_draws_starts_from_a_band_that_no_probe_meets():
+    # jumps double x on a slab of width 2e-6 that the LHS and grid probes
+    # of [-1, 1] all miss; V(2x) - V(x)/e is positive there
+    slab = Implicit(lambda x: abs(x[0] - 0.3) <= 1e-6,
+                    AxisBox([0.3 - 1e-6], [0.3 + 1e-6]))
+    sys1 = make_system(
+        1, AxisBox([-2.0], [2.0]), lambda x: np.array([-x[0]]),
+        slab, lambda x: [2.0 * x], AxisBox([-5.0], [5.0]),
+    )
+    cert = CertificatePair(V=quadratic_V())
+    found = falsify(perturb(sys1, 0.0), cert, "jump-decrease",
+                    AxisBox([-1.0], [1.0]), budget=60, seed=0)
+    assert found is not None
+    p, margin = found
+    assert abs(p[0] - 0.3) <= 1e-6
+    assert margin == pytest.approx((4.0 - 1.0 / math.e) * p[0] ** 2)
 
 
 def test_falsify_tiny_budget():

@@ -201,11 +201,22 @@ def variable(name):
             ('["-x"]', '["1.0"]'), ('jump_map: ["x"]', 'jump_map: ["0.0"]')]
 
 
+def power_tower(base, levels):
+    """(b)**(b) nested: levels 1, 2, 3, 4 of 2.0 are 2, 4, 256, 2**2048."""
+    for _ in range(levels - 1):
+        base = "(%s)**(%s)" % (base, base)
+    return base
+
+
 # each case is a list of (old, new) edits of DECAY_SCENARIO and a piece of
 # the message; 100kB-source is a flat source with an unknown name, which
 # the message quotes
 @pytest.mark.parametrize("edits, message", [
     (flow("10**400"), "OverflowError"),
+    # floor and comparisons feed arithmetic as floats, never as exact ints
+    # that grow without bound
+    (flow("floor(1e7)**floor(1e7)"), "OverflowError"),
+    (flow(power_tower("((x>0)+(x>0))", 4)), "OverflowError"),
     (flow("-" * 5000 + "x"), "nested too deeply"),
     (flow("x/0"), "ZeroDivisionError"),
     (flow("max(" + "x, " * 34000 + "q)"), "unknown name 'q'"),
@@ -220,9 +231,10 @@ def variable(name):
        'target: {kind: implicit, predicate: ["x*x < 0.25"], '
        "bbox: {lo: [-0.5], hi: [0.5]}}")], "'List' not allowed"),
     ([("sim:", 'certificates: {V: ["x**2"]}\nsim:')], "'List' not allowed"),
-], ids=["overflow", "deep-nesting", "zero-division", "100kB-source",
-        "keyword-variable", "None-variable", "__debug__-variable",
-        "number-variable", "list-predicate", "list-certificate"])
+], ids=["overflow", "floor-power", "bool-power-tower", "deep-nesting",
+        "zero-division", "100kB-source", "keyword-variable", "None-variable",
+        "__debug__-variable", "number-variable", "list-predicate",
+        "list-certificate"])
 def test_hostile_expression_exits_4_with_one_json_object(tmp_path, edits,
                                                          message):
     text = DECAY_SCENARIO
@@ -451,6 +463,41 @@ def test_falsify_finds_violation(tmp_path):
     x = report["counterexample"]["x"][0]
     # margin for xdot = x, V = x^2 is exactly 3 x^2
     assert report["counterexample"]["margin"] == pytest.approx(3.0 * x * x)
+
+
+def test_ras_check_asks_the_target_predicate_once_per_stored_sample():
+    scenario = cli.parse_scenario(yaml.safe_load(FALLING_MASS_SCENARIO))
+    target = scenario.spec.target
+    asked = []
+    pred = target.pred
+    target.pred = lambda x: asked.append(x.tobytes()) or pred(x)
+    ck = scenario.check
+    rep = cli.check_ras(cli._perturbed(scenario), scenario.spec, ck["n_init"],
+                        ck["n_dist"], scenario.sim, seed=ck["seed"])
+    # no sample is unsafe, so the safety scan read them all
+    assert rep.counterexamples == []
+    assert len(asked) == rep.stats["samples"] > 0
+
+
+def test_falsify_finds_the_barrier_drop_peak_on_the_jump_band(tmp_path):
+    # at delta 0.05 the barrier-jump margin is about 0.05 over most of the
+    # jump band and 0.0589 near (0, 0, 0), where grad B is steepest; the
+    # descent used to spend all its budget on a seed on the plateau
+    scen = write(
+        tmp_path, "ball.yaml",
+        "system: bouncing-ball\ndelta: 0.05\n"
+        "check: {seed: 5, budget: 300, "
+        "grid: {lo: [-1, 0, -14], hi: [21, 10, 14], counts: 5}}\n",
+    )
+    out = tmp_path / "fal"
+    code, _, stderr = run_cli(
+        ["falsify", "--mode", "barrier-jump", "--scenario", scen,
+         "--out", str(out)],
+        tmp_path,
+    )
+    assert code == 1, stderr
+    report = json.loads((out / "falsify.json").read_text())
+    assert report["counterexample"]["margin"] >= 0.058
 
 
 def test_check_reports_are_deterministic(tmp_path):

@@ -157,6 +157,33 @@ def test_integer_literals_compile_as_floats():
         scalar_fn("1" + "0" * 400, ["x"])
 
 
+@pytest.mark.parametrize("source, value", [
+    ("((x>0)+(x>0))**((x>0)+(x>0))", 4.0),
+    ("-(x > 0)", -1.0),
+    ("abs(not x)", 0.0),
+    ("True + True", 2.0),
+    ("(x if x > 0 else x > -1) * 2", 2.0),
+    ("max(x > 0, x < 0)", 1.0),
+    ("floor(2.5)", 2.0),
+    ("ceil(2.5)", 3.0),
+])
+def test_bools_and_floor_enter_arithmetic_as_floats(source, value):
+    # an exact int would grow without bound in a power tower
+    got = Expr(source, ("x",))([1.0])
+    assert type(got) is float and got == value
+
+
+def test_arithmetic_on_names_and_constants_compiles_as_parsed():
+    # only operands that may be bools gain a conversion; a bool that feeds
+    # no arithmetic stays a bool
+    assert Expr("x > 0 and not x > 2", ("x",))([1.0]) is True
+    for source in ["-0.8*z", "z**2.0/2.0 + 9.8*y", "sin(y) - pi",
+                   "y if z > 0.0 else -y", "y <= 0.0 and z < 0.0"]:
+        tree = ast.parse(source, mode="eval")
+        _validate(tree, ("y", "z"), source)
+        assert ast.dump(tree) == ast.dump(ast.parse(source, mode="eval"))
+
+
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
 

@@ -256,3 +256,138 @@ def test_sample_region_empty_unbounded_and_unreachable():
         sample_region(AxisBox([0.0], [np.inf]), 1, rng)
     with pytest.raises(SamplingError):
         sample_region(Implicit(lambda x: False, AxisBox([0.0], [1.0])), 2, rng)
+
+
+# ------------------------------------------------ array forms, row for row
+
+EDGE_COORDS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.25, 1e-170, -1e-170,
+               5e-324, -5e-324, 1e-160, 1.0 + 1e-12, np.nan, np.inf, -np.inf]
+coords = st.one_of(
+    st.integers(-32, 32).map(lambda k: k / 8.0), st.sampled_from(EDGE_COORDS)
+)
+faces = st.one_of(st.integers(-24, 24).map(lambda k: k / 8.0),
+                  st.sampled_from([-np.inf, np.inf, 0.0]))
+
+
+def _half_plane(draw, log):
+    """An Implicit set {x0 + w*x1 <= c}, with or without its sdf and its
+    complement's; the predicate and the oracles log every point they see."""
+    w = draw(st.sampled_from([0.0, 1.0, -0.5]))
+    c = draw(st.sampled_from([0.0, 0.75, -1.5]))
+    n = float(np.hypot(1.0, w))
+
+    def pred(x):
+        log.append(("pred", c, x.tobytes()))
+        return x[0] + w * x[1] <= c
+
+    def sdf(x):
+        log.append(("sdf", c, x.tobytes()))
+        return (x[0] + w * x[1] - c) / n
+
+    def complement_sdf(x):
+        return (c - x[0] - w * x[1]) / n
+
+    return Implicit(
+        pred, AxisBox([-4.0, -4.0], [4.0, 4.0]),
+        sdf=sdf if draw(st.booleans()) else None,
+        complement_sdf=complement_sdf if draw(st.booleans()) else None,
+    )
+
+
+@st.composite
+def regions(draw, log, depth=3):
+    kinds = ["box", "ball", "empty", "implicit"]
+    if depth > 0:
+        kinds += ["inflated", "union", "intersection", "complement"] * 2
+    kind = draw(st.sampled_from(kinds))
+    if kind == "box":
+        lo, hi = [], []
+        for _ in range(2):
+            a, b = sorted((draw(faces), draw(faces)))
+            lo.append(a)
+            hi.append(b)
+        return AxisBox(lo, hi)
+    if kind == "ball":
+        return Ball((draw(coords.filter(np.isfinite)),
+                     draw(coords.filter(np.isfinite))),
+                    draw(st.sampled_from([0.0, 0.5, 1.25])))
+    if kind == "empty":
+        return EmptySet()
+    if kind == "implicit":
+        return _half_plane(draw, log)
+    sub = regions(log, depth - 1)
+    if kind == "inflated":
+        return Inflated(draw(sub), draw(st.sampled_from([0.0, 1e-9, 0.25])))
+    if kind == "complement":
+        return Complement(draw(sub))
+    parts = draw(st.lists(sub, min_size=1, max_size=3))
+    return Union(parts) if kind == "union" else Intersection(parts)
+
+
+def _outcome(f):
+    """f()'s float or bool array, or the type of the exception it raised."""
+    try:
+        return f()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+def _same(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(data=st.data(),
+       tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.25]),
+       X=st.lists(st.tuples(coords, coords), min_size=1, max_size=8))
+def test_array_forms_match_the_scalar_forms_row_for_row(data, tol, X):
+    # every region kind, nested; NaN, +-inf and gaps that square to 0.  The
+    # user code (predicates, sdfs) sees the same points either way, unless
+    # the call raises: the scalar loop stops at the first row, while an
+    # array form may have run an earlier part on every row
+    log = []
+    region = data.draw(regions(log))
+    X = np.array(X, dtype=float)
+    with np.errstate(invalid="ignore"):
+        check_rows(region, X, tol, log)
+
+
+def check_rows(region, X, tol, log):
+
+    want = _outcome(lambda: np.array(
+        [region.contains(x, tol) for x in X], dtype=bool))
+    scalar_calls = sorted(log)
+    log.clear()
+    got = _outcome(lambda: region.contains_many(X, tol))
+    assert _same(want, got), (region, X, tol, want, got)
+    assert isinstance(want, type) or sorted(log) == scalar_calls
+
+    log.clear()
+    want = _outcome(lambda: np.array([region.distance(x) for x in X],
+                                     dtype=float))
+    scalar_calls = sorted(log)
+    log.clear()
+    got = _outcome(lambda: region.distance_many(X))
+    assert _same(want, got), (region, X, want, got)
+    assert isinstance(want, type) or sorted(log) == scalar_calls
+
+
+def test_array_forms_take_lists_and_reject_flat_input():
+    box = AxisBox([0.0, 0.0], [1.0, 1.0])
+    assert box.contains_many([[0.5, 0.5], [2.0, 0.0]], 0.0).tolist() == [
+        True, False]
+    assert box.distance_many(np.empty((0, 2))).shape == (0,)
+    with pytest.raises(ValueError):
+        box.contains_many(np.array([0.5, 0.5]), 0.0)
+
+
+def test_only_regions_with_user_code_say_so():
+    implicit = Implicit(lambda x: True, AxisBox([0.0], [1.0]))
+    plain = [AxisBox([0.0], [1.0]), Ball((0.0,), 1.0), EmptySet()]
+    for r in plain:
+        assert not r.runs_user_code
+        assert not Complement(Inflated(Union([r, r]), 0.5)).runs_user_code
+    assert implicit.runs_user_code
+    assert Intersection([plain[0], Complement(implicit)]).runs_user_code

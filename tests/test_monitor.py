@@ -290,6 +290,47 @@ def test_invariant_core_empty_raises():
         estimate_invariant_core(system, I, (1, 3, 3), 1, cfg)
 
 
+def scalar_first_hit(arc, hit):
+    """The one-point scan the monitors ran before their array scans."""
+    n = 0
+    for j, t, x in arc.samples():
+        n += 1
+        if hit(x):
+            return (j, t, x), n
+    return None, n
+
+
+def test_safety_scan_asks_an_implicit_set_nothing_past_the_first_hit():
+    # the drop from y = 9 reaches y < 1 before its first impact; a predicate
+    # that raises on any call after its first True gives the counterexample
+    # and count of a plain one, and an axis box the same by array scan
+    system, _, spec = bouncing_ball()
+    arc = simulate.solve(system, spec.x0[0],
+                         SimConfig(h=1e-2, T_max=3.0, J_max=5)).arc
+    box = AxisBox([-10.0, -1.0, -20.0], [60.0, 15.0, 20.0])
+    answered = []
+
+    def low(s):
+        return s[1] < 1.0
+
+    def raising(s):
+        if answered and answered[-1]:
+            raise AssertionError("asked after the first unsafe sample")
+        answered.append(low(s))
+        return answered[-1]
+
+    want, n_want = scalar_first_hit(arc, low)
+    assert want is not None and n_want < sum(t.size for t, _ in arc.phases)
+    for unsafe in (Implicit(low, box), Implicit(raising, box),
+                   AxisBox([-np.inf] * 3, [np.inf, np.nextafter(1.0, 0.0),
+                                           np.inf])):
+        ce, n = monitor._safety_scan(arc, unsafe)
+        j, t, x = want
+        assert (ce.condition, ce.witness, ce.point.tobytes(), n) == (
+            "safety", (j, t), x.tobytes(), n_want)
+    assert len(answered) == n_want
+
+
 def count_samples(monkeypatch, use_watch=True):
     """Patch simulate.solve to sum the samples of the arcs it returns.
     With use_watch False it also drops the watch region, and the monitors
@@ -304,7 +345,7 @@ def count_samples(monkeypatch, use_watch=True):
         return rep
 
     def scanned(arc, region):
-        return monitor._first_hit(arc, lambda x: not contains(region, x, 0.0))
+        return scalar_first_hit(arc, lambda x: not contains(region, x, 0.0))
 
     monkeypatch.setattr(simulate, "solve", counted)
     if not use_watch:
