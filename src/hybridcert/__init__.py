@@ -32,14 +32,12 @@ from .hybrid import (
     HybridSystem,
     OutOfDomain,
     Termination,
-    arc_eval,
     arc_from_csv,
     arc_from_json,
     arc_to_csv,
     arc_to_json,
     make_system,
     perturb,
-    total_time,
 )
 from .report import CheckReport, Counterexample, Verdict
 from .simulate import (

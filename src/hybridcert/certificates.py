@@ -623,14 +623,18 @@ def falsify(sys_delta, cert, condition_id, region, budget, seed=0,
     where, margin_fn = _condition(sys_delta, cert, condition_id, spec)
 
     evals = [0]
+    # a point probed before returns its result and costs no budget
+    probed = {}
 
     def probe(p):
+        key = tuple(np.asarray(p, dtype=float).tolist())
+        if key in probed:
+            return probed[key]
         if evals[0] >= budget:
             return None
         evals[0] += 1
-        if not contains(region, p, 0.0):
-            return None
-        return margin_fn(p)
+        probed[key] = margin_fn(p) if contains(region, p, 0.0) else None
+        return probed[key]
 
     scored = []
 

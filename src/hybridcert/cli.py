@@ -2,15 +2,17 @@
 
 A scenario is one YAML document.  The system comes either from a built-in
 study by name or from an inline declaration whose maps and predicates are
-expression strings (see expressions.py); exactly one of the two.  Commands
-print a single summary line on stdout, write everything else to files
-(atomically, temp + rename), and report failures as a JSON object on
-stderr.  Exit codes: 0 pass/done, 1 fail/counterexample, 2 bad initial
-condition, 3 inconclusive, 4 usage or scenario error.
+expression strings (see expressions.py); exactly one of the two.  A
+command computes its files and a single summary line without touching
+either; main then writes the files (atomically, temp + rename), prints the
+line on stdout, and reports failures as one JSON object on stderr.  Exit
+codes: 0 pass/done, 1 fail/counterexample, 2 bad initial condition, 3
+inconclusive, 4 usage, scenario or file error.
 """
 
 import argparse
 import collections
+import csv
 import dataclasses
 import json
 import os
@@ -28,13 +30,7 @@ from .certificates import (
     check_single_V,
     falsify,
 )
-from .expressions import (
-    ExpressionError,
-    predicate_fn,
-    quote,
-    scalar_fn,
-    vector_fn,
-)
+from .expressions import predicate_fn, quote, scalar_fn, vector_fn
 from .geometry import (
     AxisBox,
     Ball,
@@ -55,11 +51,16 @@ from .monitor import (
 from .report import Verdict
 from .simulate import BadInitialCondition, SimConfig, solve
 
-EXIT_OK = 0
-EXIT_FAIL = 1
+# one table for check verdicts and falsify results; simulate and example
+# pass once they have a result
+VERDICT_EXIT = {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.INCONCLUSIVE: 3}
 EXIT_BAD_INIT = 2
-EXIT_INCONCLUSIVE = 3
 EXIT_ERROR = 4
+
+# what a rejected command line or scenario raises: exit 4, except for a
+# BadInitialCondition (a ValueError), which exits 2
+INPUT_ERRORS = (ValueError, TypeError, LookupError, AttributeError,
+                ArithmeticError, RuntimeError, OSError, yaml.YAMLError)
 
 CHECK_MODES = ("ras", "stability-safety", "single-v", "pair-vb", "invariance")
 RANDOM_MODES = ("ras", "stability-safety", "invariance")
@@ -67,6 +68,10 @@ RANDOM_MODES = ("ras", "stability-safety", "invariance")
 
 class ScenarioError(ValueError):
     """Scenario file is missing, ambiguous, or inconsistent."""
+
+
+class UsageError(ValueError):
+    """The command line does not parse."""
 
 
 # ---------------------------------------------------------------- scenario
@@ -102,8 +107,7 @@ def parse_set(node, variables=None):
 
 
 def _parse_points(node):
-    pts = np.atleast_2d(np.asarray(node, dtype=float))
-    return [pts[i] for i in range(pts.shape[0])]
+    return list(np.atleast_2d(np.asarray(node, dtype=float)))
 
 
 def _parse_spec(node, variables=None):
@@ -275,10 +279,17 @@ def _apply_params(params, node):
     return dataclasses.replace(params, **coerced)
 
 
-def load_scenario(path, overrides=None, seed=None):
-    with open(path) as fh:
+def load_scenario(path, overrides=(), seed=None):
+    """The scenario of the YAML file at path (see scenario_from)."""
+    # bytes, so that yaml decodes them and rejects what is not text
+    with open(path, "rb") as fh:
         doc = yaml.safe_load(fh)
-    doc = apply_overrides(doc, overrides or [])
+    return scenario_from(doc, overrides, seed)
+
+
+def scenario_from(doc, overrides=(), seed=None):
+    """Parse a scenario document once its overrides and seed are applied."""
+    doc = apply_overrides(doc, overrides)
     if seed is not None:
         doc.setdefault("check", {})["seed"] = int(seed)
     return parse_scenario(doc)
@@ -323,10 +334,11 @@ def write_json(path, obj):
     _atomic_write(path, _write)
 
 
-def write_csv_rows(path, header, rows):
-    def _write(tmp):
-        import csv
+def write_csv_rows(path, table):
+    """Write a (header, rows) pair as CSV."""
+    header, rows = table
 
+    def _write(tmp):
         with open(tmp, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
@@ -335,10 +347,8 @@ def write_csv_rows(path, header, rows):
     _atomic_write(path, _write)
 
 
-def _write_arc_csv(arc, out_dir):
-    _atomic_write(
-        os.path.join(out_dir, "arc.csv"), lambda tmp: arc_to_csv(arc, tmp)
-    )
+def _write_arc_csv(path, arc):
+    _atomic_write(path, lambda tmp: arc_to_csv(arc, tmp))
 
 
 def _solve_report_obj(report):
@@ -353,11 +363,6 @@ def _solve_report_obj(report):
         "final_time": [float(t_end), len(arc.phases) - 1],
         "final_state": [float(v) for v in x_end],
     }
-
-
-def _error_json(exc):
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(payload), file=sys.stderr)
 
 
 def _require_seed(scenario, what):
@@ -416,19 +421,23 @@ def _solve_scenario(scenario):
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command maps a scenario, the --mode and the --out path (named in its
+# summary only) to (files, summary line, verdict) and does no I/O: files
+# are (name, writer, content) entries in the order main writes them.
 
-def cmd_simulate(scenario, out_dir):
+def cmd_simulate(scenario, mode, out_dir):
     report, _, _ = _solve_scenario(scenario)
     obj = _solve_report_obj(report)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_arc_csv(report.arc, out_dir)
-    write_json(os.path.join(out_dir, "arc.json"), arc_to_json_obj(report.arc))
-    write_json(os.path.join(out_dir, "report.json"), obj)
-    print(
-        "simulate: %s T=%.6g J=%d -> %s"
-        % (obj["termination"], obj["flow_time"], obj["jump_count"], out_dir)
+    files = [
+        ("arc.csv", _write_arc_csv, report.arc),
+        ("arc.json", write_json, arc_to_json_obj(report.arc)),
+        ("report.json", write_json, obj),
+    ]
+    summary = "simulate: %s T=%.6g J=%d -> %s" % (
+        obj["termination"], obj["flow_time"], obj["jump_count"], out_dir
     )
-    return EXIT_OK
+    return files, summary, Verdict.PASS
 
 
 def _pair_spec(scenario):
@@ -494,14 +503,8 @@ def cmd_check(scenario, mode, out_dir):
 
     obj = rpt.to_json_obj()
     obj["mode"] = mode
-    os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, "check_report.json"), obj)
-    print("check[%s]: %s" % (mode, rpt.verdict.value))
-    return {
-        Verdict.PASS: EXIT_OK,
-        Verdict.FAIL: EXIT_FAIL,
-        Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
-    }[rpt.verdict]
+    summary = "check[%s]: %s" % (mode, rpt.verdict.value)
+    return [("check_report.json", write_json, obj)], summary, rpt.verdict
 
 
 def cmd_falsify(scenario, condition_id, out_dir):
@@ -522,17 +525,13 @@ def cmd_falsify(scenario, condition_id, out_dir):
     obj = {"condition": condition_id, "found": found is not None}
     if found is not None:
         point, margin = found
-        obj["counterexample"] = {
-            "x": [float(v) for v in point],
-            "margin": float(margin),
-        }
-    os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, "falsify.json"), obj)
-    print(
-        "falsify[%s]: %s"
-        % (condition_id, "counterexample" if obj["found"] else "none")
+        obj["counterexample"] = {"x": [float(v) for v in point],
+                                 "margin": float(margin)}
+    summary = "falsify[%s]: %s" % (
+        condition_id, "counterexample" if obj["found"] else "none"
     )
-    return EXIT_FAIL if obj["found"] else EXIT_OK
+    verdict = Verdict.FAIL if obj["found"] else Verdict.PASS
+    return [("falsify.json", write_json, obj)], summary, verdict
 
 
 def _barrier_series(arc, cert, dim):
@@ -557,13 +556,17 @@ def _control_rows(arc, decisions):
     return rows
 
 
-def cmd_example(scenario, out_dir):
+def cmd_example(scenario, mode, out_dir):
     """A built-in study: its simulate run plus what the study adds, the
     ball's V/B pair check on its operating box or the loop's decisions."""
-    name = scenario.example
     report, decisions, dim = _solve_scenario(scenario)
     arc = report.arc
-    obj = {"study": name, "simulate": _solve_report_obj(report)}
+    obj = {"study": scenario.example, "simulate": _solve_report_obj(report)}
+    files = [
+        ("arc.csv", _write_arc_csv, arc),
+        ("barrier_series.csv", write_csv_rows,
+         (["j", "t", "V", "B"], _barrier_series(arc, scenario.cert, dim))),
+    ]
     if decisions is None:
         grid = _grid_or_default(scenario, ex.ball_operating_box())
         check = check_pair_VB(
@@ -571,7 +574,7 @@ def cmd_example(scenario, out_dir):
             tol=scenario.check["tol"], exclude_radius=0.05,
         )
         obj["check_pair_vb"] = check.to_json_obj()
-        summary = "pair check %s" % check.verdict.value
+        result = "pair check %s" % check.verdict.value
     else:
         zeta = np.asarray(scenario.params.zeta, dtype=float)
         x_end = arc.phases[-1][1][-1][:dim]
@@ -585,50 +588,43 @@ def cmd_example(scenario, out_dir):
         obj["distance_to_equilibrium"] = float(np.linalg.norm(x_end - zeta))
         obj["decision_levels"] = {str(k): v for k, v in sorted(levels.items())}
         obj["samples_in_unsafe"] = int(in_unsafe)
-        summary = "final distance %.4g" % obj["distance_to_equilibrium"]
-
-    os.makedirs(out_dir, exist_ok=True)
-    _write_arc_csv(arc, out_dir)
-    write_csv_rows(
-        os.path.join(out_dir, "barrier_series.csv"),
-        ["j", "t", "V", "B"],
-        _barrier_series(arc, scenario.cert, dim),
-    )
-    if decisions is not None:
-        write_csv_rows(
-            os.path.join(out_dir, "controls.csv"),
-            ["k", "j", "t", "level", "sigma", "v", "gamma",
-             "margin_V", "margin_B"],
-            _control_rows(arc, decisions),
+        result = "final distance %.4g" % obj["distance_to_equilibrium"]
+        files.append(
+            ("controls.csv", write_csv_rows,
+             (["k", "j", "t", "level", "sigma", "v", "gamma",
+               "margin_V", "margin_B"], _control_rows(arc, decisions)))
         )
-    write_json(os.path.join(out_dir, "report.json"), obj)
-    print(
-        "example[%s]: %s, %s -> %s"
-        % (name, obj["simulate"]["termination"], summary, out_dir)
+    files.append(("report.json", write_json, obj))
+    summary = "example[%s]: %s, %s -> %s" % (
+        scenario.example, obj["simulate"]["termination"], result, out_dir
     )
-    return EXIT_OK
+    return files, summary, Verdict.PASS
 
 
 # ---------------------------------------------------------------- dispatch
 
+COMMANDS = {"simulate": cmd_simulate, "check": cmd_check,
+            "falsify": cmd_falsify, "example": cmd_example}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hybridcert",
         description="Simulate hybrid systems and check their certificates.",
     )
-    p.add_argument(
-        "command", choices=("simulate", "check", "falsify", "example")
-    )
-    p.add_argument(
-        "name", nargs="?",
-        help="study name for the example command",
-    )
+    p.add_argument("command", choices=tuple(COMMANDS))
+    p.add_argument("name", nargs="?", help="study name of the example command")
     p.add_argument("--scenario", help="path to a scenario YAML file")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--mode",
-        help="check mode, falsify condition id, or example study name",
+        help="check mode (%s) or falsify condition id" % ", ".join(CHECK_MODES),
     )
     p.add_argument(
         "--override", action="append", default=[], metavar="KEY=VALUE",
@@ -637,42 +633,43 @@ def build_parser():
     return p
 
 
+def _load(args):
+    """`example NAME` is the document {system: NAME}; the other commands
+    read theirs from --scenario."""
+    if args.command == "example":
+        if not args.name:
+            raise ScenarioError("example needs a study name")
+        return scenario_from({"system": args.name}, args.override, args.seed)
+    if not args.scenario:
+        raise ScenarioError("%s needs --scenario" % args.command)
+    return load_scenario(args.scenario, args.override, args.seed)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one command: the only place that writes files, prints, and
+    turns the outcome or a rejected input into the exit code."""
     try:
-        if args.command == "example":
-            name = args.name or args.mode
-            if not name:
-                raise ScenarioError("example needs a study name")
-            scenario = parse_scenario(
-                apply_overrides({"system": name}, args.override)
-            )
-            return cmd_example(scenario, args.out)
-        if not args.scenario:
-            raise ScenarioError("%s needs --scenario" % args.command)
-        scenario = load_scenario(args.scenario, args.override, args.seed)
-        if args.command == "simulate":
-            return cmd_simulate(scenario, args.out)
-        if args.command == "check":
-            if not args.mode:
-                raise ScenarioError("check needs --mode")
-            return cmd_check(scenario, args.mode, args.out)
-        return cmd_falsify(scenario, args.mode, args.out)
-    except BadInitialCondition as exc:
-        _error_json(exc)
-        return EXIT_BAD_INIT
-    except (
-        ScenarioError,
-        ExpressionError,
-        OSError,
-        KeyError,
-        TypeError,
-        ValueError,
-        ex.NoConvergence,
-        ex.DomainViolation,
-    ) as exc:
-        _error_json(exc)
+        args = build_parser().parse_args(argv)
+        scenario = _load(args)
+        files, summary, verdict = COMMANDS[args.command](
+            scenario, args.mode, args.out
+        )
+        os.makedirs(args.out, exist_ok=True)
+        for name, writer, content in files:
+            writer(os.path.join(args.out, name), content)
+    except INPUT_ERRORS as exc:
+        # messages can quote input (float() of a string does); JSON escapes
+        # a character in up to 12 bytes, and the line stays under 1 kB
+        message = str(exc)[:500]
+        while len(json.dumps(message)) > 800:
+            message = message[:len(message) // 2]
+        payload = {"error": type(exc).__name__, "message": message}
+        print(json.dumps(payload), file=sys.stderr)
+        if isinstance(exc, BadInitialCondition):
+            return EXIT_BAD_INIT
         return EXIT_ERROR
+    print(summary)
+    return VERDICT_EXIT[verdict]
 
 
 if __name__ == "__main__":

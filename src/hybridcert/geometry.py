@@ -14,11 +14,11 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
-class UnsupportedDistance(Exception):
+class UnsupportedDistance(ValueError):
     """No exact or oracle distance exists for this region variant."""
 
 
-class DegenerateDomain(Exception):
+class DegenerateDomain(ValueError):
     """Indicator target is not strictly inside its open domain."""
 
 

@@ -16,18 +16,12 @@ import numpy as np
 from .geometry import SetRegion, as_vector, contains, inflate
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(ValueError):
     """A map or set disagrees with the declared state dimension."""
 
 
-class OutOfDomain(Exception):
+class OutOfDomain(LookupError):
     """Hybrid time (t, j) outside the arc's domain."""
-
-
-def total_time(ht):
-    """t + j for a (t, j) pair."""
-    t, j = ht
-    return t + j
 
 
 class Termination(Enum):
@@ -116,11 +110,6 @@ class HybridArc:
             return states[k].copy()
         w = (t - t0) / (t1 - t0)
         return (1.0 - w) * states[k] + w * states[k + 1]
-
-
-def arc_eval(arc, t, j):
-    """State at hybrid time (t, j) by linear interpolation."""
-    return arc.eval(t, j)
 
 
 @dataclass

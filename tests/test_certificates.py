@@ -381,6 +381,28 @@ def test_falsify_draws_starts_from_a_band_that_no_probe_meets():
     assert margin == pytest.approx((4.0 - 1.0 / math.e) * p[0] ** 2)
 
 
+def test_falsify_spends_its_budget_on_new_points(monkeypatch):
+    # the ball's barrier-jump search at delta 0.05, budget 300, seed 5 used
+    # to evaluate the margin 300 times at 249 distinct points and found
+    # 0.058916615286292995; repeated probes cost no budget, so the same
+    # search only goes further
+    condition = certificates._condition
+    probed = []
+
+    def counted(*args, **kwargs):
+        where, margin = condition(*args, **kwargs)
+        return where, lambda p: probed.append(tuple(p)) or margin(p)
+
+    monkeypatch.setattr(certificates, "_condition", counted)
+    system, cert, _ = bouncing_ball()
+    found = falsify(perturb(system, 0.05), cert, "barrier-jump",
+                    AxisBox([-1.0, 0.0, -14.0], [21.0, 10.0, 14.0]),
+                    budget=300, seed=5)
+    assert len(probed) == 300
+    assert len(set(probed)) == 300
+    assert found[1] >= 0.058916615286292995
+
+
 def test_falsify_tiny_budget():
     cert = CertificatePair(V=quadratic_V())
     assert falsify(flow_only(-1.0), cert, "flow-decrease",

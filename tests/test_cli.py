@@ -105,6 +105,18 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def rejected(code, stderr, out):
+    """The error object of a run that exits 4 with one JSON object of
+    under 1 kB on stderr and creates no --out directory."""
+    assert code == 4, stderr[:1000]
+    assert len(stderr.splitlines()) == 1
+    assert len(stderr.encode()) < 1024
+    assert not out.exists()
+    payload = json.loads(stderr)
+    assert isinstance(payload, dict)
+    return payload
+
+
 def test_child_imports_package_under_test(tmp_path):
     code, stdout, stderr = run_python(
         ["-c", "import hybridcert; print(hybridcert.__file__)"], tmp_path
@@ -246,35 +258,160 @@ def test_hostile_expression_exits_4_with_one_json_object(tmp_path, edits,
     code, _, stderr = run_cli(
         ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
     )
-    assert code == 4, stderr[:1000]
-    assert len(stderr.splitlines()) == 1
-    assert len(stderr.encode()) < 1024
-    payload = json.loads(stderr)
+    payload = rejected(code, stderr, out)
     assert payload["error"] == "ExpressionError"
     assert message in payload["message"]
-    assert not out.exists()
 
 
-# scenario nodes that the error messages quote: a 90 kB list where a set
-# belongs, and 100 kB names of a set kind and of a system
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc["system"].update(flow_set=[0] * 30000),
-    lambda doc: doc["system"]["flow_set"].update(kind="k" * 100000),
-    lambda doc: doc.update(system="s" * 100000),
-], ids=["30000-zero-flow-set", "100kB-set-kind", "100kB-system-name"])
-def test_hostile_scenario_node_exits_4_with_one_json_object(tmp_path, edit):
-    doc = yaml.safe_load(DECAY_SCENARIO)
+def edited(text, edit):
+    """A scenario text after edit(doc), as JSON (which is YAML)."""
+    doc = yaml.safe_load(text)
     edit(doc)
-    scen = write(tmp_path, "hostile.yaml", json.dumps(doc))
-    out = tmp_path / "sim"
+    return json.dumps(doc)
+
+
+def nested_unions(depth):
+    node = '{"kind": "axis_box", "lo": [-5.0], "hi": [5.0]}'
+    for _ in range(depth):
+        node = '{"kind": "union", "of": [%s]}' % node
+    return node
+
+
+def decay_certificates(region, attractor):
+    certs = {"V": "x**2", "region": region, "attractor": attractor}
+    return edited(DECAY_SCENARIO, lambda doc: doc.update(certificates=certs))
+
+
+UNIT_BOX = {"kind": "axis_box", "lo": [-1.0], "hi": [1.0]}
+CENTRE_BALL = {"kind": "ball", "center": [0.0], "radius": 0.5}
+IMPLICIT_BALL = {"kind": "implicit", "predicate": "x*x <= 0.25",
+                 "bbox": {"lo": [-0.5], "hi": [0.5]}}
+SIMULATE = ["simulate"]
+SINGLE_V = ["check", "--mode", "single-v"]
+
+
+# each case is a scenario file's text (or bytes), the command line before
+# --scenario, and the error; the first three are nodes that messages
+# quote: a 90 kB list where a set belongs, and 100 kB names of a set kind
+# and of a system
+@pytest.mark.parametrize("text, args, error", [
+    (edited(DECAY_SCENARIO,
+            lambda doc: doc["system"].update(flow_set=[0] * 30000)),
+     SIMULATE, "ScenarioError"),
+    (edited(DECAY_SCENARIO,
+            lambda doc: doc["system"]["flow_set"].update(kind="k" * 100000)),
+     SIMULATE, "ScenarioError"),
+    (edited(DECAY_SCENARIO, lambda doc: doc.update(system="s" * 100000)),
+     SIMULATE, "ScenarioError"),
+    # float() quotes the whole string it cannot read, and JSON escapes a
+    # character outside ASCII in 6 or 12 bytes
+    (edited(DECAY_SCENARIO,
+            lambda doc: doc["system"]["jump_set"].update(radius="r" * 100000)),
+     SIMULATE, "ValueError"),
+    (edited(DECAY_SCENARIO,
+            lambda doc: doc["system"]["jump_set"].update(
+                radius="\u00e9\U0001f600" * 50000)),
+     SIMULATE, "ValueError"),
+    (DECAY_SCENARIO.replace("t_max: 6.0}", "t_max: 6.0, j_max: .inf}"),
+     SIMULATE, "OverflowError"),
+    # inputs the library rejects
+    (edited(FALLING_MASS_SCENARIO,
+            lambda doc: doc["system"]["flow_map"].append("1.0")),
+     SIMULATE, "DimensionMismatch"),
+    (decay_certificates(UNIT_BOX, dict(CENTRE_BALL, center=[3.0])),
+     SINGLE_V, "DegenerateDomain"),
+    (decay_certificates(dict(IMPLICIT_BALL, predicate="x*x <= 1.0"),
+                        CENTRE_BALL),
+     SINGLE_V, "UnsupportedDistance"),
+    (decay_certificates(UNIT_BOX, IMPLICIT_BALL),
+     SINGLE_V, "UnsupportedDistance"),
+    (edited(DECAY_SCENARIO, lambda doc: doc.update(spec={
+        "kind": "stability-safety", "x0": [[1.0]],
+        "unsafe": {"kind": "axis_box", "lo": [4.0], "hi": [5.0]},
+        "attractor": IMPLICIT_BALL})),
+     ["check", "--mode", "stability-safety", "--seed", "0"],
+     "UnsupportedDistance"),
+    ("system: moore-greitzer\nparams: {theta: 0.001}\n",
+     SIMULATE, "NoConvergence"),
+    # documents that do not read or do not have the scenario's shape
+    ("system: [unclosed\n", SIMULATE, "ParserError"),
+    (bytes(range(256)), SIMULATE, "ReaderError"),
+    (edited(DECAY_SCENARIO, lambda doc: doc.update(spec=5)),
+     SIMULATE, "AttributeError"),
+    (edited(DECAY_SCENARIO, lambda doc: doc.update(sim=[1, 2])),
+     SIMULATE, "AttributeError"),
+    ("", ["simulate", "--seed", "1"], "AttributeError"),
+    ("[1, 2]\n", ["simulate", "--override", "sim.h=0.1"], "AttributeError"),
+    (edited(DECAY_SCENARIO,
+            lambda doc: doc["system"].update(flow_set="@")).replace(
+                '"@"', nested_unions(3000)),
+     SIMULATE, "RecursionError"),
+], ids=["30000-zero-flow-set", "100kB-set-kind", "100kB-system-name",
+        "100kB-radius", "non-ascii-radius", "infinite-j-max",
+        "3-entry-flow-map", "attractor-outside-region",
+        "implicit-certificate-region", "implicit-certificate-attractor",
+        "implicit-stability-attractor", "compressor-without-equilibrium",
+        "yaml-syntax-error", "binary-bytes", "spec-5", "sim-list",
+        "empty-file-with-seed", "top-level-list-with-override",
+        "3000-nested-unions"])
+def test_hostile_scenario_node_exits_4_with_one_json_object(tmp_path, text,
+                                                            args, error):
+    scen = tmp_path / "hostile.yaml"
+    scen.write_bytes(text if isinstance(text, bytes) else text.encode())
+    out = tmp_path / "out"
     code, _, stderr = run_cli(
-        ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
+        args + ["--scenario", str(scen), "--out", str(out)], tmp_path
     )
-    assert code == 4, stderr[:1000]
-    assert len(stderr.splitlines()) == 1
-    assert len(stderr.encode()) < 1024
-    assert json.loads(stderr)["error"] == "ScenarioError"
+    assert rejected(code, stderr, out)["error"] == error
+
+
+@pytest.mark.parametrize("args", [
+    ["frobnicate"],
+    ["check", "--seed", "abc"],
+    [],
+], ids=["unknown-command", "non-integer-seed", "no-command"])
+def test_usage_error_exits_4_with_one_json_object(tmp_path, args):
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(args + ["--out", str(out)], tmp_path)
+    assert rejected(code, stderr, out)["error"] == "UsageError"
+    assert stdout == ""
+
+
+def test_help_exits_0(tmp_path):
+    code, stdout, stderr = run_cli(["--help"], tmp_path)
+    assert code == 0, stderr
+    assert stdout.startswith("usage: hybridcert")
+
+
+def test_every_exported_exception_exits_2_or_4():
+    # a class based on Exception alone would pass main's handler and end
+    # in a traceback with exit 1
+    errors = [cls for cls in map(vars(hybridcert).get, hybridcert.__all__)
+              if isinstance(cls, type) and issubclass(cls, BaseException)]
+    assert len(errors) > 10
+    for cls in errors + [cli.ScenarioError, cli.UsageError]:
+        assert issubclass(cls, cli.BadInitialCondition) or issubclass(
+            cls, cli.INPUT_ERRORS), cls
+
+
+@pytest.mark.parametrize("command, text, mode, names, verdict", [
+    ("simulate", DECAY_SCENARIO, None, ["arc.csv", "arc.json", "report.json"],
+     cli.Verdict.PASS),
+    ("check", DECAY_SCENARIO, "ras", ["check_report.json"], cli.Verdict.PASS),
+    ("falsify", EXPANSION_SCENARIO, "flow-decrease", ["falsify.json"],
+     cli.Verdict.FAIL),
+], ids=["simulate", "check", "falsify"])
+def test_command_returns_its_files_and_writes_nothing(tmp_path, capsys,
+                                                      command, text, mode,
+                                                      names, verdict):
+    scenario = cli.scenario_from(yaml.safe_load(text), seed=3)
+    out = tmp_path / "out"
+    files, summary, got = cli.COMMANDS[command](scenario, mode, str(out))
+    assert [name for name, _, _ in files] == names
+    assert got == verdict
+    assert summary.startswith(command)
     assert not out.exists()
+    assert capsys.readouterr() == ("", "")
 
 
 def test_simulate_named_system(tmp_path):

@@ -10,6 +10,7 @@ from hybridcert import (
     DomainViolation,
     EmptySet,
     MooreGreitzerParams,
+    NoConvergence,
     SimConfig,
     ball_operating_box,
     bouncing_ball,
@@ -153,6 +154,12 @@ def test_mg_equilibrium_is_a_vector_field_zero():
 def test_mg_equilibrium_rejects_gamma_outside_box():
     with pytest.raises(ValueError):
         mg_equilibrium(0.3)
+
+
+def test_mg_equilibrium_reports_a_stalled_newton():
+    # on a characteristic this narrow the damped Newton finds no descent
+    with pytest.raises(NoConvergence, match="stalled"):
+        mg_equilibrium(0.64, MooreGreitzerParams(theta=0.001))
 
 
 def test_mg_equilibrium_continuation_is_continuous():

@@ -12,7 +12,6 @@ from hybridcert import (
     OutOfDomain,
     SimConfig,
     Termination,
-    arc_eval,
     arc_from_csv,
     arc_from_json,
     arc_to_csv,
@@ -22,7 +21,6 @@ from hybridcert import (
     make_system,
     perturb,
     solve,
-    total_time,
 )
 
 
@@ -95,18 +93,12 @@ def test_perturb_monotone_in_delta():
             assert contains(large.flow_set, p, 0.0)
 
 
-def test_total_time():
-    assert total_time((0.0, 0)) == 0.0
-    assert total_time((1.5, 2)) == 3.5
-    assert total_time((0.0, 5)) == 5.0
-
-
 def test_arc_eval_returns_stored_samples_exactly():
     sys1 = unit_decay()
     arc = solve(sys1, np.array([1.0]), SimConfig(h=1e-2, T_max=1.0)).arc
     times, states = arc.phases[0]
     k = len(times) // 2
-    assert np.array_equal(arc_eval(arc, float(times[k]), 0), states[k])
+    assert np.array_equal(arc.eval(float(times[k]), 0), states[k])
 
 
 def test_arc_eval_interpolates_linearly():
@@ -123,7 +115,7 @@ def test_arc_eval_interpolates_linearly():
     times, states = arc.phases[0]
     mid_t = 0.5 * (times[3] + times[4])
     expect = 0.5 * (states[3] + states[4])
-    assert np.allclose(arc_eval(arc, float(mid_t), 0), expect, atol=1e-12)
+    assert np.allclose(arc.eval(float(mid_t), 0), expect, atol=1e-12)
 
 
 def test_arc_eval_pre_and_post_jump():
@@ -131,8 +123,8 @@ def test_arc_eval_pre_and_post_jump():
     rep = solve(system, np.asarray(spec.x0[0]), SimConfig(h=1e-3, T_max=2.0, J_max=5))
     arc = rep.arc
     t1 = float(arc.phases[1][0][0])
-    pre = arc_eval(arc, t1, 0)
-    post = arc_eval(arc, t1, 1)
+    pre = arc.eval(t1, 0)
+    post = arc.eval(t1, 1)
     assert pre[2] < 0.0 < post[2]
     assert post[2] == pytest.approx(-0.8 * pre[2], rel=1e-12)
 
@@ -150,9 +142,9 @@ def test_arc_eval_outside_domain_raises():
     sys1 = unit_decay()
     arc = solve(sys1, np.array([1.0]), SimConfig(h=1e-2, T_max=1.0)).arc
     with pytest.raises(OutOfDomain):
-        arc_eval(arc, 5.0, 0)
+        arc.eval(5.0, 0)
     with pytest.raises(OutOfDomain):
-        arc_eval(arc, 0.5, 3)
+        arc.eval(0.5, 3)
 
 
 def test_arc_validator_rejects_decreasing_times():

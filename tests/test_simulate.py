@@ -21,7 +21,6 @@ from hybridcert import (
     SolveReport,
     Termination,
     Union,
-    arc_eval,
     bouncing_ball,
     ball_operating_box,
     closeness,
@@ -150,14 +149,14 @@ def test_first_impact_matches_quadratic_root():
 
 def test_linear_flow_matches_exponential():
     arc = solve(linear_decay(), np.array([1.0]), SimConfig(h=1e-3, T_max=2.0)).arc
-    assert abs(float(arc_eval(arc, 1.0, 0)[0]) - math.exp(-1.0)) <= 1e-8
+    assert abs(float(arc.eval(1.0, 0)[0]) - math.exp(-1.0)) <= 1e-8
 
 
 def test_rk4_error_scales_as_fourth_order():
     errs = []
     for h in (0.2, 0.1, 0.05):
         arc = solve(linear_decay(), np.array([1.0]), SimConfig(h=h, T_max=1.0)).arc
-        errs.append(abs(float(arc_eval(arc, 1.0, 0)[0]) - math.exp(-1.0)))
+        errs.append(abs(float(arc.eval(1.0, 0)[0]) - math.exp(-1.0)))
     for a, b in zip(errs, errs[1:]):
         assert 10.0 <= a / b <= 25.0
 
