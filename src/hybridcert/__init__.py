@@ -83,7 +83,6 @@ from .controller import (
     admissible_constraints,
     augment_sample_hold,
     initial_augmented,
-    kkt_residual,
     make_sample_hold_policy,
     qp_policy,
     solve_qp,

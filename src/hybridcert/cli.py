@@ -5,9 +5,9 @@ study by name or from an inline declaration whose maps and predicates are
 expression strings (see expressions.py); exactly one of the two.  A
 command computes its files and a single summary line without touching
 either; main then writes the files (atomically, temp + rename), prints the
-line on stdout, and reports failures as one JSON object on stderr.  Exit
-codes: 0 pass/done, 1 fail/counterexample, 2 bad initial condition, 3
-inconclusive, 4 usage, scenario or file error.
+line on stdout, and reports a failure, like each log record, as one JSON
+object per stderr line.  Exit codes: 0 pass/done, 1 fail/counterexample,
+2 bad initial condition, 3 inconclusive, 4 usage, scenario or file error.
 """
 
 import argparse
@@ -15,6 +15,7 @@ import collections
 import csv
 import dataclasses
 import json
+import logging
 import os
 import sys
 
@@ -635,19 +636,56 @@ def build_parser():
 
 def _load(args):
     """`example NAME` is the document {system: NAME}; the other commands
-    read theirs from --scenario."""
+    read theirs from --scenario.  The one a command does not read is an
+    error, not ignored."""
     if args.command == "example":
+        if args.scenario is not None:
+            raise UsageError("example takes a study name, not --scenario")
         if not args.name:
             raise ScenarioError("example needs a study name")
         return scenario_from({"system": args.name}, args.override, args.seed)
+    if args.name is not None:
+        raise UsageError("%s takes --scenario, not a study name"
+                         % args.command)
     if not args.scenario:
         raise ScenarioError("%s needs --scenario" % args.command)
     return load_scenario(args.scenario, args.override, args.seed)
 
 
+def _bounded(message):
+    """message cut so that its JSON stays under 800 bytes: messages can
+    quote input (float() of a string does), and JSON escapes a character
+    in up to 12 bytes, so a stderr line stays under 1 kB."""
+    message = message[:500]
+    while len(json.dumps(message)) > 800:
+        message = message[:len(message) // 2]
+    return message
+
+
+class _JsonRecord(logging.Formatter):
+    """A log record as one JSON object on one line."""
+
+    def format(self, record):
+        return json.dumps({"level": record.levelname, "logger": record.name,
+                           "message": _bounded(record.getMessage())})
+
+
 def main(argv=None):
-    """Run one command: the only place that writes files, prints, and
-    turns the outcome or a rejected input into the exit code."""
+    """Run one command and return its exit code.  Log records reach stderr
+    as JSON lines while it runs; the handler goes again at the end, so that
+    repeated in-process calls do not stack handlers."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_JsonRecord())
+    logging.getLogger().addHandler(handler)
+    try:
+        return _run(argv)
+    finally:
+        logging.getLogger().removeHandler(handler)
+
+
+def _run(argv):
+    """The only place that writes files, prints, and turns the outcome or
+    a rejected input into the exit code."""
     try:
         args = build_parser().parse_args(argv)
         scenario = _load(args)
@@ -658,12 +696,7 @@ def main(argv=None):
         for name, writer, content in files:
             writer(os.path.join(args.out, name), content)
     except INPUT_ERRORS as exc:
-        # messages can quote input (float() of a string does); JSON escapes
-        # a character in up to 12 bytes, and the line stays under 1 kB
-        message = str(exc)[:500]
-        while len(json.dumps(message)) > 800:
-            message = message[:len(message) // 2]
-        payload = {"error": type(exc).__name__, "message": message}
+        payload = {"error": type(exc).__name__, "message": _bounded(str(exc))}
         print(json.dumps(payload), file=sys.stderr)
         if isinstance(exc, BadInitialCondition):
             return EXIT_BAD_INIT

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .geometry import AxisBox, as_vector
 from .hybrid import HybridSystem
@@ -23,9 +22,6 @@ log = logging.getLogger(__name__)
 # D is the half-line {tau >= period - JUMP_SLACK}: event refinement lands a
 # hair before the period, and a closed representable set is needed anyway
 JUMP_SLACK = 1e-9
-
-# rows within this distance of equality count as active in kkt_residual
-ACTIVE_TOL = 1e-8
 
 
 @dataclass
@@ -148,26 +144,6 @@ def solve_qp(qp: QPProblem):
             if best is None or cu < best[0]:
                 best = (cu, u)
     return None if best is None else best[1]
-
-
-def kkt_residual(qp: QPProblem, u):
-    """Max of primal violation and stationarity residual at u.
-
-    Multipliers for the active rows are recovered by nonnegative least
-    squares, so the returned value also penalizes wrong multiplier signs.
-    """
-    u = as_vector(u)
-    rows = qp.all_rows()
-    primal = max((float(a @ u) - b for a, b in rows), default=0.0)
-    primal = max(0.0, primal)
-    grad = 2.0 * qp.Q @ u + qp.q
-    active = [a for a, b in rows if abs(float(a @ u) - b) <= ACTIVE_TOL]
-    if not active:
-        stationarity = float(np.linalg.norm(grad))
-    else:
-        At = np.array(active).T  # n x m
-        _, stationarity = nnls(At, -grad)
-    return max(primal, float(stationarity))
 
 
 def admissible_constraints(x, V, B, plant: ControlledPlant, sigma,

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .certificates import CertificatePair, ScalarField
 from .controller import (
@@ -40,6 +39,15 @@ class NoConvergence(RuntimeError):
 
 class DomainViolation(ValueError):
     """Dynamics evaluated where they are undefined (negative pressure)."""
+
+
+def expit(t):
+    """Logistic 1 / (1 + exp(-t)) in the usual float64 evaluation order;
+    0.0 where exp(-t) overflows (t below about -709.78)."""
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:
+        return 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from hybridcert import (
     first_impact_time,
     grad_check,
     inflate,
-    kkt_residual,
     make_system,
     mg_closed_loop,
     moore_greitzer,
@@ -42,6 +41,7 @@ from hybridcert import (
 )
 from hybridcert.controller import QPProblem
 from hybridcert.geometry import EmptySet
+from kkt import kkt_residual
 
 
 def test_c01_ball_reach_avoid_stay():

@@ -1,6 +1,7 @@
 """End-to-end command line runs via subprocess."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -375,6 +376,76 @@ def test_usage_error_exits_4_with_one_json_object(tmp_path, args):
     code, stdout, stderr = run_cli(args + ["--out", str(out)], tmp_path)
     assert rejected(code, stderr, out)["error"] == "UsageError"
     assert stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "bouncing-ball", "--scenario", "decay.yaml"],
+    ["check", "bouncing-ball", "--mode", "ras", "--seed", "0",
+     "--scenario", "decay.yaml"],
+    ["falsify", "bouncing-ball", "--mode", "flow-decrease",
+     "--scenario", "decay.yaml"],
+    ["simulate", "", "--scenario", "decay.yaml"],
+    ["example", "bouncing-ball", "--scenario", "decay.yaml"],
+], ids=["simulate-name", "check-name", "falsify-name", "simulate-empty-name",
+        "example-scenario"])
+def test_unused_argument_exits_4_with_one_json_object(tmp_path, args):
+    # the scenario exists and runs, so only the unused argument is wrong
+    write(tmp_path, "decay.yaml", DECAY_SCENARIO)
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(args + ["--out", str(out)], tmp_path)
+    assert rejected(code, stderr, out)["error"] == "UsageError"
+    assert stdout == ""
+
+
+# a target that reaches into the unsafe set: RASSpec logs a warning
+OVERLAP_SCENARIO = DECAY_SCENARIO.replace(
+    "unsafe: {kind: axis_box, lo: [4.0], hi: [5.0]}",
+    "unsafe: {kind: axis_box, lo: [0.4], hi: [0.6]}",
+)
+
+
+def json_lines(stderr):
+    """The stderr lines, each parsed as one JSON object."""
+    lines = [json.loads(line) for line in stderr.splitlines()]
+    assert all(isinstance(obj, dict) for obj in lines)
+    assert all(len(line.encode()) < 1024 for line in stderr.splitlines())
+    return lines
+
+
+def test_log_records_reach_stderr_as_json_lines(tmp_path):
+    scen = write(tmp_path, "overlap.yaml", OVERLAP_SCENARIO)
+    out = tmp_path / "sim"
+    code, stdout, stderr = run_cli(
+        ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
+    )
+    assert code == 0, stderr
+    assert len(stdout.splitlines()) == 1
+    [record] = json_lines(stderr)
+    assert set(record) == {"level", "logger", "message"}
+    assert record["level"] == "WARNING"
+    assert record["logger"] == "hybridcert.monitor"
+    assert record["message"].startswith("target and unsafe sets overlap near")
+
+
+def test_repeated_in_process_calls_do_not_stack_log_handlers(tmp_path, capsys):
+    scen = write(tmp_path, "overlap.yaml", OVERLAP_SCENARIO)
+    handlers = list(logging.getLogger().handlers)
+    for k in range(3):
+        code = cli.main(["simulate", "--scenario", scen,
+                         "--out", str(tmp_path / str(k))])
+        assert code == 0
+        assert logging.getLogger().handlers == handlers
+        assert len(json_lines(capsys.readouterr().err)) == 1
+
+
+def test_long_log_message_stays_one_line_under_1_kb():
+    record = logging.LogRecord("hybridcert.monitor", logging.WARNING, "", 0,
+                               "no solution from %s", ("\n\u2028" * 5000,),
+                               None)
+    line = cli._JsonRecord().format(record)
+    assert len(line.splitlines()) == 1
+    assert len(line.encode()) < 1024
+    assert json.loads(line)["message"].startswith("no solution from \n")
 
 
 def test_help_exits_0(tmp_path):

@@ -13,11 +13,11 @@ from hybridcert import (
     admissible_constraints,
     augment_sample_hold,
     initial_augmented,
-    kkt_residual,
     qp_policy,
     solve,
     solve_qp,
 )
+from kkt import kkt_residual
 
 
 def integrator_plant(lo=-0.4, hi=0.4):

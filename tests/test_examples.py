@@ -1,9 +1,12 @@
 """Shipped example systems: ball dynamics and the compressor surge model."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import expit as scipy_expit
 
 from hybridcert import (
     BouncingBallParams,
@@ -21,6 +24,7 @@ from hybridcert import (
     psi_c,
     solve,
 )
+from hybridcert.examples import expit
 from hybridcert.geometry import AxisBox
 
 FIRST_IMPACT = 1.4393508064065221
@@ -31,6 +35,45 @@ def test_ball_jump_map_by_hand():
     system, _, _ = bouncing_ball()
     post = system.jump_candidates(np.array([1.0, 0.0, -2.0]))[0]
     assert np.array_equal(post, np.array([1.0, 0.0, 1.6]))
+
+
+def bits(v):
+    return struct.pack("<d", float(v))
+
+
+# the ball's barrier once called scipy.special.expit; the study's own expit
+# must give the same float64, or every barrier value and margin would move
+@settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+@given(t=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(-800.0, 800.0)))
+@example(t=-709.0)
+@example(t=-710.0)
+@example(t=-1e308)
+@example(t=0.0)
+@example(t=-0.0)
+@example(t=800.0)
+@example(t=math.inf)
+@example(t=-math.inf)
+@example(t=math.nan)
+def test_study_expit_matches_scipy_bit_for_bit(t):
+    assert bits(expit(t)) == bits(scipy_expit(t))
+
+
+def test_ball_barrier_matches_the_scipy_form_bit_for_bit():
+    a = BouncingBallParams().a
+    _, cert, _ = bouncing_ball()
+    rng = np.random.default_rng(11)
+    box = ball_operating_box()
+    points = rng.uniform(box.lo, box.hi, size=(300, 3))
+    # past |x| = 142 the logistic of 5x saturates, and below -142 it
+    # overflows the exp
+    points[::3, 0] = rng.normal(0.0, 100.0, size=100)
+    for s in points:
+        sig = scipy_expit(5.0 * s[0])
+        value = 0.5 * sig - s[1] - s[2] ** 2 / (2.0 * a) + 9.5
+        grad = np.array([2.5 * sig * (1.0 - sig), -1.0, -s[2] / a])
+        assert bits(cert.B.value(s)) == bits(value)
+        assert cert.B.grad(s).tobytes() == grad.tobytes()
 
 
 def test_ball_v_vanishes_at_rest():

@@ -1,5 +1,6 @@
-"""Import hygiene: every module-level import in the package is used, and
-every exported name is used by another module or by a test."""
+"""Import hygiene: every module-level import in the package is used, every
+exported name is used by another module or by a test, and the package runs
+without scipy, which only the tests need."""
 
 import ast
 import types
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hybridcert
+from test_cli import run_python
 
 PACKAGE_DIR = Path(hybridcert.__file__).resolve().parent
 # __init__ imports names only to re-export them
@@ -78,3 +80,55 @@ def test_every_export_is_used_elsewhere_or_tested():
                    for p, names in uses.items())
     ]
     assert unused == []
+
+
+IMPORT_CALLS = {"__import__", "import_module"}
+
+
+def scipy_imports(source):
+    """Lines that import scipy: import statements at any depth, and
+    __import__ or importlib.import_module calls with a literal name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else []
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in IMPORT_CALLS):
+            names = [str(node.args[0].value)]
+        else:
+            continue
+        if any(n.split(".")[0] == "scipy" for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scipy_scan_finds_nested_and_dynamic_imports():
+    source = ("import os\n"
+              "def f():\n"
+              "    from scipy.optimize import nnls\n"
+              "    import scipy.special as sp\n"
+              "    return importlib.import_module('scipy.linalg')\n"
+              "from .scipyish import g\n"
+              "print('scipy')\n"
+              "__import__('scipy')\n")
+    assert scipy_imports(source) == [3, 4, 5, 8]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_module_does_not_import_scipy(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # catches scipy pulled in through another package as well
+    code, stdout, stderr = run_python(
+        ["-c", "import hybridcert.cli, sys; print('scipy' in sys.modules)"],
+        tmp_path,
+    )
+    assert code == 0, stderr
+    assert stdout.strip() == "False"
