@@ -104,17 +104,11 @@ class CertificatePair:
 
 @dataclass
 class GridSpec:
-    """Rectangular evaluation grid with optional local refinement.
-
-    refinement_depth > 0 re-grids a one-cell neighborhood of the worst
-    margins, halving the cell each level; refinement can only add probes,
-    so it never flips FAIL back to PASS.
-    """
+    """Rectangular evaluation grid: counts points per axis from lo to hi."""
 
     lo: object
     hi: object
     counts: object
-    refinement_depth: int = 0
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float)
@@ -140,12 +134,6 @@ class GridSpec:
         return np.array(
             [s / (c - 1) if c > 1 else 0.0 for s, c in zip(spans, self.counts)]
         )
-
-    def refined_around(self, center, level):
-        half = self.cell() / (2.0**level)
-        lo = np.maximum(self.lo, center - half)
-        hi = np.minimum(self.hi, center + half)
-        return GridSpec(lo, hi, (5,) * self.lo.size, refinement_depth=0)
 
 
 def grad_check(f: ScalarField, probes):
@@ -253,17 +241,6 @@ def _sandwich_check(pairs, tol, ces):
             ces.append(Counterexample("sandwich-lower", x, margin=w - band))
 
 
-def _sweep(grid, visit):
-    """visit(P) on the array of grid points, then on each refinement grid:
-    each level re-grids around the 4 worst margins so far.  visit returns
-    the (margin, point) pairs it scored, in row order."""
-    hot = visit(grid.points())
-    for level in range(1, grid.refinement_depth + 1):
-        hot.sort(key=lambda s: -s[0])
-        for _, c in hot[:4]:
-            hot.extend(visit(grid.refined_around(c, level).points()))
-
-
 def _in_region(O, P):
     """Which rows of the point array P lie in O (all of them without O)."""
     return np.ones(len(P), dtype=bool) if O is None else O.contains_many(P, 0.0)
@@ -293,35 +270,29 @@ def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
     V = cert.V
     ces = []
     pairs = []
-    n_flow = n_jump = n_region = 0
+    n_flow = n_jump = 0
     worst_flow = worst_jump = -np.inf
 
-    def visit(P):
-        nonlocal n_flow, n_jump, n_region, worst_flow, worst_jump
-        P = P[_in_region(O, P)]
-        in_C = sys_delta.flow_set.contains_many(P, 0.0).tolist()
-        in_D = sys_delta.jump_set.contains_many(P, 0.0).tolist()
-        scored = []
-        for p, c, d in zip(P, in_C, in_D):
-            n_region += 1
-            pairs.append((float(cert.omega(p)), V(p), p))
-            if c:
-                n_flow += 1
-                m = _flow_margin_single(sys_delta, V, p, delta)
-                worst_flow = max(worst_flow, m)
-                scored.append((m, p))
-                if m > tol:
-                    ces.append(Counterexample("flow-decrease", p, margin=m))
-            if d:
-                n_jump += 1
-                m = _jump_margin_single(sys_delta, V, p, delta)
-                worst_jump = max(worst_jump, m)
-                scored.append((m, p))
-                if m > tol:
-                    ces.append(Counterexample("jump-decrease", p, margin=m))
-        return scored
+    P = grid.points()
+    P = P[_in_region(O, P)]
+    n_region = len(P)
+    in_C = sys_delta.flow_set.contains_many(P, 0.0).tolist()
+    in_D = sys_delta.jump_set.contains_many(P, 0.0).tolist()
+    for p, c, d in zip(P, in_C, in_D):
+        pairs.append((float(cert.omega(p)), V(p), p))
+        if c:
+            n_flow += 1
+            m = _flow_margin_single(sys_delta, V, p, delta)
+            worst_flow = max(worst_flow, m)
+            if m > tol:
+                ces.append(Counterexample("flow-decrease", p, margin=m))
+        if d:
+            n_jump += 1
+            m = _jump_margin_single(sys_delta, V, p, delta)
+            worst_jump = max(worst_jump, m)
+            if m > tol:
+                ces.append(Counterexample("jump-decrease", p, margin=m))
 
-    _sweep(grid, visit)
     _sandwich_check(pairs, tol, ces)
     env = _fit_envelopes([(w, v) for w, v, _ in pairs])
 
@@ -446,54 +417,45 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
         worst[cond] = max(worst.get(cond, -np.inf), margin)
         if margin > tol:
             ces.append(Counterexample(cond, p, margin=_clamp(margin)))
-        return margin
 
-    def visit(P):
-        nonlocal outside_O
-        dist_A = A.distance_many(P).tolist()
-        in_O = _in_region(O, P)
-        in_C = sys_delta.flow_set.contains_many(P, 0.0)
-        # outside O, D is tested only where "in C or in D" still needs it
-        in_D = _members(sys_delta.jump_set, P, in_O | ~in_C)
-        in_U = _members(U, P, in_O)
-        scored = []
-        for p, d_A, o, c, d, u in zip(P, dist_A, in_O.tolist(), in_C.tolist(),
-                                      in_D.tolist(), in_U.tolist()):
-            b = B(p)
-            if not o:
-                if c or d:
-                    outside_O += 1
-                if b >= 0.0:
-                    scored.append((note("ii-S-in-O", _clamp(b), p), p))
-                continue
-            vx = V(p)
-            pairs.append((d_A, vx, p))
-            fit = d_A > max(exclude_radius, tol)
-            margins = []
+    P = grid.points()
+    dist_A = A.distance_many(P).tolist()
+    in_O = _in_region(O, P)
+    in_C = sys_delta.flow_set.contains_many(P, 0.0)
+    # outside O, D is tested only where "in C or in D" still needs it
+    in_D = _members(sys_delta.jump_set, P, in_O | ~in_C)
+    in_U = _members(U, P, in_O)
+    for p, d_A, o, c, d, u in zip(P, dist_A, in_O.tolist(), in_C.tolist(),
+                                  in_D.tolist(), in_U.tolist()):
+        b = B(p)
+        if not o:
+            if c or d:
+                outside_O += 1
+            if b >= 0.0:
+                note("ii-S-in-O", _clamp(b), p)
+            continue
+        vx = V(p)
+        pairs.append((d_A, vx, p))
+        fit = d_A > max(exclude_radius, tol)
 
-            if c:
-                dec, m_b = _pair_flow(sys_delta, cert, p)
-                # the required decrease is 0; 0.0 - dec keeps +0.0 at dec = 0
-                margins.append(note("i-flow-decrease", 0.0 - dec, p))
-                if fit:
-                    ratios_flow.append((dec / d_A, p))
-                if m_b is not None:
-                    margins.append(note("iv-barrier-flow", m_b, p))
+        if c:
+            dec, m_b = _pair_flow(sys_delta, cert, p)
+            # the required decrease is 0; 0.0 - dec keeps +0.0 at dec = 0
+            note("i-flow-decrease", 0.0 - dec, p)
+            if fit:
+                ratios_flow.append((dec / d_A, p))
+            if m_b is not None:
+                note("iv-barrier-flow", m_b, p)
 
-            if d:
-                dec, m_b = _pair_jump(sys_delta, cert, p, vx, b)
-                margins.append(note("i-jump-decrease", 0.0 - dec, p))
-                margins.append(note("iv-barrier-jump", m_b, p))
-                if fit:
-                    ratios_jump.append((dec / d_A, p))
+        if d:
+            dec, m_b = _pair_jump(sys_delta, cert, p, vx, b)
+            note("i-jump-decrease", 0.0 - dec, p)
+            note("iv-barrier-jump", m_b, p)
+            if fit:
+                ratios_jump.append((dec / d_A, p))
 
-            if u:
-                margins.append(
-                    note("iii-unsafe-negative", _unsafe_margin(B, p), p))
-            scored.extend((m, p) for m in margins)
-        return scored
-
-    _sweep(grid, visit)
+        if u:
+            note("iii-unsafe-negative", _unsafe_margin(B, p), p)
 
     # (iii) gets its own grid over U's bounding box: U need not meet O
     ubox = U.bounding_box()
@@ -603,14 +565,14 @@ def latin_hypercube(n, lo, hi, rng):
 
 
 def falsify(sys_delta, cert, condition_id, region, budget, seed=0,
-            spec=None, tol=DEFAULT_TOL):
+            spec=None):
     """Search region for a violation of the named condition.
 
     Budget is split between Latin-hypercube probes, a coarse full grid, and
     coordinate descent from the worst probes; when no probe lands where the
     condition applies, draws from that part of region give the descent its
     starts.  Returns (point, margin) for the worst violation found with
-    margin > tol, else None.
+    margin > DEFAULT_TOL, else None.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -695,12 +657,12 @@ def falsify(sys_delta, cert, condition_id, region, budget, seed=0,
         if best is None or m > best[0]:
             best = (m, p)
 
-    if best is not None and best[0] > tol:
+    if best is not None and best[0] > DEFAULT_TOL:
         return np.array(best[1]), float(best[0])
     return None
 
 
-def decrement_along_arc(cert, arc, tol=DEFAULT_TOL):
+def decrement_along_arc(cert, arc):
     """V along an arc against the decay envelope V0 * exp(-(t+j)/3).
 
     Returns (series, bound_ok) where series lists (total_time, V) at every
@@ -714,6 +676,6 @@ def decrement_along_arc(cert, arc, tol=DEFAULT_TOL):
         total = t + j
         v = V(x)
         series.append((total, v))
-        if v > v0 * np.exp(-total / 3.0) + tol:
+        if v > v0 * np.exp(-total / 3.0) + DEFAULT_TOL:
             ok = False
     return series, ok

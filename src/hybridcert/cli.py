@@ -76,6 +76,33 @@ class UsageError(ValueError):
 
 
 # ---------------------------------------------------------------- scenario
+#
+# Each parser reads a fixed set of keys from its mapping and rejects any
+# other: a misspelt key would otherwise leave its default in force.
+
+SET_KEYS = {
+    "axis_box": {"kind", "lo", "hi"},
+    "ball": {"kind", "center", "radius"},
+    "implicit": {"kind", "predicate", "bbox"},
+    "inflated": {"kind", "of", "r"},
+    "union": {"kind", "of"},
+    "intersection": {"kind", "of"},
+}
+SPEC_KEYS = {
+    "ras": {"kind", "x0", "unsafe", "target", "t_spec"},
+    "stability-safety": {"kind", "x0", "unsafe", "attractor", "eps_levels"},
+}
+
+
+def _known_keys(node, keys, where):
+    """Reject the keys of a mapping node that its parser does not read.  A
+    node that is not a mapping is left to the parser's own error."""
+    if isinstance(node, dict):
+        unknown = set(node) - keys
+        if unknown:
+            raise ScenarioError("unknown keys %s in %s"
+                                % (quote(sorted(map(str, unknown))), where))
+
 
 def parse_set(node, variables=None):
     """Build a SetRegion from a {kind: ...} mapping."""
@@ -84,6 +111,9 @@ def parse_set(node, variables=None):
             "set needs a mapping with a 'kind' key: %s" % quote(node)
         )
     kind = node["kind"]
+    if not isinstance(kind, str) or kind not in SET_KEYS:
+        raise ScenarioError("unknown set kind %s" % quote(kind))
+    _known_keys(node, SET_KEYS[kind], "a set of kind %s" % kind)
     if kind == "axis_box":
         return AxisBox(node["lo"], node["hi"])
     if kind == "ball":
@@ -94,17 +124,15 @@ def parse_set(node, variables=None):
         bbox = node.get("bbox")
         if bbox is None:
             raise ScenarioError("implicit sets need a bbox")
+        _known_keys(bbox, {"lo", "hi"}, "bbox")
         return Implicit(
             predicate_fn(node["predicate"], variables),
             AxisBox(bbox["lo"], bbox["hi"]),
         )
     if kind == "inflated":
         return Inflated(parse_set(node["of"], variables), float(node["r"]))
-    if kind == "union":
-        return Union([parse_set(m, variables) for m in node["of"]])
-    if kind == "intersection":
-        return Intersection([parse_set(m, variables) for m in node["of"]])
-    raise ScenarioError("unknown set kind %s" % quote(kind))
+    members = [parse_set(m, variables) for m in node["of"]]
+    return Union(members) if kind == "union" else Intersection(members)
 
 
 def _parse_points(node):
@@ -113,6 +141,8 @@ def _parse_points(node):
 
 def _parse_spec(node, variables=None):
     kind = node.get("kind", "ras")
+    if isinstance(kind, str) and kind in SPEC_KEYS:
+        _known_keys(node, SPEC_KEYS[kind], "a spec of kind %s" % kind)
     if kind == "ras":
         return RASSpec(
             x0=_parse_points(node["x0"]),
@@ -146,6 +176,7 @@ def _parse_certificates(node, variables, example, default):
         return default
     if not variables:
         raise ScenarioError("expression certificates need system variables")
+    _known_keys(node, {"V", "B", "region", "attractor"}, "certificates")
     V = ScalarField(scalar_fn(node["V"], variables), name="V")
     B = None
     if node.get("B") is not None:
@@ -162,6 +193,7 @@ def _parse_certificates(node, variables, example, default):
 
 def _parse_sim(node, t_default):
     node = node or {}
+    _known_keys(node, {"h", "t_max", "j_max", "event_tol"}, "sim")
     return SimConfig(
         h=float(node.get("h", 1e-3)),
         T_max=float(node.get("t_max", t_default)),
@@ -172,9 +204,12 @@ def _parse_sim(node, t_default):
 
 def _parse_check(node):
     node = node or {}
+    _known_keys(node, {"grid", "budget", "n_init", "n_dist", "seed", "tol",
+                       "invariant"}, "check")
     grid = None
     if "grid" in node:
         g = node["grid"]
+        _known_keys(g, {"lo", "hi", "counts"}, "check.grid")
         grid = GridSpec(g["lo"], g["hi"], g["counts"])
     return {
         "grid": grid,
@@ -204,6 +239,11 @@ def parse_scenario(doc):
     if not isinstance(doc, dict) or "system" not in doc:
         raise ScenarioError("scenario needs a top-level 'system' entry")
     sys_node = doc["system"]
+    keys = {"system", "delta", "spec", "certificates", "sim", "check"}
+    # params tune a built-in study; an inline system has none
+    if isinstance(sys_node, str):
+        keys.add("params")
+    _known_keys(doc, keys, "the scenario")
     variables = None
     example = None
     params = None
@@ -226,6 +266,8 @@ def parse_scenario(doc):
     elif isinstance(sys_node, dict):
         if "variables" not in sys_node:
             raise ScenarioError("inline system needs 'variables'")
+        _known_keys(sys_node, {"variables", "flow_map", "flow_set",
+                               "jump_map", "jump_set", "bounds"}, "system")
         variables = tuple(sys_node["variables"])
         dim = len(variables)
         jump_vec = vector_fn(sys_node["jump_map"], variables)
@@ -269,10 +311,7 @@ def parse_scenario(doc):
 def _apply_params(params, node):
     if not node:
         return params
-    fields = {f.name for f in dataclasses.fields(params)}
-    unknown = set(node) - fields
-    if unknown:
-        raise ScenarioError("unknown params %s" % quote(sorted(unknown)))
+    _known_keys(node, {f.name for f in dataclasses.fields(params)}, "params")
     coerced = {}
     for key, val in node.items():
         cur = getattr(params, key)

@@ -18,6 +18,7 @@ from .controller import (
     initial_augmented,
     make_sample_hold_policy,
 )
+from .expressions import expit
 from .geometry import (
     AxisBox,
     Ball,
@@ -39,15 +40,6 @@ class NoConvergence(RuntimeError):
 
 class DomainViolation(ValueError):
     """Dynamics evaluated where they are undefined (negative pressure)."""
-
-
-def expit(t):
-    """Logistic 1 / (1 + exp(-t)) in the usual float64 evaluation order;
-    0.0 where exp(-t) overflows (t below about -709.78)."""
-    try:
-        return 1.0 / (1.0 + math.exp(-t))
-    except OverflowError:
-        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +136,11 @@ def bouncing_ball(params: BouncingBallParams = None):
         sig = expit(5.0 * s[0])
         return np.array([2.5 * sig * (1.0 - sig), -1.0, -s[2] / a])
 
-    attractor = AxisBox([-inf, 0.0, 0.0], [inf, 0.0, 0.0])  # {y = 0, z = 0}
     region_O = AxisBox([-inf, -inf, -inf], [inf, 10.0, inf])  # {y < 10}
     cert = CertificatePair(
         V=ScalarField(V_val, V_grad, name="ball-V"),
         B=ScalarField(B_val, B_grad, name="ball-B"),
-        omega=make_proper_indicator(attractor, region_O),
+        omega=make_proper_indicator(ball_attractor(), region_O),
         region=region_O,
     )
 

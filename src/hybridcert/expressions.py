@@ -45,12 +45,13 @@ def _ceil(t):
     return float(math.ceil(t))
 
 
-def _expit(t):
-    # logistic; evaluate on the non-overflowing branch
-    if t >= 0.0:
+def expit(t):
+    """Logistic 1 / (1 + exp(-t)) in the usual float64 evaluation order;
+    0.0 where exp(-t) overflows (t below about -709.78)."""
+    try:
         return 1.0 / (1.0 + math.exp(-t))
-    w = math.exp(t)
-    return w / (1.0 + w)
+    except OverflowError:
+        return 0.0
 
 
 FUNCTIONS = {
@@ -63,7 +64,7 @@ FUNCTIONS = {
     "cos": math.cos,
     "cosh": math.cosh,
     "exp": math.exp,
-    "expit": _expit,
+    "expit": expit,
     "floor": _floor,
     "hypot": math.hypot,
     "log": math.log,

@@ -514,7 +514,7 @@ def _clearance_probes(region):
     return [p for p in probes if region.contains(p, DEFAULT_TOL)]
 
 
-def make_proper_indicator(target, domain, tol=DEFAULT_TOL):
+def make_proper_indicator(target, domain):
     """omega(x) = |x|_target * (1 + 1/dist(x, domain^c)).
 
     target: compact with distance support; domain: open with complement
@@ -525,7 +525,7 @@ def make_proper_indicator(target, domain, tol=DEFAULT_TOL):
     probes = _clearance_probes(target)
     if probes:
         clearance = min(comp.distance(p) for p in probes)
-        if clearance <= tol:
+        if clearance <= DEFAULT_TOL:
             raise DegenerateDomain(
                 f"target within {clearance:.3e} of the domain boundary"
             )

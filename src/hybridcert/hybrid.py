@@ -15,6 +15,9 @@ import numpy as np
 
 from .geometry import SetRegion, as_vector, contains, inflate
 
+# how far outside a phase's times HybridArc.eval clamps instead of raising
+EVAL_SLACK = 1e-12
+
 
 class DimensionMismatch(ValueError):
     """A map or set disagrees with the declared state dimension."""
@@ -93,12 +96,12 @@ class HybridArc:
         t, j, _ = self.last()
         return t + j
 
-    def eval(self, t, j, slack=1e-12):
+    def eval(self, t, j):
         """Linear interpolation within phase j; raises OutOfDomain outside."""
         if not 0 <= j < len(self.phases):
             raise OutOfDomain(f"no phase {j}")
         times, states = self.phases[j]
-        if not (times[0] - slack <= t <= times[-1] + slack):
+        if not (times[0] - EVAL_SLACK <= t <= times[-1] + EVAL_SLACK):
             raise OutOfDomain(f"t={t} outside phase {j} interval")
         if times.size == 1:
             return states[0].copy()

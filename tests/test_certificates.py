@@ -464,20 +464,3 @@ def test_grid_spec_single_point_axis_has_zero_cell():
     g = GridSpec([0.0, -1.0], [0.0, 1.0], (1, 5))
     assert g.cell()[0] == 0.0
     assert g.cell()[1] == pytest.approx(0.5)
-
-
-def test_grid_refinement_stays_inside_parent_box():
-    g = GridSpec([-1.0], [1.0], 11)
-    sub = g.refined_around(np.array([1.0]), level=1)
-    assert sub.lo[0] >= -1.0 and sub.hi[0] <= 1.0
-
-
-def test_refinement_never_flips_fail_to_pass():
-    cert = CertificatePair(V=quadratic_V(), omega=indicator_1d())
-    coarse = check_single_V(flow_only(-0.25), cert, GridSpec([-1.0], [1.0], 21))
-    refined = check_single_V(
-        flow_only(-0.25), cert,
-        GridSpec([-1.0], [1.0], 21, refinement_depth=2),
-    )
-    assert coarse.verdict == refined.verdict == Verdict.FAIL
-    assert len(refined.counterexamples) >= len(coarse.counterexamples)

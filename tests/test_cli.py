@@ -788,3 +788,86 @@ def test_write_json_closes_its_file(tmp_path):
         cli.write_json(str(tmp_path / "a.json"), {"a": 1})
     assert not [w for w in caught if w.category is ResourceWarning]
     assert json.loads((tmp_path / "a.json").read_text()) == {"a": 1}
+
+
+def with_key(text, path, key, value=1.0):
+    """The scenario text with key: value added to the mapping at path, a
+    list of keys and list indices into the document."""
+    def edit(doc):
+        node = doc
+        for part in path:
+            node = node[part]
+        node[key] = value
+    return edited(text, edit)
+
+
+def wrapped_flow_set(kind, extra):
+    """DECAY_SCENARIO with its flow set wrapped in a set of kind, plus the
+    keys in extra."""
+    def edit(doc):
+        inner = doc["system"]["flow_set"]
+        node = {"kind": kind, "of": inner if kind == "inflated" else [inner]}
+        if kind == "inflated":
+            node["r"] = 0.0
+        doc["system"]["flow_set"] = dict(node, **extra)
+    return edited(DECAY_SCENARIO, edit)
+
+
+STAB_SAFE_SPEC = {
+    "kind": "stability-safety", "x0": [[1.0]],
+    "unsafe": {"kind": "axis_box", "lo": [4.0], "hi": [5.0]},
+    "attractor": {"kind": "ball", "center": [0.0], "radius": 0.1},
+}
+
+
+# each case is a scenario with one key that its parser does not read, the
+# override added to the command line, and that key
+@pytest.mark.parametrize("text, overrides, key", [
+    (with_key(DECAY_SCENARIO, [], "delat", 0.5), [], "delat"),
+    (with_key(DECAY_SCENARIO, [], "params", {"a": 1.0}), [], "params"),
+    (with_key(DECAY_SCENARIO, ["system"], "flow_mpa", ["-x"]), [],
+     "flow_mpa"),
+    (with_key(DECAY_SCENARIO, ["system", "flow_set"], "radius"), [],
+     "radius"),
+    (with_key(DECAY_SCENARIO, ["system", "jump_set"], "centre", [10.0]), [],
+     "centre"),
+    (with_key(FALLING_MASS_SCENARIO, ["system", "jump_set"], "sdf", "y"), [],
+     "sdf"),
+    (with_key(FALLING_MASS_SCENARIO, ["system", "jump_set", "bbox"],
+              "counts", 3), [], "counts"),
+    (wrapped_flow_set("inflated", {"radius": 0.1}), [], "radius"),
+    (wrapped_flow_set("union", {"members": []}), [], "members"),
+    (wrapped_flow_set("intersection", {"lo": [0.0]}), [], "lo"),
+    (with_key(DECAY_SCENARIO, ["spec"], "tspec", 5.0), [], "tspec"),
+    (edited(DECAY_SCENARIO, lambda doc: doc.update(
+        spec=dict(STAB_SAFE_SPEC, eps_level=[0.5]))), [], "eps_level"),
+    (with_key(EXPANSION_SCENARIO, ["certificates"], "b", "x"), [], "b"),
+    (with_key(DECAY_SCENARIO, ["sim"], "tmax"), [], "tmax"),
+    (with_key(EXPANSION_SCENARIO, ["check"], "refinement_depth", 2), [],
+     "refinement_depth"),
+    (with_key(EXPANSION_SCENARIO, ["check", "grid"], "refinement_depth", 2),
+     [], "refinement_depth"),
+    (DECAY_SCENARIO, ["--override", "sim.tmax=1.0"], "tmax"),
+], ids=["top-level", "params-of-inline-system", "system", "axis-box",
+        "ball", "implicit", "bbox", "inflated", "union", "intersection",
+        "ras-spec", "stability-safety-spec", "certificates", "sim", "check",
+        "check-grid", "override"])
+def test_unknown_scenario_key_exits_4_naming_it(tmp_path, capsys, text,
+                                                overrides, key):
+    scen = write(tmp_path, "typo.yaml", text)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--scenario", scen, "--out", str(out)]
+                    + overrides)
+    stdout, stderr = capsys.readouterr()
+    payload = rejected(code, stderr, out)
+    assert payload["error"] == "ScenarioError"
+    assert repr(key) in payload["message"]
+    assert stdout == ""
+
+
+def test_readme_scenario_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert yaml.safe_load(block) == yaml.safe_load(FALLING_MASS_SCENARIO)
+    scenario = cli.scenario_from(yaml.safe_load(block))
+    assert scenario.sim.T_max == 30.0

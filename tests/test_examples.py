@@ -25,6 +25,7 @@ from hybridcert import (
     solve,
 )
 from hybridcert.examples import expit
+from hybridcert.expressions import scalar_fn
 from hybridcert.geometry import AxisBox
 
 FIRST_IMPACT = 1.4393508064065221
@@ -42,7 +43,11 @@ def bits(v):
 
 
 # the ball's barrier once called scipy.special.expit; the study's own expit
-# must give the same float64, or every barrier value and margin would move
+# must give the same float64, or every barrier value and margin would move.
+# Scenario expressions call the same function.
+SCENARIO_EXPIT = scalar_fn("expit(t)", ("t",))
+
+
 @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
 @given(t=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.floats(-800.0, 800.0)))
@@ -57,6 +62,7 @@ def bits(v):
 @example(t=math.nan)
 def test_study_expit_matches_scipy_bit_for_bit(t):
     assert bits(expit(t)) == bits(scipy_expit(t))
+    assert bits(SCENARIO_EXPIT([t])) == bits(scipy_expit(t))
 
 
 def test_ball_barrier_matches_the_scipy_form_bit_for_bit():

@@ -1,8 +1,10 @@
 """Import hygiene: every module-level import in the package is used, every
-exported name is used by another module or by a test, and the package runs
-without scipy, which only the tests need."""
+exported name is used by another module or by a test, every default of the
+public API is overridden by some call, and the package runs without scipy,
+which only the tests need."""
 
 import ast
+import collections
 import types
 from pathlib import Path
 
@@ -132,3 +134,105 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     )
     assert code == 0, stderr
     assert stdout.strip() == "False"
+
+
+REPO = Path(__file__).resolve().parents[1]
+CALLERS = (sorted(PACKAGE_DIR.glob("*.py"))
+           + sorted(Path(__file__).resolve().parent.glob("*.py"))
+           + sorted((REPO / "perfbench").glob("*.py")))
+
+
+def defaulted_parameters(source):
+    """(name, parameter, position) of each defaulted parameter of a public
+    function or method; a method's name starts with a dot.  Positions
+    count from the first parameter after self; a keyword-only parameter
+    has none."""
+    found = []
+
+    def scan(fn, method):
+        if fn.name.startswith("_"):
+            return
+        params = fn.args.posonlyargs + fn.args.args
+        if method and not any(getattr(d, "id", None) == "staticmethod"
+                              for d in fn.decorator_list):
+            params = params[1:]
+        name = "." + fn.name if method else fn.name
+        first = len(params) - len(fn.args.defaults)
+        found.extend((name, p.arg, k)
+                     for k, p in enumerate(params) if k >= first)
+        found.extend((name, p.arg, None)
+                     for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                     if d is not None)
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            scan(node, method=False)
+        elif isinstance(node, ast.ClassDef):
+            # a public method of a private base is public on its subclasses
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    scan(item, method=True)
+    return found
+
+
+def passed_arguments(sources):
+    """For each called name, the positions and keywords that some call of
+    that name passes: calls f(...) and x.f(...) count for "f", and only
+    calls x.f(...) for ".f", a method's name.  "*" and "**" mark calls that
+    unpack arguments, which may pass any position or any keyword."""
+    passed = collections.defaultdict(set)
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                names = [node.func.id]
+            elif isinstance(node.func, ast.Attribute):
+                names = [node.func.attr, "." + node.func.attr]
+            else:
+                continue
+            got = {"*" if isinstance(arg, ast.Starred) else k
+                   for k, arg in enumerate(node.args)}
+            got.update(kw.arg or "**" for kw in node.keywords)
+            for name in names:
+                passed[name] |= got
+    return passed
+
+
+def unused_defaults(definitions, callers):
+    """(function, parameter) of each defaulted parameter in the sources
+    definitions that no call in the sources callers passes."""
+    passed = passed_arguments(callers)
+    unused = []
+    for source in definitions:
+        for name, param, k in defaulted_parameters(source):
+            got = passed[name]
+            if not ({param, "**"} & got or k is not None and {k, "*"} & got):
+                unused.append((name, param))
+    return unused
+
+
+def test_default_scan_flags_a_default_no_call_passes():
+    source = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+              "class K:\n"
+              "    def m(self, x, y=0):\n        pass\n"
+              "    def n(self, z=1):\n        pass\n"
+              "    @staticmethod\n"
+              "    def s(u=1):\n        pass\n"
+              "class _Base:\n"
+              "    def h(self, v=1):\n        pass\n"
+              "    def _g(self, w=1):\n        pass\n"
+              "def _private(q=1):\n    pass\n"
+              "f(0, 5)\nK().m(1, y=2)\nK.s(4)\nn(7)\n")
+    # n(7) calls a function n, not the method
+    assert unused_defaults([source], [source]) == [
+        ("f", "c"), ("f", "d"), (".n", "z"), (".h", "v"),
+    ]
+    assert unused_defaults([source], [source, "f(*xs)\nk.n(**kw)\n"
+                                          "k.h(2)\n"]) == [("f", "d")]
+
+
+def test_every_default_is_passed_by_some_call():
+    # a default that no call overrides is a constant in disguise
+    callers = [p.read_text() for p in CALLERS]
+    assert unused_defaults([p.read_text() for p in MODULES], callers) == []
