@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Intersection, SamplingError, as_vector, contains, sample_region,
+    Intersection, ProperIndicator, SamplingError, as_rows, as_vector,
+    contains, sample_region,
 )
 from .report import CheckReport, Counterexample, Verdict
 
@@ -59,12 +60,19 @@ class ScalarField:
     step FD_STEP.  domain, when given, is a predicate marking points where
     the field (and its FD stencil) is well defined; probe generators use it
     to reject points near singularities.
+
+    value_rows and grad_rows, when given, are row forms: they map an (n, d)
+    array to the n values and the (n, d) gradients, equal bit for bit to
+    value and grad row by row.  value_many and gradient_many use them, or
+    else loop over the rows with the one-point forms.
     """
 
     value: object
     grad: object = None
     name: str = ""
     domain: object = None
+    value_rows: object = None
+    grad_rows: object = None
 
     def __call__(self, x):
         return float(self.value(as_vector(x)))
@@ -77,6 +85,28 @@ class ScalarField:
         if self.grad is not None:
             return as_vector(self.grad(x))
         return self.fd_gradient(x)
+
+    def value_many(self, X):
+        """[self(x) for x in X] as a float array."""
+        X = as_rows(X)
+        if self.value_rows is not None:
+            return np.asarray(self.value_rows(X), dtype=float)
+        return np.array([self(x) for x in X], dtype=float)
+
+    def gradient_many(self, X):
+        """[self.gradient(x) for x in X] as an (n, d) array."""
+        X = as_rows(X)
+        if self.grad_rows is not None:
+            return np.asarray(self.grad_rows(X), dtype=float)
+        return np.array([self.gradient(x) for x in X],
+                        dtype=float).reshape(X.shape)
+
+    def admissible_many(self, X):
+        """[self.admissible(x) for x in X] as a bool array."""
+        X = as_rows(X)
+        if self.domain is None:
+            return np.ones(len(X), dtype=bool)
+        return np.array([self.admissible(x) for x in X], dtype=bool)
 
     def fd_gradient(self, x):
         x = as_vector(x)
@@ -183,6 +213,25 @@ def _ball_directions(delta, dim, grads):
     return dirs
 
 
+def _row_directions(delta, grads):
+    """_ball_directions for many points at once: grads holds one (n, dim)
+    array of gradients per gradient of _ball_directions.  Yields (d, used)
+    in the same order: d is one direction for all rows or one per row, and
+    used marks the rows that try it (a zero gradient gives none)."""
+    n, dim = grads[0].shape
+    every = np.ones(n, dtype=bool)
+    for d in _ball_directions(delta, dim, []):
+        yield d, every
+    if delta <= 0.0:
+        return
+    for G in grads:
+        norm = np.sqrt(np.vecdot(G, G))
+        used = norm > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            yield G * (delta / norm)[:, None], used
+            yield G * (-delta / norm)[:, None], used
+
+
 def _jump_directions(cert, cand, delta, grad_V):
     """Disturbances tried at the jump image cand: _ball_directions along
     grad_V and, for delta > 0, along grad B(cand), where the barrier-jump
@@ -202,18 +251,69 @@ def _clamp(v):
     return float(min(max(v, NEG_CLAMP), -NEG_CLAMP))
 
 
-def _fit_envelopes(pairs, knots=24):
+def _clamp_rows(v):
+    """_clamp of each element of the array v."""
+    return np.where(v != v, -NEG_CLAMP,
+                    np.minimum(np.maximum(v, NEG_CLAMP), -NEG_CLAMP))
+
+
+def _first_max(start, m):
+    """max(start, *m) as Python takes it: a NaN never wins, and of equal
+    values the first stays, so +0.0 and -0.0 keep their order."""
+    m = m[m == m]
+    if m.size == 0 or not m.max() > start:
+        return start
+    return m[np.argmax(m == m.max())]
+
+
+def _first_min(m):
+    """Index of min(m) as Python takes it: the first of the least values,
+    or 0 when m[0] is NaN, which no value is less than."""
+    if m[0] != m[0]:
+        return 0
+    return int(np.argmax(m == np.min(m[m == m])))
+
+
+def _report(found, P, ces, margin):
+    """Append a counterexample for each (condition, rows, margins) entry
+    of found at each of its rows of P, in the order of a loop over the
+    rows that reports each row's conditions in the order of found; margin
+    maps a margin to the counterexample's."""
+    if not found:
+        return
+    rows = np.concatenate([r for _, r, _ in found])
+    rank = np.repeat(np.arange(len(found)), [len(r) for _, r, _ in found])
+    margins = np.concatenate([m for _, _, m in found])
+    for k in np.lexsort((rank, rows)):
+        ces.append(Counterexample(found[rank[k]][0], P[rows[k]],
+                                  margin=margin(margins[k])))
+
+
+def _note_rows(notes, P, tol, counts, worst, ces, margin=_clamp):
+    """Note the margins of conditions at rows of P as one loop over the
+    rows would, noting each row's conditions in the order of notes: each
+    condition's count and worst margin, and a counterexample where the
+    margin exceeds tol.  notes holds (condition, rows, margins), rows
+    ascending; counts and worst keep their keys in first-noted order."""
+    notes = [n for n in notes if len(n[1])]
+    for cond, rows, m in sorted(notes, key=lambda n: n[1][0]):
+        counts[cond] = counts.get(cond, 0) + len(rows)
+        worst[cond] = _first_max(worst.get(cond, -np.inf), m)
+    _report([(c, r[m > tol], m[m > tol]) for c, r, m in notes], P, ces,
+            margin)
+
+
+def _fit_envelopes(w, v, knots=24):
     """Monotone piecewise-linear envelopes of (omega, V) scatter.
 
     Returns (w, lower, upper) arrays: lower is the running min of V from the
     right (largest nondecreasing minorant of the scatter), upper the running
     max from the left.  Both are nondecreasing by construction.
     """
-    if not pairs:
+    if not len(w):
         return None
-    pts = sorted(pairs)
-    w = np.array([p[0] for p in pts])
-    v = np.array([p[1] for p in pts])
+    order = np.lexsort((v, w))
+    w, v = w[order], v[order]
     lower = np.minimum.accumulate(v[::-1])[::-1]
     upper = np.maximum.accumulate(v)
     if w.size > knots:
@@ -222,23 +322,20 @@ def _fit_envelopes(pairs, knots=24):
     return w, lower, upper
 
 
-def _sandwich_check(pairs, tol, ces):
-    """Decidable content of the class-K sandwich on sampled (omega, V).
+def _sandwich_check(w, v, P, tol, ces):
+    """Decidable content of the class-K sandwich on sampled (omega, V) at
+    the rows of P.
 
     A monotone-through-origin envelope pair exists iff V vanishes exactly
     where omega does: points with omega <= tol must have V <= SANDWICH_BAND
     and vice versa, and V must be nonnegative.
     """
     band = SANDWICH_BAND
-    for w, v, x in pairs:
-        if v < -tol:
-            ces.append(
-                Counterexample("sandwich-nonneg", x, margin=-v)
-            )
-        if w <= tol and v > band:
-            ces.append(Counterexample("sandwich-upper", x, margin=v - band))
-        if v <= tol and w > band:
-            ces.append(Counterexample("sandwich-lower", x, margin=w - band))
+    _report([(cond, np.flatnonzero(bad), m[bad]) for cond, bad, m in (
+        ("sandwich-nonneg", v < -tol, -v),
+        ("sandwich-upper", (w <= tol) & (v > band), v - band),
+        ("sandwich-lower", (v <= tol) & (w > band), w - band),
+    )], P, ces, float)
 
 
 def _in_region(O, P):
@@ -254,6 +351,13 @@ def _members(region, P, rows):
     return out
 
 
+def _indicator_many(omega, P):
+    """float(omega(p)) at each row of P."""
+    if isinstance(omega, ProperIndicator):
+        return omega.many(P)
+    return np.array([float(omega(p)) for p in P], dtype=float)
+
+
 def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
                    tol=DEFAULT_TOL):
     """Single-Lyapunov-function conditions on a perturbed system.
@@ -265,43 +369,35 @@ def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
     """
     if cert.omega is None:
         raise MissingIndicator("single-V check needs cert.omega")
-    O = cert.region
     delta = sys_delta.delta
     V = cert.V
     ces = []
-    pairs = []
-    n_flow = n_jump = 0
-    worst_flow = worst_jump = -np.inf
 
     P = grid.points()
-    P = P[_in_region(O, P)]
-    n_region = len(P)
-    in_C = sys_delta.flow_set.contains_many(P, 0.0).tolist()
-    in_D = sys_delta.jump_set.contains_many(P, 0.0).tolist()
-    for p, c, d in zip(P, in_C, in_D):
-        pairs.append((float(cert.omega(p)), V(p), p))
-        if c:
-            n_flow += 1
-            m = _flow_margin_single(sys_delta, V, p, delta)
-            worst_flow = max(worst_flow, m)
-            if m > tol:
-                ces.append(Counterexample("flow-decrease", p, margin=m))
-        if d:
-            n_jump += 1
-            m = _jump_margin_single(sys_delta, V, p, delta)
-            worst_jump = max(worst_jump, m)
-            if m > tol:
-                ces.append(Counterexample("jump-decrease", p, margin=m))
-
-    _sandwich_check(pairs, tol, ces)
-    env = _fit_envelopes([(w, v) for w, v, _ in pairs])
+    P = P[_in_region(cert.region, P)]
+    flow = np.flatnonzero(sys_delta.flow_set.contains_many(P, 0.0))
+    jump = np.flatnonzero(sys_delta.jump_set.contains_many(P, 0.0))
+    w = _indicator_many(cert.omega, P)
+    v = V.value_many(P)
+    m_jump = [_jump_margin_single(sys_delta, V, p, vx, delta)
+              for p, vx in zip(P[jump], v[jump].tolist())]
+    counts, worst = {}, {}
+    _note_rows([
+        ("flow-decrease", flow,
+         _flow_margins(sys_delta, V, P[flow], v[flow], delta)),
+        ("jump-decrease", jump, np.array(m_jump, dtype=float)),
+    ], P, tol, counts, worst, ces, margin=float)
+    _sandwich_check(w, v, P, tol, ces)
+    env = _fit_envelopes(w, v)
 
     stats = {
-        "region_points": n_region,
-        "flow_points": n_flow,
-        "jump_points": n_jump,
-        "worst_flow_margin": _clamp(worst_flow) if n_flow else None,
-        "worst_jump_margin": _clamp(worst_jump) if n_jump else None,
+        "region_points": len(P),
+        "flow_points": len(flow),
+        "jump_points": len(jump),
+        "worst_flow_margin":
+            _clamp(worst["flow-decrease"]) if len(flow) else None,
+        "worst_jump_margin":
+            _clamp(worst["jump-decrease"]) if len(jump) else None,
         "delta": delta,
         "tol": tol,
     }
@@ -312,23 +408,25 @@ def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
             "alpha2": env[2].tolist(),
         }
     verdict = Verdict.PASS if not ces else Verdict.FAIL
-    if n_region == 0:
+    if len(P) == 0:
         verdict = Verdict.INCONCLUSIVE
     return CheckReport(verdict=verdict, counterexamples=ces, stats=stats)
 
 
-def _flow_margin_single(sys_delta, V, p, delta):
-    g = V.gradient(p)
-    f = sys_delta.flow(p)
-    vp = V(p)
-    worst = -np.inf
-    for d in _ball_directions(delta, p.size, [g]):
-        worst = max(worst, float(np.dot(g, f + d)) + vp)
+def _flow_margins(sys_delta, V, P, v, delta):
+    """flow-decrease margin at each row of P, with V = v there: the
+    largest dV.(f+d) + V over the disturbances along grad V."""
+    G = V.gradient_many(P)
+    F = sys_delta.flow_many(P)
+    worst = np.full(len(P), -np.inf)
+    for d, used in _row_directions(delta, [G]):
+        m = np.vecdot(G, F + d) + v
+        worst = np.where(used & (m > worst), m, worst)
     return worst
 
 
-def _jump_margin_single(sys_delta, V, p, delta):
-    vx = V(p)
+def _jump_margin_single(sys_delta, V, p, vx, delta):
+    """jump-decrease margin at p, where V = vx."""
     worst = -np.inf
     for cand in sys_delta.jump_candidates(p):
         cand = as_vector(cand)
@@ -338,23 +436,26 @@ def _jump_margin_single(sys_delta, V, p, delta):
     return worst
 
 
-def _pair_flow(sys_delta, cert, p):
-    """At a point of C_delta: the least decrease -dV.(f+d) and the
+def _pair_flow(sys_delta, cert, P):
+    """At rows of C_delta: the least decrease -dV.(f+d) and the
     iv-barrier-flow margin, the largest decrease -dB.(f+d), over the
-    disturbances along grad V and grad B.  The margin is None where B is
-    not admissible."""
+    disturbances along grad V and grad B.  Returns (decrease, admissible,
+    margin); the margin, and grad B, count only where B is admissible."""
     V, B = cert.V, cert.B
-    gv = V.gradient(p)
-    gb = B.gradient(p) if B.admissible(p) else None
-    f = sys_delta.flow(p)
-    grads = [gv] + ([gb] if gb is not None else [])
-    dec = np.inf
-    bflow = np.inf
-    for d in _ball_directions(sys_delta.delta, p.size, grads):
-        dec = min(dec, -float(np.dot(gv, f + d)))
-        if gb is not None:
-            bflow = min(bflow, float(np.dot(gb, f + d)))
-    return dec, (None if gb is None else -bflow)
+    GV = V.gradient_many(P)
+    ok = B.admissible_many(P)
+    GB = np.zeros_like(GV)
+    GB[ok] = B.gradient_many(P[ok])
+    F = sys_delta.flow_many(P)
+    dec = np.full(len(P), np.inf)
+    bflow = np.full(len(P), np.inf)
+    for d, used in _row_directions(sys_delta.delta, [GV, GB]):
+        Fd = F + d
+        m = -np.vecdot(GV, Fd)
+        dec = np.where(used & (m < dec), m, dec)
+        m = np.vecdot(GB, Fd)
+        bflow = np.where(used & ok & (m < bflow), m, bflow)
+    return dec, ok, -bflow
 
 
 def _pair_jump(sys_delta, cert, p, vx, b):
@@ -377,11 +478,6 @@ def _pair_jump(sys_delta, cert, p, vx, b):
     return dec, -bjump
 
 
-def _unsafe_margin(B, p):
-    """iii-unsafe-negative margin at a point of U: B(p), clamped."""
-    return _clamp(B(p))
-
-
 def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
                   tol=DEFAULT_TOL, exclude_radius=0.0):
     """Split Lyapunov-barrier conditions on a perturbed system.
@@ -396,96 +492,86 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
 
     Flow conditions run on grid points of C_delta in O, jump conditions on
     D_delta in O, (iii) on grid points inside U, all with worst-case
-    disturbance directions.
+    disturbance directions.  V, B, their gradients and the flow map are
+    evaluated on all flow points at once; jump points go one at a time.
     """
     if cert.B is None:
         raise MissingBarrier("pair check needs cert.B")
-    A = spec.attractor
     U = spec.unsafe
-    O = cert.region
     V, B = cert.V, cert.B
     ces = []
     counts = {}
     worst = {}
-    ratios_flow = []
-    ratios_jump = []
-    pairs = []
-    outside_O = 0
-
-    def note(cond, margin, p):
-        counts[cond] = counts.get(cond, 0) + 1
-        worst[cond] = max(worst.get(cond, -np.inf), margin)
-        if margin > tol:
-            ces.append(Counterexample(cond, p, margin=_clamp(margin)))
 
     P = grid.points()
-    dist_A = A.distance_many(P).tolist()
-    in_O = _in_region(O, P)
+    dist_A = spec.attractor.distance_many(P)
+    in_O = _in_region(cert.region, P)
     in_C = sys_delta.flow_set.contains_many(P, 0.0)
     # outside O, D is tested only where "in C or in D" still needs it
     in_D = _members(sys_delta.jump_set, P, in_O | ~in_C)
     in_U = _members(U, P, in_O)
-    for p, d_A, o, c, d, u in zip(P, dist_A, in_O.tolist(), in_C.tolist(),
-                                  in_D.tolist(), in_U.tolist()):
-        b = B(p)
-        if not o:
-            if c or d:
-                outside_O += 1
-            if b >= 0.0:
-                note("ii-S-in-O", _clamp(b), p)
-            continue
-        vx = V(p)
-        pairs.append((d_A, vx, p))
-        fit = d_A > max(exclude_radius, tol)
+    b = B.value_many(P)
+    v = np.zeros(len(P))
+    v[in_O] = V.value_many(P[in_O])
+    outside = np.flatnonzero(~in_O & (b >= 0.0))
+    flow = np.flatnonzero(in_O & in_C)
+    jump = np.flatnonzero(in_O & in_D)
+    unsafe = np.flatnonzero(in_O & in_U)
 
-        if c:
-            dec, m_b = _pair_flow(sys_delta, cert, p)
-            # the required decrease is 0; 0.0 - dec keeps +0.0 at dec = 0
-            note("i-flow-decrease", 0.0 - dec, p)
-            if fit:
-                ratios_flow.append((dec / d_A, p))
-            if m_b is not None:
-                note("iv-barrier-flow", m_b, p)
-
-        if d:
-            dec, m_b = _pair_jump(sys_delta, cert, p, vx, b)
-            note("i-jump-decrease", 0.0 - dec, p)
-            note("iv-barrier-jump", m_b, p)
-            if fit:
-                ratios_jump.append((dec / d_A, p))
-
-        if u:
-            note("iii-unsafe-negative", _unsafe_margin(B, p), p)
+    dec_flow, ok, m_flow = _pair_flow(sys_delta, cert, P[flow])
+    dec_jump, m_jump = np.array([
+        _pair_jump(sys_delta, cert, P[i], vx, bx)
+        for i, vx, bx in zip(jump, v[jump].tolist(), b[jump].tolist())
+    ], dtype=float).reshape(-1, 2).T
+    # the required decrease is 0; 0.0 - dec keeps +0.0 at dec = 0
+    _note_rows([
+        ("ii-S-in-O", outside, _clamp_rows(b[outside])),
+        ("i-flow-decrease", flow, 0.0 - dec_flow),
+        ("iv-barrier-flow", flow[ok], m_flow[ok]),
+        ("i-jump-decrease", jump, 0.0 - dec_jump),
+        ("iv-barrier-jump", jump, m_jump),
+        ("iii-unsafe-negative", unsafe, _clamp_rows(b[unsafe])),
+    ], P, tol, counts, worst, ces)
 
     # (iii) gets its own grid over U's bounding box: U need not meet O
     ubox = U.bounding_box()
     if ubox is not None:
         pts = GridSpec(ubox.lo, ubox.hi, grid.counts).points()
-        for p in pts[U.contains_many(pts, 0.0)]:
-            note("iii-unsafe-negative", _unsafe_margin(B, p), p)
+        pts = pts[U.contains_many(pts, 0.0)]
+        _note_rows([("iii-unsafe-negative", np.arange(len(pts)),
+                     _clamp_rows(B.value_many(pts)))],
+                   pts, tol, counts, worst, ces)
 
-    for p in spec.initial_points():
-        p = as_vector(p)
-        note("ii-X0-in-S", -B(p), p)
+    x0 = [as_vector(p) for p in spec.initial_points()]
+    _note_rows([("ii-X0-in-S", np.arange(len(x0)),
+                 np.array([-B(p) for p in x0], dtype=float))],
+               x0, tol, counts, worst, ces)
 
-    _sandwich_check(pairs, tol, ces)
-    env = _fit_envelopes([(w, v) for w, v, _ in pairs])
+    inside = np.flatnonzero(in_O)
+    _sandwich_check(dist_A[inside], v[inside], P[inside], tol, ces)
+    env = _fit_envelopes(dist_A[inside], v[inside])
 
     fitted_c = None
-    pool = ratios_flow + ratios_jump
-    if pool:
-        fitted_c = min(r for r, _ in pool)
+    fit = dist_A > max(exclude_radius, tol)
+    pool = np.concatenate([flow[fit[flow]], jump[fit[jump]]])
+    if len(pool):
+        # inf / inf is NaN here as in float division, without a warning
+        with np.errstate(invalid="ignore"):
+            ratios = np.concatenate([dec_flow[fit[flow]],
+                                     dec_jump[fit[jump]]]) / dist_A[pool]
+        k = _first_min(ratios)
+        fitted_c = float(ratios[k])
         if fitted_c <= 0.0:
-            _, p_bad = min(pool, key=lambda rp: rp[0])
             ces.append(
-                Counterexample("i-fitted-c", p_bad, margin=-fitted_c + tol)
+                Counterexample("i-fitted-c", P[pool[k]], margin=-fitted_c + tol)
             )
 
     stats = {
         "counts": counts,
-        "worst_margins": {k: _clamp(v) for k, v in worst.items()},
+        "worst_margins": {c: _clamp(m) for c, m in worst.items()},
         "fitted_c": fitted_c,
-        "skipped_outside_region": outside_O,
+        "skipped_outside_region":
+            int(np.count_nonzero(~in_O & (in_C | in_D))),
         "delta": sys_delta.delta,
         "tol": tol,
         "exclude_radius": exclude_radius,
@@ -528,18 +614,29 @@ def _condition(sys_delta, cert, condition_id, spec):
     if B is None and condition_id in barrier_ids:
         raise MissingBarrier(condition_id)
 
+    # the flow conditions are row functions, called on p's one-row array
+    def flow_decrease(p):
+        P = p[None]
+        return float(_flow_margins(sys_delta, V, P, V.value_many(P),
+                                   delta)[0])
+
+    def barrier_flow(p):
+        _, ok, m = _pair_flow(sys_delta, cert, p[None])
+        return float(m[0]) if ok[0] else None
+
     if condition_id == "flow-decrease":
-        where, fn = C, lambda p: _flow_margin_single(sys_delta, V, p, delta)
+        where, fn = C, flow_decrease
     elif condition_id == "jump-decrease":
-        where, fn = D, lambda p: _jump_margin_single(sys_delta, V, p, delta)
+        where, fn = D, lambda p: _jump_margin_single(sys_delta, V, p, V(p),
+                                                     delta)
     elif condition_id == "barrier-flow":
-        where, fn = C, lambda p: _pair_flow(sys_delta, cert, p)[1]
+        where, fn = C, barrier_flow
     elif condition_id == "barrier-jump":
         where, fn = D, lambda p: _pair_jump(sys_delta, cert, p, None, B(p))[1]
     elif condition_id == "unsafe-negative":
         if spec is None:
             raise ValueError("unsafe-negative needs a spec with spec.unsafe")
-        where, fn, O = spec.unsafe, lambda p: _unsafe_margin(B, p), None
+        where, fn, O = spec.unsafe, lambda p: _clamp(B(p)), None
     else:
         raise ValueError("unknown condition id %r" % condition_id)
 

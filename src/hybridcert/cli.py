@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 
 import numpy as np
 import yaml
@@ -575,11 +576,18 @@ def cmd_falsify(scenario, condition_id, out_dir):
 
 
 def _barrier_series(arc, cert, dim):
-    return [
-        [j, repr(t), repr(cert.V(x)), repr(cert.B(x))]
-        for j, (times, states) in enumerate(arc.phases)
-        for t, x in zip(times.tolist(), states[:, :dim])
-    ]
+    """(j, t, V, B) rows at every stored sample, V and B evaluated once per
+    phase on its plant states."""
+    rows = []
+    for j, (times, states) in enumerate(arc.phases):
+        plant = states[:, :dim]
+        rows.extend(
+            [j, repr(t), repr(v), repr(b)]
+            for t, v, b in zip(times.tolist(),
+                               cert.V.value_many(plant).tolist(),
+                               cert.B.value_many(plant).tolist())
+        )
+    return rows
 
 
 def _control_rows(arc, decisions):
@@ -709,16 +717,30 @@ class _JsonRecord(logging.Formatter):
                            "message": _bounded(record.getMessage())})
 
 
+def _warning_record(message, category, filename, lineno, file=None,
+                    line=None):
+    """warnings.showwarning that logs the warning instead of printing it
+    with its source line."""
+    logging.getLogger("py.warnings").warning(
+        "%s:%d: %s: %s", os.path.basename(filename), lineno,
+        category.__name__, message,
+    )
+
+
 def main(argv=None):
-    """Run one command and return its exit code.  Log records reach stderr
-    as JSON lines while it runs; the handler goes again at the end, so that
+    """Run one command and return its exit code.  Log records, and Python
+    warnings as log records, reach stderr as JSON lines while it runs; the
+    handler and warnings.showwarning are put back at the end, so that
     repeated in-process calls do not stack handlers."""
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(_JsonRecord())
     logging.getLogger().addHandler(handler)
+    showwarning = warnings.showwarning
+    warnings.showwarning = _warning_record
     try:
         return _run(argv)
     finally:
+        warnings.showwarning = showwarning
         logging.getLogger().removeHandler(handler)
 
 

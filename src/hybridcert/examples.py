@@ -42,6 +42,19 @@ class DomainViolation(ValueError):
     """Dynamics evaluated where they are undefined (negative pressure)."""
 
 
+def _each(fn, t):
+    """fn at each element of the array t, as a float array.  The row forms
+    of the studies' fields take math.atan, math.log, expit and a float64's
+    ** 2 this way, as their one-point forms do: np.arctan and np.exp differ
+    from math.atan and math.exp in the last bit, and an array's ** 2 is a
+    square where a float64's calls pow."""
+    return np.fromiter(map(fn, t), dtype=float, count=len(t))
+
+
+def _square(t):
+    return t ** 2
+
+
 # ---------------------------------------------------------------------------
 # Bouncing ball (state x = (horizontal position, height y, velocity z))
 
@@ -104,6 +117,14 @@ def bouncing_ball(params: BouncingBallParams = None):
     def jump_map(s):
         return [np.array([s[0], 0.0, -lam * s[2]])]
 
+    def flow_rows(S):
+        rest = (S[:, 1] <= impact_tol) & (np.abs(S[:, 2]) <= impact_tol)
+        out = np.empty_like(S)
+        out[:, 0] = 1.0
+        out[:, 1] = np.where(rest, 0.0, S[:, 2])
+        out[:, 2] = np.where(rest, 0.0, -a)
+        return out
+
     def zeno_map(s):
         return np.array([s[0], 0.0, 0.0])
 
@@ -115,6 +136,7 @@ def bouncing_ball(params: BouncingBallParams = None):
         jump_map=jump_map,
         bounds=AxisBox([-10.0, -1.0, -20.0], [60.0, 15.0, 20.0]),
         zeno_map=zeno_map,
+        flow_map_rows=flow_rows,
     )
 
     c_lam = (1.0 - lam**2) / (math.pi * (1.0 + lam**2))
@@ -129,6 +151,19 @@ def bouncing_ball(params: BouncingBallParams = None):
             [0.0, a * weight, c_lam * energy / (1.0 + s[2] ** 2) + weight * s[2]]
         )
 
+    def V_rows(S):
+        z = S[:, 2]
+        return ((1.0 + c_lam * _each(math.atan, z))
+                * (0.5 * _each(_square, z) + a * S[:, 1]))
+
+    def V_grad_rows(S):
+        z = S[:, 2]
+        sq = _each(_square, z)
+        energy = 0.5 * sq + a * S[:, 1]
+        weight = 1.0 + c_lam * _each(math.atan, z)
+        return np.stack([np.zeros(len(S)), a * weight,
+                         c_lam * energy / (1.0 + sq) + weight * z], axis=1)
+
     def B_val(s):
         return 0.5 * expit(5.0 * s[0]) - s[1] - s[2] ** 2 / (2.0 * a) + 9.5
 
@@ -136,10 +171,22 @@ def bouncing_ball(params: BouncingBallParams = None):
         sig = expit(5.0 * s[0])
         return np.array([2.5 * sig * (1.0 - sig), -1.0, -s[2] / a])
 
+    def B_rows(S):
+        z = S[:, 2]
+        return (0.5 * _each(expit, 5.0 * S[:, 0]) - S[:, 1]
+                - _each(_square, z) / (2.0 * a) + 9.5)
+
+    def B_grad_rows(S):
+        sig = _each(expit, 5.0 * S[:, 0])
+        return np.stack([2.5 * sig * (1.0 - sig), np.full(len(S), -1.0),
+                         -S[:, 2] / a], axis=1)
+
     region_O = AxisBox([-inf, -inf, -inf], [inf, 10.0, inf])  # {y < 10}
     cert = CertificatePair(
-        V=ScalarField(V_val, V_grad, name="ball-V"),
-        B=ScalarField(B_val, B_grad, name="ball-B"),
+        V=ScalarField(V_val, V_grad, name="ball-V", value_rows=V_rows,
+                      grad_rows=V_grad_rows),
+        B=ScalarField(B_val, B_grad, name="ball-B", value_rows=B_rows,
+                      grad_rows=B_grad_rows),
         omega=make_proper_indicator(ball_attractor(), region_O),
         region=region_O,
     )
@@ -276,6 +323,10 @@ def moore_greitzer(params: MooreGreitzerParams = None):
         d = as_vector(x) - zeta
         return float(d @ d)
 
+    def V_rows(X):
+        D = X - zeta
+        return np.vecdot(D, D)
+
     def V_grad(x):
         return 2.0 * (as_vector(x) - zeta)
 
@@ -288,6 +339,16 @@ def moore_greitzer(params: MooreGreitzerParams = None):
         if h <= 0.0:
             return B_SENTINEL
         return math.log1p(h) - math.log(h)
+
+    def B_rows(X):
+        d0 = np.abs(X[:, 0] - center[0])
+        d1 = np.abs(X[:, 1] - center[1])
+        # max(d0, d1) keeps d0 unless d1 is larger
+        h = np.where(d1 > d0, d1, d0) - r
+        out = np.full(len(X), B_SENTINEL)
+        live = ~(h <= 0.0)
+        out[live] = _each(lambda t: math.log1p(t) - math.log(t), h[live])
+        return out
 
     def B_grad(x):
         v = as_vector(x)
@@ -308,8 +369,9 @@ def moore_greitzer(params: MooreGreitzerParams = None):
 
     region_O = AxisBox(p.box_lo, p.box_hi)
     cert = CertificatePair(
-        V=ScalarField(V_val, V_grad, name="mg-V"),
-        B=ScalarField(B_val, B_grad, name="mg-B", domain=B_domain),
+        V=ScalarField(V_val, V_grad, name="mg-V", value_rows=V_rows),
+        B=ScalarField(B_val, B_grad, name="mg-B", domain=B_domain,
+                      value_rows=B_rows),
         omega=make_proper_indicator(Ball(zeta, 1e-6), region_O),
         region=region_O,
     )

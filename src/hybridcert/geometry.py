@@ -479,16 +479,36 @@ def sample_region(region, n, rng):
 
 
 class ProperIndicator:
-    """omega(x): zero exactly on the target, blowing up at the domain boundary
-    and at infinity. Built by make_proper_indicator."""
+    """omega(x) = |x|_target * (1 + 1/dist(x, domain^c)): zero exactly on
+    the target, blowing up at the domain boundary and at infinity. Built by
+    make_proper_indicator."""
 
-    def __init__(self, target, domain, evaluator):
+    def __init__(self, target, domain):
         self.target = target
         self.domain = domain
-        self.evaluator = evaluator
+        self.complement = Complement(domain)
 
     def __call__(self, x):
-        return self.evaluator(as_vector(x))
+        x = as_vector(x)
+        d_t = self.target.distance(x)
+        if d_t == 0.0:
+            return 0.0
+        d_c = self.complement.distance(x)
+        if d_c == 0.0:
+            return np.inf
+        if np.isinf(d_c):
+            return d_t
+        return d_t * (1.0 + 1.0 / d_c)
+
+    def many(self, X):
+        """[float(self(x)) for x in X] as a float array."""
+        d_t = self.target.distance_many(X)
+        d_c = self.complement.distance_many(X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = d_t * (1.0 + 1.0 / d_c)
+        out = np.where(np.isinf(d_c), d_t, out)
+        out = np.where(d_c == 0.0, np.inf, out)
+        return np.where(d_t == 0.0, 0.0, out)
 
 
 def _clearance_probes(region):
@@ -521,24 +541,12 @@ def make_proper_indicator(target, domain):
     distance support; target strictly inside domain (checked on witness
     probes of the target, a heuristic guard).
     """
-    comp = Complement(domain)
+    omega = ProperIndicator(target, domain)
     probes = _clearance_probes(target)
     if probes:
-        clearance = min(comp.distance(p) for p in probes)
+        clearance = min(omega.complement.distance(p) for p in probes)
         if clearance <= DEFAULT_TOL:
             raise DegenerateDomain(
                 f"target within {clearance:.3e} of the domain boundary"
             )
-
-    def omega(x):
-        d_t = target.distance(x)
-        if d_t == 0.0:
-            return 0.0
-        d_c = comp.distance(x)
-        if d_c == 0.0:
-            return np.inf
-        if np.isinf(d_c):
-            return d_t
-        return d_t * (1.0 + 1.0 / d_c)
-
-    return ProperIndicator(target, domain, omega)
+    return omega

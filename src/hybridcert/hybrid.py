@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import SetRegion, as_vector, contains, inflate
+from .geometry import SetRegion, as_rows, as_vector, contains, inflate
 
 # how far outside a phase's times HybridArc.eval clamps instead of raising
 EVAL_SLACK = 1e-12
@@ -123,7 +123,9 @@ class HybridSystem:
     realized through disturbances of norm <= delta. jump_map returns a
     nonempty list of candidate successors. zeno_map, when present, replaces
     a jump whose gap from the previous jump is below the solver's t_min
-    (the example-specific Zeno completion).
+    (the example-specific Zeno completion).  flow_map_rows, when present,
+    is the row form of flow_map: it maps an (n, dim) array to the (n, dim)
+    flow values, equal bit for bit to flow_map row by row.
     """
 
     dim: int
@@ -134,9 +136,19 @@ class HybridSystem:
     bounds: SetRegion
     delta: float = 0.0
     zeno_map: object = None
+    flow_map_rows: object = None
 
     def flow(self, x):
         return as_vector(self.flow_map(x))
+
+    def flow_many(self, X):
+        """[self.flow(x) for x in X] as an (n, dim) array: the row form,
+        or else a loop over the rows."""
+        X = as_rows(X)
+        if self.flow_map_rows is not None:
+            return np.asarray(self.flow_map_rows(X), dtype=float)
+        return np.array([self.flow(x) for x in X],
+                        dtype=float).reshape(X.shape)
 
     def jump_candidates(self, x):
         cands = self.jump_map(x)
@@ -187,7 +199,8 @@ def _probe_point(region, dim):
 
 
 def perturb(sys, delta):
-    """H_delta: flow/jump sets inflated by delta, maps unchanged.
+    """H_delta: flow/jump sets inflated by delta, maps (and the row form
+    of the flow map) unchanged.
 
     The inflation of the map values is realized by the disturbance at solve
     time. Always call on the nominal system; applying twice compounds the
@@ -204,6 +217,7 @@ def perturb(sys, delta):
         bounds=sys.bounds,
         delta=float(delta),
         zeno_map=sys.zeno_map,
+        flow_map_rows=sys.flow_map_rows,
     )
 
 

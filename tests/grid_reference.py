@@ -1,0 +1,239 @@
+"""The per-point grid checks, kept as the reference for the array checks.
+
+check_single_V and check_pair_VB below are the checks as they were before
+hybridcert.certificates computed them from arrays: one Python visit per
+grid point, V, B, their gradients and the flow map called one point at a
+time.  The array checks must give the same report, byte for byte; the
+tests compare the two.  Only the jump margins are shared with the package,
+because the package still takes jump points one at a time.
+"""
+
+import numpy as np
+
+from hybridcert.certificates import (
+    GridSpec,
+    _ball_directions,
+    _clamp,
+    _in_region,
+    _members,
+    _pair_jump,
+)
+from hybridcert.geometry import as_vector
+from hybridcert.report import CheckReport, Counterexample, Verdict
+
+TOL = 1e-7
+SANDWICH_BAND = 1e-3
+
+
+def fit_envelopes(pairs, knots=24):
+    if not pairs:
+        return None
+    pts = sorted(pairs)
+    w = np.array([p[0] for p in pts])
+    v = np.array([p[1] for p in pts])
+    lower = np.minimum.accumulate(v[::-1])[::-1]
+    upper = np.maximum.accumulate(v)
+    if w.size > knots:
+        idx = np.unique(np.linspace(0, w.size - 1, knots).astype(int))
+        w, lower, upper = w[idx], lower[idx], upper[idx]
+    return w, lower, upper
+
+
+def sandwich_check(pairs, tol, ces):
+    band = SANDWICH_BAND
+    for w, v, x in pairs:
+        if v < -tol:
+            ces.append(Counterexample("sandwich-nonneg", x, margin=-v))
+        if w <= tol and v > band:
+            ces.append(Counterexample("sandwich-upper", x, margin=v - band))
+        if v <= tol and w > band:
+            ces.append(Counterexample("sandwich-lower", x, margin=w - band))
+
+
+def flow_margin_single(sys_delta, V, p, delta):
+    g = V.gradient(p)
+    f = sys_delta.flow(p)
+    vp = V(p)
+    worst = -np.inf
+    for d in _ball_directions(delta, p.size, [g]):
+        worst = max(worst, float(np.dot(g, f + d)) + vp)
+    return worst
+
+
+def jump_margin_single(sys_delta, V, p, delta):
+    vx = V(p)
+    worst = -np.inf
+    for cand in sys_delta.jump_candidates(p):
+        cand = as_vector(cand)
+        gv = V.gradient(cand)
+        for d in _ball_directions(delta, p.size, [gv]):
+            worst = max(worst, V(cand + d) - vx / np.e)
+    return worst
+
+
+def pair_flow(sys_delta, cert, p):
+    V, B = cert.V, cert.B
+    gv = V.gradient(p)
+    gb = B.gradient(p) if B.admissible(p) else None
+    f = sys_delta.flow(p)
+    grads = [gv] + ([gb] if gb is not None else [])
+    dec = np.inf
+    bflow = np.inf
+    for d in _ball_directions(sys_delta.delta, p.size, grads):
+        dec = min(dec, -float(np.dot(gv, f + d)))
+        if gb is not None:
+            bflow = min(bflow, float(np.dot(gb, f + d)))
+    return dec, (None if gb is None else -bflow)
+
+
+def check_single_V(sys_delta, cert, grid, tol=TOL):
+    O = cert.region
+    delta = sys_delta.delta
+    V = cert.V
+    ces = []
+    pairs = []
+    n_flow = n_jump = 0
+    worst_flow = worst_jump = -np.inf
+
+    P = grid.points()
+    P = P[_in_region(O, P)]
+    n_region = len(P)
+    in_C = sys_delta.flow_set.contains_many(P, 0.0).tolist()
+    in_D = sys_delta.jump_set.contains_many(P, 0.0).tolist()
+    for p, c, d in zip(P, in_C, in_D):
+        pairs.append((float(cert.omega(p)), V(p), p))
+        if c:
+            n_flow += 1
+            m = flow_margin_single(sys_delta, V, p, delta)
+            worst_flow = max(worst_flow, m)
+            if m > tol:
+                ces.append(Counterexample("flow-decrease", p, margin=m))
+        if d:
+            n_jump += 1
+            m = jump_margin_single(sys_delta, V, p, delta)
+            worst_jump = max(worst_jump, m)
+            if m > tol:
+                ces.append(Counterexample("jump-decrease", p, margin=m))
+
+    sandwich_check(pairs, tol, ces)
+    env = fit_envelopes([(w, v) for w, v, _ in pairs])
+
+    stats = {
+        "region_points": n_region,
+        "flow_points": n_flow,
+        "jump_points": n_jump,
+        "worst_flow_margin": _clamp(worst_flow) if n_flow else None,
+        "worst_jump_margin": _clamp(worst_jump) if n_jump else None,
+        "delta": delta,
+        "tol": tol,
+    }
+    if env is not None:
+        stats["envelope"] = {
+            "omega": env[0].tolist(),
+            "alpha1": env[1].tolist(),
+            "alpha2": env[2].tolist(),
+        }
+    verdict = Verdict.PASS if not ces else Verdict.FAIL
+    if n_region == 0:
+        verdict = Verdict.INCONCLUSIVE
+    return CheckReport(verdict=verdict, counterexamples=ces, stats=stats)
+
+
+def check_pair_VB(sys_delta, cert, spec, grid, tol=TOL, exclude_radius=0.0):
+    A = spec.attractor
+    U = spec.unsafe
+    O = cert.region
+    V, B = cert.V, cert.B
+    ces = []
+    counts = {}
+    worst = {}
+    ratios_flow = []
+    ratios_jump = []
+    pairs = []
+    outside_O = 0
+
+    def note(cond, margin, p):
+        counts[cond] = counts.get(cond, 0) + 1
+        worst[cond] = max(worst.get(cond, -np.inf), margin)
+        if margin > tol:
+            ces.append(Counterexample(cond, p, margin=_clamp(margin)))
+
+    P = grid.points()
+    dist_A = A.distance_many(P).tolist()
+    in_O = _in_region(O, P)
+    in_C = sys_delta.flow_set.contains_many(P, 0.0)
+    in_D = _members(sys_delta.jump_set, P, in_O | ~in_C)
+    in_U = _members(U, P, in_O)
+    for p, d_A, o, c, d, u in zip(P, dist_A, in_O.tolist(), in_C.tolist(),
+                                  in_D.tolist(), in_U.tolist()):
+        b = B(p)
+        if not o:
+            if c or d:
+                outside_O += 1
+            if b >= 0.0:
+                note("ii-S-in-O", _clamp(b), p)
+            continue
+        vx = V(p)
+        pairs.append((d_A, vx, p))
+        fit = d_A > max(exclude_radius, tol)
+
+        if c:
+            dec, m_b = pair_flow(sys_delta, cert, p)
+            note("i-flow-decrease", 0.0 - dec, p)
+            if fit:
+                ratios_flow.append((dec / d_A, p))
+            if m_b is not None:
+                note("iv-barrier-flow", m_b, p)
+
+        if d:
+            dec, m_b = _pair_jump(sys_delta, cert, p, vx, b)
+            note("i-jump-decrease", 0.0 - dec, p)
+            note("iv-barrier-jump", m_b, p)
+            if fit:
+                ratios_jump.append((dec / d_A, p))
+
+        if u:
+            note("iii-unsafe-negative", _clamp(B(p)), p)
+
+    ubox = U.bounding_box()
+    if ubox is not None:
+        pts = GridSpec(ubox.lo, ubox.hi, grid.counts).points()
+        for p in pts[U.contains_many(pts, 0.0)]:
+            note("iii-unsafe-negative", _clamp(B(p)), p)
+
+    for p in spec.initial_points():
+        p = as_vector(p)
+        note("ii-X0-in-S", -B(p), p)
+
+    sandwich_check(pairs, tol, ces)
+    env = fit_envelopes([(w, v) for w, v, _ in pairs])
+
+    fitted_c = None
+    pool = ratios_flow + ratios_jump
+    if pool:
+        fitted_c = min(r for r, _ in pool)
+        if fitted_c <= 0.0:
+            _, p_bad = min(pool, key=lambda rp: rp[0])
+            ces.append(
+                Counterexample("i-fitted-c", p_bad, margin=-fitted_c + tol)
+            )
+
+    stats = {
+        "counts": counts,
+        "worst_margins": {k: _clamp(v) for k, v in worst.items()},
+        "fitted_c": fitted_c,
+        "skipped_outside_region": outside_O,
+        "delta": sys_delta.delta,
+        "tol": tol,
+        "exclude_radius": exclude_radius,
+    }
+    if env is not None:
+        stats["envelope"] = {
+            "dist": env[0].tolist(),
+            "alpha1": env[1].tolist(),
+            "alpha2": env[2].tolist(),
+        }
+    verdict = Verdict.PASS if not ces else Verdict.FAIL
+    if not counts:
+        verdict = Verdict.INCONCLUSIVE
+    return CheckReport(verdict=verdict, counterexamples=ces, stats=stats)

@@ -2,10 +2,15 @@
 
 import collections
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+import grid_reference
 
 from hybridcert import (
     AxisBox,
@@ -13,6 +18,7 @@ from hybridcert import (
     CertificatePair,
     EmptySet,
     GridSpec,
+    HybridSystem,
     Implicit,
     MissingBarrier,
     MissingIndicator,
@@ -34,7 +40,7 @@ from hybridcert import (
     perturb,
     solve,
 )
-from hybridcert import certificates, geometry
+from hybridcert import certificates, cli, geometry
 from hybridcert.certificates import _pair_jump
 
 BALL_B_AT_START = 0.7173469387755102
@@ -179,6 +185,8 @@ def ball_jump_layer(delta):
 
 
 def test_pair_check_evaluates_V_once_per_jump_point():
+    # counted through both forms: the grid points go through the row form,
+    # the jump images one at a time
     system, cert, spec = bouncing_ball()
     calls = collections.Counter()
 
@@ -186,8 +194,13 @@ def test_pair_check_evaluates_V_once_per_jump_point():
         calls[tuple(x)] += 1
         return cert.V.value(x)
 
+    def value_rows(X):
+        calls.update(tuple(x) for x in X)
+        return cert.V.value_rows(X)
+
     counting = dataclasses.replace(
-        cert, V=dataclasses.replace(cert.V, value=value)
+        cert, V=dataclasses.replace(cert.V, value=value,
+                                    value_rows=value_rows)
     )
     ss = StabSafeSpec(x0=spec.x0, unsafe=spec.unsafe, attractor=ball_attractor())
     grid = GridSpec([-1.0, 0.0, -1.0], [1.0, 0.0, 0.0], (3, 1, 5))
@@ -255,7 +268,8 @@ def test_pair_check_makes_no_one_point_geometry_call(monkeypatch):
 
 
 class CountingField:
-    """A scalar field that counts value and gradient evaluations."""
+    """A scalar field that counts value and gradient evaluations, a row of
+    a row form as one."""
 
     def __init__(self, field):
         self.field = field
@@ -272,6 +286,17 @@ class CountingField:
 
     def admissible(self, x):
         return self.field.admissible(x)
+
+    def value_many(self, X):
+        self.calls += len(X)
+        return self.field.value_many(X)
+
+    def gradient_many(self, X):
+        self.gradients += len(X)
+        return self.field.gradient_many(X)
+
+    def admissible_many(self, X):
+        return self.field.admissible_many(X)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.05])
@@ -464,3 +489,215 @@ def test_grid_spec_single_point_axis_has_zero_cell():
     g = GridSpec([0.0, -1.0], [0.0, 1.0], (1, 5))
     assert g.cell()[0] == 0.0
     assert g.cell()[1] == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# The array checks against the per-point reference (tests/grid_reference.py)
+
+def ball_pair_case(delta, grid, cert=None):
+    system, ball_cert, spec = bouncing_ball()
+    ss = StabSafeSpec(x0=spec.x0, unsafe=spec.unsafe,
+                      attractor=ball_attractor())
+    return perturb(system, delta), cert or ball_cert, ss, grid
+
+
+def same_reports(got, want):
+    """The two reports as JSON strings, key order included; a mismatch
+    shows where it starts (a diff of the long lines takes too long)."""
+    got, want = (json.dumps(r.to_json_obj()) for r in (got, want))
+    if got != want:
+        at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail("reports differ at character %d: %r != %r"
+                    % (at, got[at - 60:at + 60], want[at - 60:at + 60]))
+
+
+def failing_ball_certificate():
+    """-V and -B: V grows and is negative, B is positive on U and falls
+    along flows, so several conditions fail at the same grid points."""
+    _, cert, _ = bouncing_ball()
+    V, B = cert.V, cert.B
+    return dataclasses.replace(
+        cert,
+        V=ScalarField(lambda s: -V(s), lambda s: -V.gradient(s)),
+        B=ScalarField(lambda s: -B(s), lambda s: -B.gradient(s)),
+    )
+
+
+BOX = ball_operating_box()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("delta, grid, cert, verdict", [
+    (0.0, GridSpec(BOX.lo, BOX.hi, 21), None, "PASS"),
+    (0.05, GridSpec(BOX.lo, BOX.hi, 21), None, "FAIL"),
+    (0.0, GridSpec([-1.0, 0.0, -1e200], [21.0, 10.0, 1e200], 3), None,
+     "FAIL"),
+    (0.05, GridSpec(BOX.lo - 1.0, BOX.hi + 1.0, 9),
+     failing_ball_certificate(), "FAIL"),
+], ids=["c04-delta-0", "c04-delta-0.05", "z-1e200", "failing-pair"])
+def test_pair_check_matches_the_per_point_reference(delta, grid, cert,
+                                                    verdict):
+    case = ball_pair_case(delta, grid, cert)
+    got = check_pair_VB(*case, tol=1e-7, exclude_radius=0.05)
+    assert got.verdict.value == verdict
+    same_reports(got, grid_reference.check_pair_VB(*case, tol=1e-7,
+                                                   exclude_radius=0.05))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+@pytest.mark.parametrize("cert", [None, failing_ball_certificate()],
+                         ids=["ball", "failing"])
+def test_single_v_matches_the_per_point_reference(delta, cert):
+    sys_delta, cert, _, grid = ball_pair_case(
+        delta, GridSpec(BOX.lo - 1.0, BOX.hi + 1.0, 9), cert)
+    same_reports(check_single_V(sys_delta, cert, grid),
+                 grid_reference.check_single_V(sys_delta, cert, grid))
+
+
+# compiled expressions have no row forms: the checks loop over the rows
+SCENARIO_PAIR = """\
+system:
+  variables: [y, z]
+  flow_map: ["z", "-9.8"]
+  flow_set: {kind: axis_box, lo: [0.0, -50.0], hi: [100.0, 50.0]}
+  jump_set:
+    kind: implicit
+    predicate: "y <= 0 and z < 0"
+    bbox: {lo: [-1.0, -50.0], hi: [0.0, 0.0]}
+  jump_map: ["y", "-0.8*z"]
+  bounds: {kind: axis_box, lo: [-1.0, -50.0], hi: [100.0, 50.0]}
+certificates:
+  V: "z**2/2 + 9.8*y"
+  B: "60 - y - z*z/19.6"
+  region: {kind: axis_box, lo: [-1.0, -40.0], hi: [70.0, 40.0]}
+  attractor: {kind: axis_box, lo: [0.0, 0.0], hi: [0.0, 0.0]}
+spec:
+  kind: stability-safety
+  x0: [[10.0, 0.0], [75.0, 0.0]]
+  unsafe: {kind: axis_box, lo: [50.0, -50.0], hi: [100.0, 50.0]}
+  attractor: {kind: axis_box, lo: [0.0, 0.0], hi: [0.0, 0.0]}
+check: {grid: {lo: [-1.0, -45.0], hi: [90.0, 45.0], counts: [15, 15]}}
+"""
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_scenario_checks_match_the_per_point_reference(delta):
+    scenario = cli.scenario_from(yaml.safe_load(SCENARIO_PAIR),
+                                 ["delta=%r" % delta])
+    sys_delta = cli._perturbed(scenario)
+    cert, spec = scenario.cert, scenario.spec
+    grid = scenario.check["grid"]
+    assert cert.V.value_rows is None and sys_delta.flow_map_rows is None
+    got = check_pair_VB(sys_delta, cert, spec, grid)
+    assert got.verdict == Verdict.FAIL
+    same_reports(got, grid_reference.check_pair_VB(sys_delta, cert, spec,
+                                                   grid))
+    same_reports(check_single_V(sys_delta, cert, grid),
+                 grid_reference.check_single_V(sys_delta, cert, grid))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_falsify_margins_match_the_per_point_reference(delta):
+    # the flow conditions run the row functions on a one-row array
+    grid = GridSpec(BOX.lo - 1.0, BOX.hi + 1.0, 7)
+    for cert in (None, failing_ball_certificate()):
+        sys_delta, cert, _, _ = ball_pair_case(delta, grid, cert)
+        scalar = {
+            "flow-decrease": lambda p: grid_reference.flow_margin_single(
+                sys_delta, cert.V, p, delta),
+            "jump-decrease": lambda p: grid_reference.jump_margin_single(
+                sys_delta, cert.V, p, delta),
+            "barrier-flow": lambda p: grid_reference.pair_flow(
+                sys_delta, cert, p)[1],
+        }
+        for condition, want in scalar.items():
+            margin = condition_margin_fn(sys_delta, cert, condition)
+            scored = 0
+            for p in grid.points():
+                m = margin(p)
+                if m is not None:
+                    scored += 1
+                    assert type(m) is float
+                    assert m.hex() == want(p).hex(), (condition, p)
+            assert scored > 0
+
+
+def test_pair_check_calls_the_one_point_forms_only_at_jump_images(
+        monkeypatch):
+    # V, B, their gradients and the flow map go through the row forms; a
+    # check that fell back to the row loop would call them at grid points
+    calls = collections.defaultdict(list)
+
+    def counting(name, fn):
+        def counted(self, x):
+            calls[name].append(tuple(x))
+            return fn(self, x)
+        return counted
+
+    for owner, name in ((ScalarField, "__call__"), (ScalarField, "gradient"),
+                        (HybridSystem, "flow")):
+        monkeypatch.setattr(owner, name, counting(name, vars(owner)[name]))
+    sys_delta, cert, ss, grid = ball_pair_case(
+        0.0, GridSpec(BOX.lo, BOX.hi, (3, 5, 7)))
+    rep = check_pair_VB(sys_delta, cert, ss, grid)
+    assert rep.verdict == Verdict.PASS
+    n_jump = rep.stats["counts"]["i-jump-decrease"]
+    assert n_jump > 0
+    images = {tuple(g) for p in grid.points()
+              if sys_delta.jump_set.contains(p, 0.0)
+              for g in sys_delta.jump_candidates(p)}
+    x0 = {tuple(p) for p in ss.initial_points()}
+    # V and B once at each jump image, B once at each point of X0
+    assert len(calls["__call__"]) == 2 * n_jump + len(x0)
+    assert set(calls["__call__"]) <= images | x0
+    assert calls["gradient"] == []
+    assert calls["flow"] == []
+
+
+# +-0, infinities and NaN make the margins of the disturbance directions tie
+# at +-0 and break at NaN
+TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf,
+                        math.nan])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(m=st.lists(TIES, min_size=1, max_size=8),
+       start=st.sampled_from([-math.inf, 0.0, -0.0, 1.0]))
+def test_array_extremes_are_the_ones_python_keeps(m, start):
+    want = start
+    for x in m:
+        want = max(want, x)
+    assert float(certificates._first_max(start, np.array(m))).hex() \
+        == float(want).hex()
+    assert certificates._first_min(np.array(m)) \
+        == min(range(len(m)), key=m.__getitem__)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(P=st.lists(st.tuples(TIES, TIES), min_size=1, max_size=6),
+       delta=st.sampled_from([0.0, 0.5]))
+def test_row_margins_are_the_per_point_margins(P, delta):
+    # row by row, each direction's margin replaces the running one where
+    # Python's min or max would, so ties and NaN come out as in the loop
+    system = perturb(make_system(
+        2, AxisBox([-np.inf] * 2, [np.inf] * 2),
+        lambda x: np.array([-x[1], x[0] * x[1]]), EmptySet(), lambda x: [],
+        AxisBox([-2.0, -2.0], [2.0, 2.0]),
+    ), delta)
+    V = ScalarField(lambda x: x[0] * x[1], lambda x: np.array([x[1], -x[0]]))
+    B = ScalarField(lambda x: -x[0], lambda x: np.array([-0.0 * x[0], x[1]]),
+                    domain=lambda x: x[0] != 1.0)
+    cert = CertificatePair(V=V, B=B)
+    P = np.array(P, dtype=float)
+    with np.errstate(all="ignore"):
+        dec, ok, m_b = certificates._pair_flow(system, cert, P)
+        m_flow = certificates._flow_margins(system, V, P, V.value_many(P),
+                                            delta)
+        for k, p in enumerate(P):
+            want_dec, want_b = grid_reference.pair_flow(system, cert, p)
+            assert dec[k].hex() == want_dec.hex()
+            assert ok[k] == (want_b is not None)
+            assert not ok[k] or m_b[k].hex() == want_b.hex()
+            assert m_flow[k].hex() == grid_reference.flow_margin_single(
+                system, V, p, delta).hex()

@@ -438,6 +438,35 @@ def test_repeated_in_process_calls_do_not_stack_log_handlers(tmp_path, capsys):
         assert len(json_lines(capsys.readouterr().err)) == 1
 
 
+# z = +-1e200 overflows V, B and their gradients: numpy warns, and the
+# pair check fails with clamped margins
+HUGE_Z_GRID = ("check.grid={lo: [-1.0, 0.0, -1.0e200], hi: [21.0, 10.0,"
+               " 1.0e200], counts: [3, 3, 3]}")
+
+
+def test_python_warnings_reach_stderr_as_json_lines(tmp_path):
+    code, stdout, stderr = run_cli(
+        ["example", "bouncing-ball", "--override", HUGE_Z_GRID,
+         "--out", str(tmp_path / "o")], tmp_path
+    )
+    assert code == 0, stderr
+    assert "pair check FAIL" in stdout
+    records = json_lines(stderr)
+    assert records
+    for record in records:
+        assert record["logger"] == "py.warnings"
+        assert "RuntimeWarning: " in record["message"]
+
+
+def test_main_puts_showwarning_back(tmp_path, capsys):
+    showwarning = warnings.showwarning
+    code = cli.main(["example", "bouncing-ball", "--override", HUGE_Z_GRID,
+                     "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert warnings.showwarning is showwarning
+    assert json_lines(capsys.readouterr().err)
+
+
 def test_long_log_message_stays_one_line_under_1_kb():
     record = logging.LogRecord("hybridcert.monitor", logging.WARNING, "", 0,
                                "no solution from %s", ("\n\u2028" * 5000,),

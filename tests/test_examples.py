@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,69 @@ def test_ball_barrier_matches_the_scipy_form_bit_for_bit():
         grad = np.array([2.5 * sig * (1.0 - sig), -1.0, -s[2] / a])
         assert bits(cert.B.value(s)) == bits(value)
         assert cert.B.grad(s).tobytes() == grad.tobytes()
+
+
+BALL_SYSTEM, BALL_CERT, _ = bouncing_ball()
+MG_CERT = moore_greitzer()[1]
+
+
+def same_rows(rows, one, X):
+    """rows(X) holds the bits of one(x) at each row x of X."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = np.asarray(rows(X), dtype=float)
+        want = np.array([one(x) for x in X], dtype=float).reshape(got.shape)
+    assert got.tobytes() == want.tobytes(), (X, got, want)
+
+
+# values where a float64's ** 2 (pow) is not the array's square, where
+# np.arctan is not math.atan, and where np.exp of -5x is not math.exp's
+LAST_BIT = [-1.523386358242358, -0.22567563312705183, 0.25448333085432606,
+            -7.984626718106753, -1.350451000370139, -2.3993667125803606]
+
+# the rest branch of the flow map (y and |z| at most 1e-9), 5x below
+# -709.78 where expit's exp overflows, +-0, |z| up to 1e200, NaN
+ball_coords = st.one_of(
+    st.floats(-1e200, 1e200),
+    st.floats(-2e-9, 2e-9),
+    st.floats(-150.0, -135.0),
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, -141.9565, -141.9566, 1e200,
+                     -1e200, math.nan] + LAST_BIT),
+)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(X=st.lists(st.tuples(ball_coords, ball_coords, ball_coords),
+                  min_size=1, max_size=8))
+@example(X=[(0.0, 0.0, 0.0), (0.0, 1e-9, -1e-9), (-142.0, 5.0, 1e200),
+            (math.nan, 0.0, -0.0), (3.0, -0.0, 0.0), (1.0, 2.0, -1e200)]
+        + [(t, 1.0, t) for t in LAST_BIT])
+def test_ball_row_forms_match_the_one_point_forms_bit_for_bit(X):
+    X = np.array(X, dtype=float)
+    V, B = BALL_CERT.V, BALL_CERT.B
+    same_rows(V.value_rows, V, X)
+    same_rows(V.grad_rows, V.gradient, X)
+    same_rows(B.value_rows, B, X)
+    same_rows(B.grad_rows, B.gradient, X)
+    same_rows(BALL_SYSTEM.flow_map_rows, BALL_SYSTEM.flow, X)
+
+
+# around the protected box, where h <= 0 gives the barrier's sentinel
+mg_coords = st.one_of(
+    st.floats(0.49, 0.51), st.floats(0.64, 0.67), st.floats(-10.0, 10.0),
+    st.sampled_from([0.5, 0.653, 0.497, 0.503, 0.65, 0.656, -0.0, math.inf,
+                     math.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(X=st.lists(st.tuples(mg_coords, mg_coords), min_size=1, max_size=8))
+@example(X=[(0.5, 0.653), (0.503, 0.653), (0.5015, 0.6545),
+            (0.4519, 0.6513)])
+def test_mg_row_forms_match_the_one_point_forms_bit_for_bit(X):
+    X = np.array(X, dtype=float)
+    same_rows(MG_CERT.V.value_rows, MG_CERT.V, X)
+    same_rows(MG_CERT.B.value_rows, MG_CERT.B, X)
 
 
 def test_ball_v_vanishes_at_rest():
