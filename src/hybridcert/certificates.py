@@ -150,6 +150,17 @@ class GridSpec:
             raise ValueError("counts must give >= 1 points per axis")
         if np.any(self.hi < self.lo):
             raise ValueError("grid box is inverted")
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = self.hi - self.lo
+        bad = np.flatnonzero(~np.isfinite(span))
+        if bad.size:
+            # linspace's step would overflow or be NaN
+            i = bad[0]
+            raise ValueError(
+                "grid axis %d: lo %r and hi %r must be finite, and so must"
+                " hi - lo"
+                % (i, float(self.lo[i]), float(self.hi[i]))
+            )
 
     def points(self):
         axes = [

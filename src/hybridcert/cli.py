@@ -19,6 +19,7 @@ import logging
 import os
 import sys
 import warnings
+from itertools import repeat
 
 import numpy as np
 import yaml
@@ -577,16 +578,14 @@ def cmd_falsify(scenario, condition_id, out_dir):
 
 def _barrier_series(arc, cert, dim):
     """(j, t, V, B) rows at every stored sample, V and B evaluated once per
-    phase on its plant states."""
+    phase on its plant states; the values are floats, which csv writes as
+    their repr."""
     rows = []
     for j, (times, states) in enumerate(arc.phases):
         plant = states[:, :dim]
-        rows.extend(
-            [j, repr(t), repr(v), repr(b)]
-            for t, v, b in zip(times.tolist(),
-                               cert.V.value_many(plant).tolist(),
-                               cert.B.value_many(plant).tolist())
-        )
+        rows.extend(zip(repeat(j), times.tolist(),
+                        cert.V.value_many(plant).tolist(),
+                        cert.B.value_many(plant).tolist()))
     return rows
 
 

@@ -287,6 +287,7 @@ def vector_fn(sources, variables):
             for source in sources:
                 Expr(source, variables)(x)
             raise _arithmetic_error(exc, sources) from None
-        return np.array([float(v) for v in values])
+        # numpy converts each entry as float() would
+        return np.array(values, dtype=float)
 
     return vector

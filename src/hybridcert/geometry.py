@@ -26,8 +26,15 @@ class SamplingError(ValueError):
     """A sampled region has no bounding box, or too few draws land in it."""
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def as_vector(x):
     """Coerce to a 1-D float64 array without copying when possible."""
+    # the solver's states and maps pass float64 arrays, which asarray would
+    # return unchanged; this runs several times per flow call
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim:
+        return x
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)

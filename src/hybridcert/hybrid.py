@@ -10,6 +10,7 @@ import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -281,6 +282,11 @@ class Disturbance:
 
             def clamp(t, j):
                 v = as_vector(self.signal(t, j))
+                if v.shape != (dim,):
+                    raise DimensionMismatch(
+                        f"disturbance signal returned shape {v.shape}, "
+                        f"wanted ({dim},)"
+                    )
                 n = float(np.linalg.norm(v))
                 if n > delta:
                     v = v * (delta / n) if delta > 0 else np.zeros(dim)
@@ -298,9 +304,9 @@ def arc_to_csv(arc, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["j", "t"] + [f"x_{k + 1}" for k in range(arc.dim)])
+        # csv writes a float as its repr
         for j, (times, states) in enumerate(arc.phases):
-            for t, x in zip(times.tolist(), states.tolist()):
-                w.writerow([j, repr(t)] + [repr(v) for v in x])
+            w.writerows(zip(repeat(j), times.tolist(), *states.T.tolist()))
         w.writerow(["termination", arc.termination.value])
 
 

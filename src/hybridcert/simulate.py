@@ -5,14 +5,23 @@ entry, flow-set exit, bounds exit) are located by bisecting the step until
 the state-space bracket width drops below ``event_tol``.  Disturbances are
 held constant across each accepted step, which keeps perturbed runs
 reproducible from a single seed.
+
+A step works on the state's Python floats: the flow map gets a fresh array
+at each stage, and the stages and their combination are float arithmetic,
+the same IEEE operations in the same order as the array form, so the arcs
+keep its bits without its numpy temporaries on short vectors.  The first
+stage f(x) + d is computed once per step and shared by every bisection
+probe of that step, which then costs three flow calls.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import UnsupportedDistance, contains, dist_to_set, sample_region
 from .hybrid import (
+    DimensionMismatch,
     Disturbance,
     HybridArc,
     HybridSystem,
@@ -73,41 +82,56 @@ class SolveReport:
         return self.arc.termination
 
 
-def _rk4_step(f, x, dt, d):
-    # x + (dt/6) (k1 + 2 k2 + 2 k3 + k4), combined in place in that order;
-    # every k is a fresh array (f's result plus d), so f's output is never
-    # written to
+def _slope(f, y, d):
+    """f(y) + d as Python floats: y is a state array, d a list of floats."""
+    fy = f(y)
+    if fy.shape != (len(d),):
+        raise DimensionMismatch(
+            "flow map returned shape %s, wanted (%d,)" % (fy.shape, len(d))
+        )
+    return [a + b for a, b in zip(fy.tolist(), d)]
+
+
+def _rk4_step(f, x, k1, dt, d):
+    """One classical RK4 step over dt from x, a list of floats.
+
+    k1 = _slope(f, x_array, d) is the first stage, which every step from x
+    under d shares; the other stages each evaluate f once on a fresh array.
+    Returns a fresh array of x + (dt/6) ((k1 + 2 k2) + 2 k3 + k4), formed
+    with the IEEE operations of the array form in the same order, so with
+    the same bits.
+    """
     half = 0.5 * dt
-    k1 = f(x) + d
-    k2 = f(x + half * k1) + d
-    k3 = f(x + half * k2) + d
-    k4 = f(x + dt * k3) + d
-    k2 *= 2.0
-    k3 *= 2.0
-    k1 += k2
-    k1 += k3
-    k1 += k4
-    k1 *= dt / 6.0
-    k1 += x
-    return k1
+    k2 = _slope(f, np.array([a + half * k for a, k in zip(x, k1)]), d)
+    k3 = _slope(f, np.array([a + half * k for a, k in zip(x, k2)]), d)
+    k4 = _slope(f, np.array([a + dt * k for a, k in zip(x, k3)]), d)
+    w = dt / 6.0
+    return np.array([
+        (((p + 2.0 * q) + 2.0 * r) + s) * w + a
+        for a, p, q, r, s in zip(x, k1, k2, k3, k4)
+    ])
 
 
-def _bisect_event(f, x0, dt, d, pred, x_full, event_tol):
+def _bisect_event(f, x0, k1, dt, d, pred, x_full, event_tol):
     """Shrink [0, dt] around the first parameter where pred flips true.
 
-    pred(x0) must be False and pred(x_full) True.  Returns
-    (theta_in, x_in, theta_out, x_out) with |x_out - x_in| <= event_tol;
-    both states come from a single RK4 substep off the same start point.
+    pred(x0) must be False and pred(x_full) True; k1 is the step's first
+    stage at x0.  Returns (theta_in, x_in, theta_out, x_out) with
+    |x_out - x_in| <= event_tol; both states come from a single RK4 substep
+    off the same start point.
     """
+    xs = x0.tolist()
     lo, x_lo = 0.0, x0
     hi, x_hi = dt, x_full
     for _ in range(_MAX_BISECT):
-        if np.linalg.norm(x_hi - x_lo) <= event_tol:
+        gap = x_hi - x_lo
+        # np.linalg.norm of a 1-D array, bit for bit
+        if math.sqrt(gap.dot(gap)) <= event_tol:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        x_mid = _rk4_step(f, x0, mid, d)
+        x_mid = _rk4_step(f, xs, k1, mid, d)
         if pred(x_mid):
             hi, x_hi = mid, x_mid
         else:
@@ -118,16 +142,18 @@ def _bisect_event(f, x0, dt, d, pred, x_full, event_tol):
 class _ArcBuilder:
     """Accumulates phases sample by sample, tolerating zero-length phases.
 
-    With a watch region, a sample is tested against it once it is final:
-    when a sample at a later time or a jump follows it (until then an
-    append at the same time may still replace it).  The first final sample
-    outside the watch sets ``left``, and nothing is stored after it.
+    States are kept as given, not copied: the solver hands over arrays that
+    nothing writes to afterwards.  With a watch region, a sample is tested
+    against it once it is final: when a sample at a later time or a jump
+    follows it (until then an append at the same time may still replace
+    it).  The first final sample outside the watch sets ``left``, and
+    nothing is stored after it.
     """
 
     def __init__(self, t0, x0, watch=None):
         self.phases = []
         self.times = [t0]
-        self.states = [np.array(x0, dtype=float)]
+        self.states = [x0]
         self.watch = watch
         self.left = False
 
@@ -135,10 +161,10 @@ class _ArcBuilder:
         if t <= self.times[-1]:
             # Event refinement can land within float resolution of the last
             # accepted sample; fold it in rather than storing a dead segment.
-            self.states[-1] = np.array(x, dtype=float)
+            self.states[-1] = x
         elif self.keeps_last():
             self.times.append(t)
-            self.states.append(np.array(x, dtype=float))
+            self.states.append(x)
 
     def keeps_last(self):
         """Test the last sample, which is now final, against the watch;
@@ -150,7 +176,7 @@ class _ArcBuilder:
     def new_phase(self, t, x_plus):
         self.phases.append((np.array(self.times), np.vstack(self.states)))
         self.times = [t]
-        self.states = [np.array(x_plus, dtype=float)]
+        self.states = [x_plus]
 
     def build(self, termination):
         self.phases.append((np.array(self.times), np.vstack(self.states)))
@@ -165,22 +191,25 @@ def solve(system: HybridSystem, x0, config: SimConfig,
     it, without bisection, as LEFT_WATCH_REGION: the arc is then the prefix
     of the unwatched arc up to and including that sample.
     """
-    x0 = as_vector(x0)
+    # a copy: the arc keeps the solver's states, and x0 may be the caller's
+    x0 = np.array(x0, dtype=float, ndmin=1)
     if x0.size != system.dim:
         raise BadInitialCondition(
             "x0 has dimension %d, system expects %d" % (x0.size, system.dim)
         )
     if not np.all(np.isfinite(x0)):
         raise BadInitialCondition("x0 is not finite")
-    if not contains(system.bounds, x0, 0.0):
+    flow_set, jump_set, bounds = system.flow_set, system.jump_set, system.bounds
+    if not contains(bounds, x0, 0.0):
         raise BadInitialCondition("x0 outside simulation bounds")
     tol = config.event_tol
-    if not (contains(system.flow_set, x0, tol) or contains(system.jump_set, x0, 0.0)):
+    if not (contains(flow_set, x0, tol) or contains(jump_set, x0, 0.0)):
         raise BadInitialCondition("x0 outside both flow and jump sets")
 
+    f = system.flow
     draw = config.disturbance.start(system.dim, system.delta)
     builder = _ArcBuilder(0.0, x0, watch)
-    t, j, x = 0.0, 0, x0.copy()
+    t, j, x = 0.0, 0, x0
     jump_count = 0
     zeno_snapped = False
     last_jump_t = None
@@ -199,11 +228,19 @@ def solve(system: HybridSystem, x0, config: SimConfig,
         if not builder.keeps_last():
             return False
         if snap:
-            x_plus = as_vector(system.zeno_map(x))
+            x_plus = np.array(system.zeno_map(x), dtype=float, ndmin=1)
             zeno_snapped = True
         else:
-            candidates = system.jump_candidates(x)
-            x_plus = as_vector(candidates[0]) + draw(t, j)
+            x_plus = system.jump_candidates(x)[0]
+        if x_plus.shape != (system.dim,):
+            # the next RK4 step would zip x_plus with the stages and drop
+            # its extra entries; a length-1 value would broadcast
+            raise DimensionMismatch(
+                "%s map returned shape %s, wanted (%d,)"
+                % ("Zeno" if snap else "jump", x_plus.shape, system.dim)
+            )
+        if not snap:
+            x_plus = x_plus + draw(t, j)
         builder.new_phase(t, x_plus)
         j += 1
         jump_count += 1
@@ -219,39 +256,38 @@ def solve(system: HybridSystem, x0, config: SimConfig,
             termination = Termination.HORIZON_REACHED
             break
         if not stepped:
-            if contains(system.jump_set, x, 0.0):
+            if contains(jump_set, x, 0.0):
                 if not do_jump():
                     break
                 continue
-            if not contains(system.flow_set, x, tol):
+            if not contains(flow_set, x, tol):
                 termination = Termination.LEFT_FLOW_AND_JUMP_SETS
                 break
         stepped = False
 
         dt = min(config.h, config.T_max - t)
-        d = draw(t, j)
-        x_prop = _rk4_step(system.flow, x, dt, d)
+        d = draw(t, j).tolist()
+        k1 = _slope(f, x, d)
+        x_prop = _rk4_step(f, x.tolist(), k1, dt, d)
 
-        if contains(system.jump_set, x_prop, 0.0):
-            pred = lambda y: contains(system.jump_set, y, 0.0)
-            _, _, th, x_star = _bisect_event(
-                system.flow, x, dt, d, pred, x_prop, tol
-            )
+        if contains(jump_set, x_prop, 0.0):
+            pred = lambda y: contains(jump_set, y, 0.0)
+            _, _, th, x_star = _bisect_event(f, x, k1, dt, d, pred, x_prop, tol)
             t += th
             builder.append(t, x_star)
             x = x_star
             continue  # loop top performs the jump
 
-        if not contains(system.flow_set, x_prop, tol):
-            pred = lambda y: not contains(system.flow_set, y, tol)
+        if not contains(flow_set, x_prop, tol):
+            pred = lambda y: not contains(flow_set, y, tol)
             th_in, x_in, th_out, x_out = _bisect_event(
-                system.flow, x, dt, d, pred, x_prop, tol
+                f, x, k1, dt, d, pred, x_prop, tol
             )
-            if contains(system.jump_set, x_in, 0.0):
+            if contains(jump_set, x_in, 0.0):
                 t += th_in
                 builder.append(t, x_in)
                 x = x_in
-            elif contains(system.jump_set, x_out, 0.0):
+            elif contains(jump_set, x_out, 0.0):
                 t += th_out
                 builder.append(t, x_out)
                 x = x_out
@@ -262,11 +298,9 @@ def solve(system: HybridSystem, x0, config: SimConfig,
                 termination = Termination.LEFT_FLOW_AND_JUMP_SETS
             continue
 
-        if not contains(system.bounds, x_prop, 0.0):
-            pred = lambda y: not contains(system.bounds, y, 0.0)
-            _, _, th, x_out = _bisect_event(
-                system.flow, x, dt, d, pred, x_prop, tol
-            )
+        if not contains(bounds, x_prop, 0.0):
+            pred = lambda y: not contains(bounds, y, 0.0)
+            _, _, th, x_out = _bisect_event(f, x, k1, dt, d, pred, x_prop, tol)
             t += th
             builder.append(t, x_out)
             termination = Termination.ESCAPED_BOUNDS

@@ -485,6 +485,18 @@ def test_grid_spec_rejects_bad_boxes():
         GridSpec([0.0], [1.0], 0)
 
 
+@pytest.mark.parametrize("lo, hi, axis", [
+    ([-1e308, -1.0, -1e308], [1e308, 12.0, 1e308], 0),  # hi - lo overflows
+    ([0.0, 0.0], [1.0, math.inf], 1),
+    ([0.0, -math.inf], [1.0, 1.0], 1),
+    ([math.nan, 0.0], [1.0, 1.0], 0),
+    ([0.0, 0.0, 0.0], [1.0, 1.0, math.nan], 2),
+])
+def test_grid_spec_rejects_axes_without_a_finite_span(lo, hi, axis):
+    with pytest.raises(ValueError, match="grid axis %d:" % axis):
+        GridSpec(lo, hi, 5)
+
+
 def test_grid_spec_single_point_axis_has_zero_cell():
     g = GridSpec([0.0, -1.0], [0.0, 1.0], (1, 5))
     assert g.cell()[0] == 0.0

@@ -467,6 +467,23 @@ def test_main_puts_showwarning_back(tmp_path, capsys):
     assert json_lines(capsys.readouterr().err)
 
 
+# x and z spans overflow a float: linspace's step would be inf, the points NaN
+OVERFLOW_GRID = ("check.grid={lo: [-1.0e308, -1.0, -1.0e308], hi: [1.0e308,"
+                 " 12.0, 1.0e308], counts: 5}")
+
+
+def test_grid_without_a_finite_span_exits_4_naming_the_axis(tmp_path,
+                                                            capsys):
+    out = tmp_path / "out"
+    code = cli.main(["example", "bouncing-ball", "--override", OVERFLOW_GRID,
+                     "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    payload = rejected(code, stderr, out)
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith("grid axis 0:")
+    assert stdout == ""
+
+
 def test_long_log_message_stays_one_line_under_1_kb():
     record = logging.LogRecord("hybridcert.monitor", logging.WARNING, "", 0,
                                "no solution from %s", ("\n\u2028" * 5000,),

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import solver_reference
+
 from hybridcert import (
     AxisBox,
     BadInitialCondition,
     Ball,
+    DimensionMismatch,
     Disturbance,
     EmptySet,
     HorizonTooShort,
@@ -35,6 +38,8 @@ from hybridcert import (
     verify_solution,
 )
 
+from hybridcert import cli, examples, simulate
+from hybridcert.examples import mg_closed_loop
 from hybridcert.monitor import _first_hit
 from hybridcert.simulate import _one_sided_close, _rk4_step, _window_dist
 
@@ -108,15 +113,43 @@ def test_solve_asks_the_jump_set_once_per_plain_step():
     assert jump_set.calls == steps + 1
 
 
-def test_solve_asks_the_jump_set_once_per_rk4_step_with_events():
+def test_solve_asks_the_jump_set_once_per_rk4_step_with_events(monkeypatch):
     system, jump_set, flows = counted(raw_ball())
+    # the first stage of every RK4 evaluation: a bisection probe shares the
+    # k1 list of the step it refines, a step computes its own
+    stages = []
+    rk4_step = simulate._rk4_step
+
+    def counted_rk4_step(f, x, k1, dt, d):
+        stages.append(k1)
+        return rk4_step(f, x, k1, dt, d)
+
+    monkeypatch.setattr(simulate, "_rk4_step", counted_rk4_step)
     rep = solve(system, np.array([0.0, 9.0, 0.8]),
                 SimConfig(h=1e-3, T_max=4.0))
     assert rep.jump_count >= 2
-    rk4_steps = len(flows) // 4  # plain steps and bisection probes
+    rk4_steps = len(stages)  # plain steps and bisection probes
+    steps = 1 + sum(b is not a for a, b in zip(stages, stages[1:]))
+    probes = rk4_steps - steps
+    assert probes > 0
+    # four flow calls per step, three per probe (k1 is the step's)
+    assert len(flows) == 4 * steps + 3 * probes
     # beyond one question per RK4 step: the loop top at t = 0, after each
     # jump and at each located jump-set entry
     assert jump_set.calls <= rk4_steps + 1 + 2 * rep.jump_count
+
+
+def textbook_rk4(f, x, dt, d):
+    k1 = f(x) + d
+    k2 = f(x + 0.5 * dt * k1) + d
+    k3 = f(x + 0.5 * dt * k2) + d
+    k4 = f(x + dt * k3) + d
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def float_rk4(f, x, dt, d):
+    d = d.tolist()
+    return _rk4_step(f, x.tolist(), simulate._slope(f, x, d), dt, d)
 
 
 def test_rk4_step_is_the_textbook_combination_bitwise():
@@ -125,16 +158,39 @@ def test_rk4_step_is_the_textbook_combination_bitwise():
 
     x, d = np.array([0.7, -0.3]), np.array([1e-3, -2e-3])
     for dt in (1e-3, 0.05, 0.3):
-        k1 = f(x) + d
-        k2 = f(x + 0.5 * dt * k1) + d
-        k3 = f(x + 0.5 * dt * k2) + d
-        k4 = f(x + dt * k3) + d
-        want = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert _rk4_step(f, x, dt, d).tobytes() == want.tobytes()
-    # the stages are combined in place, never in the map's own result
+        want = textbook_rk4(f, x, dt, d)
+        assert float_rk4(f, x, dt, d).tobytes() == want.tobytes()
+    assert x.tolist() == [0.7, -0.3]
+    # a step never writes into the map's own result, which may be shared
     shared = np.array([1.0, 2.0])
-    _rk4_step(lambda y: shared, x, 0.1, d)
-    assert shared.tolist() == [1.0, 2.0] and x.tolist() == [0.7, -0.3]
+    float_rk4(lambda y: shared, x, 0.1, d)
+    assert shared.tolist() == [1.0, 2.0]
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+               1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(1, 6),
+       dt=st.one_of(st.floats(1e-9, 1.0), st.sampled_from([1e-300, 1e300])))
+def test_rk4_step_matches_the_array_form_bitwise(data, dim, dt):
+    # +-0.0, subnormals, overflow to inf and NaN included; the map mixes
+    # the components, so every stage reaches every component
+    value = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(EDGE_FLOATS),
+                      st.floats(allow_nan=True, allow_infinity=True))
+    vector = st.lists(value, min_size=dim, max_size=dim).map(np.array)
+    x, d, scale, shift = (data.draw(vector) for _ in range(4))
+
+    def f(y):
+        return y[::-1] * scale + shift
+
+    with np.errstate(all="ignore"):
+        want = textbook_rk4(f, x, dt, d)
+        got = float_rk4(f, x, dt, d)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # NaN bits too: the same operations on the same operands
+    assert got.tobytes() == want.tobytes()
 
 
 def test_first_impact_matches_quadratic_root():
@@ -439,6 +495,151 @@ def test_fixed_disturbance_is_norm_clamped():
     cfg = SimConfig(h=1e-2, T_max=1.0, disturbance=Disturbance.fixed(sig))
     arc = solve(perturb(sys1, 0.05), np.array([0.0]), cfg).arc
     assert float(arc.phases[0][1][-1][0]) == pytest.approx(0.05, rel=1e-9)
+
+
+# The float-state solver against the array solver it replaced
+# (tests/solver_reference.py): same arcs, byte for byte, and the same
+# termination, jump count and Zeno flag.
+
+def same_solves(got, want):
+    assert got.termination == want.termination
+    assert (got.jump_count, got.zeno_snapped) == (want.jump_count,
+                                                  want.zeno_snapped)
+    assert got.flow_time == want.flow_time
+    assert got.arc.num_phases == want.arc.num_phases
+    for (ta, xa), (tb, xb) in zip(got.arc.phases, want.arc.phases):
+        assert ta.tobytes() == tb.tobytes()
+        assert xa.tobytes() == xb.tobytes()
+
+
+def falling_mass(delta=0.0):
+    doc = {
+        "system": {
+            "variables": ["y", "z"],
+            "flow_map": ["z", "-9.8 + 0.01*sin(y)"],
+            "flow_set": {"kind": "axis_box", "lo": [0.0, -50.0],
+                         "hi": [100.0, 50.0]},
+            "jump_set": {"kind": "implicit", "predicate": "y <= 0 and z < 0",
+                         "bbox": {"lo": [-1.0, -50.0], "hi": [0.0, 0.0]}},
+            "jump_map": ["y", "-0.8*z"],
+            "bounds": {"kind": "axis_box", "lo": [-1.0, -50.0],
+                       "hi": [100.0, 50.0]},
+        },
+    }
+    system = cli.scenario_from(doc).system
+    return perturb(system, delta) if delta else system
+
+
+def leaving_interval():
+    return make_system(
+        1, AxisBox([0.0], [1.0]), lambda x: np.array([1.0]),
+        EmptySet(), lambda x: [], AxisBox([-5.0], [5.0]),
+    )
+
+
+def escaping_growth():
+    return make_system(
+        1, AxisBox([-100.0], [100.0]), lambda x: np.array([x[0]]),
+        EmptySet(), lambda x: [], AxisBox([-2.0], [2.0]),
+    )
+
+
+def wobble(t, j):
+    return np.array([0.0, 0.1 * math.sin(7.0 * t), 0.2 * math.cos(3.0 * t)])
+
+
+BALL_X0 = (0.0, 9.0, 0.8)
+REFERENCE_CASES = {
+    # name: (system, x0, config, watch, termination)
+    "ball-impacts": (lambda: bouncing_ball()[0], BALL_X0,
+                     SimConfig(h=1e-3, T_max=5.0, J_max=50), None,
+                     Termination.HORIZON_REACHED),
+    "ball-zeno-snap": (lambda: bouncing_ball()[0], (0.0, 1.0, 0.0),
+                       SimConfig(h=1e-3, T_max=6.0, J_max=1000, t_min=1e-3),
+                       None, Termination.HORIZON_REACHED),
+    "raw-ball-zeno": (raw_ball, BALL_X0,
+                      SimConfig(h=1e-3, T_max=20.0, J_max=1000), None,
+                      Termination.ZENO_ACCUMULATION),
+    "compiled-expressions": (falling_mass, (1.0, 0.0),
+                             SimConfig(h=2e-3, T_max=8.0, J_max=100), None,
+                             Termination.ZENO_ACCUMULATION),
+    "random-disturbance": (
+        lambda: perturb(bouncing_ball()[0], 0.05), BALL_X0,
+        SimConfig(h=1e-3, T_max=4.0, J_max=50,
+                  disturbance=Disturbance.random_uniform_ball(11)),
+        None, Termination.HORIZON_REACHED),
+    "random-disturbance-compiled": (
+        lambda: falling_mass(0.02), (10.0, 0.0),
+        SimConfig(h=2e-3, T_max=4.0, J_max=100,
+                  disturbance=Disturbance.random_uniform_ball(5)),
+        None, Termination.HORIZON_REACHED),
+    "fixed-disturbance": (
+        lambda: perturb(bouncing_ball()[0], 0.05), BALL_X0,
+        SimConfig(h=1e-3, T_max=4.0, J_max=50,
+                  disturbance=Disturbance.fixed(wobble)),
+        None, Termination.HORIZON_REACHED),
+    "watch-exit": (lambda: bouncing_ball()[0], (0.0, 1.0, 0.0), WATCH_CFG,
+                   box(x_hi=1.5), Termination.LEFT_WATCH_REGION),
+    "bounds-escape-ball": (lambda: bouncing_ball()[0], (0.0, 5.0, 19.0),
+                           WATCH_CFG, None, Termination.ESCAPED_BOUNDS),
+    "bounds-escape": (escaping_growth, (1.0,),
+                      SimConfig(h=1e-3, T_max=10.0), None,
+                      Termination.ESCAPED_BOUNDS),
+    "left-flow-and-jump-sets": (leaving_interval, (0.5,),
+                                SimConfig(h=1e-2, T_max=10.0), None,
+                                Termination.LEFT_FLOW_AND_JUMP_SETS),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_solve_matches_the_array_reference(case):
+    make, x0, cfg, watch, termination = REFERENCE_CASES[case]
+    system = make()
+    got = solve(system, np.array(x0), cfg, watch=watch)
+    want = solver_reference.solve(system, np.array(x0), cfg, watch=watch)
+    same_solves(got, want)
+    assert got.termination == termination
+    if case == "ball-zeno-snap":
+        assert got.zeno_snapped and got.jump_count > 10
+    elif case != "left-flow-and-jump-sets" and "escape" not in case:
+        assert got.jump_count >= 1
+
+
+def test_mg_loop_matches_the_array_reference(monkeypatch):
+    got, got_log = mg_closed_loop(horizon=3.0)[:2]
+    monkeypatch.setattr(examples, "solve", solver_reference.solve)
+    want, want_log = mg_closed_loop(horizon=3.0)[:2]
+    same_solves(got, want)
+    assert got.jump_count >= 6 and len(got_log) == len(want_log)
+
+
+@pytest.mark.parametrize("mapped", ["flow", "jump", "Zeno"])
+@pytest.mark.parametrize("value", [[1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
+                         ids=["length-1", "short", "long"])
+def test_map_value_of_the_wrong_length_raises(mapped, value):
+    # built without make_system, whose probe would catch a bad flow or jump
+    # map first; the ball's first impact jumps, and with t_min past its
+    # bounce gaps the second one snaps through the Zeno map
+    if mapped == "flow":
+        system = dataclasses.replace(raw_ball(),
+                                     flow_map=lambda x: np.array(value))
+    elif mapped == "jump":
+        system = dataclasses.replace(raw_ball(),
+                                     jump_map=lambda x: [np.array(value)])
+    else:
+        system = raw_ball(zeno_map=lambda x: np.array(value))
+    cfg = SimConfig(h=1e-3, T_max=5.0, t_min=10.0)
+    with pytest.raises(DimensionMismatch, match="%s map returned shape" % mapped):
+        solve(system, np.array(BALL_X0), cfg)
+
+
+@pytest.mark.parametrize("value", [[0.01], [0.01, 0.0]],
+                         ids=["length-1", "short"])
+def test_disturbance_of_the_wrong_length_raises(value):
+    cfg = SimConfig(h=1e-3, T_max=1.0, disturbance=Disturbance.fixed(
+        lambda t, j: np.array(value)))
+    with pytest.raises(DimensionMismatch, match="disturbance signal"):
+        solve(perturb(raw_ball(), 0.05), np.array(BALL_X0), cfg)
 
 
 def test_sim_config_validation():
