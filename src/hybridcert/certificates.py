@@ -143,6 +143,9 @@ class GridSpec:
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
+        if self.lo.size != self.hi.size:
+            raise ValueError("grid lo has %d entries and hi has %d"
+                             % (self.lo.size, self.hi.size))
         if np.isscalar(self.counts) or isinstance(self.counts, int):
             self.counts = (int(self.counts),) * self.lo.size
         self.counts = tuple(int(c) for c in self.counts)

@@ -24,9 +24,52 @@ log = logging.getLogger(__name__)
 JUMP_SLACK = 1e-9
 
 
+def _affine_rate_fn(nx, nu):
+    """The function (f, G, u) -> f + G u, as a list of floats, for nx rows
+    and nu inputs.  Entry i is f[i] + G[i][0] * u[0] + ... + G[i][nu-1] *
+    u[nu-1], summed left to right.  Its source is written out for the two
+    sizes, so a call runs no Python loop, and unpacking the arguments
+    rejects any of the wrong length."""
+
+    def listed(items):
+        return "[%s]" % ", ".join(items)
+
+    f = ["f%d" % i for i in range(nx)]
+    u = ["u%d" % k for k in range(nu)]
+    G = [["g%d_%d" % (i, k) for k in range(nu)] for i in range(nx)]
+    terms = [
+        " + ".join([fi] + ["%s * %s" % (g, uk) for g, uk in zip(row, u)])
+        for fi, row in zip(f, G)
+    ]
+    source = (
+        "def rate(f, G, u):\n"
+        "    %s = f\n"
+        "    %s = G\n"
+        "    %s = u\n"
+        "    return %s\n"
+        % (listed(f), listed(map(listed, G)), listed(u), listed(terms))
+    )
+    scope = {}
+    exec(compile(source, "<affine rate %dx%d>" % (nx, nu), "exec"), scope)
+    return scope["rate"]
+
+
 @dataclass
 class ControlledPlant:
-    """Affine-in-input plant dx/dt = drift(x) + input_matrix(x) @ u.
+    """Affine-in-input plant dx/dt = drift(x) + input_matrix(x) u.
+
+    drift and input_matrix take the plant state as a sequence of dim_x
+    floats (a list, or a float array) and return a sequence of dim_x floats
+    and dim_x rows of dim_u floats; lists will do.  The rate is composed
+    in Python floats, entry i as f_i + G_i1 u_1 + ... + G_im u_m from left
+    to right; vector_field and the flow of augment_sample_hold share that
+    composition, built once per plant.  Where each row of G has at most
+    one nonzero entry (a diagonal G, as in the Moore-Greitzer study), this
+    gives the bits of numpy's drift(x) + input_matrix(x) @ u.  For a dense
+    G the two can differ in the last bit, since numpy adds f to the
+    finished product G u, summed as BLAS sums it: with f, G and u drawn
+    standard normal, 2x2, they differed in 113,009 of 200,000 draws (numpy
+    2.4 with OpenBLAS 0.3.31).
 
     decision_cost, when present, maps a decision state x to quadratic cost
     data (Q, q, c) meaning u.Q.u + q.u + c; identity cost |u|^2 otherwise.
@@ -44,9 +87,12 @@ class ControlledPlant:
     def __post_init__(self):
         if self.input_box.lo.size != self.dim_u:
             raise ValueError("input_box dimension != dim_u")
+        self._rate = _affine_rate_fn(self.dim_x, self.dim_u)
 
     def vector_field(self, x, u):
-        return as_vector(self.drift(x)) + np.asarray(self.input_matrix(x)) @ u
+        xs = as_vector(x).tolist()
+        return np.array(self._rate(self.drift(xs), self.input_matrix(xs),
+                                   as_vector(u).tolist()))
 
     def cost_data(self, x):
         if self.decision_cost is not None:
@@ -218,6 +264,8 @@ def qp_policy(x, V, B, plant: ControlledPlant, cfg: SampleHoldConfig,
     for level, sigma, with_V in attempts:
         rows = admissible_constraints(x, V, B, plant, sigma,
                                       barrier_cap=barrier_cap)
+        if level == 0:
+            rows0 = rows  # unrelaxed: the log reports their margins
         if not with_V:
             rows = rows[1:]
         u_star = solve_qp(QPProblem(Q, q, c, rows, lb, ub))
@@ -236,8 +284,6 @@ def qp_policy(x, V, B, plant: ControlledPlant, cfg: SampleHoldConfig,
         log.warning("QP infeasible at every ladder level; holding input")
 
     if log_list is not None:
-        rows0 = admissible_constraints(x, V, B, plant, sigma0,
-                                       barrier_cap=barrier_cap)
         log_list.append(
             {
                 "level": used[0],
@@ -283,15 +329,14 @@ def augment_sample_hold(plant: ControlledPlant, policy, cfg: SampleHoldConfig):
         free_x + [cfg.period - JUMP_SLACK], [inf] * (nx + nu) + [inf]
     )
 
-    drift, input_matrix = plant.drift, plant.input_matrix
-    held = np.zeros(dim)  # u' = 0, tau' = 1; x' is filled in per call
-    held[-1] = 1.0
+    drift, input_matrix, rate = plant.drift, plant.input_matrix, plant._rate
+    held = [0.0] * nu + [1.0]  # u' = 0, tau' = 1
 
     def flow_map(z):
-        x, u = z[:nx], z[nx:nx + nu]
-        out = held.copy()
-        out[:nx] = drift(x) + input_matrix(x) @ u
-        return out
+        zs = z.tolist()
+        xs = zs[:nx]
+        return np.array(rate(drift(xs), input_matrix(xs), zs[nx:nx + nu])
+                        + held)
 
     def jump_map(z):
         out = np.array(z, dtype=float)

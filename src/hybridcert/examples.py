@@ -102,17 +102,12 @@ def bouncing_ball(params: BouncingBallParams = None):
     )
 
     def flow_map(s):
-        out = np.empty(3)
-        out[0] = 1.0
-        if s[1] <= impact_tol and abs(s[2]) <= impact_tol:
+        _, y, z = s.tolist()
+        if y <= impact_tol and abs(z) <= impact_tol:
             # at rest on the floor: only horizontal drift remains, otherwise
             # gravity would push y negative and re-trigger impacts forever
-            out[1] = 0.0
-            out[2] = 0.0
-        else:
-            out[1] = s[2]
-            out[2] = -a
-        return out
+            return np.array([1.0, 0.0, 0.0])
+        return np.array([1.0, z, -a])
 
     def jump_map(s):
         return [np.array([s[0], 0.0, -lam * s[2]])]
@@ -276,20 +271,19 @@ def moore_greitzer(params: MooreGreitzerParams = None):
     lc = p.l_c
     scale = 16.0 * lc
 
+    # the plant maps read the state as floats and return lists, which the
+    # sample-and-hold flow composes without numpy temporaries
     def drift(x):
         phi, psi = float(x[0]), float(x[1])
         if psi < 0.0:
             raise DomainViolation("negative pressure %g" % psi)
-        out = np.empty(2)
-        out[0] = (psi_c(phi, p) - psi) / lc
-        out[1] = phi / scale
-        return out
+        return [(psi_c(phi, p) - psi) / lc, phi / scale]
 
     def input_matrix(x):
         psi = float(x[1])
         if psi < 0.0:
             raise DomainViolation("negative pressure %g" % psi)
-        return np.array([[1.0, 0.0], [0.0, -math.sqrt(psi) / scale]])
+        return [[1.0, 0.0], [0.0, -math.sqrt(psi) / scale]]
 
     def decision_cost(x):
         # v^2 + (2v/l_c)(psi_c - Psi) + ((Phi - gamma sqrt(Psi))/(4 l_c))^2:

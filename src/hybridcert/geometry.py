@@ -453,10 +453,13 @@ def dist_to_set(x, region):
 
 
 def contains(region, x, tol=DEFAULT_TOL):
-    """True iff x is within distance tol of the region (predicate for Implicit)."""
+    """True iff x is within distance tol of the region (predicate for Implicit).
+
+    x goes to region.contains as given: every region coerces it there.
+    """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    return region.contains(as_vector(x), tol)
+    return region.contains(x, tol)
 
 
 def inflate(region, r):

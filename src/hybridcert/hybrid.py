@@ -121,12 +121,13 @@ class HybridSystem:
     """H = (C, F, D, G) with perturbation level delta.
 
     flow_map is the nominal single-valued selection of F; set-valuedness is
-    realized through disturbances of norm <= delta. jump_map returns a
-    nonempty list of candidate successors. zeno_map, when present, replaces
-    a jump whose gap from the previous jump is below the solver's t_min
-    (the example-specific Zeno completion).  flow_map_rows, when present,
-    is the row form of flow_map: it maps an (n, dim) array to the (n, dim)
-    flow values, equal bit for bit to flow_map row by row.
+    realized through disturbances of norm <= delta.  The solver and the
+    checks call flow_map with the state as a 1-D float64 array.  jump_map
+    returns a nonempty list of candidate successors. zeno_map, when
+    present, replaces a jump whose gap from the previous jump is below the
+    solver's t_min (the example-specific Zeno completion).  flow_map_rows,
+    when present, is the row form of flow_map: it maps an (n, dim) array
+    to the (n, dim) flow values, equal bit for bit to flow_map row by row.
     """
 
     dim: int

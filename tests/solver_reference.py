@@ -6,6 +6,10 @@ a numpy array, the first stage is recomputed for every bisection probe,
 and membership goes through geometry.contains.  The float-state solver
 must return the same arcs, byte for byte, and the same termination, jump
 count and Zeno flag; the tests compare the two.
+
+augmented_flow is the flow of controller.augment_sample_hold as it was
+composed in numpy, drift(x) + input_matrix(x) @ u, before the float-state
+composition replaced it.
 """
 
 import numpy as np
@@ -15,6 +19,16 @@ from hybridcert.hybrid import HybridArc, Termination, as_vector
 from hybridcert.simulate import BadInitialCondition, SolveReport
 
 _MAX_BISECT = 200
+
+
+def augmented_flow(plant, z):
+    """The sample-and-hold flow at z = (x, u, tau) as numpy composed it:
+    the plant field, the held input's zero rate and the timer's unit rate."""
+    nx, nu = plant.dim_x, plant.dim_u
+    x, u = z[:nx], z[nx:nx + nu]
+    field = (np.asarray(plant.drift(x), dtype=float)
+             + np.asarray(plant.input_matrix(x), dtype=float) @ u)
+    return np.concatenate([field, np.zeros(nu), [1.0]])
 
 
 def _rk4_step(f, x, dt, d):

@@ -485,6 +485,16 @@ def test_grid_spec_rejects_bad_boxes():
         GridSpec([0.0], [1.0], 0)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    ([0.0, 0.0, 0.0], [1.0]),
+    ([0.0], [1.0, 1.0]),
+])
+def test_grid_spec_rejects_lo_and_hi_of_different_lengths(lo, hi):
+    msg = "grid lo has %d entries and hi has %d" % (len(lo), len(hi))
+    with pytest.raises(ValueError, match=msg):
+        GridSpec(lo, hi, 3)
+
+
 @pytest.mark.parametrize("lo, hi, axis", [
     ([-1e308, -1.0, -1e308], [1e308, 12.0, 1e308], 0),  # hi - lo overflows
     ([0.0, 0.0], [1.0, math.inf], 1),

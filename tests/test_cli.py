@@ -484,6 +484,22 @@ def test_grid_without_a_finite_span_exits_4_naming_the_axis(tmp_path,
     assert stdout == ""
 
 
+def test_grid_with_lo_and_hi_of_different_lengths_exits_4(tmp_path,
+                                                        capsys):
+    scenario = EXPANSION_SCENARIO.replace(
+        "grid: {lo: [-1.0], hi: [1.0], counts: [5]}",
+        "grid: {lo: [-1.0, -1.0, -1.0], hi: [1.0], counts: 5}")
+    scen = write(tmp_path, "mismatch.yaml", scenario)
+    out = tmp_path / "out"
+    code = cli.main(["check", "--scenario", scen, "--mode", "single-v",
+                     "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    payload = rejected(code, stderr, out)
+    assert payload["error"] == "ValueError"
+    assert payload["message"] == "grid lo has 3 entries and hi has 1"
+    assert stdout == ""
+
+
 def test_long_log_message_stays_one_line_under_1_kb():
     record = logging.LogRecord("hybridcert.monitor", logging.WARNING, "", 0,
                                "no solution from %s", ("\n\u2028" * 5000,),

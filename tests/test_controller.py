@@ -17,6 +17,7 @@ from hybridcert import (
     solve,
     solve_qp,
 )
+from hybridcert import controller
 from kkt import kkt_residual
 
 
@@ -136,6 +137,29 @@ def test_qp_policy_drops_v_row_at_level_nine():
     assert u[0] == pytest.approx(-sigma9 / 2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("x, levels", [(0.1, 1), (1.0, 10)])
+def test_qp_policy_builds_the_rows_once_per_level_tried(monkeypatch, x,
+                                                        levels):
+    # the logged margins come from the level-0 rows, not from a rebuild
+    sigmas = []
+
+    def counting(x, V, B, plant, sigma, barrier_cap=None):
+        sigmas.append(sigma)
+        return admissible_constraints(x, V, B, plant, sigma, barrier_cap)
+
+    monkeypatch.setattr(controller, "admissible_constraints", counting)
+    cfg = SampleHoldConfig(period=0.5, sigma_margin=0.07)
+    entries = []
+    u = qp_policy(np.array([x]), V_sq(), B_bowl(), integrator_plant(), cfg,
+                  u_prev=np.array([0.0]), dt=0.5, log_list=entries)
+    assert len(sigmas) == levels and sigmas[0] == 0.07
+    assert entries[0]["level"] == levels - 1
+    row_v, row_b = admissible_constraints(np.array([x]), V_sq(), B_bowl(),
+                                          integrator_plant(), 0.07)
+    assert entries[0]["margin_V"] == float(row_v[1] - row_v[0] @ u)
+    assert entries[0]["margin_B"] == float(row_b[1] - row_b[0] @ u)
+
+
 def test_qp_policy_holds_input_at_level_ten(caplog):
     # flat barrier: 0.u <= -sigma can never hold, nor can the V-row
     flat_B = ScalarField(lambda x: 5.0, lambda x: np.zeros(1))
@@ -203,6 +227,37 @@ def test_augmented_flow_is_plant_field_held_input_unit_timer():
     assert out.tobytes() == want.tobytes()
     out[:] = 7.0  # a caller writing to one result leaves the next intact
     assert system.flow(z).tobytes() == want.tobytes()
+
+
+def test_plant_rate_sums_each_row_left_to_right():
+    # (1 + 1e16) - 1e16 is 0.0, where numpy's 1 + (1e16 - 1e16) is 1.0
+    plant = ControlledPlant(dim_x=1, dim_u=2, drift=lambda x: [1.0],
+                            input_matrix=lambda x: [[1.0, 1.0]],
+                            input_box=AxisBox([-1e17, -1e17], [1e17, 1e17]))
+    assert plant.vector_field([0.0], [1e16, -1e16]).tolist() == [0.0]
+    cfg = SampleHoldConfig(period=0.5, sigma_margin=0.07)
+    system = augment_sample_hold(plant, lambda z: [0.0, 0.0], cfg)
+    z = np.array([0.0, 1e16, -1e16, 0.25])
+    assert system.flow(z).tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("f, G", [
+    ([0.0], [[1.0], [1.0]]),            # short drift, which numpy broadcast
+    ([0.0, 0.0, 0.0], [[1.0], [1.0]]),  # long drift
+    ([0.0, 0.0], [[1.0]]),              # too few rows of G
+    ([0.0, 0.0], [[1.0], [1.0, 2.0]]),  # a row of G longer than u
+    ([0.0, 0.0], [[1.0], []]),          # a row of G shorter than u
+])
+def test_plant_maps_of_the_wrong_length_raise(f, G):
+    plant = ControlledPlant(dim_x=2, dim_u=1, drift=lambda x: f,
+                            input_matrix=lambda x: G,
+                            input_box=AxisBox([-1.0], [1.0]))
+    cfg = SampleHoldConfig(period=0.5, sigma_margin=0.07)
+    system = augment_sample_hold(plant, lambda z: [0.0], cfg)
+    with pytest.raises(ValueError):
+        system.flow(np.zeros(4))
+    with pytest.raises(ValueError):
+        plant.vector_field(np.zeros(2), np.zeros(1))
 
 
 def test_random_qps_satisfy_kkt():

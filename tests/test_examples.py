@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit as scipy_expit
 
+import solver_reference
 from hybridcert import (
     BouncingBallParams,
     DomainViolation,
@@ -16,6 +17,7 @@ from hybridcert import (
     MooreGreitzerParams,
     NoConvergence,
     SimConfig,
+    augment_sample_hold,
     ball_operating_box,
     bouncing_ball,
     first_impact_time,
@@ -231,6 +233,51 @@ def test_mg_drift_rejects_negative_pressure():
         plant.drift(np.array([0.4, -0.1]))
     with pytest.raises(DomainViolation):
         plant.input_matrix(np.array([0.4, -0.1]))
+
+
+def test_mg_negative_pressure_raises_through_the_augmented_flow():
+    plant, _, _, shc = moore_greitzer()
+    system = augment_sample_hold(plant, lambda z: [0.0, 0.64], shc)
+    with pytest.raises(DomainViolation, match="negative pressure"):
+        system.flow(np.array([0.4, -0.1, 0.0, 0.64, 0.25]))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(x=st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2.0)))
+@example(x=(0.4519, 0.6513))
+@example(x=(-0.0, 0.0))
+def test_mg_plant_maps_give_a_list_the_values_of_its_array(x):
+    plant, _, _, _ = moore_greitzer()
+    for fn in (plant.drift, plant.input_matrix):
+        want = np.asarray(fn(np.array(x)), dtype=float)
+        got = np.asarray(fn(list(x)), dtype=float)
+        assert got.tobytes() == want.tobytes()
+
+
+MG_PLANT, _, _, MG_SHC = moore_greitzer()
+MG_AUGMENTED = augment_sample_hold(MG_PLANT, lambda z: [0.0, 0.64], MG_SHC)
+
+
+def within(box, i):
+    return st.floats(float(box.lo[i]), float(box.hi[i]))
+
+
+# operating box x input box x [0, period]
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(z=st.tuples(
+    within(MG_PLANT.operating_box, 0), within(MG_PLANT.operating_box, 1),
+    within(MG_PLANT.input_box, 0), within(MG_PLANT.input_box, 1),
+    st.floats(0.0, MG_SHC.period),
+))
+@example(z=(0.45, 0.65, -0.0, 0.64, 0.0))
+@example(z=(0.2, 0.2, -0.05, 0.5, 0.5))
+@example(z=(0.9, 1.2, 0.05, 1.0, 0.25))
+def test_mg_augmented_flow_is_the_numpy_composition_bit_for_bit(z):
+    # the input matrix is diagonal, so summing f_i + G_i0 u_0 + G_i1 u_1
+    # left to right adds the same nonzero terms as numpy's matmul
+    z = np.array(z)
+    want = solver_reference.augmented_flow(MG_PLANT, z)
+    assert MG_AUGMENTED.flow(z).tobytes() == want.tobytes()
 
 
 def test_mg_lyapunov_vanishes_at_target():

@@ -383,6 +383,30 @@ def test_array_forms_take_lists_and_reject_flat_input():
         box.contains_many(np.array([0.5, 0.5]), 0.0)
 
 
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), tol=st.sampled_from([0.0, 1e-9, 0.25]),
+       x=st.tuples(coords, coords))
+def test_contains_gives_a_list_the_answer_of_its_array(data, tol, x):
+    # contains hands x to the region uncoerced: each kind (the empty set,
+    # unions, intersections and inflations among them) coerces it itself
+    log = []
+    region = data.draw(regions(log))
+    with np.errstate(invalid="ignore"):
+        want = _outcome(lambda: contains(region, np.array(x), tol))
+        array_calls = list(log)
+        log.clear()
+        got = _outcome(lambda: contains(region, list(x), tol))
+    assert want is got, (region, x, tol)
+    assert log == array_calls
+
+
+def test_contains_rejects_a_negative_tol():
+    box = AxisBox([0.0, 0.0], [1.0, 1.0])
+    for x in ([0.5, 0.5], np.array([0.5, 0.5])):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            contains(box, x, -1e-9)
+
+
 def test_only_regions_with_user_code_say_so():
     implicit = Implicit(lambda x: True, AxisBox([0.0], [1.0]))
     plain = [AxisBox([0.0], [1.0]), Ball((0.0,), 1.0), EmptySet()]
