@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import warnings
@@ -63,7 +64,18 @@ EXIT_ERROR = 4
 # what a rejected command line or scenario raises: exit 4, except for a
 # BadInitialCondition (a ValueError), which exits 2
 INPUT_ERRORS = (ValueError, TypeError, LookupError, AttributeError,
-                ArithmeticError, RuntimeError, OSError, yaml.YAMLError)
+                ArithmeticError, RuntimeError, OSError, MemoryError,
+                yaml.YAMLError)
+
+# Caps on the work a scenario may ask for, far above what the studies, the
+# README and the benchmark use (the shipped 100 s Moore-Greitzer loop is
+# 1e5 steps).  A scenario past one is rejected as it is parsed, before
+# anything is allocated or run.
+MAX_STARTS = 100_000  # solves of a check: starts times disturbance draws
+MAX_BUDGET = 1_000_000  # margin evaluations of falsify
+MAX_GRID_POINTS = 1_000_000
+MAX_STEPS = 1_000_000  # RK4 steps of one solve, t_max / h
+MAX_JUMPS = 100_000  # jumps of one solve, decisions of the MG loop
 
 CHECK_MODES = ("ras", "stability-safety", "single-v", "pair-vb", "invariance")
 RANDOM_MODES = ("ras", "stability-safety", "invariance")
@@ -94,6 +106,15 @@ SPEC_KEYS = {
     "ras": {"kind", "x0", "unsafe", "target", "t_spec"},
     "stability-safety": {"kind", "x0", "unsafe", "attractor", "eps_levels"},
 }
+
+
+def _capped(value, cap, what):
+    """value, or a ScenarioError naming what when value is not at most cap
+    (a NaN is not)."""
+    if not value <= cap:
+        raise ScenarioError("%s asks for %s, above the cap of %d"
+                            % (what, quote(value), cap))
+    return value
 
 
 def _known_keys(node, keys, where):
@@ -196,12 +217,15 @@ def _parse_certificates(node, variables, example, default):
 def _parse_sim(node, t_default):
     node = node or {}
     _known_keys(node, {"h", "t_max", "j_max", "event_tol"}, "sim")
-    return SimConfig(
+    sim = SimConfig(
         h=float(node.get("h", 1e-3)),
         T_max=float(node.get("t_max", t_default)),
         J_max=int(node.get("j_max", 400)),
         event_tol=float(node.get("event_tol", 1e-9)),
     )
+    _capped(sim.T_max / sim.h, MAX_STEPS, "sim.t_max / sim.h (steps)")
+    _capped(sim.J_max, MAX_JUMPS, "sim.j_max")
+    return sim
 
 
 def _parse_check(node):
@@ -213,11 +237,18 @@ def _parse_check(node):
         g = node["grid"]
         _known_keys(g, {"lo", "hi", "counts"}, "check.grid")
         grid = GridSpec(g["lo"], g["hi"], g["counts"])
+        _capped(math.prod(grid.counts), MAX_GRID_POINTS,
+                "check.grid.counts (grid points)")
+    n_init = int(node.get("n_init", 16))
+    n_dist = int(node.get("n_dist", 3))
+    _capped(n_init * n_dist, MAX_STARTS,
+            "check.n_init x check.n_dist (starts)")
     return {
         "grid": grid,
-        "budget": int(node.get("budget", 2000)),
-        "n_init": int(node.get("n_init", 16)),
-        "n_dist": int(node.get("n_dist", 3)),
+        "budget": _capped(int(node.get("budget", 2000)), MAX_BUDGET,
+                          "check.budget"),
+        "n_init": n_init,
+        "n_dist": n_dist,
         "seed": node.get("seed"),
         "tol": float(node.get("tol", 1e-7)),
         "invariant": node.get("invariant"),
@@ -297,13 +328,21 @@ def parse_scenario(doc):
         doc.get("certificates"), variables, example, cert0
     )
     sim = _parse_sim(doc.get("sim"), t_default)
+    if example == "moore-greitzer":
+        # the loop sets its own j_max, one decision per period
+        _capped(sim.T_max / params.period, MAX_JUMPS,
+                "sim.t_max / params.period (decisions)")
+    check = _parse_check(doc.get("check"))
+    if spec is not None:
+        _capped(len(spec.x0) * check["n_dist"], MAX_STARTS,
+                "spec.x0 rows x check.n_dist (starts)")
     return Scenario(
         system=system,
         delta=float(doc.get("delta", 0.0)),
         spec=spec,
         cert=cert,
         sim=sim,
-        check=_parse_check(doc.get("check")),
+        check=check,
         example=example,
         params=params,
         variables=variables,
@@ -434,7 +473,10 @@ def _grid_or_default(scenario, bbox=None):
         bbox = scenario.system.bounds.bounding_box()
     if bbox is None:
         raise ScenarioError("no check.grid and system bounds are unbounded")
-    return GridSpec(bbox.lo, bbox.hi, 21)
+    grid = GridSpec(bbox.lo, bbox.hi, 21)
+    _capped(math.prod(grid.counts), MAX_GRID_POINTS,
+            "the default check.grid of 21 points per axis (grid points)")
+    return grid
 
 
 def _solve_scenario(scenario):

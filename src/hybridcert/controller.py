@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import AxisBox, as_vector
-from .hybrid import HybridSystem
+from .hybrid import HybridSystem, from_floats
 
 log = logging.getLogger(__name__)
 
@@ -206,19 +206,31 @@ def admissible_constraints(x, V, B, plant: ControlledPlant, sigma,
     from it stays admissible.  The default form would demand B keep rising
     and so would pin the state near the unsafe set once it has to retreat.
     """
+    return _rows(_lie_terms(x, V, B, plant), sigma, barrier_cap)
+
+
+def _lie_terms(x, V, B, plant):
+    """What the admissible rows at x take from the plant and the
+    certificates, none of it depending on sigma: (L_gV, L_fV, V(x), L_gB,
+    L_fB)."""
     x = as_vector(x)
     f0 = as_vector(plant.drift(x))
     G = np.asarray(plant.input_matrix(x), float)
     gv = V.gradient(x)
     gb = B.gradient(x)
-    LfV, LgV = float(gv @ f0), gv @ G
-    LfB, LgB = float(gb @ f0), gb @ G
+    return gv @ G, float(gv @ f0), float(V(x)), gb @ G, float(gb @ f0)
+
+
+def _rows(lie, sigma, barrier_cap):
+    """The admissible rows (see admissible_constraints) at level sigma,
+    from the _lie_terms of a state."""
+    LgV, LfV, Vx, LgB, LfB = lie
     if barrier_cap is None:
         row_b = (-LgB, LfB - sigma)
     else:
         row_b = (LgB, float(barrier_cap) - LfB)
     return [
-        (LgV, -sigma - LfV - float(V(x))),
+        (LgV, -sigma - LfV - Vx),
         row_b,
     ]
 
@@ -259,11 +271,13 @@ def qp_policy(x, V, B, plant: ControlledPlant, cfg: SampleHoldConfig,
         sigma /= 2.0
     attempts.append((9, sigma0 / 2.0**8, False))  # drop V-row, keep B-row
 
+    # the rows' sigma-free terms, once per decision; each level only
+    # rebuilds the right-hand sides
+    lie = _lie_terms(x, V, B, plant)
     u_star = None
     used = None
     for level, sigma, with_V in attempts:
-        rows = admissible_constraints(x, V, B, plant, sigma,
-                                      barrier_cap=barrier_cap)
+        rows = _rows(lie, sigma, barrier_cap)
         if level == 0:
             rows0 = rows  # unrelaxed: the log reports their margins
         if not with_V:
@@ -332,11 +346,9 @@ def augment_sample_hold(plant: ControlledPlant, policy, cfg: SampleHoldConfig):
     drift, input_matrix, rate = plant.drift, plant.input_matrix, plant._rate
     held = [0.0] * nu + [1.0]  # u' = 0, tau' = 1
 
-    def flow_map(z):
-        zs = z.tolist()
+    def flow_floats(zs):
         xs = zs[:nx]
-        return np.array(rate(drift(xs), input_matrix(xs), zs[nx:nx + nu])
-                        + held)
+        return rate(drift(xs), input_matrix(xs), zs[nx:nx + nu]) + held
 
     def jump_map(z):
         out = np.array(z, dtype=float)
@@ -356,7 +368,7 @@ def augment_sample_hold(plant: ControlledPlant, policy, cfg: SampleHoldConfig):
     return HybridSystem(
         dim=dim,
         flow_set=C,
-        flow_map=flow_map,
+        flow_map=from_floats(flow_floats),
         jump_set=D,
         jump_map=jump_map,
         bounds=bounds,

@@ -26,7 +26,7 @@ from .geometry import (
     as_vector,
     make_proper_indicator,
 )
-from .hybrid import HybridSystem
+from .hybrid import HybridSystem, from_floats
 from .monitor import RASSpec
 from .simulate import SimConfig, solve
 
@@ -101,13 +101,13 @@ def bouncing_ball(params: BouncingBallParams = None):
         sdf=jump_sdf,
     )
 
-    def flow_map(s):
-        _, y, z = s.tolist()
+    def flow_floats(s):
+        _, y, z = s
         if y <= impact_tol and abs(z) <= impact_tol:
             # at rest on the floor: only horizontal drift remains, otherwise
             # gravity would push y negative and re-trigger impacts forever
-            return np.array([1.0, 0.0, 0.0])
-        return np.array([1.0, z, -a])
+            return [1.0, 0.0, 0.0]
+        return [1.0, z, -a]
 
     def jump_map(s):
         return [np.array([s[0], 0.0, -lam * s[2]])]
@@ -126,7 +126,7 @@ def bouncing_ball(params: BouncingBallParams = None):
     system = HybridSystem(
         dim=3,
         flow_set=flow_set,
-        flow_map=flow_map,
+        flow_map=from_floats(flow_floats),
         jump_set=jump_set,
         jump_map=jump_map,
         bounds=AxisBox([-10.0, -1.0, -20.0], [60.0, 15.0, 20.0]),

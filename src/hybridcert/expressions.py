@@ -13,9 +13,8 @@ import keyword
 import math
 import reprlib
 
-import numpy as np
-
 from .geometry import as_vector
+from .hybrid import from_floats
 
 
 class ExpressionError(ValueError):
@@ -272,22 +271,28 @@ def predicate_fn(source, variables):
 
 def vector_fn(sources, variables):
     """Compile a list of expressions into x -> ndarray, one row per entry;
-    all entries are one function, called once per evaluation."""
+    all entries are one function, called once per evaluation.  The map
+    carries its list form, a list of floats to a list of floats (see
+    hybrid.from_floats)."""
     sources = [str(s) for s in sources]
     variables = _checked(variables)
     fn = _compile(sources, variables)
+    n = len(variables)
 
-    def vector(x):
-        args = _arguments(x, variables)
+    def floats(xs):
+        if len(xs) != n:
+            raise ExpressionError(
+                "expected %d components, got %d" % (n, len(xs))
+            )
         try:
-            values = fn(*args)
+            # float() as numpy converts an entry: a bool is 0.0 or 1.0,
+            # and a complex power of a negative base raises TypeError
+            return list(map(float, fn(*xs)))
         except ArithmeticError as exc:
             # evaluated alone, the failing entry raises again and its
             # message quotes that entry rather than the whole list
             for source in sources:
-                Expr(source, variables)(x)
+                Expr(source, variables)(xs)
             raise _arithmetic_error(exc, sources) from None
-        # numpy converts each entry as float() would
-        return np.array(values, dtype=float)
 
-    return vector
+    return from_floats(floats)

@@ -121,13 +121,18 @@ class HybridSystem:
     """H = (C, F, D, G) with perturbation level delta.
 
     flow_map is the nominal single-valued selection of F; set-valuedness is
-    realized through disturbances of norm <= delta.  The solver and the
-    checks call flow_map with the state as a 1-D float64 array.  jump_map
-    returns a nonempty list of candidate successors. zeno_map, when
-    present, replaces a jump whose gap from the previous jump is below the
-    solver's t_min (the example-specific Zeno completion).  flow_map_rows,
-    when present, is the row form of flow_map: it maps an (n, dim) array
-    to the (n, dim) flow values, equal bit for bit to flow_map row by row.
+    realized through disturbances of norm <= delta.  The checks call
+    flow_map with the state as a 1-D float64 array and read its value as
+    one.  A flow map may also carry a list form as its ``floats``
+    attribute (see from_floats): the same map from a list of dim Python
+    floats to a sequence of dim floats, with the same bits.  The solver
+    then calls that form with its stage states as lists, and calls
+    flow_map itself otherwise.  jump_map returns a nonempty list of
+    candidate successors.  zeno_map, when present, replaces a jump whose
+    gap from the previous jump is below the solver's t_min (the
+    example-specific Zeno completion).  flow_map_rows, when present, is
+    the row form of flow_map: it maps an (n, dim) array to the (n, dim)
+    flow values, equal bit for bit to flow_map row by row.
     """
 
     dim: int
@@ -155,6 +160,24 @@ class HybridSystem:
     def jump_candidates(self, x):
         cands = self.jump_map(x)
         return [as_vector(c) for c in cands]
+
+
+def from_floats(floats):
+    """The flow map whose list form is floats, for HybridSystem.flow_map.
+
+    floats maps a state, a list of Python floats, to its value, a sequence
+    of floats.  The returned map takes a state array and returns that
+    value as a float64 array, and carries floats as its ``floats``
+    attribute.  A map that wraps or replaces it has no such attribute, so
+    the solver calls the wrapper on arrays; functools.wraps would copy the
+    attribute onto the wrapper, which the solver would then bypass.
+    """
+
+    def flow_map(x):
+        return np.array(floats(as_vector(x).tolist()), dtype=float)
+
+    flow_map.floats = floats
+    return flow_map
 
 
 def make_system(dim, flow_set, flow_map, jump_set, jump_map, bounds):

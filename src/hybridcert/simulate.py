@@ -6,12 +6,14 @@ the state-space bracket width drops below ``event_tol``.  Disturbances are
 held constant across each accepted step, which keeps perturbed runs
 reproducible from a single seed.
 
-A step works on the state's Python floats: the flow map gets a fresh array
-at each stage, and the stages and their combination are float arithmetic,
-the same IEEE operations in the same order as the array form, so the arcs
-keep its bits without its numpy temporaries on short vectors.  The first
-stage f(x) + d is computed once per step and shared by every bisection
-probe of that step, which then costs three flow calls.
+A step works on the state's Python floats: the flow map's list form (see
+hybrid.from_floats) gets each stage state as a list, and the stages and
+their combination are float arithmetic, the same IEEE operations in the
+same order as the array form, so the arcs keep its bits without its numpy
+temporaries on short vectors.  A map without a list form gets a fresh
+array at each stage.  The first stage f(x) + d is computed once per step
+and shared by every bisection probe of that step, which then costs three
+flow calls.
 """
 
 import math
@@ -82,29 +84,52 @@ class SolveReport:
         return self.arc.termination
 
 
+def _list_form(system):
+    """The system's flow map in list form: a list of dim floats in, a
+    sequence of dim floats out.  That is the map's ``floats`` attribute
+    when it has one; otherwise system.flow on a fresh array, with its value
+    checked for shape and listed."""
+    floats = getattr(system.flow_map, "floats", None)
+    if floats is not None:
+        return floats
+    flow, dim = system.flow, system.dim
+
+    def listed(xs):
+        fx = flow(np.array(xs))
+        if fx.shape != (dim,):
+            raise DimensionMismatch(
+                "flow map returned shape %s, wanted (%d,)" % (fx.shape, dim)
+            )
+        return fx.tolist()
+
+    return listed
+
+
 def _slope(f, y, d):
-    """f(y) + d as Python floats: y is a state array, d a list of floats."""
+    """f(y) + d as Python floats: f is a list form, y and d lists of
+    floats."""
     fy = f(y)
-    if fy.shape != (len(d),):
+    if len(fy) != len(d):
         raise DimensionMismatch(
-            "flow map returned shape %s, wanted (%d,)" % (fy.shape, len(d))
+            "flow map returned shape (%d,), wanted (%d,)" % (len(fy), len(d))
         )
-    return [a + b for a, b in zip(fy.tolist(), d)]
+    return [a + b for a, b in zip(fy, d)]
 
 
 def _rk4_step(f, x, k1, dt, d):
-    """One classical RK4 step over dt from x, a list of floats.
+    """One classical RK4 step over dt from x, a list of floats, under the
+    list form f.
 
-    k1 = _slope(f, x_array, d) is the first stage, which every step from x
-    under d shares; the other stages each evaluate f once on a fresh array.
+    k1 = _slope(f, x, d) is the first stage, which every step from x under
+    d shares; the other stages each evaluate f once on a fresh list.
     Returns a fresh array of x + (dt/6) ((k1 + 2 k2) + 2 k3 + k4), formed
     with the IEEE operations of the array form in the same order, so with
     the same bits.
     """
     half = 0.5 * dt
-    k2 = _slope(f, np.array([a + half * k for a, k in zip(x, k1)]), d)
-    k3 = _slope(f, np.array([a + half * k for a, k in zip(x, k2)]), d)
-    k4 = _slope(f, np.array([a + dt * k for a, k in zip(x, k3)]), d)
+    k2 = _slope(f, [a + half * k for a, k in zip(x, k1)], d)
+    k3 = _slope(f, [a + half * k for a, k in zip(x, k2)], d)
+    k4 = _slope(f, [a + dt * k for a, k in zip(x, k3)], d)
     w = dt / 6.0
     return np.array([
         (((p + 2.0 * q) + 2.0 * r) + s) * w + a
@@ -112,15 +137,14 @@ def _rk4_step(f, x, k1, dt, d):
     ])
 
 
-def _bisect_event(f, x0, k1, dt, d, pred, x_full, event_tol):
+def _bisect_event(f, x0, xs, k1, dt, d, pred, x_full, event_tol):
     """Shrink [0, dt] around the first parameter where pred flips true.
 
-    pred(x0) must be False and pred(x_full) True; k1 is the step's first
-    stage at x0.  Returns (theta_in, x_in, theta_out, x_out) with
-    |x_out - x_in| <= event_tol; both states come from a single RK4 substep
-    off the same start point.
+    pred(x0) must be False and pred(x_full) True; xs is x0 as a list and
+    k1 the step's first stage there.  Returns (theta_in, x_in, theta_out,
+    x_out) with |x_out - x_in| <= event_tol; both states come from a single
+    RK4 substep off the same start point.
     """
-    xs = x0.tolist()
     lo, x_lo = 0.0, x0
     hi, x_hi = dt, x_full
     for _ in range(_MAX_BISECT):
@@ -206,7 +230,7 @@ def solve(system: HybridSystem, x0, config: SimConfig,
     if not (contains(flow_set, x0, tol) or contains(jump_set, x0, 0.0)):
         raise BadInitialCondition("x0 outside both flow and jump sets")
 
-    f = system.flow
+    f = _list_form(system)
     draw = config.disturbance.start(system.dim, system.delta)
     builder = _ArcBuilder(0.0, x0, watch)
     t, j, x = 0.0, 0, x0
@@ -267,12 +291,15 @@ def solve(system: HybridSystem, x0, config: SimConfig,
 
         dt = min(config.h, config.T_max - t)
         d = draw(t, j).tolist()
-        k1 = _slope(f, x, d)
-        x_prop = _rk4_step(f, x.tolist(), k1, dt, d)
+        xs = x.tolist()
+        k1 = _slope(f, xs, d)
+        x_prop = _rk4_step(f, xs, k1, dt, d)
 
         if contains(jump_set, x_prop, 0.0):
             pred = lambda y: contains(jump_set, y, 0.0)
-            _, _, th, x_star = _bisect_event(f, x, k1, dt, d, pred, x_prop, tol)
+            _, _, th, x_star = _bisect_event(
+                f, x, xs, k1, dt, d, pred, x_prop, tol
+            )
             t += th
             builder.append(t, x_star)
             x = x_star
@@ -281,7 +308,7 @@ def solve(system: HybridSystem, x0, config: SimConfig,
         if not contains(flow_set, x_prop, tol):
             pred = lambda y: not contains(flow_set, y, tol)
             th_in, x_in, th_out, x_out = _bisect_event(
-                f, x, k1, dt, d, pred, x_prop, tol
+                f, x, xs, k1, dt, d, pred, x_prop, tol
             )
             if contains(jump_set, x_in, 0.0):
                 t += th_in
@@ -300,7 +327,9 @@ def solve(system: HybridSystem, x0, config: SimConfig,
 
         if not contains(bounds, x_prop, 0.0):
             pred = lambda y: not contains(bounds, y, 0.0)
-            _, _, th, x_out = _bisect_event(f, x, k1, dt, d, pred, x_prop, tol)
+            _, _, th, x_out = _bisect_event(
+                f, x, xs, k1, dt, d, pred, x_prop, tol
+            )
             t += th
             builder.append(t, x_out)
             termination = Termination.ESCAPED_BOUNDS

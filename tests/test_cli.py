@@ -1,10 +1,13 @@
 """End-to-end command line runs via subprocess."""
 
+import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -166,6 +169,36 @@ def test_example_moore_greitzer(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["samples_in_unsafe"] == 0
     assert report["distance_to_equilibrium"] < 0.05
+    # the bytes the loop has written since the solver moved onto floats
+    assert sha256_of(out, "arc.csv", "barrier_series.csv", "controls.csv") \
+        == GOLDEN_MG_LOOP
+
+
+def sha256_of(out, *names):
+    return [hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names]
+
+
+GOLDEN_MG_LOOP = [
+    "4b3e62f09e86bc76f3b7640a1f26a1e146752f1db0fb6c1ee722caeeec7f852a",
+    "02272013e6aaa0d45fc996c49d444a73cc04ce6cd98a5758c064e593038c7ac1",
+    "826966f528f47a8e091e24cb6a87ae1000318bc69977095473eb4b916b93fe1a",
+]
+
+
+def test_ras_check_report_keeps_its_golden_digest(tmp_path, capsys):
+    # compiled maps and predicates, six arcs with impacts and Zeno stops
+    scen = write(tmp_path, "ras.yaml", edited(
+        FALLING_MASS_SCENARIO, lambda doc: (
+            doc["spec"].update(x0=[[10.0, 0.0], [6.5, -3.0]]),
+            doc.update(check={"seed": 7}))))
+    out = tmp_path / "out"
+    code = cli.main(["check", "--mode", "ras", "--scenario", scen,
+                     "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert sha256_of(out, "check_report.json") == [
+        "7a653d92ffca9dd6d546c26b80713d7ae3a656ef3b9ab280ba5ab404d478e7c5"
+    ]
 
 
 def test_example_unknown_name(tmp_path):
@@ -925,6 +958,93 @@ def test_unknown_scenario_key_exits_4_naming_it(tmp_path, capsys, text,
     assert payload["error"] == "ScenarioError"
     assert repr(key) in payload["message"]
     assert stdout == ""
+
+
+def falling_mass(edit):
+    return edited(FALLING_MASS_SCENARIO, edit)
+
+
+# five state variables: the default check grid of 21 points per axis has
+# 21**5 = 4,084,101 points
+FIVE_D_SCENARIO = """\
+system:
+  variables: [a, b, c, d, f]
+  flow_map: ["0", "0", "0", "0", "0"]
+  flow_set: {kind: axis_box, lo: [-1, -1, -1, -1, -1], hi: [1, 1, 1, 1, 1]}
+  jump_set: {kind: ball, center: [5, 5, 5, 5, 5], radius: 0.1}
+  jump_map: ["a", "b", "c", "d", "f"]
+  bounds: {kind: axis_box, lo: [-2, -2, -2, -2, -2], hi: [2, 2, 2, 2, 2]}
+certificates: {V: "a*a"}
+"""
+
+
+def never(*args, **kwargs):
+    raise AssertionError("a scenario past a work cap reached the work")
+
+
+# each case asks for work past one cap: the scenario, the command line
+# before --scenario, and the dotted key the message names.  The first
+# three are the robustness cases of the README falling mass: 4e9 starts,
+# a falsify budget of 1e12 and 1e13 RK4 steps
+@pytest.mark.parametrize("text, args, key", [
+    (falling_mass(lambda doc: doc["check"].update(n_dist=1000000000)),
+     ["check", "--mode", "ras"], "check.n_dist"),
+    (falling_mass(lambda doc: doc["check"].update(
+        budget=1e12, grid={"lo": [0.0, -5.0], "hi": [10.0, 5.0],
+                           "counts": [5, 5]})),
+     ["falsify", "--mode", "flow-decrease"], "check.budget"),
+    (falling_mass(lambda doc: doc.update(
+        sim={"h": 1e-7, "event_tol": 1e-12, "t_max": 1e6})),
+     SIMULATE, "sim.t_max"),
+    (falling_mass(lambda doc: doc["sim"].update(t_max=math.nan)),
+     SIMULATE, "sim.t_max"),
+    (falling_mass(lambda doc: doc["sim"].update(j_max=10 ** 7)),
+     SIMULATE, "sim.j_max"),
+    (falling_mass(lambda doc: doc["check"].update(
+        grid={"lo": [0.0, -5.0], "hi": [10.0, 5.0], "counts": [2000, 501]})),
+     SIMULATE, "check.grid.counts"),
+    (falling_mass(lambda doc: (
+        doc["spec"].update(x0=[[10.0, 0.0], [20.0, 0.0]]),
+        doc["check"].update(n_init=1, n_dist=60000))),
+     ["check", "--mode", "ras"], "spec.x0"),
+    (FIVE_D_SCENARIO, SINGLE_V, "check.grid"),
+    ("system: moore-greitzer\nparams: {period: 1.0e-12}\n", SIMULATE,
+     "params.period"),
+], ids=["4e9-starts", "1e12-budget", "1e13-steps", "nan-t-max",
+        "1e7-jumps", "1e6-grid-points", "spec-x0-starts", "default-grid",
+        "1e14-decisions"])
+def test_scenario_past_a_work_cap_exits_4_naming_the_key(
+        tmp_path, capsys, monkeypatch, text, args, key):
+    # the work itself is never started, even by a regression
+    for name in ("check_ras", "check_single_V", "falsify", "solve"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.ex, "mg_closed_loop", never)
+    scen = write(tmp_path, "hostile.yaml", text)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = cli.main(args + ["--seed", "0", "--scenario", scen,
+                            "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    stdout, stderr = capsys.readouterr()
+    payload = rejected(code, stderr, out)
+    assert payload["error"] == "ScenarioError"
+    assert key in payload["message"]
+    assert stdout == ""
+    assert elapsed < 5.0
+
+
+def test_work_caps_sit_above_the_shipped_studies():
+    # the 100 s Moore-Greitzer loop is 1e5 steps
+    scenario = cli.scenario_from({"system": "moore-greitzer"})
+    assert scenario.sim.T_max / scenario.sim.h <= cli.MAX_STEPS
+    at_cap = {"n_init": 1, "n_dist": cli.MAX_STARTS,
+              "budget": cli.MAX_BUDGET}
+    doc = yaml.safe_load(FALLING_MASS_SCENARIO)
+    doc["check"].update(at_cap)
+    assert cli.scenario_from(doc).check["n_dist"] == cli.MAX_STARTS
+    doc["check"].update(n_dist=cli.MAX_STARTS + 1)
+    with pytest.raises(cli.ScenarioError, match="check.n_dist"):
+        cli.scenario_from(doc)
 
 
 def test_readme_scenario_parses():

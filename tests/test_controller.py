@@ -140,19 +140,28 @@ def test_qp_policy_drops_v_row_at_level_nine():
 @pytest.mark.parametrize("x, levels", [(0.1, 1), (1.0, 10)])
 def test_qp_policy_builds_the_rows_once_per_level_tried(monkeypatch, x,
                                                         levels):
-    # the logged margins come from the level-0 rows, not from a rebuild
+    # the logged margins come from the level-0 rows, not from a rebuild;
+    # the Lie derivatives and V(x) are evaluated once per decision
     sigmas = []
+    states = []
+    rows, lie_terms = controller._rows, controller._lie_terms
 
-    def counting(x, V, B, plant, sigma, barrier_cap=None):
+    def counting_rows(lie, sigma, barrier_cap):
         sigmas.append(sigma)
-        return admissible_constraints(x, V, B, plant, sigma, barrier_cap)
+        return rows(lie, sigma, barrier_cap)
 
-    monkeypatch.setattr(controller, "admissible_constraints", counting)
+    def counting_lie_terms(x, V, B, plant):
+        states.append(x)
+        return lie_terms(x, V, B, plant)
+
+    monkeypatch.setattr(controller, "_rows", counting_rows)
+    monkeypatch.setattr(controller, "_lie_terms", counting_lie_terms)
     cfg = SampleHoldConfig(period=0.5, sigma_margin=0.07)
     entries = []
     u = qp_policy(np.array([x]), V_sq(), B_bowl(), integrator_plant(), cfg,
                   u_prev=np.array([0.0]), dt=0.5, log_list=entries)
     assert len(sigmas) == levels and sigmas[0] == 0.07
+    assert len(states) == 1
     assert entries[0]["level"] == levels - 1
     row_v, row_b = admissible_constraints(np.array([x]), V_sq(), B_bowl(),
                                           integrator_plant(), 0.07)

@@ -114,6 +114,18 @@ def test_vector_fn_errors_quote_the_failing_entry():
         f([0.0])
 
 
+def test_list_form_raises_the_array_forms_expression_error():
+    f = vector_fn(["x + " * 30 + "x", "1/x"], ("x",))
+    with pytest.raises(ExpressionError) as array_form:
+        f(np.array([0.0]))
+    with pytest.raises(ExpressionError) as list_form:
+        f.floats([0.0])
+    assert str(list_form.value) == str(array_form.value)
+    assert "in '1/x'" in str(list_form.value)
+    with pytest.raises(ExpressionError, match="expected 1 components, got 2"):
+        f.floats([0.0, 1.0])
+
+
 @pytest.mark.parametrize("make", [scalar_fn, predicate_fn, Expr])
 def test_only_vector_fn_takes_a_list(make):
     # a list where one source belongs is a list literal, not a vector map
@@ -230,6 +242,8 @@ def same_outcome(a, b):
         return False
     if isinstance(a, float):
         return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_outcome, a, b))
     return a == b
 
 
@@ -283,6 +297,9 @@ def test_compiled_function_matches_the_eval_reference(source, x, y):
         (outcome(lambda: np.array(
             [float(reference_eval(s, variables, point)) for s in vec])),
          outcome(lambda: vector_fn(vec, variables)(point))),
+        (outcome(lambda: [float(reference_eval(s, variables, point))
+                          for s in vec]),
+         outcome(lambda: vector_fn(vec, variables).floats(point))),
     ]
     for want, got in pairs:
         assert same_outcome(want, got), (source, x, y, want, got)

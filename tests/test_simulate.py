@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hybridcert import (
     companion_radius_bound,
     construct_perturbed,
     estimate_lipschitz,
+    from_floats,
     make_system,
     perturb,
     reachable_sample,
@@ -38,7 +40,7 @@ from hybridcert import (
     verify_solution,
 )
 
-from hybridcert import cli, examples, simulate
+from hybridcert import cli, controller, examples, simulate, vector_fn
 from hybridcert.examples import mg_closed_loop
 from hybridcert.monitor import _first_hit
 from hybridcert.simulate import _one_sided_close, _rk4_step, _window_dist
@@ -148,22 +150,35 @@ def textbook_rk4(f, x, dt, d):
 
 
 def float_rk4(f, x, dt, d):
-    d = d.tolist()
-    return _rk4_step(f, x.tolist(), simulate._slope(f, x, d), dt, d)
+    """The solver's RK4 step from the array x under the list form f."""
+    xs, d = x.tolist(), d.tolist()
+    return _rk4_step(f, xs, simulate._slope(f, xs, d), dt, d)
+
+
+def list_form_of(f, dim):
+    """What the solver calls for a flow map f without a list form."""
+    return simulate._list_form(HybridSystem(dim, None, f, None, None, None))
 
 
 def test_rk4_step_is_the_textbook_combination_bitwise():
     def f(x):
         return np.array([x[1], -math.sin(x[0]) - 0.1 * x[1]])
 
+    def f_floats(xs):
+        return [xs[1], -math.sin(xs[0]) - 0.1 * xs[1]]
+
     x, d = np.array([0.7, -0.3]), np.array([1e-3, -2e-3])
     for dt in (1e-3, 0.05, 0.3):
-        want = textbook_rk4(f, x, dt, d)
-        assert float_rk4(f, x, dt, d).tobytes() == want.tobytes()
+        want = textbook_rk4(f, x, dt, d).tobytes()
+        assert float_rk4(f_floats, x, dt, d).tobytes() == want
+        assert float_rk4(list_form_of(f, 2), x, dt, d).tobytes() == want
     assert x.tolist() == [0.7, -0.3]
     # a step never writes into the map's own result, which may be shared
+    shared = [1.0, 2.0]
+    float_rk4(lambda ys: shared, x, 0.1, d)
+    assert shared == [1.0, 2.0]
     shared = np.array([1.0, 2.0])
-    float_rk4(lambda y: shared, x, 0.1, d)
+    float_rk4(list_form_of(lambda y: shared, 2), x, 0.1, d)
     assert shared.tolist() == [1.0, 2.0]
 
 
@@ -185,12 +200,77 @@ def test_rk4_step_matches_the_array_form_bitwise(data, dim, dt):
     def f(y):
         return y[::-1] * scale + shift
 
+    # f entry by entry on floats: the same IEEE operations
+    pairs = list(zip(scale.tolist(), shift.tolist()))
+
+    def f_floats(ys):
+        return [b * s + h for b, (s, h) in zip(reversed(ys), pairs)]
+
     with np.errstate(all="ignore"):
         want = textbook_rk4(f, x, dt, d)
-        got = float_rk4(f, x, dt, d)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    # NaN bits too: the same operations on the same operands
-    assert got.tobytes() == want.tobytes()
+        got = float_rk4(f_floats, x, dt, d)
+        adapted = float_rk4(list_form_of(f, dim), x, dt, d)
+    for form in (got, adapted):
+        assert form.dtype == want.dtype and form.shape == want.shape
+        # NaN bits too: the same operations on the same operands
+        assert form.tobytes() == want.tobytes()
+
+
+def test_a_replaced_flow_map_is_never_bypassed(monkeypatch):
+    # the ball's map has a list form; a map put in its place has none and
+    # is called at every stage, with the same arc as a result
+    system, _, spec = bouncing_ball()
+    assert system.flow_map.floats is not None
+    replaced, _, flows = counted(system)
+    stages = []
+    rk4_step = simulate._rk4_step
+
+    def counted_rk4_step(f, x, k1, dt, d):
+        stages.append(k1)
+        return rk4_step(f, x, k1, dt, d)
+
+    monkeypatch.setattr(simulate, "_rk4_step", counted_rk4_step)
+    cfg = SimConfig(h=1e-3, T_max=4.0)
+    got = solve(replaced, np.asarray(spec.x0[0]), cfg)
+    steps = 1 + sum(b is not a for a, b in zip(stages, stages[1:]))
+    probes = len(stages) - steps
+    assert got.jump_count >= 2 and probes > 0
+    assert len(flows) == 4 * steps + 3 * probes
+    assert same_arcs(got.arc, solve(system, np.asarray(spec.x0[0]), cfg).arc)
+
+
+def bits(values):
+    """The float64 bits of a sequence of Python floats, which they must be."""
+    values = list(values)
+    assert all(type(v) is float for v in values), values
+    return struct.pack("<%dd" % len(values), *values)
+
+
+def mg_augmented_flow():
+    plant, _, _, shc = examples.moore_greitzer()
+    return controller.augment_sample_hold(plant, None, shc).flow_map
+
+
+# compiled maps whose entries are ints, bools and conditionals as parsed
+COMPILED_FLOW = vector_fn(["1", "y > 0", "z", "(y <= 0) + 2", "not z",
+                           "y * z - 3", "7 if z < 0 else y"], ("x", "y", "z"))
+
+edge = st.one_of(st.floats(-20.0, 20.0), st.sampled_from(EDGE_FLOATS),
+                 st.sampled_from([1e-9, -1e-9, 5e-10, -5e-10, 2e-9]))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(x=st.tuples(edge, edge, edge),
+       mg=st.tuples(st.floats(0.2, 0.9), st.floats(0.0, 1.2),
+                    st.floats(-0.05, 0.05), st.floats(0.5, 1.0),
+                    st.floats(0.0, 0.5)))
+def test_list_form_is_the_array_form_bit_for_bit(x, mg):
+    # the ball at rest on the floor too: y and z within 1e-9 of 0
+    cases = [(bouncing_ball()[0].flow_map, x), (COMPILED_FLOW, x),
+             (mg_augmented_flow(), mg)]
+    for m, point in cases:
+        point = np.array(point)
+        assert bits(m.floats(point.tolist())) == m(point).tobytes()
 
 
 def test_first_impact_matches_quadratic_root():
@@ -613,7 +693,7 @@ def test_mg_loop_matches_the_array_reference(monkeypatch):
     assert got.jump_count >= 6 and len(got_log) == len(want_log)
 
 
-@pytest.mark.parametrize("mapped", ["flow", "jump", "Zeno"])
+@pytest.mark.parametrize("mapped", ["flow", "jump", "Zeno", "listed-flow"])
 @pytest.mark.parametrize("value", [[1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
                          ids=["length-1", "short", "long"])
 def test_map_value_of_the_wrong_length_raises(mapped, value):
@@ -623,6 +703,11 @@ def test_map_value_of_the_wrong_length_raises(mapped, value):
     if mapped == "flow":
         system = dataclasses.replace(raw_ball(),
                                      flow_map=lambda x: np.array(value))
+    elif mapped == "listed-flow":
+        # the solver calls the list form, the value of which is a list
+        system = dataclasses.replace(
+            raw_ball(), flow_map=from_floats(lambda xs: value))
+        mapped = "flow"
     elif mapped == "jump":
         system = dataclasses.replace(raw_ball(),
                                      jump_map=lambda x: [np.array(value)])
