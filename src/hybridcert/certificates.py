@@ -381,6 +381,8 @@ def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
     V(g+d) <= V(x)/e + tol; sandwich alpha_1(omega) <= V <= alpha_2(omega)
     via the zero-set equivalence plus fitted monotone envelopes.
     """
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
     if cert.omega is None:
         raise MissingIndicator("single-V check needs cert.omega")
     delta = sys_delta.delta
@@ -509,6 +511,8 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
     disturbance directions.  V, B, their gradients and the flow map are
     evaluated on all flow points at once; jump points go one at a time.
     """
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
     if cert.B is None:
         raise MissingBarrier("pair check needs cert.B")
     U = spec.unsafe

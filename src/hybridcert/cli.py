@@ -91,21 +91,74 @@ class UsageError(ValueError):
 
 # ---------------------------------------------------------------- scenario
 #
-# Each parser reads a fixed set of keys from its mapping and rejects any
-# other: a misspelt key would otherwise leave its default in force.
+# SECTIONS lists every key a scenario may hold: each kind of mapping (a set
+# or spec kind, "bbox", a section, or "scenario", the document itself)
+# maps its keys to their defaults.  params takes the fields of the study's
+# params dataclass instead.  _section reads a mapping by its entry, so a
+# misspelt key is rejected rather than leaving its default in force.
 
-SET_KEYS = {
-    "axis_box": {"kind", "lo", "hi"},
-    "ball": {"kind", "center", "radius"},
-    "implicit": {"kind", "predicate", "bbox"},
-    "inflated": {"kind", "of", "r"},
-    "union": {"kind", "of"},
-    "intersection": {"kind", "of"},
+REQUIRED = object()  # the default of a key that must be given
+
+SECTIONS = {
+    "scenario": {"system": REQUIRED, "delta": 0.0, "spec": None,
+                 "certificates": None, "sim": None, "check": None,
+                 "params": None},
+    "system": {"variables": REQUIRED, "flow_map": REQUIRED,
+               "flow_set": REQUIRED, "jump_map": REQUIRED,
+               "jump_set": REQUIRED, "bounds": None},
+    "axis_box": {"kind": REQUIRED, "lo": REQUIRED, "hi": REQUIRED},
+    "ball": {"kind": REQUIRED, "center": REQUIRED, "radius": REQUIRED},
+    "implicit": {"kind": REQUIRED, "predicate": REQUIRED, "bbox": REQUIRED},
+    "inflated": {"kind": REQUIRED, "of": REQUIRED, "r": REQUIRED},
+    "union": {"kind": REQUIRED, "of": REQUIRED},
+    "intersection": {"kind": REQUIRED, "of": REQUIRED},
+    "bbox": {"lo": REQUIRED, "hi": REQUIRED},
+    "ras": {"kind": "ras", "x0": REQUIRED, "unsafe": REQUIRED,
+            "target": REQUIRED, "t_spec": REQUIRED},
+    "stability-safety": {"kind": REQUIRED, "x0": REQUIRED,
+                         "unsafe": REQUIRED, "attractor": REQUIRED,
+                         "eps_levels": (0.1, 1.0)},
+    "certificates": {"V": REQUIRED, "B": None, "region": None,
+                     "attractor": None},
+    # t_max None: the study's t_spec, 10 for an inline system
+    "sim": {"h": 1e-3, "t_max": None, "j_max": 400, "event_tol": 1e-9},
+    "check": {"grid": None, "budget": 2000, "n_init": 16, "n_dist": 3,
+              "seed": None, "tol": 1e-7, "invariant": None},
+    "check.grid": {"lo": REQUIRED, "hi": REQUIRED, "counts": REQUIRED},
 }
-SPEC_KEYS = {
-    "ras": {"kind", "x0", "unsafe", "target", "t_spec"},
-    "stability-safety": {"kind", "x0", "unsafe", "attractor", "eps_levels"},
-}
+SET_KINDS = ("axis_box", "ball", "implicit", "inflated", "union",
+             "intersection")
+SPEC_KINDS = ("ras", "stability-safety")
+
+
+def _section(node, name, keys=None):
+    """The mapping node read as SECTIONS[name] (or keys): a dict of every
+    key, with its default where node does not give it.  An unknown or a
+    missing required key is a ScenarioError; None reads as an empty
+    mapping, and any other node that is not a mapping raises
+    AttributeError."""
+    keys = SECTIONS[name] if keys is None else keys
+    node = {} if node is None else node
+    unknown = node.keys() - keys
+    if unknown:
+        raise ScenarioError("unknown keys %s in %s"
+                            % (quote(sorted(map(str, unknown))), name))
+    read = {key: node.get(key, default) for key, default in keys.items()}
+    missing = [key for key, value in read.items() if value is REQUIRED]
+    if missing:
+        raise ScenarioError("missing keys %s in %s" % (quote(missing), name))
+    return read
+
+
+def _count(value, key):
+    """value as an int, or a ScenarioError naming key when it is not a
+    whole number >= 0; int() comes first, so an infinity still raises
+    OverflowError and a NaN ValueError."""
+    count = int(value)
+    if not (count == value and count >= 0):
+        raise ScenarioError("%s must be a whole number >= 0, not %s"
+                            % (key, quote(value)))
+    return count
 
 
 def _capped(value, cap, what):
@@ -117,74 +170,48 @@ def _capped(value, cap, what):
     return value
 
 
-def _known_keys(node, keys, where):
-    """Reject the keys of a mapping node that its parser does not read.  A
-    node that is not a mapping is left to the parser's own error."""
-    if isinstance(node, dict):
-        unknown = set(node) - keys
-        if unknown:
-            raise ScenarioError("unknown keys %s in %s"
-                                % (quote(sorted(map(str, unknown))), where))
+def _grid(lo, hi, counts, what):
+    """GridSpec(lo, hi, counts), capped at MAX_GRID_POINTS points."""
+    grid = GridSpec(lo, hi, counts)
+    _capped(math.prod(grid.counts), MAX_GRID_POINTS, what + " (grid points)")
+    return grid
 
 
 def parse_set(node, variables=None):
     """Build a SetRegion from a {kind: ...} mapping."""
-    if not isinstance(node, dict) or "kind" not in node:
-        raise ScenarioError(
-            "set needs a mapping with a 'kind' key: %s" % quote(node)
-        )
-    kind = node["kind"]
-    if not isinstance(kind, str) or kind not in SET_KEYS:
-        raise ScenarioError("unknown set kind %s" % quote(kind))
-    _known_keys(node, SET_KEYS[kind], "a set of kind %s" % kind)
+    kind = node.get("kind") if isinstance(node, dict) else None
+    if kind not in SET_KINDS:
+        raise ScenarioError("set needs a mapping with a 'kind' of %s: %s"
+                            % (", ".join(SET_KINDS), quote(node)))
+    s = _section(node, kind)
     if kind == "axis_box":
-        return AxisBox(node["lo"], node["hi"])
+        return AxisBox(s["lo"], s["hi"])
     if kind == "ball":
-        return Ball(node["center"], float(node["radius"]))
+        return Ball(s["center"], float(s["radius"]))
     if kind == "implicit":
         if not variables:
             raise ScenarioError("implicit sets need system variables")
-        bbox = node.get("bbox")
-        if bbox is None:
-            raise ScenarioError("implicit sets need a bbox")
-        _known_keys(bbox, {"lo", "hi"}, "bbox")
-        return Implicit(
-            predicate_fn(node["predicate"], variables),
-            AxisBox(bbox["lo"], bbox["hi"]),
-        )
+        bbox = _section(s["bbox"], "bbox")
+        return Implicit(predicate_fn(s["predicate"], variables),
+                        AxisBox(bbox["lo"], bbox["hi"]))
     if kind == "inflated":
-        return Inflated(parse_set(node["of"], variables), float(node["r"]))
-    members = [parse_set(m, variables) for m in node["of"]]
+        return Inflated(parse_set(s["of"], variables), float(s["r"]))
+    members = [parse_set(m, variables) for m in s["of"]]
     return Union(members) if kind == "union" else Intersection(members)
 
 
-def _parse_points(node):
-    return list(np.atleast_2d(np.asarray(node, dtype=float)))
-
-
-def _parse_spec(node, variables=None):
+def _parse_spec(node, variables):
     kind = node.get("kind", "ras")
-    if isinstance(kind, str) and kind in SPEC_KEYS:
-        _known_keys(node, SPEC_KEYS[kind], "a spec of kind %s" % kind)
+    if kind not in SPEC_KINDS:
+        raise ScenarioError("unknown spec kind %s" % quote(kind))
+    s = _section(node, kind)
+    x0 = list(np.atleast_2d(np.asarray(s["x0"], dtype=float)))
+    unsafe = parse_set(s["unsafe"], variables)
     if kind == "ras":
-        return RASSpec(
-            x0=_parse_points(node["x0"]),
-            unsafe=parse_set(node["unsafe"], variables),
-            target=parse_set(node["target"], variables),
-            t_spec=float(node["t_spec"]),
-        )
-    if kind == "stability-safety":
-        spec = StabSafeSpec(
-            x0=_parse_points(node["x0"]),
-            unsafe=parse_set(node["unsafe"], variables),
-            attractor=parse_set(node["attractor"], variables),
-        )
-        if "eps_levels" in node:
-            spec = dataclasses.replace(
-                spec, eps_levels=tuple(float(e) for e in node["eps_levels"])
-            )
-        return spec
-    raise ScenarioError("unknown spec kind %s" % quote(kind))
+        return RASSpec(x0, unsafe, parse_set(s["target"], variables),
+                       float(s["t_spec"]))
+    return StabSafeSpec(x0, unsafe, parse_set(s["attractor"], variables),
+                        tuple(float(e) for e in s["eps_levels"]))
 
 
 def _parse_certificates(node, variables, example, default):
@@ -199,60 +226,47 @@ def _parse_certificates(node, variables, example, default):
         return default
     if not variables:
         raise ScenarioError("expression certificates need system variables")
-    _known_keys(node, {"V", "B", "region", "attractor"}, "certificates")
-    V = ScalarField(scalar_fn(node["V"], variables), name="V")
-    B = None
-    if node.get("B") is not None:
-        B = ScalarField(scalar_fn(node["B"], variables), name="B")
-    region = None
-    if node.get("region") is not None:
-        region = parse_set(node["region"], variables)
+    c = _section(node, "certificates")
+    V = ScalarField(scalar_fn(c["V"], variables), name="V")
+    B = (None if c["B"] is None
+         else ScalarField(scalar_fn(c["B"], variables), name="B"))
+    region = (None if c["region"] is None
+              else parse_set(c["region"], variables))
     omega = None
-    attractor = node.get("attractor")
-    if attractor is not None and region is not None:
-        omega = make_proper_indicator(parse_set(attractor, variables), region)
+    if c["attractor"] is not None and region is not None:
+        omega = make_proper_indicator(parse_set(c["attractor"], variables),
+                                      region)
     return CertificatePair(V=V, B=B, omega=omega, region=region)
 
 
 def _parse_sim(node, t_default):
-    node = node or {}
-    _known_keys(node, {"h", "t_max", "j_max", "event_tol"}, "sim")
-    sim = SimConfig(
-        h=float(node.get("h", 1e-3)),
-        T_max=float(node.get("t_max", t_default)),
-        J_max=int(node.get("j_max", 400)),
-        event_tol=float(node.get("event_tol", 1e-9)),
-    )
-    _capped(sim.T_max / sim.h, MAX_STEPS, "sim.t_max / sim.h (steps)")
-    _capped(sim.J_max, MAX_JUMPS, "sim.j_max")
-    return sim
+    s = _section(node, "sim")
+    h = float(s["h"])
+    t_max = float(t_default if s["t_max"] is None else s["t_max"])
+    _capped(t_max / h if h else math.inf, MAX_STEPS,
+            "sim.t_max / sim.h (steps)")
+    j_max = _capped(_count(s["j_max"], "sim.j_max"), MAX_JUMPS, "sim.j_max")
+    return SimConfig(h=h, T_max=t_max, J_max=j_max,
+                     event_tol=float(s["event_tol"]))
 
 
-def _parse_check(node):
-    node = node or {}
-    _known_keys(node, {"grid", "budget", "n_init", "n_dist", "seed", "tol",
-                       "invariant"}, "check")
-    grid = None
-    if "grid" in node:
-        g = node["grid"]
-        _known_keys(g, {"lo", "hi", "counts"}, "check.grid")
-        grid = GridSpec(g["lo"], g["hi"], g["counts"])
-        _capped(math.prod(grid.counts), MAX_GRID_POINTS,
-                "check.grid.counts (grid points)")
-    n_init = int(node.get("n_init", 16))
-    n_dist = int(node.get("n_dist", 3))
-    _capped(n_init * n_dist, MAX_STARTS,
+def _parse_check(node, variables):
+    ck = _section(node, "check")
+    if ck["grid"] is not None:
+        g = _section(ck["grid"], "check.grid")
+        ck["grid"] = _grid(g["lo"], g["hi"], g["counts"], "check.grid.counts")
+    for key in ("n_init", "n_dist", "budget"):
+        ck[key] = _count(ck[key], "check." + key)
+    if ck["seed"] is not None:
+        ck["seed"] = _count(ck["seed"], "check.seed")
+    # n_init alone sets the starts of the checks that draw no disturbances
+    _capped(ck["n_init"] * max(ck["n_dist"], 1), MAX_STARTS,
             "check.n_init x check.n_dist (starts)")
-    return {
-        "grid": grid,
-        "budget": _capped(int(node.get("budget", 2000)), MAX_BUDGET,
-                          "check.budget"),
-        "n_init": n_init,
-        "n_dist": n_dist,
-        "seed": node.get("seed"),
-        "tol": float(node.get("tol", 1e-7)),
-        "invariant": node.get("invariant"),
-    }
+    _capped(ck["budget"], MAX_BUDGET, "check.budget")
+    ck["tol"] = float(ck["tol"])
+    if ck["invariant"] is not None:
+        ck["invariant"] = parse_set(ck["invariant"], variables)
+    return ck
 
 
 @dataclasses.dataclass
@@ -265,18 +279,11 @@ class Scenario:
     check: dict
     example: str = None
     params: object = None
-    variables: tuple = None
 
 
 def parse_scenario(doc):
-    if not isinstance(doc, dict) or "system" not in doc:
-        raise ScenarioError("scenario needs a top-level 'system' entry")
-    sys_node = doc["system"]
-    keys = {"system", "delta", "spec", "certificates", "sim", "check"}
-    # params tune a built-in study; an inline system has none
-    if isinstance(sys_node, str):
-        keys.add("params")
-    _known_keys(doc, keys, "the scenario")
+    top = _section(doc, "scenario")
+    sys_node = top["system"]
     variables = None
     example = None
     params = None
@@ -286,35 +293,30 @@ def parse_scenario(doc):
     if isinstance(sys_node, str):
         example = sys_node
         if example == "bouncing-ball":
-            params = _apply_params(ex.BouncingBallParams(), doc.get("params"))
+            params = _apply_params(ex.BouncingBallParams(), top["params"])
             system, cert0, spec0 = ex.bouncing_ball(params)
-            t_default = spec0.t_spec
         elif example == "moore-greitzer":
-            params = _apply_params(ex.MooreGreitzerParams(), doc.get("params"))
+            params = _apply_params(ex.MooreGreitzerParams(), top["params"])
             _, cert0, spec0, _ = ex.moore_greitzer(params)
             system = None  # closed loop is assembled at run time
-            t_default = params.t_spec
         else:
             raise ScenarioError("unknown system name %s" % quote(sys_node))
+        t_default = spec0.t_spec
     elif isinstance(sys_node, dict):
-        if "variables" not in sys_node:
-            raise ScenarioError("inline system needs 'variables'")
-        _known_keys(sys_node, {"variables", "flow_map", "flow_set",
-                               "jump_map", "jump_set", "bounds"}, "system")
-        variables = tuple(sys_node["variables"])
+        if "params" in doc:
+            raise ScenarioError("'params' tune a built-in study; an inline"
+                                " system has none")
+        s = _section(sys_node, "system")
+        variables = tuple(s["variables"])
         dim = len(variables)
-        jump_vec = vector_fn(sys_node["jump_map"], variables)
-        bounds_node = sys_node.get("bounds")
-        bounds = (
-            parse_set(bounds_node, variables)
-            if bounds_node
-            else AxisBox([-1e9] * dim, [1e9] * dim)
-        )
+        jump_vec = vector_fn(s["jump_map"], variables)
+        bounds = (parse_set(s["bounds"], variables) if s["bounds"]
+                  else AxisBox([-1e9] * dim, [1e9] * dim))
         system = make_system(
             dim=dim,
-            flow_set=parse_set(sys_node["flow_set"], variables),
-            flow_map=vector_fn(sys_node["flow_map"], variables),
-            jump_set=parse_set(sys_node["jump_set"], variables),
+            flow_set=parse_set(s["flow_set"], variables),
+            flow_map=vector_fn(s["flow_map"], variables),
+            jump_set=parse_set(s["jump_set"], variables),
             jump_map=lambda x: [jump_vec(x)],
             bounds=bounds,
         )
@@ -322,42 +324,41 @@ def parse_scenario(doc):
         raise ScenarioError("'system' must be a name or an inline mapping")
 
     spec = spec0
-    if doc.get("spec") is not None:
-        spec = _parse_spec(doc["spec"], variables)
-    cert = _parse_certificates(
-        doc.get("certificates"), variables, example, cert0
-    )
-    sim = _parse_sim(doc.get("sim"), t_default)
+    if top["spec"] is not None:
+        spec = _parse_spec(top["spec"], variables)
+    cert = _parse_certificates(top["certificates"], variables, example, cert0)
+    sim = _parse_sim(top["sim"], t_default)
     if example == "moore-greitzer":
         # the loop sets its own j_max, one decision per period
         _capped(sim.T_max / params.period, MAX_JUMPS,
                 "sim.t_max / params.period (decisions)")
-    check = _parse_check(doc.get("check"))
+    check = _parse_check(top["check"], variables)
     if spec is not None:
         _capped(len(spec.x0) * check["n_dist"], MAX_STARTS,
                 "spec.x0 rows x check.n_dist (starts)")
     return Scenario(
         system=system,
-        delta=float(doc.get("delta", 0.0)),
+        delta=float(top["delta"]),
         spec=spec,
         cert=cert,
         sim=sim,
         check=check,
         example=example,
         params=params,
-        variables=variables,
     )
 
 
 def _apply_params(params, node):
+    """params with the fields that node gives replaced, a list given for a
+    tuple field as a tuple."""
     if not node:
         return params
-    _known_keys(node, {f.name for f in dataclasses.fields(params)}, "params")
-    coerced = {}
-    for key, val in node.items():
-        cur = getattr(params, key)
-        coerced[key] = tuple(val) if isinstance(cur, tuple) else val
-    return dataclasses.replace(params, **coerced)
+    fields = {f.name: getattr(params, f.name)
+              for f in dataclasses.fields(params)}
+    _section(node, "params", fields)
+    return dataclasses.replace(params, **{
+        key: tuple(val) if isinstance(fields[key], tuple) else val
+        for key, val in node.items()})
 
 
 def load_scenario(path, overrides=(), seed=None):
@@ -447,11 +448,11 @@ def _solve_report_obj(report):
 
 
 def _require_seed(scenario, what):
-    seed = scenario.check.get("seed")
+    seed = scenario.check["seed"]
     if seed is None:
         raise ScenarioError("%s samples randomly; set --seed or check.seed"
                             % what)
-    return int(seed)
+    return seed
 
 
 def _perturbed(scenario):
@@ -460,7 +461,8 @@ def _perturbed(scenario):
             "the moore-greitzer study is closed-loop only; use"
             " 'example moore-greitzer' or command 'simulate'"
         )
-    if scenario.delta > 0.0:
+    # perturb rejects a delta that is negative or not a number
+    if scenario.delta != 0.0:
         return perturb(scenario.system, scenario.delta)
     return scenario.system
 
@@ -473,10 +475,8 @@ def _grid_or_default(scenario, bbox=None):
         bbox = scenario.system.bounds.bounding_box()
     if bbox is None:
         raise ScenarioError("no check.grid and system bounds are unbounded")
-    grid = GridSpec(bbox.lo, bbox.hi, 21)
-    _capped(math.prod(grid.counts), MAX_GRID_POINTS,
-            "the default check.grid of 21 points per axis (grid points)")
-    return grid
+    return _grid(bbox.lo, bbox.hi, 21,
+                 "the default check.grid of 21 points per axis")
 
 
 def _solve_scenario(scenario):
@@ -488,7 +488,7 @@ def _solve_scenario(scenario):
     spec.x0[0] and the decision log is None.
     """
     if scenario.example == "moore-greitzer":
-        if scenario.delta > 0.0:
+        if scenario.delta != 0.0:
             raise ScenarioError(
                 "the moore-greitzer loop runs without disturbances;"
                 " delta must be 0"
@@ -573,12 +573,9 @@ def cmd_check(scenario, mode, out_dir):
             _grid_or_default(scenario), tol=ck["tol"],
         )
     else:  # invariance
-        inv = ck["invariant"]
-        K = (
-            parse_set(inv, scenario.variables)
-            if inv is not None
-            else getattr(scenario.spec, "target", None)
-        )
+        K = ck["invariant"]
+        if K is None:
+            K = getattr(scenario.spec, "target", None)
         if K is None:
             raise ScenarioError("invariance needs check.invariant or a target")
         rpt = check_forward_invariance(

@@ -114,7 +114,7 @@ class Ball(SetRegion):
 
     def __init__(self, center, radius):
         self.center = as_vector(center)
-        if radius < 0:
+        if not radius >= 0:
             raise ValueError("ball radius must be >= 0")
         self.radius = float(radius)
 
@@ -264,7 +264,7 @@ class Inflated(SetRegion):
     """
 
     def __init__(self, base, r):
-        if r < 0:
+        if not r >= 0:
             raise ValueError("inflation radius must be >= 0")
         self.base = base
         self.r = float(r)

@@ -231,8 +231,8 @@ def perturb(sys, delta):
     time. Always call on the nominal system; applying twice compounds the
     set inflation.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("delta must be >= 0 and finite")
     return HybridSystem(
         dim=sys.dim,
         flow_set=inflate(sys.flow_set, delta),

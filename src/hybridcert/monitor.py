@@ -59,7 +59,7 @@ class RASSpec(_Spec):
     t_spec: float
 
     def __post_init__(self):
-        if self.t_spec <= 0.0:
+        if not self.t_spec > 0.0:
             raise ValueError("t_spec must be positive")
         self._warn_if_overlapping()
 
@@ -86,7 +86,7 @@ class StabSafeSpec(_Spec):
     eps_levels: tuple = (0.1, 1.0)
 
     def __post_init__(self):
-        if any(e <= 0.0 for e in self.eps_levels):
+        if not all(e > 0.0 for e in self.eps_levels):
             raise ValueError("eps_levels must be positive")
 
 

@@ -62,9 +62,9 @@ class SimConfig:
     t_min: float = 1e-6
 
     def __post_init__(self):
-        if self.h <= 0.0 or self.T_max <= 0.0:
-            raise ValueError("h and T_max must be positive")
-        if self.J_max < 0:
+        if not self.h > 0.0 or not 0.0 < self.T_max < math.inf:
+            raise ValueError("h must be positive, T_max positive and finite")
+        if not self.J_max >= 0:
             raise ValueError("J_max must be nonnegative")
         if not 0.0 < self.event_tol < self.h:
             raise ValueError("event_tol must lie in (0, h)")

@@ -1,18 +1,23 @@
 """End-to-end command line runs via subprocess."""
 
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hybridcert
 from hybridcert import cli
@@ -316,6 +321,17 @@ def decay_certificates(region, attractor):
     return edited(DECAY_SCENARIO, lambda doc: doc.update(certificates=certs))
 
 
+def with_nan(text, *path):
+    """The scenario text with the key at path, a list of keys, set to
+    NaN, written as YAML's .nan."""
+    doc = yaml.safe_load(text)
+    node = doc
+    for part in path[:-1]:
+        node = node.setdefault(part, {})
+    node[path[-1]] = math.nan
+    return yaml.safe_dump(doc)
+
+
 UNIT_BOX = {"kind": "axis_box", "lo": [-1.0], "hi": [1.0]}
 CENTRE_BALL = {"kind": "ball", "center": [0.0], "radius": 0.5}
 IMPLICIT_BALL = {"kind": "implicit", "predicate": "x*x <= 0.25",
@@ -348,6 +364,22 @@ SINGLE_V = ["check", "--mode", "single-v"]
      SIMULATE, "ValueError"),
     (DECAY_SCENARIO.replace("t_max: 6.0}", "t_max: 6.0, j_max: .inf}"),
      SIMULATE, "OverflowError"),
+    # numbers outside their range: a NaN fails every range check, and a
+    # count must be a whole number >= 0
+    (with_nan(DECAY_SCENARIO, "delta"), SIMULATE, "ValueError"),
+    (with_nan(decay_certificates(UNIT_BOX, CENTRE_BALL), "check", "tol"),
+     SINGLE_V, "ValueError"),
+    (with_nan(DECAY_SCENARIO, "spec", "t_spec"), SIMULATE, "ValueError"),
+    (edited(FALLING_MASS_SCENARIO, lambda doc: doc["check"].update(seed=1.5)),
+     ["check", "--mode", "ras"], "ScenarioError"),
+    (edited(FALLING_MASS_SCENARIO, lambda doc: doc["check"].update(n_init=-1)),
+     SIMULATE, "ScenarioError"),
+    # every section is read as the file is parsed, whatever the command
+    (edited(FALLING_MASS_SCENARIO, lambda doc: doc["check"].update(
+        invariant={"kind": "ball", "center": [0.0, 0.0]})),
+     ["check", "--mode", "ras"], "ScenarioError"),
+    (edited(DECAY_SCENARIO, lambda doc: doc["spec"].pop("t_spec")),
+     SIMULATE, "ScenarioError"),
     # inputs the library rejects
     (edited(FALLING_MASS_SCENARIO,
             lambda doc: doc["system"]["flow_map"].append("1.0")),
@@ -381,7 +413,9 @@ SINGLE_V = ["check", "--mode", "single-v"]
                 '"@"', nested_unions(3000)),
      SIMULATE, "RecursionError"),
 ], ids=["30000-zero-flow-set", "100kB-set-kind", "100kB-system-name",
-        "100kB-radius", "non-ascii-radius", "infinite-j-max",
+        "100kB-radius", "non-ascii-radius", "infinite-j-max", "nan-delta",
+        "nan-tol", "nan-t-spec", "fractional-seed", "negative-n-init",
+        "invariant-without-radius-under-ras", "missing-t-spec",
         "3-entry-flow-map", "attractor-outside-region",
         "implicit-certificate-region", "implicit-certificate-attractor",
         "implicit-stability-attractor", "compressor-without-equilibrium",
@@ -1047,9 +1081,165 @@ def test_work_caps_sit_above_the_shipped_studies():
         cli.scenario_from(doc)
 
 
+def test_n_init_is_capped_when_no_disturbances_are_drawn():
+    # invariance and stability-safety draw n_init starts and no
+    # disturbances, so n_dist = 0 must not lift the cap on n_init
+    doc = yaml.safe_load(FALLING_MASS_SCENARIO)
+    doc["check"].update(n_init=cli.MAX_STARTS + 1, n_dist=0)
+    with pytest.raises(cli.ScenarioError, match="check.n_init"):
+        cli.scenario_from(doc)
+
+
 def test_readme_scenario_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
     assert yaml.safe_load(block) == yaml.safe_load(FALLING_MASS_SCENARIO)
     scenario = cli.scenario_from(yaml.safe_load(block))
     assert scenario.sim.T_max == 30.0
+
+
+def test_readme_key_table_lists_exactly_the_keys_of_sections():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| section | key | default | allowed values |\n",
+                         1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[1:]]
+    listed = [tuple(cell.strip().strip("`") for cell in row) for row in rows]
+    keys = [(name, key) for name, section in cli.SECTIONS.items()
+            for key in section]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(keys)
+
+
+# The fuzz of cli.main: the README's falling mass and the test scenarios,
+# each run by a drawn command, with their work-size keys drawn either small
+# (a run of well under a second) or past their cap, then mutated.
+FUZZ_BASES = [FALLING_MASS_SCENARIO, DECAY_SCENARIO, EXPANSION_SCENARIO,
+              BALL_SCENARIO, decay_certificates(UNIT_BOX, CENTRE_BALL),
+              edited(DECAY_SCENARIO, lambda doc: doc.update(
+                  spec=STAB_SAFE_SPEC))]
+FUZZ_COMMANDS = [["simulate"], ["check", "--mode", "ras"],
+                 ["check", "--mode", "stability-safety"],
+                 ["check", "--mode", "invariance"],
+                 ["check", "--mode", "single-v"],
+                 ["check", "--mode", "pair-vb"],
+                 ["falsify", "--mode", "flow-decrease"]]
+# (section, key): (small values, values past the cap)
+WORK_SIZES = {
+    ("sim", "t_max"): ([0.1, 0.5], [1e7, math.nan]),
+    ("sim", "h"): ([0.01, 0.005], [1e-9]),
+    ("sim", "j_max"): ([0, 10], [cli.MAX_JUMPS + 1]),
+    ("check", "n_init"): ([1, 2], [cli.MAX_STARTS + 1]),
+    ("check", "n_dist"): ([0, 2], [cli.MAX_STARTS + 1]),
+    ("check", "budget"): ([1, 40], [cli.MAX_BUDGET + 1]),
+}
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1.0, -0.5, 0, 2.5, 1e308,
+               "x", "", None, True, [], [1.0, -2.0], {}, {"kind": "ball"}]
+FUZZ_OVERRIDES = ["delta=.nan", "check.tol=-1", "spec.t_spec=.nan",
+                  "check.seed=1.5", "sim.t_max=.inf", "check.n_dist=1.0e9",
+                  "check.grid={lo: [0], hi: [1], counts: 1000001}",
+                  "sim.zz=1", "system.variables=[x, x]"]
+FUZZ_SECONDS = 3.0  # per example
+
+
+class Overran(BaseException):
+    """A fuzzed run past FUZZ_SECONDS; not an Exception, so that main does
+    not turn it into an exit code."""
+
+
+def overran(signum, frame):
+    raise Overran("a fuzzed run took more than %g s" % FUZZ_SECONDS)
+
+
+def fuzz_paths(node, path=()):
+    """The path of node and of every node below it."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from fuzz_paths(child, path + (key,))
+
+
+def nested_text(inner, depth, style):
+    """inner, as JSON, inside depth lists or unions."""
+    text = json.dumps(inner)
+    if style == "list":
+        return "[" * depth + text + "]" * depth
+    for _ in range(depth):
+        text = '{"kind": "union", "of": [%s]}' % text
+    return text
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A scenario text and the command line that runs it."""
+    doc = yaml.safe_load(draw(st.sampled_from(FUZZ_BASES)))
+    # at most one key past its cap, so that most runs reach the work
+    past_cap = draw(st.sampled_from(list(WORK_SIZES) + [None] * 18))
+    for (section, key), (small, past) in WORK_SIZES.items():
+        values = past if (section, key) == past_cap else small
+        doc.setdefault(section, {})[key] = draw(st.sampled_from(values))
+    doc["check"]["seed"] = 0
+    if "grid" in doc["check"]:
+        doc["check"]["grid"]["counts"] = draw(st.sampled_from(
+            [3, 3, 3, cli.MAX_GRID_POINTS + 1]))
+    work = {path: doc[path[0]][path[1]] for path in WORK_SIZES}
+    nests = {}
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        path = draw(st.sampled_from(list(fuzz_paths(doc))))
+        parent = doc
+        for part in path[:-1]:
+            parent = parent[part]
+        node = parent[path[-1]] if path else doc
+        how = draw(st.sampled_from(["replace", "unknown-key", "delete",
+                                    "nest"]))
+        if how == "unknown-key" and isinstance(node, dict):
+            node["zz_unknown"] = 1.0
+        elif how == "delete" and path and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif how == "nest" and path:
+            mark = "nest-%d" % len(nests)
+            nests[mark] = nested_text(node, draw(st.sampled_from(
+                [1, 2, 3, 500])), draw(st.sampled_from(["list", "union"])))
+            parent[path[-1]] = mark
+        elif how == "replace" and path:
+            parent[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+    # a deleted or emptied work-size key would fall back to its default,
+    # which is neither small nor past its cap
+    for (section, key), value in work.items():
+        if doc.get(section) in (None, {}):
+            doc[section] = {}
+        if isinstance(doc[section], dict):
+            doc[section].setdefault(key, value)
+    text = json.dumps(doc)
+    for mark, nested in nests.items():
+        text = text.replace(json.dumps(mark), nested)
+    args = list(draw(st.sampled_from(FUZZ_COMMANDS)))
+    override = draw(st.sampled_from(FUZZ_OVERRIDES + [None] * 27))
+    if override is not None:
+        args += ["--override", override]
+    return text, args
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=fuzz_runs())
+def test_fuzzed_scenarios_exit_0_to_4_with_json_lines_on_stderr(run):
+    text, args = run
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        scen = os.path.join(tmp, "fuzz.yaml")
+        with open(scen, "w") as fh:
+            fh.write(text)
+        previous = signal.signal(signal.SIGALRM, overran)
+        signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
+        try:
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = cli.main(args + ["--scenario", scen,
+                                        "--out", os.path.join(tmp, "out")])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2, 3, 4)
+    lines = json_lines(stderr.getvalue())
+    assert lines or code in (0, 1, 3)  # a rejected run says why

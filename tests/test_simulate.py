@@ -17,16 +17,22 @@ from hybridcert import (
     DimensionMismatch,
     Disturbance,
     EmptySet,
+    GridSpec,
     HorizonTooShort,
     HybridArc,
     HybridSystem,
+    Inflated,
+    RASSpec,
     SetRegion,
     SimConfig,
     SolveReport,
+    StabSafeSpec,
     Termination,
     Union,
     bouncing_ball,
     ball_operating_box,
+    check_pair_VB,
+    check_single_V,
     closeness,
     companion_radius_bound,
     construct_perturbed,
@@ -311,6 +317,48 @@ def test_bad_initial_condition_raises():
     system, _, _ = bouncing_ball()
     with pytest.raises(BadInitialCondition):
         solve(system, np.array([0.0, -1.0, 0.5]), SimConfig(h=1e-3, T_max=1.0))
+
+
+def _ball_grid_check(check, tol):
+    system, cert, spec = bouncing_ball()
+    grid = GridSpec([0.0, 0.0, -1.0], [0.0, 1.0, 1.0], 3)
+    if check is check_single_V:
+        return check(system, cert, grid, tol=tol)
+    pair = StabSafeSpec(spec.x0, spec.unsafe, examples.ball_attractor())
+    return check(system, cert, pair, grid, tol=tol)
+
+
+OUT_OF_RANGE = [
+    ("SimConfig.T_max", lambda v: SimConfig(T_max=v),
+     (math.nan, math.inf, 0.0)),
+    ("SimConfig.h", lambda v: SimConfig(h=v), (math.nan, 0.0)),
+    ("perturb.delta", lambda v: perturb(linear_decay(), v),
+     (math.nan, math.inf, -1.0)),
+    ("RASSpec.t_spec",
+     lambda v: RASSpec([[0.0]], Ball([5.0], 1.0), Ball([0.0], 1.0), v),
+     (math.nan, 0.0)),
+    ("StabSafeSpec.eps_levels",
+     lambda v: StabSafeSpec([[0.0]], Ball([5.0], 1.0), Ball([0.0], 1.0),
+                            (0.1, v)),
+     (math.nan, 0.0)),
+    ("Ball.radius", lambda v: Ball([0.0], v), (math.nan, -1.0)),
+    ("Inflated.r", lambda v: Inflated(Ball([0.0], 1.0), v), (math.nan, -1.0)),
+    ("check_single_V.tol", lambda v: _ball_grid_check(check_single_V, v),
+     (math.nan, -1.0)),
+    ("check_pair_VB.tol", lambda v: _ball_grid_check(check_pair_VB, v),
+     (math.nan, -1.0)),
+]
+
+
+# NaN compares false with everything, so each range is stated as a
+# condition that a NaN fails, `not x >= 0`, rather than `x < 0`
+@pytest.mark.parametrize("build, value", [
+    pytest.param(build, value, id="%s=%r" % (name, value))
+    for name, build, values in OUT_OF_RANGE for value in values
+])
+def test_library_validators_reject_nan_and_out_of_range_values(build, value):
+    with pytest.raises(ValueError):
+        build(value)
 
 
 def test_escaped_bounds_termination():
