@@ -36,7 +36,6 @@ from .hybrid import (
     arc_from_json,
     arc_to_csv,
     arc_to_json,
-    from_floats,
     make_system,
     perturb,
 )

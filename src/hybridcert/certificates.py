@@ -146,11 +146,15 @@ class GridSpec:
         if self.lo.size != self.hi.size:
             raise ValueError("grid lo has %d entries and hi has %d"
                              % (self.lo.size, self.hi.size))
-        if np.isscalar(self.counts) or isinstance(self.counts, int):
-            self.counts = (int(self.counts),) * self.lo.size
-        self.counts = tuple(int(c) for c in self.counts)
-        if len(self.counts) != self.lo.size or any(c < 1 for c in self.counts):
-            raise ValueError("counts must give >= 1 points per axis")
+        counts = self.counts
+        if np.isscalar(counts) or isinstance(counts, int):
+            counts = (counts,) * self.lo.size
+        counts = tuple(counts)
+        self.counts = tuple(map(int, counts))
+        if len(counts) != self.lo.size or any(
+                k != c or k < 1 for k, c in zip(self.counts, counts)):
+            raise ValueError("counts must give a whole number >= 1 of points"
+                             " per axis")
         if np.any(self.hi < self.lo):
             raise ValueError("grid box is inverted")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -172,12 +176,6 @@ class GridSpec:
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def cell(self):
-        spans = self.hi - self.lo
-        return np.array(
-            [s / (c - 1) if c > 1 else 0.0 for s, c in zip(spans, self.counts)]
-        )
 
 
 def grad_check(f: ScalarField, probes):

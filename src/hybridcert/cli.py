@@ -317,7 +317,9 @@ def parse_scenario(doc):
             flow_set=parse_set(s["flow_set"], variables),
             flow_map=vector_fn(s["flow_map"], variables),
             jump_set=parse_set(s["jump_set"], variables),
-            jump_map=lambda x: [jump_vec(x)],
+            # on Python floats, like the flow map, so an overflow raises
+            # ExpressionError rather than giving numpy's inf
+            jump_map=lambda x: [jump_vec(x.tolist())],
             bounds=bounds,
         )
     else:
@@ -373,7 +375,9 @@ def scenario_from(doc, overrides=(), seed=None):
     """Parse a scenario document once its overrides and seed are applied."""
     doc = apply_overrides(doc, overrides)
     if seed is not None:
-        doc.setdefault("check", {})["seed"] = int(seed)
+        if doc.get("check") is None:
+            doc["check"] = {}
+        doc["check"]["seed"] = int(seed)
     return parse_scenario(doc)
 
 

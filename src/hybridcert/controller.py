@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import AxisBox, as_vector
-from .hybrid import HybridSystem, from_floats
+from .hybrid import HybridSystem
 
 log = logging.getLogger(__name__)
 
@@ -346,7 +346,7 @@ def augment_sample_hold(plant: ControlledPlant, policy, cfg: SampleHoldConfig):
     drift, input_matrix, rate = plant.drift, plant.input_matrix, plant._rate
     held = [0.0] * nu + [1.0]  # u' = 0, tau' = 1
 
-    def flow_floats(zs):
+    def flow_map(zs):
         xs = zs[:nx]
         return rate(drift(xs), input_matrix(xs), zs[nx:nx + nu]) + held
 
@@ -368,7 +368,7 @@ def augment_sample_hold(plant: ControlledPlant, policy, cfg: SampleHoldConfig):
     return HybridSystem(
         dim=dim,
         flow_set=C,
-        flow_map=from_floats(flow_floats),
+        flow_map=flow_map,
         jump_set=D,
         jump_map=jump_map,
         bounds=bounds,

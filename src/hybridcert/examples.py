@@ -26,7 +26,7 @@ from .geometry import (
     as_vector,
     make_proper_indicator,
 )
-from .hybrid import HybridSystem, from_floats
+from .hybrid import HybridSystem
 from .monitor import RASSpec
 from .simulate import SimConfig, solve
 
@@ -101,7 +101,7 @@ def bouncing_ball(params: BouncingBallParams = None):
         sdf=jump_sdf,
     )
 
-    def flow_floats(s):
+    def flow_map(s):
         _, y, z = s
         if y <= impact_tol and abs(z) <= impact_tol:
             # at rest on the floor: only horizontal drift remains, otherwise
@@ -126,7 +126,7 @@ def bouncing_ball(params: BouncingBallParams = None):
     system = HybridSystem(
         dim=3,
         flow_set=flow_set,
-        flow_map=from_floats(flow_floats),
+        flow_map=flow_map,
         jump_set=jump_set,
         jump_map=jump_map,
         bounds=AxisBox([-10.0, -1.0, -20.0], [60.0, 15.0, 20.0]),

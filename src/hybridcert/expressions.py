@@ -14,7 +14,6 @@ import math
 import reprlib
 
 from .geometry import as_vector
-from .hybrid import from_floats
 
 
 class ExpressionError(ValueError):
@@ -270,16 +269,16 @@ def predicate_fn(source, variables):
 
 
 def vector_fn(sources, variables):
-    """Compile a list of expressions into x -> ndarray, one row per entry;
-    all entries are one function, called once per evaluation.  The map
-    carries its list form, a list of floats to a list of floats (see
-    hybrid.from_floats)."""
+    """Compile a list of expressions into a map from a list of floats to a
+    list of floats, one entry per expression (a flow map in the form that
+    hybrid.HybridSystem takes); all entries are one function, called once
+    per evaluation."""
     sources = [str(s) for s in sources]
     variables = _checked(variables)
     fn = _compile(sources, variables)
     n = len(variables)
 
-    def floats(xs):
+    def vector(xs):
         if len(xs) != n:
             raise ExpressionError(
                 "expected %d components, got %d" % (n, len(xs))
@@ -295,4 +294,4 @@ def vector_fn(sources, variables):
                 Expr(source, variables)(xs)
             raise _arithmetic_error(exc, sources) from None
 
-    return from_floats(floats)
+    return vector

@@ -120,19 +120,17 @@ class HybridArc:
 class HybridSystem:
     """H = (C, F, D, G) with perturbation level delta.
 
-    flow_map is the nominal single-valued selection of F; set-valuedness is
-    realized through disturbances of norm <= delta.  The checks call
-    flow_map with the state as a 1-D float64 array and read its value as
-    one.  A flow map may also carry a list form as its ``floats``
-    attribute (see from_floats): the same map from a list of dim Python
-    floats to a sequence of dim floats, with the same bits.  The solver
-    then calls that form with its stage states as lists, and calls
-    flow_map itself otherwise.  jump_map returns a nonempty list of
-    candidate successors.  zeno_map, when present, replaces a jump whose
-    gap from the previous jump is below the solver's t_min (the
-    example-specific Zeno completion).  flow_map_rows, when present, is
-    the row form of flow_map: it maps an (n, dim) array to the (n, dim)
-    flow values, equal bit for bit to flow_map row by row.
+    flow_map is the nominal single-valued selection of F: it maps a state,
+    given as a list of dim Python floats, to a sequence of dim floats.  The
+    solver calls it on its stage states, and flow is the entry point for a
+    state array; a map written in array arithmetic wraps its argument with
+    np.asarray.  Set-valuedness is realized through disturbances of norm
+    <= delta.  jump_map returns a nonempty list of candidate
+    successors.  zeno_map, when present, replaces a jump whose gap from
+    the previous jump is below the solver's t_min (the example-specific
+    Zeno completion).  flow_map_rows, when present, is the row form of
+    flow_map: it maps an (n, dim) array to the (n, dim) flow values, equal
+    bit for bit to flow row by row.
     """
 
     dim: int
@@ -146,7 +144,13 @@ class HybridSystem:
     flow_map_rows: object = None
 
     def flow(self, x):
-        return as_vector(self.flow_map(x))
+        """flow_map at the state array x, as a float64 array."""
+        fx = np.array(self.flow_map(as_vector(x).tolist()), dtype=float)
+        if fx.shape != (self.dim,):
+            raise DimensionMismatch(
+                "flow map returned shape %s, wanted (%d,)" % (fx.shape, self.dim)
+            )
+        return fx
 
     def flow_many(self, X):
         """[self.flow(x) for x in X] as an (n, dim) array: the row form,
@@ -162,24 +166,6 @@ class HybridSystem:
         return [as_vector(c) for c in cands]
 
 
-def from_floats(floats):
-    """The flow map whose list form is floats, for HybridSystem.flow_map.
-
-    floats maps a state, a list of Python floats, to its value, a sequence
-    of floats.  The returned map takes a state array and returns that
-    value as a float64 array, and carries floats as its ``floats``
-    attribute.  A map that wraps or replaces it has no such attribute, so
-    the solver calls the wrapper on arrays; functools.wraps would copy the
-    attribute onto the wrapper, which the solver would then bypass.
-    """
-
-    def flow_map(x):
-        return np.array(floats(as_vector(x).tolist()), dtype=float)
-
-    flow_map.floats = floats
-    return flow_map
-
-
 def make_system(dim, flow_set, flow_map, jump_set, jump_map, bounds):
     """Construct an unperturbed system, probing the maps for dimension sanity."""
     if dim < 1:
@@ -193,10 +179,7 @@ def make_system(dim, flow_set, flow_map, jump_set, jump_map, bounds):
         bounds=bounds,
         delta=0.0,
     )
-    probe = _probe_point(bounds, dim)
-    fx = as_vector(flow_map(probe))
-    if fx.shape != (dim,):
-        raise DimensionMismatch(f"flow map returned shape {fx.shape}, wanted ({dim},)")
+    sys.flow(_probe_point(bounds, dim))
     jp = _probe_point(jump_set, dim)
     if jp is not None and contains(jump_set, jp, 0.0):
         cands = jump_map(jp)

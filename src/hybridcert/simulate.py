@@ -6,14 +6,13 @@ the state-space bracket width drops below ``event_tol``.  Disturbances are
 held constant across each accepted step, which keeps perturbed runs
 reproducible from a single seed.
 
-A step works on the state's Python floats: the flow map's list form (see
-hybrid.from_floats) gets each stage state as a list, and the stages and
+A step works on the state's Python floats: the flow map (see
+hybrid.HybridSystem) gets each stage state as a list, and the stages and
 their combination are float arithmetic, the same IEEE operations in the
 same order as the array form, so the arcs keep its bits without its numpy
-temporaries on short vectors.  A map without a list form gets a fresh
-array at each stage.  The first stage f(x) + d is computed once per step
-and shared by every bisection probe of that step, which then costs three
-flow calls.
+temporaries on short vectors.  The first stage f(x) + d is computed once
+per step and shared by every bisection probe of that step, which then
+costs three flow calls.
 """
 
 import math
@@ -84,29 +83,8 @@ class SolveReport:
         return self.arc.termination
 
 
-def _list_form(system):
-    """The system's flow map in list form: a list of dim floats in, a
-    sequence of dim floats out.  That is the map's ``floats`` attribute
-    when it has one; otherwise system.flow on a fresh array, with its value
-    checked for shape and listed."""
-    floats = getattr(system.flow_map, "floats", None)
-    if floats is not None:
-        return floats
-    flow, dim = system.flow, system.dim
-
-    def listed(xs):
-        fx = flow(np.array(xs))
-        if fx.shape != (dim,):
-            raise DimensionMismatch(
-                "flow map returned shape %s, wanted (%d,)" % (fx.shape, dim)
-            )
-        return fx.tolist()
-
-    return listed
-
-
 def _slope(f, y, d):
-    """f(y) + d as Python floats: f is a list form, y and d lists of
+    """f(y) + d as Python floats: f is a flow map, y and d lists of
     floats."""
     fy = f(y)
     if len(fy) != len(d):
@@ -118,7 +96,7 @@ def _slope(f, y, d):
 
 def _rk4_step(f, x, k1, dt, d):
     """One classical RK4 step over dt from x, a list of floats, under the
-    list form f.
+    flow map f.
 
     k1 = _slope(f, x, d) is the first stage, which every step from x under
     d shares; the other stages each evaluate f once on a fresh list.
@@ -230,7 +208,7 @@ def solve(system: HybridSystem, x0, config: SimConfig,
     if not (contains(flow_set, x0, tol) or contains(jump_set, x0, 0.0)):
         raise BadInitialCondition("x0 outside both flow and jump sets")
 
-    f = _list_form(system)
+    f = system.flow_map
     draw = config.disturbance.start(system.dim, system.delta)
     builder = _ArcBuilder(0.0, x0, watch)
     t, j, x = 0.0, 0, x0

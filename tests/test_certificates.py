@@ -476,6 +476,7 @@ def test_grid_spec_scalar_counts_broadcast():
     g = GridSpec([-1.0, -1.0], [1.0, 1.0], 3)
     assert g.counts == (3, 3)
     assert g.points().shape == (9, 2)
+    assert GridSpec([-1.0, -1.0], [1.0, 1.0], 3.0).counts == (3, 3)
 
 
 def test_grid_spec_rejects_bad_boxes():
@@ -483,6 +484,12 @@ def test_grid_spec_rejects_bad_boxes():
         GridSpec([1.0], [0.0], 3)
     with pytest.raises(ValueError):
         GridSpec([0.0], [1.0], 0)
+
+
+@pytest.mark.parametrize("counts", [4.9, (3, 2.5), -1.0, "4"])
+def test_grid_spec_rejects_counts_that_are_not_whole_numbers(counts):
+    with pytest.raises(ValueError, match="whole number >= 1"):
+        GridSpec([0.0, 0.0], [1.0, 1.0], counts)
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -505,12 +512,6 @@ def test_grid_spec_rejects_lo_and_hi_of_different_lengths(lo, hi):
 def test_grid_spec_rejects_axes_without_a_finite_span(lo, hi, axis):
     with pytest.raises(ValueError, match="grid axis %d:" % axis):
         GridSpec(lo, hi, 5)
-
-
-def test_grid_spec_single_point_axis_has_zero_cell():
-    g = GridSpec([0.0, -1.0], [0.0, 1.0], (1, 5))
-    assert g.cell()[0] == 0.0
-    assert g.cell()[1] == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------

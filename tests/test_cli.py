@@ -302,6 +302,20 @@ def test_hostile_expression_exits_4_with_one_json_object(tmp_path, edits,
     assert message in payload["message"]
 
 
+def test_overflowing_jump_map_exits_4_with_an_expression_error(tmp_path):
+    # the jump map runs on Python floats, as the flow map does: on numpy
+    # floats z**400 would be inf with a warning, and the arc non-finite
+    scen = write(tmp_path, "jump.yaml", FALLING_MASS_SCENARIO.replace(
+        'jump_map: ["y", "-0.8*z"]', 'jump_map: ["y", "-0.8*z**400"]'))
+    out = tmp_path / "sim"
+    code, _, stderr = run_cli(
+        ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
+    )
+    payload = rejected(code, stderr, out)
+    assert payload["error"] == "ExpressionError"
+    assert "OverflowError" in payload["message"]
+
+
 def edited(text, edit):
     """A scenario text after edit(doc), as JSON (which is YAML)."""
     doc = yaml.safe_load(text)
@@ -374,6 +388,9 @@ SINGLE_V = ["check", "--mode", "single-v"]
      ["check", "--mode", "ras"], "ScenarioError"),
     (edited(FALLING_MASS_SCENARIO, lambda doc: doc["check"].update(n_init=-1)),
      SIMULATE, "ScenarioError"),
+    (edited(DECAY_SCENARIO, lambda doc: doc.update(check={"grid": {
+        "lo": [-1.0], "hi": [1.0], "counts": 4.9}})),
+     SIMULATE, "ValueError"),
     # every section is read as the file is parsed, whatever the command
     (edited(FALLING_MASS_SCENARIO, lambda doc: doc["check"].update(
         invariant={"kind": "ball", "center": [0.0, 0.0]})),
@@ -415,6 +432,7 @@ SINGLE_V = ["check", "--mode", "single-v"]
 ], ids=["30000-zero-flow-set", "100kB-set-kind", "100kB-system-name",
         "100kB-radius", "non-ascii-radius", "infinite-j-max", "nan-delta",
         "nan-tol", "nan-t-spec", "fractional-seed", "negative-n-init",
+        "fractional-grid-count",
         "invariant-without-radius-under-ras", "missing-t-spec",
         "3-entry-flow-map", "attractor-outside-region",
         "implicit-certificate-region", "implicit-certificate-attractor",
@@ -730,6 +748,26 @@ def test_check_ras_ball_passes_with_seed(tmp_path):
     report = json.loads((out / "check_report.json").read_text())
     assert report["verdict"] == "PASS"
     assert report["stats"]["settle_time"] <= 30.0
+
+
+def test_seed_flag_reads_a_null_check_section_as_empty(tmp_path, capsys):
+    reports = []
+    for check in ("null", "{}"):
+        scen = write(tmp_path, "ball.yaml", "system: bouncing-ball\n"
+                     "sim: {h: 0.002}\ncheck: %s\n" % check)
+        out = tmp_path / ("out-%d" % len(reports))
+        code = cli.main(["check", "--mode", "ras", "--scenario", scen,
+                         "--seed", "0", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        reports.append((out / "check_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    # a check section that is no mapping still exits 4
+    scen = write(tmp_path, "ball.yaml", "system: bouncing-ball\ncheck: 5\n")
+    out = tmp_path / "out-5"
+    code = cli.main(["check", "--mode", "ras", "--scenario", scen,
+                     "--seed", "0", "--out", str(out)])
+    assert code == 4 and not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "TypeError"
 
 
 def test_check_ras_inconclusive_short_horizon(tmp_path):
@@ -1096,6 +1134,19 @@ def test_readme_scenario_parses():
     assert yaml.safe_load(block) == yaml.safe_load(FALLING_MASS_SCENARIO)
     scenario = cli.scenario_from(yaml.safe_load(block))
     assert scenario.sim.T_max == 30.0
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    # one namespace: a later block reads what an earlier one made
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0]
+              for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 3
+    namespace = {}
+    for k, block in enumerate(blocks):
+        exec(compile(block, "README.md python block %d" % k, "exec"),
+             namespace)
+    assert capsys.readouterr().out.splitlines()[-1] == "True"
 
 
 def test_readme_key_table_lists_exactly_the_keys_of_sections():
