@@ -202,40 +202,24 @@ def grad_check(f: ScalarField, probes):
     return worst
 
 
-def _ball_directions(delta, dim, grads):
-    """Exact extremizers for conditions linear in the disturbance.
-
-    Zero, the axis directions, and +-delta along each supplied gradient;
-    the gradient directions are the true extremizers, the axis points are
-    kept as cheap redundancy.
-    """
-    dirs = [np.zeros(dim)]
+def _row_directions(delta, shape, grads):
+    """Exact extremizers, at each of n points of dimension dim (shape is
+    (n, dim)), of conditions linear in the disturbance: zero and, for
+    delta > 0, +-delta along each axis and then along each (n, dim) array
+    of gradients in grads.  The gradient directions are the true
+    extremizers, the axis points are kept as cheap redundancy.  Yields
+    (d, used): d is one direction for all rows or one per row, and used
+    marks the rows that try it (a zero gradient gives none)."""
+    n, dim = shape
+    every = np.ones(n, dtype=bool)
+    yield np.zeros(dim), every
     if delta <= 0.0:
-        return dirs
+        return
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = delta
-        dirs.append(e)
-        dirs.append(-e)
-    for g in grads:
-        n = float(np.linalg.norm(g))
-        if n > 0.0:
-            dirs.append(g * (delta / n))
-            dirs.append(g * (-delta / n))
-    return dirs
-
-
-def _row_directions(delta, grads):
-    """_ball_directions for many points at once: grads holds one (n, dim)
-    array of gradients per gradient of _ball_directions.  Yields (d, used)
-    in the same order: d is one direction for all rows or one per row, and
-    used marks the rows that try it (a zero gradient gives none)."""
-    n, dim = grads[0].shape
-    every = np.ones(n, dtype=bool)
-    for d in _ball_directions(delta, dim, []):
-        yield d, every
-    if delta <= 0.0:
-        return
+        yield e, every
+        yield -e, every
     for G in grads:
         norm = np.sqrt(np.vecdot(G, G))
         used = norm > 0.0
@@ -244,16 +228,15 @@ def _row_directions(delta, grads):
             yield G * (-delta / norm)[:, None], used
 
 
-def _jump_directions(cert, cand, delta, grad_V):
-    """Disturbances tried at the jump image cand: _ball_directions along
-    grad_V and, for delta > 0, along grad B(cand), where the barrier-jump
-    margin B(x) - B(cand + d) is worst.  grad_V is not read at delta = 0."""
-    if delta <= 0.0:
-        return [np.zeros(cand.size)]
-    grads = [grad_V]
-    if cert.B.admissible(cand):
-        grads.append(cert.B.gradient(cand))
-    return _ball_directions(delta, cand.size, grads)
+def _jump_images(sys_delta, P):
+    """Yield (rows, G) for each candidate rank k: the rows of P that have
+    a k-th jump candidate and those candidates, one row each."""
+    cands = [sys_delta.jump_candidates(p) for p in P]
+    for k in range(max(map(len, cands), default=0)):
+        rows = np.array([i for i, c in enumerate(cands) if len(c) > k],
+                        dtype=int)
+        yield rows, np.array([cands[i][k] for i in rows],
+                             dtype=float).reshape(len(rows), -1)
 
 
 def _clamp(v):
@@ -393,13 +376,12 @@ def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
     jump = np.flatnonzero(sys_delta.jump_set.contains_many(P, 0.0))
     w = _indicator_many(cert.omega, P)
     v = V.value_many(P)
-    m_jump = [_jump_margin_single(sys_delta, V, p, vx, delta)
-              for p, vx in zip(P[jump], v[jump].tolist())]
     counts, worst = {}, {}
     _note_rows([
         ("flow-decrease", flow,
          _flow_margins(sys_delta, V, P[flow], v[flow], delta)),
-        ("jump-decrease", jump, np.array(m_jump, dtype=float)),
+        ("jump-decrease", jump,
+         _jump_margins(sys_delta, V, P[jump], v[jump], delta)),
     ], P, tol, counts, worst, ces, margin=float)
     _sandwich_check(w, v, P, tol, ces)
     env = _fit_envelopes(w, v)
@@ -433,21 +415,33 @@ def _flow_margins(sys_delta, V, P, v, delta):
     G = V.gradient_many(P)
     F = sys_delta.flow_many(P)
     worst = np.full(len(P), -np.inf)
-    for d, used in _row_directions(delta, [G]):
+    for d, used in _row_directions(delta, G.shape, [G]):
         m = np.vecdot(G, F + d) + v
         worst = np.where(used & (m > worst), m, worst)
     return worst
 
 
-def _jump_margin_single(sys_delta, V, p, vx, delta):
-    """jump-decrease margin at p, where V = vx."""
-    worst = -np.inf
-    for cand in sys_delta.jump_candidates(p):
-        cand = as_vector(cand)
-        gv = V.gradient(cand)
-        for d in _ball_directions(delta, p.size, [gv]):
-            worst = max(worst, V(cand + d) - vx / np.e)
+def _jump_margins(sys_delta, V, P, v, delta):
+    """jump-decrease margin at each row of P, with V = v there: the
+    largest V(g + d) - V / e over the jump candidates g and the
+    disturbances along grad V(g)."""
+    worst = np.full(len(P), -np.inf)
+    for rows, G in _jump_images(sys_delta, P):
+        grads = [V.gradient_many(G)] if delta > 0.0 else []
+        for d, used in _row_directions(delta, G.shape, grads):
+            at = rows[used]
+            m = V.value_many((G + d)[used]) - v[at] / np.e
+            worst[at] = np.where(m > worst[at], m, worst[at])
     return worst
+
+
+def _barrier_gradients(B, P):
+    """Which rows of P B admits, and grad B there; the other rows read
+    zero, which tries no disturbance along grad B."""
+    ok = B.admissible_many(P)
+    G = np.zeros(P.shape)
+    G[ok] = B.gradient_many(P[ok])
+    return ok, G
 
 
 def _pair_flow(sys_delta, cert, P):
@@ -457,13 +451,11 @@ def _pair_flow(sys_delta, cert, P):
     margin); the margin, and grad B, count only where B is admissible."""
     V, B = cert.V, cert.B
     GV = V.gradient_many(P)
-    ok = B.admissible_many(P)
-    GB = np.zeros_like(GV)
-    GB[ok] = B.gradient_many(P[ok])
+    ok, GB = _barrier_gradients(B, P)
     F = sys_delta.flow_many(P)
     dec = np.full(len(P), np.inf)
     bflow = np.full(len(P), np.inf)
-    for d, used in _row_directions(sys_delta.delta, [GV, GB]):
+    for d, used in _row_directions(sys_delta.delta, GV.shape, [GV, GB]):
         Fd = F + d
         m = -np.vecdot(GV, Fd)
         dec = np.where(used & (m < dec), m, dec)
@@ -472,23 +464,27 @@ def _pair_flow(sys_delta, cert, P):
     return dec, ok, -bflow
 
 
-def _pair_jump(sys_delta, cert, p, vx, b):
-    """At a point of D_delta with V(p) = vx and B(p) = b: the least decrease
-    vx - V(g + d) and the iv-barrier-jump margin, the largest drop
-    b - B(g + d), over the jump candidates g and the disturbances of
-    _jump_directions.  With vx None, V is not evaluated and the decrease
-    is None."""
+def _pair_jumps(sys_delta, cert, P, v, b):
+    """At rows of D_delta, with V = v and B = b there: the least decrease
+    V - V(g + d) and the iv-barrier-jump margin, the largest drop
+    B - B(g + d), over the jump candidates g and the disturbances along
+    grad V(g) and, where B is admissible, grad B(g).  With v None, V is
+    not evaluated and the decrease is None."""
     V, B = cert.V, cert.B
     delta = sys_delta.delta
-    dec = None if vx is None else np.inf
-    bjump = np.inf
-    for cand in sys_delta.jump_candidates(p):
-        cand = as_vector(cand)
-        gv = V.gradient(cand) if delta > 0.0 else None
-        for d in _jump_directions(cert, cand, delta, gv):
-            if vx is not None:
-                dec = min(dec, vx - V(cand + d))
-            bjump = min(bjump, B(cand + d) - b)
+    dec = None if v is None else np.full(len(P), np.inf)
+    bjump = np.full(len(P), np.inf)
+    for rows, G in _jump_images(sys_delta, P):
+        grads = []
+        if delta > 0.0:
+            grads = [V.gradient_many(G), _barrier_gradients(B, G)[1]]
+        for d, used in _row_directions(delta, G.shape, grads):
+            at, X = rows[used], (G + d)[used]
+            if v is not None:
+                m = v[at] - V.value_many(X)
+                dec[at] = np.where(m < dec[at], m, dec[at])
+            m = B.value_many(X) - b[at]
+            bjump[at] = np.where(m < bjump[at], m, bjump[at])
     return dec, -bjump
 
 
@@ -507,7 +503,8 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
     Flow conditions run on grid points of C_delta in O, jump conditions on
     D_delta in O, (iii) on grid points inside U, all with worst-case
     disturbance directions.  V, B, their gradients and the flow map are
-    evaluated on all flow points at once; jump points go one at a time.
+    evaluated on all flow points at once, and V, B and their gradients on
+    all jump images of the same candidate rank at once.
     """
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
@@ -535,10 +532,7 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
     unsafe = np.flatnonzero(in_O & in_U)
 
     dec_flow, ok, m_flow = _pair_flow(sys_delta, cert, P[flow])
-    dec_jump, m_jump = np.array([
-        _pair_jump(sys_delta, cert, P[i], vx, bx)
-        for i, vx, bx in zip(jump, v[jump].tolist(), b[jump].tolist())
-    ], dtype=float).reshape(-1, 2).T
+    dec_jump, m_jump = _pair_jumps(sys_delta, cert, P[jump], v[jump], b[jump])
     # the required decrease is 0; 0.0 - dec keeps +0.0 at dec = 0
     _note_rows([
         ("ii-S-in-O", outside, _clamp_rows(b[outside])),
@@ -559,8 +553,8 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
                    pts, tol, counts, worst, ces)
 
     x0 = [as_vector(p) for p in spec.initial_points()]
-    _note_rows([("ii-X0-in-S", np.arange(len(x0)),
-                 np.array([-B(p) for p in x0], dtype=float))],
+    x0 = np.reshape(x0, (len(x0), P.shape[1]))
+    _note_rows([("ii-X0-in-S", np.arange(len(x0)), -B.value_many(x0))],
                x0, tol, counts, worst, ces)
 
     inside = np.flatnonzero(in_O)
@@ -630,29 +624,28 @@ def _condition(sys_delta, cert, condition_id, spec):
     if B is None and condition_id in barrier_ids:
         raise MissingBarrier(condition_id)
 
-    # the flow conditions are row functions, called on p's one-row array
-    def flow_decrease(p):
-        P = p[None]
-        return float(_flow_margins(sys_delta, V, P, V.value_many(P),
-                                   delta)[0])
-
-    def barrier_flow(p):
-        _, ok, m = _pair_flow(sys_delta, cert, p[None])
-        return float(m[0]) if ok[0] else None
+    # each margin is its grid check's row function, called on p's one-row
+    # array; the barrier-flow margin is empty where B is not admissible
+    def barrier_flow(P):
+        _, ok, m = _pair_flow(sys_delta, cert, P)
+        return m[ok]
 
     if condition_id == "flow-decrease":
-        where, fn = C, flow_decrease
+        where, fn = C, lambda P: _flow_margins(sys_delta, V, P,
+                                               V.value_many(P), delta)
     elif condition_id == "jump-decrease":
-        where, fn = D, lambda p: _jump_margin_single(sys_delta, V, p, V(p),
-                                                     delta)
+        where, fn = D, lambda P: _jump_margins(sys_delta, V, P,
+                                               V.value_many(P), delta)
     elif condition_id == "barrier-flow":
         where, fn = C, barrier_flow
     elif condition_id == "barrier-jump":
-        where, fn = D, lambda p: _pair_jump(sys_delta, cert, p, None, B(p))[1]
+        where, fn = D, lambda P: _pair_jumps(sys_delta, cert, P, None,
+                                             B.value_many(P))[1]
     elif condition_id == "unsafe-negative":
         if spec is None:
             raise ValueError("unsafe-negative needs a spec with spec.unsafe")
-        where, fn, O = spec.unsafe, lambda p: _clamp(B(p)), None
+        where, O = spec.unsafe, None
+        fn = lambda P: _clamp_rows(B.value_many(P))
     else:
         raise ValueError("unknown condition id %r" % condition_id)
 
@@ -661,7 +654,8 @@ def _condition(sys_delta, cert, condition_id, spec):
         in_O = O is None or contains(O, p, 0.0)
         if not in_O or not contains(where, p, 0.0):
             return None
-        return fn(p)
+        m = fn(p[None])
+        return float(m[0]) if len(m) else None
 
     return where, wrapped
 

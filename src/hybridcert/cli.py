@@ -393,7 +393,10 @@ def apply_overrides(doc, pairs):
         node = doc
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            # a null section reads as an empty one, as the parser reads it
+            if node.get(part) is None:
+                node[part] = {}
+            node = node[part]
             if not isinstance(node, dict):
                 raise ScenarioError("cannot override through %s" % quote(part))
         node[parts[-1]] = yaml.safe_load(value)

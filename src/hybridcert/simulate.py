@@ -212,14 +212,13 @@ def solve(system: HybridSystem, x0, config: SimConfig,
     draw = config.disturbance.start(system.dim, system.delta)
     builder = _ArcBuilder(0.0, x0, watch)
     t, j, x = 0.0, 0, x0
-    jump_count = 0
     zeno_snapped = False
     last_jump_t = None
     termination = None
 
     def do_jump():
-        nonlocal t, j, x, jump_count, zeno_snapped, last_jump_t, termination
-        if jump_count >= config.J_max:
+        nonlocal t, j, x, zeno_snapped, last_jump_t, termination
+        if j >= config.J_max:
             termination = Termination.HORIZON_REACHED
             return False
         gap = None if last_jump_t is None else t - last_jump_t
@@ -245,7 +244,6 @@ def solve(system: HybridSystem, x0, config: SimConfig,
             x_plus = x_plus + draw(t, j)
         builder.new_phase(t, x_plus)
         j += 1
-        jump_count += 1
         last_jump_t = t
         x = x_plus
         return True
@@ -326,7 +324,7 @@ def solve(system: HybridSystem, x0, config: SimConfig,
     arc = builder.build(termination)
     flow_time = sum(times[-1] - times[0] for times, _ in arc.phases)
     return SolveReport(
-        arc=arc, flow_time=flow_time, jump_count=jump_count, zeno_snapped=zeno_snapped
+        arc=arc, flow_time=flow_time, jump_count=j, zeno_snapped=zeno_snapped
     )
 
 

@@ -3,21 +3,16 @@
 check_single_V and check_pair_VB below are the checks as they were before
 hybridcert.certificates computed them from arrays: one Python visit per
 grid point, V, B, their gradients and the flow map called one point at a
-time.  The array checks must give the same report, byte for byte; the
-tests compare the two.  Only the jump margins are shared with the package,
-because the package still takes jump points one at a time.
+time, jump candidates included.  The array checks must give the same
+report, byte for byte; the tests compare the two.  The package lends only
+the grid, the clamp of margins and the region membership tests: every
+margin and disturbance direction below is computed here, one point at a
+time.
 """
 
 import numpy as np
 
-from hybridcert.certificates import (
-    GridSpec,
-    _ball_directions,
-    _clamp,
-    _in_region,
-    _members,
-    _pair_jump,
-)
+from hybridcert.certificates import GridSpec, _clamp, _in_region, _members
 from hybridcert.geometry import as_vector
 from hybridcert.report import CheckReport, Counterexample, Verdict
 
@@ -50,12 +45,35 @@ def sandwich_check(pairs, tol, ces):
             ces.append(Counterexample("sandwich-lower", x, margin=w - band))
 
 
+def ball_directions(delta, dim, grads):
+    """Exact extremizers for conditions linear in the disturbance.
+
+    Zero, the axis directions, and +-delta along each supplied gradient;
+    the gradient directions are the true extremizers, the axis points are
+    kept as cheap redundancy.
+    """
+    dirs = [np.zeros(dim)]
+    if delta <= 0.0:
+        return dirs
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = delta
+        dirs.append(e)
+        dirs.append(-e)
+    for g in grads:
+        n = float(np.linalg.norm(g))
+        if n > 0.0:
+            dirs.append(g * (delta / n))
+            dirs.append(g * (-delta / n))
+    return dirs
+
+
 def flow_margin_single(sys_delta, V, p, delta):
     g = V.gradient(p)
     f = sys_delta.flow(p)
     vp = V(p)
     worst = -np.inf
-    for d in _ball_directions(delta, p.size, [g]):
+    for d in ball_directions(delta, p.size, [g]):
         worst = max(worst, float(np.dot(g, f + d)) + vp)
     return worst
 
@@ -66,7 +84,7 @@ def jump_margin_single(sys_delta, V, p, delta):
     for cand in sys_delta.jump_candidates(p):
         cand = as_vector(cand)
         gv = V.gradient(cand)
-        for d in _ball_directions(delta, p.size, [gv]):
+        for d in ball_directions(delta, p.size, [gv]):
             worst = max(worst, V(cand + d) - vx / np.e)
     return worst
 
@@ -79,11 +97,35 @@ def pair_flow(sys_delta, cert, p):
     grads = [gv] + ([gb] if gb is not None else [])
     dec = np.inf
     bflow = np.inf
-    for d in _ball_directions(sys_delta.delta, p.size, grads):
+    for d in ball_directions(sys_delta.delta, p.size, grads):
         dec = min(dec, -float(np.dot(gv, f + d)))
         if gb is not None:
             bflow = min(bflow, float(np.dot(gb, f + d)))
     return dec, (None if gb is None else -bflow)
+
+
+def pair_jump(sys_delta, cert, p, vx, b):
+    """At a point of D_delta with V(p) = vx and B(p) = b: the least decrease
+    vx - V(g + d) and the largest drop b - B(g + d) over the jump
+    candidates g and the disturbances along grad V(g) and, where B is
+    admissible, grad B(g).  With vx None, V is not evaluated and the
+    decrease is None."""
+    V, B = cert.V, cert.B
+    delta = sys_delta.delta
+    dec = None if vx is None else np.inf
+    bjump = np.inf
+    for cand in sys_delta.jump_candidates(p):
+        cand = as_vector(cand)
+        grads = []
+        if delta > 0.0:
+            grads.append(V.gradient(cand))
+            if B.admissible(cand):
+                grads.append(B.gradient(cand))
+        for d in ball_directions(delta, cand.size, grads):
+            if vx is not None:
+                dec = min(dec, vx - V(cand + d))
+            bjump = min(bjump, B(cand + d) - b)
+    return dec, -bjump
 
 
 def check_single_V(sys_delta, cert, grid, tol=TOL):
@@ -186,7 +228,7 @@ def check_pair_VB(sys_delta, cert, spec, grid, tol=TOL, exclude_radius=0.0):
                 note("iv-barrier-flow", m_b, p)
 
         if d:
-            dec, m_b = _pair_jump(sys_delta, cert, p, vx, b)
+            dec, m_b = pair_jump(sys_delta, cert, p, vx, b)
             note("i-jump-decrease", 0.0 - dec, p)
             note("iv-barrier-jump", m_b, p)
             if fit:

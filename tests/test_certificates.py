@@ -41,7 +41,6 @@ from hybridcert import (
     solve,
 )
 from hybridcert import certificates, cli, geometry
-from hybridcert.certificates import _pair_jump
 
 BALL_B_AT_START = 0.7173469387755102
 
@@ -185,8 +184,8 @@ def ball_jump_layer(delta):
 
 
 def test_pair_check_evaluates_V_once_per_jump_point():
-    # counted through both forms: the grid points go through the row form,
-    # the jump images one at a time
+    # counted through both forms, so the count does not hang on which of
+    # them computes a value
     system, cert, spec = bouncing_ball()
     calls = collections.Counter()
 
@@ -308,7 +307,8 @@ def test_barrier_jump_margin_evaluates_no_V(delta):
     # D inflated by delta reaches the grid's three z = 0 points
     assert len(points) == (15 if delta > 0.0 else 12)
     for p in points:
-        full = _pair_jump(sys_delta, cert, p, cert.V(p), cert.B(p))[1]
+        full = grid_reference.pair_jump(sys_delta, cert, p, cert.V(p),
+                                        cert.B(p))[1]
         assert margin(p).hex() == full.hex()
     assert V.calls == 0
     # grad V still picks the disturbances tried at each jump image
@@ -568,6 +568,16 @@ def test_pair_check_matches_the_per_point_reference(delta, grid, cert,
                                                    exclude_radius=0.05))
 
 
+def test_pair_check_without_initial_points_matches_the_per_point_reference():
+    # X0 is scored as an array of rows; with no rows it has no columns
+    sys_delta, cert, ss, grid = ball_pair_case(0.05, GridSpec(BOX.lo, BOX.hi,
+                                                              7))
+    ss = dataclasses.replace(ss, x0=[])
+    got = check_pair_VB(sys_delta, cert, ss, grid)
+    assert "ii-X0-in-S" not in got.stats["counts"]
+    same_reports(got, grid_reference.check_pair_VB(sys_delta, cert, ss, grid))
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.05])
 @pytest.mark.parametrize("cert", [None, failing_ball_certificate()],
                          ids=["ball", "failing"])
@@ -646,10 +656,10 @@ def test_falsify_margins_match_the_per_point_reference(delta):
             assert scored > 0
 
 
-def test_pair_check_calls_the_one_point_forms_only_at_jump_images(
-        monkeypatch):
-    # V, B, their gradients and the flow map go through the row forms; a
-    # check that fell back to the row loop would call them at grid points
+def test_pair_check_makes_no_one_point_call(monkeypatch):
+    # V, B, their gradients and the flow map go through the row forms, at
+    # grid points and jump images alike; a check that fell back to the row
+    # loop would call the one-point forms
     calls = collections.defaultdict(list)
 
     def counting(name, fn):
@@ -665,17 +675,9 @@ def test_pair_check_calls_the_one_point_forms_only_at_jump_images(
         0.0, GridSpec(BOX.lo, BOX.hi, (3, 5, 7)))
     rep = check_pair_VB(sys_delta, cert, ss, grid)
     assert rep.verdict == Verdict.PASS
-    n_jump = rep.stats["counts"]["i-jump-decrease"]
-    assert n_jump > 0
-    images = {tuple(g) for p in grid.points()
-              if sys_delta.jump_set.contains(p, 0.0)
-              for g in sys_delta.jump_candidates(p)}
-    x0 = {tuple(p) for p in ss.initial_points()}
-    # V and B once at each jump image, B once at each point of X0
-    assert len(calls["__call__"]) == 2 * n_jump + len(x0)
-    assert set(calls["__call__"]) <= images | x0
-    assert calls["gradient"] == []
-    assert calls["flow"] == []
+    assert rep.stats["counts"]["i-jump-decrease"] > 0
+    assert rep.stats["counts"]["ii-X0-in-S"] > 0
+    assert calls == {}
 
 
 # +-0, infinities and NaN make the margins of the disturbance directions tie
@@ -703,20 +705,31 @@ def test_array_extremes_are_the_ones_python_keeps(m, start):
 def test_row_margins_are_the_per_point_margins(P, delta):
     # row by row, each direction's margin replaces the running one where
     # Python's min or max would, so ties and NaN come out as in the loop
+    def jump_map(x):
+        # two candidates, but one at x[0] = 0.5 and none at x[0] = 1, so
+        # each candidate rank has its own rows
+        cands = [np.array([x[1], x[0]]), np.array([x[0] * x[1], -x[1]])]
+        return [] if x[0] == 1.0 else cands[:1] if x[0] == 0.5 else cands
+
+    everywhere = AxisBox([-np.inf] * 2, [np.inf] * 2)
     system = perturb(make_system(
-        2, AxisBox([-np.inf] * 2, [np.inf] * 2),
-        lambda x: np.array([-x[1], x[0] * x[1]]), EmptySet(), lambda x: [],
-        AxisBox([-2.0, -2.0], [2.0, 2.0]),
+        2, everywhere, lambda x: np.array([-x[1], x[0] * x[1]]), everywhere,
+        jump_map, AxisBox([-2.0, -2.0], [2.0, 2.0]),
     ), delta)
     V = ScalarField(lambda x: x[0] * x[1], lambda x: np.array([x[1], -x[0]]))
     B = ScalarField(lambda x: -x[0], lambda x: np.array([-0.0 * x[0], x[1]]),
                     domain=lambda x: x[0] != 1.0)
     cert = CertificatePair(V=V, B=B)
-    P = np.array(P, dtype=float)
+    P = np.array(P + [(1.0, -0.0)], dtype=float)
     with np.errstate(all="ignore"):
+        v, b = V.value_many(P), B.value_many(P)
         dec, ok, m_b = certificates._pair_flow(system, cert, P)
-        m_flow = certificates._flow_margins(system, V, P, V.value_many(P),
-                                            delta)
+        m_flow = certificates._flow_margins(system, V, P, v, delta)
+        m_jump = certificates._jump_margins(system, V, P, v, delta)
+        dec_jump, m_bjump = certificates._pair_jumps(system, cert, P, v, b)
+        no_v, m_bjump_no_v = certificates._pair_jumps(system, cert, P, None,
+                                                      b)
+        assert no_v is None
         for k, p in enumerate(P):
             want_dec, want_b = grid_reference.pair_flow(system, cert, p)
             assert dec[k].hex() == want_dec.hex()
@@ -724,3 +737,11 @@ def test_row_margins_are_the_per_point_margins(P, delta):
             assert not ok[k] or m_b[k].hex() == want_b.hex()
             assert m_flow[k].hex() == grid_reference.flow_margin_single(
                 system, V, p, delta).hex()
+            assert m_jump[k].hex() == grid_reference.jump_margin_single(
+                system, V, p, delta).hex()
+            want_dec, want_b = grid_reference.pair_jump(system, cert, p,
+                                                        V(p), B(p))
+            assert dec_jump[k].hex() == want_dec.hex()
+            assert m_bjump[k].hex() == want_b.hex()
+            assert m_bjump_no_v[k].hex() == grid_reference.pair_jump(
+                system, cert, p, None, B(p))[1].hex()

@@ -770,6 +770,34 @@ def test_seed_flag_reads_a_null_check_section_as_empty(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "TypeError"
 
 
+@pytest.mark.parametrize("section, override, command, report", [
+    ("sim: {h: 0.002}\ncheck: %s\n", "check.seed=0",
+     ["check", "--mode", "ras"], "check_report.json"),
+    ("sim: %s\n", "sim.t_max=1", ["simulate"], "report.json"),
+], ids=["check", "sim"])
+def test_override_reads_a_null_section_as_empty(tmp_path, capsys, section,
+                                                override, command, report):
+    def run(value, name):
+        scen = write(tmp_path, "ball.yaml",
+                     "system: bouncing-ball\n" + section % value)
+        out = tmp_path / name
+        return cli.main(command + ["--scenario", scen, "--override", override,
+                                   "--out", str(out)]), out
+
+    reports = []
+    for k, value in enumerate(("null", "{}")):
+        code, out = run(value, "out-%d" % k)
+        assert code == 0, capsys.readouterr().err
+        reports.append((out / report).read_bytes())
+    assert reports[0] == reports[1]
+    # a section that is no mapping still exits 4
+    code, out = run("5", "out-5")
+    assert code == 4 and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ScenarioError"
+    assert "cannot override through" in err["message"]
+
+
 def test_check_ras_inconclusive_short_horizon(tmp_path):
     scen = write(
         tmp_path, "short.yaml",
