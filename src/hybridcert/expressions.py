@@ -219,13 +219,14 @@ def _checked(variables):
 
 
 def _arguments(x, variables):
-    x = as_vector(x)
-    if x.size != len(variables):
+    # a list is taken as it is; tolist gives the Python floats that
+    # float(x[i]) would
+    xs = x if type(x) is list else as_vector(x).tolist()
+    if len(xs) != len(variables):
         raise ExpressionError(
-            "expected %d components, got %d" % (len(variables), x.size)
+            "expected %d components, got %d" % (len(variables), len(xs))
         )
-    # tolist gives the Python floats that float(x[i]) would
-    return x.tolist()
+    return xs
 
 
 def _arithmetic_error(exc, source):

@@ -1,6 +1,9 @@
 """Set primitives: membership, point-to-set distance, inflation, proper indicators.
 
-State vectors are plain 1-D numpy arrays. Regions are immutable after
+A point is a 1-D float array or a list of floats (the simulator's step
+loop keeps its state as a list).  AxisBox membership reads a list as it
+is; an Implicit region's user code (its predicate and sdfs) still gets
+each point as a 1-D float64 array.  Regions are immutable after
 construction and safe for concurrent reads.
 
 Every region answers for one point (``contains``, ``distance``) and for the
@@ -168,10 +171,9 @@ class AxisBox(SetRegion):
 
     def contains(self, x, tol=DEFAULT_TOL):
         # componentwise screen without array temporaries: this sits in the
-        # simulator's per-step loop; only borderline points pay for the
-        # exact Euclidean distance
-        v = as_vector(x)
-        xs = v.tolist()
+        # simulator's per-step loop, whose states are lists; only
+        # borderline points pay for the exact Euclidean distance
+        xs = x if type(x) is list else as_vector(x).tolist()
         borderline = False
         for i, lo in self._lo_faces:
             if xs[i] < lo:
@@ -185,7 +187,7 @@ class AxisBox(SetRegion):
                 borderline = True
         if not borderline:
             return True
-        return self.distance(v) <= tol
+        return self.distance(x) <= tol
 
     def distance_many(self, X):
         X = as_rows(X)
@@ -279,10 +281,11 @@ class Inflated(SetRegion):
     def contains(self, x, tol=DEFAULT_TOL):
         if self.r == 0.0:
             return self.base.contains(x, tol)
+        v = as_vector(x)
         try:
-            return self.base.distance(as_vector(x)) <= self.r + tol
+            return self.base.distance(v) <= self.r + tol
         except UnsupportedDistance:
-            return self.base.contains(x, self.r + tol)
+            return self.base.contains(v, self.r + tol)
 
     def distance_many(self, X):
         return _clip0(self.base.distance_many(X) - self.r)
@@ -455,7 +458,9 @@ def dist_to_set(x, region):
 def contains(region, x, tol=DEFAULT_TOL):
     """True iff x is within distance tol of the region (predicate for Implicit).
 
-    x goes to region.contains as given: every region coerces it there.
+    x, a 1-D float array or a list of floats, goes to region.contains as
+    given: every region coerces it there, and an Implicit region hands its
+    predicate and sdf a 1-D float64 array.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")

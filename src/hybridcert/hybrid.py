@@ -269,9 +269,10 @@ class Disturbance:
         return Disturbance(self.RANDOM, seed=seed)
 
     def start(self, dim, delta):
-        """Per-solve sampler closure: (t, j) -> disturbance vector."""
+        """Per-solve sampler closure: (t, j) -> disturbance vector, as a
+        list of dim floats."""
         if self.mode == self.NONE or delta == 0.0 and self.mode != self.FIXED:
-            zero = np.zeros(dim)
+            zero = [0.0] * dim
             return lambda t, j: zero
         if self.mode == self.RANDOM:
             rng = np.random.default_rng(self.seed)
@@ -280,9 +281,9 @@ class Disturbance:
                 v = rng.standard_normal(dim)
                 n = np.linalg.norm(v)
                 if n == 0.0:
-                    return np.zeros(dim)
+                    return [0.0] * dim
                 radius = delta * rng.uniform() ** (1.0 / dim)
-                return v * (radius / n)
+                return (v * (radius / n)).tolist()
 
             return draw
         if self.mode == self.FIXED:
@@ -297,7 +298,7 @@ class Disturbance:
                 n = float(np.linalg.norm(v))
                 if n > delta:
                     v = v * (delta / n) if delta > 0 else np.zeros(dim)
-                return v
+                return v.tolist()
 
             return clamp
         raise ValueError(f"unknown disturbance mode {self.mode}")

@@ -6,15 +6,24 @@ the state-space bracket width drops below ``event_tol``.  Disturbances are
 held constant across each accepted step, which keeps perturbed runs
 reproducible from a single seed.
 
-A step works on the state's Python floats: the flow map (see
-hybrid.HybridSystem) gets each stage state as a list, and the stages and
-their combination are float arithmetic, the same IEEE operations in the
-same order as the array form, so the arcs keep its bits without its numpy
-temporaries on short vectors.  The first stage f(x) + d is computed once
-per step and shared by every bisection probe of that step, which then
-costs three flow calls.
+The step loop keeps the state as a list of Python floats from one
+accepted step to the next.  A step is one function generated per
+dimension (_rk4_fns): the flow map (see hybrid.HybridSystem) gets each
+stage state as a list, and the stages and their combination are float
+arithmetic, the same IEEE operations in the same order as the array form,
+so the arcs keep its bits without its numpy temporaries on short vectors.
+The first stage f(x) + d is computed once per step and shared by every
+bisection probe of that step, which then costs three flow calls.  Set
+membership reads the lists (see geometry.contains), and the disturbance
+sampler returns lists.
+
+Arrays are built only where they are needed: at jumps (the jump map and
+the Zeno map get the state as an array), for the gap norm in event
+bisection, wherever user code of a region (an Implicit predicate or sdf)
+gets a state, and once per phase of the returned arc.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -83,57 +92,80 @@ class SolveReport:
         return self.arc.termination
 
 
-def _slope(f, y, d):
-    """f(y) + d as Python floats: f is a flow map, y and d lists of
-    floats."""
-    fy = f(y)
-    if len(fy) != len(d):
-        raise DimensionMismatch(
-            "flow map returned shape (%d,), wanted (%d,)" % (len(fy), len(d))
-        )
-    return [a + b for a, b in zip(fy, d)]
+@functools.cache
+def _rk4_fns(dim):
+    """The RK4 functions (slope, step) on states of dim floats, generated
+    once per dimension.
 
-
-def _rk4_step(f, x, k1, dt, d):
-    """One classical RK4 step over dt from x, a list of floats, under the
-    flow map f.
-
-    k1 = _slope(f, x, d) is the first stage, which every step from x under
-    d shares; the other stages each evaluate f once on a fresh list.
-    Returns a fresh array of x + (dt/6) ((k1 + 2 k2) + 2 k3 + k4), formed
-    with the IEEE operations of the array form in the same order, so with
-    the same bits.
+    slope(f, x, d) is f(x) + d, the first stage, which every step from x
+    under d shares.  step(f, x, k1, dt, d) is one classical RK4 step over
+    dt from x with first stage k1: x + (dt/6) ((k1 + 2 k2) + 2 k3 + k4),
+    formed with the IEEE operations of the array form in the same order, so
+    with the same bits.  x, k1 and d are sequences of dim floats, f is a
+    flow map, and both return a fresh list.  The source is written out
+    entry by entry, so a call runs no Python loop; every value of f is
+    checked for its length before it is unpacked.
     """
-    half = 0.5 * dt
-    k2 = _slope(f, [a + half * k for a, k in zip(x, k1)], d)
-    k3 = _slope(f, [a + half * k for a, k in zip(x, k2)], d)
-    k4 = _slope(f, [a + dt * k for a, k in zip(x, k3)], d)
-    w = dt / 6.0
-    return np.array([
-        (((p + 2.0 * q) + 2.0 * r) + s) * w + a
-        for a, p, q, r, s in zip(x, k1, k2, k3, k4)
-    ])
+
+    def each(pattern, sep=", "):
+        return sep.join(pattern.replace("#", str(i)) for i in range(dim))
+
+    def stage(into, arg):
+        # f at the list of arg, its length checked, plus d: into0, into1, ...
+        return [
+            "    y = f([%s])" % each(arg),
+            "    if len(y) != %d:" % dim,
+            "        raise DimensionMismatch(WRONG % len(y))",
+            "    %s, = y" % each("y#"),
+            each("    %s# = y# + d#" % into, "\n"),
+        ]
+
+    lines = [
+        "def slope(f, x, d):",
+        "    %s, = x" % each("x#"),
+        "    %s, = d" % each("d#"),
+        # a fresh list: the map never holds the solver's own state
+        *stage("k", "x#"),
+        "    return [%s]" % each("k#"),
+        "def step(f, x, k1, dt, d):",
+        "    %s, = x" % each("x#"),
+        "    %s, = k1" % each("a#"),
+        "    %s, = d" % each("d#"),
+        "    half = 0.5 * dt",
+        *stage("b", "x# + half * a#"),
+        *stage("c", "x# + half * b#"),
+        *stage("e", "x# + dt * c#"),
+        "    w = dt / 6.0",
+        "    return [%s]"
+        % each("(((a# + 2.0 * b#) + 2.0 * c#) + e#) * w + x#"),
+    ]
+    scope = {
+        "DimensionMismatch": DimensionMismatch,
+        "WRONG": "flow map returned shape (%%d,), wanted (%d,)" % dim,
+    }
+    exec(compile("\n".join(lines), "<rk4 dim %d>" % dim, "exec"), scope)
+    return scope["slope"], scope["step"]
 
 
-def _bisect_event(f, x0, xs, k1, dt, d, pred, x_full, event_tol):
+def _bisect_event(f, step, x0, k1, dt, d, pred, x_full, event_tol):
     """Shrink [0, dt] around the first parameter where pred flips true.
 
-    pred(x0) must be False and pred(x_full) True; xs is x0 as a list and
-    k1 the step's first stage there.  Returns (theta_in, x_in, theta_out,
-    x_out) with |x_out - x_in| <= event_tol; both states come from a single
-    RK4 substep off the same start point.
+    pred(x0) must be False and pred(x_full) True; x0 is a list of floats,
+    k1 the step's first stage there and step the RK4 step of _rk4_fns.
+    Returns (theta_in, x_in, theta_out, x_out) with |x_out - x_in| <=
+    event_tol; both states are lists from a single RK4 substep off x0.
     """
     lo, x_lo = 0.0, x0
     hi, x_hi = dt, x_full
     for _ in range(_MAX_BISECT):
-        gap = x_hi - x_lo
+        gap = np.subtract(x_hi, x_lo)
         # np.linalg.norm of a 1-D array, bit for bit
         if math.sqrt(gap.dot(gap)) <= event_tol:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        x_mid = _rk4_step(f, xs, k1, mid, d)
+        x_mid = step(f, x0, k1, mid, d)
         if pred(x_mid):
             hi, x_hi = mid, x_mid
         else:
@@ -144,8 +176,9 @@ def _bisect_event(f, x0, xs, k1, dt, d, pred, x_full, event_tol):
 class _ArcBuilder:
     """Accumulates phases sample by sample, tolerating zero-length phases.
 
-    States are kept as given, not copied: the solver hands over arrays that
-    nothing writes to afterwards.  With a watch region, a sample is tested
+    States are lists of floats, kept as given, not copied: the solver hands
+    over lists that nothing writes to afterwards.  Each phase becomes one
+    float array when it is closed.  With a watch region, a sample is tested
     against it once it is final: when a sample at a later time or a jump
     follows it (until then an append at the same time may still replace
     it).  The first final sample outside the watch sets ``left``, and
@@ -176,12 +209,14 @@ class _ArcBuilder:
         return not self.left
 
     def new_phase(self, t, x_plus):
-        self.phases.append((np.array(self.times), np.vstack(self.states)))
+        self.phases.append((np.array(self.times),
+                            np.array(self.states, dtype=float)))
         self.times = [t]
         self.states = [x_plus]
 
     def build(self, termination):
-        self.phases.append((np.array(self.times), np.vstack(self.states)))
+        self.phases.append((np.array(self.times),
+                            np.array(self.states, dtype=float)))
         return HybridArc(self.phases, termination=termination)
 
 
@@ -193,11 +228,10 @@ def solve(system: HybridSystem, x0, config: SimConfig,
     it, without bisection, as LEFT_WATCH_REGION: the arc is then the prefix
     of the unwatched arc up to and including that sample.
     """
-    # a copy: the arc keeps the solver's states, and x0 may be the caller's
-    x0 = np.array(x0, dtype=float, ndmin=1)
-    if x0.size != system.dim:
+    x0 = as_vector(x0)
+    if x0.shape != (system.dim,):
         raise BadInitialCondition(
-            "x0 has dimension %d, system expects %d" % (x0.size, system.dim)
+            "x0 has shape %s, system expects (%d,)" % (x0.shape, system.dim)
         )
     if not np.all(np.isfinite(x0)):
         raise BadInitialCondition("x0 is not finite")
@@ -209,9 +243,11 @@ def solve(system: HybridSystem, x0, config: SimConfig,
         raise BadInitialCondition("x0 outside both flow and jump sets")
 
     f = system.flow_map
+    slope, step = _rk4_fns(system.dim)
     draw = config.disturbance.start(system.dim, system.delta)
-    builder = _ArcBuilder(0.0, x0, watch)
-    t, j, x = 0.0, 0, x0
+    x = x0.tolist()
+    builder = _ArcBuilder(0.0, x, watch)
+    t, j = 0.0, 0
     zeno_snapped = False
     last_jump_t = None
     termination = None
@@ -228,11 +264,13 @@ def solve(system: HybridSystem, x0, config: SimConfig,
             return False
         if not builder.keeps_last():
             return False
+        # the maps are user code, which gets a state as an array
         if snap:
-            x_plus = np.array(system.zeno_map(x), dtype=float, ndmin=1)
+            x_plus = np.array(system.zeno_map(np.array(x)), dtype=float,
+                              ndmin=1)
             zeno_snapped = True
         else:
-            x_plus = system.jump_candidates(x)[0]
+            x_plus = system.jump_candidates(np.array(x))[0]
         if x_plus.shape != (system.dim,):
             # the next RK4 step would zip x_plus with the stages and drop
             # its extra entries; a length-1 value would broadcast
@@ -242,10 +280,10 @@ def solve(system: HybridSystem, x0, config: SimConfig,
             )
         if not snap:
             x_plus = x_plus + draw(t, j)
-        builder.new_phase(t, x_plus)
+        x = x_plus.tolist()
+        builder.new_phase(t, x)
         j += 1
         last_jump_t = t
-        x = x_plus
         return True
 
     # a plain step only accepts a state outside D and inside C, so the
@@ -266,15 +304,14 @@ def solve(system: HybridSystem, x0, config: SimConfig,
         stepped = False
 
         dt = min(config.h, config.T_max - t)
-        d = draw(t, j).tolist()
-        xs = x.tolist()
-        k1 = _slope(f, xs, d)
-        x_prop = _rk4_step(f, xs, k1, dt, d)
+        d = draw(t, j)
+        k1 = slope(f, x, d)
+        x_prop = step(f, x, k1, dt, d)
 
         if contains(jump_set, x_prop, 0.0):
             pred = lambda y: contains(jump_set, y, 0.0)
             _, _, th, x_star = _bisect_event(
-                f, x, xs, k1, dt, d, pred, x_prop, tol
+                f, step, x, k1, dt, d, pred, x_prop, tol
             )
             t += th
             builder.append(t, x_star)
@@ -284,7 +321,7 @@ def solve(system: HybridSystem, x0, config: SimConfig,
         if not contains(flow_set, x_prop, tol):
             pred = lambda y: not contains(flow_set, y, tol)
             th_in, x_in, th_out, x_out = _bisect_event(
-                f, x, xs, k1, dt, d, pred, x_prop, tol
+                f, step, x, k1, dt, d, pred, x_prop, tol
             )
             if contains(jump_set, x_in, 0.0):
                 t += th_in
@@ -304,7 +341,7 @@ def solve(system: HybridSystem, x0, config: SimConfig,
         if not contains(bounds, x_prop, 0.0):
             pred = lambda y: not contains(bounds, y, 0.0)
             _, _, th, x_out = _bisect_event(
-                f, x, xs, k1, dt, d, pred, x_prop, tol
+                f, step, x, k1, dt, d, pred, x_prop, tol
             )
             t += th
             builder.append(t, x_out)
@@ -445,8 +482,13 @@ def closeness(arc_a, arc_b, tau, eps):
     state.  Linear interpolation stands in for the unstored continuum.
     Each sample first tries the other arc's segment at its own time, in one
     array pass per phase; only samples that fail it scan their whole
-    window, at O(samples in the window) array work each.
+    window, at O(samples in the window) array work each.  Needs tau >= 0
+    and eps > 0.
     """
+    if not tau >= 0.0:
+        raise ValueError("tau must be >= 0")
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
     return _one_sided_close(arc_a, arc_b, tau, eps) and _one_sided_close(
         arc_b, arc_a, tau, eps
     )
@@ -481,12 +523,12 @@ def construct_perturbed(arc, x_new, T):
     dies out linearly in total time.  Samples past T are dropped; the exact
     rejoin point is interpolated so equality at total time T is bitwise.
     """
+    if not T > 0.0:
+        raise ValueError("T must be positive")
     if arc.max_total_time() < T:
         raise HorizonTooShort(
             "arc spans total time %.6g < %.6g" % (arc.max_total_time(), T)
         )
-    if T <= 0.0:
-        raise ValueError("T must be positive")
     x_new = as_vector(x_new)
     offset = x_new - arc.phases[0][1][0]
 
@@ -534,8 +576,11 @@ def estimate_lipschitz(fn, box, n_pairs=2000, seed=0):
 def companion_radius_bound(delta, tau, lip_flow, lip_jump, delta_prime=0.0):
     """Largest initial offset r with a guaranteed delta-inflated companion:
     r <= (delta - delta') / max(1, 1/tau + L_C, 1 + L_D)."""
-    if delta <= delta_prime:
-        raise ValueError("need delta > delta_prime")
+    if not (math.isfinite(delta) and math.isfinite(delta_prime)
+            and delta > delta_prime):
+        raise ValueError("need finite delta > delta_prime")
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
     scale = max(1.0, 1.0 / tau + lip_flow, 1.0 + lip_jump)
     return (delta - delta_prime) / scale
 

@@ -22,6 +22,7 @@ from hybridcert import (
     HorizonTooShort,
     HybridArc,
     HybridSystem,
+    Implicit,
     Inflated,
     RASSpec,
     SetRegion,
@@ -38,8 +39,10 @@ from hybridcert import (
     companion_radius_bound,
     construct_perturbed,
     estimate_lipschitz,
+    inflate,
     make_system,
     perturb,
+    predicate_fn,
     reachable_sample,
     solve,
     solve_many,
@@ -49,7 +52,7 @@ from hybridcert import (
 from hybridcert import cli, controller, examples, simulate, vector_fn
 from hybridcert.examples import mg_closed_loop
 from hybridcert.monitor import _first_hit
-from hybridcert.simulate import _one_sided_close, _rk4_step, _window_dist
+from hybridcert.simulate import _one_sided_close, _rk4_fns, _window_dist
 
 # closed-form first impact of the ballistic fall from (y, z) = (9, 0.8)
 FIRST_IMPACT = 1.4393508064065221
@@ -121,18 +124,29 @@ def test_solve_asks_the_jump_set_once_per_plain_step():
     assert jump_set.calls == steps + 1
 
 
+def counted_rk4_steps(monkeypatch):
+    """The list to which every RK4 step that solve takes, through the step
+    of _rk4_fns, appends its first stage: a bisection probe shares the k1
+    list of the step it refines, a step computes its own."""
+    stages = []
+    rk4_fns = simulate._rk4_fns
+
+    def counted_rk4_fns(dim):
+        slope, step = rk4_fns(dim)
+
+        def counted_step(f, x, k1, dt, d):
+            stages.append(k1)
+            return step(f, x, k1, dt, d)
+
+        return slope, counted_step
+
+    monkeypatch.setattr(simulate, "_rk4_fns", counted_rk4_fns)
+    return stages
+
+
 def test_solve_asks_the_jump_set_once_per_rk4_step_with_events(monkeypatch):
     system, jump_set, flows = counted(raw_ball())
-    # the first stage of every RK4 evaluation: a bisection probe shares the
-    # k1 list of the step it refines, a step computes its own
-    stages = []
-    rk4_step = simulate._rk4_step
-
-    def counted_rk4_step(f, x, k1, dt, d):
-        stages.append(k1)
-        return rk4_step(f, x, k1, dt, d)
-
-    monkeypatch.setattr(simulate, "_rk4_step", counted_rk4_step)
+    stages = counted_rk4_steps(monkeypatch)
     rep = solve(system, np.array([0.0, 9.0, 0.8]),
                 SimConfig(h=1e-3, T_max=4.0))
     assert rep.jump_count >= 2
@@ -156,9 +170,11 @@ def textbook_rk4(f, x, dt, d):
 
 
 def float_rk4(f, x, dt, d):
-    """The solver's RK4 step from the array x under the flow map f."""
+    """The solver's RK4 step from the array x under the flow map f, as an
+    array."""
     xs, d = x.tolist(), d.tolist()
-    return _rk4_step(f, xs, simulate._slope(f, xs, d), dt, d)
+    slope, step = _rk4_fns(len(xs))
+    return np.array(step(f, xs, slope(f, xs, d), dt, d))
 
 
 def on_arrays(f):
@@ -239,14 +255,7 @@ def test_a_replaced_flow_map_is_never_bypassed(monkeypatch):
         wrapped_flows.append(1)
         return system.flow_map(xs)
 
-    stages = []
-    rk4_step = simulate._rk4_step
-
-    def counted_rk4_step(f, x, k1, dt, d):
-        stages.append(k1)
-        return rk4_step(f, x, k1, dt, d)
-
-    monkeypatch.setattr(simulate, "_rk4_step", counted_rk4_step)
+    stages = counted_rk4_steps(monkeypatch)
     cfg = SimConfig(h=1e-3, T_max=4.0)
     x0 = np.asarray(spec.x0[0])
     want = solve(system, x0, cfg).arc
@@ -348,6 +357,11 @@ def _ball_grid_check(check, tol):
     return check(system, cert, pair, grid, tol=tol)
 
 
+def decay_arc():
+    return solve(linear_decay(), np.array([1.0]),
+                 SimConfig(h=0.1, T_max=3.0)).arc
+
+
 OUT_OF_RANGE = [
     ("SimConfig.T_max", lambda v: SimConfig(T_max=v),
      (math.nan, math.inf, 0.0)),
@@ -367,6 +381,21 @@ OUT_OF_RANGE = [
      (math.nan, -1.0)),
     ("check_pair_VB.tol", lambda v: _ball_grid_check(check_pair_VB, v),
      (math.nan, -1.0)),
+    ("closeness.tau", lambda v: closeness(decay_arc(), decay_arc(), v, 0.05),
+     (math.nan, -1.0)),
+    ("closeness.eps", lambda v: closeness(decay_arc(), decay_arc(), 2.0, v),
+     (math.nan, 0.0, -1.0)),
+    ("construct_perturbed.T",
+     lambda v: construct_perturbed(decay_arc(), [0.5], v),
+     (math.nan, 0.0, -1.0)),
+    ("companion_radius_bound.delta",
+     lambda v: companion_radius_bound(v, 1.0, 1.0, 1.0),
+     (math.nan, math.inf, 0.0)),
+    ("companion_radius_bound.delta_prime",
+     lambda v: companion_radius_bound(0.1, 1.0, 1.0, 1.0, delta_prime=v),
+     (math.nan, -math.inf, 0.1)),
+    ("companion_radius_bound.tau",
+     lambda v: companion_radius_bound(0.1, v, 1.0, 1.0), (math.nan, 0.0)),
 ]
 
 
@@ -696,6 +725,24 @@ def wobble(t, j):
     return np.array([0.0, 0.1 * math.sin(7.0 * t), 0.2 * math.cos(3.0 * t)])
 
 
+def c09_band():
+    """c09's band of the ball: a native predicate with an sdf."""
+    def pred(s):
+        return 0.0 <= s[1] <= 0.1 and abs(s[2]) <= 2.0
+
+    def sdf(s):
+        dy = max(0.0 - s[1], s[1] - 0.1, 0.0)
+        dz = max(0.0, abs(s[2]) - 2.0)
+        return math.hypot(dy, dz)
+
+    return Implicit(pred, AxisBox([0.0, 0.0, -2.0], [0.0, 0.1, 2.0]), sdf=sdf)
+
+
+# a compiled scenario predicate over falling_mass's state, with no sdf
+COMPILED_TARGET = Implicit(predicate_fn("z <= 3", ("y", "z")),
+                           AxisBox([-1.0, -50.0], [100.0, 3.0]))
+
+
 BALL_X0 = (0.0, 9.0, 0.8)
 REFERENCE_CASES = {
     # name: (system, x0, config, watch, termination)
@@ -728,6 +775,18 @@ REFERENCE_CASES = {
         None, Termination.HORIZON_REACHED),
     "watch-exit": (lambda: bouncing_ball()[0], (0.0, 1.0, 0.0), WATCH_CFG,
                    box(x_hi=1.5), Termination.LEFT_WATCH_REGION),
+    # the band under inflate(band, event_tol), as estimate_invariant_core
+    # watches it; the bounce from this start peaks above the band
+    "watch-c09-band": (lambda: bouncing_ball()[0], (0.0, 0.02, -1.8),
+                       SimConfig(h=2e-3, T_max=4.0, J_max=120),
+                       inflate(c09_band(), 1e-9),
+                       Termination.LEFT_WATCH_REGION),
+    # a compiled target under inflate(target, event_tol), as check_ras
+    # builds its target slack; the first bounce leaves at z > 3
+    "watch-compiled-target": (falling_mass, (1.0, 0.0),
+                              SimConfig(h=2e-3, T_max=8.0, J_max=100),
+                              inflate(COMPILED_TARGET, 1e-9),
+                              Termination.LEFT_WATCH_REGION),
     "bounds-escape-ball": (lambda: bouncing_ball()[0], (0.0, 5.0, 19.0),
                            WATCH_CFG, None, Termination.ESCAPED_BOUNDS),
     "bounds-escape": (escaping_growth, (1.0,),
@@ -761,14 +820,28 @@ def test_mg_loop_matches_the_array_reference(monkeypatch):
     assert got.jump_count >= 6 and len(got_log) == len(want_log)
 
 
-@pytest.mark.parametrize("mapped", ["flow", "jump", "Zeno", "listed-flow"])
+@pytest.mark.parametrize("mapped", ["flow", "jump", "Zeno", "listed-flow",
+                                    "flow-call-2", "flow-call-3",
+                                    "flow-call-4"])
 @pytest.mark.parametrize("value", [[1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
                          ids=["length-1", "short", "long"])
 def test_map_value_of_the_wrong_length_raises(mapped, value):
     # built without make_system, whose probe would catch a bad flow or jump
     # map first; the ball's first impact jumps, and with t_min past its
     # bounce gaps the second one snaps through the Zeno map
-    if mapped == "flow":
+    if mapped.startswith("flow-call-"):
+        # wrong only on the k-th call: stage k of the first step, so each
+        # stage checks the length of its own value
+        k, calls = int(mapped[-1]), []
+        ball = raw_ball()
+
+        def flow_map(xs):
+            calls.append(1)
+            return value if len(calls) == k else ball.flow_map(xs)
+
+        system = dataclasses.replace(ball, flow_map=flow_map)
+        mapped = "flow"
+    elif mapped == "flow":
         system = dataclasses.replace(raw_ball(),
                                      flow_map=lambda x: np.array(value))
     elif mapped == "listed-flow":
@@ -783,6 +856,53 @@ def test_map_value_of_the_wrong_length_raises(mapped, value):
     cfg = SimConfig(h=1e-3, T_max=5.0, t_min=10.0)
     with pytest.raises(DimensionMismatch, match="%s map returned shape" % mapped):
         solve(system, np.array(BALL_X0), cfg)
+
+
+def test_user_code_gets_each_state_as_a_float_array():
+    # the solver keeps its state as a list of floats; user code that sees a
+    # state still gets a fresh 1-D float64 array: an Implicit predicate (the
+    # jump set's) and sdf (the watch's, under inflate), the jump map and
+    # the Zeno map.  The disturbance signal gets (t, j), a float and an int.
+    seen = []
+
+    def record(name, fn):
+        def user_code(x):
+            seen.append((name, x))
+            return fn(x)
+
+        return user_code
+
+    ball = bouncing_ball()[0]
+    jump = ball.jump_set
+    system = dataclasses.replace(
+        ball,
+        jump_set=Implicit(record("jump predicate", jump.pred), jump.bbox),
+        jump_map=record("jump map", ball.jump_map),
+        zeno_map=record("Zeno map", ball.zeno_map),
+    )
+    band = Implicit(lambda s: s[0] <= 1.5,
+                    AxisBox([-50.0, -1.0, -20.0], [1.5, 15.0, 20.0]),
+                    sdf=record("watch sdf", lambda s: max(0.0, s[0] - 1.5)))
+    times = []
+
+    def signal(t, j):
+        times.append((t, j))
+        return [0.0, 0.0, 0.0]
+
+    # the second bounce gap (0.72) is below t_min: that jump snaps to rest
+    cfg = SimConfig(h=2e-3, T_max=3.0, J_max=50, t_min=0.75,
+                    disturbance=Disturbance.fixed(signal))
+    rep = solve(system, np.array([0.0, 1.0, 0.0]), cfg,
+                watch=inflate(band, 1e-9))
+    assert rep.zeno_snapped and rep.jump_count == 2
+    assert rep.termination == Termination.LEFT_WATCH_REGION
+    assert {name for name, _ in seen} == {
+        "jump predicate", "watch sdf", "jump map", "Zeno map"}
+    for name, x in seen:
+        assert type(x) is np.ndarray, name
+        assert x.dtype == np.float64 and x.shape == (3,), name
+    assert times and all(type(t) is float and type(j) is int
+                         for t, j in times)
 
 
 @pytest.mark.parametrize("value", [[0.01], [0.01, 0.0]],
@@ -1012,7 +1132,8 @@ def arc_pairs(draw):
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(pair=arc_pairs(), tau=st.floats(0.0, 30.0), eps=st.floats(0.0, 2.0))
+@given(pair=arc_pairs(), tau=st.floats(0.0, 30.0),
+       eps=st.floats(0.0, 2.0, exclude_min=True))
 def test_closeness_matches_scalar_reference(pair, tau, eps):
     a, b = pair
     assert closeness(a, b, tau, eps) == ref_closeness(a, b, tau, eps)
