@@ -95,6 +95,9 @@ def bouncing_ball(params: BouncingBallParams = None):
         dz = max(0.0, s[2])
         return math.hypot(dy, dz)
 
+    # both read a list of floats as well as an array: the jump set hands
+    # them the solver's states as they are
+    jump_pred.takes_list = jump_sdf.takes_list = True
     jump_set = Implicit(
         jump_pred,
         AxisBox([-50.0, -1.0, -20.0], [50.0, impact_tol, 0.0]),

@@ -257,16 +257,36 @@ class Expr:
         return "Expr(%r, variables=%r)" % (self.source, self.variables)
 
 
+def _point_fn(source, variables, result):
+    """Compile one expression into one function x -> result(value).
+
+    x is a list of floats, taken as it is, or a 1-D array.  The function
+    carries ``takes_list``, so that a geometry.Implicit region built on it
+    hands it each point as a list."""
+    source = str(source)
+    variables = _checked(variables)
+    fn = _compile(source, variables)
+
+    def point_fn(x):
+        xs = _arguments(x, variables)
+        try:
+            value = fn(*xs)
+        except ArithmeticError as exc:
+            raise _arithmetic_error(exc, source) from None
+        return result(value)
+
+    point_fn.takes_list = True
+    return point_fn
+
+
 def scalar_fn(source, variables):
     """Compile one expression into x -> float."""
-    expr = Expr(source, variables)
-    return lambda x: float(expr(x))
+    return _point_fn(source, variables, float)
 
 
 def predicate_fn(source, variables):
     """Compile one expression into x -> bool."""
-    expr = Expr(source, variables)
-    return lambda x: bool(expr(x))
+    return _point_fn(source, variables, bool)
 
 
 def vector_fn(sources, variables):

@@ -2,9 +2,12 @@
 
 A point is a 1-D float array or a list of floats (the simulator's step
 loop keeps its state as a list).  AxisBox membership reads a list as it
-is; an Implicit region's user code (its predicate and sdfs) still gets
-each point as a 1-D float64 array.  Regions are immutable after
-construction and safe for concurrent reads.
+is.  An Implicit region whose callables all carry a true ``takes_list``
+attribute (the package's own: the predicates that expressions compiles
+for a scenario's ``implicit`` sets, and the bouncing ball's jump set)
+hands them each point as a list of Python floats; user code (any
+unmarked callable) still gets each point as a 1-D float64 array.
+Regions are immutable after construction and safe for concurrent reads.
 
 Every region answers for one point (``contains``, ``distance``) and for the
 rows of a 2-D array of points (``contains_many``, ``distance_many``).  The
@@ -15,6 +18,10 @@ built on user code (an Implicit predicate or sdf) loop over the rows.
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+# the array forms of a region that takes lists make lists of this many rows
+# at a time: a whole grid as lists takes about six times its array's memory
+_LIST_CHUNK = 1024
 
 
 class UnsupportedDistance(ValueError):
@@ -42,6 +49,11 @@ def as_vector(x):
     if v.ndim == 0:
         v = v.reshape(1)
     return v
+
+
+def _as_list(x):
+    """x as a list of floats: a list as it is, an array's entries else."""
+    return x if type(x) is list else as_vector(x).tolist()
 
 
 def as_rows(X):
@@ -74,6 +86,8 @@ class SetRegion:
     # whether membership or distance calls user code, which the array forms
     # then call once per row
     runs_user_code = True
+    # whether the region's callables take each point as a list of floats
+    takes_list = False
 
     def distance(self, x):
         raise UnsupportedDistance(f"{type(self).__name__} has no distance oracle")
@@ -83,11 +97,22 @@ class SetRegion:
 
     def distance_many(self, X):
         """[distance(x) for x in X] as a float array."""
-        return np.array([self.distance(x) for x in as_rows(X)], dtype=float)
+        return np.array([self.distance(x) for x in self._rows(X)], dtype=float)
 
     def contains_many(self, X, tol=DEFAULT_TOL):
         """[contains(x, tol) for x in X] as a bool array."""
-        return np.array([self.contains(x, tol) for x in as_rows(X)], dtype=bool)
+        return np.array([self.contains(x, tol) for x in self._rows(X)],
+                        dtype=bool)
+
+    def _rows(self, X):
+        """The rows of X, as lists of floats when the region takes lists."""
+        X = as_rows(X)
+        if not self.takes_list:
+            return X
+        return (
+            x for i in range(0, X.shape[0], _LIST_CHUNK)
+            for x in X[i:i + _LIST_CHUNK].tolist()
+        )
 
     def bounding_box(self):
         """AxisBox enclosing the region for sampling, or None."""
@@ -229,6 +254,11 @@ class Implicit(SetRegion):
     sdf, when given, must return the exact distance to the region (0 inside);
     complement_sdf likewise for the complement, enabling proper indicators on
     implicit open domains.
+
+    The callables are read at construction.  When every one given carries a
+    true ``takes_list`` attribute, they get each point as a list of Python
+    floats (an array from a Complement's distance, which they also take);
+    otherwise a 1-D float64 array.
     """
 
     def __init__(self, pred, bbox, sdf=None, complement_sdf=None):
@@ -238,14 +268,20 @@ class Implicit(SetRegion):
         self.sdf = sdf
         self.complement_sdf = complement_sdf
         self.bbox = bbox
+        self.takes_list = all(
+            getattr(f, "takes_list", False)
+            for f in (pred, sdf, complement_sdf) if f is not None
+        )
+        # a point in the form the callables take
+        self._point = _as_list if self.takes_list else as_vector
 
     def distance(self, x):
         if self.sdf is None:
             raise UnsupportedDistance("Implicit region lacks a distance oracle")
-        return max(0.0, float(self.sdf(as_vector(x))))
+        return max(0.0, float(self.sdf(self._point(x))))
 
     def contains(self, x, tol=DEFAULT_TOL):
-        v = as_vector(x)
+        v = self._point(x)
         if bool(self.pred(v)):
             return True
         if self.sdf is not None and tol > 0.0:
@@ -281,11 +317,12 @@ class Inflated(SetRegion):
     def contains(self, x, tol=DEFAULT_TOL):
         if self.r == 0.0:
             return self.base.contains(x, tol)
-        v = as_vector(x)
+        if not self.base.takes_list:
+            x = as_vector(x)
         try:
-            return self.base.distance(v) <= self.r + tol
+            return self.base.distance(x) <= self.r + tol
         except UnsupportedDistance:
-            return self.base.contains(v, self.r + tol)
+            return self.base.contains(x, self.r + tol)
 
     def distance_many(self, X):
         return _clip0(self.base.distance_many(X) - self.r)
@@ -460,7 +497,8 @@ def contains(region, x, tol=DEFAULT_TOL):
 
     x, a 1-D float array or a list of floats, goes to region.contains as
     given: every region coerces it there, and an Implicit region hands its
-    predicate and sdf a 1-D float64 array.
+    predicate and sdf a list of floats when they carry takes_list, else a
+    1-D float64 array.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")

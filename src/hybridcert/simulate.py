@@ -19,8 +19,8 @@ sampler returns lists.
 
 Arrays are built only where they are needed: at jumps (the jump map and
 the Zeno map get the state as an array), for the gap norm in event
-bisection, wherever user code of a region (an Implicit predicate or sdf)
-gets a state, and once per phase of the returned arc.
+bisection, wherever user code of a region (an Implicit predicate or sdf
+without takes_list) gets a state, and once per phase of the returned arc.
 """
 
 import functools

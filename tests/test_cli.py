@@ -873,7 +873,9 @@ def test_ras_check_asks_the_target_predicate_once_per_stored_sample():
     target = scenario.spec.target
     asked = []
     pred = target.pred
-    target.pred = lambda x: asked.append(x.tobytes()) or pred(x)
+    # the region read the compiled predicate's takes_list at construction,
+    # so the replacement gets each sample as that predicate would: a list
+    target.pred = lambda x: asked.append(list(x)) or pred(x)
     ck = scenario.check
     rep = cli.check_ras(cli._perturbed(scenario), scenario.spec, ck["n_init"],
                         ck["n_dist"], scenario.sim, seed=ck["seed"])

@@ -129,6 +129,30 @@ def test_list_form_raises_the_array_forms_expression_error():
         f([0.0, 1.0])
 
 
+@pytest.mark.parametrize("x", [[0.0, 2.0], np.array([0.0, 2.0])],
+                         ids=["list", "array"])
+def test_predicate_fn_raises_the_expression_errors_of_expr(x):
+    # one closure now, not a call of Expr: the same messages, for a list
+    # and for an array alike
+    variables = ("x", "y")
+    p = predicate_fn("y/x > 1", variables)
+    assert p.takes_list is True
+    with pytest.raises(ExpressionError) as got:
+        p(x)
+    with pytest.raises(ExpressionError) as want:
+        Expr("y/x > 1", variables)(x)
+    assert str(got.value) == str(want.value) == (
+        "ZeroDivisionError: float division by zero in 'y/x > 1'")
+    longer = np.append(x, 1.0) if isinstance(x, np.ndarray) else x + [1.0]
+    for point in (longer, x[:1]):
+        with pytest.raises(ExpressionError) as got:
+            p(point)
+        with pytest.raises(ExpressionError) as want:
+            Expr("y/x > 1", variables)(point)
+        assert str(got.value) == str(want.value) == (
+            "expected 2 components, got %d" % len(point))
+
+
 @pytest.mark.parametrize("make", [scalar_fn, predicate_fn, Expr])
 def test_only_vector_fn_takes_a_list(make):
     # a list where one source belongs is a list literal, not a vector map

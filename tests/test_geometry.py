@@ -1,5 +1,7 @@
 """Set primitives: distances, membership, inflation, proper indicators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,12 +17,15 @@ from hybridcert import (
     Intersection,
     SamplingError,
     Union,
+    bouncing_ball,
     contains,
     dist_to_set,
     inflate,
     make_proper_indicator,
+    predicate_fn,
     sample_region,
 )
+from hybridcert import geometry
 
 
 def test_distance_to_ball():
@@ -398,6 +403,64 @@ def test_contains_gives_a_list_the_answer_of_its_array(data, tol, x):
         got = _outcome(lambda: contains(region, list(x), tol))
     assert want is got, (region, x, tol)
     assert log == array_calls
+
+
+def _logging(fn, log):
+    """fn, logging each point it gets; it keeps fn's takes_list."""
+    def logged(x):
+        log.append(list(x))
+        return fn(x)
+
+    logged.takes_list = getattr(fn, "takes_list", False)
+    return logged
+
+
+def test_list_taking_batch_forms_match_the_one_point_forms(monkeypatch):
+    # lists are made 1,024 rows at a time: 2,500 rows end in a short chunk
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-1.0, 1.0, size=(2500, 3))
+    X[::5, 1] = 0.0
+    X[::11, 2] = 0.0
+    log = []
+    jump = bouncing_ball()[0].jump_set
+    compiled = predicate_fn("y <= 0 and z < 0", ("x", "y", "z"))
+    regions = [
+        Implicit(_logging(jump.pred, log), jump.bbox,
+                 sdf=_logging(jump.sdf, log)),
+        Implicit(_logging(compiled, log), AxisBox([-1.0] * 3, [1.0] * 3)),
+    ]
+    for region in regions:
+        assert region.takes_list
+        for tol in (0.0, 1e-9, 0.25):
+            log.clear()
+            want = np.array([region.contains(x, tol) for x in X], dtype=bool)
+            scalar_calls = list(log)
+            log.clear()
+            with monkeypatch.context() as m:
+                # no row goes through an array on its way to a list
+                m.setattr(geometry, "as_vector", None)
+                got = region.contains_many(X, tol)
+            assert got.tobytes() == want.tobytes()
+            assert log == scalar_calls and len(log) >= len(X)
+            assert all(type(v) is float for x in log for v in x)
+    region = regions[0]
+    want = np.array([region.distance(x) for x in X], dtype=float)
+    assert region.distance_many(X).tobytes() == want.tobytes()
+
+
+def test_list_taking_batch_forms_never_hold_all_rows_as_lists():
+    # as lists of floats, the rows would take about six times the array's
+    # memory; made a chunk at a time, the peak stays below the array's
+    X = np.zeros((50_000, 3))
+    jump = bouncing_ball()[0].jump_set
+    tracemalloc.start()
+    try:
+        inside = jump.contains_many(X, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inside.all()
+    assert peak < X.nbytes
 
 
 def test_contains_rejects_a_negative_tol():

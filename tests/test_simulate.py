@@ -15,6 +15,7 @@ from hybridcert import (
     AxisBox,
     BadInitialCondition,
     Ball,
+    Complement,
     DimensionMismatch,
     Disturbance,
     EmptySet,
@@ -903,6 +904,68 @@ def test_user_code_gets_each_state_as_a_float_array():
         assert x.dtype == np.float64 and x.shape == (3,), name
     assert times and all(type(t) is float and type(j) is int
                          for t, j in times)
+
+
+def test_package_callables_get_lists_and_user_code_gets_arrays():
+    # the ball's jump set and a compiled scenario predicate carry
+    # takes_list and get each point as a list of floats; a user Implicit,
+    # a Complement over it with a complement_sdf, and c09's band get a 1-D
+    # float64 array, from the solver, the one-point and the array forms
+    seen = []
+
+    def record(form, name, fn):
+        def spy(x):
+            seen.append((form, name, x))
+            return fn(x)
+
+        spy.takes_list = getattr(fn, "takes_list", False)
+        return spy
+
+    jump = bouncing_ball()[0].jump_set
+    compiled = cli.parse_set(
+        {"kind": "implicit", "predicate": "y <= 0.1 and z < 0",
+         "bbox": {"lo": [-1.0, 0.0, -1.0], "hi": [1.0, 0.1, 0.0]}},
+        ["x", "y", "z"])
+    jump_set = Implicit(record(list, "jump predicate", jump.pred), jump.bbox,
+                        sdf=record(list, "jump sdf", jump.sdf))
+    scenario_set = Implicit(record(list, "compiled predicate", compiled.pred),
+                            compiled.bbox)
+    user = Implicit(
+        record(np.ndarray, "user predicate", lambda s: s[0] <= 1.5),
+        AxisBox([-50.0, -1.0, -20.0], [1.5, 15.0, 20.0]),
+        sdf=record(np.ndarray, "user sdf", lambda s: max(0.0, s[0] - 1.5)),
+        complement_sdf=record(np.ndarray, "user complement sdf",
+                              lambda s: max(0.0, 1.5 - s[0])))
+    band = Implicit(
+        record(np.ndarray, "band predicate",
+               lambda s: 0.0 <= s[1] <= 0.1 and abs(s[2]) <= 2.0),
+        AxisBox([0.0, 0.0, -2.0], [0.0, 0.1, 2.0]),
+        sdf=record(np.ndarray, "band sdf", lambda s: math.hypot(
+            max(0.0 - s[1], s[1] - 0.1, 0.0), max(0.0, abs(s[2]) - 2.0))))
+
+    system = dataclasses.replace(bouncing_ball()[0], jump_set=jump_set)
+    cfg = SimConfig(h=2e-3, T_max=3.0, J_max=50)
+    solve(system, np.array([0.0, 1.0, 0.0]), cfg, watch=inflate(user, 1e-9))
+    solve(system, np.array([0.0, 0.05, 1.0]), cfg, watch=inflate(band, 1e-9))
+    X = np.array([[0.0, 0.05, -1.0], [2.0, 0.5, 0.5], [0.0, 0.0, 0.0]])
+    for region in (jump_set, scenario_set, user, Complement(user), band):
+        for shell in (region, inflate(region, 0.25)):
+            shell.contains_many(X, 0.25)
+            for x in X:
+                shell.contains(x, 0.25)
+                shell.contains(x.tolist(), 0.25)
+    for region in (jump_set, user, Complement(user), band):
+        region.distance_many(X)
+
+    assert {name for _, name, _ in seen} == {
+        "jump predicate", "jump sdf", "compiled predicate", "user predicate",
+        "user sdf", "user complement sdf", "band predicate", "band sdf"}
+    for form, name, x in seen:
+        assert type(x) is form, name
+        if form is list:
+            assert len(x) == 3 and all(type(v) is float for v in x), name
+        else:
+            assert x.dtype == np.float64 and x.shape == (3,), name
 
 
 @pytest.mark.parametrize("value", [[0.01], [0.01, 0.0]],
