@@ -19,6 +19,9 @@ from .hybrid import HybridSystem
 
 log = logging.getLogger(__name__)
 
+# the slack by which QPProblem.feasible lets a point violate a row
+FEASIBLE_SLACK = 1e-9
+
 # D is the half-line {tau >= period - JUMP_SLACK}: event refinement lands a
 # hair before the period, and a closed representable set is needed anyway
 JUMP_SLACK = 1e-9
@@ -129,9 +132,13 @@ class QPProblem:
         self.lb = np.asarray(self.lb, float)
         self.ub = np.asarray(self.ub, float)
         self.rows = [(as_vector(a), float(b)) for a, b in self.rows]
+        n = self.q.size
+        if (self.Q.shape != (n, n) or self.lb.shape != (n,)
+                or self.ub.shape != (n,)
+                or any(a.shape != (n,) for a, _ in self.rows)):
+            raise ValueError("Q, lb, ub and the rows must match q's size")
         if np.any(np.linalg.eigvalsh(self.Q) <= 0.0):
             raise ValueError("cost matrix must be positive definite")
-        n = self.q.size
         self._box_rows = []
         for i in range(n):
             e = np.zeros(n)
@@ -149,7 +156,7 @@ class QPProblem:
         """Inequality rows including the box faces."""
         return self.rows + self._box_rows
 
-    def feasible(self, u, slack=1e-9):
+    def feasible(self, u, slack=FEASIBLE_SLACK):
         return all(float(a @ u) <= b + slack for a, b in self.all_rows())
 
 
@@ -160,7 +167,18 @@ def solve_qp(qp: QPProblem):
     equality-constrained stationary point solved directly; the cheapest
     candidate satisfying all constraints is the global optimum (the polytope
     is compact once the box is finite, so the minimizer's active set has at
-    most dim_u rows in general position).
+    most dim_u rows in general position).  A candidate is that point clipped
+    to the box, and it counts only if it passes QPProblem.feasible.
+
+    Before any enumeration, a box-bound certificate ends most infeasible
+    QPs: when for some row a.u <= b (box faces included) the row's minimum
+    over the values np.clip can return, sum_i a_i e_i with e_i the end of
+    coordinate i that minimizes a_i e_i, exceeds b + FEASIBLE_SLACK by more
+    than 1e-12 * (1 + |b| + sum_i |a_i e_i|), no candidate can pass, and
+    None is returned at once.  That bound covers every rounding on the way
+    (proof at the check), so the certificate fires only on QPs the
+    enumeration finds infeasible too; on all others the enumeration runs
+    as it did without it and returns the same bytes.
     """
     n = qp.q.size
     if n > 2:
@@ -168,6 +186,33 @@ def solve_qp(qp: QPProblem):
     rows = qp.all_rows()
     A_all = np.array([a for a, _ in rows]).reshape(len(rows), n)
     b_all = np.array([b for _, b in rows])
+    # Box-bound certificate.  Every candidate is u = np.clip(s, lb, ub):
+    # u_i lies in [lb_i, ub_i], is ub_i where lb_i > ub_i (clip returns the
+    # upper bound there), or is NaN.  A NaN u_i makes a.u NaN, which fails
+    # the row, and so does an infinite u_i where a_i = 0 (0 * inf is NaN).
+    # So every u that passes the row has u_i in [lo_i, ub_i] (infinite ends
+    # included), p_i = a_i u_i >= m_i = a_i e_i for each a_i != 0, and
+    # p_i = +-0 for each a_i = 0, whose term is 0 here, never 0 * inf.
+    # Rounding: a.u sums at most two products (n <= 2), so in any order, or
+    # fused, fl(a.u) >= sum p_i - g sum |p_i| - eta with g = 2u/(1 - 2u),
+    # u = 2^-53, and eta < 1e-300 for underflow.  As p_i >= m_i,
+    # |p_i| <= (p_i - m_i) + |m_i|, so fl(a.u) >= sum m_i - g sum |m_i|
+    # - eta.  The computed minimum `low` is at most sum m_i + g sum |m_i|
+    # + eta.  Hence low > fl(b + slack) + margin, as computed, gives
+    # fl(a.u) > fl(b + slack), which is what feasible tests, because the
+    # margin 1e-12 * (1 + |b| + sum |m_i|) exceeds 2 g sum |m_i| + 2 eta
+    # plus the rounding of the threshold (about u |b|) more than a
+    # thousandfold.  An infinite end e_i gives low = -inf or NaN, and
+    # overflow a margin of inf; NaN anywhere (a, b or a bound) makes low or
+    # the threshold NaN.  None of these compares greater, so none certifies.
+    lo = np.where(qp.lb > qp.ub, qp.ub, qp.lb)
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = np.where(A_all == 0.0, 0.0,
+                         A_all * np.where(A_all > 0.0, lo, qp.ub))
+        low = terms.sum(axis=1)
+        margin = 1e-12 * (1.0 + np.abs(b_all) + np.abs(terms).sum(axis=1))
+        if (low > b_all + FEASIBLE_SLACK + margin).any():
+            return None
     best = None
     for k in range(n + 1):
         for combo in combinations(range(len(rows)), k):

@@ -37,6 +37,7 @@ class SamplingError(ValueError):
 
 
 _FLOAT64 = np.dtype(np.float64)
+_FLOAT64_MAX = float(np.finfo(np.float64).max)
 
 
 def as_vector(x):
@@ -174,18 +175,21 @@ class AxisBox(SetRegion):
             raise ValueError("lo/hi dimension mismatch")
         if np.any(self.lo > self.hi):
             raise ValueError("box needs lo <= hi componentwise")
-        # no point lies beyond an infinite face, so contains screens only
-        # the finite ones
-        self._lo_faces = [
-            (i, float(v)) for i, v in enumerate(self.lo) if np.isfinite(v)
-        ]
-        self._hi_faces = [
-            (i, float(v)) for i, v in enumerate(self.hi) if np.isfinite(v)
+        # the faces contains screens each coordinate with, an infinite one
+        # moved to the largest finite float: a NaN or infinite coordinate
+        # then fails the screen and goes to the exact distance, which is
+        # NaN or inf there, as it is for every coordinate beyond a face
+        self._faces = [
+            (i, max(lo, -_FLOAT64_MAX), min(hi, _FLOAT64_MAX))
+            for i, (lo, hi) in enumerate(zip(self.lo.tolist(),
+                                             self.hi.tolist()))
         ]
 
     def distance(self, x):
         v = as_vector(x)
-        gap = v - np.minimum(np.maximum(v, self.lo), self.hi)
+        with np.errstate(invalid="ignore"):
+            # inf - inf is NaN: an infinite coordinate on an infinite face
+            gap = v - np.minimum(np.maximum(v, self.lo), self.hi)
         d = float(np.linalg.norm(gap))
         if d == 0.0 and gap.any():
             # gaps below ~1.5e-162 square to 0; scaled by the largest gap,
@@ -200,16 +204,13 @@ class AxisBox(SetRegion):
         # borderline points pay for the exact Euclidean distance
         xs = x if type(x) is list else as_vector(x).tolist()
         borderline = False
-        for i, lo in self._lo_faces:
-            if xs[i] < lo:
-                if xs[i] < lo - tol:
-                    return False
-                borderline = True
-        for i, hi in self._hi_faces:
-            if xs[i] > hi:
-                if xs[i] > hi + tol:
-                    return False
-                borderline = True
+        for i, lo, hi in self._faces:
+            v = xs[i]
+            if lo <= v <= hi:  # False for NaN
+                continue
+            if v < lo - tol or v > hi + tol:
+                return False
+            borderline = True
         if not borderline:
             return True
         return self.distance(x) <= tol
@@ -228,12 +229,10 @@ class AxisBox(SetRegion):
         X = as_rows(X)
         inside = np.ones(X.shape[0], dtype=bool)
         borderline = np.zeros(X.shape[0], dtype=bool)
-        for i, lo in self._lo_faces:
-            inside &= ~(X[:, i] < lo - tol)
-            borderline |= X[:, i] < lo
-        for i, hi in self._hi_faces:
-            inside &= ~(X[:, i] > hi + tol)
-            borderline |= X[:, i] > hi
+        for i, lo, hi in self._faces:
+            v = X[:, i]
+            inside &= ~((v < lo - tol) | (v > hi + tol))
+            borderline |= ~((lo <= v) & (v <= hi))
         rows = np.flatnonzero(inside & borderline)
         if rows.size:
             inside[rows] = self.distance_many(X[rows]) <= tol

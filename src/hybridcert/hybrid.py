@@ -312,9 +312,19 @@ def arc_to_csv(arc, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["j", "t"] + [f"x_{k + 1}" for k in range(arc.dim)])
-        # csv writes a float as its repr
+        # csv writes a float as its repr, so a column whose values in a
+        # phase all have the same bits (a sample-and-hold loop's held
+        # inputs) is formatted once for the phase; comparing bits, not
+        # values, keeps the reprs of 0.0 and -0.0 apart
         for j, (times, states) in enumerate(arc.phases):
-            w.writerows(zip(repeat(j), times.tolist(), *states.T.tolist()))
+            n = times.size
+            bits = states.view(np.uint64)
+            constant = (bits == bits[0]).all(axis=0).tolist()
+            columns = [
+                repeat(repr(v), n) if same else states[:, k].tolist()
+                for k, (same, v) in enumerate(zip(constant, states[0].tolist()))
+            ]
+            w.writerows(zip(repeat(j), times.tolist(), *columns))
         w.writerow(["termination", arc.termination.value])
 
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import qp_reference
 
 from hybridcert import (
     AxisBox,
@@ -13,6 +16,7 @@ from hybridcert import (
     admissible_constraints,
     augment_sample_hold,
     initial_augmented,
+    mg_closed_loop,
     qp_policy,
     solve,
     solve_qp,
@@ -53,6 +57,18 @@ def test_qp_problem_requires_positive_definite_cost():
             QPProblem(bad, [0.0], 0.0, [], [-1.0], [1.0])
 
 
+@pytest.mark.parametrize("Q, lb, ub, rows", [
+    ([[1.0]], [-1.0, -1.0], [1.0, 1.0], []),
+    (np.eye(2), [-1.0], [1.0, 1.0], []),
+    (np.eye(2), [-1.0, -1.0], 1.0, []),
+    (np.eye(2), [-1.0, -1.0], [1.0, 1.0], [([1.0], 0.0)]),
+    (np.eye(2), [-1.0, -1.0], [1.0, 1.0], [([1.0, 1.0, 1.0], 0.0)]),
+], ids=["Q", "lb", "ub", "short-row", "long-row"])
+def test_qp_problem_rejects_sizes_that_do_not_match_q(Q, lb, ub, rows):
+    with pytest.raises(ValueError, match="match q's size"):
+        QPProblem(Q, [0.0, 0.0], 0.0, rows, lb, ub)
+
+
 def test_solve_qp_unconstrained_origin():
     qp = QPProblem(np.eye(2), np.zeros(2), 0.0, [], [-1.0, -1.0], [1.0, 1.0])
     u = solve_qp(qp)
@@ -70,6 +86,173 @@ def test_solve_qp_clips_to_box_corner():
 def test_solve_qp_infeasible_returns_none():
     qp = QPProblem([[1.0]], [0.0], 0.0, [([1.0], -2.0)], [-1.0], [1.0])
     assert solve_qp(qp) is None
+
+
+def _counting_solves(monkeypatch):
+    """Patch np.linalg.solve to count its calls; returns the call list."""
+    calls = []
+    real = np.linalg.solve
+
+    def counting(M, rhs):
+        calls.append(M.shape)
+        return real(M, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def _certified(monkeypatch, qp):
+    """Whether solve_qp answers qp without a linear solve; its answer is
+    checked against the reference's."""
+    calls = _counting_solves(monkeypatch)
+    got = solve_qp(qp)
+    certified = not calls
+    want = qp_reference.solve_qp(qp)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.tobytes() == want.tobytes()
+    return certified
+
+
+def _row_floor(a, lb, ub):
+    """The minimum of a.u over the values np.clip(s, lb, ub) can take, and
+    the sum of the magnitudes of its terms."""
+    terms = [ai * (ub_i if lb_i > ub_i or ai < 0.0 else lb_i)
+             for ai, lb_i, ub_i in zip(a, lb, ub) if ai != 0.0]
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("excess, enumerates", [
+    (-1.0, True), (0.5, True), (0.99, True), (1.01, False), (2.0, False),
+])
+def test_solve_qp_certificate_fires_only_beyond_its_margin(
+        monkeypatch, excess, enumerates):
+    # one row whose minimum over the box exceeds b + slack by `excess`
+    # times the certificate's margin
+    a, lb, ub = [2.0, -3.0], [0.25, -1.0], [1.0, 0.5]
+    low, size = _row_floor(a, lb, ub)
+    b = low - controller.FEASIBLE_SLACK - excess * 1e-12 * (1.0 + abs(low)
+                                                             + size)
+    qp = QPProblem(np.eye(2), [0.0, 0.0], 0.0, [(a, b)], lb, ub)
+    assert _certified(monkeypatch, qp) != enumerates
+
+
+@pytest.mark.parametrize("n, rows, lb, ub, certified", [
+    # a zero coefficient over an infinite face adds 0, never 0 * inf
+    (2, [([0.0, 1.0], -1.0)], [-np.inf, 0.0], [np.inf, 1.0], True),
+    # a face at -inf in the row's direction: no finite minimum
+    (2, [([1.0, 1.0], -5.0)], [-np.inf, 0.0], [1.0, 1.0], False),
+    # np.clip returns ub where lb > ub, so lb - ub decides the box row
+    (1, [], [1.0 + 1e-6], [1.0], True),
+    (1, [], [1.0 + 0.5e-9], [1.0], False),
+    (1, [([1.0], 0.5 - 0.6e-9)], [0.5 + 0.5e-9], [0.5], False),
+    (1, [([1.0], 0.5 - 2e-9)], [0.5 + 0.5e-9], [0.5], True),
+    # a zero row fails every point when b < -slack
+    (1, [([0.0], -1e-6)], [-1.0], [1.0], True),
+    (1, [([-0.0], -0.5e-9)], [-1.0], [1.0], False),
+])
+def test_solve_qp_certificate_on_zero_rows_open_and_inverted_boxes(
+        monkeypatch, n, rows, lb, ub, certified):
+    qp = QPProblem(np.eye(n), np.zeros(n), 0.0, rows, lb, ub)
+    assert _certified(monkeypatch, qp) == certified
+
+
+_COEF = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-4.0, 4.0)
+_SLACK = controller.FEASIBLE_SLACK
+
+
+@st.composite
+def _bounds(draw):
+    """One coordinate's (lb, ub): a box, a half-line, the line, or
+    lb > ub by less or by more than the feasibility slack."""
+    kind = draw(st.sampled_from(["box", "below", "above", "free",
+                                 "inverted"]))
+    x = draw(st.floats(-3.0, 3.0))
+    if kind == "box":
+        return x, x + draw(st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 3.0))
+    if kind == "below":
+        return -np.inf, x
+    if kind == "above":
+        return x, np.inf
+    if kind == "free":
+        return -np.inf, np.inf
+    gap = draw(st.sampled_from([0.5e-9, 0.9e-9, 1.1e-9, 2e-9, 1e-6, 0.5]))
+    return x + gap, x
+
+
+@st.composite
+def qp_problems(draw):
+    """QPs in one or two inputs with a positive definite cost and 0-3 rows:
+    random, zero, exact negations of the row before, box-parallel, and rows
+    whose minimum over the box exceeds b + slack by a multiple of the
+    certificate's margin just below or above 1."""
+    n = draw(st.sampled_from([1, 2]))
+    L = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    Q = L @ L.T + draw(st.floats(0.1, 2.0)) * np.eye(n)
+    q = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+    lb, ub = zip(*(draw(_bounds()) for _ in range(n)))
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["random", "zero", "negated", "parallel",
+                                     "margin"]))
+        a = draw(st.lists(_COEF, min_size=n, max_size=n))
+        b = draw(st.sampled_from([0.0, -1e-9, -2e-9]) | st.floats(-6.0, 6.0))
+        if kind == "zero":
+            a = [0.0] * n
+        elif kind == "negated" and rows:
+            a, b = [-v for v in rows[-1][0]], -rows[-1][1]
+        elif kind == "parallel":
+            i = draw(st.integers(0, n - 1))
+            a = [(a[i] or 1.0) if k == i else 0.0 for k in range(n)]
+        elif kind == "margin":
+            low, size = _row_floor(a, lb, ub)
+            f = draw(st.sampled_from([-1.0, 0.0, 0.5, 0.99, 1.01, 2.0]))
+            if np.isfinite(low):
+                b = low - _SLACK - f * 1e-12 * (1.0 + abs(low) + size)
+        rows.append((a, b))
+    return QPProblem(Q, q, draw(st.floats(-1.0, 1.0)), rows, lb, ub)
+
+
+# the enumeration's candidates on an unbounded box can be infinite, and
+# QPProblem.feasible then meets 0 * inf
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(qp=qp_problems())
+def test_solve_qp_is_the_enumeration_reference(qp):
+    got = solve_qp(qp)
+    want = qp_reference.solve_qp(qp)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_c07_loop_qps_are_the_reference_and_infeasible_ones_certified(
+        monkeypatch):
+    qps = []
+
+    def recording(qp):
+        qps.append(qp)
+        return solve_qp(qp)
+
+    monkeypatch.setattr(controller, "solve_qp", recording)
+    decisions = mg_closed_loop(horizon=20.0)[1]
+    # levels 0..9 each try one QP; level 10 means all ten failed
+    assert len(decisions) == 41
+    assert len(qps) == 381 == sum(min(d["level"] + 1, 10) for d in decisions)
+    calls = _counting_solves(monkeypatch)
+    certified = infeasible = 0
+    for qp in qps:
+        before = len(calls)
+        got = solve_qp(qp)
+        certified += len(calls) == before
+        want = qp_reference.solve_qp(qp)
+        if want is None:
+            infeasible += 1
+            assert got is None
+        else:
+            assert got.tobytes() == want.tobytes()
+    assert certified == infeasible == 340
 
 
 def test_solve_qp_dimension_cap():

@@ -102,10 +102,11 @@ def test_inflation_distance_duality(cx, cy, rad, r, px, py):
 @st.composite
 def box_and_point(draw):
     """An axis box with some +-inf faces and a point that is free, far out
-    along an infinite face, or placed at +-{0, 0.5, 1, 2} tol off a face.
-    Coordinates are multiples of 1/8; the explicit examples of the test
-    add gaps small enough to underflow when squared."""
-    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25]))
+    along an infinite face, NaN or +-inf, or placed at +-{0, 0.5, 1, 2} tol
+    off a face.  Finite coordinates are multiples of 1/8; the explicit
+    examples of the test add gaps small enough to underflow when
+    squared."""
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25, np.inf]))
     dim = draw(st.integers(1, 4))
     lo, hi, x = [], [], []
     for _ in range(dim):
@@ -114,11 +115,14 @@ def box_and_point(draw):
         b = np.inf if draw(st.booleans()) else b
         lo.append(a)
         hi.append(b)
-        place = draw(st.sampled_from(["free", "far", "lo", "hi"]))
+        place = draw(st.sampled_from(["free", "far", "nonfinite", "lo",
+                                      "hi"]))
         if place == "free":
             x.append(draw(st.integers(-100, 100)) / 8.0)
         elif place == "far":
             x.append(draw(st.sampled_from([-1e6, 1e6])))
+        elif place == "nonfinite":
+            x.append(draw(st.sampled_from([np.nan, -np.inf, np.inf])))
         else:
             face = a if place == "lo" else b
             if not np.isfinite(face):
@@ -137,9 +141,18 @@ def box_and_point(draw):
 @example(case=(AxisBox([0.0, -np.inf], [1.0, 0.0]),
                np.array([0.5, 5e-324]), 0.0))
 @example(case=(AxisBox([0.0], [1.0]), np.array([-1e-160]), 1e-160))
+@example(case=(AxisBox([0.0, 0.0], [1.0, 1.0]), np.array([np.nan, 0.5]),
+               0.0))
+@example(case=(AxisBox([-np.inf, 0.0], [np.inf, 1.0]),
+               np.array([np.nan, 0.5]), 1e-9))
+@example(case=(AxisBox([-np.inf], [np.inf]), np.array([np.inf]), np.inf))
+@example(case=(AxisBox([0.0], [1.0]), np.array([-np.inf]), np.inf))
 def test_axis_box_contains_is_the_distance_definition(case):
     box, x, tol = case
-    assert contains(box, x, tol) == (dist_to_set(x, box) <= tol)
+    inside = dist_to_set(x, box) <= tol
+    assert contains(box, x, tol) == inside
+    assert contains(box, x.tolist(), tol) == inside
+    assert box.contains_many(x[None, :], tol).tolist() == [inside]
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)

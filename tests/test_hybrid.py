@@ -1,5 +1,7 @@
 """Hybrid system construction, perturbation, arcs, and serialization."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,40 @@ def test_arc_csv_round_trip_is_bitwise(tmp_path):
         assert np.array_equal(ta, tb)
         assert np.array_equal(xa, xb)
     assert back.termination == arc.termination
+
+
+def arc_to_csv_per_value(arc, path):
+    """The arc CSV with every value handed to csv on its own."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["j", "t"] + [f"x_{k + 1}" for k in range(arc.dim)])
+        for j, (times, states) in enumerate(arc.phases):
+            for t, x in zip(times.tolist(), states.tolist()):
+                w.writerow([j, t] + x)
+        w.writerow(["termination", arc.termination.value])
+
+
+def test_arc_csv_is_the_per_value_writer_byte_for_byte(tmp_path):
+    held = [0.5, 0.1, 1e-300, -0.0, 5e-324]
+    phases = [
+        # constant columns, a column mixing 0.0 and -0.0, a varying one
+        ([0.0, 0.1, 0.2, 0.3],
+         [[0.5, 0.0, -0.0, 1.0 / 3.0, 0.1],
+          [0.5, -0.0, -0.0, 2.0, 0.1],
+          [0.5, 0.0, -0.0, -7.25, 0.1],
+          [0.5, -0.0, -0.0, 1e-310, 0.1]]),
+        ([0.3], [[2.0, -1.5, 0.0, 4.0, 0.125]]),  # one sample
+        ([0.3, 0.4, 0.5], [held, held, held]),
+        ([0.5, 0.6], [[0.0, 1.0, 2.0, 3.0, 4.0],
+                      [0.0, 1.0 + 2**-52, 2.0, 3.0, 4.0]]),
+    ]
+    arc = HybridArc([(np.array(t), np.array(x)) for t, x in phases],
+                    Termination.HORIZON_REACHED)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    arc_to_csv(arc, str(got))
+    arc_to_csv_per_value(arc, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    assert b"0.5,-0.0,-0.0" in got.read_bytes()
 
 
 def test_arc_json_round_trip_is_bitwise(tmp_path):

@@ -430,6 +430,22 @@ def test_left_flow_and_jump_sets_termination():
     assert rep.flow_time == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("flow_set", [
+    AxisBox([-1.0], [1.0]), AxisBox([-np.inf], [np.inf]),
+], ids=["finite-faces", "infinite-faces"])
+def test_a_flow_that_goes_nan_ends_in_a_termination(flow_set):
+    # built without make_system, whose probe would reject the NaN flow
+    system = HybridSystem(
+        dim=1, flow_set=flow_set, flow_map=lambda x: [math.nan],
+        jump_set=EmptySet(), jump_map=lambda x: [], bounds=flow_set,
+    )
+    rep = solve(system, np.array([0.0]), SimConfig(h=0.1, T_max=1.0))
+    # every step of positive length lands on NaN, which no set contains
+    assert rep.termination == Termination.LEFT_FLOW_AND_JUMP_SETS
+    assert rep.flow_time == 0.0
+    assert rep.arc.phases[0][1].tolist() == [[0.0]]
+
+
 def test_zeno_accumulation_without_completion():
     system = raw_ball()
     rep = solve(system, np.array([0.0, 9.0, 0.8]),
