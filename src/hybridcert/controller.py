@@ -157,7 +157,8 @@ class QPProblem:
         return self.rows + self._box_rows
 
     def feasible(self, u, slack=FEASIBLE_SLACK):
-        return all(float(a @ u) <= b + slack for a, b in self.all_rows())
+        with np.errstate(invalid="ignore"):  # 0 * inf fails its row
+            return all(float(a @ u) <= b + slack for a, b in self.all_rows())
 
 
 def solve_qp(qp: QPProblem):

@@ -9,6 +9,9 @@ hands them each point as a list of Python floats; user code (any
 unmarked callable) still gets each point as a 1-D float64 array.
 Regions are immutable after construction and safe for concurrent reads.
 
+A region that measures distance contains x iff that distance is within
+tol; a NaN distance (NaN coordinates, say) is within no tol.
+
 Every region answers for one point (``contains``, ``distance``) and for the
 rows of a 2-D array of points (``contains_many``, ``distance_many``).  The
 array forms give, row for row, the bits the one-point forms give; regions
@@ -38,6 +41,8 @@ class SamplingError(ValueError):
 
 _FLOAT64 = np.dtype(np.float64)
 _FLOAT64_MAX = float(np.finfo(np.float64).max)
+# a norm below this may come from squares that lost bits to underflow
+_UNDERFLOW_NORM = 2.0 ** -511
 
 
 def as_vector(x):
@@ -72,9 +77,14 @@ def _row_norms(G):
         return np.sqrt(np.vecdot(G, G))
 
 
+def _clip0_one(d):
+    """max(0.0, d), but NaN stays NaN (within no tol); -0.0 gives 0.0."""
+    return 0.0 if d <= 0.0 else d
+
+
 def _clip0(v):
-    """max(0.0, v) per entry as Python computes it: NaN and -0.0 give 0.0."""
-    return np.where(v > 0.0, v, 0.0)
+    """_clip0_one per entry."""
+    return np.where(v <= 0.0, 0.0, v)
 
 
 class SetRegion:
@@ -148,7 +158,7 @@ class Ball(SetRegion):
         self.radius = float(radius)
 
     def distance(self, x):
-        return max(0.0, float(np.linalg.norm(as_vector(x) - self.center)) - self.radius)
+        return _clip0_one(float(np.linalg.norm(as_vector(x) - self.center)) - self.radius)
 
     def distance_many(self, X):
         return _clip0(_row_norms(as_rows(X) - self.center) - self.radius)
@@ -191,9 +201,10 @@ class AxisBox(SetRegion):
             # inf - inf is NaN: an infinite coordinate on an infinite face
             gap = v - np.minimum(np.maximum(v, self.lo), self.hi)
         d = float(np.linalg.norm(gap))
-        if d == 0.0 and gap.any():
-            # gaps below ~1.5e-162 square to 0; scaled by the largest gap,
-            # such a point stays outside, as contains says
+        if d < _UNDERFLOW_NORM and gap.any():
+            # squares of gaps below 2**-511 lose bits or vanish; scaled by
+            # the largest gap, the norm is never below one gap, as contains
+            # (which rejects a point for one gap beyond tol) relies on
             s = float(np.max(np.abs(gap)))
             d = s * float(np.linalg.norm(gap / s))
         return d
@@ -208,7 +219,7 @@ class AxisBox(SetRegion):
             v = xs[i]
             if lo <= v <= hi:  # False for NaN
                 continue
-            if v < lo - tol or v > hi + tol:
+            if lo - v > tol or v - hi > tol:
                 return False
             borderline = True
         if not borderline:
@@ -220,8 +231,8 @@ class AxisBox(SetRegion):
         with np.errstate(invalid="ignore"):
             gap = X - np.minimum(np.maximum(X, self.lo), self.hi)
         d = _row_norms(gap)
-        for i in np.flatnonzero((d == 0.0) & gap.any(axis=1)):
-            # a gap below ~1.5e-162: rescaled as the scalar form does
+        for i in np.flatnonzero((d < _UNDERFLOW_NORM) & gap.any(axis=1)):
+            # gaps below 2**-511: rescaled as the scalar form does
             d[i] = self.distance(X[i])
         return d
 
@@ -231,7 +242,8 @@ class AxisBox(SetRegion):
         borderline = np.zeros(X.shape[0], dtype=bool)
         for i, lo, hi in self._faces:
             v = X[:, i]
-            inside &= ~((v < lo - tol) | (v > hi + tol))
+            with np.errstate(over="ignore"):
+                inside &= ~((lo - v > tol) | (v - hi > tol))
             borderline |= ~((lo <= v) & (v <= hi))
         rows = np.flatnonzero(inside & borderline)
         if rows.size:
@@ -277,7 +289,7 @@ class Implicit(SetRegion):
     def distance(self, x):
         if self.sdf is None:
             raise UnsupportedDistance("Implicit region lacks a distance oracle")
-        return max(0.0, float(self.sdf(self._point(x))))
+        return _clip0_one(float(self.sdf(self._point(x))))
 
     def contains(self, x, tol=DEFAULT_TOL):
         v = self._point(x)
@@ -292,12 +304,12 @@ class Implicit(SetRegion):
 
 
 class Inflated(SetRegion):
-    """base + rB. Identity at r = 0; exact with base distance support.
+    """base + rB: base.contains at r + tol.
 
-    Without it, membership falls back to the base's own slack handling,
-    which under-accepts the inflated set (a predicate-only base decides by
-    the bare predicate); callers treating the band as "still inside" see
-    exits earlier than the true inflated region would, never later.
+    Exact wherever the base's contains is its distance definition.  A
+    predicate-only base decides by its predicate, which under-accepts the
+    inflated set: callers treating the band as "still inside" see exits
+    earlier than the true inflated region would, never later.
     """
 
     def __init__(self, base, r):
@@ -311,28 +323,16 @@ class Inflated(SetRegion):
         return self.base.runs_user_code
 
     def distance(self, x):
-        return max(0.0, self.base.distance(x) - self.r)
+        return _clip0_one(self.base.distance(x) - self.r)
 
     def contains(self, x, tol=DEFAULT_TOL):
-        if self.r == 0.0:
-            return self.base.contains(x, tol)
-        if not self.base.takes_list:
-            x = as_vector(x)
-        try:
-            return self.base.distance(x) <= self.r + tol
-        except UnsupportedDistance:
-            return self.base.contains(x, self.r + tol)
+        return self.base.contains(x, self.r + tol)
 
     def distance_many(self, X):
         return _clip0(self.base.distance_many(X) - self.r)
 
     def contains_many(self, X, tol=DEFAULT_TOL):
-        if self.r == 0.0:
-            return self.base.contains_many(X, tol)
-        try:
-            return self.base.distance_many(X) <= self.r + tol
-        except UnsupportedDistance:
-            return self.base.contains_many(X, self.r + tol)
+        return self.base.contains_many(X, self.r + tol)
 
     def bounding_box(self):
         bb = self.base.bounding_box()
@@ -449,15 +449,14 @@ class Complement(SetRegion):
         v = as_vector(x)
         b = self.base
         if isinstance(b, Ball):
-            return max(0.0, b.radius - float(np.linalg.norm(v - b.center)))
+            return _clip0_one(b.radius - float(np.linalg.norm(v - b.center)))
         if isinstance(b, AxisBox):
-            if not b.contains(v, 0.0):
-                return 0.0
-            gaps = np.minimum(v - b.lo, b.hi - v)
-            g = float(np.min(gaps))
-            return max(0.0, g) if np.isfinite(g) else np.inf
+            # the smallest gap to a face: negative outside the box, inf if
+            # no face is finite, NaN where the box's distance is NaN
+            with np.errstate(all="ignore"):
+                return _clip0_one(float(np.min(np.minimum(v - b.lo, b.hi - v))))
         if isinstance(b, Implicit) and b.complement_sdf is not None:
-            return max(0.0, float(b.complement_sdf(v)))
+            return _clip0_one(float(b.complement_sdf(v)))
         raise UnsupportedDistance(f"complement of {type(b).__name__} has no distance")
 
     def contains(self, x, tol=DEFAULT_TOL):
@@ -472,10 +471,8 @@ class Complement(SetRegion):
             return _clip0(b.radius - _row_norms(as_rows(X) - b.center))
         if isinstance(b, AxisBox):
             X = as_rows(X)
-            with np.errstate(invalid="ignore"):
-                g = np.minimum(X - b.lo, b.hi - X).min(axis=1)
-            d = np.where(np.isfinite(g), _clip0(g), np.inf)
-            return np.where(b.contains_many(X, 0.0), d, 0.0)
+            with np.errstate(all="ignore"):
+                return _clip0(np.minimum(X - b.lo, b.hi - X).min(axis=1))
         # complement_sdf is user code; any other base raises at the first row
         return super().distance_many(X)
 

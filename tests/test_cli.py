@@ -206,6 +206,23 @@ def test_ras_check_report_keeps_its_golden_digest(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("args, code, digest", [
+    # the watch is the implicit target inflated by the event tol
+    (["--mode", "invariance"], 1,
+     "173d71cdda6f730b0571a7bdc3d8703bc94c7ceb87cb5dcd50f17fc4f348158c"),
+    # the flow and jump sets and the monitor's slack inflated by delta
+    (["--mode", "ras", "--override", "delta=0.05"], 0,
+     "badc0ea201fefb65ddb0aea5cafd29eb016025450b241ec86e08cbca69fa9e3b"),
+])
+def test_checks_through_inflated_sets_keep_their_golden_digests(
+        tmp_path, capsys, args, code, digest):
+    scen = write(tmp_path, "falling.yaml", FALLING_MASS_SCENARIO)
+    out = tmp_path / "out"
+    got = cli.main(["check"] + args + ["--scenario", scen, "--out", str(out)])
+    assert got == code, capsys.readouterr().err
+    assert sha256_of(out, "check_report.json") == [digest]
+
+
 def test_example_unknown_name(tmp_path):
     code, _, stderr = run_cli(["example", "no-such-study"], tmp_path)
     assert code == 4, stderr

@@ -215,8 +215,8 @@ def qp_problems(draw):
 
 
 # the enumeration's candidates on an unbounded box can be infinite, and
-# QPProblem.feasible then meets 0 * inf
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+# QPProblem.feasible then meets 0 * inf, and must not warn about it
+@pytest.mark.filterwarnings("error:invalid value encountered in matmul")
 @settings(max_examples=600, deadline=None, database=None, derandomize=True)
 @given(qp=qp_problems())
 def test_solve_qp_is_the_enumeration_reference(qp):

@@ -84,19 +84,57 @@ def test_point_at_known_set_distance_is_in_inflation():
     assert contains(inflate(A, 0.3), x, 1e-9)
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(
-    cx=st.floats(-3, 3), cy=st.floats(-3, 3),
-    rad=st.floats(0.0, 2.0),
-    r=st.floats(0.0, 1.5),
-    px=st.floats(-6, 6), py=st.floats(-6, 6),
-)
-def test_inflation_distance_duality(cx, cy, rad, r, px, py):
-    # contains(inflate(A,r), x, tol) must agree with dist(x,A) <= r + tol
-    A = Ball((cx, cy), rad)
-    x = np.array([px, py])
-    tol = 1e-9
-    assert contains(inflate(A, r), x, tol) == (dist_to_set(x, A) <= r + tol)
+@st.composite
+def inflation_case(draw):
+    """A Ball and a free point, or a 2-D AxisBox with some +-inf faces and
+    a point free or placed at +-{0, 0.5, 1, 2} (r + tol) off a face, then
+    moved one ulp either way or not; with the radius r and the tol."""
+    r = draw(st.one_of(st.floats(0.0, 1.5),
+                       st.sampled_from([0.0, 1e-9, 0.25])))
+    tol = draw(st.sampled_from([0.0, 1e-9, 0.25]))
+    if draw(st.booleans()):
+        center = (draw(st.floats(-3, 3)), draw(st.floats(-3, 3)))
+        x = [draw(st.floats(-6, 6)), draw(st.floats(-6, 6))]
+        return Ball(center, draw(st.floats(0.0, 2.0))), np.array(x), r, tol
+    lo, hi, x = [], [], []
+    for _ in range(2):
+        ends = st.one_of(st.integers(-24, 24).map(lambda k: k / 8.0),
+                         st.sampled_from([0.1, -0.3, 0.7]))
+        a, b = sorted((draw(ends), draw(ends)))
+        a = -np.inf if draw(st.booleans()) else a
+        b = np.inf if draw(st.booleans()) else b
+        lo.append(a)
+        hi.append(b)
+        place = draw(st.sampled_from(["free", "lo", "hi"]))
+        if place == "free":
+            x.append(draw(st.floats(-6, 6)))
+            continue
+        face = a if place == "lo" else b
+        if not np.isfinite(face):
+            face = 0.0
+        s = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]))
+        v = face + s * (r + tol)
+        x.append(draw(st.sampled_from([v, np.nextafter(v, -np.inf),
+                                       np.nextafter(v, np.inf)])))
+    return AxisBox(lo, hi), np.array(x), r, tol
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(case=inflation_case())
+@example(case=(AxisBox([0.1], [1.0]), np.array([-0.15000000000000002]),
+               0.25, 0.0))
+@example(case=(AxisBox([0.1], [1.0]), np.array([-0.15000000000000002]),
+               0.125, 0.125))
+@example(case=(AxisBox([-np.inf, 0.0], [0.5, np.inf]),
+               np.array([-1e300, -0.25]), 0.25, 0.0))
+def test_inflation_distance_duality(case):
+    # contains(inflate(A, r), x, tol) must agree with dist(x, A) <= r + tol
+    A, x, r, tol = case
+    inside = dist_to_set(x, A) <= r + tol
+    infl = inflate(A, r)
+    assert contains(infl, x, tol) == inside
+    assert contains(infl, x.tolist(), tol) == inside
+    assert infl.contains_many(x[None, :], tol).tolist() == [inside]
 
 
 @st.composite
@@ -147,6 +185,9 @@ def box_and_point(draw):
                np.array([np.nan, 0.5]), 1e-9))
 @example(case=(AxisBox([-np.inf], [np.inf]), np.array([np.inf]), np.inf))
 @example(case=(AxisBox([0.0], [1.0]), np.array([-np.inf]), np.inf))
+@example(case=(AxisBox([0.1], [1.0]), np.array([-0.15000000000000002]), 0.25))
+@example(case=(AxisBox([0.0], [1.0]), np.array([-5.203930382783413e-155]),
+               5.203930382783411e-155))
 def test_axis_box_contains_is_the_distance_definition(case):
     box, x, tol = case
     inside = dist_to_set(x, box) <= tol
@@ -214,6 +255,31 @@ def test_inflating_a_predicate_only_set_falls_back_to_the_predicate():
     # no distance oracle: the band under-accepts, the predicate decides
     assert contains(infl, np.array([0.9, 0.0]), 1e-9)
     assert not contains(infl, np.array([1.4, 0.0]), 1e-9)
+
+
+def _no_distance(*args):
+    raise AssertionError("the base's distance was asked")
+
+
+def test_inflation_asks_no_distance_it_does_not_need(monkeypatch):
+    # a predicate-only base is decided by its predicate, and an axis box by
+    # its screen wherever each coordinate is inside its face or beyond it
+    # by more than r + tol; neither asks the base for a distance
+    pred_only = Implicit(lambda p: p[0] + p[1] <= 1.0,
+                         AxisBox([-2.0, -2.0], [2.0, 2.0]))
+    box = AxisBox([0.1, -np.inf], [1.0, 0.5])
+    X = np.array([[0.5, 0.0], [0.1, -1e300], [1.0, 0.5], [-0.25, 0.0],
+                  [0.5, 0.81], [1.31, 0.9], [-1e300, 1e300]])
+    cases = [(pred_only, [True, True, False, True, False, False, True]),
+             (box, [True, True, True, False, False, False, False])]
+    for base, want in cases:
+        for name in ("distance", "distance_many"):
+            monkeypatch.setattr(base, name, _no_distance)
+        infl = inflate(base, 0.25)
+        tol = 0.05
+        assert [contains(infl, x, tol) for x in X] == want
+        assert [contains(infl, x.tolist(), tol) for x in X] == want
+        assert infl.contains_many(X, tol).tolist() == want
 
 
 def test_proper_indicator_vanishes_on_target():
@@ -474,6 +540,36 @@ def test_list_taking_batch_forms_never_hold_all_rows_as_lists():
         tracemalloc.stop()
     assert inside.all()
     assert peak < X.nbytes
+
+
+NAN_POINTS = [[np.nan, 0.0], [0.5, np.nan], [np.nan, np.nan]]
+
+
+@pytest.mark.parametrize("region", [
+    Ball((0.0, 0.0), 1.0), Ball((0.5, -0.5), 0.0),
+    inflate(Ball((0.0, 0.0), 1.0), 0.5),
+    Complement(Ball((0.0, 0.0), 1.0)),
+    Complement(AxisBox([0.0, 0.0], [1.0, 1.0])),
+    Complement(AxisBox([-np.inf, 0.0], [np.inf, 1.0])),
+], ids=["ball", "point", "inflated-ball", "not-ball", "not-box", "not-slab"])
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25, np.inf])
+def test_a_nan_coordinate_is_outside_balls_and_complements(region, tol):
+    # their distance is NaN there, as an axis box's is, never 0
+    for x in NAN_POINTS:
+        assert np.isnan(dist_to_set(x, region))
+        assert not contains(region, x, tol)
+        assert not contains(region, np.array(x), tol)
+    assert np.isnan(region.distance_many(NAN_POINTS)).all()
+    assert not region.contains_many(NAN_POINTS, tol).any()
+
+
+def test_a_negative_zero_distance_is_positive_zero():
+    for region, x in [(Complement(AxisBox([0.0], [1.0])), [-0.0]),
+                      (Complement(Ball((0.0,), 1.0)), [1.0]),
+                      (Ball((0.0,), 0.0), [-0.0])]:
+        d, (row,) = dist_to_set(x, region), region.distance_many([x])
+        assert np.signbit([d, row]).tolist() == [False, False]
+        assert d == row == 0.0
 
 
 def test_contains_rejects_a_negative_tol():
