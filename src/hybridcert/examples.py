@@ -43,12 +43,29 @@ class DomainViolation(ValueError):
 
 
 def _each(fn, t):
-    """fn at each element of the array t, as a float array.  The row forms
-    of the studies' fields take math.atan, math.log, expit and a float64's
-    ** 2 this way, as their one-point forms do: np.arctan and np.exp differ
-    from math.atan and math.exp in the last bit, and an array's ** 2 is a
-    square where a float64's calls pow."""
-    return np.fromiter(map(fn, t), dtype=float, count=len(t))
+    """fn at each element of the 1-D float array t, as a float array.  The
+    row forms of the ball's fields take math.atan, expit and a float64's
+    ** 2 this way, as their one-point forms do: np.arctan and np.exp
+    differ from math.atan and math.exp in the last bit, and an array's
+    ** 2 is a square where a float64's calls pow.
+
+    fn runs once per distinct bit pattern in t (a grid's column holds a
+    few dozen), on a numpy float64 as the element would give it, and its
+    results are gathered back to every element.  Patterns, not values:
+    0.0 and -0.0 stay apart, and so do NaNs with different payloads.
+    """
+    # sorted distinct patterns by hand: np.unique imports numpy.ma (a
+    # megabyte) on its first call, or with return_inverse makes four
+    # arrays as long as t, where the binary search below makes one
+    bits = t.view(np.uint64)
+    keys = np.sort(bits)
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    once = np.fromiter(map(fn, keys.view(np.float64)), dtype=float,
+                       count=len(keys))
+    return once[np.searchsorted(keys, bits)]
 
 
 def _square(t):
@@ -89,6 +106,10 @@ def bouncing_ball(params: BouncingBallParams = None):
     def jump_pred(s):
         return s[1] <= impact_tol and s[2] < 0.0
 
+    def jump_pred_rows(S):
+        # exact comparisons, False at NaN, as in the one-point form
+        return (S[:, 1] <= impact_tol) & (S[:, 2] < 0.0)
+
     def jump_sdf(s):
         # distance to the closure {y <= impact_tol, z <= 0}
         dy = max(0.0, s[1] - impact_tol)
@@ -96,8 +117,10 @@ def bouncing_ball(params: BouncingBallParams = None):
         return math.hypot(dy, dz)
 
     # both read a list of floats as well as an array: the jump set hands
-    # them the solver's states as they are
+    # them the solver's states as they are; its array forms test the rows
+    # by the predicate's row form wherever the sdf cannot change the answer
     jump_pred.takes_list = jump_sdf.takes_list = True
+    jump_pred.rows = jump_pred_rows
     jump_set = Implicit(
         jump_pred,
         AxisBox([-50.0, -1.0, -20.0], [50.0, impact_tol, 0.0]),
@@ -344,7 +367,11 @@ def moore_greitzer(params: MooreGreitzerParams = None):
         h = np.where(d1 > d0, d1, d0) - r
         out = np.full(len(X), B_SENTINEL)
         live = ~(h <= 0.0)
-        out[live] = _each(lambda t: math.log1p(t) - math.log(t), h[live])
+        # math.log as the one-point form takes it; h mixes both
+        # coordinates, so its values are distinct per point, and _each's
+        # sort would find nothing to share
+        out[live] = np.fromiter(
+            (math.log1p(t) - math.log(t) for t in h[live]), dtype=float)
         return out
 
     def B_grad(x):

@@ -10,12 +10,18 @@ unmarked callable) still gets each point as a 1-D float64 array.
 Regions are immutable after construction and safe for concurrent reads.
 
 A region that measures distance contains x iff that distance is within
-tol; a NaN distance (NaN coordinates, say) is within no tol.
+tol; a NaN distance (NaN coordinates, say) is within no tol.  Distances
+are Euclidean norms scaled by the largest gap where the squares would
+underflow or overflow, so a point 1e200 away is 1e200 away.
 
 Every region answers for one point (``contains``, ``distance``) and for the
 rows of a 2-D array of points (``contains_many``, ``distance_many``).  The
 array forms give, row for row, the bits the one-point forms give; regions
-built on user code (an Implicit predicate or sdf) loop over the rows.
+built on user code (an Implicit predicate or sdf) loop over the rows.  The
+one exception is an Implicit predicate that carries a ``rows`` attribute,
+its row form (the bouncing ball's jump predicate does): contains_many
+calls it once on the whole array wherever the predicate alone decides
+membership, at tol 0 or without an sdf.
 """
 
 import numpy as np
@@ -70,11 +76,30 @@ def as_rows(X):
     return A
 
 
+def _norm(g):
+    """np.linalg.norm of the 1-D array g, as a float.  Where its squares
+    lose bits (a norm below 2**-511 of a nonzero g) or overflow (an inf
+    norm of a finite g), g is scaled by its largest |entry| first: the norm
+    is then never below one entry, and finite wherever it is a float."""
+    with np.errstate(over="ignore"):
+        d = float(np.linalg.norm(g))
+    if d < _UNDERFLOW_NORM and g.any() or d == np.inf:
+        s = float(np.max(np.abs(g)))
+        if s < np.inf:
+            d = s * float(np.linalg.norm(g / s))
+    return d
+
+
 def _row_norms(G):
+    """_norm of each row of the 2-D array G."""
     # np.linalg.norm of a 1-D array is sqrt(dot(x, x)); vecdot runs the same
     # dot on each row, so each row norm has the bits of its scalar form
     with np.errstate(all="ignore"):
-        return np.sqrt(np.vecdot(G, G))
+        d = np.sqrt(np.vecdot(G, G))
+    for i in np.flatnonzero(((d < _UNDERFLOW_NORM) & G.any(axis=1))
+                            | (d == np.inf)):
+        d[i] = _norm(G[i])
+    return d
 
 
 def _clip0_one(d):
@@ -158,7 +183,7 @@ class Ball(SetRegion):
         self.radius = float(radius)
 
     def distance(self, x):
-        return _clip0_one(float(np.linalg.norm(as_vector(x) - self.center)) - self.radius)
+        return _clip0_one(_norm(as_vector(x) - self.center) - self.radius)
 
     def distance_many(self, X):
         return _clip0(_row_norms(as_rows(X) - self.center) - self.radius)
@@ -200,14 +225,9 @@ class AxisBox(SetRegion):
         with np.errstate(invalid="ignore"):
             # inf - inf is NaN: an infinite coordinate on an infinite face
             gap = v - np.minimum(np.maximum(v, self.lo), self.hi)
-        d = float(np.linalg.norm(gap))
-        if d < _UNDERFLOW_NORM and gap.any():
-            # squares of gaps below 2**-511 lose bits or vanish; scaled by
-            # the largest gap, the norm is never below one gap, as contains
-            # (which rejects a point for one gap beyond tol) relies on
-            s = float(np.max(np.abs(gap)))
-            d = s * float(np.linalg.norm(gap / s))
-        return d
+        # never below one gap, as contains (which rejects a point for one
+        # gap beyond tol) relies on
+        return _norm(gap)
 
     def contains(self, x, tol=DEFAULT_TOL):
         # componentwise screen without array temporaries: this sits in the
@@ -230,11 +250,7 @@ class AxisBox(SetRegion):
         X = as_rows(X)
         with np.errstate(invalid="ignore"):
             gap = X - np.minimum(np.maximum(X, self.lo), self.hi)
-        d = _row_norms(gap)
-        for i in np.flatnonzero((d < _UNDERFLOW_NORM) & gap.any(axis=1)):
-            # gaps below 2**-511: rescaled as the scalar form does
-            d[i] = self.distance(X[i])
-        return d
+        return _row_norms(gap)
 
     def contains_many(self, X, tol=DEFAULT_TOL):
         X = as_rows(X)
@@ -269,7 +285,11 @@ class Implicit(SetRegion):
     The callables are read at construction.  When every one given carries a
     true ``takes_list`` attribute, they get each point as a list of Python
     floats (an array from a Complement's distance, which they also take);
-    otherwise a 1-D float64 array.
+    otherwise a 1-D float64 array.  When pred carries a ``rows`` attribute,
+    a function of a 2-D float64 array giving pred's bool at each row,
+    contains_many calls it once in place of the per-row loop wherever
+    contains asks pred alone: at tol 0, or without an sdf.  At tol > 0
+    the sdf may widen the set, and the rows go through contains one by one.
     """
 
     def __init__(self, pred, bbox, sdf=None, complement_sdf=None):
@@ -285,6 +305,8 @@ class Implicit(SetRegion):
         )
         # a point in the form the callables take
         self._point = _as_list if self.takes_list else as_vector
+        # the predicate's row form: a bool per row of a 2-D float64 array
+        self._pred_rows = getattr(pred, "rows", None)
 
     def distance(self, x):
         if self.sdf is None:
@@ -298,6 +320,12 @@ class Implicit(SetRegion):
         if self.sdf is not None and tol > 0.0:
             return self.distance(v) <= tol
         return False
+
+    def contains_many(self, X, tol=DEFAULT_TOL):
+        # the row form answers where contains asks the predicate alone
+        if self._pred_rows is None or (self.sdf is not None and tol > 0.0):
+            return super().contains_many(X, tol)
+        return self._pred_rows(as_rows(X))
 
     def bounding_box(self):
         return self.bbox
@@ -436,10 +464,16 @@ class Intersection(SetRegion):
 class Complement(SetRegion):
     """Complement of a region. Distance is exact for Ball and AxisBox bases
     (distance from an interior point to the nearest face), oracle-backed for
-    Implicit bases carrying complement_sdf, unsupported otherwise."""
+    Implicit bases carrying complement_sdf, unsupported otherwise.
+
+    With a distance, x is in the complement iff it is within tol;
+    without one (decided by the base's type at construction), iff x is
+    outside the base at tol 0."""
 
     def __init__(self, base):
         self.base = base
+        self._measured = isinstance(base, (Ball, AxisBox)) or (
+            isinstance(base, Implicit) and base.complement_sdf is not None)
 
     @property
     def runs_user_code(self):
@@ -449,7 +483,7 @@ class Complement(SetRegion):
         v = as_vector(x)
         b = self.base
         if isinstance(b, Ball):
-            return _clip0_one(b.radius - float(np.linalg.norm(v - b.center)))
+            return _clip0_one(b.radius - _norm(v - b.center))
         if isinstance(b, AxisBox):
             # the smallest gap to a face: negative outside the box, inf if
             # no face is finite, NaN where the box's distance is NaN
@@ -460,10 +494,9 @@ class Complement(SetRegion):
         raise UnsupportedDistance(f"complement of {type(b).__name__} has no distance")
 
     def contains(self, x, tol=DEFAULT_TOL):
-        try:
+        if self._measured:
             return self.distance(x) <= tol
-        except UnsupportedDistance:
-            return not self.base.contains(x, 0.0)
+        return not self.base.contains(x, 0.0)
 
     def distance_many(self, X):
         b = self.base
@@ -477,10 +510,9 @@ class Complement(SetRegion):
         return super().distance_many(X)
 
     def contains_many(self, X, tol=DEFAULT_TOL):
-        try:
+        if self._measured:
             return self.distance_many(X) <= tol
-        except UnsupportedDistance:
-            return ~self.base.contains_many(X, 0.0)
+        return ~self.base.contains_many(X, 0.0)
 
 
 def dist_to_set(x, region):

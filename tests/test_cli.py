@@ -20,7 +20,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hybridcert
-from hybridcert import cli
+from hybridcert import certificates, cli, examples, hybrid, monitor
 
 # The children run from a temporary directory, where a relative entry such
 # as PYTHONPATH=src resolves to nothing.  Put the directory holding the
@@ -189,6 +189,26 @@ GOLDEN_MG_LOOP = [
     "02272013e6aaa0d45fc996c49d444a73cc04ce6cd98a5758c064e593038c7ac1",
     "826966f528f47a8e091e24cb6a87ae1000318bc69977095473eb4b916b93fe1a",
 ]
+
+
+def test_pair_check_stats_keep_their_golden_digest():
+    # c04's V/B pair check on the 33^3 grid of the ball's operating box,
+    # the bits the grid's row forms give
+    system, cert, spec = examples.bouncing_ball()
+    box = examples.ball_operating_box()
+    report = certificates.check_pair_VB(
+        hybrid.perturb(system, 0.0), cert,
+        monitor.StabSafeSpec(x0=spec.x0, unsafe=spec.unsafe,
+                             attractor=examples.ball_attractor()),
+        certificates.GridSpec(box.lo, box.hi, 33),
+        tol=1e-7, exclude_radius=0.05,
+    )
+    stats = json.dumps(report.to_json_obj()["stats"], sort_keys=True)
+    assert hashlib.sha256(stats.encode()).hexdigest() == GOLDEN_PAIR_STATS
+
+
+GOLDEN_PAIR_STATS = \
+    "b0e04d3bbbe0b99e179254046189628d9804cea47e77fbe3a12473f518173481"
 
 
 def test_ras_check_report_keeps_its_golden_digest(tmp_path, capsys):

@@ -27,7 +27,7 @@ from hybridcert import (
     psi_c,
     solve,
 )
-from hybridcert.examples import expit
+from hybridcert.examples import _each, _square, expit
 from hybridcert.expressions import scalar_fn
 from hybridcert.geometry import AxisBox
 
@@ -120,6 +120,10 @@ ball_coords = st.one_of(
 @example(X=[(0.0, 0.0, 0.0), (0.0, 1e-9, -1e-9), (-142.0, 5.0, 1e200),
             (math.nan, 0.0, -0.0), (3.0, -0.0, 0.0), (1.0, 2.0, -1e200)]
         + [(t, 1.0, t) for t in LAST_BIT])
+# repeated rows and columns, as on a grid, with both zeros among them
+@example(X=[(0.0, 1.0, -0.0), (-0.0, 1.0, 0.0), (0.0, 1.0, -0.0),
+            (math.nan, math.nan, math.nan), (math.nan, math.nan, math.nan)]
+        + [(t, t, t) for t in LAST_BIT] * 2)
 def test_ball_row_forms_match_the_one_point_forms_bit_for_bit(X):
     X = np.array(X, dtype=float)
     V, B = BALL_CERT.V, BALL_CERT.B
@@ -128,6 +132,63 @@ def test_ball_row_forms_match_the_one_point_forms_bit_for_bit(X):
     same_rows(B.value_rows, B, X)
     same_rows(B.grad_rows, B.gradient, X)
     same_rows(BALL_SYSTEM.flow_map_rows, BALL_SYSTEM.flow, X)
+
+
+def float_bits(*values):
+    return np.array(values, dtype=float)
+
+
+def nan_with_payload(payload):
+    return np.array([0x7FF8000000000000 | payload],
+                    dtype=np.uint64).view(float)[0]
+
+
+# +-0, NaNs with two payloads, +-inf, the last-bit values, and a grid's
+# column: 33 distinct values, each repeated on every other axis's points
+EACH_INPUTS = [
+    float_bits(0.0, -0.0, -0.0, 0.0),
+    float_bits(math.nan, nan_with_payload(1), math.nan, math.inf, -math.inf,
+               math.inf),
+    float_bits(*LAST_BIT, *LAST_BIT[::-1], 0.0, -0.0),
+    np.tile(np.repeat(np.linspace(-14.0, 14.0, 33), 33), 33),
+    np.empty(0),
+]
+
+
+@pytest.mark.parametrize("fn", [math.atan, _square, expit,
+                                lambda t: math.copysign(1.0, t),
+                                lambda t: t],
+                         ids=["atan", "square", "expit", "sign", "identity"])
+@pytest.mark.parametrize("k", range(len(EACH_INPUTS)))
+def test_each_is_the_per_element_map_bit_for_bit(fn, k):
+    t = EACH_INPUTS[k]
+    want = np.fromiter(map(fn, t), dtype=float, count=len(t))
+    got = _each(fn, t)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # a strided column, as the row forms pass
+    S = np.stack([np.zeros_like(t), t], axis=1)
+    assert _each(fn, S[:, 1]).tobytes() == want.tobytes()
+
+
+def test_each_calls_fn_once_per_distinct_bit_pattern():
+    seen = []
+
+    def fn(v):
+        seen.append(v)
+        return math.atan(v)
+
+    grid = EACH_INPUTS[3]
+    _each(fn, grid)
+    assert len(grid) == 33 ** 3 and len(seen) == 33
+    assert all(type(v) is np.float64 for v in seen)
+    # 0.0 and -0.0 are equal but not the same bits, nor are two NaNs
+    seen.clear()
+    _each(fn, EACH_INPUTS[1])
+    assert len(seen) == 4
+    seen.clear()
+    assert bits(_each(fn, float_bits(0.0, -0.0))[1]) == bits(-0.0)
+    assert len(seen) == 2
 
 
 # around the protected box, where h <= 0 gives the barrier's sentinel

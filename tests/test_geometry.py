@@ -229,6 +229,57 @@ def test_complement_membership():
     assert not contains(C, np.array([0.5]), 0.0)
 
 
+# complements whose base has no complement distance: an Implicit without
+# complement_sdf, a Union, an Intersection and an Inflated
+UNMEASURED_BASES = {
+    "implicit": Implicit(lambda p: p[0] + p[1] <= 1.0,
+                         AxisBox([-2.0, -2.0], [2.0, 2.0])),
+    "union": Union([Ball((0.0, 0.0), 1.0), AxisBox([1.0, -1.0], [3.0, 1.0])]),
+    "intersection": Intersection([Ball((0.0, 0.0), 1.0),
+                                  AxisBox([0.0, -2.0], [2.0, 2.0])]),
+    "inflated": inflate(AxisBox([0.0, 0.0], [1.0, 1.0]), 0.25),
+}
+COMPLEMENT_POINTS = np.array([
+    [0.0, 0.0], [0.5, 0.5], [1.0, 0.0], [-0.0, -1.0], [2.5, 0.5],
+    [1.25, 1.25], [1.2500000000000002, 1.0], [-3.0, 4.0], [np.nan, 0.0],
+    [np.inf, 0.0], [-1e300, 1e300]])
+
+
+@pytest.mark.parametrize("kind", sorted(UNMEASURED_BASES))
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25])
+def test_a_complement_without_a_distance_is_outside_its_base(
+        monkeypatch, kind, tol):
+    # decided by the base's type at construction: no distance is asked
+    base = UNMEASURED_BASES[kind]
+    comp = Complement(base)
+    for name in ("distance", "distance_many"):
+        monkeypatch.setattr(comp, name, _no_distance)
+    X = COMPLEMENT_POINTS
+    want = [not base.contains(x, 0.0) for x in X]
+    assert [comp.contains(x, tol) for x in X] == want
+    assert [comp.contains(x.tolist(), tol) for x in X] == want
+    got = comp.contains_many(X, tol)
+    assert got.tobytes() == (~base.contains_many(X, 0.0)).tobytes()
+    assert got.tolist() == want
+    assert comp.contains_many(np.empty((0, 2)), tol).shape == (0,)
+
+
+@pytest.mark.parametrize("base", [
+    Ball((0.0, 0.0), 1.0), AxisBox([0.0, 0.0], [1.0, 1.0]),
+    Implicit(lambda p: p[0] <= 0.5, AxisBox([-2.0, -2.0], [0.5, 2.0]),
+             complement_sdf=lambda p: max(0.0, 0.5 - p[0])),
+], ids=["ball", "box", "implicit-with-complement-sdf"])
+def test_a_complement_with_a_distance_contains_by_it(base):
+    comp = Complement(base)
+    X = COMPLEMENT_POINTS
+    with np.errstate(invalid="ignore"):
+        for tol in (0.0, 0.25):
+            want = [comp.distance(x) <= tol for x in X]
+            assert [comp.contains(x, tol) for x in X] == want
+            assert comp.contains_many(X, tol).tolist() == want
+            assert (comp.distance_many(X) <= tol).tolist() == want
+
+
 def test_implicit_set_uses_predicate_and_needs_bbox():
     I = Implicit(lambda p: p[0] ** 2 + p[1] ** 2 <= 1.0,
                  AxisBox([-1.0, -1.0], [1.0, 1.0]))
@@ -542,6 +593,51 @@ def test_list_taking_batch_forms_never_hold_all_rows_as_lists():
     assert peak < X.nbytes
 
 
+def _counted(fn, calls):
+    """fn, counting its calls in calls; it keeps fn's markers."""
+    def counted(x):
+        calls.append(1)
+        return fn(x)
+
+    counted.__dict__.update(fn.__dict__)
+    return counted
+
+
+# the ball's jump set is {y <= 1e-9, z < 0}: rows on and one ulp either side
+# of its faces, signed zeros and NaN
+JUMP_Y = [np.nan, 0.0, -0.0, 1e-9, np.nextafter(1e-9, 1.0),
+          np.nextafter(1e-9, -1.0), -1.0, 5.0, np.inf, -np.inf]
+JUMP_Z = [np.nan, 0.0, -0.0, -5e-324, 5e-324, -1e-9, -3.0, 2.0, -np.inf]
+JUMP_ROWS = np.array([[x, y, z] for x in (0.0, np.nan) for y in JUMP_Y
+                      for z in JUMP_Z])
+
+
+def test_the_ball_jump_set_tests_rows_by_its_predicate_row_form(monkeypatch):
+    jump = bouncing_ball()[0].jump_set
+    X = JUMP_ROWS
+    want = np.array([bool(jump.pred(x)) for x in X.tolist()])
+    assert want.any() and not want.all()
+    # at tol 0 the sdf is never asked: one array comparison, no per-row
+    # predicate call, here and through H_0's inflation by 0
+    calls = []
+    monkeypatch.setattr(jump, "pred", _counted(jump.pred, calls))
+    assert jump.contains_many(X, 0.0).tobytes() == want.tobytes()
+    assert inflate(jump, 0.0).contains_many(X, 0.0).tobytes() == \
+        want.tobytes()
+    assert calls == []
+    # without an sdf, at every tol
+    pred_only = Implicit(jump.pred, jump.bbox)
+    assert pred_only.contains_many(X, 0.25).tobytes() == want.tobytes()
+    assert calls == []
+    # at tol > 0 the sdf can widen the set: one predicate call per row
+    with np.errstate(invalid="ignore"):
+        for tol in (1e-9, 0.25):
+            per_row = np.array([jump.contains(x, tol) for x in X.tolist()])
+            calls.clear()
+            assert jump.contains_many(X, tol).tobytes() == per_row.tobytes()
+            assert len(calls) == len(X)
+
+
 NAN_POINTS = [[np.nan, 0.0], [0.5, np.nan], [np.nan, np.nan]]
 
 
@@ -570,6 +666,36 @@ def test_a_negative_zero_distance_is_positive_zero():
         d, (row,) = dist_to_set(x, region), region.distance_many([x])
         assert np.signbit([d, row]).tolist() == [False, False]
         assert d == row == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_distances_far_from_a_set_are_finite():
+    # the squares of gaps beyond about 1.3e154 overflow; scaled by the
+    # largest gap first, the norm stays finite wherever it is a float
+    box, ball = AxisBox([0.0], [1.0]), Ball((0.0, 0.0), 1.0)
+    assert dist_to_set([1e200], box) == 1e200 - 1.0
+    assert dist_to_set([1e200, 0.0], ball) == 1e200 - 1.0
+    assert box.distance_many([[1e200]]).tolist() == [1e200 - 1.0]
+    square = AxisBox([0.0, 0.0], [1.0, 1.0])
+    cases = [
+        (box, [[1e200], [-1e200], [1.7e308], [-np.inf], [0.5]]),
+        (ball, [[1e200, 0.0], [-1e200, 1e200], [1.7e308, 1.7e308],
+                [np.inf, 0.0], [1e-200, 0.0]]),
+        (square, [[1e200, 1e200], [-1e200, 0.5], [1.7e308, -1.7e308]]),
+        (Complement(ball), [[1e200, 0.0], [0.0, 1e-300]]),
+        (inflate(square, 1e200), [[3e200, 0.5], [1e300, 1e300]]),
+    ]
+    for region, X in cases:
+        one = np.array([dist_to_set(x, region) for x in X])
+        assert region.distance_many(X).tobytes() == one.tobytes()
+        for tol in (0.0, 1e200):
+            want = np.array([contains(region, x, tol) for x in X])
+            assert region.contains_many(X, tol).tobytes() == want.tobytes()
+    assert dist_to_set([1e200, 1e200], square) == (1e200 - 1.0) * np.sqrt(2.0)
+    # a norm beyond the largest float is inf, as at an infinite coordinate
+    assert dist_to_set([1.7e308, 1.7e308], ball) == np.inf
+    assert dist_to_set([-np.inf], box) == np.inf
+    assert dist_to_set([3e200, 0.5], inflate(square, 1e200)) == 2e200 - 1.0
 
 
 def test_contains_rejects_a_negative_tol():
