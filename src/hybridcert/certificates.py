@@ -312,7 +312,8 @@ def _fit_envelopes(w, v, knots=24):
     lower = np.minimum.accumulate(v[::-1])[::-1]
     upper = np.maximum.accumulate(v)
     if w.size > knots:
-        idx = np.unique(np.linspace(0, w.size - 1, knots).astype(int))
+        # the linspace step exceeds 1, so the knots are strictly increasing
+        idx = np.linspace(0, w.size - 1, knots).astype(int)
         w, lower, upper = w[idx], lower[idx], upper[idx]
     return w, lower, upper
 

@@ -310,44 +310,34 @@ def qp_policy(x, V, B, plant: ControlledPlant, cfg: SampleHoldConfig,
     Q, q, c = plant.cost_data(x)
     sigma0 = cfg.sigma_margin
 
-    attempts = []
-    sigma = sigma0
-    for level in range(9):  # level 0 unrelaxed, then 8 halvings
-        attempts.append((level, sigma, True))
-        sigma /= 2.0
-    attempts.append((9, sigma0 / 2.0**8, False))  # drop V-row, keep B-row
-
     # the rows' sigma-free terms, once per decision; each level only
     # rebuilds the right-hand sides
     lie = _lie_terms(x, V, B, plant)
-    u_star = None
-    used = None
-    for level, sigma, with_V in attempts:
+    for level in range(10):
+        # level 0 unrelaxed, then 8 halvings; level 9 keeps the last sigma
+        # and drops the V-row, keeping the B-row
+        sigma = sigma0 / 2.0 ** min(level, 8)
         rows = _rows(lie, sigma, barrier_cap)
         if level == 0:
             rows0 = rows  # unrelaxed: the log reports their margins
-        if not with_V:
-            rows = rows[1:]
-        u_star = solve_qp(QPProblem(Q, q, c, rows, lb, ub))
+        u_star = solve_qp(QPProblem(Q, q, c, rows[level // 9:], lb, ub))
         if u_star is not None:
-            used = (level, sigma)
             break
-
-    if u_star is None:
+    else:
         rates = cfg.rate_limits or (None,) * plant.dim_u
         u_star = np.array(
             [u_prev[i] if rates[i] is not None else 0.0
              for i in range(plant.dim_u)]
         )
         u_star = np.minimum(np.maximum(u_star, lb), ub)
-        used = (10, 0.0)
+        level, sigma = 10, 0.0
         log.warning("QP infeasible at every ladder level; holding input")
 
     if log_list is not None:
         log_list.append(
             {
-                "level": used[0],
-                "sigma": used[1],
+                "level": level,
+                "sigma": sigma,
                 "x": np.array(x),
                 "u": np.array(u_star),
                 "margin_V": float(rows0[0][1] - rows0[0][0] @ u_star),

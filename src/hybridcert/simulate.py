@@ -224,6 +224,12 @@ def solve(system: HybridSystem, x0, config: SimConfig,
           watch=None) -> SolveReport:
     """Integrate one maximal solution from x0 under the stop rules in config.
 
+    A step ends at its first event, in this order: D entry, C exit, bounds
+    exit, which bisection brackets between x_in and x_out.  A D entry lands
+    on x_out, and a bounds exit too, ending the run in ESCAPED_BOUNDS.  A C
+    exit lands on x_in if that is in D, else on x_out if that is in D, else
+    on x_in, ending the run in LEFT_FLOW_AND_JUMP_SETS.  D landings jump.
+
     With a watch region the run also ends at the first stored sample outside
     it, without bisection, as LEFT_WATCH_REGION: the arc is then the prefix
     of the unwatched arc up to and including that sample.
@@ -249,42 +255,8 @@ def solve(system: HybridSystem, x0, config: SimConfig,
     builder = _ArcBuilder(0.0, x, watch)
     t, j = 0.0, 0
     zeno_snapped = False
-    last_jump_t = None
+    last_jump_t = -math.inf  # no gap before the first jump is short
     termination = None
-
-    def do_jump():
-        nonlocal t, j, x, zeno_snapped, last_jump_t, termination
-        if j >= config.J_max:
-            termination = Termination.HORIZON_REACHED
-            return False
-        gap = None if last_jump_t is None else t - last_jump_t
-        snap = gap is not None and 0.0 < gap < config.t_min
-        if snap and system.zeno_map is None:
-            termination = Termination.ZENO_ACCUMULATION
-            return False
-        if not builder.keeps_last():
-            return False
-        # the maps are user code, which gets a state as an array
-        if snap:
-            x_plus = np.array(system.zeno_map(np.array(x)), dtype=float,
-                              ndmin=1)
-            zeno_snapped = True
-        else:
-            x_plus = system.jump_candidates(np.array(x))[0]
-        if x_plus.shape != (system.dim,):
-            # the next RK4 step would zip x_plus with the stages and drop
-            # its extra entries; a length-1 value would broadcast
-            raise DimensionMismatch(
-                "%s map returned shape %s, wanted (%d,)"
-                % ("Zeno" if snap else "jump", x_plus.shape, system.dim)
-            )
-        if not snap:
-            x_plus = x_plus + draw(t, j)
-        x = x_plus.tolist()
-        builder.new_phase(t, x)
-        j += 1
-        last_jump_t = t
-        return True
 
     # a plain step only accepts a state outside D and inside C, so the
     # membership tests at the loop top are skipped right after one
@@ -293,65 +265,79 @@ def solve(system: HybridSystem, x0, config: SimConfig,
         if t >= config.T_max:
             termination = Termination.HORIZON_REACHED
             break
-        if not stepped:
-            if contains(jump_set, x, 0.0):
-                if not do_jump():
-                    break
-                continue
-            if not contains(flow_set, x, tol):
-                termination = Termination.LEFT_FLOW_AND_JUMP_SETS
+        if stepped:
+            stepped = False
+        elif contains(jump_set, x, 0.0):
+            if j >= config.J_max:
+                termination = Termination.HORIZON_REACHED
                 break
-        stepped = False
+            snap = 0.0 < t - last_jump_t < config.t_min
+            if snap and system.zeno_map is None:
+                termination = Termination.ZENO_ACCUMULATION
+                break
+            if not builder.keeps_last():
+                break
+            # the maps are user code, which gets a state as an array
+            if snap:
+                x_plus = np.array(system.zeno_map(np.array(x)), dtype=float,
+                                  ndmin=1)
+                zeno_snapped = True
+            else:
+                x_plus = system.jump_candidates(np.array(x))[0]
+            if x_plus.shape != (system.dim,):
+                # the next RK4 step would zip x_plus with the stages and drop
+                # its extra entries; a length-1 value would broadcast
+                raise DimensionMismatch(
+                    "%s map returned shape %s, wanted (%d,)"
+                    % ("Zeno" if snap else "jump", x_plus.shape, system.dim)
+                )
+            if not snap:
+                x_plus = x_plus + draw(t, j)
+            x = x_plus.tolist()
+            builder.new_phase(t, x)
+            j += 1
+            last_jump_t = t
+            continue
+        elif not contains(flow_set, x, tol):
+            termination = Termination.LEFT_FLOW_AND_JUMP_SETS
+            break
 
         dt = min(config.h, config.T_max - t)
         d = draw(t, j)
         k1 = slope(f, x, d)
         x_prop = step(f, x, k1, dt, d)
 
+        # pred is True past the event; stop is the run's end at it
         if contains(jump_set, x_prop, 0.0):
             pred = lambda y: contains(jump_set, y, 0.0)
-            _, _, th, x_star = _bisect_event(
-                f, step, x, k1, dt, d, pred, x_prop, tol
-            )
-            t += th
-            builder.append(t, x_star)
-            x = x_star
-            continue  # loop top performs the jump
-
-        if not contains(flow_set, x_prop, tol):
+            stop = None
+        elif not contains(flow_set, x_prop, tol):
             pred = lambda y: not contains(flow_set, y, tol)
-            th_in, x_in, th_out, x_out = _bisect_event(
-                f, step, x, k1, dt, d, pred, x_prop, tol
-            )
-            if contains(jump_set, x_in, 0.0):
-                t += th_in
-                builder.append(t, x_in)
-                x = x_in
-            elif contains(jump_set, x_out, 0.0):
-                t += th_out
-                builder.append(t, x_out)
-                x = x_out
-            else:
-                t += th_in
-                builder.append(t, x_in)
-                x = x_in
-                termination = Termination.LEFT_FLOW_AND_JUMP_SETS
-            continue
-
-        if not contains(bounds, x_prop, 0.0):
+            stop = Termination.LEFT_FLOW_AND_JUMP_SETS
+        elif not contains(bounds, x_prop, 0.0):
             pred = lambda y: not contains(bounds, y, 0.0)
-            _, _, th, x_out = _bisect_event(
-                f, step, x, k1, dt, d, pred, x_prop, tol
-            )
-            t += th
-            builder.append(t, x_out)
-            termination = Termination.ESCAPED_BOUNDS
+            stop = Termination.ESCAPED_BOUNDS
+        else:
+            t += dt
+            x = x_prop
+            builder.append(t, x)
+            stepped = True
             continue
 
-        t += dt
-        x = x_prop
+        th_in, x_in, th_out, x_out = _bisect_event(
+            f, step, x, k1, dt, d, pred, x_prop, tol
+        )
+        if stop is not Termination.LEFT_FLOW_AND_JUMP_SETS:
+            th, x = th_out, x_out
+        elif contains(jump_set, x_in, 0.0):
+            th, x, stop = th_in, x_in, None
+        elif contains(jump_set, x_out, 0.0):
+            th, x, stop = th_out, x_out, None
+        else:
+            th, x = th_in, x_in
+        t += th
         builder.append(t, x)
-        stepped = True
+        termination = stop
 
     if builder.left:
         # the arc ends at its first final sample outside the watch; the
@@ -601,7 +587,6 @@ def verify_solution(system, arc, slope_tol=1e-3):
     ces = []
     n_samples = 0
     n_segments = 0
-    n_jumps = 0
 
     last_phase = arc.num_phases - 1
     for j, (times, states) in enumerate(arc.phases):
@@ -646,7 +631,6 @@ def verify_solution(system, arc, slope_tol=1e-3):
                 )
 
     for j in range(arc.num_phases - 1):
-        n_jumps += 1
         times_m, states_m = arc.phases[j]
         times_p, states_p = arc.phases[j + 1]
         x_minus = states_m[-1]
@@ -682,7 +666,7 @@ def verify_solution(system, arc, slope_tol=1e-3):
         stats={
             "samples": n_samples,
             "segments": n_segments,
-            "jumps": n_jumps,
+            "jumps": arc.num_phases - 1,
             "delta": delta,
             "slope_tol": slope_tol,
         },

@@ -11,6 +11,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import grid_reference
+from test_cli import run_python
 
 from hybridcert import (
     AxisBox,
@@ -148,6 +149,36 @@ def test_pair_check_ball_certificates():
     assert w["ii-X0-in-S"] == pytest.approx(-BALL_B_AT_START, abs=1e-12)
     assert w["iii-unsafe-negative"] < 0.0
     assert rep.stats["fitted_c"] > 0.0
+
+
+@pytest.mark.parametrize("n", [25, 26, 47, 48, 49, 100, 1000, 35937])
+def test_envelope_knots_are_strictly_increasing(n):
+    # past 24 points the knots are a linspace with a step over 1, so their
+    # integer parts never repeat: 24 distinct knots, no dedup needed
+    w = np.arange(n, dtype=float)
+    kw, lower, upper = certificates._fit_envelopes(w, np.sqrt(w))
+    assert kw.size == lower.size == upper.size == 24
+    assert np.all(np.diff(kw) > 0.0)
+    assert (kw[0], kw[-1]) == (0.0, n - 1.0)
+
+
+def test_pair_check_leaves_numpy_ma_unimported(tmp_path):
+    # in a fresh process, so no other test has loaded it
+    code, stdout, stderr = run_python(["-c", """if True:
+        import sys
+        from hybridcert import certificates, examples, hybrid, monitor
+        system, cert, spec = examples.bouncing_ball()
+        box = examples.ball_operating_box()
+        rep = certificates.check_pair_VB(
+            hybrid.perturb(system, 0.0), cert,
+            monitor.StabSafeSpec(x0=spec.x0, unsafe=spec.unsafe,
+                                 attractor=examples.ball_attractor()),
+            certificates.GridSpec(box.lo, box.hi, 9))
+        assert rep.stats["envelope"] is not None
+        print("numpy.ma" in sys.modules)
+        """], tmp_path)
+    assert code == 0, stderr
+    assert stdout.strip() == "False"
 
 
 def test_pair_check_requires_barrier():

@@ -222,6 +222,17 @@ def test_union_and_intersection():
     assert not contains(i, np.array([0.5]), 0.0)
 
 
+def test_union_bounding_box_spans_its_parts():
+    u = Union([AxisBox([0.0, -1.0], [1.0, 0.0]), Ball((3.0, 0.0), 0.5)])
+    bb = u.bounding_box()
+    assert bb.lo.tolist() == [0.0, -1.0]
+    assert bb.hi.tolist() == [3.5, 0.5]
+    # a part without a box leaves the union without one
+    strip = AxisBox([0.0, -np.inf], [1.0, np.inf])
+    assert Union([AxisBox([0.0, 0.0], [1.0, 1.0]),
+                  strip]).bounding_box() is None
+
+
 def test_complement_membership():
     A = Ball((0.0,), 1.0)
     C = Complement(A)

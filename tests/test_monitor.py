@@ -110,6 +110,23 @@ def test_ras_flags_unsettled_arc():
     assert any(ce.condition == "reach-stay" for ce in rep.counterexamples)
 
 
+def test_ras_flags_a_settle_past_the_deadline():
+    # the arc settles in the target, but later than the spec allows
+    system, _, spec = bouncing_ball()
+    cfg = SimConfig(h=2e-3, T_max=16.0, J_max=400)
+    settle = check_ras(system, spec, n_init=1, n_dist=1,
+                       config=cfg).stats["settle_time"]
+    early = RASSpec(x0=spec.x0, unsafe=spec.unsafe, target=spec.target,
+                    t_spec=settle - 1.0)
+    rep = check_ras(system, early, n_init=1, n_dist=1, config=cfg)
+    assert rep.verdict == Verdict.FAIL
+    [ce] = rep.counterexamples
+    assert ce.condition == "settle-deadline"
+    assert ce.point.tolist() == list(spec.initial_points(n=1, seed=0)[0])
+    assert ce.margin == settle - early.t_spec
+    assert rep.stats["settle_time"] == settle
+
+
 def test_ras_whole_tube_target_settles_immediately():
     system, _, spec = bouncing_ball()
     wide = RASSpec(x0=spec.x0, unsafe=spec.unsafe,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import math
 import struct
 
@@ -160,6 +161,52 @@ def test_solve_asks_the_jump_set_once_per_rk4_step_with_events(monkeypatch):
     # beyond one question per RK4 step: the loop top at t = 0, after each
     # jump and at each located jump-set entry
     assert jump_set.calls <= rk4_steps + 1 + 2 * rep.jump_count
+
+
+def arc_digest(rep):
+    """sha256 of a solve's stop reason and of every phase's bytes."""
+    h = hashlib.sha256(rep.termination.name.encode())
+    for times, states in rep.arc.phases:
+        h.update(times.tobytes())
+        h.update(states.tobytes())
+    return h.hexdigest()
+
+
+# (membership tests, flow calls, jumps, arc digest) of two ball runs from
+# the spec's first start: the work of the step loop, pinned so that a
+# rewrite of it provably asks the same questions in the same number
+SOLVER_WORK = {
+    "ball": (lambda: bouncing_ball()[0],
+             SimConfig(h=1e-3, T_max=20.0, J_max=200),
+             (61415, 83915, 51, "2910c5111937cd5a66584f135aec0a15"
+                                "fe20913b8180718b2dfa525517c6bbcc")),
+    "perturbed-ball": (lambda: perturb(bouncing_ball()[0], 0.05),
+                       SimConfig(h=2e-3, T_max=10.0, J_max=200),
+                       (15221, 20612, 8, "8be2cfcabfcc4d1fdfa007f103bbcda0"
+                                         "5a96e700c9e16630781d47561cc4449b")),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVER_WORK))
+def test_solve_keeps_its_work_and_its_arc(monkeypatch, case):
+    make, cfg, want = SOLVER_WORK[case]
+    system = make()
+    calls = {"contains": 0, "flow": 0}
+    real_contains = simulate.contains
+
+    def counted_contains(region, x, tol):
+        calls["contains"] += 1
+        return real_contains(region, x, tol)
+
+    def counted_flow(xs):
+        calls["flow"] += 1
+        return system.flow_map(xs)
+
+    monkeypatch.setattr(simulate, "contains", counted_contains)
+    rep = solve(dataclasses.replace(system, flow_map=counted_flow),
+                np.asarray(bouncing_ball()[2].x0[0]), cfg)
+    assert (calls["contains"], calls["flow"], rep.jump_count,
+            arc_digest(rep)) == want
 
 
 def textbook_rk4(f, x, dt, d):
@@ -738,6 +785,31 @@ def escaping_growth():
     )
 
 
+def unit_flow_into(d_lo, jump_to):
+    """x' = 1 on C = [0, 1] and D = [d_lo, 1.01], whose jump map goes to
+    jump_to.  From 0.05 under UNIT_FLOW_CFG a step goes from 0.95 to 1.05,
+    past D, so the event it finds is the C exit at 1, not a D entry."""
+    return make_system(
+        1, AxisBox([0.0], [1.0]), lambda x: np.array([1.0]),
+        AxisBox([d_lo], [1.01]), lambda x: [np.array([jump_to])],
+        AxisBox([-10.0], [10.0]),
+    )
+
+
+def first_float_past(hi, tol):
+    """The least float v with v - hi > tol: a C exit at hi brackets it with
+    x_in short of v and x_out at or past it."""
+    v = hi + tol
+    while not v - hi > tol:
+        v = math.nextafter(v, math.inf)
+    while math.nextafter(v, -math.inf) - hi > tol:
+        v = math.nextafter(v, -math.inf)
+    return v
+
+
+UNIT_FLOW_CFG = SimConfig(h=0.1, T_max=3.0, J_max=3)
+
+
 def wobble(t, j):
     return np.array([0.0, 0.1 * math.sin(7.0 * t), 0.2 * math.cos(3.0 * t)])
 
@@ -812,6 +884,18 @@ REFERENCE_CASES = {
     "left-flow-and-jump-sets": (leaving_interval, (0.5,),
                                 SimConfig(h=1e-2, T_max=10.0), None,
                                 Termination.LEFT_FLOW_AND_JUMP_SETS),
+    # C exits whose bisection brackets D's face: the last state inside C
+    # is in D, or only the first one past C is
+    "c-exit-lands-inside-in-d": (lambda: unit_flow_into(0.9999, 0.05),
+                                 (0.05,), UNIT_FLOW_CFG, None,
+                                 Termination.HORIZON_REACHED),
+    "c-exit-lands-outside-in-d": (
+        lambda: unit_flow_into(first_float_past(1.0, 1e-9), 0.05), (0.05,),
+        UNIT_FLOW_CFG, None, Termination.HORIZON_REACHED),
+    # the jump lands outside C and D, and the loop top ends the run
+    "jump-out-of-c-and-d": (lambda: unit_flow_into(0.9999, 5.0), (0.05,),
+                            UNIT_FLOW_CFG, None,
+                            Termination.LEFT_FLOW_AND_JUMP_SETS),
 }
 
 
@@ -1399,6 +1483,94 @@ def test_verify_solution_flags_displaced_sample():
     res = verify_solution(perturb(system, delta), rep.arc)
     assert not res.passed
     assert res.counterexamples
+
+
+def unit_flow_arc():
+    """One jump of unit_flow_into(0.9999, 0.05): phase 0 climbs from 0.05
+    to D at 1, phase 1 starts at the jump image 0.05."""
+    system = unit_flow_into(0.9999, 0.05)
+    rep = solve(system, np.array([0.05]),
+                SimConfig(h=0.1, T_max=1.5, J_max=1))
+    assert rep.arc.num_phases == 2
+    assert verify_solution(system, rep.arc).passed
+    return system, rep.arc
+
+
+def tampered(arc, j, k, value, termination=None):
+    """arc with sample k of phase j set to value."""
+    phases = [(times.copy(), states.copy()) for times, states in arc.phases]
+    phases[j][1][k] = value
+    return HybridArc(phases, termination or arc.termination)
+
+
+def only(res, condition):
+    [ce] = [ce for ce in res.counterexamples if ce.condition == condition]
+    return ce
+
+
+def test_verify_solution_flags_a_flow_sample_outside_c_and_d():
+    system, arc = unit_flow_arc()
+    t = float(arc.phases[0][0][3])
+    res = verify_solution(system, tampered(arc, 0, 3, 1.5))
+    ce = only(res, "flow-membership")
+    assert ce.point.tolist() == [1.5]
+    assert ce.margin == pytest.approx(0.5 - 1e-9)
+    assert ce.witness == (0, t)
+    # a sample in D is no flow-membership defect
+    inside_d = verify_solution(system, tampered(arc, 0, 3, 1.005))
+    assert "flow-membership" not in {c.condition
+                                     for c in inside_d.counterexamples}
+
+
+def test_verify_solution_flags_a_jump_off_d():
+    system, arc = unit_flow_arc()
+    t_jump = float(arc.phases[0][0][-1])
+    res = verify_solution(system, tampered(arc, 0, -1, 0.5))
+    ce = only(res, "jump-departure")
+    assert ce.point.tolist() == [0.5]
+    assert ce.margin == pytest.approx(0.9999 - 0.5 - 1e-9)
+    assert ce.witness == (0, t_jump)
+    assert res.stats["jumps"] == 1
+
+
+def test_verify_solution_flags_a_jump_landing_off_the_jump_map():
+    system, arc = unit_flow_arc()
+    t_jump = float(arc.phases[0][0][-1])
+    res = verify_solution(system, tampered(arc, 1, 0, 0.5))
+    ce = only(res, "jump-landing")
+    assert ce.point.tolist() == [0.5]
+    assert ce.margin == pytest.approx(0.45 - 1e-3)
+    assert ce.witness == (1, t_jump)
+
+
+def test_verify_solution_skips_the_sample_past_the_bounds():
+    # only on an EscapedBounds arc, and only its last sample: the one the
+    # bounds-exit bisection puts past the bounds
+    system = escaping_growth()
+    arc = solve(system, np.array([1.0]), SimConfig(h=1e-3, T_max=10.0)).arc
+    assert arc.termination == Termination.ESCAPED_BOUNDS
+    m = arc.phases[0][0].size
+    assert verify_solution(system, arc).stats["samples"] == m - 1
+    far = tampered(arc, 0, -1, 500.0)
+    res = verify_solution(system, far)
+    assert "flow-membership" not in {ce.condition
+                                     for ce in res.counterexamples}
+    stopped = verify_solution(
+        system, tampered(arc, 0, -1, 500.0, Termination.HORIZON_REACHED))
+    assert only(stopped, "flow-membership").margin == pytest.approx(400.0)
+    assert stopped.stats["samples"] == m
+
+
+def test_verify_solution_skips_zero_length_segments():
+    # a segment shorter than 1e-12 has no chord slope to check, however
+    # far apart its ends are
+    system = leaving_interval()
+    arc = HybridArc([([0.0, 0.1, 0.1 + 1e-13, 0.2], [[0.0], [0.1], [0.5],
+                                                     [0.6]])],
+                    Termination.HORIZON_REACHED)
+    res = verify_solution(system, arc)
+    assert res.passed
+    assert res.stats["segments"] == 2
 
 
 def test_slope_defect_scales_quadratically_in_h():
