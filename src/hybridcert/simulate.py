@@ -571,19 +571,29 @@ def companion_radius_bound(delta, tau, lip_flow, lip_jump, delta_prime=0.0):
     return (delta - delta_prime) / scale
 
 
-def verify_solution(system, arc, slope_tol=1e-3):
+def verify_solution(system, arc, slope_tol=1e-3, t_min=None):
     """Check an arc against a system's data: membership, slopes, jumps.
 
-    (a) every flow sample lies in the flow set within 1e-9,
+    (a) every flow sample lies in the flow set or the jump set within 1e-9,
     (b) each stored segment's chord slope matches the flow map at the
         segment midpoint state within delta + slope_tol,
     (c) each jump departs from the jump set and lands within
-        delta + slope_tol of some jump-map candidate.
+        delta + slope_tol of some jump-map candidate, or of zeno_map(x_minus)
+        where the solver's Zeno rule fires: the system has a zeno_map and
+        0 < t_jump - t_prev_jump < t_min, t_min being the solve's
+        (stats["zeno_snaps"] counts these jumps; none without t_min).
+
+    A phase is checked in row form: one contains_many per set on its
+    samples, one flow_many on its segments' midpoints.  The departures are
+    one contains_many; each landing takes one jump_candidates call.
+    Counterexamples come phase by phase (flow-membership, then flow-slope,
+    each in sample order), then jump by jump (departure, then landing).
     """
     delta = system.delta
     # set inflation lives in flow_set/jump_set themselves (see perturb);
     # delta only widens the slack on map mismatches here
     set_tol = 1e-9
+    slack = delta + slope_tol
     ces = []
     n_samples = 0
     n_segments = 0
@@ -599,65 +609,47 @@ def verify_solution(system, arc, slope_tol=1e-3):
         rows = np.flatnonzero(outside)
         in_jump = system.jump_set.contains_many(states[rows], set_tol)
         for k in rows[~in_jump].tolist():
-            x = states[k]
-            margin = _membership_margin(system.flow_set, x, set_tol)
-            ces.append(
-                Counterexample(
-                    condition="flow-membership",
-                    point=x,
-                    margin=margin,
-                    witness=(j, float(times[k])),
-                )
-            )
-        for k in range(len(times) - 1):
-            dt = float(times[k + 1] - times[k])
-            if dt <= 1e-12:
-                continue
-            n_segments += 1
-            slope = (states[k + 1] - states[k]) / dt
-            f_mid = system.flow(0.5 * (states[k] + states[k + 1]))
-            err = float(np.linalg.norm(slope - f_mid))
-            # the chord of one RK4 step deviates from f at the midpoint by
-            # O(dt^2) plus whatever constant disturbance acted on the step
-            margin = err - (delta + slope_tol)
-            if margin > 0.0:
-                ces.append(
-                    Counterexample(
-                        condition="flow-slope",
-                        point=0.5 * (states[k] + states[k + 1]),
-                        margin=margin,
-                        witness=(j, float(times[k])),
-                    )
-                )
+            margin = _membership_margin(system.flow_set, states[k], set_tol)
+            ces.append(Counterexample("flow-membership", states[k], margin,
+                                      (j, float(times[k]))))
+        dt = times[1:] - times[:-1]
+        seg = np.flatnonzero(dt > 1e-12)
+        n_segments += seg.size
+        if not seg.size:
+            continue
+        a, b = states[seg], states[seg + 1]
+        mid = 0.5 * (a + b)
+        # the chord of one RK4 step deviates from f at the midpoint by
+        # O(dt^2) plus whatever constant disturbance acted on the step
+        err = (b - a) / dt[seg][:, None] - system.flow_many(mid)
+        # sqrt of the row's dot product: np.linalg.norm of it, bit for bit
+        margin = np.sqrt(np.vecdot(err, err)) - slack
+        for k in np.flatnonzero(margin > 0.0).tolist():
+            ces.append(Counterexample("flow-slope", mid[k], float(margin[k]),
+                                      (j, float(times[seg[k]]))))
 
-    for j in range(arc.num_phases - 1):
-        times_m, states_m = arc.phases[j]
-        times_p, states_p = arc.phases[j + 1]
-        x_minus = states_m[-1]
-        x_plus = states_p[0]
-        t_jump = float(times_m[-1])
-        if not contains(system.jump_set, x_minus, set_tol):
+    pre = np.array([states[-1] for _, states in arc.phases[:-1]],
+                   dtype=float).reshape(-1, arc.dim)
+    departs = system.jump_set.contains_many(pre, set_tol)
+    snaps = system.zeno_map is not None and t_min is not None
+    n_snaps = 0
+    t_prev = -math.inf  # as in solve: no gap before the first jump is short
+    for j, x_minus in enumerate(pre):
+        t_jump = float(arc.phases[j][0][-1])
+        if not departs[j]:
             margin = _membership_margin(system.jump_set, x_minus, set_tol)
-            ces.append(
-                Counterexample(
-                    condition="jump-departure",
-                    point=x_minus,
-                    margin=margin,
-                    witness=(j, t_jump),
-                )
-            )
-        candidates = system.jump_candidates(x_minus)
-        gap = min(float(np.linalg.norm(x_plus - as_vector(g))) for g in candidates)
-        margin = gap - (delta + slope_tol)
-        if margin > 0.0:
-            ces.append(
-                Counterexample(
-                    condition="jump-landing",
-                    point=x_plus,
-                    margin=margin,
-                    witness=(j + 1, t_jump),
-                )
-            )
+            ces.append(Counterexample("jump-departure", x_minus, margin,
+                                      (j, t_jump)))
+        targets = system.jump_candidates(x_minus)
+        if snaps and 0.0 < t_jump - t_prev < t_min:
+            targets.append(as_vector(system.zeno_map(x_minus)))
+            n_snaps += 1
+        t_prev = t_jump
+        x_plus = arc.phases[j + 1][1][0]
+        gap = min(float(np.linalg.norm(x_plus - g)) for g in targets)
+        if gap - slack > 0.0:
+            ces.append(Counterexample("jump-landing", x_plus, gap - slack,
+                                      (j + 1, t_jump)))
 
     verdict = Verdict.PASS if not ces else Verdict.FAIL
     return CheckReport(
@@ -667,6 +659,7 @@ def verify_solution(system, arc, slope_tol=1e-3):
             "samples": n_samples,
             "segments": n_segments,
             "jumps": arc.num_phases - 1,
+            "zeno_snaps": n_snaps,
             "delta": delta,
             "slope_tol": slope_tol,
         },

@@ -1573,6 +1573,186 @@ def test_verify_solution_skips_zero_length_segments():
     assert res.stats["segments"] == 2
 
 
+def ref_verify_solution(system, arc, slope_tol):
+    """verify_solution as one loop per segment and one per jump, with a flow
+    call per segment: the reference for its row form.  Returns what
+    report_key reads of a report."""
+    delta, set_tol = system.delta, 1e-9
+    ces, n_samples, n_segments = [], 0, 0
+    for j, (times, states) in enumerate(arc.phases):
+        m = len(times)
+        if (arc.termination == Termination.ESCAPED_BOUNDS
+                and j == arc.num_phases - 1):
+            m -= 1
+        n_samples += m
+        for k in range(m):
+            if not (simulate.contains(system.flow_set, states[k], set_tol)
+                    or simulate.contains(system.jump_set, states[k], set_tol)):
+                margin = simulate._membership_margin(system.flow_set,
+                                                     states[k], set_tol)
+                ces.append(("flow-membership", states[k], margin,
+                            (j, float(times[k]))))
+        for k in range(len(times) - 1):
+            dt = float(times[k + 1] - times[k])
+            if dt <= 1e-12:
+                continue
+            n_segments += 1
+            slope = (states[k + 1] - states[k]) / dt
+            f_mid = system.flow(0.5 * (states[k] + states[k + 1]))
+            margin = float(np.linalg.norm(slope - f_mid)) - (delta + slope_tol)
+            if margin > 0.0:
+                ces.append(("flow-slope", 0.5 * (states[k] + states[k + 1]),
+                            margin, (j, float(times[k]))))
+    for j in range(arc.num_phases - 1):
+        x_minus = arc.phases[j][1][-1]
+        x_plus = arc.phases[j + 1][1][0]
+        t_jump = float(arc.phases[j][0][-1])
+        if not simulate.contains(system.jump_set, x_minus, set_tol):
+            margin = simulate._membership_margin(system.jump_set, x_minus,
+                                                 set_tol)
+            ces.append(("jump-departure", x_minus, margin, (j, t_jump)))
+        gap = min(float(np.linalg.norm(x_plus - g))
+                  for g in system.jump_candidates(x_minus))
+        margin = gap - (delta + slope_tol)
+        if margin > 0.0:
+            ces.append(("jump-landing", x_plus, margin, (j + 1, t_jump)))
+    verdict = "FAIL" if ces else "PASS"
+    stats = {"samples": n_samples, "segments": n_segments,
+             "jumps": arc.num_phases - 1, "delta": delta,
+             "slope_tol": slope_tol}
+    return verdict, stats, [(c, x.tobytes(), float(m).hex(), w)
+                            for c, x, m, w in ces]
+
+
+def report_key(res):
+    """A report's verdict, stats but zeno_snaps (the reference has no Zeno
+    rule), and each counterexample's condition, point bytes, margin bits
+    and witness, in order."""
+    stats = {k: v for k, v in res.stats.items() if k != "zeno_snaps"}
+    return res.verdict.value, stats, [
+        (ce.condition, ce.point.tobytes(), float(ce.margin).hex(), ce.witness)
+        for ce in res.counterexamples
+    ]
+
+
+def ball_arc_20s():
+    system = bouncing_ball()[0]
+    return system, solve(system, np.array([0.0, 10.0, 0.0]),
+                         SimConfig(h=1e-3, T_max=20.0, J_max=1000)).arc
+
+
+def noised(arc, scale, seed):
+    rng = np.random.default_rng(seed)
+    return HybridArc([(times, states + rng.normal(scale=scale,
+                                                  size=states.shape))
+                      for times, states in arc.phases], arc.termination)
+
+
+@functools.cache
+def verified_arc(name):
+    """(system, arc) of the arcs the row form is checked on."""
+    if name == "ball":
+        return ball_arc_20s()
+    if name == "perturbed-ball":
+        system = perturb(bouncing_ball()[0], 0.05)
+        return system, solve(system, np.array([0.0, 10.0, 0.0]),
+                             SimConfig(h=2e-3, T_max=10.0)).arc
+    if name == "noised-ball":
+        system, arc = verified_arc("ball")
+        return system, noised(arc, 1e-3, 7)
+    rep, _, system, _, _ = mg_closed_loop(horizon=20.0)
+    return system, rep.arc
+
+
+@pytest.mark.parametrize("slack", [1e-3, 1e-5, 0.0])
+@pytest.mark.parametrize("name",
+                         ["ball", "perturbed-ball", "noised-ball", "mg"])
+def test_verify_solution_row_form_matches_the_segment_loop_bitwise(name,
+                                                                   slack):
+    # at slope_tol = -delta (slack 0) every segment and jump with a nonzero
+    # error is a counterexample, so every margin is compared
+    system, arc = verified_arc(name)
+    slope_tol = slack or -system.delta
+    got = report_key(verify_solution(system, arc, slope_tol=slope_tol))
+    assert got == ref_verify_solution(system, arc, slope_tol)
+    if slack:
+        assert (got[0] == "FAIL") == (name == "noised-ball")
+    if name == "noised-ball":
+        assert len(got[2]) > 20000
+
+
+def test_verify_solution_calls_the_flow_map_once_per_phase(monkeypatch):
+    system, arc = ball_arc_20s()
+    calls = {"flow_many": 0, "flow": 0}
+    real_flow_many = HybridSystem.flow_many
+
+    def counted_flow_many(self, X):
+        calls["flow_many"] += 1
+        return real_flow_many(self, X)
+
+    def counted_flow(self, x):
+        calls["flow"] += 1
+        raise AssertionError("flow called on one point")
+
+    monkeypatch.setattr(HybridSystem, "flow_many", counted_flow_many)
+    monkeypatch.setattr(HybridSystem, "flow", counted_flow)
+    res = verify_solution(system, arc)
+    assert res.passed
+    with_segments = sum(bool(np.any(np.diff(times) > 1e-12))
+                        for times, _ in arc.phases)
+    assert with_segments > 40
+    assert calls == {"flow_many": with_segments, "flow": 0}
+
+
+def zeno_ball_arc():
+    """The ball from (0, 1, 0) at t_min = 1e-3: its last jump, after a gap
+    below t_min, snaps to rest."""
+    system = bouncing_ball()[0]
+    rep = solve(system, np.array([0.0, 1.0, 0.0]),
+                SimConfig(h=1e-3, T_max=6.0, J_max=1000, t_min=1e-3))
+    assert (rep.jump_count, rep.zeno_snapped) == (32, True)
+    return system, rep.arc
+
+
+def test_verify_solution_accepts_a_zeno_snap_under_the_solvers_t_min():
+    system, arc = zeno_ball_arc()
+    res = verify_solution(system, arc, t_min=1e-3)
+    assert res.passed
+    assert res.stats["zeno_snaps"] == 1
+    # without t_min no jump may land on the Zeno map
+    unruled = verify_solution(system, arc)
+    [ce] = unruled.counterexamples
+    assert ce.condition == "jump-landing"
+    assert ce.margin == pytest.approx(0.0025, abs=1e-5)
+    assert ce.witness == (32, float(arc.phases[31][0][-1]))
+    assert unruled.stats["zeno_snaps"] == 0
+
+
+def test_verify_solution_flags_a_moved_zeno_landing():
+    system, arc = zeno_ball_arc()
+    moved = tampered(arc, 32, 0, arc.phases[32][1][0] + [0.01, 0.0, 0.0])
+    res = verify_solution(system, moved, t_min=1e-3)
+    ce = only(res, "jump-landing")
+    assert ce.margin == pytest.approx(0.01 - 1e-3)
+    assert ce.witness == (32, float(arc.phases[31][0][-1]))
+    assert res.stats["zeno_snaps"] == 1
+
+
+def test_verify_solution_flags_a_zeno_landing_after_a_long_gap():
+    system, arc = zeno_ball_arc()
+    # jump 30, the one before the snap, follows jump 29 by at least t_min
+    t_jump, t_prev = float(arc.phases[31][0][0]), arc.phases[30][0][0]
+    assert t_jump - t_prev >= 1e-3
+    x_minus = arc.phases[30][1][-1]
+    res = verify_solution(system, tampered(arc, 31, 0,
+                                           system.zeno_map(x_minus)),
+                          t_min=1e-3)
+    ce = only(res, "jump-landing")
+    assert ce.witness == (31, t_jump)
+    assert ce.margin == pytest.approx(0.8 * abs(x_minus[2]) - 1e-3)
+    assert res.stats["zeno_snaps"] == 1
+
+
 def test_slope_defect_scales_quadratically_in_h():
     sys1 = make_system(
         1, AxisBox([-10.0], [10.0]),
