@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import warnings
-from itertools import repeat
 
 import numpy as np
 import yaml
@@ -44,7 +43,9 @@ from .geometry import (
     Union,
     make_proper_indicator,
 )
-from .hybrid import arc_to_csv, arc_to_json_obj, make_system, perturb
+from .hybrid import (
+    arc_to_csv, arc_to_json_obj, make_system, perturb, write_phase_rows,
+)
 from .monitor import (
     RASSpec,
     StabSafeSpec,
@@ -623,16 +624,24 @@ def cmd_falsify(scenario, condition_id, out_dir):
 
 
 def _barrier_series(arc, cert, dim):
-    """(j, t, V, B) rows at every stored sample, V and B evaluated once per
-    phase on its plant states; the values are floats, which csv writes as
-    their repr."""
-    rows = []
-    for j, (times, states) in enumerate(arc.phases):
-        plant = states[:, :dim]
-        rows.extend(zip(repeat(j), times.tolist(),
-                        cert.V.value_many(plant).tolist(),
-                        cert.B.value_many(plant).tolist()))
-    return rows
+    """(times, V, B) per phase, V and B evaluated once per phase on its
+    plant states, all before any file is written."""
+    return [
+        (times, cert.V.value_many(states[:, :dim]),
+         cert.B.value_many(states[:, :dim]))
+        for times, states in arc.phases
+    ]
+
+
+def _write_barrier_series(path, series):
+    def _write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            fh.write("j,t,V,B\r\n")
+            for j, (times, V, B) in enumerate(series):
+                write_phase_rows(fh, j, times.tolist(),
+                                 [V.tolist(), B.tolist()])
+
+    _atomic_write(path, _write)
 
 
 def _control_rows(arc, decisions):
@@ -657,8 +666,8 @@ def cmd_example(scenario, mode, out_dir):
     obj = {"study": scenario.example, "simulate": _solve_report_obj(report)}
     files = [
         ("arc.csv", _write_arc_csv, arc),
-        ("barrier_series.csv", write_csv_rows,
-         (["j", "t", "V", "B"], _barrier_series(arc, scenario.cert, dim))),
+        ("barrier_series.csv", _write_barrier_series,
+         _barrier_series(arc, scenario.cert, dim)),
     ]
     if decisions is None:
         grid = _grid_or_default(scenario, ex.ball_operating_box())

@@ -10,7 +10,6 @@ import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 
@@ -308,24 +307,43 @@ class Disturbance:
 # Arc serialization: CSV rows (j, t, x_1..x_n) with a termination footer,
 # JSON mirror carrying the domain intervals. See csv_schema.md.
 
+def write_phase_rows(fh, j, times, columns):
+    """Write the CSV rows (j, t, c_1, ...) of phase j with one fh.write.
+
+    times is a list of floats; each column is a list of floats or, when
+    every value in the phase has the same bits, one float. The bytes are
+    csv.writer's: a float is written as its repr (inf, -inf and nan too),
+    which never needs quoting, and each row ends in \\r\\n. The phase gets
+    one format string, with a constant column's repr written into it.
+    """
+    parts = ["%d" % j, "%r"]
+    varying = [times]
+    for c in columns:
+        if isinstance(c, float):
+            parts.append(repr(c))
+        else:
+            parts.append("%r")
+            varying.append(c)
+    fmt = ",".join(parts) + "\r\n"
+    fh.write("".join(map(fmt.__mod__, zip(*varying))))
+
+
 def arc_to_csv(arc, path):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "t"] + [f"x_{k + 1}" for k in range(arc.dim)])
-        # csv writes a float as its repr, so a column whose values in a
-        # phase all have the same bits (a sample-and-hold loop's held
-        # inputs) is formatted once for the phase; comparing bits, not
-        # values, keeps the reprs of 0.0 and -0.0 apart
+        fh.write(",".join(["j", "t"] + [f"x_{k + 1}" for k in range(arc.dim)])
+                 + "\r\n")
+        # a column whose values in a phase all have the same bits (a
+        # sample-and-hold loop's held inputs) is written as one float;
+        # comparing bits, not values, keeps the reprs of 0.0 and -0.0 apart
         for j, (times, states) in enumerate(arc.phases):
-            n = times.size
             bits = states.view(np.uint64)
             constant = (bits == bits[0]).all(axis=0).tolist()
             columns = [
-                repeat(repr(v), n) if same else states[:, k].tolist()
+                v if same else states[:, k].tolist()
                 for k, (same, v) in enumerate(zip(constant, states[0].tolist()))
             ]
-            w.writerows(zip(repeat(j), times.tolist(), *columns))
-        w.writerow(["termination", arc.termination.value])
+            write_phase_rows(fh, j, times.tolist(), columns)
+        fh.write("termination,%s\r\n" % arc.termination.value)
 
 
 def arc_from_csv(path):

@@ -1,6 +1,7 @@
 """End-to-end command line runs via subprocess."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -12,15 +13,17 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hybridcert
-from hybridcert import certificates, cli, examples, hybrid, monitor
+from hybridcert import certificates, cli, examples, hybrid, monitor, simulate
 
 # The children run from a temporary directory, where a relative entry such
 # as PYTHONPATH=src resolves to nothing.  Put the directory holding the
@@ -153,6 +156,14 @@ def test_example_bouncing_ball(tmp_path):
     assert report["simulate"]["termination"] == "HorizonReached"
     header = (out / "barrier_series.csv").read_text().splitlines()[0]
     assert header == "j,t,V,B"
+    # many short phases and Zeno snaps, the bytes csv.writer gave them
+    assert sha256_of(out, "arc.csv", "barrier_series.csv") == GOLDEN_BALL
+
+
+GOLDEN_BALL = [
+    "f85e4733029e281118b3abbf7d062e02e41a035730f58e7ed7f741424b3109e2",
+    "221400383393f2917abd0e6f81884bfcf85816f366470ba65cbe6c5ccda8d111",
+]
 
 
 def test_example_moore_greitzer(tmp_path):
@@ -189,6 +200,111 @@ GOLDEN_MG_LOOP = [
     "02272013e6aaa0d45fc996c49d444a73cc04ce6cd98a5758c064e593038c7ac1",
     "826966f528f47a8e091e24cb6a87ae1000318bc69977095473eb4b916b93fe1a",
 ]
+
+
+def barrier_series_per_value(arc, cert, dim, path):
+    """The barrier series with every value handed to csv on its own."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["j", "t", "V", "B"])
+        for j, (times, states) in enumerate(arc.phases):
+            plant = states[:, :dim]
+            for t, v, b in zip(times.tolist(),
+                               cert.V.value_many(plant).tolist(),
+                               cert.B.value_many(plant).tolist()):
+                w.writerow([j, t, v, b])
+
+
+def state_column(k):
+    return types.SimpleNamespace(value_many=lambda X: X[:, k].copy())
+
+
+def test_barrier_series_is_the_per_value_writer_byte_for_byte(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    phases = [
+        # (V, B, an input column the slice to the plant drops)
+        ([0.0, 0.1, 0.2, 0.3],
+         [[1.0, -inf, 7.0], [-0.0, inf, 7.0], [5e-324, nan, 7.0],
+          [1e-300, -inf, 7.0]]),
+        ([0.3], [[nan, -inf, 0.5]]),  # one sample
+        ([0.3, 0.4], [[inf, -0.0, 0.5], [-inf, 1.0 / 3.0, 0.5]]),
+        ([0.4], [[0.1, 5e-324, 0.5]]),  # one sample
+        ([0.4, 0.5, 0.6], [[-inf, -inf, 0.5]] * 3),
+    ]
+    # HybridArc keeps its states finite; the stub certificate reads the
+    # states as V and B, so the writer is fed past that check
+    arc = hybrid.HybridArc(
+        [(np.array(t), np.zeros((len(t), 3))) for t, _ in phases],
+        hybrid.Termination.HORIZON_REACHED)
+    for (_, states), (_, x) in zip(arc.phases, phases):
+        states[:] = x
+    cert = types.SimpleNamespace(V=state_column(0), B=state_column(1))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_barrier_series(str(got), cli._barrier_series(arc, cert, 2))
+    barrier_series_per_value(arc, cert, 2, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    assert b"\r\n1,0.3,nan,-inf\r\n" in got.read_bytes()
+
+
+def test_barrier_series_writes_the_loop_sentinel_as_csv_does(tmp_path):
+    # the loop's B is B_SENTINEL (-inf) inside its protected box
+    _, cert, _, _ = examples.moore_greitzer()
+    center = examples.MooreGreitzerParams().protect_center
+    inside, outside = list(center), [0.45, 0.65]
+    arc = hybrid.HybridArc(
+        [(np.array([0.0, 0.5]), np.array([outside + [0.0, 0.64],
+                                           inside + [0.0, 0.64]])),
+         (np.array([0.5]), np.array([inside + [0.01, 0.64]]))],
+        hybrid.Termination.HORIZON_REACHED)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_barrier_series(str(got), cli._barrier_series(arc, cert, 2))
+    barrier_series_per_value(arc, cert, 2, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b",-inf\r\n") == 2
+
+
+class CountingFile:
+    """A text file that records every write handed to it."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.writes = fh, writes
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_csv_writers_write_once_per_phase(tmp_path, monkeypatch):
+    system, cert, spec = examples.bouncing_ball()
+    arc = simulate.solve(system, np.asarray(spec.x0[0]),
+                         simulate.SimConfig(h=1e-3, T_max=10.0, J_max=20)).arc
+    assert arc.num_phases == 8
+    writes = []
+
+    def counting_open(*args, **kwargs):
+        return CountingFile(open(*args, **kwargs), writes)
+
+    monkeypatch.setattr(hybrid, "open", counting_open, raising=False)
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    for name, write in [
+        ("arc.csv", lambda path: hybrid.arc_to_csv(arc, path)),
+        ("barrier_series.csv", lambda path: cli._write_barrier_series(
+            path, cli._barrier_series(arc, cert, 3))),
+    ]:
+        writes.clear()
+        write(str(tmp_path / name))
+        footer = name == "arc.csv"
+        # the header, one write per phase, the footer
+        assert len(writes) == 1 + arc.num_phases + footer
+        text = "".join(writes)
+        assert text.encode() == (tmp_path / name).read_bytes()
+        assert max(map(len, writes)) < len(text) / 3
 
 
 def test_pair_check_stats_keep_their_golden_digest():

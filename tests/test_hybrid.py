@@ -1,9 +1,11 @@
 """Hybrid system construction, perturbation, arcs, and serialization."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridcert import (
     AxisBox,
@@ -24,6 +26,7 @@ from hybridcert import (
     perturb,
     solve,
 )
+from hybridcert.hybrid import write_phase_rows
 
 
 def unit_decay():
@@ -203,6 +206,57 @@ def test_arc_csv_is_the_per_value_writer_byte_for_byte(tmp_path):
     arc_to_csv_per_value(arc, str(want))
     assert got.read_bytes() == want.read_bytes()
     assert b"0.5,-0.0,-0.0" in got.read_bytes()
+
+
+def test_arc_csv_writes_non_finite_values_as_the_per_value_writer(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    phases = [
+        # inf, -inf and nan in varying columns, nan and -inf held
+        ([0.0, 0.1, 0.2],
+         [[inf, nan, -inf, 1.0, -0.0],
+          [-inf, nan, -inf, nan, 5e-324],
+          [nan, nan, -inf, inf, 1e-300]]),
+        ([0.2], [[nan, inf, -inf, -0.0, 5e-324]]),  # one sample
+        ([0.2, 0.3], [[inf, 0.0, nan, 1e-300, -inf],
+                      [inf, -0.0, nan, 1e-300, -inf]]),
+    ]
+    # HybridArc keeps its states finite; the writer is fed past that check
+    arc = HybridArc([(np.array(t), np.zeros((len(t), 5))) for t, _ in phases],
+                    Termination.HORIZON_REACHED)
+    for (_, states), (_, x) in zip(arc.phases, phases):
+        states[:] = x
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    arc_to_csv(arc, str(got))
+    arc_to_csv_per_value(arc, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    assert b"1,0.2,nan,inf,-inf,-0.0,5e-324\r\n" in got.read_bytes()
+
+
+SPECIAL_FLOATS = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324,
+     -5e-324, 1e-300, 2.2250738585072014e-308, 0.1, 1.0 / 3.0])
+FLOATS = st.one_of(st.floats(), SPECIAL_FLOATS)
+
+
+@st.composite
+def phase_tables(draw):
+    n = draw(st.integers(1, 6))
+    samples = st.lists(FLOATS, min_size=n, max_size=n)
+    columns = draw(st.lists(st.one_of(FLOATS, samples),
+                            min_size=1, max_size=5))
+    return draw(st.integers(0, 10**6)), draw(samples), columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_tables())
+def test_write_phase_rows_is_csv_writer_byte_for_byte(table):
+    j, times, columns = table
+    got, want = io.StringIO(newline=""), io.StringIO(newline="")
+    write_phase_rows(got, j, times, columns)
+    full = [c if isinstance(c, list) else [c] * len(times) for c in columns]
+    csv.writer(want).writerows([j, t, *row]
+                               for t, *row in zip(times, *full))
+    assert got.getvalue() == want.getvalue()
 
 
 def test_arc_json_round_trip_is_bitwise(tmp_path):
