@@ -21,7 +21,7 @@ from .geometry import (
     Intersection, ProperIndicator, SamplingError, as_rows, as_vector,
     contains, sample_region,
 )
-from .report import CheckReport, Counterexample, Verdict
+from .report import CheckReport, Counterexample
 
 log = logging.getLogger(__name__)
 
@@ -239,17 +239,16 @@ def _jump_images(sys_delta, P):
                              dtype=float).reshape(len(rows), -1)
 
 
-def _clamp(v):
-    if v != v:
-        # NaN means the evaluation broke; surface it as a violation
-        return -NEG_CLAMP
-    return float(min(max(v, NEG_CLAMP), -NEG_CLAMP))
-
-
 def _clamp_rows(v):
-    """_clamp of each element of the array v."""
+    """v clipped to [NEG_CLAMP, -NEG_CLAMP], elementwise; NaN means the
+    evaluation broke and reads -NEG_CLAMP, a violation."""
     return np.where(v != v, -NEG_CLAMP,
                     np.minimum(np.maximum(v, NEG_CLAMP), -NEG_CLAMP))
+
+
+def _clamp(v):
+    """_clamp_rows of the one value v, as a float."""
+    return float(_clamp_rows(v))
 
 
 def _first_max(start, m):
@@ -404,10 +403,7 @@ def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
             "alpha1": env[1].tolist(),
             "alpha2": env[2].tolist(),
         }
-    verdict = Verdict.PASS if not ces else Verdict.FAIL
-    if len(P) == 0:
-        verdict = Verdict.INCONCLUSIVE
-    return CheckReport(verdict=verdict, counterexamples=ces, stats=stats)
+    return CheckReport.judge(ces, stats, evidence=len(P) > 0)
 
 
 def _flow_margins(sys_delta, V, P, v, delta):
@@ -593,10 +589,7 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
             "alpha1": env[1].tolist(),
             "alpha2": env[2].tolist(),
         }
-    verdict = Verdict.PASS if not ces else Verdict.FAIL
-    if not counts:
-        verdict = Verdict.INCONCLUSIVE
-    return CheckReport(verdict=verdict, counterexamples=ces, stats=stats)
+    return CheckReport.judge(ces, stats, evidence=bool(counts))
 
 
 # ---------------------------------------------------------------------------

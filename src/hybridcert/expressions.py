@@ -245,13 +245,10 @@ class Expr:
     def __init__(self, source, variables):
         self.source = str(source)
         self.variables = _checked(variables)
-        self._fn = _compile(self.source, self.variables)
+        self._fn = _point_fn(self.source, self.variables, lambda value: value)
 
     def __call__(self, x):
-        try:
-            return self._fn(*_arguments(x, self.variables))
-        except ArithmeticError as exc:
-            raise _arithmetic_error(exc, self.source) from None
+        return self._fn(x)
 
     def __repr__(self):
         return "Expr(%r, variables=%r)" % (self.source, self.variables)

@@ -8,7 +8,7 @@ perturbation level delta realized through bounded disturbances.
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -206,8 +206,8 @@ def _probe_point(region, dim):
 
 
 def perturb(sys, delta):
-    """H_delta: flow/jump sets inflated by delta, maps (and the row form
-    of the flow map) unchanged.
+    """H_delta: flow/jump sets inflated by delta, every other field
+    unchanged.
 
     The inflation of the map values is realized by the disturbance at solve
     time. Always call on the nominal system; applying twice compounds the
@@ -215,77 +215,53 @@ def perturb(sys, delta):
     """
     if not 0.0 <= delta < np.inf:
         raise ValueError("delta must be >= 0 and finite")
-    return HybridSystem(
-        dim=sys.dim,
-        flow_set=inflate(sys.flow_set, delta),
-        jump_set=inflate(sys.jump_set, delta),
-        flow_map=sys.flow_map,
-        jump_map=sys.jump_map,
-        bounds=sys.bounds,
-        delta=float(delta),
-        zeno_map=sys.zeno_map,
-        flow_map_rows=sys.flow_map_rows,
-    )
+    return replace(sys, flow_set=inflate(sys.flow_set, delta),
+                   jump_set=inflate(sys.jump_set, delta), delta=float(delta))
 
 
+@dataclass(frozen=True)
 class Disturbance:
     """Realized perturbation d with |d| <= delta at every evaluation.
 
-    modes: none, random uniform in the delta-ball (seeded, one fresh
-    generator per solve call), or a fixed signal (t, j) -> vector whose
-    values are norm-clamped to delta.
+    With a seed: random, uniform in the delta-ball (one fresh generator
+    per solve call).  With a signal: the fixed signal (t, j) -> vector,
+    its values norm-clamped to delta.  With neither: none.
     """
 
-    NONE = "none"
-    RANDOM = "random-uniform-ball"
-    FIXED = "fixed"
+    seed: object = None
+    signal: object = None
 
-    def __init__(self, mode=NONE, seed=None, signal=None):
-        self.mode = mode
-        self.seed = seed
-        self.signal = signal
-        if mode == self.RANDOM and seed is None:
-            raise ValueError("random disturbance needs a seed")
-        if mode == self.FIXED and signal is None:
-            raise ValueError("fixed disturbance needs a signal")
+    def __post_init__(self):
+        if self.seed is not None and self.signal is not None:
+            raise ValueError("a disturbance is random or fixed, not both")
 
     @classmethod
     def none(cls):
-        return cls(cls.NONE)
+        return cls()
 
     @classmethod
     def random_uniform_ball(cls, seed):
-        return cls(cls.RANDOM, seed=seed)
+        if seed is None:
+            raise ValueError("random disturbance needs a seed")
+        return cls(seed=seed)
 
     @classmethod
     def fixed(cls, signal):
-        return cls(cls.FIXED, signal=signal)
+        if signal is None:
+            raise ValueError("fixed disturbance needs a signal")
+        return cls(signal=signal)
 
     def reseed(self, seed):
-        """Same mode with a different seed (used by batch fan-out)."""
-        if self.mode != self.RANDOM:
+        """A random disturbance with a different seed, any other one
+        itself (used by batch fan-out)."""
+        if self.seed is None:
             return self
-        return Disturbance(self.RANDOM, seed=seed)
+        return Disturbance(seed=seed)
 
     def start(self, dim, delta):
         """Per-solve sampler closure: (t, j) -> disturbance vector, as a
         list of dim floats."""
-        if self.mode == self.NONE or delta == 0.0 and self.mode != self.FIXED:
-            zero = [0.0] * dim
-            return lambda t, j: zero
-        if self.mode == self.RANDOM:
-            rng = np.random.default_rng(self.seed)
-
-            def draw(t, j):
-                v = rng.standard_normal(dim)
-                n = np.linalg.norm(v)
-                if n == 0.0:
-                    return [0.0] * dim
-                radius = delta * rng.uniform() ** (1.0 / dim)
-                return (v * (radius / n)).tolist()
-
-            return draw
-        if self.mode == self.FIXED:
+        if self.signal is not None:
 
             def clamp(t, j):
                 v = as_vector(self.signal(t, j))
@@ -300,7 +276,20 @@ class Disturbance:
                 return v.tolist()
 
             return clamp
-        raise ValueError(f"unknown disturbance mode {self.mode}")
+        if self.seed is None or delta == 0.0:
+            zero = [0.0] * dim
+            return lambda t, j: zero
+        rng = np.random.default_rng(self.seed)
+
+        def draw(t, j):
+            v = rng.standard_normal(dim)
+            n = np.linalg.norm(v)
+            if n == 0.0:
+                return [0.0] * dim
+            radius = delta * rng.uniform() ** (1.0 / dim)
+            return (v * (radius / n)).tolist()
+
+        return draw
 
 
 # ---------------------------------------------------------------------------

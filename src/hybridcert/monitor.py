@@ -23,7 +23,7 @@ from .geometry import (
     sample_region,
 )
 from .hybrid import as_vector
-from .report import CheckReport, Counterexample, Verdict
+from .report import CheckReport, Counterexample
 from .simulate import BadInitialCondition, _membership_margin, solve_many
 
 log = logging.getLogger(__name__)
@@ -181,19 +181,12 @@ def check_forward_invariance(system, K, n_init, config, seed=0):
             ces.append(
                 Counterexample("invariance", x, margin=margin, witness=(j, t))
             )
-    verdict = Verdict.PASS if not ces else Verdict.FAIL
-    if not runs:
-        verdict = Verdict.INCONCLUSIVE
-    return CheckReport(
-        verdict=verdict,
-        counterexamples=ces,
-        stats={
-            "arcs": len(runs),
-            "samples": n_samples,
-            "skipped_initial_points": skipped,
-            "worst_margin": worst,
-        },
-    )
+    return CheckReport.judge(ces, {
+        "arcs": len(runs),
+        "samples": n_samples,
+        "skipped_initial_points": skipped,
+        "worst_margin": worst,
+    }, evidence=bool(runs))
 
 
 def _settle_total_time(arc, slack_region):
@@ -256,22 +249,15 @@ def check_ras(system, spec: RASSpec, n_init, n_dist, config, seed=0):
             if rep.arc.max_total_time() < spec.t_spec:
                 short_arcs += 1
 
-    verdict = Verdict.PASS if not ces else Verdict.FAIL
-    if not runs or (not ces and short_arcs == len(runs)):
-        # nothing violated but no arc even reached the deadline
-        verdict = Verdict.INCONCLUSIVE
-    return CheckReport(
-        verdict=verdict,
-        counterexamples=ces,
-        stats={
-            "arcs": len(runs),
-            "samples": n_samples,
-            "skipped_initial_points": skipped,
-            "settle_time": worst_settle,
-            "t_spec": spec.t_spec,
-            "short_arcs": short_arcs,
-        },
-    )
+    # evidence: a counterexample, or an arc that reached the deadline
+    return CheckReport.judge(ces, {
+        "arcs": len(runs),
+        "samples": n_samples,
+        "skipped_initial_points": skipped,
+        "settle_time": worst_settle,
+        "t_spec": spec.t_spec,
+        "short_arcs": short_arcs,
+    }, evidence=bool(ces) or short_arcs < len(runs))
 
 
 def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
@@ -363,21 +349,14 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
             else:
                 settle_times[float(eps)] = max(settle_times[float(eps)], settle)
 
-    verdict = Verdict.PASS if not ces else Verdict.FAIL
-    if n_arcs == 0:
-        verdict = Verdict.INCONCLUSIVE
-    return CheckReport(
-        verdict=verdict,
-        counterexamples=ces,
-        stats={
-            "arcs": n_arcs,
-            "skipped_initial_points": skipped,
-            "delta_per_eps": {float(k): v for k, v in delta_found.items()},
-            "settle_times": settle_times,
-            "note": "uniform-T over all solutions certified only up to the "
-                    "realized maximum settle time of the sampled arcs",
-        },
-    )
+    return CheckReport.judge(ces, {
+        "arcs": n_arcs,
+        "skipped_initial_points": skipped,
+        "delta_per_eps": {float(k): v for k, v in delta_found.items()},
+        "settle_times": settle_times,
+        "note": "uniform-T over all solutions certified only up to the "
+                "realized maximum settle time of the sampled arcs",
+    }, evidence=n_arcs > 0)
 
 
 def estimate_invariant_core(system, I, grid_n, n_dist, config, seed=0):

@@ -44,6 +44,18 @@ class CheckReport:
         if self.verdict == Verdict.FAIL and not self.counterexamples:
             raise ValueError("FAIL verdict needs at least one counterexample")
 
+    @classmethod
+    def judge(cls, counterexamples, stats, evidence=True):
+        """The report of a check: INCONCLUSIVE without evidence, whatever
+        was found; otherwise FAIL with counterexamples and PASS without."""
+        if not evidence:
+            verdict = Verdict.INCONCLUSIVE
+        elif counterexamples:
+            verdict = Verdict.FAIL
+        else:
+            verdict = Verdict.PASS
+        return cls(verdict, counterexamples, stats)
+
     @property
     def passed(self):
         return self.verdict == Verdict.PASS

@@ -38,7 +38,7 @@ from .hybrid import (
     Termination,
     as_vector,
 )
-from .report import CheckReport, Counterexample, Verdict
+from .report import CheckReport, Counterexample
 
 _MAX_BISECT = 200
 
@@ -651,19 +651,14 @@ def verify_solution(system, arc, slope_tol=1e-3, t_min=None):
             ces.append(Counterexample("jump-landing", x_plus, gap - slack,
                                       (j + 1, t_jump)))
 
-    verdict = Verdict.PASS if not ces else Verdict.FAIL
-    return CheckReport(
-        verdict=verdict,
-        counterexamples=ces,
-        stats={
-            "samples": n_samples,
-            "segments": n_segments,
-            "jumps": arc.num_phases - 1,
-            "zeno_snaps": n_snaps,
-            "delta": delta,
-            "slope_tol": slope_tol,
-        },
-    )
+    return CheckReport.judge(ces, {
+        "samples": n_samples,
+        "segments": n_segments,
+        "jumps": arc.num_phases - 1,
+        "zeno_snaps": n_snaps,
+        "delta": delta,
+        "slope_tol": slope_tol,
+    })
 
 
 def _membership_margin(region, x, tol):

@@ -189,6 +189,36 @@ def test_pair_check_requires_barrier():
         check_pair_VB(perturb(system, 0.0), bare, ss, GridSpec([0.0], [1.0], 3))
 
 
+def test_single_v_grid_outside_the_region_is_inconclusive():
+    # the whole grid lies above y = 10, outside O = {y < 10}
+    system, cert, _ = bouncing_ball()
+    rep = check_single_V(perturb(system, 0.0), cert,
+                         GridSpec([0.0, 11.0, 0.0], [1.0, 12.0, 1.0], 3))
+    assert rep.verdict == Verdict.INCONCLUSIVE
+    assert rep.counterexamples == []
+    assert rep.stats["region_points"] == 0
+    assert rep.stats["flow_points"] == rep.stats["jump_points"] == 0
+    assert rep.stats["worst_flow_margin"] is None
+    assert rep.stats["worst_jump_margin"] is None
+
+
+def test_pair_check_without_a_tested_condition_is_inconclusive():
+    # below the floor and rising: in O, but in neither C nor D, and with
+    # no X0 and no U nothing else is tested; V < 0 there breaks the
+    # sandwich, yet no evidence beats counterexamples
+    system, cert, _ = bouncing_ball()
+    ss = StabSafeSpec(x0=[], unsafe=EmptySet(), attractor=ball_attractor())
+    rep = check_pair_VB(perturb(system, 0.0), cert, ss,
+                        GridSpec([0.0, -0.9, 0.5], [1.0, -0.5, 1.0], 3))
+    assert rep.verdict == Verdict.INCONCLUSIVE
+    assert rep.stats["counts"] == {}
+    assert rep.stats["worst_margins"] == {}
+    assert rep.stats["fitted_c"] is None
+    assert rep.counterexamples
+    assert {ce.condition for ce in rep.counterexamples} <= {
+        "sandwich-nonneg", "sandwich-upper", "sandwich-lower"}
+
+
 def ball_condition_layer(delta, condition, grid):
     """Perturbed ball, its pair report over grid, the named falsify
     condition's margin function, and the points where that applies among

@@ -1,6 +1,7 @@
 """Hybrid system construction, perturbation, arcs, and serialization."""
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hybridcert import (
     AxisBox,
     DimensionMismatch,
+    Disturbance,
     EmptySet,
     HybridArc,
     HybridSystem,
@@ -86,6 +88,51 @@ def test_perturb_inflates_flow_set():
     # y = -0.05 is 0.05 below the floor, inside the 0.1-inflated flow set
     assert contains(sysd.flow_set, np.array([0.0, -0.05, 1.0]), 0.0)
     assert not contains(system.flow_set, np.array([0.0, -0.05, 1.0]), 0.0)
+
+
+def test_perturb_carries_every_other_field_unchanged():
+    system, _, _ = bouncing_ball()
+    sysd = perturb(system, 0.1)
+    assert sysd.delta == 0.1
+    for f in dataclasses.fields(HybridSystem):
+        if f.name not in ("flow_set", "jump_set", "delta"):
+            assert getattr(sysd, f.name) is getattr(system, f.name), f.name
+
+
+def test_disturbance_modes_need_their_field():
+    with pytest.raises(ValueError, match="seed"):
+        Disturbance.random_uniform_ball(None)
+    with pytest.raises(ValueError, match="signal"):
+        Disturbance.fixed(None)
+
+
+def test_disturbance_is_not_both_random_and_fixed():
+    with pytest.raises(ValueError, match="not both"):
+        Disturbance(seed=1, signal=lambda t, j: [0.0])
+
+
+def test_disturbance_reseed_changes_only_a_random_one():
+    none = Disturbance.none()
+    fixed = Disturbance.fixed(lambda t, j: [0.0])
+    assert none.reseed(5) is none
+    assert fixed.reseed(5) is fixed
+    random = Disturbance.random_uniform_ball(1)
+    again = random.reseed([0, 2, 3])
+    assert again is not random
+    assert (again.seed, again.signal) == ([0, 2, 3], None)
+    assert random.seed == 1
+    want = Disturbance.random_uniform_ball([0, 2, 3]).start(3, 0.5)
+    got = again.start(3, 0.5)
+    assert [got(0.0, 0) for _ in range(4)] == [want(0.0, 0) for _ in range(4)]
+
+
+def test_disturbance_without_a_budget_or_a_mode_is_zero():
+    assert Disturbance.none().start(2, 0.5)(0.0, 0) == [0.0, 0.0]
+    assert Disturbance.random_uniform_ball(3).start(2, 0.0)(0.0, 0) == [
+        0.0, 0.0]
+    # a fixed signal is clamped even to a zero budget
+    assert Disturbance.fixed(lambda t, j: [3.0, 4.0]).start(2, 0.0)(
+        0.0, 0) == [0.0, 0.0]
 
 
 def test_perturb_monotone_in_delta():

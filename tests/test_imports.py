@@ -84,6 +84,29 @@ def test_every_export_is_used_elsewhere_or_tested():
     assert unused == []
 
 
+def report_constructions(source):
+    """Lines that call CheckReport(...) directly."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "CheckReport"
+    )
+
+
+def test_report_scan_finds_direct_constructions():
+    source = ("a = CheckReport(v)\n"
+              "b = CheckReport.judge([], {})\n"
+              "c = report.CheckReport(v, [], {})\n")
+    assert report_constructions(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "report"],
+                         ids=lambda p: p.stem)
+def test_checks_take_their_verdict_from_judge(path):
+    assert report_constructions(path.read_text()) == []
+
+
 IMPORT_CALLS = {"__import__", "import_module"}
 
 

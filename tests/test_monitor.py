@@ -149,6 +149,51 @@ def test_ras_short_horizon_is_inconclusive():
     assert rep.stats["short_arcs"] == rep.stats["arcs"]
 
 
+# A start above the ball's bounds admits no solution, so a check from it
+# alone has no evidence, whatever it finds.
+ABOVE_BOUNDS = [np.array([0.0, 20.0, 0.0])]
+SHORT_CFG = SimConfig(h=2e-3, T_max=1.0, J_max=10)
+
+
+def test_invariance_without_a_solvable_start_is_inconclusive():
+    system, _, _ = bouncing_ball()
+    K = AxisBox([0.0, 20.0, -1.0], [1.0, 21.0, 1.0])
+    rep = check_forward_invariance(system, K, n_init=3, config=SHORT_CFG)
+    assert rep.verdict == Verdict.INCONCLUSIVE
+    assert rep.counterexamples == []
+    assert rep.stats["arcs"] == 0
+    assert rep.stats["skipped_initial_points"] == 3
+    assert rep.stats["samples"] == 0
+
+
+def test_ras_without_a_solvable_start_is_inconclusive():
+    system, _, spec = bouncing_ball()
+    high = RASSpec(x0=ABOVE_BOUNDS, unsafe=spec.unsafe, target=spec.target,
+                   t_spec=spec.t_spec)
+    rep = check_ras(system, high, n_init=1, n_dist=1, config=SHORT_CFG)
+    assert rep.verdict == Verdict.INCONCLUSIVE
+    assert rep.counterexamples == []
+    assert rep.stats["arcs"] == 0
+    assert rep.stats["skipped_initial_points"] == 1
+    assert rep.stats["short_arcs"] == 0
+
+
+def test_ras_counterexample_beats_a_short_horizon():
+    # every arc ends before t_spec, but one already crossed the unsafe band
+    system, _, spec = bouncing_ball()
+    band = RASSpec(x0=spec.x0,
+                   unsafe=AxisBox([-10.0, 8.5, -20.0], [60.0, 9.5, 20.0]),
+                   target=AxisBox([-10.0, -1.0, -20.0], [60.0, 15.0, 20.0]),
+                   t_spec=8.0)
+    rep = check_ras(system, band, n_init=1, n_dist=1, config=SHORT_CFG)
+    assert rep.verdict == Verdict.FAIL
+    [ce] = rep.counterexamples
+    assert ce.condition == "safety"
+    assert rep.stats["arcs"] == 1
+    assert rep.stats["short_arcs"] == rep.stats["arcs"]
+    assert rep.stats["settle_time"] == 0.0
+
+
 def test_stability_contraction_keeps_every_offset():
     spec = StabSafeSpec(x0=[np.array([0.5])], unsafe=AxisBox([40.0], [45.0]),
                         attractor=Ball([0.0], 0.0), eps_levels=(0.1, 1.0))
@@ -182,6 +227,21 @@ def test_stability_ball_records_unsampleable_shell():
     assert rep.stats["delta_per_eps"] == {0.5: None}
     # settle is measured in total time: ~12.3 of flow plus the jump count
     assert 26.0 < rep.stats["settle_times"][0.5] < 28.0
+
+
+def test_stability_without_any_arc_is_inconclusive():
+    # the rest set has no bounding box to draw offsets from, and the one
+    # start lies above the bounds
+    system, _, spec = bouncing_ball()
+    ss = StabSafeSpec(x0=ABOVE_BOUNDS, unsafe=spec.unsafe,
+                      attractor=AxisBox([-np.inf, 0.0, 0.0],
+                                        [np.inf, 0.0, 0.0]))
+    rep = check_stability_safety(system, ss, n_init=2, config=SHORT_CFG)
+    assert rep.verdict == Verdict.INCONCLUSIVE
+    assert rep.counterexamples == []
+    assert rep.stats["arcs"] == 0
+    assert rep.stats["skipped_initial_points"] == 1
+    assert rep.stats["delta_per_eps"] == {0.1: None, 1.0: None}
 
 
 def test_stability_check_raises_a_broken_attractor_predicate():
