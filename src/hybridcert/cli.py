@@ -318,9 +318,7 @@ def parse_scenario(doc):
             flow_set=parse_set(s["flow_set"], variables),
             flow_map=vector_fn(s["flow_map"], variables),
             jump_set=parse_set(s["jump_set"], variables),
-            # on Python floats, like the flow map, so an overflow raises
-            # ExpressionError rather than giving numpy's inf
-            jump_map=lambda x: [jump_vec(x.tolist())],
+            jump_map=lambda x: [jump_vec(x)],
             bounds=bounds,
         )
     else:
@@ -329,6 +327,10 @@ def parse_scenario(doc):
     spec = spec0
     if top["spec"] is not None:
         spec = _parse_spec(top["spec"], variables)
+        for x in spec.x0 if system is not None else ():
+            if x.shape != (system.dim,):
+                raise ScenarioError("spec.x0 row has shape %s, system "
+                                    "expects (%d,)" % (x.shape, system.dim))
     cert = _parse_certificates(top["certificates"], variables, example, cert0)
     sim = _parse_sim(top["sim"], t_default)
     if example == "moore-greitzer":

@@ -116,10 +116,8 @@ def bouncing_ball(params: BouncingBallParams = None):
         dz = max(0.0, s[2])
         return math.hypot(dy, dz)
 
-    # both read a list of floats as well as an array: the jump set hands
-    # them the solver's states as they are; its array forms test the rows
-    # by the predicate's row form wherever the sdf cannot change the answer
-    jump_pred.takes_list = jump_sdf.takes_list = True
+    # the jump set's array forms test the rows by the predicate's row form
+    # wherever the sdf cannot change the answer
     jump_pred.rows = jump_pred_rows
     jump_set = Implicit(
         jump_pred,

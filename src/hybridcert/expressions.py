@@ -257,9 +257,7 @@ class Expr:
 def _point_fn(source, variables, result):
     """Compile one expression into one function x -> result(value).
 
-    x is a list of floats, taken as it is, or a 1-D array.  The function
-    carries ``takes_list``, so that a geometry.Implicit region built on it
-    hands it each point as a list."""
+    x is a list of floats, taken as it is, or a 1-D array."""
     source = str(source)
     variables = _checked(variables)
     fn = _compile(source, variables)
@@ -272,7 +270,6 @@ def _point_fn(source, variables, result):
             raise _arithmetic_error(exc, source) from None
         return result(value)
 
-    point_fn.takes_list = True
     return point_fn
 
 

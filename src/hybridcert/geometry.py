@@ -2,12 +2,9 @@
 
 A point is a 1-D float array or a list of floats (the simulator's step
 loop keeps its state as a list).  AxisBox membership reads a list as it
-is.  An Implicit region whose callables all carry a true ``takes_list``
-attribute (the package's own: the predicates that expressions compiles
-for a scenario's ``implicit`` sets, and the bouncing ball's jump set)
-hands them each point as a list of Python floats; user code (any
-unmarked callable) still gets each point as a 1-D float64 array.
-Regions are immutable after construction and safe for concurrent reads.
+is, and an Implicit region hands its callables each point as a list of
+Python floats.  Regions are immutable after construction and safe for
+concurrent reads.
 
 A region that measures distance contains x iff that distance is within
 tol; a NaN distance (NaN coordinates, say) is within no tol.  Distances
@@ -28,8 +25,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-# the array forms of a region that takes lists make lists of this many rows
-# at a time: a whole grid as lists takes about six times its array's memory
+# the array forms of a region that runs user code make lists of this many
+# rows at a time: a whole grid as lists takes about six times its array's
+# memory
 _LIST_CHUNK = 1024
 
 
@@ -53,8 +51,7 @@ _UNDERFLOW_NORM = 2.0 ** -511
 
 def as_vector(x):
     """Coerce to a 1-D float64 array without copying when possible."""
-    # the solver's states and maps pass float64 arrays, which asarray would
-    # return unchanged; this runs several times per flow call
+    # a float64 array comes back as it is, without asarray's call
     if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim:
         return x
     v = np.asarray(x, dtype=float)
@@ -122,8 +119,6 @@ class SetRegion:
     # whether membership or distance calls user code, which the array forms
     # then call once per row
     runs_user_code = True
-    # whether the region's callables take each point as a list of floats
-    takes_list = False
 
     def distance(self, x):
         raise UnsupportedDistance(f"{type(self).__name__} has no distance oracle")
@@ -141,10 +136,8 @@ class SetRegion:
                         dtype=bool)
 
     def _rows(self, X):
-        """The rows of X, as lists of floats when the region takes lists."""
+        """The rows of X, as lists of floats."""
         X = as_rows(X)
-        if not self.takes_list:
-            return X
         return (
             x for i in range(0, X.shape[0], _LIST_CHUNK)
             for x in X[i:i + _LIST_CHUNK].tolist()
@@ -282,14 +275,13 @@ class Implicit(SetRegion):
     complement_sdf likewise for the complement, enabling proper indicators on
     implicit open domains.
 
-    The callables are read at construction.  When every one given carries a
-    true ``takes_list`` attribute, they get each point as a list of Python
-    floats (an array from a Complement's distance, which they also take);
-    otherwise a 1-D float64 array.  When pred carries a ``rows`` attribute,
-    a function of a 2-D float64 array giving pred's bool at each row,
-    contains_many calls it once in place of the per-row loop wherever
-    contains asks pred alone: at tol 0, or without an sdf.  At tol > 0
-    the sdf may widen the set, and the rows go through contains one by one.
+    The callables get each point as a list of Python floats, which may be
+    the caller's own list (the solver's state): they must not modify it.
+    When pred carries a ``rows`` attribute, a function of a 2-D float64
+    array giving pred's bool at each row, contains_many calls it once in
+    place of the per-row loop wherever contains asks pred alone: at tol 0,
+    or without an sdf.  At tol > 0 the sdf may widen the set, and the rows
+    go through contains one by one.
     """
 
     def __init__(self, pred, bbox, sdf=None, complement_sdf=None):
@@ -299,22 +291,16 @@ class Implicit(SetRegion):
         self.sdf = sdf
         self.complement_sdf = complement_sdf
         self.bbox = bbox
-        self.takes_list = all(
-            getattr(f, "takes_list", False)
-            for f in (pred, sdf, complement_sdf) if f is not None
-        )
-        # a point in the form the callables take
-        self._point = _as_list if self.takes_list else as_vector
         # the predicate's row form: a bool per row of a 2-D float64 array
         self._pred_rows = getattr(pred, "rows", None)
 
     def distance(self, x):
         if self.sdf is None:
             raise UnsupportedDistance("Implicit region lacks a distance oracle")
-        return _clip0_one(float(self.sdf(self._point(x))))
+        return _clip0_one(float(self.sdf(_as_list(x))))
 
     def contains(self, x, tol=DEFAULT_TOL):
-        v = self._point(x)
+        v = _as_list(x)
         if bool(self.pred(v)):
             return True
         if self.sdf is not None and tol > 0.0:
@@ -490,7 +476,7 @@ class Complement(SetRegion):
             with np.errstate(all="ignore"):
                 return _clip0_one(float(np.min(np.minimum(v - b.lo, b.hi - v))))
         if isinstance(b, Implicit) and b.complement_sdf is not None:
-            return _clip0_one(float(b.complement_sdf(v)))
+            return _clip0_one(float(b.complement_sdf(_as_list(x))))
         raise UnsupportedDistance(f"complement of {type(b).__name__} has no distance")
 
     def contains(self, x, tol=DEFAULT_TOL):
@@ -524,9 +510,7 @@ def contains(region, x, tol=DEFAULT_TOL):
     """True iff x is within distance tol of the region (predicate for Implicit).
 
     x, a 1-D float array or a list of floats, goes to region.contains as
-    given: every region coerces it there, and an Implicit region hands its
-    predicate and sdf a list of floats when they carry takes_list, else a
-    1-D float64 array.
+    given: every region coerces it there.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")

@@ -119,17 +119,17 @@ class HybridArc:
 class HybridSystem:
     """H = (C, F, D, G) with perturbation level delta.
 
-    flow_map is the nominal single-valued selection of F: it maps a state,
-    given as a list of dim Python floats, to a sequence of dim floats.  The
-    solver calls it on its stage states, and flow is the entry point for a
-    state array; a map written in array arithmetic wraps its argument with
-    np.asarray.  Set-valuedness is realized through disturbances of norm
-    <= delta.  jump_map returns a nonempty list of candidate
-    successors.  zeno_map, when present, replaces a jump whose gap from
-    the previous jump is below the solver's t_min (the example-specific
-    Zeno completion).  flow_map_rows, when present, is the row form of
-    flow_map: it maps an (n, dim) array to the (n, dim) flow values, equal
-    bit for bit to flow row by row.
+    Every map gets the state one way: as a list of dim Python floats (a
+    map written in array arithmetic wraps its argument with np.asarray).
+    flow_map is the nominal single-valued selection of F and returns a
+    sequence of dim floats; set-valuedness is realized through
+    disturbances of norm <= delta.  jump_map returns a nonempty list of
+    candidate successors.  zeno_map, when present, replaces a jump whose
+    gap from the previous jump is below the solver's t_min (the
+    example-specific Zeno completion).  flow and jump_candidates are the
+    entry points for a state array or list.  flow_map_rows, when present,
+    is the row form of flow_map: it maps an (n, dim) array to the (n, dim)
+    flow values, equal bit for bit to flow row by row.
     """
 
     dim: int
@@ -161,8 +161,8 @@ class HybridSystem:
                         dtype=float).reshape(X.shape)
 
     def jump_candidates(self, x):
-        cands = self.jump_map(x)
-        return [as_vector(c) for c in cands]
+        """jump_map at the state x, its candidates as float64 arrays."""
+        return [as_vector(c) for c in self.jump_map(as_vector(x).tolist())]
 
 
 def make_system(dim, flow_set, flow_map, jump_set, jump_map, bounds):
@@ -181,10 +181,10 @@ def make_system(dim, flow_set, flow_map, jump_set, jump_map, bounds):
     sys.flow(_probe_point(bounds, dim))
     jp = _probe_point(jump_set, dim)
     if jp is not None and contains(jump_set, jp, 0.0):
-        cands = jump_map(jp)
+        cands = sys.jump_candidates(jp)
         if not cands:
             raise DimensionMismatch("jump map returned no candidate on the jump set")
-        g0 = as_vector(cands[0])
+        g0 = cands[0]
         if g0.shape != (dim,):
             raise DimensionMismatch(
                 f"jump map returned shape {g0.shape}, wanted ({dim},)"
@@ -355,12 +355,21 @@ def arc_from_csv(path):
             )
     if termination is None:
         raise ValueError("arc CSV missing termination footer")
+    _check_jump_indices(sorted(phases))
     ordered = []
     for j in sorted(phases):
         ts = [t for t, _ in phases[j]]
         xs = [x for _, x in phases[j]]
         ordered.append((np.array(ts), np.array(xs)))
     return HybridArc(ordered, termination)
+
+
+def _check_jump_indices(js):
+    """Raise ValueError unless the phases' jump indices js, in phase
+    order, are 0, 1, 2, ...; it names the first index missing."""
+    for k, j in enumerate(js):
+        if j != k:
+            raise ValueError("arc has no phase j = %d" % k)
 
 
 def arc_to_json_obj(arc):
@@ -375,6 +384,7 @@ def arc_to_json_obj(arc):
 
 
 def arc_from_json_obj(obj):
+    _check_jump_indices([p["j"] for p in obj["phases"]])
     phases = [(np.array(p["t"]), np.array(p["x"])) for p in obj["phases"]]
     return HybridArc(phases, Termination(obj["termination"]))
 

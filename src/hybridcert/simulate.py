@@ -17,10 +17,8 @@ bisection probe of that step, which then costs three flow calls.  Set
 membership reads the lists (see geometry.contains), and the disturbance
 sampler returns lists.
 
-Arrays are built only where they are needed: at jumps (the jump map and
-the Zeno map get the state as an array), for the gap norm in event
-bisection, wherever user code of a region (an Implicit predicate or sdf
-without takes_list) gets a state, and once per phase of the returned arc.
+Arrays are built only where they are needed: at jumps, for the gap norm
+in event bisection, and once per phase of the returned arc.
 """
 
 import functools
@@ -277,13 +275,13 @@ def solve(system: HybridSystem, x0, config: SimConfig,
                 break
             if not builder.keeps_last():
                 break
-            # the maps are user code, which gets a state as an array
             if snap:
-                x_plus = np.array(system.zeno_map(np.array(x)), dtype=float,
+                # a copy: no map holds the solver's own state
+                x_plus = np.array(system.zeno_map(list(x)), dtype=float,
                                   ndmin=1)
                 zeno_snapped = True
             else:
-                x_plus = system.jump_candidates(np.array(x))[0]
+                x_plus = system.jump_candidates(x)[0]
             if x_plus.shape != (system.dim,):
                 # the next RK4 step would zip x_plus with the stages and drop
                 # its extra entries; a length-1 value would broadcast
@@ -642,7 +640,7 @@ def verify_solution(system, arc, slope_tol=1e-3, t_min=None):
                                       (j, t_jump)))
         targets = system.jump_candidates(x_minus)
         if snaps and 0.0 < t_jump - t_prev < t_min:
-            targets.append(as_vector(system.zeno_map(x_minus)))
+            targets.append(as_vector(system.zeno_map(x_minus.tolist())))
             n_snaps += 1
         t_prev = t_jump
         x_plus = arc.phases[j + 1][1][0]

@@ -456,7 +456,7 @@ def test_falsify_draws_starts_from_a_band_that_no_probe_meets():
                     AxisBox([0.3 - 1e-6], [0.3 + 1e-6]))
     sys1 = make_system(
         1, AxisBox([-2.0], [2.0]), lambda x: np.array([-x[0]]),
-        slab, lambda x: [2.0 * x], AxisBox([-5.0], [5.0]),
+        slab, lambda x: [[2.0 * x[0]]], AxisBox([-5.0], [5.0]),
     )
     cert = CertificatePair(V=quadratic_V())
     found = falsify(perturb(sys1, 0.0), cert, "jump-decrease",

@@ -831,6 +831,31 @@ def test_simulate_bad_initial_condition(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("scenario, x0", [
+    (FALLING_MASS_SCENARIO, "[[5.0, 0.0, 1.0]]"),
+    (FALLING_MASS_SCENARIO, "[7.0]"),
+    (BALL_SCENARIO + "spec:\n  kind: ras\n  x0: [[10.0, 0.0]]\n"
+     "  unsafe: {kind: axis_box, lo: [0, 10, 0], hi: [1, 11, 1]}\n"
+     "  target: {kind: axis_box, lo: [0, 0, 0], hi: [1, 1, 1]}\n"
+     "  t_spec: 1.0\n", "[[5.0, 0.0]]"),
+], ids=["inline-long-row", "inline-short-point", "named-short-row"])
+@pytest.mark.parametrize("args", [SIMULATE, ["check", "--mode", "ras"]],
+                         ids=["simulate", "check-ras"])
+def test_x0_of_the_wrong_dimension_exits_4_naming_spec_x0(tmp_path, scenario,
+                                                          x0, args):
+    # a start of the wrong length is an error in the scenario, caught
+    # before any solve rather than one BadInitialCondition per start
+    text = scenario.replace("x0: [[10.0, 0.0]]", "x0: " + x0)
+    assert text != scenario
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(
+        args + ["--scenario", write(tmp_path, "x0.yaml", text),
+                "--out", str(out)], tmp_path)
+    payload = rejected(code, stderr, out)
+    assert payload["error"] == "ScenarioError"
+    assert "spec.x0" in payload["message"]
+
+
 def test_check_pair_vb(tmp_path):
     scen = write(
         tmp_path, "ball.yaml",
@@ -1026,8 +1051,7 @@ def test_ras_check_asks_the_target_predicate_once_per_stored_sample():
     target = scenario.spec.target
     asked = []
     pred = target.pred
-    # the region read the compiled predicate's takes_list at construction,
-    # so the replacement gets each sample as that predicate would: a list
+    # the region hands the replacement each sample as a list of floats
     target.pred = lambda x: asked.append(list(x)) or pred(x)
     ck = scenario.check
     rep = cli.check_ras(cli._perturbed(scenario), scenario.spec, ck["n_init"],

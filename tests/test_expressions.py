@@ -136,7 +136,6 @@ def test_predicate_fn_raises_the_expression_errors_of_expr(x):
     # and for an array alike
     variables = ("x", "y")
     p = predicate_fn("y/x > 1", variables)
-    assert p.takes_list is True
     with pytest.raises(ExpressionError) as got:
         p(x)
     with pytest.raises(ExpressionError) as want:

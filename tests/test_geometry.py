@@ -547,12 +547,11 @@ def test_contains_gives_a_list_the_answer_of_its_array(data, tol, x):
 
 
 def _logging(fn, log):
-    """fn, logging each point it gets; it keeps fn's takes_list."""
+    """fn, logging each point it gets."""
     def logged(x):
         log.append(list(x))
         return fn(x)
 
-    logged.takes_list = getattr(fn, "takes_list", False)
     return logged
 
 
@@ -571,7 +570,6 @@ def test_list_taking_batch_forms_match_the_one_point_forms(monkeypatch):
         Implicit(_logging(compiled, log), AxisBox([-1.0] * 3, [1.0] * 3)),
     ]
     for region in regions:
-        assert region.takes_list
         for tol in (0.0, 1e-9, 0.25):
             log.clear()
             want = np.array([region.contains(x, tol) for x in X], dtype=bool)

@@ -28,7 +28,7 @@ from hybridcert import (
     perturb,
     solve,
 )
-from hybridcert.hybrid import write_phase_rows
+from hybridcert.hybrid import arc_from_json_obj, write_phase_rows
 
 
 def unit_decay():
@@ -316,6 +316,34 @@ def test_arc_json_round_trip_is_bitwise(tmp_path):
     for (ta, xa), (tb, xb) in zip(arc.phases, back.phases):
         assert np.array_equal(ta, tb)
         assert np.array_equal(xa, xb)
+
+
+THREE_PHASES = [([0.0, 0.5], [[1.0], [0.5]]), ([0.5, 0.75], [[2.0], [1.0]]),
+                ([0.75], [[3.0]])]
+
+
+@pytest.mark.parametrize("js, missing", [
+    ([0, 2], 1), ([1, 2], 0), ([0, 1, 1], 2), ([0, 1, 5], 2),
+], ids=["gap", "no-first", "repeat", "jump-ahead"])
+def test_arc_readers_reject_phases_that_skip_a_jump_index(tmp_path, js,
+                                                          missing):
+    # each phase of an arc file carries its j, and the phases must be
+    # numbered 0, 1, ...: a gap is an error, not renumbered away
+    phases = THREE_PHASES[:len(js)]
+    obj = {"phases": [{"j": j, "t": t, "x": x}
+                      for j, (t, x) in zip(js, phases)],
+           "termination": "HorizonReached"}
+    with pytest.raises(ValueError, match="no phase j = %d$" % missing):
+        arc_from_json_obj(obj)
+    if len(set(js)) < len(js):
+        return  # a repeated j in a CSV continues that phase
+    path = tmp_path / "arc.csv"
+    rows = ["j,t,x_1"] + ["%d,%r,%r" % (j, t, x[0])
+                          for j, (ts, xs) in zip(js, phases)
+                          for t, x in zip(ts, xs)]
+    path.write_text("\n".join(rows + ["termination,HorizonReached", ""]))
+    with pytest.raises(ValueError, match="no phase j = %d$" % missing):
+        arc_from_csv(str(path))
 
 
 def test_total_time_monotone_along_samples():

@@ -42,6 +42,7 @@ from hybridcert import (
     construct_perturbed,
     estimate_lipschitz,
     inflate,
+    make_proper_indicator,
     make_system,
     perturb,
     predicate_fn,
@@ -959,31 +960,60 @@ def test_map_value_of_the_wrong_length_raises(mapped, value):
         solve(system, np.array(BALL_X0), cfg)
 
 
-def test_user_code_gets_each_state_as_a_float_array():
-    # the solver keeps its state as a list of floats; user code that sees a
-    # state still gets a fresh 1-D float64 array: an Implicit predicate (the
-    # jump set's) and sdf (the watch's, under inflate), the jump map and
-    # the Zeno map.  The disturbance signal gets (t, j), a float and an int.
+def _callback_spies():
+    """(spy, took_lists): spy(name, fn) wraps fn to log each point it gets;
+    took_lists(*names) asserts that exactly those callbacks ran since its
+    last call, each time on a list of 3 Python floats."""
     seen = []
 
-    def record(name, fn):
+    def spy(name, fn):
         def user_code(x):
             seen.append((name, x))
             return fn(x)
 
         return user_code
 
+    def took_lists(*names):
+        assert {name for name, _ in seen} == set(names)
+        for name, x in seen:
+            assert type(x) is list and len(x) == 3, name
+            assert all(type(v) is float for v in x), name
+        seen.clear()
+
+    return spy, took_lists
+
+
+def _spied_ball_jump_set(spy):
+    """The ball's jump set with its predicate and sdf spied on and no row
+    forms, so that every point goes through the one-point callables."""
+    jump = bouncing_ball()[0].jump_set
+    return Implicit(spy("jump predicate", jump.pred), jump.bbox,
+                    sdf=spy("jump sdf", jump.sdf))
+
+
+def _spied_user_region(spy):
+    return Implicit(
+        spy("user predicate", lambda s: s[0] <= 1.5),
+        AxisBox([-50.0, -1.0, -20.0], [1.5, 15.0, 20.0]),
+        sdf=spy("user sdf", lambda s: max(0.0, s[0] - 1.5)),
+        complement_sdf=spy("user complement sdf",
+                           lambda s: max(0.0, 1.5 - s[0])))
+
+
+def test_the_solver_and_checks_hand_every_callback_a_list_of_floats():
+    # the flow, jump and Zeno maps, the jump set's predicate and a watch
+    # region's predicate and sdf get each state as a list of dim Python
+    # floats: from make_system's probe, the solver, verify_solution and the
+    # pair check's jump images.  The disturbance signal gets (t, j), a
+    # float and an int.
+    spy, took_lists = _callback_spies()
     ball = bouncing_ball()[0]
-    jump = ball.jump_set
-    system = dataclasses.replace(
-        ball,
-        jump_set=Implicit(record("jump predicate", jump.pred), jump.bbox),
-        jump_map=record("jump map", ball.jump_map),
-        zeno_map=record("Zeno map", ball.zeno_map),
-    )
-    band = Implicit(lambda s: s[0] <= 1.5,
-                    AxisBox([-50.0, -1.0, -20.0], [1.5, 15.0, 20.0]),
-                    sdf=record("watch sdf", lambda s: max(0.0, s[0] - 1.5)))
+    system = make_system(3, ball.flow_set, spy("flow map", ball.flow_map),
+                         _spied_ball_jump_set(spy),
+                         spy("jump map", ball.jump_map), ball.bounds)
+    took_lists("flow map", "jump predicate", "jump map")
+    system = dataclasses.replace(system,
+                                 zeno_map=spy("Zeno map", ball.zeno_map))
     times = []
 
     def signal(t, j):
@@ -994,78 +1024,88 @@ def test_user_code_gets_each_state_as_a_float_array():
     cfg = SimConfig(h=2e-3, T_max=3.0, J_max=50, t_min=0.75,
                     disturbance=Disturbance.fixed(signal))
     rep = solve(system, np.array([0.0, 1.0, 0.0]), cfg,
-                watch=inflate(band, 1e-9))
+                watch=inflate(_spied_user_region(spy), 1e-9))
     assert rep.zeno_snapped and rep.jump_count == 2
     assert rep.termination == Termination.LEFT_WATCH_REGION
-    assert {name for name, _ in seen} == {
-        "jump predicate", "watch sdf", "jump map", "Zeno map"}
-    for name, x in seen:
-        assert type(x) is np.ndarray, name
-        assert x.dtype == np.float64 and x.shape == (3,), name
     assert times and all(type(t) is float and type(j) is int
                          for t, j in times)
+    took_lists("flow map", "jump predicate", "jump map", "Zeno map",
+               "user predicate", "user sdf")
+
+    check = verify_solution(system, rep.arc, t_min=0.75)
+    assert check.verdict.value == "PASS" and check.stats["zeno_snaps"] == 1
+    took_lists("flow map", "jump predicate", "jump map", "Zeno map")
+
+    ss = StabSafeSpec(x0=[np.array([0.0, 5.0, 0.0])],
+                      unsafe=AxisBox([-1.0, 9.5, -14.0], [21.0, 10.0, 14.0]),
+                      attractor=examples.ball_attractor())
+    box = ball_operating_box()
+    check_pair_VB(perturb(system, 0.0), bouncing_ball()[1], ss,
+                  GridSpec(box.lo, box.hi, (2, 3, 3)))
+    took_lists("flow map", "jump predicate", "jump map")
 
 
-def test_package_callables_get_lists_and_user_code_gets_arrays():
-    # the ball's jump set and a compiled scenario predicate carry
-    # takes_list and get each point as a list of floats; a user Implicit,
-    # a Complement over it with a complement_sdf, and c09's band get a 1-D
-    # float64 array, from the solver, the one-point and the array forms
-    seen = []
-
-    def record(form, name, fn):
-        def spy(x):
-            seen.append((form, name, x))
-            return fn(x)
-
-        spy.takes_list = getattr(fn, "takes_list", False)
-        return spy
-
-    jump = bouncing_ball()[0].jump_set
+def test_region_forms_hand_every_callable_a_list_of_floats():
+    # the package's callables (the ball's jump set, a compiled scenario
+    # predicate) and user code (an Implicit with a complement_sdf, a
+    # Complement over it, a ProperIndicator) get each point the same way,
+    # as a list of dim Python floats, from the one-point and array forms
+    # of a region and of an inflated one
+    spy, took_lists = _callback_spies()
+    jump_set = _spied_ball_jump_set(spy)
+    user = _spied_user_region(spy)
     compiled = cli.parse_set(
         {"kind": "implicit", "predicate": "y <= 0.1 and z < 0",
          "bbox": {"lo": [-1.0, 0.0, -1.0], "hi": [1.0, 0.1, 0.0]}},
         ["x", "y", "z"])
-    jump_set = Implicit(record(list, "jump predicate", jump.pred), jump.bbox,
-                        sdf=record(list, "jump sdf", jump.sdf))
-    scenario_set = Implicit(record(list, "compiled predicate", compiled.pred),
+    scenario_set = Implicit(spy("compiled predicate", compiled.pred),
                             compiled.bbox)
-    user = Implicit(
-        record(np.ndarray, "user predicate", lambda s: s[0] <= 1.5),
-        AxisBox([-50.0, -1.0, -20.0], [1.5, 15.0, 20.0]),
-        sdf=record(np.ndarray, "user sdf", lambda s: max(0.0, s[0] - 1.5)),
-        complement_sdf=record(np.ndarray, "user complement sdf",
-                              lambda s: max(0.0, 1.5 - s[0])))
-    band = Implicit(
-        record(np.ndarray, "band predicate",
-               lambda s: 0.0 <= s[1] <= 0.1 and abs(s[2]) <= 2.0),
-        AxisBox([0.0, 0.0, -2.0], [0.0, 0.1, 2.0]),
-        sdf=record(np.ndarray, "band sdf", lambda s: math.hypot(
-            max(0.0 - s[1], s[1] - 0.1, 0.0), max(0.0, abs(s[2]) - 2.0))))
-
-    system = dataclasses.replace(bouncing_ball()[0], jump_set=jump_set)
-    cfg = SimConfig(h=2e-3, T_max=3.0, J_max=50)
-    solve(system, np.array([0.0, 1.0, 0.0]), cfg, watch=inflate(user, 1e-9))
-    solve(system, np.array([0.0, 0.05, 1.0]), cfg, watch=inflate(band, 1e-9))
     X = np.array([[0.0, 0.05, -1.0], [2.0, 0.5, 0.5], [0.0, 0.0, 0.0]])
-    for region in (jump_set, scenario_set, user, Complement(user), band):
+    for region in (jump_set, scenario_set, user, Complement(user)):
         for shell in (region, inflate(region, 0.25)):
             shell.contains_many(X, 0.25)
             for x in X:
                 shell.contains(x, 0.25)
                 shell.contains(x.tolist(), 0.25)
-    for region in (jump_set, user, Complement(user), band):
+    for region in (jump_set, user, Complement(user)):
         region.distance_many(X)
+        for x in X:
+            region.distance(x)
+    took_lists("jump predicate", "jump sdf", "compiled predicate",
+               "user predicate", "user sdf", "user complement sdf")
 
-    assert {name for _, name, _ in seen} == {
-        "jump predicate", "jump sdf", "compiled predicate", "user predicate",
-        "user sdf", "user complement sdf", "band predicate", "band sdf"}
-    for form, name, x in seen:
-        assert type(x) is form, name
-        if form is list:
-            assert len(x) == 3 and all(type(v) is float for v in x), name
-        else:
-            assert x.dtype == np.float64 and x.shape == (3,), name
+    omega = make_proper_indicator(Ball([0.0, 0.0, 0.0], 0.1), user)
+    omega.many(X)
+    for x in X:
+        omega(x)
+    took_lists("user complement sdf")
+
+
+def test_maps_that_modify_their_argument_leave_the_arc_unchanged():
+    # the jump and Zeno maps get a copy of the solver's state: a map that
+    # writes to its argument changes nothing the solver keeps
+    ball = bouncing_ball()[0]
+
+    def scribbling(fn):
+        def user_code(x):
+            out = fn(list(x))
+            x[:] = [1e300] * len(x)
+            return out
+
+        return user_code
+
+    system = dataclasses.replace(ball, jump_map=scribbling(ball.jump_map),
+                                 zeno_map=scribbling(ball.zeno_map))
+    cfg = SimConfig(h=2e-3, T_max=3.0, J_max=50, t_min=0.75)
+    x0 = np.array([0.0, 1.0, 0.0])
+    want = solve(ball, x0, cfg)
+    got = solve(system, x0, cfg)
+    assert got.zeno_snapped and got.jump_count == want.jump_count == 2
+    assert got.termination == want.termination
+    assert len(got.arc.phases) == len(want.arc.phases)
+    for (ta, xa), (tb, xb) in zip(got.arc.phases, want.arc.phases):
+        assert ta.tobytes() == tb.tobytes()
+        assert xa.tobytes() == xb.tobytes()
 
 
 @pytest.mark.parametrize("value", [[0.01], [0.01, 0.0]],
