@@ -206,7 +206,12 @@ def _parse_spec(node, variables):
     if kind not in SPEC_KINDS:
         raise ScenarioError("unknown spec kind %s" % quote(kind))
     s = _section(node, kind)
-    x0 = list(np.atleast_2d(np.asarray(s["x0"], dtype=float)))
+    try:
+        x0 = list(np.atleast_2d(np.asarray(s["x0"], dtype=float)))
+    except (TypeError, ValueError):
+        raise ScenarioError("spec.x0 must be a point or a list of points of"
+                            " one length, with numbers for entries: %s"
+                            % quote(s["x0"])) from None
     unsafe = parse_set(s["unsafe"], variables)
     if kind == "ras":
         return RASSpec(x0, unsafe, parse_set(s["target"], variables),
@@ -296,10 +301,12 @@ def parse_scenario(doc):
         if example == "bouncing-ball":
             params = _apply_params(ex.BouncingBallParams(), top["params"])
             system, cert0, spec0 = ex.bouncing_ball(params)
+            dim = system.dim
         elif example == "moore-greitzer":
             params = _apply_params(ex.MooreGreitzerParams(), top["params"])
-            _, cert0, spec0, _ = ex.moore_greitzer(params)
+            plant, cert0, spec0, _ = ex.moore_greitzer(params)
             system = None  # closed loop is assembled at run time
+            dim = plant.dim_x
         else:
             raise ScenarioError("unknown system name %s" % quote(sys_node))
         t_default = spec0.t_spec
@@ -327,10 +334,10 @@ def parse_scenario(doc):
     spec = spec0
     if top["spec"] is not None:
         spec = _parse_spec(top["spec"], variables)
-        for x in spec.x0 if system is not None else ():
-            if x.shape != (system.dim,):
+        for x in spec.x0:
+            if x.shape != (dim,):
                 raise ScenarioError("spec.x0 row has shape %s, system "
-                                    "expects (%d,)" % (x.shape, system.dim))
+                                    "expects (%d,)" % (x.shape, dim))
     cert = _parse_certificates(top["certificates"], variables, example, cert0)
     sim = _parse_sim(top["sim"], t_default)
     if example == "moore-greitzer":

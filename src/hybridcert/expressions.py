@@ -4,8 +4,9 @@ Maps, predicates and certificates in a scenario are plain strings.  They
 are parsed with the ast module and restricted to arithmetic, comparisons,
 boolean connectives, conditionals and a fixed table of math functions, so
 loading a scenario never executes arbitrary code.  Each validated
-expression, or each list of them, compiles to one Python function whose
-parameters are the variables.
+expression, or each list of them, compiles to one generated Python
+function of the state list: it checks the length, unpacks the list into
+the variables, evaluates and converts the result, all in its own body.
 """
 
 import ast
@@ -164,13 +165,120 @@ def _validate(tree, variables, source):
             node.args = [_as_float(a) for a in node.args]
 
 
-_GLOBALS = {"__builtins__": {}, **FUNCTIONS, **CONSTANTS}
+def _checked(variables):
+    """variables as a tuple of names that a compiled function can bind."""
+    variables = tuple(variables)
+    for name in variables:
+        if not isinstance(name, str) or not name.isidentifier():
+            raise ExpressionError("bad variable name %s" % quote(name))
+        if keyword.iskeyword(name) or name == "__debug__":
+            # neither can be bound by the compiled function
+            raise ExpressionError("variable name %s is reserved" % quote(name))
+        if name in FUNCTIONS or name in CONSTANTS:
+            raise ExpressionError("variable %r shadows a builtin" % name)
+    if len(set(variables)) < len(variables):
+        raise ExpressionError(
+            "duplicate variable names in %s" % quote(variables))
+    return variables
 
 
-def _compile(source, variables):
-    """One Python function of the variables, positional in their order,
-    that evaluates source; a list of sources gives a function that returns
-    the tuple of their values."""
+def _arithmetic_error(exc, source):
+    return ExpressionError(
+        "%s: %s in %s" % (type(exc).__name__, exc, quote(source))
+    )
+
+
+# The two shapes of a compiled function.  Every name in them that starts
+# with "_" belongs to the generated code and is given a leading dot in
+# place of the "_", which no identifier can have, so no variable shadows
+# it.  The fields in braces are filled in as text; the placeholders in
+# capitals by nodes: VARS by the variables, VALUE by the expression (in a
+# vector, the tuple of its entries), N by the number of variables, SOURCE
+# by the source and VARIABLES by the names of the variables.
+_POINT = """
+def _point(_x):
+    _xs = _x if _type(_x) is _list else _as_vector(_x).tolist()
+    if _len(_xs) != N:
+        raise _ExpressionError(
+            "expected %d components, got %d" % (N, _len(_xs)))
+    VARS = _xs
+    try:
+        return {result}(VALUE)
+    except _ArithmeticError as _exc:
+        raise _arithmetic_error(_exc, SOURCE) from None
+"""
+
+_VECTOR = """
+def _vector(_xs):
+    if _len(_xs) != N:
+        raise _ExpressionError(
+            "expected %d components, got %d" % (N, _len(_xs)))
+    VARS = _xs
+    try:
+        {values} = VALUE
+    except _ArithmeticError as _exc:
+        raise _entry_error(_exc, SOURCE, VARIABLES, _xs) from None
+    # float() as numpy converts an entry: a bool is 0.0 or 1.0, and a
+    # complex power of a negative base raises TypeError
+    return [{floats}]
+"""
+
+
+def _entry_error(exc, sources, variables, xs):
+    # evaluated alone, the failing entry raises again and its message
+    # quotes that entry rather than the whole list
+    for source in sources:
+        Expr(source, variables)(xs)
+    return _arithmetic_error(exc, list(sources))
+
+
+class _Fill(ast.NodeTransformer):
+    """Replaces each placeholder of a template by its node and gives the
+    template's own local and global names their leading dot."""
+
+    def __init__(self, nodes):
+        self.nodes = nodes
+
+    def visit_Name(self, node):
+        if node.id in self.nodes:
+            return self.nodes[node.id]
+        node.id = "." + node.id[1:]
+        return node
+
+    def visit_arg(self, node):
+        node.arg = "." + node.arg[1:]
+        return node
+
+    def visit_ExceptHandler(self, node):
+        node.name = "." + node.name[1:]
+        return self.generic_visit(node)
+
+
+_GLOBALS = {
+    "__builtins__": {}, **FUNCTIONS, **CONSTANTS,
+    ".ArithmeticError": ArithmeticError,
+    ".ExpressionError": ExpressionError,
+    ".arithmetic_error": _arithmetic_error,
+    ".as_vector": as_vector,
+    ".bool": bool,
+    ".entry_error": _entry_error,
+    ".float": float,
+    ".len": len,
+    ".list": list,
+    ".type": type,
+}
+
+
+def _compile(source, variables, result=""):
+    """One function of the state that evaluates source.
+
+    The state is the one argument: a list of floats, taken as it is, or,
+    for a single source, also a 1-D array.  The function unpacks it into
+    the variables, in their order.  A list of sources gives a function
+    that returns the list of their values as floats; a single source one
+    that returns result(value), where result is "_float", "_bool" or ""
+    for the value as it is.
+    """
     many = isinstance(source, list)
     try:
         bodies = []
@@ -179,13 +287,26 @@ def _compile(source, variables):
             _validate(tree, variables, where)
             bodies.append(tree.body)
         where = source
-        params = ast.arguments(
-            posonlyargs=[], args=[ast.arg(arg=v) for v in variables],
-            kwonlyargs=[], kw_defaults=[], defaults=[],
-        )
-        body = ast.Tuple(elts=bodies, ctx=ast.Load()) if many else bodies[0]
-        tree = ast.Expression(body=ast.Lambda(args=params, body=body))
-        code = compile(ast.fix_missing_locations(tree), "<expr>", "eval")
+        nodes = {
+            "VARS": ast.Tuple(
+                elts=[ast.Name(id=v, ctx=ast.Store()) for v in variables],
+                ctx=ast.Store()),
+            "N": ast.Constant(len(variables)),
+        }
+        if many:
+            # every entry is evaluated before any is converted
+            values = ["_v%d" % i for i in range(len(bodies))]
+            template = _VECTOR.format(
+                values="(%s)" % "".join(v + ", " for v in values),
+                floats=", ".join("_float(%s)" % v for v in values))
+            nodes.update(VALUE=ast.Tuple(elts=bodies, ctx=ast.Load()),
+                         SOURCE=ast.Constant(tuple(source)),
+                         VARIABLES=ast.Constant(variables))
+        else:
+            template = _POINT.format(result=result)
+            nodes.update(VALUE=bodies[0], SOURCE=ast.Constant(source))
+        tree = _Fill(nodes).visit(ast.parse(template))
+        code = compile(ast.fix_missing_locations(tree), "<expr>", "exec")
     except SyntaxError as exc:
         raise ExpressionError(
             "syntax error in %s: %s" % (quote(where), exc)
@@ -197,55 +318,23 @@ def _compile(source, variables):
         raise ExpressionError(
             "expression nested too deeply: %s" % quote(where)
         ) from None
-    return eval(code, _GLOBALS)
-
-
-def _checked(variables):
-    """variables as a tuple of names that can be the parameters of a
-    compiled function."""
-    variables = tuple(variables)
-    for name in variables:
-        if not isinstance(name, str) or not name.isidentifier():
-            raise ExpressionError("bad variable name %s" % quote(name))
-        if keyword.iskeyword(name) or name == "__debug__":
-            # neither can name a parameter of the compiled function
-            raise ExpressionError("variable name %s is reserved" % quote(name))
-        if name in FUNCTIONS or name in CONSTANTS:
-            raise ExpressionError("variable %r shadows a builtin" % name)
-    if len(set(variables)) < len(variables):
-        raise ExpressionError(
-            "duplicate variable names in %s" % quote(variables))
-    return variables
-
-
-def _arguments(x, variables):
-    # a list is taken as it is; tolist gives the Python floats that
-    # float(x[i]) would
-    xs = x if type(x) is list else as_vector(x).tolist()
-    if len(xs) != len(variables):
-        raise ExpressionError(
-            "expected %d components, got %d" % (len(variables), len(xs))
-        )
-    return xs
-
-
-def _arithmetic_error(exc, source):
-    return ExpressionError(
-        "%s: %s in %s" % (type(exc).__name__, exc, quote(source))
-    )
+    namespace = {}
+    exec(code, _GLOBALS, namespace)
+    return namespace.popitem()[1]
 
 
 class Expr:
     """One compiled expression over named state components.
 
-    Calling it with a state vector binds variables[i] to x[i] and returns
-    the raw result (float for arithmetic, bool for predicates).
+    Calling it with a state, a list of floats or a 1-D array, binds
+    variables[i] to x[i] and returns the raw result (float for arithmetic,
+    bool for predicates).
     """
 
     def __init__(self, source, variables):
         self.source = str(source)
         self.variables = _checked(variables)
-        self._fn = _point_fn(self.source, self.variables, lambda value: value)
+        self._fn = _compile(self.source, self.variables)
 
     def __call__(self, x):
         return self._fn(x)
@@ -254,33 +343,16 @@ class Expr:
         return "Expr(%r, variables=%r)" % (self.source, self.variables)
 
 
-def _point_fn(source, variables, result):
-    """Compile one expression into one function x -> result(value).
-
-    x is a list of floats, taken as it is, or a 1-D array."""
-    source = str(source)
-    variables = _checked(variables)
-    fn = _compile(source, variables)
-
-    def point_fn(x):
-        xs = _arguments(x, variables)
-        try:
-            value = fn(*xs)
-        except ArithmeticError as exc:
-            raise _arithmetic_error(exc, source) from None
-        return result(value)
-
-    return point_fn
-
-
 def scalar_fn(source, variables):
-    """Compile one expression into x -> float."""
-    return _point_fn(source, variables, float)
+    """Compile one expression into x -> float, for x a list of floats or a
+    1-D array."""
+    return _compile(str(source), _checked(variables), "_float")
 
 
 def predicate_fn(source, variables):
-    """Compile one expression into x -> bool."""
-    return _point_fn(source, variables, bool)
+    """Compile one expression into x -> bool, for x a list of floats or a
+    1-D array."""
+    return _compile(str(source), _checked(variables), "_bool")
 
 
 def vector_fn(sources, variables):
@@ -288,25 +360,4 @@ def vector_fn(sources, variables):
     list of floats, one entry per expression (a flow map in the form that
     hybrid.HybridSystem takes); all entries are one function, called once
     per evaluation."""
-    sources = [str(s) for s in sources]
-    variables = _checked(variables)
-    fn = _compile(sources, variables)
-    n = len(variables)
-
-    def vector(xs):
-        if len(xs) != n:
-            raise ExpressionError(
-                "expected %d components, got %d" % (n, len(xs))
-            )
-        try:
-            # float() as numpy converts an entry: a bool is 0.0 or 1.0,
-            # and a complex power of a negative base raises TypeError
-            return list(map(float, fn(*xs)))
-        except ArithmeticError as exc:
-            # evaluated alone, the failing entry raises again and its
-            # message quotes that entry rather than the whole list
-            for source in sources:
-                Expr(source, variables)(xs)
-            raise _arithmetic_error(exc, sources) from None
-
-    return vector
+    return _compile([str(s) for s in sources], _checked(variables))

@@ -17,8 +17,9 @@ bisection probe of that step, which then costs three flow calls.  Set
 membership reads the lists (see geometry.contains), and the disturbance
 sampler returns lists.
 
-Arrays are built only where they are needed: at jumps, for the gap norm
-in event bisection, and once per phase of the returned arc.
+Arrays are built only where they are needed: at jumps, for an event
+bisection's gap norm when it lies within rounding of event_tol, and once
+per phase of the returned arc.
 """
 
 import functools
@@ -145,6 +146,29 @@ def _rk4_fns(dim):
     return scope["slope"], scope["step"]
 
 
+def _gap_norm(a, b):
+    """|a - b| as np.linalg.norm computes it, bit for bit."""
+    gap = np.subtract(a, b)
+    return math.sqrt(gap.dot(gap))
+
+
+def _tol_band(event_tol, dim):
+    """(below, above) around event_tol for gap norms from math.dist.
+
+    math.dist is within an ulp of the exact norm, and _gap_norm within
+    about (dim / 2 + 1) ulps, its dot product summing dim nonnegative
+    squares in its own order: the two differ by far less than the band of
+    (dim + 4) * 2**-50 relative.  So a norm at most `below` is within
+    event_tol by _gap_norm too, and one above `above` is beyond it.  That
+    holds while the squares near event_tol**2 neither underflow nor
+    overflow; outside that range every norm falls in the band.
+    """
+    if not 1e-140 < event_tol < 1e140:
+        return -1.0, math.inf
+    band = (dim + 4) * 2.0**-50
+    return event_tol * (1.0 - band), event_tol * (1.0 + band)
+
+
 def _bisect_event(f, step, x0, k1, dt, d, pred, x_full, event_tol):
     """Shrink [0, dt] around the first parameter where pred flips true.
 
@@ -152,13 +176,16 @@ def _bisect_event(f, step, x0, k1, dt, d, pred, x_full, event_tol):
     k1 the step's first stage there and step the RK4 step of _rk4_fns.
     Returns (theta_in, x_in, theta_out, x_out) with |x_out - x_in| <=
     event_tol; both states are lists from a single RK4 substep off x0.
+    The width is decided on floats, and by _gap_norm only inside the band
+    of _tol_band (or for a NaN), so every break is np.linalg.norm's.
     """
+    below, above = _tol_band(event_tol, len(x0))
     lo, x_lo = 0.0, x0
     hi, x_hi = dt, x_full
     for _ in range(_MAX_BISECT):
-        gap = np.subtract(x_hi, x_lo)
-        # np.linalg.norm of a 1-D array, bit for bit
-        if math.sqrt(gap.dot(gap)) <= event_tol:
+        gap = math.dist(x_hi, x_lo)
+        if gap <= below or (not gap > above
+                            and _gap_norm(x_hi, x_lo) <= event_tol):
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

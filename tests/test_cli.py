@@ -856,6 +856,47 @@ def test_x0_of_the_wrong_dimension_exits_4_naming_spec_x0(tmp_path, scenario,
     assert "spec.x0" in payload["message"]
 
 
+@pytest.mark.parametrize("x0", ["[[10.0, 0.0], [5.0, 0.0, 1.0]]",
+                                "[['a', 1.0]]"],
+                         ids=["ragged", "non-numeric"])
+@pytest.mark.parametrize("args", [SIMULATE, ["check", "--mode", "ras"]],
+                         ids=["simulate", "check-ras"])
+def test_ragged_or_non_numeric_x0_exits_4_naming_spec_x0(tmp_path, x0, args):
+    # numpy's own ValueError used to end the run, naming no scenario key
+    text = FALLING_MASS_SCENARIO.replace("x0: [[10.0, 0.0]]", "x0: " + x0)
+    assert text != FALLING_MASS_SCENARIO
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(
+        args + ["--scenario", write(tmp_path, "x0.yaml", text),
+                "--out", str(out)], tmp_path)
+    payload = rejected(code, stderr, out)
+    assert payload["error"] == "ScenarioError"
+    assert payload["message"].startswith("spec.x0 ")
+
+
+def test_moore_greitzer_x0_is_checked_against_the_plant(tmp_path):
+    # the loop is built at run time, but its plant has 2 state variables
+    # at parse time already
+    text = (
+        "system: moore-greitzer\n"
+        "spec:\n"
+        "  kind: ras\n"
+        "  x0: [[0.5, 0.6, 0.7]]\n"
+        "  unsafe: {kind: axis_box, lo: [2.0, 2.0], hi: [3.0, 3.0]}\n"
+        "  target: {kind: axis_box, lo: [0.0, 0.0], hi: [1.0, 1.0]}\n"
+        "  t_spec: 1.0\n"
+        "sim: {t_max: 1.0}\n"
+    )
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(
+        SIMULATE + ["--scenario", write(tmp_path, "mg.yaml", text),
+                    "--out", str(out)], tmp_path)
+    payload = rejected(code, stderr, out)
+    assert payload["error"] == "ScenarioError"
+    assert payload["message"] == (
+        "spec.x0 row has shape (3,), system expects (2,)")
+
+
 def test_check_pair_vb(tmp_path):
     scen = write(
         tmp_path, "ball.yaml",

@@ -3,11 +3,14 @@
 import ast
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import expressions_reference
+import hybridcert.expressions
 from hybridcert.expressions import (
     CONSTANTS,
     FUNCTIONS,
@@ -15,6 +18,7 @@ from hybridcert.expressions import (
     ExpressionError,
     _validate,
     predicate_fn,
+    quote,
     scalar_fn,
     vector_fn,
 )
@@ -268,6 +272,8 @@ def same_outcome(a, b):
         return False
     if isinstance(a, float):
         return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, complex):
+        return same_outcome(a.real, b.real) and same_outcome(a.imag, b.imag)
     if isinstance(a, list):
         return len(a) == len(b) and all(map(same_outcome, a, b))
     return a == b
@@ -330,3 +336,142 @@ def test_compiled_function_matches_the_eval_reference(source, x, y):
     ]
     for want, got in pairs:
         assert same_outcome(want, got), (source, x, y, want, got)
+
+
+# Names of the generated code's own, before and after they get their
+# leading dot, and its placeholders: as variables they must change nothing.
+NAME_PAIRS = [("x", "y"), ("_x", "_xs"), ("_float", "_exc"),
+              ("__xs", "__float"), ("_point", "_vector"), ("_v0", "_len"),
+              ("N", "VALUE"), ("VARS", "SOURCE"), ("RESULT", "FLOATS"),
+              ("VALUES", "VARIABLES")]
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+           1e-310, 2.2250738585072014e-308, 1e308, -1e308, 1.0, -2.5]
+
+states = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+def sources_over(a, b):
+    """Whitelisted expressions over the variables a and b, with the
+    operators that raise: / and % by zero, ** and exp past the largest
+    float, and a fractional ** of a negative base, whose complex value
+    float() and the comparisons refuse with TypeError."""
+    leaf = st.one_of(
+        st.sampled_from([a, b, "pi", "inf", "True", "0", "3", "1e308",
+                         "5e-324"]),
+        st.floats(-1e3, 1e3).map(lambda v: "(%r)" % v),
+    )
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(st.sampled_from(["-", "not "]), sub).map(
+                lambda t: "%s(%s)" % t),
+            st.tuples(sub, st.sampled_from(
+                ["+", "-", "*", "/", "%", "<", "==", "and", "or"]), sub).map(
+                lambda t: "(%s) %s (%s)" % t),
+            st.tuples(sub, st.sampled_from(["0.5", "2", "-1.0", "1e3"])).map(
+                lambda t: "(%s) ** %s" % t),
+            st.tuples(sub, sub, sub).map(
+                lambda t: "(%s) if (%s) else (%s)" % t),
+            st.tuples(st.sampled_from(["exp", "sqrt", "abs", "floor"]),
+                      sub).map(lambda t: "%s(%s)" % t),
+            st.tuples(sub, sub).map(lambda t: "max(%s, %s)" % t),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=8)
+
+
+names_and_sources = st.sampled_from(NAME_PAIRS).flatmap(
+    lambda names: st.tuples(st.just(names), sources_over(*names)))
+
+
+def result(f):
+    """f()'s value, or the type and message of the exception it raised (a
+    tuple, which same_outcome compares with ==)."""
+    try:
+        return f()
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(names_source=names_and_sources, a=states, b=states)
+def test_generated_functions_match_the_closure_reference_bit_for_bit(
+        names_source, a, b):
+    names, source = names_source
+    vec = [source, "%s*%s" % names, "%s / %s" % names]
+    point = [a, b]
+    calls = []
+    for x in (point, np.array(point), point + [a], np.array(point[:1])):
+        calls += [(make, source, x)
+                  for make in ("Expr", "scalar_fn", "predicate_fn")]
+    for x in (point, np.array(point), point[:1]):
+        calls.append(("vector_fn", vec, x))
+    for make, src, x in calls:
+        new = getattr(hybridcert.expressions, make)(src, names)
+        ref = getattr(expressions_reference, make)(src, names)
+        with np.errstate(all="ignore"):
+            got, want = result(lambda: new(x)), result(lambda: ref(x))
+        assert same_outcome(got, want), (make, src, names, x, got, want)
+
+
+@pytest.mark.parametrize("names", NAME_PAIRS)
+@pytest.mark.parametrize("source, point, kind", [
+    ("1/{b}", [1.0, 0.0], ZeroDivisionError),
+    ("{a} % {b}", [1.0, 0.0], ZeroDivisionError),
+    ("{a} ** 2", [1e300, 0.0], OverflowError),
+    ("exp({a})", [1e3, 0.0], OverflowError),
+    ("{a} ** 0.5", [-4.0, 0.0], TypeError),
+])
+def test_generated_functions_raise_the_references_errors(names, source,
+                                                         point, kind):
+    a, b = names
+    source = source.format(a=a, b=b)
+    for make, src in (("scalar_fn", source), ("vector_fn", [a, source])):
+        new = getattr(hybridcert.expressions, make)(src, names)
+        ref = getattr(expressions_reference, make)(src, names)
+        got, want = result(lambda: new(point)), result(lambda: ref(point))
+        assert got == want and issubclass(got[0], (ExpressionError, kind))
+        if kind is not TypeError:
+            assert got[1].startswith(kind.__name__ + ": ")
+            assert got[1].endswith(" in %s" % quote(source))
+
+
+def test_a_vector_evaluates_every_entry_before_it_converts_one():
+    # the complex first entry would raise TypeError in float(), but the
+    # division by zero in the second is raised first, as an ExpressionError
+    for names in NAME_PAIRS:
+        a, b = names
+        sources = ["%s ** 0.5" % a, "1/%s" % b]
+        got = result(lambda: vector_fn(sources, names)([-4.0, 0.0]))
+        want = result(lambda: expressions_reference.vector_fn(
+            sources, names)([-4.0, 0.0]))
+        assert got == want == (ExpressionError,
+                               "ZeroDivisionError: float division by zero"
+                               " in '1/%s'" % b)
+
+
+def python_calls(fn, x):
+    """The Python-level functions that calling fn(x) enters, in order."""
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        fn(x)
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_a_compiled_map_or_predicate_is_one_python_call():
+    # the solver hands every compiled expression a list of floats: no
+    # wrapper, closure or helper may stand between it and the expression
+    variables = ("y", "z")
+    flow = vector_fn(["z", "-9.8 + 0.1*sin(y)*abs(z)"], variables)
+    pred = predicate_fn("y <= 0 and z < max(0.0, y)", variables)
+    for fn in (flow, pred, scalar_fn("z**2/2 + 9.8*y", variables)):
+        assert len(python_calls(fn, [1.5, -2.0])) == 1

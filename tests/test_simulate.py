@@ -1842,3 +1842,133 @@ def test_companion_within_radius_bound_verifies():
     r = companion_radius_bound(delta, T, L_C, L_D)
     psi = construct_perturbed(arc, x0 + np.array([0.0, r, 0.0]), T)
     assert verify_solution(perturb(system, delta), psi).passed
+
+
+def bisect_with_numpy_norm(f, step, x0, k1, dt, d, pred, x_full, event_tol):
+    """_bisect_event as it was, every width taken by np.linalg.norm."""
+    lo, x_lo = 0.0, x0
+    hi, x_hi = dt, x_full
+    for _ in range(simulate._MAX_BISECT):
+        if np.linalg.norm(np.subtract(x_hi, x_lo)) <= event_tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        x_mid = step(f, x0, k1, mid, d)
+        if pred(x_mid):
+            hi, x_hi = mid, x_mid
+        else:
+            lo, x_lo = mid, x_mid
+    return lo, x_lo, hi, x_hi
+
+
+def line_step(f, x0, k1, theta, d):
+    # a stand-in for the RK4 step: the point theta along direction k1
+    return [a + theta * v for a, v in zip(x0, k1)]
+
+
+def bisection_widths(x0, k1, dt, pred):
+    """Every bracket width the numpy-norm bisection visits, to event_tol 0."""
+    widths = []
+    lo, x_lo, hi, x_hi = 0.0, x0, dt, line_step(None, x0, k1, dt, None)
+    for _ in range(simulate._MAX_BISECT):
+        widths.append(float(np.linalg.norm(np.subtract(x_hi, x_lo))))
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        x_mid = line_step(None, x0, k1, mid, None)
+        if pred(x_mid):
+            hi, x_hi = mid, x_mid
+        else:
+            lo, x_lo = mid, x_mid
+    return widths
+
+
+def disagreeing_direction(dim):
+    """A direction whose norm math.dist and np.linalg.norm round apart."""
+    rng = np.random.default_rng(dim)
+    for _ in range(10000):
+        k1 = (rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 3, dim)
+              ).tolist()
+        origin = [0.0] * dim
+        if math.dist(k1, origin) != np.linalg.norm(k1):
+            return k1
+    raise AssertionError("no disagreeing direction for dim %d" % dim)
+
+
+BISECTION_LINES = {
+    "ball": ([9.0, 0.8, 0.0], [0.8, -9.8, 1.0], lambda x: x[0] <= 8.9995),
+    "unit": ([0.0], [1.0], lambda x: x[0] >= 0.3),
+    "disagreeing-7": ([0.0] * 7, disagreeing_direction(7),
+                      lambda x: x[0] * x[1] >= 0.0 and x[2] != x[3]),
+    "disagreeing-40": ([1.0] * 40, disagreeing_direction(40),
+                       lambda x: sum(x[:3]) >= 3.0),
+    "nan": ([0.0, 0.0], [1.0, math.nan], lambda x: x[0] >= 0.25),
+}
+
+
+def tolerances_around(widths, dim):
+    """event_tol exactly at visited widths, one ulp either side, and inside
+    and just outside the band where the float norm gives way; plus a
+    tolerance out of the band's range, and a usual one."""
+    band = simulate._tol_band(1.0, dim)[1] - 1.0
+    tols = [1e-9, 1e-150, 1e150]
+    for w in widths[::7] + widths[-3:]:
+        if not w > 0.0 or not math.isfinite(w):
+            continue
+        tols += [w, math.nextafter(w, 0.0), math.nextafter(w, math.inf),
+                 w * (1.0 + 0.5 * band), w * (1.0 - 0.5 * band),
+                 w * (1.0 + 2.0 * band), w * (1.0 - 2.0 * band)]
+    return tols
+
+
+@pytest.mark.parametrize("line", list(BISECTION_LINES))
+def test_bisect_event_breaks_where_the_numpy_norm_does(monkeypatch, line):
+    # the width is decided on math.dist, and np.linalg.norm's bits decide
+    # only inside the band of _tol_band: every break, and so every
+    # returned bit, stays the numpy norm's
+    x0, k1, pred = BISECTION_LINES[line]
+    dt = 1.0
+    x_full = line_step(None, x0, k1, dt, None)
+    fallbacks = []
+    gap_norm = simulate._gap_norm
+
+    def recorded(a, b):
+        fallbacks.append((math.dist(a, b), gap_norm(a, b)))
+        return gap_norm(a, b)
+
+    monkeypatch.setattr(simulate, "_gap_norm", recorded)
+    widths = bisection_widths(x0, k1, dt, pred)
+    at_widths = 0
+    for tol in tolerances_around(widths, len(x0)):
+        fallbacks.clear()
+        got = simulate._bisect_event(None, line_step, x0, k1, dt, None, pred,
+                                     x_full, tol)
+        want = bisect_with_numpy_norm(None, line_step, x0, k1, dt, None,
+                                      pred, x_full, tol)
+        assert bits(got[::2]) == bits(want[::2]), tol
+        assert bits(got[1] + got[3]) == bits(want[1] + want[3]), tol
+        below, above = simulate._tol_band(tol, len(x0))
+        for dist, _ in fallbacks:
+            assert not dist <= below and not dist > above, (tol, dist)
+        if tol in widths and 1e-140 < tol < 1e140 and line != "nan":
+            # a width exactly at event_tol is decided by the numpy norm
+            assert any(norm == tol for _, norm in fallbacks), tol
+            at_widths += 1
+    assert line == "nan" or at_widths >= 3
+    if line.startswith("disagreeing"):
+        assert math.dist(x_full, x0) != np.linalg.norm(np.subtract(x_full,
+                                                                   x0))
+
+
+def test_bisect_event_skips_the_numpy_norm_away_from_event_tol(monkeypatch):
+    # on the ball's first impact at the default event_tol no width comes
+    # within the band, so no probe builds an array
+    x0, k1, pred = BISECTION_LINES["ball"]
+    monkeypatch.setattr(simulate, "_gap_norm", None)
+    got = simulate._bisect_event(None, line_step, x0, k1, 1.0, None, pred,
+                                 line_step(None, x0, k1, 1.0, None), 1e-9)
+    want = bisect_with_numpy_norm(None, line_step, x0, k1, 1.0, None, pred,
+                                  line_step(None, x0, k1, 1.0, None), 1e-9)
+    assert bits(got[::2]) == bits(want[::2])
+    assert bits(got[1] + got[3]) == bits(want[1] + want[3])
