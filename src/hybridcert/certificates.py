@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Intersection, ProperIndicator, SamplingError, as_rows, as_vector,
-    contains, sample_region,
+    Intersection, SamplingError, as_rows, as_vector, contains, sample_region,
 )
 from .report import CheckReport, Counterexample
 
@@ -346,13 +345,6 @@ def _members(region, P, rows):
     return out
 
 
-def _indicator_many(omega, P):
-    """float(omega(p)) at each row of P."""
-    if isinstance(omega, ProperIndicator):
-        return omega.many(P)
-    return np.array([float(omega(p)) for p in P], dtype=float)
-
-
 def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
                    tol=DEFAULT_TOL):
     """Single-Lyapunov-function conditions on a perturbed system.
@@ -374,7 +366,7 @@ def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
     P = P[_in_region(cert.region, P)]
     flow = np.flatnonzero(sys_delta.flow_set.contains_many(P, 0.0))
     jump = np.flatnonzero(sys_delta.jump_set.contains_many(P, 0.0))
-    w = _indicator_many(cert.omega, P)
+    w = np.array([float(cert.omega(p)) for p in P], dtype=float)
     v = V.value_many(P)
     counts, worst = {}, {}
     _note_rows([

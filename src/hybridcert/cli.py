@@ -239,7 +239,11 @@ def _parse_certificates(node, variables, example, default):
     region = (None if c["region"] is None
               else parse_set(c["region"], variables))
     omega = None
-    if c["attractor"] is not None and region is not None:
+    if c["attractor"] is not None:
+        if region is None:
+            raise ScenarioError("certificates.attractor needs"
+                                " certificates.region, the domain of its"
+                                " proper indicator")
         omega = make_proper_indicator(parse_set(c["attractor"], variables),
                                       region)
     return CertificatePair(V=V, B=B, omega=omega, region=region)
@@ -382,13 +386,11 @@ def load_scenario(path, overrides=(), seed=None):
 
 
 def scenario_from(doc, overrides=(), seed=None):
-    """Parse a scenario document once its overrides and seed are applied."""
-    doc = apply_overrides(doc, overrides)
+    """Parse a scenario document once its overrides are applied, and then
+    the seed as the override check.seed=N."""
     if seed is not None:
-        if doc.get("check") is None:
-            doc["check"] = {}
-        doc["check"]["seed"] = int(seed)
-    return parse_scenario(doc)
+        overrides = [*overrides, "check.seed=%d" % seed]
+    return parse_scenario(apply_overrides(doc, overrides))
 
 
 def apply_overrides(doc, pairs):
@@ -747,7 +749,9 @@ def build_parser():
 def _load(args):
     """`example NAME` is the document {system: NAME}; the other commands
     read theirs from --scenario.  The one a command does not read is an
-    error, not ignored."""
+    error, not ignored, and so is --mode for a command without modes."""
+    if args.mode is not None and args.command in ("example", "simulate"):
+        raise UsageError("%s takes no --mode" % args.command)
     if args.command == "example":
         if args.scenario is not None:
             raise UsageError("example takes a study name, not --scenario")

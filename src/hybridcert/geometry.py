@@ -12,22 +12,25 @@ are Euclidean norms scaled by the largest gap where the squares would
 underflow or overflow, so a point 1e200 away is 1e200 away.
 
 Every region answers for one point (``contains``, ``distance``) and for the
-rows of a 2-D array of points (``contains_many``, ``distance_many``).  The
-array forms give, row for row, the bits the one-point forms give; regions
-built on user code (an Implicit predicate or sdf) loop over the rows.  The
-one exception is an Implicit predicate that carries a ``rows`` attribute,
-its row form (the bouncing ball's jump predicate does): contains_many
-calls it once on the whole array wherever the predicate alone decides
-membership, at tol 0 or without an sdf.
+rows of a 2-D array of points (``contains_many``, ``distance_many``), with
+the same bits row for row.  SetRegion's array forms loop over the rows
+with the one-point forms, so they give those bits by construction: balls,
+the empty set, unions, intersections and complements use that loop.  Array
+code of a region's own stays where a benchmark workload runs it: AxisBox
+(both forms, one comparison per face on the whole array), Inflated
+(contains_many, its base's at r + tol) and Implicit (contains_many, where
+the predicate carries a ``rows`` attribute, its row form, as the bouncing
+ball's jump predicate does: one call on the whole array wherever the
+predicate alone decides membership, at tol 0 or without an sdf).
 """
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-# the array forms of a region that runs user code make lists of this many
-# rows at a time: a whole grid as lists takes about six times its array's
-# memory
+# SetRegion's row loop, which every array form but AxisBox's and an
+# Implicit row predicate's comes down to, makes lists of this many rows at
+# a time: a whole grid as lists takes about six times its array's memory
 _LIST_CHUNK = 1024
 
 
@@ -99,25 +102,20 @@ def _row_norms(G):
     return d
 
 
-def _clip0_one(d):
+def _clip0(d):
     """max(0.0, d), but NaN stays NaN (within no tol); -0.0 gives 0.0."""
     return 0.0 if d <= 0.0 else d
-
-
-def _clip0(v):
-    """_clip0_one per entry."""
-    return np.where(v <= 0.0, 0.0, v)
 
 
 class SetRegion:
     """Base region. Subclasses override distance and/or a membership predicate.
 
-    contains_many and distance_many loop over rows here; the regions that
-    run no user code override them with array forms.
+    contains_many and distance_many loop over rows here; AxisBox
+    overrides both with array forms, Implicit and Inflated contains_many.
     """
 
-    # whether membership or distance calls user code, which the array forms
-    # then call once per row
+    # whether membership or distance calls user code: a monitor's sample
+    # scan then tests one state at a time and stops at its first hit
     runs_user_code = True
 
     def distance(self, x):
@@ -159,12 +157,6 @@ class EmptySet(SetRegion):
     def contains(self, x, tol=DEFAULT_TOL):
         return False
 
-    def distance_many(self, X):
-        return np.full(as_rows(X).shape[0], np.inf)
-
-    def contains_many(self, X, tol=DEFAULT_TOL):
-        return np.zeros(as_rows(X).shape[0], dtype=bool)
-
 
 class Ball(SetRegion):
     runs_user_code = False
@@ -176,13 +168,7 @@ class Ball(SetRegion):
         self.radius = float(radius)
 
     def distance(self, x):
-        return _clip0_one(_norm(as_vector(x) - self.center) - self.radius)
-
-    def distance_many(self, X):
-        return _clip0(_row_norms(as_rows(X) - self.center) - self.radius)
-
-    def contains_many(self, X, tol=DEFAULT_TOL):
-        return self.distance_many(X) <= tol
+        return _clip0(_norm(as_vector(x) - self.center) - self.radius)
 
     def bounding_box(self):
         return AxisBox(self.center - self.radius, self.center + self.radius)
@@ -297,7 +283,7 @@ class Implicit(SetRegion):
     def distance(self, x):
         if self.sdf is None:
             raise UnsupportedDistance("Implicit region lacks a distance oracle")
-        return _clip0_one(float(self.sdf(_as_list(x))))
+        return _clip0(float(self.sdf(_as_list(x))))
 
     def contains(self, x, tol=DEFAULT_TOL):
         v = _as_list(x)
@@ -337,13 +323,10 @@ class Inflated(SetRegion):
         return self.base.runs_user_code
 
     def distance(self, x):
-        return _clip0_one(self.base.distance(x) - self.r)
+        return _clip0(self.base.distance(x) - self.r)
 
     def contains(self, x, tol=DEFAULT_TOL):
         return self.base.contains(x, self.r + tol)
-
-    def distance_many(self, X):
-        return _clip0(self.base.distance_many(X) - self.r)
 
     def contains_many(self, X, tol=DEFAULT_TOL):
         return self.base.contains_many(X, self.r + tol)
@@ -353,22 +336,6 @@ class Inflated(SetRegion):
         if bb is None:
             return None
         return AxisBox(bb.lo - self.r, bb.hi + self.r)
-
-
-def _decide_rows(parts, X, tol, decisive):
-    """Per row, any (decisive True) or all (decisive False) of the parts'
-    membership; like any() and all(), a part is tested only on the rows
-    that no earlier part decided."""
-    X = as_rows(X)
-    out = np.full(X.shape[0], not decisive)
-    open_rows = np.arange(X.shape[0])
-    for p in parts:
-        if not open_rows.size:
-            break
-        decided = p.contains_many(X[open_rows], tol) == decisive
-        out[open_rows[decided]] = decisive
-        open_rows = open_rows[~decided]
-    return out
 
 
 class Union(SetRegion):
@@ -386,17 +353,6 @@ class Union(SetRegion):
 
     def contains(self, x, tol=DEFAULT_TOL):
         return any(p.contains(x, tol) for p in self.parts)
-
-    def distance_many(self, X):
-        # min() keeps the earliest of equal values: replace on < only
-        out = self.parts[0].distance_many(X)
-        for p in self.parts[1:]:
-            d = p.distance_many(X)
-            out = np.where(d < out, d, out)
-        return out
-
-    def contains_many(self, X, tol=DEFAULT_TOL):
-        return _decide_rows(self.parts, X, tol, True)
 
     def bounding_box(self):
         boxes = [p.bounding_box() for p in self.parts]
@@ -426,17 +382,6 @@ class Intersection(SetRegion):
 
     def contains(self, x, tol=DEFAULT_TOL):
         return all(p.contains(x, tol) for p in self.parts)
-
-    def distance_many(self, X):
-        # max() keeps the earliest of equal values: replace on > only
-        out = self.parts[0].distance_many(X)
-        for p in self.parts[1:]:
-            d = p.distance_many(X)
-            out = np.where(d > out, d, out)
-        return out
-
-    def contains_many(self, X, tol=DEFAULT_TOL):
-        return _decide_rows(self.parts, X, tol, False)
 
     def bounding_box(self):
         boxes = [b for b in (p.bounding_box() for p in self.parts) if b is not None]
@@ -469,36 +414,20 @@ class Complement(SetRegion):
         v = as_vector(x)
         b = self.base
         if isinstance(b, Ball):
-            return _clip0_one(b.radius - _norm(v - b.center))
+            return _clip0(b.radius - _norm(v - b.center))
         if isinstance(b, AxisBox):
             # the smallest gap to a face: negative outside the box, inf if
             # no face is finite, NaN where the box's distance is NaN
             with np.errstate(all="ignore"):
-                return _clip0_one(float(np.min(np.minimum(v - b.lo, b.hi - v))))
+                return _clip0(float(np.min(np.minimum(v - b.lo, b.hi - v))))
         if isinstance(b, Implicit) and b.complement_sdf is not None:
-            return _clip0_one(float(b.complement_sdf(_as_list(x))))
+            return _clip0(float(b.complement_sdf(_as_list(x))))
         raise UnsupportedDistance(f"complement of {type(b).__name__} has no distance")
 
     def contains(self, x, tol=DEFAULT_TOL):
         if self._measured:
             return self.distance(x) <= tol
         return not self.base.contains(x, 0.0)
-
-    def distance_many(self, X):
-        b = self.base
-        if isinstance(b, Ball):
-            return _clip0(b.radius - _row_norms(as_rows(X) - b.center))
-        if isinstance(b, AxisBox):
-            X = as_rows(X)
-            with np.errstate(all="ignore"):
-                return _clip0(np.minimum(X - b.lo, b.hi - X).min(axis=1))
-        # complement_sdf is user code; any other base raises at the first row
-        return super().distance_many(X)
-
-    def contains_many(self, X, tol=DEFAULT_TOL):
-        if self._measured:
-            return self.distance_many(X) <= tol
-        return ~self.base.contains_many(X, 0.0)
 
 
 def dist_to_set(x, region):
@@ -564,16 +493,6 @@ class ProperIndicator:
         if np.isinf(d_c):
             return d_t
         return d_t * (1.0 + 1.0 / d_c)
-
-    def many(self, X):
-        """[float(self(x)) for x in X] as a float array."""
-        d_t = self.target.distance_many(X)
-        d_c = self.complement.distance_many(X)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = d_t * (1.0 + 1.0 / d_c)
-        out = np.where(np.isinf(d_c), d_t, out)
-        out = np.where(d_c == 0.0, np.inf, out)
-        return np.where(d_t == 0.0, 0.0, out)
 
 
 def _clearance_probes(region):

@@ -624,8 +624,10 @@ def test_usage_error_exits_4_with_one_json_object(tmp_path, args):
      "--scenario", "decay.yaml"],
     ["simulate", "", "--scenario", "decay.yaml"],
     ["example", "bouncing-ball", "--scenario", "decay.yaml"],
+    ["simulate", "--mode", "ras", "--scenario", "decay.yaml"],
+    ["example", "bouncing-ball", "--mode", "ras"],
 ], ids=["simulate-name", "check-name", "falsify-name", "simulate-empty-name",
-        "example-scenario"])
+        "example-scenario", "simulate-mode", "example-mode"])
 def test_unused_argument_exits_4_with_one_json_object(tmp_path, args):
     # the scenario exists and runs, so only the unused argument is wrong
     write(tmp_path, "decay.yaml", DECAY_SCENARIO)
@@ -633,6 +635,22 @@ def test_unused_argument_exits_4_with_one_json_object(tmp_path, args):
     code, stdout, stderr = run_cli(args + ["--out", str(out)], tmp_path)
     assert rejected(code, stderr, out)["error"] == "UsageError"
     assert stdout == ""
+
+
+def test_certificate_attractor_without_region_is_rejected_as_parsed(
+        tmp_path, capsys):
+    # the attractor is read only as the target of a proper indicator on
+    # the region; without one the file is wrong, whatever the command
+    certs = {"V": "x**2", "attractor": CENTRE_BALL}
+    scen = write(tmp_path, "decay.yaml", edited(
+        DECAY_SCENARIO, lambda doc: doc.update(certificates=certs)))
+    for k, args in enumerate((SIMULATE, SINGLE_V)):
+        out = tmp_path / ("out-%d" % k)
+        code = cli.main(args + ["--scenario", scen, "--out", str(out)])
+        err = rejected(code, capsys.readouterr().err, out)
+        assert err["error"] == "ScenarioError"
+        assert "certificates.attractor" in err["message"]
+        assert "certificates.region" in err["message"]
 
 
 # a target that reaches into the unsafe set: RASSpec logs a warning
@@ -980,13 +998,16 @@ def test_seed_flag_reads_a_null_check_section_as_empty(tmp_path, capsys):
         assert code == 0, capsys.readouterr().err
         reports.append((out / "check_report.json").read_bytes())
     assert reports[0] == reports[1]
-    # a check section that is no mapping still exits 4
+    # a check section that is no mapping still exits 4, as it does under
+    # --override check.seed=0: the seed is that override
     scen = write(tmp_path, "ball.yaml", "system: bouncing-ball\ncheck: 5\n")
     out = tmp_path / "out-5"
     code = cli.main(["check", "--mode", "ras", "--scenario", scen,
                      "--seed", "0", "--out", str(out)])
     assert code == 4 and not out.exists()
-    assert json.loads(capsys.readouterr().err)["error"] == "TypeError"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ScenarioError"
+    assert "cannot override through" in err["message"]
 
 
 @pytest.mark.parametrize("section, override, command, report", [

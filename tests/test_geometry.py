@@ -722,21 +722,3 @@ def test_only_regions_with_user_code_say_so():
         assert not Complement(Inflated(Union([r, r]), 0.5)).runs_user_code
     assert implicit.runs_user_code
     assert Intersection([plain[0], Complement(implicit)]).runs_user_code
-
-
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(target=st.sampled_from([
-           Ball((0.0, 0.0), 0.0), Ball((0.5, -0.25), 0.5),
-           AxisBox([-np.inf, 0.0], [np.inf, 0.0]),
-           AxisBox([-0.5, -0.5], [0.5, 0.5])]),
-       domain=st.sampled_from([
-           AxisBox([-2.0, -2.0], [2.0, 2.0]), Ball((0.0, 0.0), 3.0),
-           AxisBox([-np.inf, -np.inf], [np.inf, 1.5])]),
-       X=st.lists(st.tuples(coords, coords), min_size=1, max_size=8))
-def test_indicator_rows_match_the_one_point_form(target, domain, X):
-    omega = make_proper_indicator(target, domain)
-    X = np.array(X, dtype=float)
-    with np.errstate(all="ignore"):
-        want = np.array([float(omega(x)) for x in X])
-        got = omega.many(X)
-    assert want.tobytes() == got.tobytes(), (target, domain, X, want, got)

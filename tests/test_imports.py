@@ -1,10 +1,12 @@
 """Import hygiene: every module-level import in the package is used, every
 exported name is used by another module or by a test, every default of the
-public API is overridden by some call, and the package runs without scipy,
-which only the tests need."""
+public API is overridden by some call, every array form a region defines
+for itself is run by a benchmark workload, and the package runs without
+scipy, which only the tests need."""
 
 import ast
 import collections
+import json
 import types
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import hybridcert
 from test_cli import run_python
 
 PACKAGE_DIR = Path(hybridcert.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 # __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
@@ -107,6 +110,50 @@ def test_checks_take_their_verdict_from_judge(path):
     assert report_constructions(path.read_text()) == []
 
 
+ARRAY_FORMS = {"contains_many", "distance_many"}
+# the benchmark workloads that run each array form a region of geometry.py
+# defines for itself; every other region takes SetRegion's row loop, which
+# gives the one-point bits by construction
+ARRAY_FORM_WORKLOADS = {
+    ("AxisBox", "contains_many"): ("mg-loop", "ball-sweep", "ball-certify"),
+    ("AxisBox", "distance_many"): ("ball-certify",),
+    ("Implicit", "contains_many"): ("ball-sweep", "ball-certify"),
+    ("Inflated", "contains_many"): ("ball-sweep", "ball-certify"),
+}
+
+
+def array_forms(source):
+    """(class, method) of each contains_many or distance_many that a
+    subclass defines in its own body."""
+    return sorted(
+        (node.name, item.name)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.bases
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ARRAY_FORMS
+    )
+
+
+def test_array_form_scan_finds_what_subclasses_define():
+    source = ("class Base:\n    def contains_many(self, X):\n        pass\n"
+              "class A(Base):\n    def contains_many(self, X):\n        pass\n"
+              "    def distance(self, x):\n        pass\n"
+              "class B(Base):\n    def distance_many(self, X):\n        pass\n"
+              "def contains_many(X):\n    pass\n")
+    assert array_forms(source) == [("A", "contains_many"),
+                                   ("B", "distance_many")]
+
+
+def test_every_array_form_of_a_region_has_a_workload():
+    # an array form is a second copy of a region's membership or distance,
+    # kept only where a workload of the benchmark runs it
+    source = (PACKAGE_DIR / "geometry.py").read_text()
+    assert array_forms(source) == sorted(ARRAY_FORM_WORKLOADS)
+    names = {w["name"] for w in json.loads(
+        (REPO / "BENCHMARK.json").read_text())["workloads"]}
+    assert {w for ws in ARRAY_FORM_WORKLOADS.values() for w in ws} <= names
+
+
 IMPORT_CALLS = {"__import__", "import_module"}
 
 
@@ -159,7 +206,6 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert stdout.strip() == "False"
 
 
-REPO = Path(__file__).resolve().parents[1]
 CALLERS = (sorted(PACKAGE_DIR.glob("*.py"))
            + sorted(Path(__file__).resolve().parent.glob("*.py"))
            + sorted((REPO / "perfbench").glob("*.py")))

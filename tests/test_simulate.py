@@ -1075,7 +1075,6 @@ def test_region_forms_hand_every_callable_a_list_of_floats():
                "user predicate", "user sdf", "user complement sdf")
 
     omega = make_proper_indicator(Ball([0.0, 0.0, 0.0], 0.1), user)
-    omega.many(X)
     for x in X:
         omega(x)
     took_lists("user complement sdf")
