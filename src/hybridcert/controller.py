@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import AxisBox, as_vector
-from .hybrid import HybridSystem
+from .hybrid import DimensionMismatch, HybridSystem
 
 log = logging.getLogger(__name__)
 
@@ -27,12 +27,13 @@ FEASIBLE_SLACK = 1e-9
 JUMP_SLACK = 1e-9
 
 
-def _affine_rate_fn(nx, nu):
-    """The function (f, G, u) -> f + G u, as a list of floats, for nx rows
-    and nu inputs.  Entry i is f[i] + G[i][0] * u[0] + ... + G[i][nu-1] *
-    u[nu-1], summed left to right.  Its source is written out for the two
-    sizes, so a call runs no Python loop, and unpacking the arguments
-    rejects any of the wrong length."""
+def _composed_rate(drift, input_matrix, nx, nu):
+    """The closed rate of a plant without its own: the function z ->
+    f(x) + G(x) u, as a list of floats, with x and u the leading nx and nu
+    floats of z, f = drift(x) and G = input_matrix(x).  Entry i is f[i] +
+    G[i][0] * u[0] + ... + G[i][nu-1] * u[nu-1], summed left to right.
+    Its source is written out for the two sizes, so a call runs no Python
+    loop, and unpacking f, G and u rejects any of the wrong length."""
 
     def listed(items):
         return "[%s]" % ", ".join(items)
@@ -45,16 +46,18 @@ def _affine_rate_fn(nx, nu):
         for fi, row in zip(f, G)
     ]
     source = (
-        "def rate(f, G, u):\n"
-        "    %s = f\n"
-        "    %s = G\n"
-        "    %s = u\n"
+        "def closed_rate(z):\n"
+        "    x = z[:%d]\n"
+        "    %s = drift(x)\n"
+        "    %s = input_matrix(x)\n"
+        "    %s = z[%d:%d]\n"
         "    return %s\n"
-        % (listed(f), listed(map(listed, G)), listed(u), listed(terms))
+        % (nx, listed(f), listed(map(listed, G)), listed(u), nx, nx + nu,
+           listed(terms))
     )
-    scope = {}
-    exec(compile(source, "<affine rate %dx%d>" % (nx, nu), "exec"), scope)
-    return scope["rate"]
+    scope = {"drift": drift, "input_matrix": input_matrix}
+    exec(compile(source, "<closed rate %dx%d>" % (nx, nu), "exec"), scope)
+    return scope["closed_rate"]
 
 
 @dataclass
@@ -63,16 +66,23 @@ class ControlledPlant:
 
     drift and input_matrix take the plant state as a sequence of dim_x
     floats (a list, or a float array) and return a sequence of dim_x floats
-    and dim_x rows of dim_u floats; lists will do.  The rate is composed
-    in Python floats, entry i as f_i + G_i1 u_1 + ... + G_im u_m from left
-    to right; vector_field and the flow of augment_sample_hold share that
-    composition, built once per plant.  Where each row of G has at most
-    one nonzero entry (a diagonal G, as in the Moore-Greitzer study), this
-    gives the bits of numpy's drift(x) + input_matrix(x) @ u.  For a dense
-    G the two can differ in the last bit, since numpy adds f to the
-    finished product G u, summed as BLAS sums it: with f, G and u drawn
-    standard normal, 2x2, they differed in 113,009 of 200,000 draws (numpy
-    2.4 with OpenBLAS 0.3.31).
+    and dim_x rows of dim_u floats; lists will do.  The QP rows read them.
+
+    closed_rate is the closed-loop rate: it takes a list z whose leading
+    dim_x + dim_u floats are (x, u), ignores the rest, and returns
+    f(x) + G(x) u as a list of dim_x floats.  vector_field and the flow of
+    augment_sample_hold both call it, and it is the only rate either
+    computes.  Without one, the plant composes drift and input_matrix in
+    Python floats, entry i as f_i + G_i1 u_1 + ... + G_im u_m from left to
+    right.  Where each row of G has at most one nonzero entry (a diagonal
+    G, as in the Moore-Greitzer study), this gives the bits of numpy's
+    drift(x) + input_matrix(x) @ u.  For a dense G the two can differ in
+    the last bit, since numpy adds f to the finished product G u, summed as
+    BLAS sums it: with f, G and u drawn standard normal, 2x2, they differed
+    in 113,009 of 200,000 draws (numpy 2.4 with OpenBLAS 0.3.31).  A plant
+    that writes its own closed_rate (the Moore-Greitzer study does) saves
+    the composition's calls on every flow evaluation; it must give the
+    composition's bits.
 
     decision_cost, when present, maps a decision state x to quadratic cost
     data (Q, q, c) meaning u.Q.u + q.u + c; identity cost |u|^2 otherwise.
@@ -86,16 +96,31 @@ class ControlledPlant:
     input_box: AxisBox
     operating_box: AxisBox = None
     decision_cost: object = None
+    closed_rate: object = None
 
     def __post_init__(self):
         if self.input_box.lo.size != self.dim_u:
             raise ValueError("input_box dimension != dim_u")
-        self._rate = _affine_rate_fn(self.dim_x, self.dim_u)
+        if (self.operating_box is not None
+                and self.operating_box.lo.size != self.dim_x):
+            raise ValueError("operating_box dimension != dim_x")
+        # kept apart from the field, so that dataclasses.replace with new
+        # maps composes those maps, not the ones this plant was built with
+        self._closed_rate = self.closed_rate or _composed_rate(
+            self.drift, self.input_matrix, self.dim_x, self.dim_u)
 
     def vector_field(self, x, u):
-        xs = as_vector(x).tolist()
-        return np.array(self._rate(self.drift(xs), self.input_matrix(xs),
-                                   as_vector(u).tolist()))
+        xs, us = as_vector(x).tolist(), as_vector(u).tolist()
+        if len(xs) != self.dim_x or len(us) != self.dim_u:
+            raise DimensionMismatch(
+                "x and u have %d and %d entries, wanted %d and %d"
+                % (len(xs), len(us), self.dim_x, self.dim_u))
+        fx = np.array(self._closed_rate(xs + us), dtype=float)
+        if fx.shape != (self.dim_x,):
+            raise DimensionMismatch(
+                "closed rate returned shape %s, wanted (%d,)"
+                % (fx.shape, self.dim_x))
+        return fx
 
     def cost_data(self, x):
         if self.decision_cost is not None:
@@ -379,16 +404,20 @@ def augment_sample_hold(plant: ControlledPlant, policy, cfg: SampleHoldConfig):
         free_x + [cfg.period - JUMP_SLACK], [inf] * (nx + nu) + [inf]
     )
 
-    drift, input_matrix, rate = plant.drift, plant.input_matrix, plant._rate
+    closed_rate = plant._closed_rate
     held = [0.0] * nu + [1.0]  # u' = 0, tau' = 1
 
     def flow_map(zs):
-        xs = zs[:nx]
-        return rate(drift(xs), input_matrix(xs), zs[nx:nx + nu]) + held
+        return closed_rate(zs) + held
 
     def jump_map(z):
+        u = as_vector(policy(z))
+        if u.shape != (nu,):
+            # a scalar or a length-1 value would broadcast to every input
+            raise DimensionMismatch(
+                "policy returned shape %s, wanted (%d,)" % (u.shape, nu))
         out = np.array(z, dtype=float)
-        out[nx:nx + nu] = as_vector(policy(z))
+        out[nx:nx + nu] = u
         out[-1] = 0.0
         return [out]
 

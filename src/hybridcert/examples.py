@@ -295,8 +295,8 @@ def moore_greitzer(params: MooreGreitzerParams = None):
     lc = p.l_c
     scale = 16.0 * lc
 
-    # the plant maps read the state as floats and return lists, which the
-    # sample-and-hold flow composes without numpy temporaries
+    # the plant maps read the state as floats and return lists; the QP rows
+    # read drift and input_matrix
     def drift(x):
         phi, psi = float(x[0]), float(x[1])
         if psi < 0.0:
@@ -308,6 +308,23 @@ def moore_greitzer(params: MooreGreitzerParams = None):
         if psi < 0.0:
             raise DomainViolation("negative pressure %g" % psi)
         return [[1.0, 0.0], [0.0, -math.sqrt(psi) / scale]]
+
+    a_coef, iota, theta = p.a_coef, p.iota, p.theta
+
+    def closed_rate(z):
+        # drift(x) + input_matrix(x) u in one call, for the flow: the IEEE
+        # operations of the plant's composition in the same order, so the
+        # same bits and the same exceptions.  The products by G's constant
+        # 1.0 and 0.0 stay: without 0.0 * gamma, -0.0 + 0.0 * gamma would
+        # be -0.0 rather than 0.0, and an infinite gamma no NaN.
+        phi, psi, v, gamma = z[0], z[1], z[2], z[3]
+        if psi < 0.0:
+            raise DomainViolation("negative pressure %g" % psi)
+        w = phi / theta - 1.0
+        pc = a_coef + iota * (1.0 + 1.5 * w - 0.5 * w**3)
+        g = -math.sqrt(psi) / scale
+        return [(pc - psi) / lc + 1.0 * v + 0.0 * gamma,
+                phi / scale + 0.0 * v + g * gamma]
 
     def decision_cost(x):
         # v^2 + (2v/l_c)(psi_c - Psi) + ((Phi - gamma sqrt(Psi))/(4 l_c))^2:
@@ -331,6 +348,7 @@ def moore_greitzer(params: MooreGreitzerParams = None):
         input_box=AxisBox([-p.v_max, p.gamma_box[0]], [p.v_max, p.gamma_box[1]]),
         operating_box=AxisBox(p.box_lo, p.box_hi),
         decision_cost=decision_cost,
+        closed_rate=closed_rate,
     )
 
     zeta = np.array(p.zeta)

@@ -191,12 +191,12 @@ def check_forward_invariance(system, K, n_init, config, seed=0):
 
 def _settle_total_time(arc, slack_region):
     """Least total time T with every later sample inside the slack region;
-    None when the arc never settles (its last sample is outside)."""
-    inside = [slack_region.contains_many(states, 0.0)
-              for _, states in arc.phases]
+    None when the arc never settles (its last sample is outside).  Only the
+    phases the backward scan reads are tested, so a predicate that would
+    raise on an earlier phase is never called there."""
     for j in reversed(range(arc.num_phases)):
         times, states = arc.phases[j]
-        outside = np.flatnonzero(~inside[j])
+        outside = np.flatnonzero(~slack_region.contains_many(states, 0.0))
         if not outside.size:
             continue
         k = outside[-1] + 1

@@ -1108,19 +1108,38 @@ def test_falsify_finds_violation(tmp_path):
     assert report["counterexample"]["margin"] == pytest.approx(3.0 * x * x)
 
 
-def test_ras_check_asks_the_target_predicate_once_per_stored_sample():
+def test_ras_check_asks_the_target_predicate_once_per_stored_sample(
+        monkeypatch):
     scenario = cli.parse_scenario(yaml.safe_load(FALLING_MASS_SCENARIO))
     target = scenario.spec.target
     asked = []
     pred = target.pred
     # the region hands the replacement each sample as a list of floats
     target.pred = lambda x: asked.append(list(x)) or pred(x)
+    arcs = []
+    solve_many = monitor.solve_many
+
+    def kept(*args, **kwargs):
+        for rep in solve_many(*args, **kwargs):
+            arcs.append(rep.arc)
+            yield rep
+
+    monkeypatch.setattr(monitor, "solve_many", kept)
     ck = scenario.check
     rep = cli.check_ras(cli._perturbed(scenario), scenario.spec, ck["n_init"],
                         ck["n_dist"], scenario.sim, seed=ck["seed"])
-    # no sample is unsafe, so the safety scan read them all
     assert rep.counterexamples == []
-    assert len(asked) == rep.stats["samples"] > 0
+    # the settle scan reads each arc's phases from the last one back to the
+    # last one with a sample outside the target (y > 0.1), and asks the
+    # predicate about each of their samples once, in that order
+    read = []
+    for arc in arcs:
+        for _, states in reversed(arc.phases):
+            read.extend(states.tolist())
+            if (states[:, 0] > 0.1).any():
+                break
+    assert asked == read
+    assert 0 < len(asked) < rep.stats["samples"]
 
 
 def test_falsify_finds_the_barrier_drop_peak_on_the_jump_band(tmp_path):

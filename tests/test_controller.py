@@ -1,5 +1,7 @@
 """QP machinery, admissible rows, the relaxation ladder, timer augmentation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ import qp_reference
 from hybridcert import (
     AxisBox,
     ControlledPlant,
+    DimensionMismatch,
     QPProblem,
     SampleHoldConfig,
     ScalarField,
@@ -450,6 +453,69 @@ def test_plant_maps_of_the_wrong_length_raise(f, G):
         system.flow(np.zeros(4))
     with pytest.raises(ValueError):
         plant.vector_field(np.zeros(2), np.zeros(1))
+
+
+@pytest.mark.parametrize("rate, x, u", [
+    (lambda z: [0.0], [0.0, 0.0], [0.0]),            # short closed rate
+    (lambda z: [0.0, 0.0, 0.0], [0.0, 0.0], [0.0]),  # long closed rate
+    (None, [0.0, 0.0], [0.0, 0.0]),                  # long u
+    (None, [0.0, 0.0], []),                          # short u
+    (None, [0.0], [0.0]),                            # short x
+])
+def test_a_closed_rate_or_input_of_the_wrong_length_raises(rate, x, u):
+    # the plant maps of test_plant_maps_of_the_wrong_length_raise are right
+    # here; the closed rate, or the state handed to vector_field, is not
+    plant = ControlledPlant(dim_x=2, dim_u=1, drift=lambda x: [0.0, 0.0],
+                            input_matrix=lambda x: [[1.0], [1.0]],
+                            input_box=AxisBox([-1.0], [1.0]),
+                            closed_rate=rate)
+    with pytest.raises(DimensionMismatch):
+        plant.vector_field(x, u)
+    if rate is not None:
+        cfg = SampleHoldConfig(period=0.5, sigma_margin=0.07)
+        system = augment_sample_hold(plant, lambda z: [0.0], cfg)
+        with pytest.raises(DimensionMismatch):
+            system.flow(np.zeros(4))
+
+
+def test_a_plant_without_a_closed_rate_composes_the_maps_it_was_given():
+    # dataclasses.replace with new maps must not keep the old composition
+    plant = ControlledPlant(dim_x=1, dim_u=1, drift=lambda x: [1.0],
+                            input_matrix=lambda x: [[2.0]],
+                            input_box=AxisBox([-1.0], [1.0]))
+    assert plant.closed_rate is None
+    assert plant.vector_field([0.0], [3.0]).tolist() == [7.0]
+    moved = dataclasses.replace(plant, drift=lambda x: [-1.0])
+    assert moved.vector_field([0.0], [3.0]).tolist() == [5.0]
+    own = dataclasses.replace(plant, closed_rate=lambda z: [z[0] + z[1]])
+    assert own.vector_field([0.5], [3.0]).tolist() == [3.5]
+
+
+@pytest.mark.parametrize("u", [
+    0.5,           # a scalar
+    [0.5],         # short
+    [0.5] * 3,     # long
+    [[0.5, 0.5]],  # a row, not a vector
+])
+def test_a_policy_value_of_the_wrong_shape_raises(u):
+    plant = ControlledPlant(dim_x=1, dim_u=2, drift=lambda x: [0.0],
+                            input_matrix=lambda x: [[1.0, 1.0]],
+                            input_box=AxisBox([-1.0, -1.0], [1.0, 1.0]))
+    cfg = SampleHoldConfig(period=0.5, sigma_margin=0.07)
+    system = augment_sample_hold(plant, lambda z: u, cfg)
+    with pytest.raises(DimensionMismatch, match="policy"):
+        system.jump_candidates(np.array([0.0, 0.0, 0.0, 0.5]))
+    right = augment_sample_hold(plant, lambda z: [0.5, -0.25], cfg)
+    post = right.jump_candidates(np.array([0.0, 0.0, 0.0, 0.5]))[0]
+    assert post.tolist() == [0.0, 0.5, -0.25, 0.0]
+
+
+def test_an_operating_box_of_the_wrong_dimension_is_rejected():
+    with pytest.raises(ValueError, match="operating_box"):
+        ControlledPlant(dim_x=2, dim_u=1, drift=lambda x: [0.0, 0.0],
+                        input_matrix=lambda x: [[1.0], [1.0]],
+                        input_box=AxisBox([-1.0], [1.0]),
+                        operating_box=AxisBox([0.0], [1.0]))
 
 
 def test_random_qps_satisfy_kkt():

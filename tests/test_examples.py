@@ -1,5 +1,6 @@
 """Shipped example systems: ball dynamics and the compressor surge model."""
 
+import dataclasses
 import math
 import struct
 import warnings
@@ -27,6 +28,7 @@ from hybridcert import (
     psi_c,
     solve,
 )
+from hybridcert import examples
 from hybridcert.examples import _each, _square, expit
 from hybridcert.expressions import scalar_fn
 from hybridcert.geometry import AxisBox
@@ -339,6 +341,81 @@ def test_mg_augmented_flow_is_the_numpy_composition_bit_for_bit(z):
     z = np.array(z)
     want = solver_reference.augmented_flow(MG_PLANT, z)
     assert MG_AUGMENTED.flow(z).tobytes() == want.tobytes()
+
+
+# the plant as it is without its own closed rate: drift and input_matrix
+# composed
+MG_COMPOSED = dataclasses.replace(MG_PLANT, closed_rate=None)
+
+# psi below, on and above the domain's edge; phi up to where w**3 overflows
+EDGE_PSI = [0.0, -0.0, 5e-324, 2.2e-308, -5e-324, -1e-300, -1.0,
+            math.nan, math.inf, -math.inf]
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def outcome(fn, *args):
+    """fn's value as bytes, or the type and message of what it raised."""
+    try:
+        return np.array(fn(*args), dtype=float).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(z=st.tuples(
+    st.one_of(within(MG_PLANT.operating_box, 0), ANY_FLOAT,
+              st.sampled_from([1e110, -1e110, 1e300])),
+    st.one_of(within(MG_PLANT.operating_box, 1), ANY_FLOAT,
+              st.sampled_from(EDGE_PSI)),
+    st.one_of(within(MG_PLANT.input_box, 0), ANY_FLOAT),
+    st.one_of(within(MG_PLANT.input_box, 1), ANY_FLOAT),
+    st.floats(0.0, MG_SHC.period),
+))
+@example(z=(0.45, 0.65, -0.0, 0.64, 0.0))
+@example(z=(0.45, -0.0, -0.0, -0.0, 0.0))
+@example(z=(1e110, 0.65, 0.0, 0.64, 0.0))
+@example(z=(1e110, -1.0, 0.0, 0.64, 0.0))
+@example(z=(math.inf, math.inf, math.inf, -math.inf, 0.0))
+def test_mg_closed_rate_is_the_plant_composition_bit_for_bit(z):
+    # the hand-written rate against drift and input_matrix composed: the
+    # same bits, or the same raise
+    z = list(z)
+    want = outcome(MG_COMPOSED._closed_rate, z)
+    assert outcome(MG_PLANT.closed_rate, z) == want
+
+
+def test_mg_closed_rate_raises_where_the_plant_maps_raise():
+    assert outcome(MG_PLANT.closed_rate, [0.45, -1.0, 0.0, 0.64]) == (
+        DomainViolation, "negative pressure -1")
+    assert outcome(MG_PLANT.closed_rate, [1e110, 0.65, 0.0, 0.64])[0] is (
+        OverflowError)
+
+
+def test_mg_flow_calls_no_plant_map_between_decisions(monkeypatch):
+    # the flow runs the closed rate alone: drift and input_matrix are
+    # called once per QP decision (its admissible rows), never per stage
+    calls = {"drift": 0, "input_matrix": 0}
+    study = examples.moore_greitzer
+
+    def counted(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped
+
+    def counting_study(params=None):
+        plant, cert, spec, shc = study(params)
+        plant = dataclasses.replace(
+            plant, drift=counted("drift", plant.drift),
+            input_matrix=counted("input_matrix", plant.input_matrix))
+        return plant, cert, spec, shc
+
+    monkeypatch.setattr(examples, "moore_greitzer", counting_study)
+    report, decisions, _, _, _ = examples.mg_closed_loop(horizon=2.0)
+    samples = sum(times.size for times, _ in report.arc.phases)
+    assert samples > 100 * len(decisions) > 0
+    assert calls == {"drift": len(decisions),
+                     "input_matrix": len(decisions)}
 
 
 def test_mg_lyapunov_vanishes_at_target():

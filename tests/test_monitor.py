@@ -13,10 +13,12 @@ from hybridcert import (
     Disturbance,
     EmptyEstimate,
     EmptySet,
+    HybridArc,
     Implicit,
     RASSpec,
     SimConfig,
     StabSafeSpec,
+    Termination,
     Verdict,
     ball_attractor,
     bouncing_ball,
@@ -365,6 +367,23 @@ def test_invariant_core_empty_raises():
     cfg = SimConfig(h=2e-3, T_max=1.0, J_max=10)
     with pytest.raises(EmptyEstimate):
         estimate_invariant_core(system, I, (1, 3, 3), 1, cfg)
+
+
+def test_settle_scan_tests_only_the_phases_it_reads():
+    # the last phase is inside, the one before leaves the target, so the
+    # first phase is never read and its predicate never asked
+    arc = HybridArc([([0.0, 1.0], [[-5.0], [-5.0]]),
+                     ([1.0, 2.0], [[2.0], [0.5]]),
+                     ([2.0, 3.0], [[0.5], [0.5]])],
+                    Termination.HORIZON_REACHED)
+
+    def near(s):
+        if s[0] < -1.0:
+            raise AssertionError("asked about a phase the scan never reads")
+        return abs(s[0]) <= 1.0
+
+    target = Implicit(near, AxisBox([-1.0], [1.0]))
+    assert monitor._settle_total_time(arc, target) == (3.0, None)
 
 
 def scalar_first_hit(arc, hit):
