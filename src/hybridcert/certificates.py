@@ -68,7 +68,6 @@ class ScalarField:
 
     value: object
     grad: object = None
-    name: str = ""
     domain: object = None
     value_rows: object = None
     grad_rows: object = None
@@ -541,7 +540,7 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
                      _clamp_rows(B.value_many(pts)))],
                    pts, tol, counts, worst, ces)
 
-    x0 = [as_vector(p) for p in spec.initial_points()]
+    x0 = [as_vector(p) for p in spec.x0]
     x0 = np.reshape(x0, (len(x0), P.shape[1]))
     _note_rows([("ii-X0-in-S", np.arange(len(x0)), -B.value_many(x0))],
                x0, tol, counts, worst, ces)

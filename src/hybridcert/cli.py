@@ -233,9 +233,9 @@ def _parse_certificates(node, variables, example, default):
     if not variables:
         raise ScenarioError("expression certificates need system variables")
     c = _section(node, "certificates")
-    V = ScalarField(scalar_fn(c["V"], variables), name="V")
+    V = ScalarField(scalar_fn(c["V"], variables))
     B = (None if c["B"] is None
-         else ScalarField(scalar_fn(c["B"], variables), name="B"))
+         else ScalarField(scalar_fn(c["B"], variables)))
     region = (None if c["region"] is None
               else parse_set(c["region"], variables))
     omega = None
@@ -345,7 +345,12 @@ def parse_scenario(doc):
     cert = _parse_certificates(top["certificates"], variables, example, cert0)
     sim = _parse_sim(top["sim"], t_default)
     if example == "moore-greitzer":
-        # the loop sets its own j_max, one decision per period
+        # the loop sets its own j_max, one decision per period, and runs at
+        # the default event_tol; a given one would be ignored
+        for key in ("j_max", "event_tol"):
+            if key in (top["sim"] or {}):
+                raise ScenarioError("the moore-greitzer loop sets its own"
+                                    " sim.%s" % key)
         _capped(sim.T_max / params.period, MAX_JUMPS,
                 "sim.t_max / params.period (decisions)")
     check = _parse_check(top["check"], variables)
@@ -568,10 +573,8 @@ def cmd_check(scenario, mode, out_dir):
     if mode == "ras":
         if not isinstance(scenario.spec, RASSpec):
             raise ScenarioError("ras check needs a ras spec")
-        rpt = check_ras(
-            sysd, scenario.spec, ck["n_init"], ck["n_dist"], scenario.sim,
-            seed=seed,
-        )
+        rpt = check_ras(sysd, scenario.spec, ck["n_dist"], scenario.sim,
+                        seed=seed)
     elif mode == "stability-safety":
         if not isinstance(scenario.spec, StabSafeSpec):
             raise ScenarioError("stability-safety check needs that spec kind")

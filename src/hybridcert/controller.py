@@ -27,37 +27,37 @@ FEASIBLE_SLACK = 1e-9
 JUMP_SLACK = 1e-9
 
 
+def _entries(seq, n, what):
+    """The entries of seq as a list, or a ValueError unless there are n."""
+    items = list(seq)
+    if len(items) != n:
+        raise ValueError("%s has %d entries, wanted %d"
+                         % (what, len(items), n))
+    return items
+
+
 def _composed_rate(drift, input_matrix, nx, nu):
     """The closed rate of a plant without its own: the function z ->
     f(x) + G(x) u, as a list of floats, with x and u the leading nx and nu
     floats of z, f = drift(x) and G = input_matrix(x).  Entry i is f[i] +
-    G[i][0] * u[0] + ... + G[i][nu-1] * u[nu-1], summed left to right.
-    Its source is written out for the two sizes, so a call runs no Python
-    loop, and unpacking f, G and u rejects any of the wrong length."""
+    G[i][0] * u[0] + ... + G[i][nu-1] * u[nu-1], summed left to right.  An
+    f, a row of G or a u of the wrong length, or a G without nx rows,
+    raises ValueError."""
 
-    def listed(items):
-        return "[%s]" % ", ".join(items)
+    def closed_rate(z):
+        x = z[:nx]
+        f = _entries(drift(x), nx, "drift")
+        G = [_entries(row, nu, "input matrix row")
+             for row in _entries(input_matrix(x), nx, "input matrix")]
+        u = _entries(z[nx:nx + nu], nu, "u")
+        rate = []
+        for total, row in zip(f, G):
+            for g, uk in zip(row, u):
+                total = total + g * uk
+            rate.append(total)
+        return rate
 
-    f = ["f%d" % i for i in range(nx)]
-    u = ["u%d" % k for k in range(nu)]
-    G = [["g%d_%d" % (i, k) for k in range(nu)] for i in range(nx)]
-    terms = [
-        " + ".join([fi] + ["%s * %s" % (g, uk) for g, uk in zip(row, u)])
-        for fi, row in zip(f, G)
-    ]
-    source = (
-        "def closed_rate(z):\n"
-        "    x = z[:%d]\n"
-        "    %s = drift(x)\n"
-        "    %s = input_matrix(x)\n"
-        "    %s = z[%d:%d]\n"
-        "    return %s\n"
-        % (nx, listed(f), listed(map(listed, G)), listed(u), nx, nx + nu,
-           listed(terms))
-    )
-    scope = {"drift": drift, "input_matrix": input_matrix}
-    exec(compile(source, "<closed rate %dx%d>" % (nx, nu), "exec"), scope)
-    return scope["closed_rate"]
+    return closed_rate
 
 
 @dataclass
@@ -306,21 +306,24 @@ def _rows(lie, sigma, barrier_cap):
     ]
 
 
-def _rate_box(plant, cfg, u_prev, dt):
+def _rate_box(plant, cfg, u_prev):
+    """The input box cut to the inputs a rate limit lets u_prev reach in
+    one period."""
     lb, ub = plant.input_box.lo.copy(), plant.input_box.hi.copy()
     rates = cfg.rate_limits or (None,) * plant.dim_u
     for i, rate in enumerate(rates):
         if rate is None:
             continue
-        lb[i] = max(lb[i], u_prev[i] - rate * dt)
-        ub[i] = min(ub[i], u_prev[i] + rate * dt)
+        lb[i] = max(lb[i], u_prev[i] - rate * cfg.period)
+        ub[i] = min(ub[i], u_prev[i] + rate * cfg.period)
     return lb, ub
 
 
 def qp_policy(x, V, B, plant: ControlledPlant, cfg: SampleHoldConfig,
-              u_prev, dt, log_list=None, barrier_cap=None):
+              u_prev, log_list=None, barrier_cap=None):
     """One sample-and-hold decision: minimize the plant's decision cost over
-    the box/rate constraints and the admissible rows.
+    the input box, cut by the rate limits over one cfg.period from u_prev,
+    and the admissible rows.
 
     Relaxation ladder on infeasibility: halve sigma up to 8 times, then drop
     the V-row keeping the B-row at the most relaxed sigma, finally hold the
@@ -331,7 +334,7 @@ def qp_policy(x, V, B, plant: ControlledPlant, cfg: SampleHoldConfig,
     """
     x = as_vector(x)
     u_prev = as_vector(u_prev)
-    lb, ub = _rate_box(plant, cfg, u_prev, dt)
+    lb, ub = _rate_box(plant, cfg, u_prev)
     Q, q, c = plant.cost_data(x)
     sigma0 = cfg.sigma_margin
 
@@ -379,10 +382,8 @@ def make_sample_hold_policy(plant, V, B, cfg, log_list=None,
 
     def policy(z):
         z = as_vector(z)
-        return qp_policy(
-            z[:nx], V, B, plant, cfg, z[nx:nx + nu], cfg.period,
-            log_list=log_list, barrier_cap=barrier_cap,
-        )
+        return qp_policy(z[:nx], V, B, plant, cfg, z[nx:nx + nu],
+                         log_list=log_list, barrier_cap=barrier_cap)
 
     return policy
 

@@ -202,9 +202,9 @@ def bouncing_ball(params: BouncingBallParams = None):
 
     region_O = AxisBox([-inf, -inf, -inf], [inf, 10.0, inf])  # {y < 10}
     cert = CertificatePair(
-        V=ScalarField(V_val, V_grad, name="ball-V", value_rows=V_rows,
+        V=ScalarField(V_val, V_grad, value_rows=V_rows,
                       grad_rows=V_grad_rows),
-        B=ScalarField(B_val, B_grad, name="ball-B", value_rows=B_rows,
+        B=ScalarField(B_val, B_grad, value_rows=B_rows,
                       grad_rows=B_grad_rows),
         omega=make_proper_indicator(ball_attractor(), region_O),
         region=region_O,
@@ -409,9 +409,8 @@ def moore_greitzer(params: MooreGreitzerParams = None):
 
     region_O = AxisBox(p.box_lo, p.box_hi)
     cert = CertificatePair(
-        V=ScalarField(V_val, V_grad, name="mg-V", value_rows=V_rows),
-        B=ScalarField(B_val, B_grad, name="mg-B", domain=B_domain,
-                      value_rows=B_rows),
+        V=ScalarField(V_val, V_grad, value_rows=V_rows),
+        B=ScalarField(B_val, B_grad, domain=B_domain, value_rows=B_rows),
         omega=make_proper_indicator(Ball(zeta, 1e-6), region_O),
         region=region_O,
     )

@@ -108,9 +108,8 @@ class HybridArc:
         t = min(max(t, times[0]), times[-1])
         k = int(np.searchsorted(times, t, side="right") - 1)
         k = min(max(k, 0), times.size - 2)
+        # validate() keeps times strictly increasing, so t1 - t0 > 0
         t0, t1 = times[k], times[k + 1]
-        if t1 == t0:
-            return states[k].copy()
         w = (t - t0) / (t1 - t0)
         return (1.0 - w) * states[k] + w * states[k + 1]
 

@@ -38,22 +38,13 @@ class EmptyEstimate(RuntimeError):
     nonempty below grid resolution."""
 
 
-class _Spec:
-    """Initial points of a spec whose x0 is a list of points or a region."""
-
-    def initial_points(self, n=16, seed=0):
-        """The listed points, or n seeded draws from the region."""
-        if isinstance(self.x0, SetRegion):
-            return sample_region(self.x0, n, np.random.default_rng(seed))
-        return [as_vector(p) for p in self.x0]
-
-
 @dataclass
-class RASSpec(_Spec):
-    """Reach-avoid-stay: avoid `unsafe`, settle into `target` by total time
-    t_spec and remain there through the horizon."""
+class RASSpec:
+    """Reach-avoid-stay from each point of the list x0: avoid `unsafe`,
+    settle into `target` by total time t_spec and remain there through the
+    horizon."""
 
-    x0: object
+    x0: list
     unsafe: SetRegion
     target: SetRegion
     t_spec: float
@@ -76,11 +67,12 @@ class RASSpec(_Spec):
 
 
 @dataclass
-class StabSafeSpec(_Spec):
+class StabSafeSpec:
     """Stability with safety: `attractor` uniformly pre-asymptotically
-    stable with basin covering x0, all solutions avoiding `unsafe`."""
+    stable with basin covering the points of the list x0, all solutions
+    avoiding `unsafe`."""
 
-    x0: object
+    x0: list
     unsafe: SetRegion
     attractor: SetRegion
     eps_levels: tuple = (0.1, 1.0)
@@ -209,14 +201,14 @@ def _settle_total_time(arc, slack_region):
     return 0.0, None
 
 
-def check_ras(system, spec: RASSpec, n_init, n_dist, config, seed=0):
-    """Sampled reach-avoid-stay verdict.
+def check_ras(system, spec: RASSpec, n_dist, config, seed=0):
+    """Sampled reach-avoid-stay verdict from the points of spec.x0.
 
     Safety: no stored sample in the unsafe set.  Reach-and-stay: each arc's
     last exit from inflate(target, event_tol) happens before t_spec in total
     time; the report carries the worst settle time over arcs.
     """
-    points = spec.initial_points(n=n_init, seed=seed)
+    points = [as_vector(p) for p in spec.x0]
     target_slack = inflate(spec.target, config.event_tol)
     runs, skipped = _solve_all(system, points, config, n_dist=n_dist, seed=seed)
     ces = []
@@ -265,10 +257,11 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
     """Empirical UpAS-with-safety verdict.
 
     For each eps level, bisection over initial offsets finds the largest
-    delta_eps <= eps such that all sampled arcs from inflate(A, delta_eps)
-    keep |x|_A < eps; FAIL when even the smallest tested offset escapes.
-    Attraction is recorded as settle times of arcs from x0 into each eps
-    level; safety flags any stored sample inside the unsafe set.
+    delta_eps <= eps such that all arcs from n_init seeded draws in
+    inflate(A, delta_eps) keep |x|_A < eps; FAIL when even the smallest
+    tested offset escapes.  Attraction is recorded as settle times of arcs
+    from the points of spec.x0 into each eps level; safety flags any stored
+    sample inside the unsafe set.
     """
     A = spec.attractor
     ces = []
@@ -327,7 +320,7 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
                 hi = mid
         delta_found[eps] = lo
 
-    points = spec.initial_points(n=n_init, seed=seed)
+    points = [as_vector(p) for p in spec.x0]
     runs, skipped = _solve_all(system, points, config, seed=seed)
     n_arcs += len(runs)
     settle_times = {float(eps): 0.0 for eps in spec.eps_levels}

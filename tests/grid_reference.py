@@ -243,7 +243,7 @@ def check_pair_VB(sys_delta, cert, spec, grid, tol=TOL, exclude_radius=0.0):
         for p in pts[U.contains_many(pts, 0.0)]:
             note("iii-unsafe-negative", _clamp(B(p)), p)
 
-    for p in spec.initial_points():
+    for p in spec.x0:
         p = as_vector(p)
         note("ii-X0-in-S", -B(p), p)
 

@@ -48,7 +48,7 @@ BALL_B_AT_START = 0.7173469387755102
 
 def quadratic_V():
     return ScalarField(lambda x: float(np.dot(x, x)),
-                       lambda x: 2.0 * np.asarray(x), name="V")
+                       lambda x: 2.0 * np.asarray(x))
 
 
 def flow_only(rate):

@@ -396,6 +396,95 @@ def test_simulate_rejects_delta_on_moore_greitzer(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["example", "simulate"])
+@pytest.mark.parametrize("key, value", [("j_max", "10"),
+                                        ("event_tol", "1.0e-6")])
+def test_moore_greitzer_rejects_the_sim_keys_its_loop_sets(
+        tmp_path, capsys, command, key, value):
+    # the loop sets its own jump cap and runs at the default event
+    # tolerance, so a given one would be ignored
+    if command == "example":
+        args = ["example", "moore-greitzer",
+                "--override", "sim.%s=%s" % (key, value)]
+    else:
+        scen = write(tmp_path, "mg.yaml",
+                     "system: moore-greitzer\nsim: {%s: %s}\n" % (key, value))
+        args = ["simulate", "--scenario", scen]
+    out = tmp_path / "out"
+    code = cli.main(args + ["--out", str(out)])
+    payload = rejected(code, capsys.readouterr().err, out)
+    assert payload["error"] == "ScenarioError"
+    assert "sim.%s" % key in payload["message"]
+
+
+PLANE_BOX = {"kind": "axis_box", "lo": [-1.0, -1.0], "hi": [1.0, 0.5]}
+PLANE_BALL = {"kind": "ball", "center": [1.0, 0.0], "radius": 0.75}
+PLANE_HALF = {"kind": "implicit", "predicate": "x + y <= 0.5",
+              "bbox": {"lo": [-2.0, -2.0], "hi": [2.0, 2.0]}}
+
+
+def plane_half():
+    return hybridcert.Implicit(lambda s: s[0] + s[1] <= 0.5,
+                               hybridcert.AxisBox([-2.0, -2.0], [2.0, 2.0]))
+
+
+def plane_box():
+    return hybridcert.AxisBox([-1.0, -1.0], [1.0, 0.5])
+
+
+def plane_ball():
+    return hybridcert.Ball([1.0, 0.0], 0.75)
+
+
+@pytest.mark.parametrize("node, hand", [
+    ({"kind": "inflated", "r": 0.25,
+      "of": {"kind": "union", "of": [PLANE_BOX, PLANE_BALL]}},
+     lambda: hybridcert.Inflated(hybridcert.Union([plane_box(), plane_ball()]),
+                                 0.25)),
+    ({"kind": "union",
+      "of": [{"kind": "inflated", "of": PLANE_BALL, "r": 0.5}, PLANE_BOX]},
+     lambda: hybridcert.Union([hybridcert.Inflated(plane_ball(), 0.5),
+                               plane_box()])),
+    ({"kind": "intersection",
+      "of": [{"kind": "union", "of": [PLANE_BOX, PLANE_BALL]}, PLANE_HALF]},
+     lambda: hybridcert.Intersection(
+         [hybridcert.Union([plane_box(), plane_ball()]), plane_half()])),
+], ids=["inflated", "union", "intersection"])
+def test_parse_set_builds_the_composite_sets(node, hand):
+    grid = np.linspace(-2.0, 2.0, 17)
+    P = np.array([[x, y] for x in grid for y in grid])
+    parsed, want = cli.parse_set(node, ("x", "y")), hand()
+    assert type(parsed) is type(want)
+    inside = want.contains_many(P, 0.0)
+    assert 0 < inside.sum() < len(P)
+    assert parsed.contains_many(P, 0.0).tolist() == inside.tolist()
+
+
+def test_invariance_checks_check_invariant_and_not_the_target(tmp_path,
+                                                              capsys):
+    # -x decays into the target ball around 0, so the target is invariant;
+    # the arcs leave the band [0.5, 1.5] through its lower end
+    band = {"kind": "axis_box", "lo": [0.5], "hi": [1.5]}
+    reports = []
+    for k, extra in enumerate([[], ["--override", "check.invariant=%s"
+                                    % json.dumps(band)]]):
+        scen = write(tmp_path, "decay.yaml", DECAY_SCENARIO)
+        out = tmp_path / str(k)
+        code = cli.main(["check", "--mode", "invariance", "--scenario", scen,
+                         "--seed", "0", "--override", "check.n_init=4",
+                         "--out", str(out)] + extra)
+        capsys.readouterr()
+        reports.append((code, json.loads(
+            (out / "check_report.json").read_text())))
+    (code_target, target), (code_band, band_report) = reports
+    assert code_target == 0 and target["verdict"] == "PASS"
+    assert code_band == 1 and band_report["verdict"] == "FAIL"
+    assert band_report["stats"]["arcs"] == 4
+    ces = band_report["counterexamples"]
+    assert ces and {ce["condition"] for ce in ces} == {"invariance"}
+    assert all(ce["x"][0] < 0.5 for ce in ces)
+
+
 def flow(source):
     return [('["-x"]', json.dumps([source]))]
 
@@ -1126,8 +1215,8 @@ def test_ras_check_asks_the_target_predicate_once_per_stored_sample(
 
     monkeypatch.setattr(monitor, "solve_many", kept)
     ck = scenario.check
-    rep = cli.check_ras(cli._perturbed(scenario), scenario.spec, ck["n_init"],
-                        ck["n_dist"], scenario.sim, seed=ck["seed"])
+    rep = cli.check_ras(cli._perturbed(scenario), scenario.spec, ck["n_dist"],
+                        scenario.sim, seed=ck["seed"])
     assert rep.counterexamples == []
     # the settle scan reads each arc's phases from the last one back to the
     # last one with a sample outside the target (y > 0.1), and asks the
@@ -1233,8 +1322,15 @@ def test_certificate_name_of_its_own_system_is_the_study_pair():
     named = cli.parse_scenario(
         {"system": "bouncing-ball", "certificates": "bouncing-ball"}
     )
-    assert named.cert.V.name == "ball-V"
-    assert named.cert.B.name == "ball-B"
+    _, study, _ = examples.bouncing_ball()
+    P = np.array([[0.0, 5.0, -3.0], [1.0, 0.05, 2.0], [-2.0, 9.0, 0.5]])
+    for got, want in ((named.cert.V, study.V), (named.cert.B, study.B)):
+        # expression certificates have no row forms; the study's have both
+        assert got.value_rows is not None and got.grad_rows is not None
+        assert got.value_many(P).tobytes() == want.value_many(P).tobytes()
+        assert (got.gradient_many(P).tobytes()
+                == want.gradient_many(P).tobytes())
+    assert named.cert.omega is not None
 
 
 def test_write_json_closes_its_file(tmp_path):

@@ -297,7 +297,7 @@ def test_qp_policy_rate_limited_decision():
                            rate_limits=(None, 0.01))
     entries = []
     u = qp_policy(np.array([0.1]), V_sq(), B_bowl(), plant, cfg,
-                  u_prev=np.array([0.0, 0.64]), dt=0.5, log_list=entries)
+                  u_prev=np.array([0.0, 0.64]), log_list=entries)
     # V-row binds the first input; the second just slides inside its rate box
     assert u[0] == pytest.approx(-0.4)
     assert u[1] == pytest.approx(0.635)
@@ -314,7 +314,7 @@ def test_qp_policy_drops_v_row_at_level_nine():
     cfg = SampleHoldConfig(period=0.5, sigma_margin=0.07)
     entries = []
     u = qp_policy(np.array([1.0]), V_sq(), B_bowl(), plant, cfg,
-                  u_prev=np.array([0.0]), dt=0.5, log_list=entries)
+                  u_prev=np.array([0.0]), log_list=entries)
     entry = entries[0]
     assert entry["level"] == 9
     sigma9 = 0.07 / 2.0**8
@@ -345,7 +345,7 @@ def test_qp_policy_builds_the_rows_once_per_level_tried(monkeypatch, x,
     cfg = SampleHoldConfig(period=0.5, sigma_margin=0.07)
     entries = []
     u = qp_policy(np.array([x]), V_sq(), B_bowl(), integrator_plant(), cfg,
-                  u_prev=np.array([0.0]), dt=0.5, log_list=entries)
+                  u_prev=np.array([0.0]), log_list=entries)
     assert len(sigmas) == levels and sigmas[0] == 0.07
     assert len(states) == 1
     assert entries[0]["level"] == levels - 1
@@ -364,7 +364,7 @@ def test_qp_policy_holds_input_at_level_ten(caplog):
     entries = []
     with caplog.at_level("WARNING"):
         u = qp_policy(np.array([1.0]), V_sq(), flat_B, plant, cfg,
-                      u_prev=np.array([0.2]), dt=0.5, log_list=entries)
+                      u_prev=np.array([0.2]), log_list=entries)
     assert entries[0]["level"] == 10
     assert u[0] == pytest.approx(0.2)
     assert any("infeasible" in r.message for r in caplog.records)

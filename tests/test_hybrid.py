@@ -190,6 +190,32 @@ def test_arc_rejects_a_broken_time_domain(phases):
         HybridArc(phases, Termination.HORIZON_REACHED)
 
 
+def test_arc_eval_of_a_one_sample_phase_is_a_copy_of_its_sample():
+    # phase 1 holds the one sample of a jump taken at once
+    arc = HybridArc([([0.0, 1.0], [[0.0, 0.0], [1.0, 2.0]]),
+                     ([1.0], [[5.0, -1.0]]),
+                     ([1.0, 2.0], [[6.0, 0.0], [7.0, 1.0]])],
+                    Termination.HORIZON_REACHED)
+    for t in (1.0, 1.0 - 5e-13, 1.0 + 5e-13):
+        assert arc.eval(t, 1).tolist() == [5.0, -1.0]
+    got = arc.eval(1.0, 1)
+    got[:] = 0.0
+    assert arc.phases[1][1][0].tolist() == [5.0, -1.0]
+    with pytest.raises(OutOfDomain):
+        arc.eval(1.5, 1)
+
+
+def test_arc_eval_on_the_shortest_segment_hits_its_ends():
+    # times strictly increase, so a segment is at least one ulp long and
+    # its interpolation weight is finite
+    t1 = float(np.nextafter(1.0, 2.0))
+    arc = HybridArc([([0.0, 1.0, t1], [[0.0], [1.0], [3.0]])],
+                    Termination.HORIZON_REACHED)
+    assert arc.eval(1.0, 0).tolist() == [1.0]
+    assert arc.eval(t1, 0).tolist() == [3.0]
+    assert arc.eval(t1 + 1e-13, 0).tolist() == [3.0]
+
+
 def test_arc_eval_outside_domain_raises():
     sys1 = unit_decay()
     arc = solve(sys1, np.array([1.0]), SimConfig(h=1e-2, T_max=1.0)).arc

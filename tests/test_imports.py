@@ -305,3 +305,84 @@ def test_every_default_is_passed_by_some_call():
     # a default that no call overrides is a constant in disguise
     callers = [p.read_text() for p in CALLERS]
     assert unused_defaults([p.read_text() for p in MODULES], callers) == []
+
+
+def unread_parameters(sources, exempt=()):
+    """(name, parameter) of each parameter of a public function or method
+    that its body never reads; a method's name is "Class.method".  The
+    functions named in exempt are skipped, and so is a method that shares
+    its name with a method of a base or a subclass: its signature is the
+    interface's, whatever one class reads of it."""
+    classes = {}
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (
+                    {b.id for b in node.bases if isinstance(b, ast.Name)},
+                    {item.name for item in node.body
+                     if isinstance(item, ast.FunctionDef)})
+
+    def ancestors(name):
+        bases = classes.get(name, (set(), set()))[0]
+        return bases.union(*map(ancestors, bases))
+
+    def shared(cls, method):
+        return any(method in classes[other][1]
+                   for other in classes
+                   if other != cls and (other in ancestors(cls)
+                                        or cls in ancestors(other)))
+
+    def unread(fn, method):
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + [a.vararg]
+                  + a.kwonlyargs + [a.kwarg] if p is not None]
+        if method and not any(getattr(d, "id", None) == "staticmethod"
+                              for d in fn.decorator_list):
+            params = params[1:]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        return [p for p in params if p not in read]
+
+    found = []
+    for source in sources:
+        for node in ast.parse(source).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")
+                    and node.name not in exempt):
+                found.extend((node.name, p) for p in unread(node, False))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")
+                            and not shared(node.name, item.name)):
+                        found.extend(("%s.%s" % (node.name, item.name), p)
+                                     for p in unread(item, True))
+    return found
+
+
+def test_parameter_scan_flags_a_parameter_no_body_reads():
+    source = ("def f(a, b, *args, c, **kw):\n    return a + kw['x']\n"
+              "def g(a):\n    def inner():\n        return a\n"
+              "    return inner\n"
+              "def handler(a):\n    pass\n"
+              "def _private(a):\n    pass\n"
+              "class Base:\n    def m(self, x):\n        raise KeyError\n"
+              "    def n(self, y):\n        return 0\n"
+              "class Leaf(Base):\n    def m(self, x):\n        return 1\n"
+              "    @staticmethod\n    def s(u):\n        return 2\n")
+    # a closure reads g's a; Base.m and Leaf.m share a name along the
+    # hierarchy
+    assert unread_parameters([source], exempt={"handler"}) == [
+        ("f", "b"), ("f", "args"), ("f", "c"),
+        ("Base.n", "y"), ("Leaf.s", "u"),
+    ]
+
+
+def test_every_parameter_of_a_public_function_is_read():
+    # a parameter no body reads is an input that changes nothing; the
+    # command handlers share one signature, which main calls them with
+    from hybridcert import cli
+
+    handlers = {fn.__name__ for fn in cli.COMMANDS.values()}
+    assert unread_parameters([p.read_text() for p in MODULES],
+                             exempt=handlers) == []

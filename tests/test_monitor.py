@@ -72,7 +72,7 @@ def test_stab_safe_spec_rejects_nonpositive_eps():
 
 def test_ras_ball_passes_shipped_spec():
     system, _, spec = bouncing_ball()
-    rep = check_ras(system, spec, n_init=1, n_dist=1,
+    rep = check_ras(system, spec, n_dist=1,
                     config=SimConfig(h=2e-3, T_max=16.0, J_max=400))
     assert rep.verdict == Verdict.PASS
     assert rep.stats["settle_time"] <= spec.t_spec
@@ -87,7 +87,7 @@ def test_ras_accepts_predicate_only_target():
                     AxisBox([-10.0, -1.0, -20.0], [60.0, 0.1, 20.0]))
     loose = RASSpec(x0=spec.x0, unsafe=spec.unsafe, target=band,
                     t_spec=spec.t_spec)
-    rep = check_ras(system, loose, n_init=1, n_dist=1,
+    rep = check_ras(system, loose, n_dist=1,
                     config=SimConfig(h=2e-3, T_max=16.0, J_max=400))
     assert rep.verdict == Verdict.PASS
 
@@ -97,7 +97,7 @@ def test_ras_flags_unsafe_crossing():
     bad = RASSpec(x0=spec.x0, unsafe=AxisBox([-10.0, 8.0, -20.0],
                                              [60.0, 15.0, 20.0]),
                   target=spec.target, t_spec=spec.t_spec)
-    rep = check_ras(system, bad, n_init=1, n_dist=1,
+    rep = check_ras(system, bad, n_dist=1,
                     config=SimConfig(h=2e-3, T_max=3.0, J_max=10))
     assert rep.verdict == Verdict.FAIL
     assert any(ce.condition == "safety" for ce in rep.counterexamples)
@@ -106,7 +106,7 @@ def test_ras_flags_unsafe_crossing():
 def test_ras_flags_unsettled_arc():
     # horizon ends mid-flight, well above the target band
     system, _, spec = bouncing_ball()
-    rep = check_ras(system, spec, n_init=1, n_dist=1,
+    rep = check_ras(system, spec, n_dist=1,
                     config=SimConfig(h=2e-3, T_max=5.0, J_max=10))
     assert rep.verdict == Verdict.FAIL
     assert any(ce.condition == "reach-stay" for ce in rep.counterexamples)
@@ -116,15 +116,15 @@ def test_ras_flags_a_settle_past_the_deadline():
     # the arc settles in the target, but later than the spec allows
     system, _, spec = bouncing_ball()
     cfg = SimConfig(h=2e-3, T_max=16.0, J_max=400)
-    settle = check_ras(system, spec, n_init=1, n_dist=1,
+    settle = check_ras(system, spec, n_dist=1,
                        config=cfg).stats["settle_time"]
     early = RASSpec(x0=spec.x0, unsafe=spec.unsafe, target=spec.target,
                     t_spec=settle - 1.0)
-    rep = check_ras(system, early, n_init=1, n_dist=1, config=cfg)
+    rep = check_ras(system, early, n_dist=1, config=cfg)
     assert rep.verdict == Verdict.FAIL
     [ce] = rep.counterexamples
     assert ce.condition == "settle-deadline"
-    assert ce.point.tolist() == list(spec.initial_points(n=1, seed=0)[0])
+    assert ce.point.tolist() == list(spec.x0[0])
     assert ce.margin == settle - early.t_spec
     assert rep.stats["settle_time"] == settle
 
@@ -134,7 +134,7 @@ def test_ras_whole_tube_target_settles_immediately():
     wide = RASSpec(x0=spec.x0, unsafe=spec.unsafe,
                    target=AxisBox([-10.0, -1.0, -20.0], [60.0, 15.0, 20.0]),
                    t_spec=1.0)
-    rep = check_ras(system, wide, n_init=1, n_dist=1,
+    rep = check_ras(system, wide, n_dist=1,
                     config=SimConfig(h=2e-3, T_max=2.0, J_max=10))
     assert rep.verdict == Verdict.PASS
     assert rep.stats["settle_time"] == 0.0
@@ -145,7 +145,7 @@ def test_ras_short_horizon_is_inconclusive():
     wide = RASSpec(x0=spec.x0, unsafe=spec.unsafe,
                    target=AxisBox([-10.0, -1.0, -20.0], [60.0, 15.0, 20.0]),
                    t_spec=8.0)
-    rep = check_ras(system, wide, n_init=1, n_dist=1,
+    rep = check_ras(system, wide, n_dist=1,
                     config=SimConfig(h=2e-3, T_max=1.0, J_max=10))
     assert rep.verdict == Verdict.INCONCLUSIVE
     assert rep.stats["short_arcs"] == rep.stats["arcs"]
@@ -172,7 +172,7 @@ def test_ras_without_a_solvable_start_is_inconclusive():
     system, _, spec = bouncing_ball()
     high = RASSpec(x0=ABOVE_BOUNDS, unsafe=spec.unsafe, target=spec.target,
                    t_spec=spec.t_spec)
-    rep = check_ras(system, high, n_init=1, n_dist=1, config=SHORT_CFG)
+    rep = check_ras(system, high, n_dist=1, config=SHORT_CFG)
     assert rep.verdict == Verdict.INCONCLUSIVE
     assert rep.counterexamples == []
     assert rep.stats["arcs"] == 0
@@ -187,7 +187,7 @@ def test_ras_counterexample_beats_a_short_horizon():
                    unsafe=AxisBox([-10.0, 8.5, -20.0], [60.0, 9.5, 20.0]),
                    target=AxisBox([-10.0, -1.0, -20.0], [60.0, 15.0, 20.0]),
                    t_spec=8.0)
-    rep = check_ras(system, band, n_init=1, n_dist=1, config=SHORT_CFG)
+    rep = check_ras(system, band, n_dist=1, config=SHORT_CFG)
     assert rep.verdict == Verdict.FAIL
     [ce] = rep.counterexamples
     assert ce.condition == "safety"
