@@ -21,7 +21,6 @@ from .geometry import (
     UnsupportedDistance,
     contains,
     dist_to_set,
-    inflate,
     make_proper_indicator,
     sample_region,
 )
@@ -35,7 +34,6 @@ from .hybrid import (
     arc_from_csv,
     arc_from_json,
     arc_to_csv,
-    arc_to_json,
     make_system,
     perturb,
 )
@@ -101,7 +99,7 @@ from .examples import (
     moore_greitzer,
     psi_c,
 )
-from .expressions import Expr, ExpressionError, predicate_fn, scalar_fn, vector_fn
+from .expressions import ExpressionError, predicate_fn, scalar_fn, vector_fn
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

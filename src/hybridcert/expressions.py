@@ -228,7 +228,7 @@ def _entry_error(exc, sources, variables, xs):
     # evaluated alone, the failing entry raises again and its message
     # quotes that entry rather than the whole list
     for source in sources:
-        Expr(source, variables)(xs)
+        _compile(source, variables)(xs)
     return _arithmetic_error(exc, list(sources))
 
 
@@ -321,26 +321,6 @@ def _compile(source, variables, result=""):
     namespace = {}
     exec(code, _GLOBALS, namespace)
     return namespace.popitem()[1]
-
-
-class Expr:
-    """One compiled expression over named state components.
-
-    Calling it with a state, a list of floats or a 1-D array, binds
-    variables[i] to x[i] and returns the raw result (float for arithmetic,
-    bool for predicates).
-    """
-
-    def __init__(self, source, variables):
-        self.source = str(source)
-        self.variables = _checked(variables)
-        self._fn = _compile(self.source, self.variables)
-
-    def __call__(self, x):
-        return self._fn(x)
-
-    def __repr__(self):
-        return "Expr(%r, variables=%r)" % (self.source, self.variables)
 
 
 def scalar_fn(source, variables):

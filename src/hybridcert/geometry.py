@@ -163,6 +163,8 @@ class Ball(SetRegion):
 
     def __init__(self, center, radius):
         self.center = as_vector(center)
+        if not np.isfinite(self.center).all():
+            raise ValueError("ball center must be finite")
         if not radius >= 0:
             raise ValueError("ball radius must be >= 0")
         self.radius = float(radius)
@@ -187,8 +189,9 @@ class AxisBox(SetRegion):
         self.hi = as_vector(hi)
         if self.lo.shape != self.hi.shape:
             raise ValueError("lo/hi dimension mismatch")
-        if np.any(self.lo > self.hi):
-            raise ValueError("box needs lo <= hi componentwise")
+        # False for a NaN face; an infinite one passes
+        if not np.all(self.lo <= self.hi):
+            raise ValueError("box needs lo <= hi componentwise, no NaN")
         # the faces contains screens each coordinate with, an infinite one
         # moved to the largest finite float: a NaN or infinite coordinate
         # then fails the screen and goes to the exact distance, which is
@@ -444,11 +447,6 @@ def contains(region, x, tol=DEFAULT_TOL):
     if tol < 0:
         raise ValueError("tol must be >= 0")
     return region.contains(x, tol)
-
-
-def inflate(region, r):
-    """region + rB."""
-    return Inflated(region, r)
 
 
 def sample_region(region, n, rng):

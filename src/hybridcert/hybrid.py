@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import SetRegion, as_rows, as_vector, contains, inflate
+from .geometry import Inflated, SetRegion, as_rows, as_vector, contains
 
 # how far outside a phase's times HybridArc.eval clamps instead of raising
 EVAL_SLACK = 1e-12
@@ -214,8 +214,8 @@ def perturb(sys, delta):
     """
     if not 0.0 <= delta < np.inf:
         raise ValueError("delta must be >= 0 and finite")
-    return replace(sys, flow_set=inflate(sys.flow_set, delta),
-                   jump_set=inflate(sys.jump_set, delta), delta=float(delta))
+    return replace(sys, flow_set=Inflated(sys.flow_set, delta),
+                   jump_set=Inflated(sys.jump_set, delta), delta=float(delta))
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,8 @@ class Disturbance:
 
     With a seed: random, uniform in the delta-ball (one fresh generator
     per solve call).  With a signal: the fixed signal (t, j) -> vector,
-    its values norm-clamped to delta.  With neither: none.
+    its values norm-clamped to delta (a non-finite value is a ValueError).
+    With neither: none.
     """
 
     seed: object = None
@@ -233,22 +234,6 @@ class Disturbance:
     def __post_init__(self):
         if self.seed is not None and self.signal is not None:
             raise ValueError("a disturbance is random or fixed, not both")
-
-    @classmethod
-    def none(cls):
-        return cls()
-
-    @classmethod
-    def random_uniform_ball(cls, seed):
-        if seed is None:
-            raise ValueError("random disturbance needs a seed")
-        return cls(seed=seed)
-
-    @classmethod
-    def fixed(cls, signal):
-        if signal is None:
-            raise ValueError("fixed disturbance needs a signal")
-        return cls(signal=signal)
 
     def reseed(self, seed):
         """A random disturbance with a different seed, any other one
@@ -268,6 +253,11 @@ class Disturbance:
                     raise DimensionMismatch(
                         f"disturbance signal returned shape {v.shape}, "
                         f"wanted ({dim},)"
+                    )
+                if not np.isfinite(v).all():
+                    raise ValueError(
+                        "disturbance signal returned a non-finite value "
+                        f"at (t, j) = ({t!r}, {j!r})"
                     )
                 n = float(np.linalg.norm(v))
                 if n > delta:
@@ -386,11 +376,6 @@ def arc_from_json_obj(obj):
     _check_jump_indices([p["j"] for p in obj["phases"]])
     phases = [(np.array(p["t"]), np.array(p["x"])) for p in obj["phases"]]
     return HybridArc(phases, Termination(obj["termination"]))
-
-
-def arc_to_json(arc, path):
-    with open(path, "w") as fh:
-        json.dump(arc_to_json_obj(arc), fh, indent=1)
 
 
 def arc_from_json(path):

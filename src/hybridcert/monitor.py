@@ -14,12 +14,12 @@ import numpy as np
 from .certificates import GridSpec
 from .geometry import (
     Complement,
+    Inflated,
     SamplingError,
     SetRegion,
     UnsupportedDistance,
     contains,
     dist_to_set,
-    inflate,
     sample_region,
 )
 from .hybrid import as_vector
@@ -153,11 +153,11 @@ def _solve_all(system, points, config, n_dist=1, seed=0, watch=None):
 
 
 def check_forward_invariance(system, K, n_init, config, seed=0):
-    """Do all sampled solutions from K stay in inflate(K, event_tol)?"""
+    """Do all sampled solutions from K stay in Inflated(K, event_tol)?"""
     if not isinstance(K, SetRegion):
         raise ValueError("K must be a SetRegion")
     points = sample_region(K, n_init, np.random.default_rng(seed))
-    K_slack = inflate(K, config.event_tol)
+    K_slack = Inflated(K, config.event_tol)
     runs, skipped = _solve_all(system, points, config, seed=seed,
                                watch=K_slack)
     ces = []
@@ -205,11 +205,11 @@ def check_ras(system, spec: RASSpec, n_dist, config, seed=0):
     """Sampled reach-avoid-stay verdict from the points of spec.x0.
 
     Safety: no stored sample in the unsafe set.  Reach-and-stay: each arc's
-    last exit from inflate(target, event_tol) happens before t_spec in total
+    last exit from Inflated(target, event_tol) happens before t_spec in total
     time; the report carries the worst settle time over arcs.
     """
     points = [as_vector(p) for p in spec.x0]
-    target_slack = inflate(spec.target, config.event_tol)
+    target_slack = Inflated(spec.target, config.event_tol)
     runs, skipped = _solve_all(system, points, config, n_dist=n_dist, seed=seed)
     ces = []
     worst_settle = 0.0
@@ -258,7 +258,7 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
 
     For each eps level, bisection over initial offsets finds the largest
     delta_eps <= eps such that all arcs from n_init seeded draws in
-    inflate(A, delta_eps) keep |x|_A < eps; FAIL when even the smallest
+    Inflated(A, delta_eps) keep |x|_A < eps; FAIL when even the smallest
     tested offset escapes.  Attraction is recorded as settle times of arcs
     from the points of spec.x0 into each eps level; safety flags any stored
     sample inside the unsafe set.
@@ -270,15 +270,15 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
 
     def all_stay_below(delta, eps):
         nonlocal n_arcs
-        shell = inflate(A, delta)
+        shell = Inflated(A, delta)
         try:
             points = sample_region(shell, n_init, np.random.default_rng(seed))
         except SamplingError:
             return None
-        # a sample outside inflate(A, eps) is already an escape, so each arc
+        # a sample outside Inflated(A, eps) is already an escape, so each arc
         # is needed only up to the first one
         runs, _ = _solve_all(system, points, config, seed=seed,
-                             watch=inflate(A, eps))
+                             watch=Inflated(A, eps))
         n_arcs += len(runs)
         for _, rep in runs:
             escape, _ = _first_hit(rep.arc, lambda x: A.distance(x) >= eps,
@@ -329,7 +329,7 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
         if unsafe_ce is not None:
             ces.append(unsafe_ce)
         for eps in spec.eps_levels:
-            shell = inflate(A, float(eps))
+            shell = Inflated(A, float(eps))
             settle, exit_sample = _settle_total_time(rep.arc, shell)
             if settle is None:
                 j, t, x = exit_sample
@@ -365,7 +365,7 @@ def estimate_invariant_core(system, I, grid_n, n_dist, config, seed=0):
         raise ValueError("I needs a bounding box")
     grid_pts = GridSpec(bbox.lo, bbox.hi, grid_n).points()
 
-    I_slack = inflate(I, config.event_tol)
+    I_slack = Inflated(I, config.event_tol)
     survivors = []
     vacuous = 0
     for idx in np.flatnonzero(I.contains_many(grid_pts, 0.0)).tolist():

@@ -76,9 +76,9 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return _jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return _jsonable(value.item())
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, float) and (value != value or value in (float("inf"), float("-inf"))):

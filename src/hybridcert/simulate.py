@@ -65,7 +65,7 @@ class SimConfig:
     T_max: float = 10.0
     J_max: int = 1000
     event_tol: float = 1e-9
-    disturbance: Disturbance = None
+    disturbance: Disturbance = Disturbance()
     t_min: float = 1e-6
 
     def __post_init__(self):
@@ -75,8 +75,6 @@ class SimConfig:
             raise ValueError("J_max must be nonnegative")
         if not 0.0 < self.event_tol < self.h:
             raise ValueError("event_tol must lie in (0, h)")
-        if self.disturbance is None:
-            self.disturbance = Disturbance.none()
 
 
 @dataclass
@@ -420,8 +418,9 @@ def _interp(times, states, s):
         return states[0]
     k = int(np.searchsorted(times, s, side="right")) - 1
     k = min(max(k, 0), len(times) - 2)
+    # arc phases keep their times strictly increasing, so t1 - t0 > 0
     t0, t1 = times[k], times[k + 1]
-    w = 0.0 if t1 == t0 else (s - t0) / (t1 - t0)
+    w = (s - t0) / (t1 - t0)
     return states[k] + w * (states[k + 1] - states[k])
 
 

@@ -15,6 +15,7 @@ from hybridcert import (
     CertificatePair,
     GridSpec,
     Implicit,
+    Inflated,
     ScalarField,
     SimConfig,
     StabSafeSpec,
@@ -30,7 +31,6 @@ from hybridcert import (
     estimate_lipschitz,
     first_impact_time,
     grad_check,
-    inflate,
     make_system,
     mg_closed_loop,
     moore_greitzer,
@@ -286,7 +286,7 @@ def test_c09_invariant_core_peak_height():
     expected = sorted(tuple(p) for p in mesh if forward_peak(p) <= 0.1 + 1e-6)
     assert sorted(map(tuple, survivors)) == expected
 
-    shell = inflate(I, 2e-9)
+    shell = Inflated(I, 2e-9)
     kept = 0
     for p in survivors:
         rep = solve(system, np.asarray(p),

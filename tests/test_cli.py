@@ -626,6 +626,9 @@ SINGLE_V = ["check", "--mode", "single-v"]
     (with_nan(decay_certificates(UNIT_BOX, CENTRE_BALL), "check", "tol"),
      SINGLE_V, "ValueError"),
     (with_nan(DECAY_SCENARIO, "spec", "t_spec"), SIMULATE, "ValueError"),
+    (FALLING_MASS_SCENARIO.replace("flow_set: {kind: axis_box, lo: [0.0,",
+                                   "flow_set: {kind: axis_box, lo: [.nan,"),
+     SIMULATE, "ValueError"),
     (edited(FALLING_MASS_SCENARIO, lambda doc: doc["check"].update(seed=1.5)),
      ["check", "--mode", "ras"], "ScenarioError"),
     (edited(FALLING_MASS_SCENARIO, lambda doc: doc["check"].update(n_init=-1)),
@@ -673,8 +676,8 @@ SINGLE_V = ["check", "--mode", "single-v"]
      SIMULATE, "RecursionError"),
 ], ids=["30000-zero-flow-set", "100kB-set-kind", "100kB-system-name",
         "100kB-radius", "non-ascii-radius", "infinite-j-max", "nan-delta",
-        "nan-tol", "nan-t-spec", "fractional-seed", "negative-n-init",
-        "fractional-grid-count",
+        "nan-tol", "nan-t-spec", "nan-box-face", "fractional-seed",
+        "negative-n-init", "fractional-grid-count",
         "invariant-without-radius-under-ras", "missing-t-spec",
         "3-entry-flow-map", "attractor-outside-region",
         "implicit-certificate-region", "implicit-certificate-attractor",

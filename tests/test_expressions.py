@@ -14,8 +14,8 @@ import hybridcert.expressions
 from hybridcert.expressions import (
     CONSTANTS,
     FUNCTIONS,
-    Expr,
     ExpressionError,
+    _compile,
     _validate,
     predicate_fn,
     quote,
@@ -136,14 +136,14 @@ def test_list_form_raises_the_array_forms_expression_error():
 @pytest.mark.parametrize("x", [[0.0, 2.0], np.array([0.0, 2.0])],
                          ids=["list", "array"])
 def test_predicate_fn_raises_the_expression_errors_of_expr(x):
-    # one closure now, not a call of Expr: the same messages, for a list
-    # and for an array alike
+    # the messages of the raw compiled expression, for a list and for an
+    # array alike
     variables = ("x", "y")
     p = predicate_fn("y/x > 1", variables)
     with pytest.raises(ExpressionError) as got:
         p(x)
     with pytest.raises(ExpressionError) as want:
-        Expr("y/x > 1", variables)(x)
+        _compile("y/x > 1", variables)(x)
     assert str(got.value) == str(want.value) == (
         "ZeroDivisionError: float division by zero in 'y/x > 1'")
     longer = np.append(x, 1.0) if isinstance(x, np.ndarray) else x + [1.0]
@@ -151,12 +151,12 @@ def test_predicate_fn_raises_the_expression_errors_of_expr(x):
         with pytest.raises(ExpressionError) as got:
             p(point)
         with pytest.raises(ExpressionError) as want:
-            Expr("y/x > 1", variables)(point)
+            _compile("y/x > 1", variables)(point)
         assert str(got.value) == str(want.value) == (
             "expected 2 components, got %d" % len(point))
 
 
-@pytest.mark.parametrize("make", [scalar_fn, predicate_fn, Expr])
+@pytest.mark.parametrize("make", [scalar_fn, predicate_fn])
 def test_only_vector_fn_takes_a_list(make):
     # a list where one source belongs is a list literal, not a vector map
     with pytest.raises(ExpressionError, match="'List' not allowed"):
@@ -192,9 +192,9 @@ def test_deep_nesting_is_an_expression_error_at_parse_time(source):
 def test_integer_literals_compile_as_floats():
     # exact ints would let a power tower such as 9**9**9 build a huge
     # number instead of overflowing at once
-    value = Expr("2**3 + 7 % 4", ())([])
+    value = _compile("2**3 + 7 % 4", ())([])
     assert type(value) is float and value == 11.0
-    assert Expr("True", ())([]) is True
+    assert _compile("True", ())([]) is True
     with pytest.raises(ExpressionError, match="literal too large"):
         scalar_fn("1" + "0" * 400, ["x"])
 
@@ -211,14 +211,14 @@ def test_integer_literals_compile_as_floats():
 ])
 def test_bools_and_floor_enter_arithmetic_as_floats(source, value):
     # an exact int would grow without bound in a power tower
-    got = Expr(source, ("x",))([1.0])
+    got = _compile(source, ("x",))([1.0])
     assert type(got) is float and got == value
 
 
 def test_arithmetic_on_names_and_constants_compiles_as_parsed():
     # only operands that may be bools gain a conversion; a bool that feeds
     # no arithmetic stays a bool
-    assert Expr("x > 0 and not x > 2", ("x",))([1.0]) is True
+    assert _compile("x > 0 and not x > 2", ("x",))([1.0]) is True
     for source in ["-0.8*z", "z**2.0/2.0 + 9.8*y", "sin(y) - pi",
                    "y if z > 0.0 else -y", "y <= 0.0 and z < 0.0"]:
         tree = ast.parse(source, mode="eval")
@@ -321,7 +321,7 @@ def test_compiled_function_matches_the_eval_reference(source, x, y):
         return reference_eval(source, variables, point)
 
     pairs = [
-        (outcome(ref), outcome(lambda: Expr(source, variables)(point))),
+        (outcome(ref), outcome(lambda: _compile(source, variables)(point))),
         (outcome(lambda: float(ref())),
          outcome(lambda: scalar_fn(source, variables)(point))),
         (outcome(lambda: bool(ref())),
@@ -401,18 +401,21 @@ def test_generated_functions_match_the_closure_reference_bit_for_bit(
     names, source = names_source
     vec = [source, "%s*%s" % names, "%s / %s" % names]
     point = [a, b]
+    # the raw compiled expression against the reference's Expr
+    makers = [(_compile, expressions_reference.Expr),
+              (scalar_fn, expressions_reference.scalar_fn),
+              (predicate_fn, expressions_reference.predicate_fn)]
     calls = []
     for x in (point, np.array(point), point + [a], np.array(point[:1])):
-        calls += [(make, source, x)
-                  for make in ("Expr", "scalar_fn", "predicate_fn")]
+        calls += [(make, make_ref, source, x) for make, make_ref in makers]
     for x in (point, np.array(point), point[:1]):
-        calls.append(("vector_fn", vec, x))
-    for make, src, x in calls:
-        new = getattr(hybridcert.expressions, make)(src, names)
-        ref = getattr(expressions_reference, make)(src, names)
+        calls.append((vector_fn, expressions_reference.vector_fn, vec, x))
+    for make, make_ref, src, x in calls:
+        new, ref = make(src, names), make_ref(src, names)
         with np.errstate(all="ignore"):
             got, want = result(lambda: new(x)), result(lambda: ref(x))
-        assert same_outcome(got, want), (make, src, names, x, got, want)
+        assert same_outcome(got, want), (make.__name__, src, names, x, got,
+                                         want)
 
 
 @pytest.mark.parametrize("names", NAME_PAIRS)

@@ -20,7 +20,6 @@ from hybridcert import (
     bouncing_ball,
     contains,
     dist_to_set,
-    inflate,
     make_proper_indicator,
     predicate_fn,
     sample_region,
@@ -64,7 +63,7 @@ def test_empty_set():
 def test_inflated_ball_acts_like_bigger_ball():
     A = Ball((1.0, -2.0), 0.5)
     B = Ball((1.0, -2.0), 0.8)
-    infl = inflate(A, 0.3)
+    infl = Inflated(A, 0.3)
     rng = np.random.default_rng(0)
     for p in rng.uniform(-4.0, 4.0, size=(300, 2)):
         assert contains(infl, p, 1e-9) == contains(B, p, 1e-9)
@@ -72,7 +71,7 @@ def test_inflated_ball_acts_like_bigger_ball():
 
 def test_inflate_zero_is_identity():
     A = AxisBox([-1.0, 0.0], [1.0, 2.0])
-    infl = inflate(A, 0.0)
+    infl = Inflated(A, 0.0)
     rng = np.random.default_rng(1)
     for p in rng.uniform(-3.0, 3.0, size=(1000, 2)):
         assert contains(infl, p, 0.0) == contains(A, p, 0.0)
@@ -81,7 +80,7 @@ def test_inflate_zero_is_identity():
 def test_point_at_known_set_distance_is_in_inflation():
     A = Ball((0.0, 0.0), 1.0)
     x = np.array([1.3, 0.0])  # |x|_A = 0.3
-    assert contains(inflate(A, 0.3), x, 1e-9)
+    assert contains(Inflated(A, 0.3), x, 1e-9)
 
 
 @st.composite
@@ -128,10 +127,10 @@ def inflation_case(draw):
 @example(case=(AxisBox([-np.inf, 0.0], [0.5, np.inf]),
                np.array([-1e300, -0.25]), 0.25, 0.0))
 def test_inflation_distance_duality(case):
-    # contains(inflate(A, r), x, tol) must agree with dist(x, A) <= r + tol
+    # contains(Inflated(A, r), x, tol) must agree with dist(x, A) <= r + tol
     A, x, r, tol = case
     inside = dist_to_set(x, A) <= r + tol
-    infl = inflate(A, r)
+    infl = Inflated(A, r)
     assert contains(infl, x, tol) == inside
     assert contains(infl, x.tolist(), tol) == inside
     assert infl.contains_many(x[None, :], tol).tolist() == [inside]
@@ -248,7 +247,7 @@ UNMEASURED_BASES = {
     "union": Union([Ball((0.0, 0.0), 1.0), AxisBox([1.0, -1.0], [3.0, 1.0])]),
     "intersection": Intersection([Ball((0.0, 0.0), 1.0),
                                   AxisBox([0.0, -2.0], [2.0, 2.0])]),
-    "inflated": inflate(AxisBox([0.0, 0.0], [1.0, 1.0]), 0.25),
+    "inflated": Inflated(AxisBox([0.0, 0.0], [1.0, 1.0]), 0.25),
 }
 COMPLEMENT_POINTS = np.array([
     [0.0, 0.0], [0.5, 0.5], [1.0, 0.0], [-0.0, -1.0], [2.5, 0.5],
@@ -306,14 +305,14 @@ def test_implicit_with_sdf_supports_inflation():
 
     I = Implicit(lambda p: np.hypot(p[0], p[1]) <= 1.0,
                  AxisBox([-1.0, -1.0], [1.0, 1.0]), sdf=sdf)
-    assert contains(inflate(I, 0.5), np.array([1.4, 0.0]), 1e-9)
-    assert not contains(inflate(I, 0.5), np.array([1.6, 0.0]), 1e-9)
+    assert contains(Inflated(I, 0.5), np.array([1.4, 0.0]), 1e-9)
+    assert not contains(Inflated(I, 0.5), np.array([1.6, 0.0]), 1e-9)
 
 
 def test_inflating_a_predicate_only_set_falls_back_to_the_predicate():
     I = Implicit(lambda p: np.hypot(p[0], p[1]) <= 1.0,
                  AxisBox([-1.0, -1.0], [1.0, 1.0]))
-    infl = inflate(I, 0.5)
+    infl = Inflated(I, 0.5)
     # no distance oracle: the band under-accepts, the predicate decides
     assert contains(infl, np.array([0.9, 0.0]), 1e-9)
     assert not contains(infl, np.array([1.4, 0.0]), 1e-9)
@@ -337,7 +336,7 @@ def test_inflation_asks_no_distance_it_does_not_need(monkeypatch):
     for base, want in cases:
         for name in ("distance", "distance_many"):
             monkeypatch.setattr(base, name, _no_distance)
-        infl = inflate(base, 0.25)
+        infl = Inflated(base, 0.25)
         tol = 0.05
         assert [contains(infl, x, tol) for x in X] == want
         assert [contains(infl, x.tolist(), tol) for x in X] == want
@@ -379,7 +378,7 @@ def test_proper_indicator_rejects_touching_domain():
 
 def test_inflated_keeps_base_reference():
     A = AxisBox([0.0], [1.0])
-    infl = inflate(A, 0.2)
+    infl = Inflated(A, 0.2)
     assert isinstance(infl, Inflated)
     assert dist_to_set(np.array([1.5]), infl) == pytest.approx(0.3)
 
@@ -631,7 +630,7 @@ def test_the_ball_jump_set_tests_rows_by_its_predicate_row_form(monkeypatch):
     calls = []
     monkeypatch.setattr(jump, "pred", _counted(jump.pred, calls))
     assert jump.contains_many(X, 0.0).tobytes() == want.tobytes()
-    assert inflate(jump, 0.0).contains_many(X, 0.0).tobytes() == \
+    assert Inflated(jump, 0.0).contains_many(X, 0.0).tobytes() == \
         want.tobytes()
     assert calls == []
     # without an sdf, at every tol
@@ -652,7 +651,7 @@ NAN_POINTS = [[np.nan, 0.0], [0.5, np.nan], [np.nan, np.nan]]
 
 @pytest.mark.parametrize("region", [
     Ball((0.0, 0.0), 1.0), Ball((0.5, -0.5), 0.0),
-    inflate(Ball((0.0, 0.0), 1.0), 0.5),
+    Inflated(Ball((0.0, 0.0), 1.0), 0.5),
     Complement(Ball((0.0, 0.0), 1.0)),
     Complement(AxisBox([0.0, 0.0], [1.0, 1.0])),
     Complement(AxisBox([-np.inf, 0.0], [np.inf, 1.0])),
@@ -692,7 +691,7 @@ def test_distances_far_from_a_set_are_finite():
                 [np.inf, 0.0], [1e-200, 0.0]]),
         (square, [[1e200, 1e200], [-1e200, 0.5], [1.7e308, -1.7e308]]),
         (Complement(ball), [[1e200, 0.0], [0.0, 1e-300]]),
-        (inflate(square, 1e200), [[3e200, 0.5], [1e300, 1e300]]),
+        (Inflated(square, 1e200), [[3e200, 0.5], [1e300, 1e300]]),
     ]
     for region, X in cases:
         one = np.array([dist_to_set(x, region) for x in X])
@@ -704,7 +703,7 @@ def test_distances_far_from_a_set_are_finite():
     # a norm beyond the largest float is inf, as at an infinite coordinate
     assert dist_to_set([1.7e308, 1.7e308], ball) == np.inf
     assert dist_to_set([-np.inf], box) == np.inf
-    assert dist_to_set([3e200, 0.5], inflate(square, 1e200)) == 2e200 - 1.0
+    assert dist_to_set([3e200, 0.5], Inflated(square, 1e200)) == 2e200 - 1.0
 
 
 def test_contains_rejects_a_negative_tol():

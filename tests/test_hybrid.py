@@ -21,13 +21,13 @@ from hybridcert import (
     arc_from_csv,
     arc_from_json,
     arc_to_csv,
-    arc_to_json,
     bouncing_ball,
     contains,
     make_system,
     perturb,
     solve,
 )
+from hybridcert import cli
 from hybridcert.hybrid import arc_from_json_obj, write_phase_rows
 
 
@@ -99,40 +99,42 @@ def test_perturb_carries_every_other_field_unchanged():
             assert getattr(sysd, f.name) is getattr(system, f.name), f.name
 
 
-def test_disturbance_modes_need_their_field():
-    with pytest.raises(ValueError, match="seed"):
-        Disturbance.random_uniform_ball(None)
-    with pytest.raises(ValueError, match="signal"):
-        Disturbance.fixed(None)
-
-
 def test_disturbance_is_not_both_random_and_fixed():
     with pytest.raises(ValueError, match="not both"):
         Disturbance(seed=1, signal=lambda t, j: [0.0])
 
 
 def test_disturbance_reseed_changes_only_a_random_one():
-    none = Disturbance.none()
-    fixed = Disturbance.fixed(lambda t, j: [0.0])
+    none = Disturbance()
+    fixed = Disturbance(signal=lambda t, j: [0.0])
     assert none.reseed(5) is none
     assert fixed.reseed(5) is fixed
-    random = Disturbance.random_uniform_ball(1)
+    random = Disturbance(seed=1)
     again = random.reseed([0, 2, 3])
     assert again is not random
     assert (again.seed, again.signal) == ([0, 2, 3], None)
     assert random.seed == 1
-    want = Disturbance.random_uniform_ball([0, 2, 3]).start(3, 0.5)
+    want = Disturbance(seed=[0, 2, 3]).start(3, 0.5)
     got = again.start(3, 0.5)
     assert [got(0.0, 0) for _ in range(4)] == [want(0.0, 0) for _ in range(4)]
 
 
 def test_disturbance_without_a_budget_or_a_mode_is_zero():
-    assert Disturbance.none().start(2, 0.5)(0.0, 0) == [0.0, 0.0]
-    assert Disturbance.random_uniform_ball(3).start(2, 0.0)(0.0, 0) == [
-        0.0, 0.0]
+    assert Disturbance().start(2, 0.5)(0.0, 0) == [0.0, 0.0]
+    assert Disturbance(seed=3).start(2, 0.0)(0.0, 0) == [0.0, 0.0]
     # a fixed signal is clamped even to a zero budget
-    assert Disturbance.fixed(lambda t, j: [3.0, 4.0]).start(2, 0.0)(
+    assert Disturbance(signal=lambda t, j: [3.0, 4.0]).start(2, 0.0)(
         0.0, 0) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("value", [[np.inf, 0.0], [0.0, np.nan]],
+                         ids=["inf", "nan"])
+def test_disturbance_signal_with_a_non_finite_value_raises(value):
+    # clamping cannot bring inf or NaN within delta: inf * (delta / inf)
+    # is NaN, and a NaN norm is never above delta
+    draw = Disturbance(signal=lambda t, j: value).start(2, 0.1)
+    with pytest.raises(ValueError, match=r"at \(t, j\) = \(0\.5, 3\)"):
+        draw(0.5, 3)
 
 
 def test_perturb_monotone_in_delta():
@@ -333,15 +335,23 @@ def test_write_phase_rows_is_csv_writer_byte_for_byte(table):
 
 
 def test_arc_json_round_trip_is_bitwise(tmp_path):
+    # the arc.json that hybridcert simulate writes reads back as the arc
+    # the library solves, bit for bit
+    scenario = tmp_path / "ball.yaml"
+    scenario.write_text(
+        "system: bouncing-ball\nsim: {h: 0.001, t_max: 3.0, j_max: 5}\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", str(scenario),
+                     "--out", str(out)]) == 0
     system, _, spec = bouncing_ball()
     arc = solve(system, np.asarray(spec.x0[0]),
                 SimConfig(h=1e-3, T_max=3.0, J_max=5)).arc
-    path = tmp_path / "arc.json"
-    arc_to_json(arc, str(path))
-    back = arc_from_json(str(path))
+    back = arc_from_json(str(out / "arc.json"))
+    assert back.termination == arc.termination
+    assert len(back.phases) == len(arc.phases) > 1
     for (ta, xa), (tb, xb) in zip(arc.phases, back.phases):
-        assert np.array_equal(ta, tb)
-        assert np.array_equal(xa, xb)
+        assert ta.tobytes() == tb.tobytes()
+        assert xa.tobytes() == xb.tobytes()
 
 
 THREE_PHASES = [([0.0, 0.5], [[1.0], [0.5]]), ([0.5, 0.75], [[2.0], [1.0]]),

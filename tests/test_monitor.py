@@ -485,7 +485,7 @@ def test_watched_monitors_report_what_unwatched_ones_do(monkeypatch, check,
     system, _, _ = bouncing_ball()
     sys_delta = perturb(system, 0.02)
     cfg = SimConfig(h=5e-3, T_max=2.0, J_max=100,
-                    disturbance=Disturbance.random_uniform_ball(seed))
+                    disturbance=Disturbance(seed=seed))
     band = peak_core_region()
 
     def run():

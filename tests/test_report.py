@@ -67,3 +67,12 @@ def test_report_json_maps_numpy_enums_nan_and_inf_to_json_values():
     assert type(obj["stats"]["int64"]) is int
     assert type(obj["stats"]["nested"]["levels"][0]) is int
     json.dumps(obj, allow_nan=False)
+
+
+def test_report_json_clamps_numpy_nan_and_inf_as_python_floats():
+    stats = {"nan64": np.float64("nan"), "inf64": np.float64("inf"),
+             "array": np.array([[np.inf, -np.inf], [np.nan, 1.0]])}
+    obj = CheckReport(Verdict.PASS, [], stats).to_json_obj()
+    assert obj["stats"] == {"nan64": None, "inf64": 1e12,
+                            "array": [[1e12, -1e12], [None, 1.0]]}
+    json.dumps(obj, allow_nan=False)

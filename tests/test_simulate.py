@@ -41,7 +41,6 @@ from hybridcert import (
     companion_radius_bound,
     construct_perturbed,
     estimate_lipschitz,
-    inflate,
     make_proper_indicator,
     make_system,
     perturb,
@@ -425,6 +424,12 @@ OUT_OF_RANGE = [
                             (0.1, v)),
      (math.nan, 0.0)),
     ("Ball.radius", lambda v: Ball([0.0], v), (math.nan, -1.0)),
+    ("Ball.center", lambda v: Ball([0.0, v], 1.0),
+     (math.nan, math.inf, -math.inf)),
+    # an infinite face is a half-bounded box
+    ("AxisBox.lo", lambda v: AxisBox([v, 0.0], [1.0, 1.0]), (math.nan, 2.0)),
+    ("AxisBox.hi", lambda v: AxisBox([0.0, 0.0], [1.0, v]),
+     (math.nan, -1.0)),
     ("Inflated.r", lambda v: Inflated(Ball([0.0], 1.0), v), (math.nan, -1.0)),
     ("check_single_V.tol", lambda v: _ball_grid_check(check_single_V, v),
      (math.nan, -1.0)),
@@ -564,7 +569,7 @@ def test_solve_many_seeded_rerun_is_bitwise():
     system, _, spec = bouncing_ball()
     sysd = perturb(system, 0.01)
     cfg = SimConfig(h=1e-3, T_max=2.0, J_max=10,
-                    disturbance=Disturbance.random_uniform_ball(42))
+                    disturbance=Disturbance(seed=42))
     starts = [np.asarray(spec.x0[0]) + np.array([0.0, k * 0.1, 0.0])
               for k in range(3)]
     keys = [[7, i] for i in range(len(starts))]
@@ -579,7 +584,7 @@ def test_solve_many_item_is_solve_under_its_reseeded_disturbance():
     system, _, spec = bouncing_ball()
     sysd = perturb(system, 0.02)
     cfg = SimConfig(h=1e-3, T_max=1.5, J_max=10,
-                    disturbance=Disturbance.random_uniform_ball(5))
+                    disturbance=Disturbance(seed=5))
     x0 = np.asarray(spec.x0[0])
     outside = np.array([0.0, -1.0, 0.5])  # below the simulation bounds
     starts = [x0, outside, x0, x0 + np.array([0.0, 0.5, 0.0])]
@@ -722,7 +727,7 @@ def test_random_disturbance_actually_moves_the_state():
     sysd = perturb(system, 0.05)
     cfg0 = SimConfig(h=1e-3, T_max=1.0)
     cfgd = SimConfig(h=1e-3, T_max=1.0,
-                     disturbance=Disturbance.random_uniform_ball(3))
+                     disturbance=Disturbance(seed=3))
     nominal = solve(system, np.asarray(spec.x0[0]), cfg0).arc
     noisy = solve(sysd, np.asarray(spec.x0[0]), cfgd).arc
     assert not np.array_equal(nominal.phases[0][1], noisy.phases[0][1])
@@ -734,7 +739,7 @@ def test_fixed_disturbance_is_norm_clamped():
         EmptySet(), lambda x: [], AxisBox([-20.0], [20.0]),
     )
     sig = lambda t, j: np.array([0.2])  # over the 0.05 budget, must clamp
-    cfg = SimConfig(h=1e-2, T_max=1.0, disturbance=Disturbance.fixed(sig))
+    cfg = SimConfig(h=1e-2, T_max=1.0, disturbance=Disturbance(signal=sig))
     arc = solve(perturb(sys1, 0.05), np.array([0.0]), cfg).arc
     assert float(arc.phases[0][1][-1][0]) == pytest.approx(0.05, rel=1e-9)
 
@@ -851,31 +856,31 @@ REFERENCE_CASES = {
     "random-disturbance": (
         lambda: perturb(bouncing_ball()[0], 0.05), BALL_X0,
         SimConfig(h=1e-3, T_max=4.0, J_max=50,
-                  disturbance=Disturbance.random_uniform_ball(11)),
+                  disturbance=Disturbance(seed=11)),
         None, Termination.HORIZON_REACHED),
     "random-disturbance-compiled": (
         lambda: falling_mass(0.02), (10.0, 0.0),
         SimConfig(h=2e-3, T_max=4.0, J_max=100,
-                  disturbance=Disturbance.random_uniform_ball(5)),
+                  disturbance=Disturbance(seed=5)),
         None, Termination.HORIZON_REACHED),
     "fixed-disturbance": (
         lambda: perturb(bouncing_ball()[0], 0.05), BALL_X0,
         SimConfig(h=1e-3, T_max=4.0, J_max=50,
-                  disturbance=Disturbance.fixed(wobble)),
+                  disturbance=Disturbance(signal=wobble)),
         None, Termination.HORIZON_REACHED),
     "watch-exit": (lambda: bouncing_ball()[0], (0.0, 1.0, 0.0), WATCH_CFG,
                    box(x_hi=1.5), Termination.LEFT_WATCH_REGION),
-    # the band under inflate(band, event_tol), as estimate_invariant_core
+    # the band under Inflated(band, event_tol), as estimate_invariant_core
     # watches it; the bounce from this start peaks above the band
     "watch-c09-band": (lambda: bouncing_ball()[0], (0.0, 0.02, -1.8),
                        SimConfig(h=2e-3, T_max=4.0, J_max=120),
-                       inflate(c09_band(), 1e-9),
+                       Inflated(c09_band(), 1e-9),
                        Termination.LEFT_WATCH_REGION),
-    # a compiled target under inflate(target, event_tol), as check_ras
+    # a compiled target under Inflated(target, event_tol), as check_ras
     # builds its target slack; the first bounce leaves at z > 3
     "watch-compiled-target": (falling_mass, (1.0, 0.0),
                               SimConfig(h=2e-3, T_max=8.0, J_max=100),
-                              inflate(COMPILED_TARGET, 1e-9),
+                              Inflated(COMPILED_TARGET, 1e-9),
                               Termination.LEFT_WATCH_REGION),
     "bounds-escape-ball": (lambda: bouncing_ball()[0], (0.0, 5.0, 19.0),
                            WATCH_CFG, None, Termination.ESCAPED_BOUNDS),
@@ -1022,9 +1027,9 @@ def test_the_solver_and_checks_hand_every_callback_a_list_of_floats():
 
     # the second bounce gap (0.72) is below t_min: that jump snaps to rest
     cfg = SimConfig(h=2e-3, T_max=3.0, J_max=50, t_min=0.75,
-                    disturbance=Disturbance.fixed(signal))
+                    disturbance=Disturbance(signal=signal))
     rep = solve(system, np.array([0.0, 1.0, 0.0]), cfg,
-                watch=inflate(_spied_user_region(spy), 1e-9))
+                watch=Inflated(_spied_user_region(spy), 1e-9))
     assert rep.zeno_snapped and rep.jump_count == 2
     assert rep.termination == Termination.LEFT_WATCH_REGION
     assert times and all(type(t) is float and type(j) is int
@@ -1062,7 +1067,7 @@ def test_region_forms_hand_every_callable_a_list_of_floats():
                             compiled.bbox)
     X = np.array([[0.0, 0.05, -1.0], [2.0, 0.5, 0.5], [0.0, 0.0, 0.0]])
     for region in (jump_set, scenario_set, user, Complement(user)):
-        for shell in (region, inflate(region, 0.25)):
+        for shell in (region, Inflated(region, 0.25)):
             shell.contains_many(X, 0.25)
             for x in X:
                 shell.contains(x, 0.25)
@@ -1110,7 +1115,7 @@ def test_maps_that_modify_their_argument_leave_the_arc_unchanged():
 @pytest.mark.parametrize("value", [[0.01], [0.01, 0.0]],
                          ids=["length-1", "short"])
 def test_disturbance_of_the_wrong_length_raises(value):
-    cfg = SimConfig(h=1e-3, T_max=1.0, disturbance=Disturbance.fixed(
+    cfg = SimConfig(h=1e-3, T_max=1.0, disturbance=Disturbance(signal=
         lambda t, j: np.array(value)))
     with pytest.raises(DimensionMismatch, match="disturbance signal"):
         solve(perturb(raw_ball(), 0.05), np.array(BALL_X0), cfg)
