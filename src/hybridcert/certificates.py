@@ -28,10 +28,6 @@ log = logging.getLogger(__name__)
 # meaningful violation in the shipped examples
 DEFAULT_TOL = 1e-7
 
-# stand-in for -inf when a barrier hits its singular sentinel; reports
-# require finite margins
-NEG_CLAMP = -1e12
-
 # central-difference step of gradients without an analytic form
 FD_STEP = 1e-5
 
@@ -237,40 +233,35 @@ def _jump_images(sys_delta, P):
                              dtype=float).reshape(len(rows), -1)
 
 
-def _clamp_rows(v):
-    """v clipped to [NEG_CLAMP, -NEG_CLAMP], elementwise; NaN means the
-    evaluation broke and reads -NEG_CLAMP, a violation."""
-    return np.where(v != v, -NEG_CLAMP,
-                    np.minimum(np.maximum(v, NEG_CLAMP), -NEG_CLAMP))
-
-
-def _clamp(v):
-    """_clamp_rows of the one value v, as a float."""
-    return float(_clamp_rows(v))
+def _worse(m, worst, no_worse=np.less_equal):
+    """Where m replaces the running worst: where no_worse(m, worst) fails
+    (m is NaN, say) and worst is not NaN.  So a NaN is the worst value, and
+    of equal values the first stays.  Takes floats or arrays."""
+    return (worst == worst) & ~no_worse(m, worst)
 
 
 def _first_max(start, m):
-    """max(start, *m) as Python takes it: a NaN never wins, and of equal
-    values the first stays, so +0.0 and -0.0 keep their order."""
-    m = m[m == m]
-    if m.size == 0 or not m.max() > start:
+    """The running worst of start and then each of m: a NaN wins, and of
+    equal values the first stays, so +0.0 and -0.0 keep their order."""
+    if m.size == 0:
         return start
-    return m[np.argmax(m == m.max())]
+    top = m.max()
+    if top == top:
+        top = m[np.argmax(m == top)]
+    return top if _worse(top, start) else start
 
 
 def _first_min(m):
-    """Index of min(m) as Python takes it: the first of the least values,
-    or 0 when m[0] is NaN, which no value is less than."""
-    if m[0] != m[0]:
-        return 0
-    return int(np.argmax(m == np.min(m[m == m])))
+    """Index of the least of m as the running best: the first NaN, else
+    the first of the least values."""
+    nan = m != m
+    return int(np.argmax(nan if nan.any() else m == m.min()))
 
 
-def _report(found, P, ces, margin):
+def _report(found, P, ces):
     """Append a counterexample for each (condition, rows, margins) entry
     of found at each of its rows of P, in the order of a loop over the
-    rows that reports each row's conditions in the order of found; margin
-    maps a margin to the counterexample's."""
+    rows that reports each row's conditions in the order of found."""
     if not found:
         return
     rows = np.concatenate([r for _, r, _ in found])
@@ -278,21 +269,21 @@ def _report(found, P, ces, margin):
     margins = np.concatenate([m for _, _, m in found])
     for k in np.lexsort((rank, rows)):
         ces.append(Counterexample(found[rank[k]][0], P[rows[k]],
-                                  margin=margin(margins[k])))
+                                  margin=float(margins[k])))
 
 
-def _note_rows(notes, P, tol, counts, worst, ces, margin=_clamp):
+def _note_rows(notes, P, tol, counts, worst, ces):
     """Note the margins of conditions at rows of P as one loop over the
     rows would, noting each row's conditions in the order of notes: each
     condition's count and worst margin, and a counterexample where the
-    margin exceeds tol.  notes holds (condition, rows, margins), rows
+    margin is not <= tol.  notes holds (condition, rows, margins), rows
     ascending; counts and worst keep their keys in first-noted order."""
     notes = [n for n in notes if len(n[1])]
     for cond, rows, m in sorted(notes, key=lambda n: n[1][0]):
         counts[cond] = counts.get(cond, 0) + len(rows)
         worst[cond] = _first_max(worst.get(cond, -np.inf), m)
-    _report([(c, r[m > tol], m[m > tol]) for c, r, m in notes], P, ces,
-            margin)
+    _report([(c, r[~(m <= tol)], m[~(m <= tol)]) for c, r, m in notes],
+            P, ces)
 
 
 def _fit_envelopes(w, v, knots=24):
@@ -321,14 +312,15 @@ def _sandwich_check(w, v, P, tol, ces):
 
     A monotone-through-origin envelope pair exists iff V vanishes exactly
     where omega does: points with omega <= tol must have V <= SANDWICH_BAND
-    and vice versa, and V must be nonnegative.
+    and vice versa, and V must be nonnegative.  A NaN V or omega fails the
+    bound it is compared in.
     """
     band = SANDWICH_BAND
     _report([(cond, np.flatnonzero(bad), m[bad]) for cond, bad, m in (
-        ("sandwich-nonneg", v < -tol, -v),
-        ("sandwich-upper", (w <= tol) & (v > band), v - band),
-        ("sandwich-lower", (v <= tol) & (w > band), w - band),
-    )], P, ces, float)
+        ("sandwich-nonneg", ~(v >= -tol), -v),
+        ("sandwich-upper", (w <= tol) & ~(v <= band), v - band),
+        ("sandwich-lower", (v <= tol) & ~(w <= band), w - band),
+    )], P, ces)
 
 
 def _in_region(O, P):
@@ -373,7 +365,7 @@ def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
          _flow_margins(sys_delta, V, P[flow], v[flow], delta)),
         ("jump-decrease", jump,
          _jump_margins(sys_delta, V, P[jump], v[jump], delta)),
-    ], P, tol, counts, worst, ces, margin=float)
+    ], P, tol, counts, worst, ces)
     _sandwich_check(w, v, P, tol, ces)
     env = _fit_envelopes(w, v)
 
@@ -382,9 +374,9 @@ def check_single_V(sys_delta, cert: CertificatePair, grid: GridSpec,
         "flow_points": len(flow),
         "jump_points": len(jump),
         "worst_flow_margin":
-            _clamp(worst["flow-decrease"]) if len(flow) else None,
+            float(worst["flow-decrease"]) if len(flow) else None,
         "worst_jump_margin":
-            _clamp(worst["jump-decrease"]) if len(jump) else None,
+            float(worst["jump-decrease"]) if len(jump) else None,
         "delta": delta,
         "tol": tol,
     }
@@ -405,7 +397,7 @@ def _flow_margins(sys_delta, V, P, v, delta):
     worst = np.full(len(P), -np.inf)
     for d, used in _row_directions(delta, G.shape, [G]):
         m = np.vecdot(G, F + d) + v
-        worst = np.where(used & (m > worst), m, worst)
+        worst = np.where(used & _worse(m, worst), m, worst)
     return worst
 
 
@@ -419,7 +411,7 @@ def _jump_margins(sys_delta, V, P, v, delta):
         for d, used in _row_directions(delta, G.shape, grads):
             at = rows[used]
             m = V.value_many((G + d)[used]) - v[at] / np.e
-            worst[at] = np.where(m > worst[at], m, worst[at])
+            worst[at] = np.where(_worse(m, worst[at]), m, worst[at])
     return worst
 
 
@@ -446,9 +438,10 @@ def _pair_flow(sys_delta, cert, P):
     for d, used in _row_directions(sys_delta.delta, GV.shape, [GV, GB]):
         Fd = F + d
         m = -np.vecdot(GV, Fd)
-        dec = np.where(used & (m < dec), m, dec)
+        dec = np.where(used & _worse(m, dec, np.greater_equal), m, dec)
         m = np.vecdot(GB, Fd)
-        bflow = np.where(used & ok & (m < bflow), m, bflow)
+        bflow = np.where(used & ok & _worse(m, bflow, np.greater_equal), m,
+                         bflow)
     return dec, ok, -bflow
 
 
@@ -470,9 +463,11 @@ def _pair_jumps(sys_delta, cert, P, v, b):
             at, X = rows[used], (G + d)[used]
             if v is not None:
                 m = v[at] - V.value_many(X)
-                dec[at] = np.where(m < dec[at], m, dec[at])
+                dec[at] = np.where(_worse(m, dec[at], np.greater_equal), m,
+                                   dec[at])
             m = B.value_many(X) - b[at]
-            bjump[at] = np.where(m < bjump[at], m, bjump[at])
+            bjump[at] = np.where(_worse(m, bjump[at], np.greater_equal), m,
+                                 bjump[at])
     return dec, -bjump
 
 
@@ -514,7 +509,7 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
     b = B.value_many(P)
     v = np.zeros(len(P))
     v[in_O] = V.value_many(P[in_O])
-    outside = np.flatnonzero(~in_O & (b >= 0.0))
+    outside = np.flatnonzero(~in_O & ~(b < 0.0))
     flow = np.flatnonzero(in_O & in_C)
     jump = np.flatnonzero(in_O & in_D)
     unsafe = np.flatnonzero(in_O & in_U)
@@ -523,12 +518,12 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
     dec_jump, m_jump = _pair_jumps(sys_delta, cert, P[jump], v[jump], b[jump])
     # the required decrease is 0; 0.0 - dec keeps +0.0 at dec = 0
     _note_rows([
-        ("ii-S-in-O", outside, _clamp_rows(b[outside])),
+        ("ii-S-in-O", outside, b[outside]),
         ("i-flow-decrease", flow, 0.0 - dec_flow),
         ("iv-barrier-flow", flow[ok], m_flow[ok]),
         ("i-jump-decrease", jump, 0.0 - dec_jump),
         ("iv-barrier-jump", jump, m_jump),
-        ("iii-unsafe-negative", unsafe, _clamp_rows(b[unsafe])),
+        ("iii-unsafe-negative", unsafe, b[unsafe]),
     ], P, tol, counts, worst, ces)
 
     # (iii) gets its own grid over U's bounding box: U need not meet O
@@ -537,7 +532,7 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
         pts = GridSpec(ubox.lo, ubox.hi, grid.counts).points()
         pts = pts[U.contains_many(pts, 0.0)]
         _note_rows([("iii-unsafe-negative", np.arange(len(pts)),
-                     _clamp_rows(B.value_many(pts)))],
+                     B.value_many(pts))],
                    pts, tol, counts, worst, ces)
 
     x0 = [as_vector(p) for p in spec.x0]
@@ -559,14 +554,14 @@ def check_pair_VB(sys_delta, cert: CertificatePair, spec, grid: GridSpec,
                                      dec_jump[fit[jump]]]) / dist_A[pool]
         k = _first_min(ratios)
         fitted_c = float(ratios[k])
-        if fitted_c <= 0.0:
+        if not fitted_c > 0.0:
             ces.append(
                 Counterexample("i-fitted-c", P[pool[k]], margin=-fitted_c + tol)
             )
 
     stats = {
         "counts": counts,
-        "worst_margins": {c: _clamp(m) for c, m in worst.items()},
+        "worst_margins": {c: float(m) for c, m in worst.items()},
         "fitted_c": fitted_c,
         "skipped_outside_region":
             int(np.count_nonzero(~in_O & (in_C | in_D))),
@@ -630,7 +625,7 @@ def _condition(sys_delta, cert, condition_id, spec):
         if spec is None:
             raise ValueError("unsafe-negative needs a spec with spec.unsafe")
         where, O = spec.unsafe, None
-        fn = lambda P: _clamp_rows(B.value_many(P))
+        fn = B.value_many
     else:
         raise ValueError("unknown condition id %r" % condition_id)
 
@@ -663,8 +658,8 @@ def falsify(sys_delta, cert, condition_id, region, budget, seed=0,
     Budget is split between Latin-hypercube probes, a coarse full grid, and
     coordinate descent from the worst probes; when no probe lands where the
     condition applies, draws from that part of region give the descent its
-    starts.  Returns (point, margin) for the worst violation found with
-    margin > DEFAULT_TOL, else None.
+    starts.  A NaN margin ranks as the worst.  Returns (point, margin) for
+    the worst margin found when it is not <= DEFAULT_TOL, else None.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -718,7 +713,8 @@ def falsify(sys_delta, cert, condition_id, region, budget, seed=0,
         for p in band:
             consider(p)
 
-    scored.sort(key=lambda s: -s[0])
+    # NaN first, then the largest margins; the sort is stable
+    scored.sort(key=lambda s: (s[0] == s[0], -s[0]))
     seeds = [p for _, p in scored[:5]]
     step0 = (hi - lo) / max(4, n_grid_axis)
     best = scored[0] if scored else None
@@ -740,16 +736,16 @@ def falsify(sys_delta, cert, condition_id, region, budget, seed=0,
                     q = p.copy()
                     q[k] = min(hi[k], max(lo[k], q[k] + sgn * step[k]))
                     mq = probe(q)
-                    if mq is not None and mq > m:
+                    if mq is not None and _worse(mq, m):
                         p, m = q, mq
                         improved = True
             stalled = 0 if improved else stalled + 1
             if not improved:
                 step *= 0.5
-        if best is None or m > best[0]:
+        if best is None or _worse(m, best[0]):
             best = (m, p)
 
-    if best is not None and best[0] > DEFAULT_TOL:
+    if best is not None and not best[0] <= DEFAULT_TOL:
         return np.array(best[1]), float(best[0])
     return None
 
@@ -768,6 +764,6 @@ def decrement_along_arc(cert, arc):
         total = t + j
         v = V(x)
         series.append((total, v))
-        if v > v0 * np.exp(-total / 3.0) + DEFAULT_TOL:
+        if not v <= v0 * np.exp(-total / 3.0) + DEFAULT_TOL:
             ok = False
     return series, ok

@@ -53,7 +53,7 @@ from .monitor import (
     check_ras,
     check_stability_safety,
 )
-from .report import Verdict
+from .report import Verdict, _jsonable
 from .simulate import BadInitialCondition, SimConfig, solve
 
 # one table for check verdicts and falsify results; simulate and example
@@ -435,7 +435,7 @@ def _atomic_write(path, write_fn):
 def write_json(path, obj):
     def _write(tmp):
         with open(tmp, "w") as fh:
-            fh.write(json.dumps(obj, indent=1) + "\n")
+            fh.write(json.dumps(obj, indent=1, allow_nan=False) + "\n")
 
     _atomic_write(path, _write)
 
@@ -629,7 +629,7 @@ def cmd_falsify(scenario, condition_id, out_dir):
     if found is not None:
         point, margin = found
         obj["counterexample"] = {"x": [float(v) for v in point],
-                                 "margin": float(margin)}
+                                 "margin": _jsonable(margin)}
     summary = "falsify[%s]: %s" % (
         condition_id, "counterexample" if obj["found"] else "none"
     )
@@ -774,7 +774,7 @@ def _bounded(message):
     quote input (float() of a string does), and JSON escapes a character
     in up to 12 bytes, so a stderr line stays under 1 kB."""
     message = message[:500]
-    while len(json.dumps(message)) > 800:
+    while len(json.dumps(message, allow_nan=False)) > 800:
         message = message[:len(message) // 2]
     return message
 
@@ -784,7 +784,8 @@ class _JsonRecord(logging.Formatter):
 
     def format(self, record):
         return json.dumps({"level": record.levelname, "logger": record.name,
-                           "message": _bounded(record.getMessage())})
+                           "message": _bounded(record.getMessage())},
+                          allow_nan=False)
 
 
 def _warning_record(message, category, filename, lineno, file=None,
@@ -828,7 +829,7 @@ def _run(argv):
             writer(os.path.join(args.out, name), content)
     except INPUT_ERRORS as exc:
         payload = {"error": type(exc).__name__, "message": _bounded(str(exc))}
-        print(json.dumps(payload), file=sys.stderr)
+        print(json.dumps(payload, allow_nan=False), file=sys.stderr)
         if isinstance(exc, BadInitialCondition):
             return EXIT_BAD_INIT
         return EXIT_ERROR

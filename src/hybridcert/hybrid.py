@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Inflated, SetRegion, as_rows, as_vector, contains
+from .geometry import Inflated, SetRegion, _norm, as_rows, as_vector, contains
 
 # how far outside a phase's times HybridArc.eval clamps instead of raising
 EVAL_SLACK = 1e-12
@@ -259,7 +259,7 @@ class Disturbance:
                         "disturbance signal returned a non-finite value "
                         f"at (t, j) = ({t!r}, {j!r})"
                     )
-                n = float(np.linalg.norm(v))
+                n = _norm(v)
                 if n > delta:
                     v = v * (delta / n) if delta > 0 else np.zeros(dim)
                 return v.tolist()

@@ -612,6 +612,7 @@ def verify_solution(system, arc, slope_tol=1e-3, t_min=None):
     one contains_many; each landing takes one jump_candidates call.
     Counterexamples come phase by phase (flow-membership, then flow-slope,
     each in sample order), then jump by jump (departure, then landing).
+    A NaN slope or landing margin is a violation.
     """
     delta = system.delta
     # set inflation lives in flow_set/jump_set themselves (see perturb);
@@ -648,7 +649,7 @@ def verify_solution(system, arc, slope_tol=1e-3, t_min=None):
         err = (b - a) / dt[seg][:, None] - system.flow_many(mid)
         # sqrt of the row's dot product: np.linalg.norm of it, bit for bit
         margin = np.sqrt(np.vecdot(err, err)) - slack
-        for k in np.flatnonzero(margin > 0.0).tolist():
+        for k in np.flatnonzero(~(margin <= 0.0)).tolist():
             ces.append(Counterexample("flow-slope", mid[k], float(margin[k]),
                                       (j, float(times[seg[k]]))))
 
@@ -670,8 +671,9 @@ def verify_solution(system, arc, slope_tol=1e-3, t_min=None):
             n_snaps += 1
         t_prev = t_jump
         x_plus = arc.phases[j + 1][1][0]
-        gap = min(float(np.linalg.norm(x_plus - g)) for g in targets)
-        if gap - slack > 0.0:
+        # np.min, unlike min, lets a NaN gap win
+        gap = float(np.min([np.linalg.norm(x_plus - g) for g in targets]))
+        if not gap - slack <= 0.0:
             ces.append(Counterexample("jump-landing", x_plus, gap - slack,
                                       (j + 1, t_jump)))
 

@@ -5,19 +5,35 @@ hybridcert.certificates computed them from arrays: one Python visit per
 grid point, V, B, their gradients and the flow map called one point at a
 time, jump candidates included.  The array checks must give the same
 report, byte for byte; the tests compare the two.  The package lends only
-the grid, the clamp of margins and the region membership tests: every
-margin and disturbance direction below is computed here, one point at a
-time.
+the grid and the region membership tests: every margin and disturbance
+direction below is computed here, one point at a time.
+
+A margin is satisfied only where it compares as satisfied, so a NaN
+margin is a violation and wins every running extreme (nan_max, nan_min).
 """
+
+import functools
 
 import numpy as np
 
-from hybridcert.certificates import GridSpec, _clamp, _in_region, _members
+from hybridcert.certificates import GridSpec, _in_region, _members
 from hybridcert.geometry import as_vector
 from hybridcert.report import CheckReport, Counterexample, Verdict
 
 TOL = 1e-7
 SANDWICH_BAND = 1e-3
+
+
+def nan_max(a, b):
+    """max(a, b), except that a NaN wins; of equal values a stays."""
+    return a if a != a or a >= b else b
+
+
+def nan_min(a, b, key=lambda x: x):
+    """min(a, b, key=key), except that a NaN key wins; of equal keys a
+    stays."""
+    ka, kb = key(a), key(b)
+    return a if ka != ka or ka <= kb else b
 
 
 def fit_envelopes(pairs, knots=24):
@@ -37,11 +53,11 @@ def fit_envelopes(pairs, knots=24):
 def sandwich_check(pairs, tol, ces):
     band = SANDWICH_BAND
     for w, v, x in pairs:
-        if v < -tol:
+        if not v >= -tol:
             ces.append(Counterexample("sandwich-nonneg", x, margin=-v))
-        if w <= tol and v > band:
+        if w <= tol and not v <= band:
             ces.append(Counterexample("sandwich-upper", x, margin=v - band))
-        if v <= tol and w > band:
+        if v <= tol and not w <= band:
             ces.append(Counterexample("sandwich-lower", x, margin=w - band))
 
 
@@ -74,7 +90,7 @@ def flow_margin_single(sys_delta, V, p, delta):
     vp = V(p)
     worst = -np.inf
     for d in ball_directions(delta, p.size, [g]):
-        worst = max(worst, float(np.dot(g, f + d)) + vp)
+        worst = nan_max(worst, float(np.dot(g, f + d)) + vp)
     return worst
 
 
@@ -85,7 +101,7 @@ def jump_margin_single(sys_delta, V, p, delta):
         cand = as_vector(cand)
         gv = V.gradient(cand)
         for d in ball_directions(delta, p.size, [gv]):
-            worst = max(worst, V(cand + d) - vx / np.e)
+            worst = nan_max(worst, V(cand + d) - vx / np.e)
     return worst
 
 
@@ -98,9 +114,9 @@ def pair_flow(sys_delta, cert, p):
     dec = np.inf
     bflow = np.inf
     for d in ball_directions(sys_delta.delta, p.size, grads):
-        dec = min(dec, -float(np.dot(gv, f + d)))
+        dec = nan_min(dec, -float(np.dot(gv, f + d)))
         if gb is not None:
-            bflow = min(bflow, float(np.dot(gb, f + d)))
+            bflow = nan_min(bflow, float(np.dot(gb, f + d)))
     return dec, (None if gb is None else -bflow)
 
 
@@ -123,8 +139,8 @@ def pair_jump(sys_delta, cert, p, vx, b):
                 grads.append(B.gradient(cand))
         for d in ball_directions(delta, cand.size, grads):
             if vx is not None:
-                dec = min(dec, vx - V(cand + d))
-            bjump = min(bjump, B(cand + d) - b)
+                dec = nan_min(dec, vx - V(cand + d))
+            bjump = nan_min(bjump, B(cand + d) - b)
     return dec, -bjump
 
 
@@ -147,14 +163,14 @@ def check_single_V(sys_delta, cert, grid, tol=TOL):
         if c:
             n_flow += 1
             m = flow_margin_single(sys_delta, V, p, delta)
-            worst_flow = max(worst_flow, m)
-            if m > tol:
+            worst_flow = nan_max(worst_flow, m)
+            if not m <= tol:
                 ces.append(Counterexample("flow-decrease", p, margin=m))
         if d:
             n_jump += 1
             m = jump_margin_single(sys_delta, V, p, delta)
-            worst_jump = max(worst_jump, m)
-            if m > tol:
+            worst_jump = nan_max(worst_jump, m)
+            if not m <= tol:
                 ces.append(Counterexample("jump-decrease", p, margin=m))
 
     sandwich_check(pairs, tol, ces)
@@ -164,8 +180,8 @@ def check_single_V(sys_delta, cert, grid, tol=TOL):
         "region_points": n_region,
         "flow_points": n_flow,
         "jump_points": n_jump,
-        "worst_flow_margin": _clamp(worst_flow) if n_flow else None,
-        "worst_jump_margin": _clamp(worst_jump) if n_jump else None,
+        "worst_flow_margin": worst_flow if n_flow else None,
+        "worst_jump_margin": worst_jump if n_jump else None,
         "delta": delta,
         "tol": tol,
     }
@@ -196,9 +212,9 @@ def check_pair_VB(sys_delta, cert, spec, grid, tol=TOL, exclude_radius=0.0):
 
     def note(cond, margin, p):
         counts[cond] = counts.get(cond, 0) + 1
-        worst[cond] = max(worst.get(cond, -np.inf), margin)
-        if margin > tol:
-            ces.append(Counterexample(cond, p, margin=_clamp(margin)))
+        worst[cond] = nan_max(worst.get(cond, -np.inf), margin)
+        if not margin <= tol:
+            ces.append(Counterexample(cond, p, margin=margin))
 
     P = grid.points()
     dist_A = A.distance_many(P).tolist()
@@ -212,8 +228,8 @@ def check_pair_VB(sys_delta, cert, spec, grid, tol=TOL, exclude_radius=0.0):
         if not o:
             if c or d:
                 outside_O += 1
-            if b >= 0.0:
-                note("ii-S-in-O", _clamp(b), p)
+            if not b < 0.0:
+                note("ii-S-in-O", b, p)
             continue
         vx = V(p)
         pairs.append((d_A, vx, p))
@@ -235,13 +251,13 @@ def check_pair_VB(sys_delta, cert, spec, grid, tol=TOL, exclude_radius=0.0):
                 ratios_jump.append((dec / d_A, p))
 
         if u:
-            note("iii-unsafe-negative", _clamp(B(p)), p)
+            note("iii-unsafe-negative", B(p), p)
 
     ubox = U.bounding_box()
     if ubox is not None:
         pts = GridSpec(ubox.lo, ubox.hi, grid.counts).points()
         for p in pts[U.contains_many(pts, 0.0)]:
-            note("iii-unsafe-negative", _clamp(B(p)), p)
+            note("iii-unsafe-negative", B(p), p)
 
     for p in spec.x0:
         p = as_vector(p)
@@ -253,16 +269,16 @@ def check_pair_VB(sys_delta, cert, spec, grid, tol=TOL, exclude_radius=0.0):
     fitted_c = None
     pool = ratios_flow + ratios_jump
     if pool:
-        fitted_c = min(r for r, _ in pool)
-        if fitted_c <= 0.0:
-            _, p_bad = min(pool, key=lambda rp: rp[0])
+        fitted_c, p_bad = functools.reduce(
+            lambda a, b: nan_min(a, b, key=lambda rp: rp[0]), pool)
+        if not fitted_c > 0.0:
             ces.append(
                 Counterexample("i-fitted-c", p_bad, margin=-fitted_c + tol)
             )
 
     stats = {
         "counts": counts,
-        "worst_margins": {k: _clamp(v) for k, v in worst.items()},
+        "worst_margins": worst,
         "fitted_c": fitted_c,
         "skipped_outside_region": outside_O,
         "delta": sys_delta.delta,

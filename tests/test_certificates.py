@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import json
 import math
 
@@ -533,6 +534,16 @@ def test_decrement_with_zero_start_value():
     assert all(v == 0.0 for _, v in series)
 
 
+def test_decrement_fails_where_v_is_nan():
+    sys1 = make_system(
+        1, AxisBox([-2.0], [2.0]), lambda x: np.array([-x[0]]),
+        EmptySet(), lambda x: [], AxisBox([-5.0], [5.0]),
+    )
+    arc = solve(sys1, np.array([1.0]), SimConfig(h=0.05, T_max=1.0)).arc
+    _, ok = decrement_along_arc(CertificatePair(V=nan_everywhere()), arc)
+    assert not ok
+
+
 def test_grid_spec_scalar_counts_broadcast():
     g = GridSpec([-1.0, -1.0], [1.0, 1.0], 3)
     assert g.counts == (3, 3)
@@ -608,6 +619,21 @@ def failing_ball_certificate():
     )
 
 
+def partly_nan_ball_certificate():
+    """V NaN above y = 5 and B NaN where z > 0, both finite elsewhere, so
+    NaN and finite margins meet in the running extremes."""
+    _, cert, _ = bouncing_ball()
+
+    def cut(f, nan_at):
+        return ScalarField(
+            lambda s: math.nan if nan_at(s) else f(s),
+            lambda s: np.full(len(s), math.nan) if nan_at(s)
+            else f.gradient(s))
+
+    return dataclasses.replace(cert, V=cut(cert.V, lambda s: s[1] > 5.0),
+                               B=cut(cert.B, lambda s: s[2] > 0.0))
+
+
 BOX = ball_operating_box()
 
 
@@ -619,7 +645,10 @@ BOX = ball_operating_box()
      "FAIL"),
     (0.05, GridSpec(BOX.lo - 1.0, BOX.hi + 1.0, 9),
      failing_ball_certificate(), "FAIL"),
-], ids=["c04-delta-0", "c04-delta-0.05", "z-1e200", "failing-pair"])
+    (0.05, GridSpec(BOX.lo - 1.0, BOX.hi + 1.0, 9),
+     partly_nan_ball_certificate(), "FAIL"),
+], ids=["c04-delta-0", "c04-delta-0.05", "z-1e200", "failing-pair",
+        "partly-nan-pair"])
 def test_pair_check_matches_the_per_point_reference(delta, grid, cert,
                                                     verdict):
     case = ball_pair_case(delta, grid, cert)
@@ -640,8 +669,9 @@ def test_pair_check_without_initial_points_matches_the_per_point_reference():
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.05])
-@pytest.mark.parametrize("cert", [None, failing_ball_certificate()],
-                         ids=["ball", "failing"])
+@pytest.mark.parametrize("cert", [None, failing_ball_certificate(),
+                                  partly_nan_ball_certificate()],
+                         ids=["ball", "failing", "partly-nan"])
 def test_single_v_matches_the_per_point_reference(delta, cert):
     sys_delta, cert, _, grid = ball_pair_case(
         delta, GridSpec(BOX.lo - 1.0, BOX.hi + 1.0, 9), cert)
@@ -689,6 +719,95 @@ def test_scenario_checks_match_the_per_point_reference(delta):
                                                    grid))
     same_reports(check_single_V(sys_delta, cert, grid),
                  grid_reference.check_single_V(sys_delta, cert, grid))
+
+
+# ---------------------------------------------------------------------------
+# A margin is satisfied only where it compares as satisfied: a V that is NaN
+# everywhere violates every condition it enters
+
+NAN_V = "certificates.V=0*inf + y"
+
+
+def run_scenario_pair(tmp_path, args):
+    """Exit code and --out directory of one CLI run on SCENARIO_PAIR."""
+    scen = tmp_path / "pair.yaml"
+    scen.write_text(SCENARIO_PAIR)
+    out = tmp_path / ("out%d" % len(list(tmp_path.iterdir())))
+    return cli.main(args + ["--scenario", str(scen), "--out", str(out)]), out
+
+
+def reported_conditions(out):
+    report = json.loads((out / "check_report.json").read_text())
+    return {ce["condition"] for ce in report["counterexamples"]}
+
+
+def test_single_v_cli_fails_on_its_own_and_on_a_nan_v(tmp_path):
+    check = ["check", "--mode", "single-v"]
+    assert run_scenario_pair(tmp_path, check)[0] == 1
+    code, out = run_scenario_pair(tmp_path, check + ["--override", NAN_V])
+    assert code == 1
+    assert "flow-decrease" in reported_conditions(out)
+
+
+def test_pair_cli_reports_the_decrease_of_a_nan_v(tmp_path):
+    code, out = run_scenario_pair(
+        tmp_path, ["check", "--mode", "pair-vb", "--override", NAN_V])
+    assert code == 1
+    assert {"i-flow-decrease", "i-jump-decrease"} <= reported_conditions(out)
+
+
+def test_falsify_cli_finds_a_nan_v_and_writes_strict_json(tmp_path):
+    code, out = run_scenario_pair(
+        tmp_path, ["falsify", "--mode", "flow-decrease", "--seed", "1",
+                   "--override", NAN_V])
+    assert code == 1
+
+    def refuse(token):
+        raise ValueError("non-JSON constant %s" % token)
+
+    found = json.loads((out / "falsify.json").read_text(),
+                       parse_constant=refuse)
+    assert found["found"] is True
+    assert found["counterexample"]["margin"] is None
+
+
+def nan_everywhere():
+    return ScalarField(lambda x: math.nan)
+
+
+def test_single_v_fails_with_a_nan_v():
+    sys_delta, cert, _, grid = ball_pair_case(
+        0.0, GridSpec(BOX.lo, BOX.hi, 5))
+    rep = check_single_V(sys_delta, dataclasses.replace(
+        cert, V=nan_everywhere()), grid)
+    assert rep.verdict == Verdict.FAIL
+    assert {"flow-decrease", "jump-decrease"} <= {
+        ce.condition for ce in rep.counterexamples}
+
+
+@pytest.mark.parametrize("field, conditions", [
+    ("V", {"i-flow-decrease", "i-jump-decrease", "i-fitted-c"}),
+    ("B", {"ii-S-in-O", "ii-X0-in-S", "iii-unsafe-negative",
+           "iv-barrier-flow", "iv-barrier-jump"}),
+])
+def test_pair_check_fails_with_a_nan_v_or_b(field, conditions):
+    sys_delta, cert, ss, grid = ball_pair_case(
+        0.0, GridSpec(BOX.lo - 1.0, BOX.hi + 1.0, 5))
+    rep = check_pair_VB(sys_delta, dataclasses.replace(
+        cert, **{field: nan_everywhere()}), ss, grid)
+    assert rep.verdict == Verdict.FAIL
+    assert conditions <= {ce.condition for ce in rep.counterexamples}
+
+
+@pytest.mark.parametrize("condition", ["flow-decrease", "barrier-flow"])
+def test_falsify_ranks_a_nan_margin_above_every_finite_one(condition):
+    # flow-decrease also fails by finite margins where V is finite;
+    # barrier-flow holds where B is finite
+    sys_delta, cert, ss, _ = ball_pair_case(0.0, None,
+                                            partly_nan_ball_certificate())
+    found = falsify(sys_delta, cert, condition, AxisBox(BOX.lo, BOX.hi),
+                    200, seed=1, spec=ss)
+    assert found is not None and math.isnan(found[1])
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.05])
@@ -750,14 +869,16 @@ TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf,
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(m=st.lists(TIES, min_size=1, max_size=8),
        start=st.sampled_from([-math.inf, 0.0, -0.0, 1.0]))
-def test_array_extremes_are_the_ones_python_keeps(m, start):
+def test_array_extremes_are_the_ones_the_reference_keeps(m, start):
+    # a NaN wins, and otherwise the first of equal values stays
     want = start
     for x in m:
-        want = max(want, x)
+        want = grid_reference.nan_max(want, x)
     assert float(certificates._first_max(start, np.array(m))).hex() \
         == float(want).hex()
-    assert certificates._first_min(np.array(m)) \
-        == min(range(len(m)), key=m.__getitem__)
+    assert certificates._first_min(np.array(m)) == functools.reduce(
+        lambda i, k: grid_reference.nan_min(i, k, key=m.__getitem__),
+        range(len(m)))
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -765,7 +886,8 @@ def test_array_extremes_are_the_ones_python_keeps(m, start):
        delta=st.sampled_from([0.0, 0.5]))
 def test_row_margins_are_the_per_point_margins(P, delta):
     # row by row, each direction's margin replaces the running one where
-    # Python's min or max would, so ties and NaN come out as in the loop
+    # the reference's nan_min or nan_max would, so ties and NaN come out as
+    # in the loop
     def jump_map(x):
         # two candidates, but one at x[0] = 0.5 and none at x[0] = 1, so
         # each candidate rank has its own rows

@@ -787,7 +787,7 @@ def test_repeated_in_process_calls_do_not_stack_log_handlers(tmp_path, capsys):
 
 
 # z = +-1e200 overflows V, B and their gradients: numpy warns, and the
-# pair check fails with clamped margins
+# pair check fails
 HUGE_Z_GRID = ("check.grid={lo: [-1.0, 0.0, -1.0e200], hi: [21.0, 10.0,"
                " 1.0e200], counts: [3, 3, 3]}")
 
@@ -1342,6 +1342,15 @@ def test_write_json_closes_its_file(tmp_path):
         cli.write_json(str(tmp_path / "a.json"), {"a": 1})
     assert not [w for w in caught if w.category is ResourceWarning]
     assert json.loads((tmp_path / "a.json").read_text()) == {"a": 1}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_a_non_finite_number(tmp_path, value):
+    # the report's conversion writes them (null, +-1e12); anything else
+    # that carries one is an error, not a NaN or Infinity token in a file
+    with pytest.raises(ValueError):
+        cli.write_json(str(tmp_path / "a.json"), {"a": value})
+    assert list(tmp_path.iterdir()) == []
 
 
 def with_key(text, path, key, value=1.0):

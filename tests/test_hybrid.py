@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ def test_disturbance_without_a_budget_or_a_mode_is_zero():
     # a fixed signal is clamped even to a zero budget
     assert Disturbance(signal=lambda t, j: [3.0, 4.0]).start(2, 0.0)(
         0.0, 0) == [0.0, 0.0]
+
+
+def test_disturbance_signal_whose_squares_overflow_is_clamped_along_it():
+    # |[1e200, 1e200]|^2 overflows a float; the clamp rescales before it
+    # squares, so the signal reaches norm delta along itself, with no warning
+    draw = Disturbance(signal=lambda t, j: [1e200, 1e200]).start(2, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = draw(0.0, 0)
+    assert d[0] == d[1] > 0.0
+    assert np.linalg.norm(d) == pytest.approx(0.1, rel=1e-15)
 
 
 @pytest.mark.parametrize("value", [[np.inf, 0.0], [0.0, np.nan]],

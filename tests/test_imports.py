@@ -1,8 +1,8 @@
 """Import hygiene: every module-level import in the package is used, every
 exported name is used by another module or by a test, every default of the
 public API is overridden by some call, every array form a region defines
-for itself is run by a benchmark workload, and the package runs without
-scipy, which only the tests need."""
+for itself is run by a benchmark workload, every JSON dump refuses NaN
+and inf, and the package runs without scipy, which only the tests need."""
 
 import ast
 import collections
@@ -108,6 +108,37 @@ def test_report_scan_finds_direct_constructions():
                          ids=lambda p: p.stem)
 def test_checks_take_their_verdict_from_judge(path):
     assert report_constructions(path.read_text()) == []
+
+
+def nan_allowing_dumps(source):
+    """Lines that call json.dump or json.dumps without allow_nan=False."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps")
+        and getattr(node.func.value, "id", None) == "json"
+        and not any(kw.arg == "allow_nan"
+                    and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False for kw in node.keywords)
+    )
+
+
+def test_dump_scan_finds_calls_that_allow_nan():
+    source = ("a = json.dumps(x)\n"
+              "b = json.dumps(x, allow_nan=False)\n"
+              "json.dump(x, fh, indent=1, allow_nan=True)\n"
+              "json.dump(x, fh, indent=1, allow_nan=False)\n"
+              "c = json.loads(s)\n")
+    assert nan_allowing_dumps(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_json_output_refuses_non_finite_numbers(path):
+    # only report._jsonable turns NaN and +-inf into JSON (null, +-1e12);
+    # a non-finite number that reaches a dump without it is an error
+    assert nan_allowing_dumps(path.read_text()) == []
 
 
 ARRAY_FORMS = {"contains_many", "distance_many"}

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grid_reference
 import solver_reference
 
 from hybridcert import (
@@ -33,6 +34,7 @@ from hybridcert import (
     StabSafeSpec,
     Termination,
     Union,
+    Verdict,
     bouncing_ball,
     ball_operating_box,
     check_pair_VB,
@@ -1346,12 +1348,19 @@ def test_closeness_matches_scalar_reference(pair, tau, eps):
     assert closeness(a, b, tau, eps) == ref_closeness(a, b, tau, eps)
 
 
+def c08_arc():
+    """The ball's system and its 3 s arc from its first initial point."""
+    system, _, spec = bouncing_ball()
+    x0 = np.asarray(spec.x0[0])
+    return system, solve(system, x0, SimConfig(h=1e-3, T_max=3.0,
+                                               J_max=5)).arc
+
+
 def c08_arc_and_companion(seed=1):
     """The c08 arc and a companion started 1e-2 away in a seeded direction,
     rejoining at total time 2."""
-    system, _, spec = bouncing_ball()
-    x0 = np.asarray(spec.x0[0])
-    arc = solve(system, x0, SimConfig(h=1e-3, T_max=3.0, J_max=5)).arc
+    _, arc = c08_arc()
+    x0 = arc.phases[0][1][0]
     v = np.random.default_rng([seed, 2]).standard_normal(3)
     x_new = x0 + 1e-2 * v / np.linalg.norm(v)
     return arc, construct_perturbed(arc, x_new, 2.0)
@@ -1529,6 +1538,28 @@ def test_verify_solution_flags_displaced_sample():
     assert res.counterexamples
 
 
+# a map that cannot be evaluated matches no arc: a NaN slope or landing
+# margin is a violation
+def nan_flow(system):
+    return dataclasses.replace(
+        system, flow_map=lambda x: [math.nan] * len(x),
+        flow_map_rows=lambda X: np.full(np.shape(X), math.nan))
+
+
+def nan_jump(system):
+    return dataclasses.replace(system,
+                               jump_map=lambda x: [[math.nan] * len(x)])
+
+
+@pytest.mark.parametrize("broken, condition", [
+    (nan_flow, "flow-slope"), (nan_jump, "jump-landing")])
+def test_verify_solution_fails_against_a_nan_map(broken, condition):
+    system, arc = c08_arc()
+    res = verify_solution(broken(system), arc)
+    assert res.verdict == Verdict.FAIL
+    assert condition in {ce.condition for ce in res.counterexamples}
+
+
 def unit_flow_arc():
     """One jump of unit_flow_into(0.9999, 0.05): phase 0 climbs from 0.05
     to D at 1, phase 1 starts at the jump image 0.05."""
@@ -1644,7 +1675,7 @@ def ref_verify_solution(system, arc, slope_tol):
             slope = (states[k + 1] - states[k]) / dt
             f_mid = system.flow(0.5 * (states[k] + states[k + 1]))
             margin = float(np.linalg.norm(slope - f_mid)) - (delta + slope_tol)
-            if margin > 0.0:
+            if not margin <= 0.0:
                 ces.append(("flow-slope", 0.5 * (states[k] + states[k + 1]),
                             margin, (j, float(times[k]))))
     for j in range(arc.num_phases - 1):
@@ -1655,10 +1686,11 @@ def ref_verify_solution(system, arc, slope_tol):
             margin = simulate._membership_margin(system.jump_set, x_minus,
                                                  set_tol)
             ces.append(("jump-departure", x_minus, margin, (j, t_jump)))
-        gap = min(float(np.linalg.norm(x_plus - g))
-                  for g in system.jump_candidates(x_minus))
+        gap = functools.reduce(grid_reference.nan_min, (
+            float(np.linalg.norm(x_plus - g))
+            for g in system.jump_candidates(x_minus)))
         margin = gap - (delta + slope_tol)
-        if margin > 0.0:
+        if not margin <= 0.0:
             ces.append(("jump-landing", x_plus, margin, (j + 1, t_jump)))
     verdict = "FAIL" if ces else "PASS"
     stats = {"samples": n_samples, "segments": n_segments,
