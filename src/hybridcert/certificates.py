@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Intersection, SamplingError, as_rows, as_vector, contains, sample_region,
+    Intersection, SamplingError, _row_norms, as_rows, as_vector, contains,
+    sample_region,
 )
 from .report import CheckReport, Counterexample
 
@@ -215,7 +216,7 @@ def _row_directions(delta, shape, grads):
         yield e, every
         yield -e, every
     for G in grads:
-        norm = np.sqrt(np.vecdot(G, G))
+        norm = _row_norms(G)
         used = norm > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             yield G * (delta / norm)[:, None], used

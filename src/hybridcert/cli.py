@@ -26,6 +26,7 @@ import yaml
 
 from . import examples as ex
 from .certificates import (
+    DEFAULT_TOL,
     CertificatePair,
     GridSpec,
     ScalarField,
@@ -118,13 +119,14 @@ SECTIONS = {
             "target": REQUIRED, "t_spec": REQUIRED},
     "stability-safety": {"kind": REQUIRED, "x0": REQUIRED,
                          "unsafe": REQUIRED, "attractor": REQUIRED,
-                         "eps_levels": (0.1, 1.0)},
+                         "eps_levels": StabSafeSpec.eps_levels},
     "certificates": {"V": REQUIRED, "B": None, "region": None,
                      "attractor": None},
-    # t_max None: the study's t_spec, 10 for an inline system
-    "sim": {"h": 1e-3, "t_max": None, "j_max": 400, "event_tol": 1e-9},
+    # t_max None: the study's t_spec, SimConfig.T_max for an inline system
+    "sim": {"h": SimConfig.h, "t_max": None, "j_max": 400,
+            "event_tol": SimConfig.event_tol},
     "check": {"grid": None, "budget": 2000, "n_init": 16, "n_dist": 3,
-              "seed": None, "tol": 1e-7, "invariant": None},
+              "seed": None, "tol": DEFAULT_TOL, "invariant": None},
     "check.grid": {"lo": REQUIRED, "hi": REQUIRED, "counts": REQUIRED},
 }
 SET_KINDS = ("axis_box", "ball", "implicit", "inflated", "union",
@@ -298,7 +300,7 @@ def parse_scenario(doc):
     example = None
     params = None
     cert0 = spec0 = None
-    t_default = 10.0
+    t_default = SimConfig.T_max
 
     if isinstance(sys_node, str):
         example = sys_node
@@ -458,15 +460,13 @@ def _write_arc_csv(path, arc):
 
 
 def _solve_report_obj(report):
-    arc = report.arc
-    t_end = arc.phases[-1][0][-1]
-    x_end = arc.phases[-1][1][-1]
+    t_end, j_end, x_end = report.arc.last()
     return {
         "termination": report.termination.value,
         "flow_time": report.flow_time,
         "jump_count": report.jump_count,
         "zeno_snapped": report.zeno_snapped,
-        "final_time": [float(t_end), len(arc.phases) - 1],
+        "final_time": [t_end, j_end],
         "final_state": [float(v) for v in x_end],
     }
 
@@ -663,7 +663,7 @@ def _control_rows(arc, decisions):
     rows = []
     for k, dec in enumerate(decisions):
         t_k = float(arc.phases[k + 1][0][0]) if k + 1 < len(arc.phases) \
-            else float(arc.phases[-1][0][-1])
+            else arc.last()[0]
         rows.append(
             [k, k + 1, repr(t_k), dec["level"], repr(dec["sigma"]),
              repr(float(dec["u"][0])), repr(float(dec["u"][1])),
@@ -693,7 +693,7 @@ def cmd_example(scenario, mode, out_dir):
         result = "pair check %s" % check.verdict.value
     else:
         zeta = np.asarray(scenario.params.zeta, dtype=float)
-        x_end = arc.phases[-1][1][-1][:dim]
+        x_end = arc.last()[2][:dim]
         levels = collections.Counter(dec["level"] for dec in decisions)
         unsafe = scenario.spec.unsafe
         in_unsafe = sum(

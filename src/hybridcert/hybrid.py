@@ -97,21 +97,29 @@ class HybridArc:
         return t + j
 
     def eval(self, t, j):
-        """Linear interpolation within phase j; raises OutOfDomain outside."""
+        """_phase_interp within phase j; raises OutOfDomain outside."""
         if not 0 <= j < len(self.phases):
             raise OutOfDomain(f"no phase {j}")
         times, states = self.phases[j]
         if not (times[0] - EVAL_SLACK <= t <= times[-1] + EVAL_SLACK):
             raise OutOfDomain(f"t={t} outside phase {j} interval")
-        if times.size == 1:
-            return states[0].copy()
-        t = min(max(t, times[0]), times[-1])
-        k = int(np.searchsorted(times, t, side="right") - 1)
-        k = min(max(k, 0), times.size - 2)
-        # validate() keeps times strictly increasing, so t1 - t0 > 0
-        t0, t1 = times[k], times[k + 1]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * states[k] + w * states[k + 1]
+        return _phase_interp(times, states, t)
+
+
+def _phase_interp(times, states, t):
+    """The state at time t, clamped to [times[0], times[-1]], on the
+    polyline through one phase's samples: (1 - w) a + w b between the
+    samples a and b around t, so exactly the stored sample at each sample
+    time.  HybridArc.eval and closeness both read the arc through it."""
+    if times.size == 1:
+        return states[0].copy()
+    t = min(max(t, times[0]), times[-1])
+    k = int(np.searchsorted(times, t, side="right") - 1)
+    k = min(max(k, 0), times.size - 2)
+    # validate() keeps times strictly increasing, so t1 - t0 > 0
+    t0, t1 = times[k], times[k + 1]
+    w = (t - t0) / (t1 - t0)
+    return (1.0 - w) * states[k] + w * states[k + 1]
 
 
 @dataclass

@@ -291,16 +291,18 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
     for eps in spec.eps_levels:
         lo, hi = 0.0, float(eps)
         escape = all_stay_below(hi, eps)
-        if escape is None:
-            # shell around A has no finite bounding box to draw from; the
-            # offset sweep proves nothing, so record the skip instead
-            delta_found[eps] = None
-            continue
         if escape is False:
             delta_found[eps] = hi
             continue
         floor = hi / 2.0**BISECT_ITERS
-        escape = all_stay_below(floor, eps)
+        if escape is not None:
+            escape = all_stay_below(floor, eps)
+        if escape is None:
+            # the eps shell or the floor shell cannot be drawn from (no
+            # finite bounding box, or too thin to hit): the offset sweep
+            # proves nothing, so record the skip instead
+            delta_found[eps] = None
+            continue
         if escape:
             j, t, x = escape
             ces.append(

@@ -35,6 +35,7 @@ from .hybrid import (
     HybridArc,
     HybridSystem,
     Termination,
+    _phase_interp,
     as_vector,
 )
 from .report import CheckReport, Counterexample
@@ -412,47 +413,27 @@ def reachable_sample(system, X0, T, n_init, n_dist, config, seed=0):
     return cloud
 
 
-def _interp(times, states, s):
-    """State at time s in [times[0], times[-1]] on the sampled polyline."""
-    if len(times) == 1:
-        return states[0]
-    k = int(np.searchsorted(times, s, side="right")) - 1
-    k = min(max(k, 0), len(times) - 2)
-    # arc phases keep their times strictly increasing, so t1 - t0 > 0
-    t0, t1 = times[k], times[k + 1]
-    w = (s - t0) / (t1 - t0)
-    return states[k] + w * (states[k + 1] - states[k])
-
-
-def _rowdot(u, v):
-    # row-wise dot product; the columns are summed in order, so a row's
-    # value does not depend on how many rows come with it
-    acc = u[:, 0] * v[:, 0]
-    for k in range(1, u.shape[1]):
-        acc = acc + u[:, k] * v[:, k]
-    return acc
-
-
 def _segment_dist2(x, a, b):
     """Squared distance from x to each segment [a[r], b[r]] (x one point or
     one point per segment).  Row r's value depends on row r's inputs alone."""
     ab = b - a
-    denom = _rowdot(ab, ab)
+    denom = np.vecdot(ab, ab)
     # projection onto each segment, clipped to it; 0 on zero-length ones
-    s = np.divide(_rowdot(x - a, ab), denom, out=np.zeros_like(denom),
+    s = np.divide(np.vecdot(x - a, ab), denom, out=np.zeros_like(denom),
                   where=denom != 0.0)
     np.clip(s, 0.0, 1.0, out=s)
     gap = x - (a + s[:, None] * ab)
-    return _rowdot(gap, gap)
+    return np.vecdot(gap, gap)
 
 
 def _window_dist(x, times, states, s0, s1):
     """Min distance from x to the polyline restricted to times in [s0, s1],
     or None when the window misses [times[0], times[-1]].
 
-    The window's vertices are the interpolated ends and the stored samples
-    strictly inside (s0, s1); all its segments are measured in one pass.
-    At s0 == s1 the window is one point, a segment of length 0.
+    The window's vertices are its ends, the states HybridArc.eval gives
+    there, and the stored samples strictly inside (s0, s1); all its
+    segments are measured in one pass, with np.vecdot's row products.  At
+    s0 == s1 the window is one point, a segment of length 0.
     """
     s0 = max(s0, times[0])
     s1 = min(s1, times[-1])
@@ -460,8 +441,8 @@ def _window_dist(x, times, states, s0, s1):
         return None
     i0 = np.searchsorted(times, s0, side="right")
     i1 = np.searchsorted(times, s1, side="left")
-    pts = np.vstack([_interp(times, states, s0), states[i0:i1],
-                     _interp(times, states, s1)])
+    pts = np.vstack([_phase_interp(times, states, s0), states[i0:i1],
+                     _phase_interp(times, states, s1)])
     return float(np.sqrt(_segment_dist2(x, pts[:-1], pts[1:]).min()))
 
 
@@ -489,7 +470,8 @@ def closeness(arc_a, arc_b, tau, eps):
 
     Each sample (t, j, x) with t + j <= tau must have a point of the other
     arc, at the same jump index and within eps in time, closer than eps in
-    state.  Linear interpolation stands in for the unstored continuum.
+    state.  The polyline HybridArc.eval reads, exact at each stored sample,
+    stands in for the unstored continuum.
     Each sample first tries the other arc's segment at its own time, in one
     array pass per phase; only samples that fail it scan their whole
     window, at O(samples in the window) array work each.  Needs tau >= 0

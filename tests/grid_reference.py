@@ -17,7 +17,7 @@ import functools
 import numpy as np
 
 from hybridcert.certificates import GridSpec, _in_region, _members
-from hybridcert.geometry import as_vector
+from hybridcert.geometry import _norm, as_vector
 from hybridcert.report import CheckReport, Counterexample, Verdict
 
 TOL = 1e-7
@@ -77,7 +77,7 @@ def ball_directions(delta, dim, grads):
         dirs.append(e)
         dirs.append(-e)
     for g in grads:
-        n = float(np.linalg.norm(g))
+        n = _norm(g)
         if n > 0.0:
             dirs.append(g * (delta / n))
             dirs.append(g * (-delta / n))

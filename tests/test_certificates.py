@@ -928,3 +928,20 @@ def test_row_margins_are_the_per_point_margins(P, delta):
             assert m_bjump[k].hex() == want_b.hex()
             assert m_bjump_no_v[k].hex() == grid_reference.pair_jump(
                 system, cert, p, None, B(p))[1].hex()
+
+
+def test_gradient_directions_survive_squares_that_overflow_or_underflow():
+    # the squares of the first two rows overflow and underflow; their
+    # norms are still 5e200 and 5e-200, so the worst-case disturbance
+    # along them is tried, as the per-point reference tries it
+    delta = 0.1
+    G = np.array([[3e200, 4e200], [3e-200, 4e-200], [3.0, 4.0], [0.0, 0.0]])
+    with np.errstate(over="raise"):
+        dirs = list(certificates._row_directions(delta, G.shape, [G]))
+    for (d, used), sign in zip(dirs[-2:], (1.0, -1.0)):
+        assert used.tolist() == [True, True, True, False]
+        for k, g in enumerate(G[:3]):
+            assert np.hypot(*d[k]) == pytest.approx(delta, rel=1e-15)
+            assert np.sign(d[k]).tolist() == [sign, sign]
+            want = grid_reference.ball_directions(delta, 2, [g])
+            assert d[k].tobytes() == want[-2 if sign > 0 else -1].tobytes()

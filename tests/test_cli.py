@@ -1,4 +1,5 @@
-"""End-to-end command line runs via subprocess."""
+"""End-to-end command line runs, in this process through cli.main and,
+for one run per command, through python -m hybridcert.cli."""
 
 import contextlib
 import csv
@@ -111,6 +112,28 @@ def run_cli(args, cwd):
     return run_python(["-m", "hybridcert.cli"] + args, cwd)
 
 
+@pytest.fixture
+def run_main(monkeypatch, capfd):
+    """run_cli's (code, stdout, stderr) from cli.main in this process, run
+    from cwd: the same exit code, summary, files and stderr JSON lines,
+    without a child interpreter's start.  Each command keeps one run_cli
+    test, and so do the inputs meant to exhaust a resource."""
+    def run(args, cwd):
+        monkeypatch.chdir(cwd)
+        capfd.readouterr()
+        code = cli.main(args)
+        stdout, stderr = capfd.readouterr()
+        return code, stdout, stderr
+    return run
+
+
+# hostile cases meant to exhaust a resource (nesting depth, a huge source):
+# they run in a child, so that a regression fails one child, not the run
+CHILD_CASES = {"floor-power", "deep-nesting", "100kB-source",
+               "30000-zero-flow-set", "100kB-set-kind", "100kB-system-name",
+               "100kB-radius", "non-ascii-radius", "3000-nested-unions"}
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -166,9 +189,9 @@ GOLDEN_BALL = [
 ]
 
 
-def test_example_moore_greitzer(tmp_path):
+def test_example_moore_greitzer(tmp_path, run_main):
     out = tmp_path / "out"
-    code, stdout, stderr = run_cli(
+    code, stdout, stderr = run_main(
         ["example", "moore-greitzer", "--out", str(out),
          "--override", "sim.t_max=20.0"],
         tmp_path,
@@ -359,8 +382,8 @@ def test_checks_through_inflated_sets_keep_their_golden_digests(
     assert sha256_of(out, "check_report.json") == [digest]
 
 
-def test_example_unknown_name(tmp_path):
-    code, _, stderr = run_cli(["example", "no-such-study"], tmp_path)
+def test_example_unknown_name(tmp_path, run_main):
+    code, _, stderr = run_main(["example", "no-such-study"], tmp_path)
     assert code == 4, stderr
     assert json.loads(stderr.splitlines()[-1])["error"] == "ScenarioError"
     assert not (tmp_path / "out").exists()
@@ -370,23 +393,25 @@ def test_example_unknown_name(tmp_path):
     ("bouncing-ball", []),
     ("moore-greitzer", ["sim.t_max=5"]),
 ])
-def test_example_and_simulate_write_the_same_arc(tmp_path, name, overrides):
+def test_example_and_simulate_write_the_same_arc(tmp_path, run_main, name,
+                                                  overrides):
     scen = write(tmp_path, "study.yaml", "system: %s\n" % name)
     runs = [["example", name], ["simulate", "--scenario", scen]]
     extra = [a for pair in overrides for a in ("--override", pair)]
     arcs = []
     for k, args in enumerate(runs):
         out = tmp_path / str(k)
-        code, _, stderr = run_cli(args + extra + ["--out", str(out)], tmp_path)
+        code, _, stderr = run_main(args + extra + ["--out", str(out)],
+                                   tmp_path)
         assert code == 0, stderr
         arcs.append((out / "arc.csv").read_bytes())
     assert arcs[0] == arcs[1]
 
 
-def test_simulate_rejects_delta_on_moore_greitzer(tmp_path):
+def test_simulate_rejects_delta_on_moore_greitzer(tmp_path, run_main):
     scen = write(tmp_path, "mg.yaml", "system: moore-greitzer\ndelta: 0.01\n")
     out = tmp_path / "sim"
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
     )
     assert code == 4, stderr
@@ -528,15 +553,16 @@ def power_tower(base, levels):
         "zero-division", "100kB-source", "keyword-variable", "None-variable",
         "__debug__-variable", "number-variable", "list-predicate",
         "list-certificate"])
-def test_hostile_expression_exits_4_with_one_json_object(tmp_path, edits,
-                                                         message):
+def test_hostile_expression_exits_4_with_one_json_object(
+        tmp_path, request, run_main, edits, message):
     text = DECAY_SCENARIO
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
     scen = write(tmp_path, "hostile.yaml", text)
     out = tmp_path / "sim"
-    code, _, stderr = run_cli(
+    run = run_cli if request.node.callspec.id in CHILD_CASES else run_main
+    code, _, stderr = run(
         ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
     )
     payload = rejected(code, stderr, out)
@@ -544,13 +570,14 @@ def test_hostile_expression_exits_4_with_one_json_object(tmp_path, edits,
     assert message in payload["message"]
 
 
-def test_overflowing_jump_map_exits_4_with_an_expression_error(tmp_path):
+def test_overflowing_jump_map_exits_4_with_an_expression_error(tmp_path,
+                                                               run_main):
     # the jump map runs on Python floats, as the flow map does: on numpy
     # floats z**400 would be inf with a warning, and the arc non-finite
     scen = write(tmp_path, "jump.yaml", FALLING_MASS_SCENARIO.replace(
         'jump_map: ["y", "-0.8*z"]', 'jump_map: ["y", "-0.8*z**400"]'))
     out = tmp_path / "sim"
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
     )
     payload = rejected(code, stderr, out)
@@ -685,12 +712,13 @@ SINGLE_V = ["check", "--mode", "single-v"]
         "yaml-syntax-error", "binary-bytes", "spec-5", "sim-list",
         "empty-file-with-seed", "top-level-list-with-override",
         "3000-nested-unions"])
-def test_hostile_scenario_node_exits_4_with_one_json_object(tmp_path, text,
-                                                            args, error):
+def test_hostile_scenario_node_exits_4_with_one_json_object(
+        tmp_path, request, run_main, text, args, error):
     scen = tmp_path / "hostile.yaml"
     scen.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out"
-    code, _, stderr = run_cli(
+    run = run_cli if request.node.callspec.id in CHILD_CASES else run_main
+    code, _, stderr = run(
         args + ["--scenario", str(scen), "--out", str(out)], tmp_path
     )
     assert rejected(code, stderr, out)["error"] == error
@@ -701,9 +729,9 @@ def test_hostile_scenario_node_exits_4_with_one_json_object(tmp_path, text,
     ["check", "--seed", "abc"],
     [],
 ], ids=["unknown-command", "non-integer-seed", "no-command"])
-def test_usage_error_exits_4_with_one_json_object(tmp_path, args):
+def test_usage_error_exits_4_with_one_json_object(tmp_path, run_main, args):
     out = tmp_path / "out"
-    code, stdout, stderr = run_cli(args + ["--out", str(out)], tmp_path)
+    code, stdout, stderr = run_main(args + ["--out", str(out)], tmp_path)
     assert rejected(code, stderr, out)["error"] == "UsageError"
     assert stdout == ""
 
@@ -720,11 +748,12 @@ def test_usage_error_exits_4_with_one_json_object(tmp_path, args):
     ["example", "bouncing-ball", "--mode", "ras"],
 ], ids=["simulate-name", "check-name", "falsify-name", "simulate-empty-name",
         "example-scenario", "simulate-mode", "example-mode"])
-def test_unused_argument_exits_4_with_one_json_object(tmp_path, args):
+def test_unused_argument_exits_4_with_one_json_object(tmp_path, run_main,
+                                                      args):
     # the scenario exists and runs, so only the unused argument is wrong
     write(tmp_path, "decay.yaml", DECAY_SCENARIO)
     out = tmp_path / "out"
-    code, stdout, stderr = run_cli(args + ["--out", str(out)], tmp_path)
+    code, stdout, stderr = run_main(args + ["--out", str(out)], tmp_path)
     assert rejected(code, stderr, out)["error"] == "UsageError"
     assert stdout == ""
 
@@ -760,10 +789,10 @@ def json_lines(stderr):
     return lines
 
 
-def test_log_records_reach_stderr_as_json_lines(tmp_path):
+def test_log_records_reach_stderr_as_json_lines(tmp_path, run_main):
     scen = write(tmp_path, "overlap.yaml", OVERLAP_SCENARIO)
     out = tmp_path / "sim"
-    code, stdout, stderr = run_cli(
+    code, stdout, stderr = run_main(
         ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
     )
     assert code == 0, stderr
@@ -911,10 +940,10 @@ def test_simulate_named_system(tmp_path):
     assert report["jump_count"] == 1  # one bounce happens before t = 2
 
 
-def test_simulate_inline_system(tmp_path):
+def test_simulate_inline_system(tmp_path, run_main):
     scen = write(tmp_path, "decay.yaml", DECAY_SCENARIO)
     out = tmp_path / "sim"
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
     )
     assert code == 0, stderr
@@ -922,7 +951,7 @@ def test_simulate_inline_system(tmp_path):
     assert abs(report["final_state"][0]) < 0.01
 
 
-def test_simulate_bad_initial_condition(tmp_path):
+def test_simulate_bad_initial_condition(tmp_path, run_main):
     scen = write(
         tmp_path, "bad.yaml",
         BALL_SCENARIO
@@ -931,7 +960,7 @@ def test_simulate_bad_initial_condition(tmp_path):
         + "  target: {kind: axis_box, lo: [0, 0, 0], hi: [1, 1, 1]}\n"
         + "  t_spec: 1.0\n",
     )
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         ["simulate", "--scenario", scen, "--out", str(tmp_path / "o")],
         tmp_path,
     )
@@ -952,13 +981,13 @@ def test_simulate_bad_initial_condition(tmp_path):
 @pytest.mark.parametrize("args", [SIMULATE, ["check", "--mode", "ras"]],
                          ids=["simulate", "check-ras"])
 def test_x0_of_the_wrong_dimension_exits_4_naming_spec_x0(tmp_path, scenario,
-                                                          x0, args):
+                                                          x0, args, run_main):
     # a start of the wrong length is an error in the scenario, caught
     # before any solve rather than one BadInitialCondition per start
     text = scenario.replace("x0: [[10.0, 0.0]]", "x0: " + x0)
     assert text != scenario
     out = tmp_path / "out"
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         args + ["--scenario", write(tmp_path, "x0.yaml", text),
                 "--out", str(out)], tmp_path)
     payload = rejected(code, stderr, out)
@@ -971,12 +1000,13 @@ def test_x0_of_the_wrong_dimension_exits_4_naming_spec_x0(tmp_path, scenario,
                          ids=["ragged", "non-numeric"])
 @pytest.mark.parametrize("args", [SIMULATE, ["check", "--mode", "ras"]],
                          ids=["simulate", "check-ras"])
-def test_ragged_or_non_numeric_x0_exits_4_naming_spec_x0(tmp_path, x0, args):
+def test_ragged_or_non_numeric_x0_exits_4_naming_spec_x0(tmp_path, run_main,
+                                                         x0, args):
     # numpy's own ValueError used to end the run, naming no scenario key
     text = FALLING_MASS_SCENARIO.replace("x0: [[10.0, 0.0]]", "x0: " + x0)
     assert text != FALLING_MASS_SCENARIO
     out = tmp_path / "out"
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         args + ["--scenario", write(tmp_path, "x0.yaml", text),
                 "--out", str(out)], tmp_path)
     payload = rejected(code, stderr, out)
@@ -984,7 +1014,7 @@ def test_ragged_or_non_numeric_x0_exits_4_naming_spec_x0(tmp_path, x0, args):
     assert payload["message"].startswith("spec.x0 ")
 
 
-def test_moore_greitzer_x0_is_checked_against_the_plant(tmp_path):
+def test_moore_greitzer_x0_is_checked_against_the_plant(tmp_path, run_main):
     # the loop is built at run time, but its plant has 2 state variables
     # at parse time already
     text = (
@@ -998,7 +1028,7 @@ def test_moore_greitzer_x0_is_checked_against_the_plant(tmp_path):
         "sim: {t_max: 1.0}\n"
     )
     out = tmp_path / "out"
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         SIMULATE + ["--scenario", write(tmp_path, "mg.yaml", text),
                     "--out", str(out)], tmp_path)
     payload = rejected(code, stderr, out)
@@ -1038,13 +1068,13 @@ def strict_json(text):
     ("ras", ["spec.t_spec=2.0", "sim.t_max=3.0"], "reach-stay"),
 ], ids=["invariance", "ras-unsettled"])
 def test_check_margin_to_set_without_distance(tmp_path, mode, overrides,
-                                              condition):
+                                              condition, run_main):
     scen = write(tmp_path, "falling.yaml", FALLING_MASS_SCENARIO)
     out = tmp_path / "chk"
     args = ["check", "--mode", mode, "--scenario", scen, "--out", str(out)]
     for pair in overrides:
         args += ["--override", pair]
-    code, stdout, stderr = run_cli(args, tmp_path)
+    code, stdout, stderr = run_main(args, tmp_path)
     assert code == 1, stderr
     assert "Traceback" not in stderr
     assert stdout.strip() == "check[%s]: FAIL" % mode
@@ -1053,9 +1083,9 @@ def test_check_margin_to_set_without_distance(tmp_path, mode, overrides,
     assert report["counterexamples"][0]["condition"] == condition
 
 
-def test_check_ras_requires_seed(tmp_path):
+def test_check_ras_requires_seed(tmp_path, run_main):
     scen = write(tmp_path, "ball.yaml", "system: bouncing-ball\nsim: {h: 0.002}\n")
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         ["check", "--mode", "ras", "--scenario", scen,
          "--out", str(tmp_path / "o")],
         tmp_path,
@@ -1065,10 +1095,10 @@ def test_check_ras_requires_seed(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_check_ras_ball_passes_with_seed(tmp_path):
+def test_check_ras_ball_passes_with_seed(tmp_path, run_main):
     scen = write(tmp_path, "ball.yaml", "system: bouncing-ball\nsim: {h: 0.002}\n")
     out = tmp_path / "chk"
-    code, stdout, stderr = run_cli(
+    code, stdout, stderr = run_main(
         ["check", "--mode", "ras", "--scenario", scen, "--seed", "0",
          "--out", str(out)],
         tmp_path,
@@ -1130,7 +1160,7 @@ def test_override_reads_a_null_section_as_empty(tmp_path, capsys, section,
     assert "cannot override through" in err["message"]
 
 
-def test_check_ras_inconclusive_short_horizon(tmp_path):
+def test_check_ras_inconclusive_short_horizon(tmp_path, run_main):
     scen = write(
         tmp_path, "short.yaml",
         "system: bouncing-ball\n"
@@ -1140,7 +1170,7 @@ def test_check_ras_inconclusive_short_horizon(tmp_path):
         "  target: {kind: axis_box, lo: [-10, -1, -20], hi: [60, 15, 20]}\n"
         "  t_spec: 8.0\n",
     )
-    code, stdout, stderr = run_cli(
+    code, stdout, stderr = run_main(
         ["check", "--mode", "ras", "--scenario", scen, "--seed", "0",
          "--out", str(tmp_path / "o")],
         tmp_path,
@@ -1149,9 +1179,9 @@ def test_check_ras_inconclusive_short_horizon(tmp_path):
     assert "INCONCLUSIVE" in stdout
 
 
-def test_check_unknown_mode(tmp_path):
+def test_check_unknown_mode(tmp_path, run_main):
     scen = write(tmp_path, "ball.yaml", "system: bouncing-ball\n")
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         ["check", "--mode", "bogus", "--scenario", scen,
          "--out", str(tmp_path / "o")],
         tmp_path,
@@ -1180,13 +1210,13 @@ def test_falsify_clean_barrier(tmp_path):
     assert report == {"condition": "barrier-flow", "found": False}
 
 
-def test_falsify_finds_violation(tmp_path):
+def test_falsify_finds_violation(tmp_path, run_main):
     scen = write(
         tmp_path, "bad.yaml",
         EXPANSION_SCENARIO.replace("  budget: 300", "  budget: 300\n  seed: 5"),
     )
     out = tmp_path / "fal"
-    code, stdout, stderr = run_cli(
+    code, stdout, stderr = run_main(
         ["falsify", "--mode", "flow-decrease", "--scenario", scen,
          "--out", str(out)],
         tmp_path,
@@ -1234,7 +1264,8 @@ def test_ras_check_asks_the_target_predicate_once_per_stored_sample(
     assert 0 < len(asked) < rep.stats["samples"]
 
 
-def test_falsify_finds_the_barrier_drop_peak_on_the_jump_band(tmp_path):
+def test_falsify_finds_the_barrier_drop_peak_on_the_jump_band(tmp_path,
+                                                              run_main):
     # at delta 0.05 the barrier-jump margin is about 0.05 over most of the
     # jump band and 0.0589 near (0, 0, 0), where grad B is steepest; the
     # descent used to spend all its budget on a seed on the plateau
@@ -1245,7 +1276,7 @@ def test_falsify_finds_the_barrier_drop_peak_on_the_jump_band(tmp_path):
         "grid: {lo: [-1, 0, -14], hi: [21, 10, 14], counts: 5}}\n",
     )
     out = tmp_path / "fal"
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         ["falsify", "--mode", "barrier-jump", "--scenario", scen,
          "--out", str(out)],
         tmp_path,
@@ -1255,12 +1286,12 @@ def test_falsify_finds_the_barrier_drop_peak_on_the_jump_band(tmp_path):
     assert report["counterexample"]["margin"] >= 0.058
 
 
-def test_check_reports_are_deterministic(tmp_path):
+def test_check_reports_are_deterministic(tmp_path, run_main):
     scen = write(tmp_path, "decay.yaml", DECAY_SCENARIO)
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        code, _, stderr = run_cli(
+        code, _, stderr = run_main(
             ["check", "--mode", "ras", "--scenario", scen, "--seed", "3",
              "--out", str(out)],
             tmp_path,
@@ -1270,10 +1301,10 @@ def test_check_reports_are_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_override_dotted_paths(tmp_path):
+def test_override_dotted_paths(tmp_path, run_main):
     scen = write(tmp_path, "ball.yaml", BALL_SCENARIO)
     out = tmp_path / "sim"
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         ["simulate", "--scenario", scen, "--out", str(out),
          "--override", "sim.t_max=1.0"],
         tmp_path,
@@ -1284,10 +1315,10 @@ def test_override_dotted_paths(tmp_path):
     assert report["jump_count"] == 0  # first bounce comes after t = 1
 
 
-def test_override_creates_missing_branches(tmp_path):
+def test_override_creates_missing_branches(tmp_path, run_main):
     # check.seed lands through an override even with no check section
     scen = write(tmp_path, "ball.yaml", BALL_SCENARIO)
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         ["check", "--mode", "invariance", "--scenario", scen,
          "--override", "check.seed=7",
          "--override", "check.invariant={kind: axis_box, lo: [-10, -1, -20], hi: [60, 15, 20]}",
@@ -1297,10 +1328,10 @@ def test_override_creates_missing_branches(tmp_path):
     assert code == 0, stderr
 
 
-def test_no_temp_files_left_behind(tmp_path):
+def test_no_temp_files_left_behind(tmp_path, run_main):
     scen = write(tmp_path, "ball.yaml", BALL_SCENARIO)
     out = tmp_path / "sim"
-    code, _, stderr = run_cli(
+    code, _, stderr = run_main(
         ["simulate", "--scenario", scen, "--out", str(out)], tmp_path
     )
     assert code == 0, stderr

@@ -246,6 +246,42 @@ def test_stability_without_any_arc_is_inconclusive():
     assert rep.stats["delta_per_eps"] == {0.1: None, 1.0: None}
 
 
+def ring_repeller():
+    # (r - 1)(x, y) pushes states away from the unit circle, the attractor
+    # A; A is implicit with an empty predicate, so only its sdf places it
+    box = AxisBox([-5.0, -5.0], [5.0, 5.0])
+
+    def flow(x):
+        r = math.hypot(x[0], x[1])
+        return [(r - 1.0) * x[0], (r - 1.0) * x[1]]
+
+    ring = Implicit(lambda s: False, AxisBox([-1.0, -1.0], [1.0, 1.0]),
+                    sdf=lambda s: abs(math.hypot(s[0], s[1]) - 1.0))
+    return make_system(2, box, flow, EmptySet(), lambda x: [], box), ring
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.5])
+def test_stability_sweep_skips_a_floor_shell_it_cannot_sample(eps):
+    # arcs from the eps shell escape; at eps 0.01 the floor shell,
+    # eps / 2**BISECT_ITERS wide, is too thin to draw from, so no offset
+    # was tested and none may be reported; at eps 0.5 it is drawn from
+    # and its arcs escape too
+    system, ring = ring_repeller()
+    spec = StabSafeSpec(x0=[(1.0, 0.0)], unsafe=AxisBox([4.0, 4.0], [5.0, 5.0]),
+                        attractor=ring, eps_levels=(eps,))
+    rep = check_stability_safety(system, spec, 16,
+                                 SimConfig(h=0.01, T_max=6.0), seed=0)
+    stability = [ce for ce in rep.counterexamples
+                 if ce.condition == "stability"]
+    if eps == 0.01:
+        assert rep.stats["delta_per_eps"] == {eps: None}
+        assert stability == []
+    else:
+        assert rep.verdict == Verdict.FAIL
+        assert rep.stats["delta_per_eps"] == {eps: 0.0}
+        assert len(stability) == 1
+
+
 def test_stability_check_raises_a_broken_attractor_predicate():
     # the predicate overflows for x > 0.71; that is an error in the
     # scenario, not a shell with nothing to sample

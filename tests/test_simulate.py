@@ -1291,6 +1291,34 @@ def test_window_dist_matches_scalar_reference(times, s0, s1):
         assert_same_window_dist(x, times, states, s0, s1)
 
 
+def test_window_ends_are_the_states_arc_eval_gives():
+    # a window [t, t] inside a segment is the single vertex at t, so the
+    # state eval(t, j) lies at distance 0 from it exactly when closeness
+    # reads the same state there as HybridArc.eval, to the bit; so does a
+    # window that starts at t, whose first vertex is that state
+    system, _, spec = bouncing_ball()
+    arc = solve(system, np.asarray(spec.x0[0]),
+                SimConfig(h=1e-3, T_max=3.0, J_max=5)).arc
+    rng = np.random.default_rng(0)
+    for j, (times, states) in enumerate(arc.phases):
+        for t in rng.uniform(times[0], times[-1], 100):
+            x = arc.eval(t, j)
+            assert _window_dist(x, times, states, t, t) == 0.0
+            assert _window_dist(x, times, states, t, t + 0.01) == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_segment_dist_is_the_scalar_reference_to_the_bit(dim):
+    rng = np.random.default_rng(dim)
+    n = 5000
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    x, a, b = (scale * rng.standard_normal((n, dim)) for _ in range(3))
+    b[::10] = a[::10]  # zero-length segments
+    got = np.sqrt(simulate._segment_dist2(x, a, b))
+    want = np.array([ref_point_segment_dist(*row) for row in zip(x, a, b)])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_closeness_fails_where_destination_lacks_the_phase():
     two = HybridArc([([0.0, 1.0], [[0.0], [0.0]]),
                      ([1.0, 2.0], [[0.0], [0.0]])],
