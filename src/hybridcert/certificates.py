@@ -50,67 +50,61 @@ class MissingBarrier(ValueError):
 
 @dataclass
 class ScalarField:
-    """A scalar function with an optional analytic gradient.
+    """A scalar function with an optional analytic gradient, in row form.
 
-    When grad is absent, gradient() falls back to central differences with
-    step FD_STEP.  domain, when given, is a predicate marking points where
-    the field (and its FD stencil) is well defined; probe generators use it
-    to reject points near singularities.
-
-    value_rows and grad_rows, when given, are row forms: they map an (n, d)
-    array to the n values and the (n, d) gradients, equal bit for bit to
-    value and grad row by row.  value_many and gradient_many use them, or
-    else loop over the rows with the one-point forms.
+    Each field is a function of an (n, d) array, one point per row: value
+    returns the n values, grad the (n, d) gradients and domain n bools.
+    When grad is absent, the gradient is central differences with step
+    FD_STEP.  domain, when given, marks the rows where the field (and its
+    FD stencil) is well defined: probe generators use it to reject points
+    near singularities, and the pair check counts the iv-barrier-*
+    margins of B only at its rows.  The one-point forms (__call__,
+    gradient, admissible) call the row forms on a one-row array.
     """
 
     value: object
     grad: object = None
     domain: object = None
-    value_rows: object = None
-    grad_rows: object = None
 
     def __call__(self, x):
-        return float(self.value(as_vector(x)))
+        return float(self.value_many(as_vector(x)[None])[0])
 
     def admissible(self, x):
-        return self.domain is None or bool(self.domain(as_vector(x)))
+        return bool(self.admissible_many(as_vector(x)[None])[0])
 
     def gradient(self, x):
-        x = as_vector(x)
-        if self.grad is not None:
-            return as_vector(self.grad(x))
-        return self.fd_gradient(x)
+        return self.gradient_many(as_vector(x)[None])[0]
 
     def value_many(self, X):
-        """[self(x) for x in X] as a float array."""
-        X = as_rows(X)
-        if self.value_rows is not None:
-            return np.asarray(self.value_rows(X), dtype=float)
-        return np.array([self(x) for x in X], dtype=float)
+        """The values at the rows of X as a float array."""
+        return np.asarray(self.value(as_rows(X)), dtype=float)
 
     def gradient_many(self, X):
-        """[self.gradient(x) for x in X] as an (n, d) array."""
+        """The gradients at the rows of X as an (n, d) array."""
         X = as_rows(X)
-        if self.grad_rows is not None:
-            return np.asarray(self.grad_rows(X), dtype=float)
-        return np.array([self.gradient(x) for x in X],
-                        dtype=float).reshape(X.shape)
+        if self.grad is None:
+            return self.fd_gradient(X)
+        return np.asarray(self.grad(X), dtype=float)
 
     def admissible_many(self, X):
-        """[self.admissible(x) for x in X] as a bool array."""
+        """Which rows of X lie in the domain, as a bool array."""
         X = as_rows(X)
         if self.domain is None:
             return np.ones(len(X), dtype=bool)
-        return np.array([self.admissible(x) for x in X], dtype=bool)
+        return np.asarray(self.domain(X), dtype=bool)
 
-    def fd_gradient(self, x):
-        x = as_vector(x)
-        g = np.empty(x.size)
-        for i in range(x.size):
-            e = np.zeros(x.size)
+    def fd_gradient(self, X):
+        """Central differences at the rows of X, one axis at a time."""
+        X = as_rows(X)
+        G = np.empty(X.shape)
+        for i in range(X.shape[1]):
+            e = np.zeros(X.shape[1])
             e[i] = FD_STEP
-            g[i] = (self.value(x + e) - self.value(x - e)) / (2.0 * FD_STEP)
-        return g
+            up, down = self.value_many(X + e), self.value_many(X - e)
+            # as silent as float arithmetic on an inf or overflowing value
+            with np.errstate(over="ignore", invalid="ignore"):
+                G[:, i] = (up - down) / (2.0 * FD_STEP)
+        return G
 
 
 @dataclass
@@ -176,25 +170,19 @@ class GridSpec:
 def grad_check(f: ScalarField, probes):
     """Max relative error between analytic and central-difference gradients.
 
-    Error at a probe is max over axes of |analytic - fd| / max(1, |analytic|).
-    Probes outside f.domain are skipped.
+    Error at a probe is max over axes of |analytic - fd| / max(1, |analytic|);
+    a NaN error is the worst.  Probes outside f.domain are skipped.
     """
     if f.grad is None:
         raise ValueError("grad_check needs an analytic gradient")
-    worst = 0.0
-    used = 0
-    for p in probes:
-        p = as_vector(p)
-        if not f.admissible(p):
-            continue
-        used += 1
-        a = f.gradient(p)
-        fd = f.fd_gradient(p)
-        err = np.max(np.abs(a - fd) / np.maximum(1.0, np.abs(a)))
-        worst = max(worst, float(err))
-    if used == 0:
+    P = as_rows(probes)
+    P = P[f.admissible_many(P)]
+    if not len(P):
         raise ValueError("no admissible probes")
-    return worst
+    a = f.gradient_many(P)
+    err = np.max(np.abs(a - f.fd_gradient(P)) / np.maximum(1.0, np.abs(a)),
+                 axis=1)
+    return float(_first_max(0.0, err))
 
 
 def _row_directions(delta, shape, grads):
@@ -757,14 +745,9 @@ def decrement_along_arc(cert, arc):
     Returns (series, bound_ok) where series lists (total_time, V) at every
     stored sample.
     """
-    V = cert.V
-    v0 = V(arc.phases[0][1][0])
     series = []
-    ok = True
-    for j, t, x in arc.samples():
-        total = t + j
-        v = V(x)
-        series.append((total, v))
-        if not v <= v0 * np.exp(-total / 3.0) + DEFAULT_TOL:
-            ok = False
+    for j, (times, states) in enumerate(arc.phases):
+        series += zip((times + j).tolist(), cert.V.value_many(states).tolist())
+    total, v = np.array(series).T
+    ok = bool(np.all(v <= v[0] * np.exp(-total / 3.0) + DEFAULT_TOL))
     return series, ok

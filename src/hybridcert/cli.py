@@ -222,6 +222,12 @@ def _parse_spec(node, variables):
                         tuple(float(e) for e in s["eps_levels"]))
 
 
+def _row_fn(source, variables):
+    """The compiled expression as a row form: its value at each row."""
+    fn = scalar_fn(source, variables)
+    return lambda X: [fn(x) for x in X.tolist()]
+
+
 def _parse_certificates(node, variables, example, default):
     if node is None:
         return default
@@ -235,9 +241,9 @@ def _parse_certificates(node, variables, example, default):
     if not variables:
         raise ScenarioError("expression certificates need system variables")
     c = _section(node, "certificates")
-    V = ScalarField(scalar_fn(c["V"], variables))
+    V = ScalarField(_row_fn(c["V"], variables))
     B = (None if c["B"] is None
-         else ScalarField(scalar_fn(c["B"], variables)))
+         else ScalarField(_row_fn(c["B"], variables)))
     region = (None if c["region"] is None
               else parse_set(c["region"], variables))
     omega = None

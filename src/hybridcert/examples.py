@@ -23,7 +23,6 @@ from .geometry import (
     AxisBox,
     Ball,
     Implicit,
-    as_vector,
     make_proper_indicator,
 )
 from .hybrid import HybridSystem
@@ -45,9 +44,9 @@ class DomainViolation(ValueError):
 def _each(fn, t):
     """fn at each element of the 1-D float array t, as a float array.  The
     row forms of the ball's fields take math.atan, expit and a float64's
-    ** 2 this way, as their one-point forms do: np.arctan and np.exp
-    differ from math.atan and math.exp in the last bit, and an array's
-    ** 2 is a square where a float64's calls pow.
+    ** 2 this way: np.arctan and np.exp differ from math.atan and math.exp
+    in the last bit, and an array's ** 2 is a square where a float64's
+    calls pow.
 
     fn runs once per distinct bit pattern in t (a grid's column holds a
     few dozen), on a numpy float64 as the element would give it, and its
@@ -160,22 +159,12 @@ def bouncing_ball(params: BouncingBallParams = None):
 
     c_lam = (1.0 - lam**2) / (math.pi * (1.0 + lam**2))
 
-    def V_val(s):
-        return (1.0 + c_lam * math.atan(s[2])) * (0.5 * s[2] ** 2 + a * s[1])
-
-    def V_grad(s):
-        energy = 0.5 * s[2] ** 2 + a * s[1]
-        weight = 1.0 + c_lam * math.atan(s[2])
-        return np.array(
-            [0.0, a * weight, c_lam * energy / (1.0 + s[2] ** 2) + weight * s[2]]
-        )
-
-    def V_rows(S):
+    def V(S):
         z = S[:, 2]
         return ((1.0 + c_lam * _each(math.atan, z))
                 * (0.5 * _each(_square, z) + a * S[:, 1]))
 
-    def V_grad_rows(S):
+    def V_grad(S):
         z = S[:, 2]
         sq = _each(_square, z)
         energy = 0.5 * sq + a * S[:, 1]
@@ -183,29 +172,20 @@ def bouncing_ball(params: BouncingBallParams = None):
         return np.stack([np.zeros(len(S)), a * weight,
                          c_lam * energy / (1.0 + sq) + weight * z], axis=1)
 
-    def B_val(s):
-        return 0.5 * expit(5.0 * s[0]) - s[1] - s[2] ** 2 / (2.0 * a) + 9.5
-
-    def B_grad(s):
-        sig = expit(5.0 * s[0])
-        return np.array([2.5 * sig * (1.0 - sig), -1.0, -s[2] / a])
-
-    def B_rows(S):
+    def B(S):
         z = S[:, 2]
         return (0.5 * _each(expit, 5.0 * S[:, 0]) - S[:, 1]
                 - _each(_square, z) / (2.0 * a) + 9.5)
 
-    def B_grad_rows(S):
+    def B_grad(S):
         sig = _each(expit, 5.0 * S[:, 0])
         return np.stack([2.5 * sig * (1.0 - sig), np.full(len(S), -1.0),
                          -S[:, 2] / a], axis=1)
 
     region_O = AxisBox([-inf, -inf, -inf], [inf, 10.0, inf])  # {y < 10}
     cert = CertificatePair(
-        V=ScalarField(V_val, V_grad, value_rows=V_rows,
-                      grad_rows=V_grad_rows),
-        B=ScalarField(B_val, B_grad, value_rows=B_rows,
-                      grad_rows=B_grad_rows),
+        V=ScalarField(V, V_grad),
+        B=ScalarField(B, B_grad),
         omega=make_proper_indicator(ball_attractor(), region_O),
         region=region_O,
     )
@@ -355,62 +335,51 @@ def moore_greitzer(params: MooreGreitzerParams = None):
     center = np.array(p.protect_center)
     r = p.protect_radius
 
-    def V_val(x):
-        d = as_vector(x) - zeta
-        return float(d @ d)
-
-    def V_rows(X):
+    def V(X):
         D = X - zeta
         return np.vecdot(D, D)
 
-    def V_grad(x):
-        return 2.0 * (as_vector(x) - zeta)
+    def V_grad(X):
+        return 2.0 * (X - zeta)
 
-    def h_val(x):
-        v = as_vector(x)
-        return max(abs(v[0] - center[0]), abs(v[1] - center[1])) - r
+    def faces(X):
+        # X - center, its two distances d0 and d1, and h = max(d0, d1) - r,
+        # where max keeps d0 unless d1 is larger
+        D = X - center
+        d0, d1 = np.abs(D[:, 0]), np.abs(D[:, 1])
+        return D, d0, d1, np.where(d1 > d0, d1, d0) - r
 
-    def B_val(x):
-        h = h_val(x)
-        if h <= 0.0:
-            return B_SENTINEL
-        return math.log1p(h) - math.log(h)
-
-    def B_rows(X):
-        d0 = np.abs(X[:, 0] - center[0])
-        d1 = np.abs(X[:, 1] - center[1])
-        # max(d0, d1) keeps d0 unless d1 is larger
-        h = np.where(d1 > d0, d1, d0) - r
+    def B(X):
+        h = faces(X)[3]
         out = np.full(len(X), B_SENTINEL)
         live = ~(h <= 0.0)
-        # math.log as the one-point form takes it; h mixes both
-        # coordinates, so its values are distinct per point, and _each's
-        # sort would find nothing to share
+        # math.log, whose last bit np.log does not always give; h mixes
+        # both coordinates, so its values are distinct per point, and
+        # _each's sort would find nothing to share
         out[live] = np.fromiter(
             (math.log1p(t) - math.log(t) for t in h[live]), dtype=float)
         return out
 
-    def B_grad(x):
-        v = as_vector(x)
-        h = h_val(x)
-        if h <= 0.0:
+    def B_grad(X):
+        D, d0, d1, h = faces(X)
+        if np.any(h <= 0.0):
             raise DomainViolation("barrier gradient inside the singular box")
-        d0, d1 = abs(v[0] - center[0]), abs(v[1] - center[1])
-        g = np.zeros(2)
-        i = 0 if d0 >= d1 else 1
-        g[i] = math.copysign(1.0, v[i] - center[i])
-        return -g / (h * (1.0 + h))
+        # along the axis of the larger distance, which sets h; axis 0 on
+        # the face switch d0 == d1
+        rows, i = np.arange(len(X)), np.where(d0 >= d1, 0, 1)
+        G = np.zeros(X.shape)
+        G[rows, i] = np.copysign(1.0, D[rows, i])
+        return -G / (h * (1.0 + h))[:, None]
 
-    def B_domain(x):
+    def B_domain(X):
         # keep FD stencils off the singular locus and the face switch
-        v = as_vector(x)
-        d0, d1 = abs(v[0] - center[0]), abs(v[1] - center[1])
-        return max(d0, d1) - r >= 0.01 and abs(d0 - d1) >= 0.01
+        _, d0, d1, h = faces(X)
+        return (h >= 0.01) & (np.abs(d0 - d1) >= 0.01)
 
     region_O = AxisBox(p.box_lo, p.box_hi)
     cert = CertificatePair(
-        V=ScalarField(V_val, V_grad, value_rows=V_rows),
-        B=ScalarField(B_val, B_grad, domain=B_domain, value_rows=B_rows),
+        V=ScalarField(V, V_grad),
+        B=ScalarField(B, B_grad, domain=B_domain),
         omega=make_proper_indicator(Ball(zeta, 1e-6), region_O),
         region=region_O,
     )

@@ -259,7 +259,9 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
     For each eps level, bisection over initial offsets finds the largest
     delta_eps <= eps such that all arcs from n_init seeded draws in
     Inflated(A, delta_eps) keep |x|_A < eps; FAIL when even the smallest
-    tested offset escapes.  Attraction is recorded as settle times of arcs
+    tested offset escapes, and INCONCLUSIVE without a counterexample when
+    arcs from the eps shell escape but the floor shell cannot be drawn
+    from.  Attraction is recorded as settle times of arcs
     from the points of spec.x0 into each eps level; safety flags any stored
     sample inside the unsafe set.
     """
@@ -267,6 +269,9 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
     ces = []
     delta_found = {}
     n_arcs = 0
+    # a level whose eps-shell arcs escape and whose floor shell cannot be
+    # drawn from shows no offset that keeps arcs below eps
+    undecided = False
 
     def all_stay_below(delta, eps):
         nonlocal n_arcs
@@ -297,6 +302,7 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
         floor = hi / 2.0**BISECT_ITERS
         if escape is not None:
             escape = all_stay_below(floor, eps)
+            undecided = undecided or escape is None
         if escape is None:
             # the eps shell or the floor shell cannot be drawn from (no
             # finite bounding box, or too thin to hit): the offset sweep
@@ -351,7 +357,7 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
         "settle_times": settle_times,
         "note": "uniform-T over all solutions certified only up to the "
                 "realized maximum settle time of the sampled arcs",
-    }, evidence=n_arcs > 0)
+    }, evidence=n_arcs > 0 and (bool(ces) or not undecided))
 
 
 def estimate_invariant_core(system, I, grid_n, n_dist, config, seed=0):

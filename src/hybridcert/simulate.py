@@ -549,7 +549,8 @@ def construct_perturbed(arc, x_new, T):
 
 
 def estimate_lipschitz(fn, box, n_pairs=2000, seed=0):
-    """Empirical Lipschitz constant of fn over an axis box via random pairs."""
+    """Empirical Lipschitz constant of fn over an axis box via random pairs;
+    NaN if a pair's ratio is NaN."""
     bb = box.bounding_box()
     lo, hi = bb.lo, bb.hi
     rng = np.random.default_rng(seed)
@@ -561,6 +562,8 @@ def estimate_lipschitz(fn, box, n_pairs=2000, seed=0):
         if gap < 1e-12:
             continue
         ratio = float(np.linalg.norm(as_vector(fn(a)) - as_vector(fn(b)))) / gap
+        if ratio != ratio:
+            return ratio  # a NaN wins, as a violation does
         best = max(best, ratio)
     return best
 
@@ -573,6 +576,8 @@ def companion_radius_bound(delta, tau, lip_flow, lip_jump, delta_prime=0.0):
         raise ValueError("need finite delta > delta_prime")
     if not tau > 0.0:
         raise ValueError("tau must be positive")
+    if not (lip_flow >= 0.0 and lip_jump >= 0.0):
+        raise ValueError("Lipschitz constants must be >= 0")
     scale = max(1.0, 1.0 / tau + lip_flow, 1.0 + lip_jump)
     return (delta - delta_prime) / scale
 

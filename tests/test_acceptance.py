@@ -16,7 +16,6 @@ from hybridcert import (
     GridSpec,
     Implicit,
     Inflated,
-    ScalarField,
     SimConfig,
     StabSafeSpec,
     Verdict,
@@ -41,6 +40,7 @@ from hybridcert import (
 )
 from hybridcert.controller import QPProblem
 from hybridcert.geometry import EmptySet
+from field_reference import point_field
 from kkt import kkt_residual
 
 
@@ -307,7 +307,7 @@ def test_c10_single_v_sanity():
         )
         return perturb(sys1, 0.0)
 
-    V = ScalarField(lambda x: float(x[0] ** 2),
+    V = point_field(lambda x: float(x[0] ** 2),
                     lambda x: np.array([2.0 * x[0]]))
     cert = CertificatePair(V=V, omega=lambda x: abs(float(x[0])))
     grid = GridSpec([-1.0], [1.0], 21)

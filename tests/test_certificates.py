@@ -11,7 +11,9 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import field_reference
 import grid_reference
+from field_reference import point_field
 from test_cli import run_python
 
 from hybridcert import (
@@ -43,12 +45,13 @@ from hybridcert import (
     solve,
 )
 from hybridcert import certificates, cli, geometry
+from hybridcert.expressions import scalar_fn
 
 BALL_B_AT_START = 0.7173469387755102
 
 
 def quadratic_V():
-    return ScalarField(lambda x: float(np.dot(x, x)),
+    return point_field(lambda x: float(np.dot(x, x)),
                        lambda x: 2.0 * np.asarray(x))
 
 
@@ -65,7 +68,7 @@ def indicator_1d():
 
 
 def test_fd_gradient_fallback():
-    f = ScalarField(lambda x: float(x[0] ** 2))
+    f = point_field(lambda x: float(x[0] ** 2))
     assert f.gradient([1.5])[0] == pytest.approx(3.0, abs=1e-9)
 
 
@@ -75,7 +78,7 @@ def test_grad_check_quadratic():
 
 
 def test_grad_check_constant_field_is_exact():
-    f = ScalarField(lambda x: 2.5, lambda x: np.zeros(len(x)))
+    f = point_field(lambda x: 2.5, lambda x: np.zeros(len(x)))
     assert grad_check(f, [np.array([0.1, -0.4])]) == 0.0
 
 
@@ -87,13 +90,23 @@ def test_grad_check_ball_certificates():
     assert grad_check(cert.B, probes) <= 1e-6
 
 
+def test_grad_check_reports_a_nan_gradient_as_the_worst():
+    probes = [np.array([x]) for x in (-1.0, 0.5, 2.0)]
+    f = point_field(lambda x: float(x[0] ** 2), lambda x: np.array([math.nan]))
+    assert math.isnan(grad_check(f, probes))
+    # NaN at one probe of several still wins
+    g = point_field(lambda x: float(x[0] ** 2),
+                    lambda x: np.array([math.nan if x[0] > 1.0 else 2.0 * x[0]]))
+    assert math.isnan(grad_check(g, probes))
+
+
 def test_grad_check_requires_analytic_gradient():
     with pytest.raises(ValueError):
-        grad_check(ScalarField(lambda x: float(x[0])), [np.zeros(1)])
+        grad_check(point_field(lambda x: float(x[0])), [np.zeros(1)])
 
 
 def test_grad_check_requires_admissible_probe():
-    f = ScalarField(lambda x: float(x[0]), lambda x: np.ones(1),
+    f = point_field(lambda x: float(x[0]), lambda x: np.ones(1),
                     domain=lambda x: False)
     with pytest.raises(ValueError):
         grad_check(f, [np.zeros(1)])
@@ -246,22 +259,17 @@ def ball_jump_layer(delta):
 
 
 def test_pair_check_evaluates_V_once_per_jump_point():
-    # counted through both forms, so the count does not hang on which of
-    # them computes a value
+    # counted row by row through the row form, which every value of V,
+    # one-point calls included, goes through
     system, cert, spec = bouncing_ball()
     calls = collections.Counter()
 
-    def value(x):
-        calls[tuple(x)] += 1
-        return cert.V.value(x)
-
-    def value_rows(X):
+    def value(X):
         calls.update(tuple(x) for x in X)
-        return cert.V.value_rows(X)
+        return cert.V.value(X)
 
     counting = dataclasses.replace(
-        cert, V=dataclasses.replace(cert.V, value=value,
-                                    value_rows=value_rows)
+        cert, V=dataclasses.replace(cert.V, value=value)
     )
     ss = StabSafeSpec(x0=spec.x0, unsafe=spec.unsafe, attractor=ball_attractor())
     grid = GridSpec([-1.0, 0.0, -1.0], [1.0, 0.0, 0.0], (3, 1, 5))
@@ -614,8 +622,8 @@ def failing_ball_certificate():
     V, B = cert.V, cert.B
     return dataclasses.replace(
         cert,
-        V=ScalarField(lambda s: -V(s), lambda s: -V.gradient(s)),
-        B=ScalarField(lambda s: -B(s), lambda s: -B.gradient(s)),
+        V=point_field(lambda s: -V(s), lambda s: -V.gradient(s)),
+        B=point_field(lambda s: -B(s), lambda s: -B.gradient(s)),
     )
 
 
@@ -625,7 +633,7 @@ def partly_nan_ball_certificate():
     _, cert, _ = bouncing_ball()
 
     def cut(f, nan_at):
-        return ScalarField(
+        return point_field(
             lambda s: math.nan if nan_at(s) else f(s),
             lambda s: np.full(len(s), math.nan) if nan_at(s)
             else f.gradient(s))
@@ -679,7 +687,8 @@ def test_single_v_matches_the_per_point_reference(delta, cert):
                  grid_reference.check_single_V(sys_delta, cert, grid))
 
 
-# compiled expressions have no row forms: the checks loop over the rows
+# compiled expressions are evaluated row by row, and the flow map has no
+# row form: the checks loop over the rows
 SCENARIO_PAIR = """\
 system:
   variables: [y, z]
@@ -705,6 +714,28 @@ check: {grid: {lo: [-1.0, -45.0], hi: [90.0, 45.0], counts: [15, 15]}}
 """
 
 
+@pytest.mark.parametrize("source", ["z**2/2 + 9.8*y", "60 - y - z*z/19.6",
+                                    "sin(y*z) + exp(-y) / (1 + z*z)"])
+def test_fd_gradient_on_rows_is_the_per_point_stencil(source):
+    # rows one axis at a time give the bits of the stencil taken point by
+    # point, on a field compiled from a scenario expression
+    doc = yaml.safe_load(SCENARIO_PAIR)
+    doc["certificates"]["V"] = source
+    V = cli.scenario_from(doc, []).cert.V
+    point = scalar_fn(source, ["y", "z"])
+    rng = np.random.default_rng(7)
+    P = np.concatenate([
+        rng.uniform(-50.0, 50.0, size=(200, 2)),
+        rng.normal(0.0, 1e-3, size=(50, 2)),
+        [[0.0, -0.0], [-0.0, 0.0], [math.nan, 1.0], [1.0, math.nan]],
+    ])
+    want = np.array([field_reference.fd_gradient(point, p) for p in P])
+    assert V.grad is None
+    assert V.fd_gradient(P).tobytes() == want.tobytes()
+    assert V.gradient_many(P).tobytes() == want.tobytes()
+    assert V.gradient(P[3]).tobytes() == want[3].tobytes()
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.05])
 def test_scenario_checks_match_the_per_point_reference(delta):
     scenario = cli.scenario_from(yaml.safe_load(SCENARIO_PAIR),
@@ -712,7 +743,7 @@ def test_scenario_checks_match_the_per_point_reference(delta):
     sys_delta = cli._perturbed(scenario)
     cert, spec = scenario.cert, scenario.spec
     grid = scenario.check["grid"]
-    assert cert.V.value_rows is None and sys_delta.flow_map_rows is None
+    assert sys_delta.flow_map_rows is None
     got = check_pair_VB(sys_delta, cert, spec, grid)
     assert got.verdict == Verdict.FAIL
     same_reports(got, grid_reference.check_pair_VB(sys_delta, cert, spec,
@@ -772,7 +803,7 @@ def test_falsify_cli_finds_a_nan_v_and_writes_strict_json(tmp_path):
 
 
 def nan_everywhere():
-    return ScalarField(lambda x: math.nan)
+    return point_field(lambda x: math.nan)
 
 
 def test_single_v_fails_with_a_nan_v():
@@ -899,8 +930,8 @@ def test_row_margins_are_the_per_point_margins(P, delta):
         2, everywhere, lambda x: np.array([-x[1], x[0] * x[1]]), everywhere,
         jump_map, AxisBox([-2.0, -2.0], [2.0, 2.0]),
     ), delta)
-    V = ScalarField(lambda x: x[0] * x[1], lambda x: np.array([x[1], -x[0]]))
-    B = ScalarField(lambda x: -x[0], lambda x: np.array([-0.0 * x[0], x[1]]),
+    V = point_field(lambda x: x[0] * x[1], lambda x: np.array([x[1], -x[0]]))
+    B = point_field(lambda x: -x[0], lambda x: np.array([-0.0 * x[0], x[1]]),
                     domain=lambda x: x[0] != 1.0)
     cert = CertificatePair(V=V, B=B)
     P = np.array(P + [(1.0, -0.0)], dtype=float)

@@ -14,7 +14,6 @@ from hybridcert import (
     DimensionMismatch,
     QPProblem,
     SampleHoldConfig,
-    ScalarField,
     SimConfig,
     admissible_constraints,
     augment_sample_hold,
@@ -25,6 +24,7 @@ from hybridcert import (
     solve_qp,
 )
 from hybridcert import controller
+from field_reference import point_field
 from kkt import kkt_residual
 
 
@@ -38,12 +38,12 @@ def integrator_plant(lo=-0.4, hi=0.4):
 
 
 def V_sq():
-    return ScalarField(lambda x: float(x[0] ** 2),
+    return point_field(lambda x: float(x[0] ** 2),
                        lambda x: np.array([2.0 * x[0]]))
 
 
 def B_bowl(height=10.0):
-    return ScalarField(lambda x: height - float(x[0] ** 2),
+    return point_field(lambda x: height - float(x[0] ** 2),
                        lambda x: np.array([-2.0 * x[0]]))
 
 
@@ -267,7 +267,7 @@ def test_solve_qp_dimension_cap():
 def test_admissible_rows_by_hand():
     plant = integrator_plant(-1.0, 1.0)
     rows = admissible_constraints(np.array([0.5]), V_sq(),
-                                  ScalarField(lambda x: 1.0 - float(x[0] ** 2),
+                                  point_field(lambda x: 1.0 - float(x[0] ** 2),
                                               lambda x: np.array([-2.0 * x[0]])),
                                   plant, sigma=0.07)
     (a_v, b_v), (a_b, b_b) = rows
@@ -357,7 +357,7 @@ def test_qp_policy_builds_the_rows_once_per_level_tried(monkeypatch, x,
 
 def test_qp_policy_holds_input_at_level_ten(caplog):
     # flat barrier: 0.u <= -sigma can never hold, nor can the V-row
-    flat_B = ScalarField(lambda x: 5.0, lambda x: np.zeros(1))
+    flat_B = point_field(lambda x: 5.0, lambda x: np.zeros(1))
     plant = integrator_plant()
     cfg = SampleHoldConfig(period=0.5, sigma_margin=0.07,
                            rate_limits=(0.01,))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit as scipy_expit
 
+import field_reference
 import solver_reference
 from hybridcert import (
     BouncingBallParams,
@@ -83,21 +84,33 @@ def test_ball_barrier_matches_the_scipy_form_bit_for_bit():
         sig = scipy_expit(5.0 * s[0])
         value = 0.5 * sig - s[1] - s[2] ** 2 / (2.0 * a) + 9.5
         grad = np.array([2.5 * sig * (1.0 - sig), -1.0, -s[2] / a])
-        assert bits(cert.B.value(s)) == bits(value)
-        assert cert.B.grad(s).tobytes() == grad.tobytes()
+        assert bits(cert.B(s)) == bits(value)
+        assert cert.B.gradient(s).tobytes() == grad.tobytes()
 
 
 BALL_SYSTEM, BALL_CERT, _ = bouncing_ball()
 MG_CERT = moore_greitzer()[1]
+BALL_V, BALL_V_GRAD, BALL_B, BALL_B_GRAD = field_reference.ball_fields()
+MG_V, MG_V_GRAD, MG_B, MG_B_GRAD, MG_B_DOMAIN = field_reference.mg_fields()
 
 
-def same_rows(rows, one, X):
-    """rows(X) holds the bits of one(x) at each row x of X."""
+def same_rows(rows, one, X, dtype=float):
+    """rows(X) holds the bits of one(x) at each row x of X, or both raise
+    DomainViolation."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        got = np.asarray(rows(X), dtype=float)
-        want = np.array([one(x) for x in X], dtype=float).reshape(got.shape)
-    assert got.tobytes() == want.tobytes(), (X, got, want)
+        try:
+            got = np.asarray(rows(X), dtype=dtype)
+        except DomainViolation:
+            got = None
+        try:
+            want = np.array([one(x) for x in X], dtype=dtype)
+        except DomainViolation:
+            want = None
+    assert (got is None) == (want is None), (X, got, want)
+    if got is not None:
+        want = want.reshape(got.shape)
+        assert got.tobytes() == want.tobytes(), (X, got, want)
 
 
 # values where a float64's ** 2 (pow) is not the array's square, where
@@ -129,10 +142,12 @@ ball_coords = st.one_of(
 def test_ball_row_forms_match_the_one_point_forms_bit_for_bit(X):
     X = np.array(X, dtype=float)
     V, B = BALL_CERT.V, BALL_CERT.B
-    same_rows(V.value_rows, V, X)
-    same_rows(V.grad_rows, V.gradient, X)
-    same_rows(B.value_rows, B, X)
-    same_rows(B.grad_rows, B.gradient, X)
+    same_rows(V.value_many, BALL_V, X)
+    same_rows(V.gradient_many, BALL_V_GRAD, X)
+    same_rows(B.value_many, BALL_B, X)
+    same_rows(B.gradient_many, BALL_B_GRAD, X)
+    same_rows(V.value_many, V, X)
+    same_rows(B.gradient_many, B.gradient, X)
     same_rows(BALL_SYSTEM.flow_map_rows, BALL_SYSTEM.flow, X)
 
 
@@ -201,14 +216,52 @@ mg_coords = st.one_of(
 )
 
 
+# 2**-7 off the center on both axes: d0 == d1 exactly, the face switch
+FACE = 2.0**-7
+SWITCH = [(0.5 + sx * FACE, 0.653 + sy * FACE)
+          for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(X=st.lists(st.tuples(mg_coords, mg_coords), min_size=1, max_size=8))
 @example(X=[(0.5, 0.653), (0.503, 0.653), (0.5015, 0.6545),
             (0.4519, 0.6513)])
+# outside the singular box, so grad B is defined at every row
+@example(X=SWITCH + [(0.4519, 0.6513), (math.nan, 0.6513),
+                     (0.4519, math.nan), (0.65, -0.0)])
 def test_mg_row_forms_match_the_one_point_forms_bit_for_bit(X):
     X = np.array(X, dtype=float)
-    same_rows(MG_CERT.V.value_rows, MG_CERT.V, X)
-    same_rows(MG_CERT.B.value_rows, MG_CERT.B, X)
+    V, B = MG_CERT.V, MG_CERT.B
+    same_rows(V.value_many, MG_V, X)
+    same_rows(V.gradient_many, MG_V_GRAD, X)
+    same_rows(B.value_many, MG_B, X)
+    # both raise DomainViolation where a row lies in the singular box
+    same_rows(B.gradient_many, MG_B_GRAD, X)
+    same_rows(B.admissible_many, MG_B_DOMAIN, X, dtype=bool)
+    same_rows(V.value_many, V, X)
+    same_rows(B.value_many, B, X)
+
+
+def test_mg_face_switch_takes_axis_zero_and_is_not_admissible():
+    X = np.array(SWITCH)
+    D = X - np.array(MooreGreitzerParams().protect_center)
+    assert (np.abs(D[:, 0]) == np.abs(D[:, 1])).all()
+    G = MG_CERT.B.gradient_many(X)
+    assert (G[:, 1] == 0.0).all() and (G[:, 0] != 0.0).all()
+    assert G.tobytes() == np.array([MG_B_GRAD(x) for x in X]).tobytes()
+    assert not MG_CERT.B.admissible_many(X).any()
+
+
+def test_mg_barrier_gradient_raises_inside_the_singular_box():
+    # the equilibrium zeta lies outside the box, its center inside
+    X = np.array([[0.4519, 0.6513], [0.5, 0.653]])
+    with pytest.raises(DomainViolation, match="singular box"):
+        MG_CERT.B.gradient_many(X)
+    for x in (X[1], X[1] + 0.002):
+        with pytest.raises(DomainViolation, match="singular box"):
+            MG_B_GRAD(x)
+        with pytest.raises(DomainViolation, match="singular box"):
+            MG_CERT.B.gradient(x)
 
 
 def test_ball_v_vanishes_at_rest():

@@ -282,6 +282,34 @@ def test_stability_sweep_skips_a_floor_shell_it_cannot_sample(eps):
         assert len(stability) == 1
 
 
+def test_stability_without_a_sampled_offset_below_eps_is_inconclusive():
+    # at eps 0.01 arcs from the eps shell escape and the floor shell is too
+    # thin to draw from: no offset was shown to keep arcs below eps, so the
+    # report cannot pass, and nothing it found makes it fail
+    system, ring = ring_repeller()
+    spec = StabSafeSpec(x0=[(1.0, 0.0)], unsafe=AxisBox([4.0, 4.0], [5.0, 5.0]),
+                        attractor=ring, eps_levels=(0.01,))
+    rep = check_stability_safety(system, spec, 16,
+                                 SimConfig(h=0.01, T_max=6.0), seed=0)
+    assert rep.verdict == Verdict.INCONCLUSIVE
+    assert rep.counterexamples == []
+    assert rep.stats["delta_per_eps"] == {0.01: None}
+    assert rep.stats["arcs"] == 17
+
+
+def test_stability_counterexample_fails_a_level_without_a_sampled_offset():
+    # the same undecided level, and an unsafe set on the start: the
+    # counterexample makes the report FAIL
+    system, ring = ring_repeller()
+    spec = StabSafeSpec(x0=[(1.0, 0.0)], unsafe=AxisBox([0.5, -0.5], [1.5, 0.5]),
+                        attractor=ring, eps_levels=(0.01,))
+    rep = check_stability_safety(system, spec, 16,
+                                 SimConfig(h=0.01, T_max=6.0), seed=0)
+    assert rep.verdict == Verdict.FAIL
+    assert rep.stats["delta_per_eps"] == {0.01: None}
+    assert {ce.condition for ce in rep.counterexamples} == {"safety"}
+
+
 def test_stability_check_raises_a_broken_attractor_predicate():
     # the predicate overflows for x > 0.71; that is an error in the
     # scenario, not a shell with nothing to sample

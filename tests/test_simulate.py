@@ -452,6 +452,10 @@ OUT_OF_RANGE = [
      (math.nan, -math.inf, 0.1)),
     ("companion_radius_bound.tau",
      lambda v: companion_radius_bound(0.1, v, 1.0, 1.0), (math.nan, 0.0)),
+    ("companion_radius_bound.lip_flow",
+     lambda v: companion_radius_bound(0.1, 1.0, v, 0.0), (math.nan, -1.0)),
+    ("companion_radius_bound.lip_jump",
+     lambda v: companion_radius_bound(0.1, 1.0, 0.0, v), (math.nan, -1.0)),
 ]
 
 
@@ -1883,6 +1887,16 @@ def test_estimate_lipschitz_on_linear_map():
     box = AxisBox([-2.0], [2.0])
     L = estimate_lipschitz(lambda x: -2.0 * x, box, n_pairs=500, seed=0)
     assert L == pytest.approx(2.0, rel=1e-9)
+
+
+def test_estimate_lipschitz_of_a_nan_map_is_nan():
+    # a NaN ratio is the worst, as a NaN margin is
+    box = AxisBox([-1.0], [1.0])
+    assert math.isnan(estimate_lipschitz(lambda x: [math.nan], box))
+    # one NaN among finite ratios wins too
+    L = estimate_lipschitz(lambda x: [math.nan if x[0] > 0.9 else x[0]], box,
+                           n_pairs=200)
+    assert math.isnan(L)
 
 
 def test_companion_radius_bound_formula():
