@@ -289,8 +289,9 @@ class Implicit(SetRegion):
         return _clip0(float(self.sdf(_as_list(x))))
 
     def contains(self, x, tol=DEFAULT_TOL):
-        v = _as_list(x)
-        if bool(self.pred(v)):
+        # the solver's state, a list, goes to the callables as it is
+        v = x if type(x) is list else as_vector(x).tolist()
+        if self.pred(v):
             return True
         if self.sdf is not None and tol > 0.0:
             return self.distance(v) <= tol

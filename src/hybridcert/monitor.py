@@ -261,17 +261,19 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
     Inflated(A, delta_eps) keep |x|_A < eps; FAIL when even the smallest
     tested offset escapes, and INCONCLUSIVE without a counterexample when
     arcs from the eps shell escape but the floor shell cannot be drawn
-    from.  Attraction is recorded as settle times of arcs
+    from.  A level whose eps or floor shell cannot be drawn from gets
+    delta_eps None, and stats["unsampled_shell_per_eps"] names that shell
+    ("eps" or "floor").  Attraction is recorded as settle times of arcs
     from the points of spec.x0 into each eps level; safety flags any stored
     sample inside the unsafe set.
     """
     A = spec.attractor
     ces = []
     delta_found = {}
+    # per level left at None, the shell that could not be drawn from:
+    # "eps", or "floor" when arcs from the eps shell escape
+    unsampled = {}
     n_arcs = 0
-    # a level whose eps-shell arcs escape and whose floor shell cannot be
-    # drawn from shows no offset that keeps arcs below eps
-    undecided = False
 
     def all_stay_below(delta, eps):
         nonlocal n_arcs
@@ -300,14 +302,16 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
             delta_found[eps] = hi
             continue
         floor = hi / 2.0**BISECT_ITERS
+        shell = "eps"
         if escape is not None:
             escape = all_stay_below(floor, eps)
-            undecided = undecided or escape is None
+            shell = "floor"
         if escape is None:
             # the eps shell or the floor shell cannot be drawn from (no
             # finite bounding box, or too thin to hit): the offset sweep
             # proves nothing, so record the skip instead
             delta_found[eps] = None
+            unsampled[float(eps)] = shell
             continue
         if escape:
             j, t, x = escape
@@ -350,10 +354,14 @@ def check_stability_safety(system, spec: StabSafeSpec, n_init, config,
             else:
                 settle_times[float(eps)] = max(settle_times[float(eps)], settle)
 
+    # a level whose eps-shell arcs escape and whose floor shell cannot be
+    # drawn from shows no offset that keeps arcs below eps
+    undecided = "floor" in unsampled.values()
     return CheckReport.judge(ces, {
         "arcs": n_arcs,
         "skipped_initial_points": skipped,
         "delta_per_eps": {float(k): v for k, v in delta_found.items()},
+        "unsampled_shell_per_eps": unsampled,
         "settle_times": settle_times,
         "note": "uniform-T over all solutions certified only up to the "
                 "realized maximum settle time of the sampled arcs",

@@ -7,15 +7,20 @@ held constant across each accepted step, which keeps perturbed runs
 reproducible from a single seed.
 
 The step loop keeps the state as a list of Python floats from one
-accepted step to the next.  A step is one function generated per
-dimension (_rk4_fns): the flow map (see hybrid.HybridSystem) gets each
-stage state as a list, and the stages and their combination are float
-arithmetic, the same IEEE operations in the same order as the array form,
-so the arcs keep its bits without its numpy temporaries on short vectors.
-The first stage f(x) + d is computed once per step and shared by every
-bisection probe of that step, which then costs three flow calls.  Set
-membership reads the lists (see geometry.contains), and the disturbance
-sampler returns lists.
+accepted step to the next.  _rk4_fns generates two functions per
+dimension from one stage template: the flow map (see hybrid.HybridSystem)
+gets each stage state as a list, and the stages and their combination are
+float arithmetic, the same IEEE operations in the same order as the array
+form, so the arcs keep its bits without its numpy temporaries on short
+vectors.  The flow stretch takes consecutive plain steps in one call, up
+to the horizon, the first proposal that enters D, leaves C or leaves the
+bounds, or the first final sample outside the watch, and stores the
+accepted samples itself.  Its first stage f(x) + d of the step that ends
+it is shared by every bisection probe of that step, a call of the step
+function, which then costs three flow calls.  solve binds each set's own
+membership test (region.contains) once per run; only the checks of x0 go
+through geometry.contains.  Membership reads the lists, and the
+disturbance sampler returns lists.
 
 Arrays are built only where they are needed: at jumps, for an event
 bisection's gap norm when it lies within rounding of event_tol, and once
@@ -55,9 +60,10 @@ class HorizonTooShort(ValueError):
 class SimConfig:
     """Solver knobs.
 
-    t_min is the smallest positive gap allowed between consecutive jumps;
-    a shorter (but still positive) gap triggers the system's zeno_map when
-    present and a ZenoAccumulation stop otherwise.  Zero-gap jump chains
+    t_min (>= 0; 0 turns the rule off) is the smallest positive gap
+    allowed between consecutive jumps; a shorter (but still positive) gap
+    triggers the system's zeno_map when present and a ZenoAccumulation
+    stop otherwise.  Zero-gap jump chains
     are left alone so purely discrete systems run normally.  Where the flow
     and jump sets overlap, the solver jumps.
     """
@@ -76,6 +82,8 @@ class SimConfig:
             raise ValueError("J_max must be nonnegative")
         if not 0.0 < self.event_tol < self.h:
             raise ValueError("event_tol must lie in (0, h)")
+        if not self.t_min >= 0.0:
+            raise ValueError("t_min must be >= 0")
 
 
 @dataclass
@@ -90,59 +98,125 @@ class SolveReport:
         return self.arc.termination
 
 
+# what ends a stretch of plain steps (see _rk4_fns)
+_HORIZON, _WATCH, _JUMP, _FLOW, _BOUNDS = range(5)
+
+
 @functools.cache
 def _rk4_fns(dim):
-    """The RK4 functions (slope, step) on states of dim floats, generated
-    once per dimension.
+    """The RK4 functions (step, stretch) on states of dim floats, generated
+    once per dimension from one stage template.
 
-    slope(f, x, d) is f(x) + d, the first stage, which every step from x
-    under d shares.  step(f, x, k1, dt, d) is one classical RK4 step over
-    dt from x with first stage k1: x + (dt/6) ((k1 + 2 k2) + 2 k3 + k4),
+    step(f, x, k1, dt, d) is one classical RK4 step over dt from x with
+    first stage k1 = f(x) + d: x + (dt/6) ((k1 + 2 k2) + 2 k3 + k4),
     formed with the IEEE operations of the array form in the same order, so
     with the same bits.  x, k1 and d are sequences of dim floats, f is a
-    flow map, and both return a fresh list.  The source is written out
-    entry by entry, so a call runs no Python loop; every value of f is
-    checked for its length before it is unpacked.
+    flow map, and it returns a fresh list.
+
+    stretch(f, draw, t, x, j, t_end, h, tol, in_jump, in_flow, in_bounds,
+    in_watch, times, states) takes solve's plain steps from (t, x), a state
+    outside D and inside C: while t < t_end, a step over min(h, t_end - t)
+    under d = draw(t, j), with the stages and the operations of step.  A
+    proposal in D (in_jump at 0), outside C (in_flow at tol) or outside the
+    bounds (in_bounds at 0) ends the stretch unaccepted; an accepted one is
+    stored in the phase's lists times and states under _ArcBuilder.append's
+    rules, and the stretch ends at the first final sample outside the
+    watch (in_watch at 0, None for no watch).  It returns (fired, t, x,
+    dt, d, k1, x_prop), (t, x) being the last state it accepted: fired is
+    _HORIZON, _WATCH, or the set test (_JUMP, _FLOW, _BOUNDS) that x_prop,
+    the proposal from (t, x) over dt under d with first stage k1, failed;
+    dt, d, k1 and x_prop are None at _HORIZON and _WATCH.
+
+    The source is written out entry by entry, so a step runs no Python
+    loop; every value of f is checked for its length before it is
+    unpacked, and every list f gets is fresh.
     """
 
-    def each(pattern, sep=", "):
-        return sep.join(pattern.replace("#", str(i)) for i in range(dim))
+    def rows(pattern):
+        return [pattern.replace("#", str(i)) for i in range(dim)]
+
+    def each(pattern):
+        return ", ".join(rows(pattern))
 
     def stage(into, arg):
         # f at the list of arg, its length checked, plus d: into0, into1, ...
         return [
-            "    y = f([%s])" % each(arg),
-            "    if len(y) != %d:" % dim,
-            "        raise DimensionMismatch(WRONG % len(y))",
-            "    %s, = y" % each("y#"),
-            each("    %s# = y# + d#" % into, "\n"),
+            "y = f([%s])" % each(arg),
+            "if len(y) != %d:" % dim,
+            "    raise DimensionMismatch(WRONG % len(y))",
+            "%s, = y" % each("y#"),
+            *rows("%s# = y# + d#" % into),
         ]
 
-    lines = [
-        "def slope(f, x, d):",
-        "    %s, = x" % each("x#"),
-        "    %s, = d" % each("d#"),
-        # a fresh list: the map never holds the solver's own state
-        *stage("k", "x#"),
-        "    return [%s]" % each("k#"),
-        "def step(f, x, k1, dt, d):",
-        "    %s, = x" % each("x#"),
-        "    %s, = k1" % each("a#"),
-        "    %s, = d" % each("d#"),
-        "    half = 0.5 * dt",
+    # k2, k3 and k4 from x#, a# (k1) and d# over dt, and the step's sum
+    stages = [
+        "half = 0.5 * dt",
         *stage("b", "x# + half * a#"),
         *stage("c", "x# + half * b#"),
         *stage("e", "x# + dt * c#"),
-        "    w = dt / 6.0",
-        "    return [%s]"
-        % each("(((a# + 2.0 * b#) + 2.0 * c#) + e#) * w + x#"),
+        "w = dt / 6.0",
+    ]
+    new_x = "[%s]" % each("(((a# + 2.0 * b#) + 2.0 * c#) + e#) * w + x#")
+
+    def block(depth, lines):
+        return ["    " * depth + line for line in lines]
+
+    lines = [
+        "def step(f, x, k1, dt, d):",
+        *block(1, [
+            "%s, = x" % each("x#"),
+            "%s, = k1" % each("a#"),
+            "%s, = d" % each("d#"),
+            *stages,
+            "return " + new_x,
+        ]),
+        "def stretch(f, draw, t, x, j, t_end, h, tol, in_jump, in_flow,"
+        " in_bounds, in_watch, times, states):",
+        *block(1, [
+            "%s, = x" % each("x#"),
+            "while t < t_end:",
+            *block(1, [
+                "dt = min(h, t_end - t)",
+                "d = draw(t, j)",
+                "%s, = d" % each("d#"),
+                *stage("a", "x#"),
+                *stages,
+                "x_prop = " + new_x,
+                "if in_jump(x_prop, 0.0):",
+                "    fired = JUMP",
+                "elif not in_flow(x_prop, tol):",
+                "    fired = FLOW",
+                "elif not in_bounds(x_prop, 0.0):",
+                "    fired = BOUNDS",
+                "else:",
+                *block(1, [
+                    "t += dt",
+                    # _ArcBuilder.append: fold, or test the last sample,
+                    # now final, against the watch before storing
+                    "if t <= times[-1]:",
+                    "    states[-1] = x_prop",
+                    "elif in_watch is None or in_watch(states[-1], 0.0):",
+                    "    times.append(t)",
+                    "    states.append(x_prop)",
+                    "else:",
+                    "    return WATCH, t, x_prop, None, None, None, None",
+                    "x = x_prop",
+                    "%s, = x" % each("x#"),
+                    "continue",
+                ]),
+                "return fired, t, x, dt, d, [%s], x_prop" % each("a#"),
+            ]),
+            "return HORIZON, t, x, None, None, None, None",
+        ]),
     ]
     scope = {
         "DimensionMismatch": DimensionMismatch,
         "WRONG": "flow map returned shape (%%d,), wanted (%d,)" % dim,
+        "HORIZON": _HORIZON, "WATCH": _WATCH,
+        "JUMP": _JUMP, "FLOW": _FLOW, "BOUNDS": _BOUNDS,
     }
     exec(compile("\n".join(lines), "<rk4 dim %d>" % dim, "exec"), scope)
-    return scope["slope"], scope["step"]
+    return scope["step"], scope["stretch"]
 
 
 def _gap_norm(a, b):
@@ -206,14 +280,16 @@ class _ArcBuilder:
     against it once it is final: when a sample at a later time or a jump
     follows it (until then an append at the same time may still replace
     it).  The first final sample outside the watch sets ``left``, and
-    nothing is stored after it.
+    nothing is stored after it.  The flow stretch of _rk4_fns appends to
+    times and states under the same rules, through in_watch.
     """
 
     def __init__(self, t0, x0, watch=None):
         self.phases = []
         self.times = [t0]
         self.states = [x0]
-        self.watch = watch
+        # the watch's own membership test, or None
+        self.in_watch = None if watch is None else watch.contains
         self.left = False
 
     def append(self, t, x):
@@ -228,8 +304,8 @@ class _ArcBuilder:
     def keeps_last(self):
         """Test the last sample, which is now final, against the watch;
         False once a final sample lies outside it."""
-        if self.watch is not None:
-            self.left = not contains(self.watch, self.states[-1], 0.0)
+        if self.in_watch is not None:
+            self.left = not self.in_watch(self.states[-1], 0.0)
         return not self.left
 
     def new_phase(self, t, x_plus):
@@ -273,8 +349,11 @@ def solve(system: HybridSystem, x0, config: SimConfig,
         raise BadInitialCondition("x0 outside both flow and jump sets")
 
     f = system.flow_map
-    slope, step = _rk4_fns(system.dim)
+    step, stretch = _rk4_fns(system.dim)
     draw = config.disturbance.start(system.dim, system.delta)
+    # each set's own membership test, bound once for the whole run
+    in_flow, in_jump = flow_set.contains, jump_set.contains
+    in_bounds = bounds.contains
     x = x0.tolist()
     builder = _ArcBuilder(0.0, x, watch)
     t, j = 0.0, 0
@@ -282,16 +361,11 @@ def solve(system: HybridSystem, x0, config: SimConfig,
     last_jump_t = -math.inf  # no gap before the first jump is short
     termination = None
 
-    # a plain step only accepts a state outside D and inside C, so the
-    # membership tests at the loop top are skipped right after one
-    stepped = False
     while termination is None and not builder.left:
         if t >= config.T_max:
             termination = Termination.HORIZON_REACHED
             break
-        if stepped:
-            stepped = False
-        elif contains(jump_set, x, 0.0):
+        if in_jump(x, 0.0):
             if j >= config.J_max:
                 termination = Termination.HORIZON_REACHED
                 break
@@ -322,40 +396,40 @@ def solve(system: HybridSystem, x0, config: SimConfig,
             j += 1
             last_jump_t = t
             continue
-        elif not contains(flow_set, x, tol):
+        if not in_flow(x, tol):
             termination = Termination.LEFT_FLOW_AND_JUMP_SETS
             break
 
-        dt = min(config.h, config.T_max - t)
-        d = draw(t, j)
-        k1 = slope(f, x, d)
-        x_prop = step(f, x, k1, dt, d)
-
+        # plain steps up to the first proposal that fails a set test
+        fired, t, x, dt, d, k1, x_prop = stretch(
+            f, draw, t, x, j, config.T_max, config.h, tol, in_jump, in_flow,
+            in_bounds, builder.in_watch, builder.times, builder.states,
+        )
         # pred is True past the event; stop is the run's end at it
-        if contains(jump_set, x_prop, 0.0):
-            pred = lambda y: contains(jump_set, y, 0.0)
+        if fired == _JUMP:
+            pred = lambda y: in_jump(y, 0.0)
             stop = None
-        elif not contains(flow_set, x_prop, tol):
-            pred = lambda y: not contains(flow_set, y, tol)
+        elif fired == _FLOW:
+            pred = lambda y: not in_flow(y, tol)
             stop = Termination.LEFT_FLOW_AND_JUMP_SETS
-        elif not contains(bounds, x_prop, 0.0):
-            pred = lambda y: not contains(bounds, y, 0.0)
+        elif fired == _BOUNDS:
+            pred = lambda y: not in_bounds(y, 0.0)
             stop = Termination.ESCAPED_BOUNDS
+        elif fired == _WATCH:
+            builder.left = True
+            break
         else:
-            t += dt
-            x = x_prop
-            builder.append(t, x)
-            stepped = True
-            continue
+            termination = Termination.HORIZON_REACHED
+            break
 
         th_in, x_in, th_out, x_out = _bisect_event(
             f, step, x, k1, dt, d, pred, x_prop, tol
         )
         if stop is not Termination.LEFT_FLOW_AND_JUMP_SETS:
             th, x = th_out, x_out
-        elif contains(jump_set, x_in, 0.0):
+        elif in_jump(x_in, 0.0):
             th, x, stop = th_in, x_in, None
-        elif contains(jump_set, x_out, 0.0):
+        elif in_jump(x_out, 0.0):
             th, x, stop = th_out, x_out, None
         else:
             th, x = th_in, x_in

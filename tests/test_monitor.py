@@ -227,6 +227,7 @@ def test_stability_ball_records_unsampleable_shell():
     assert rep.verdict == Verdict.PASS
     # the rest set has unbounded extent, so the offset sweep is skipped
     assert rep.stats["delta_per_eps"] == {0.5: None}
+    assert rep.stats["unsampled_shell_per_eps"] == {0.5: "eps"}
     # settle is measured in total time: ~12.3 of flow plus the jump count
     assert 26.0 < rep.stats["settle_times"][0.5] < 28.0
 
@@ -244,6 +245,7 @@ def test_stability_without_any_arc_is_inconclusive():
     assert rep.stats["arcs"] == 0
     assert rep.stats["skipped_initial_points"] == 1
     assert rep.stats["delta_per_eps"] == {0.1: None, 1.0: None}
+    assert rep.stats["unsampled_shell_per_eps"] == {0.1: "eps", 1.0: "eps"}
 
 
 def ring_repeller():
@@ -275,10 +277,12 @@ def test_stability_sweep_skips_a_floor_shell_it_cannot_sample(eps):
                  if ce.condition == "stability"]
     if eps == 0.01:
         assert rep.stats["delta_per_eps"] == {eps: None}
+        assert rep.stats["unsampled_shell_per_eps"] == {eps: "floor"}
         assert stability == []
     else:
         assert rep.verdict == Verdict.FAIL
         assert rep.stats["delta_per_eps"] == {eps: 0.0}
+        assert rep.stats["unsampled_shell_per_eps"] == {}
         assert len(stability) == 1
 
 

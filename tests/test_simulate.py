@@ -129,33 +129,41 @@ def test_solve_asks_the_jump_set_once_per_plain_step():
 
 
 def counted_rk4_steps(monkeypatch):
-    """The list to which every RK4 step that solve takes, through the step
-    of _rk4_fns, appends its first stage: a bisection probe shares the k1
-    list of the step it refines, a step computes its own."""
-    stages = []
+    """The list to which solve's RK4 work appends "step" for every step of
+    the flow stretch of _rk4_fns, which draws its disturbance once, and
+    "probe" for every bisection probe, a step of _rk4_fns that shares the
+    first stage of the step it refines."""
+    work = []
     rk4_fns = simulate._rk4_fns
 
     def counted_rk4_fns(dim):
-        slope, step = rk4_fns(dim)
+        step, stretch = rk4_fns(dim)
 
         def counted_step(f, x, k1, dt, d):
-            stages.append(k1)
+            work.append("probe")
             return step(f, x, k1, dt, d)
 
-        return slope, counted_step
+        def counted_stretch(f, draw, *args):
+            def counted_draw(t, j):
+                work.append("step")
+                return draw(t, j)
+
+            return stretch(f, counted_draw, *args)
+
+        return counted_step, counted_stretch
 
     monkeypatch.setattr(simulate, "_rk4_fns", counted_rk4_fns)
-    return stages
+    return work
 
 
 def test_solve_asks_the_jump_set_once_per_rk4_step_with_events(monkeypatch):
     system, jump_set, flows = counted(raw_ball())
-    stages = counted_rk4_steps(monkeypatch)
+    work = counted_rk4_steps(monkeypatch)
     rep = solve(system, np.array([0.0, 9.0, 0.8]),
                 SimConfig(h=1e-3, T_max=4.0))
     assert rep.jump_count >= 2
-    rk4_steps = len(stages)  # plain steps and bisection probes
-    steps = 1 + sum(b is not a for a, b in zip(stages, stages[1:]))
+    rk4_steps = len(work)  # plain steps and bisection probes
+    steps = work.count("step")
     probes = rk4_steps - steps
     assert probes > 0
     # four flow calls per step, three per probe (k1 is the step's)
@@ -190,25 +198,46 @@ SOLVER_WORK = {
 
 
 @pytest.mark.parametrize("case", list(SOLVER_WORK))
-def test_solve_keeps_its_work_and_its_arc(monkeypatch, case):
+def test_solve_keeps_its_work_and_its_arc(case):
     make, cfg, want = SOLVER_WORK[case]
     system = make()
-    calls = {"contains": 0, "flow": 0}
+    # membership is counted at the regions, whichever path asks them
+    regions = [CountingRegion(r)
+               for r in (system.flow_set, system.jump_set, system.bounds)]
+    flows = []
+
+    def counted_flow(xs):
+        flows.append(1)
+        return system.flow_map(xs)
+
+    counted_system = dataclasses.replace(
+        system, flow_set=regions[0], jump_set=regions[1], bounds=regions[2],
+        flow_map=counted_flow)
+    rep = solve(counted_system, np.asarray(bouncing_ball()[2].x0[0]), cfg)
+    assert (sum(r.calls for r in regions), len(flows), rep.jump_count,
+            arc_digest(rep)) == want
+
+
+def test_solve_asks_the_module_contains_only_about_x0(monkeypatch):
+    # every later question goes to each set's own bound test; a start
+    # below the floor, in D only, needs all three x0 checks
+    system = bouncing_ball()[0]
+    x0 = np.array([0.0, -0.5, -3.0])
+    asked = []
     real_contains = simulate.contains
 
     def counted_contains(region, x, tol):
-        calls["contains"] += 1
+        asked.append((region, x, tol))
         return real_contains(region, x, tol)
 
-    def counted_flow(xs):
-        calls["flow"] += 1
-        return system.flow_map(xs)
-
     monkeypatch.setattr(simulate, "contains", counted_contains)
-    rep = solve(dataclasses.replace(system, flow_map=counted_flow),
-                np.asarray(bouncing_ball()[2].x0[0]), cfg)
-    assert (calls["contains"], calls["flow"], rep.jump_count,
-            arc_digest(rep)) == want
+    cfg = SimConfig(h=1e-3, T_max=20.0, J_max=200)
+    rep = solve(system, x0, cfg)
+    assert rep.jump_count > 2 and rep.arc.phases[-1][0][-1] == 20.0
+    assert [(region, tol) for region, _, tol in asked] == [
+        (system.bounds, 0.0), (system.flow_set, cfg.event_tol),
+        (system.jump_set, 0.0)]
+    assert all(x is x0 for _, x, _ in asked)
 
 
 def textbook_rk4(f, x, dt, d):
@@ -223,8 +252,22 @@ def float_rk4(f, x, dt, d):
     """The solver's RK4 step from the array x under the flow map f, as an
     array."""
     xs, d = x.tolist(), d.tolist()
-    slope, step = _rk4_fns(len(xs))
-    return np.array(step(f, xs, slope(f, xs, d), dt, d))
+    k1 = [y + e for y, e in zip(f(xs), d)]
+    return np.array(_rk4_fns(len(xs))[0](f, xs, k1, dt, d))
+
+
+def stretch_rk4(f, x, dt, d):
+    """One plain step of the solver's flow stretch from the array x under
+    the flow map f, as an array: the stretch runs from t = 0 to dt, and
+    the sample it stores at dt is the step's."""
+    xs, d = x.tolist(), d.tolist()
+    times, states = [0.0], [xs]
+    fired, *_ = _rk4_fns(len(xs))[1](
+        f, lambda t, j: d, 0.0, xs, 0, dt, dt, 0.0,
+        lambda y, tol: False, lambda y, tol: True, lambda y, tol: True,
+        None, times, states)
+    assert fired == simulate._HORIZON and times == [0.0, dt]
+    return np.array(states[-1])
 
 
 def on_arrays(f):
@@ -282,8 +325,9 @@ def test_rk4_step_matches_the_array_form_bitwise(data, dim, dt):
         want = textbook_rk4(f, x, dt, d)
         got = float_rk4(f_floats, x, dt, d)
         adapted = float_rk4(on_arrays(f), x, dt, d)
+        stretched = stretch_rk4(f_floats, x, dt, d)
     nan = np.isnan(want)
-    for form in (got, adapted):
+    for form in (got, adapted, stretched):
         assert form.dtype == want.dtype and form.shape == want.shape
         # the same operations on the same operands; a NaN's sign is not
         # defined when two NaNs meet: CPython's float add keeps the second
@@ -305,17 +349,17 @@ def test_a_replaced_flow_map_is_never_bypassed(monkeypatch):
         wrapped_flows.append(1)
         return system.flow_map(xs)
 
-    stages = counted_rk4_steps(monkeypatch)
+    work = counted_rk4_steps(monkeypatch)
     cfg = SimConfig(h=1e-3, T_max=4.0)
     x0 = np.asarray(spec.x0[0])
     want = solve(system, x0, cfg).arc
     for other, calls in [
             (replaced, flows),
             (dataclasses.replace(system, flow_map=wrapped), wrapped_flows)]:
-        stages.clear()
+        work.clear()
         got = solve(other, x0, cfg)
-        steps = 1 + sum(b is not a for a, b in zip(stages, stages[1:]))
-        probes = len(stages) - steps
+        steps = work.count("step")
+        probes = len(work) - steps
         assert got.jump_count >= 2 and probes > 0
         assert len(calls) == 4 * steps + 3 * probes
         assert same_arcs(got.arc, want)
@@ -1132,6 +1176,18 @@ def test_sim_config_validation():
         SimConfig(h=-1.0)
     with pytest.raises(ValueError):
         SimConfig(h=1e-3, event_tol=1e-2)
+
+
+@pytest.mark.parametrize("t_min", [math.nan, -1.0])
+def test_sim_config_rejects_a_t_min_that_would_turn_off_the_zeno_rule(t_min):
+    # such a t_min makes no jump gap short: the raw ball would run its
+    # 1000 jumps to the horizon instead of stopping in a Zeno accumulation
+    with pytest.raises(ValueError, match="t_min"):
+        SimConfig(h=1e-3, T_max=10.0, J_max=1000, t_min=t_min)
+    rep = solve(raw_ball(), np.array([0.0, 1.0, 0.0]),
+                SimConfig(h=1e-3, T_max=10.0, J_max=1000, t_min=1e-6))
+    assert rep.termination == Termination.ZENO_ACCUMULATION
+    assert rep.jump_count == 62
 
 
 def test_reachable_sample_at_time_zero_returns_initial_points():
