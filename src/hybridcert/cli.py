@@ -472,6 +472,7 @@ def _solve_report_obj(report):
         "flow_time": report.flow_time,
         "jump_count": report.jump_count,
         "zeno_snapped": report.zeno_snapped,
+        "stopped_by": report.stopped_by,
         "final_time": [t_end, j_end],
         "final_state": [float(v) for v in x_end],
     }

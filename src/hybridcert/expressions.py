@@ -7,12 +7,18 @@ loading a scenario never executes arbitrary code.  Each validated
 expression, or each list of them, compiles to one generated Python
 function of the state list: it checks the length, unpacks the list into
 the variables, evaluates and converts the result, all in its own body.
+compiled_form looks up what a function of vector_fn or predicate_fn
+evaluates (its validated trees and variables) by the function's identity,
+so that the simulator can write the expressions into its own generated
+code; a wrapper of the function, even a functools.wraps one, is not found.
 """
 
 import ast
 import keyword
 import math
 import reprlib
+import weakref
+from dataclasses import dataclass, field
 
 from .geometry import as_vector
 
@@ -269,7 +275,46 @@ _GLOBALS = {
 }
 
 
-def _compile(source, variables, result=""):
+@dataclass(frozen=True)
+class CompiledForm:
+    """What a compiled function evaluates: kind, the name of the function
+    that compiled it ("vector_fn" or "predicate_fn"), its
+    sources and variables, and bodies, the validated tree of each source
+    (ints made floats, bool operands of arithmetic made floats), in the
+    order of the sources.  Forms are equal when kind, sources and
+    variables are; the trees follow from those."""
+
+    kind: str
+    sources: tuple
+    variables: tuple
+    bodies: tuple = field(compare=False, repr=False)
+
+
+# id of a compiled function -> (weak reference to it, its CompiledForm)
+_FORMS = {}
+
+
+def _register(fn, form):
+    key = id(fn)
+
+    def forget(ref):
+        # the id may be reused once fn is gone: drop only fn's own entry
+        if _FORMS.get(key, (None,))[0] is ref:
+            del _FORMS[key]
+
+    _FORMS[key] = (weakref.ref(fn, forget), form)
+
+
+def compiled_form(fn):
+    """The CompiledForm of fn, a function of vector_fn or predicate_fn
+    itself; None for any other object, wrappers included."""
+    entry = _FORMS.get(id(fn))
+    if entry is None or entry[0]() is not fn:
+        return None
+    return entry[1]
+
+
+def _compile(source, variables, result="", kind=None):
     """One function of the state that evaluates source.
 
     The state is the one argument: a list of floats, taken as it is, or,
@@ -277,7 +322,8 @@ def _compile(source, variables, result=""):
     the variables, in their order.  A list of sources gives a function
     that returns the list of their values as floats; a single source one
     that returns result(value), where result is "_float", "_bool" or ""
-    for the value as it is.
+    for the value as it is.  With a kind, the function's CompiledForm is
+    registered for compiled_form.
     """
     many = isinstance(source, list)
     try:
@@ -320,7 +366,12 @@ def _compile(source, variables, result=""):
         ) from None
     namespace = {}
     exec(code, _GLOBALS, namespace)
-    return namespace.popitem()[1]
+    fn = namespace.popitem()[1]
+    if kind is not None:
+        _register(fn, CompiledForm(
+            kind, tuple(source) if many else (source,), variables,
+            tuple(bodies)))
+    return fn
 
 
 def scalar_fn(source, variables):
@@ -332,7 +383,8 @@ def scalar_fn(source, variables):
 def predicate_fn(source, variables):
     """Compile one expression into x -> bool, for x a list of floats or a
     1-D array."""
-    return _compile(str(source), _checked(variables), "_bool")
+    return _compile(str(source), _checked(variables), "_bool",
+                    "predicate_fn")
 
 
 def vector_fn(sources, variables):
@@ -340,4 +392,5 @@ def vector_fn(sources, variables):
     list of floats, one entry per expression (a flow map in the form that
     hybrid.HybridSystem takes); all entries are one function, called once
     per evaluation."""
-    return _compile([str(s) for s in sources], _checked(variables))
+    return _compile([str(s) for s in sources], _checked(variables),
+                    kind="vector_fn")

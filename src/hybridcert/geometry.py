@@ -195,7 +195,9 @@ class AxisBox(SetRegion):
         # the faces contains screens each coordinate with, an infinite one
         # moved to the largest finite float: a NaN or infinite coordinate
         # then fails the screen and goes to the exact distance, which is
-        # NaN or inf there, as it is for every coordinate beyond a face
+        # NaN or inf there, as it is for every coordinate beyond a face.
+        # The simulator's generated step writes these faces and the
+        # branches of contains into its own code (simulate._written_test)
         self._faces = [
             (i, max(lo, -_FLOAT64_MAX), min(hi, _FLOAT64_MAX))
             for i, (lo, hi) in enumerate(zip(self.lo.tolist(),
@@ -212,9 +214,10 @@ class AxisBox(SetRegion):
         return _norm(gap)
 
     def contains(self, x, tol=DEFAULT_TOL):
-        # componentwise screen without array temporaries: this sits in the
-        # simulator's per-step loop, whose states are lists; only
-        # borderline points pay for the exact Euclidean distance
+        # componentwise screen without array temporaries, on the
+        # simulator's list states; its generated step writes these same
+        # branches in (see _faces).  Only borderline points pay for the
+        # exact Euclidean distance
         xs = x if type(x) is list else as_vector(x).tolist()
         borderline = False
         for i, lo, hi in self._faces:

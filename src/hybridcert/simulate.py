@@ -7,33 +7,50 @@ held constant across each accepted step, which keeps perturbed runs
 reproducible from a single seed.
 
 The step loop keeps the state as a list of Python floats from one
-accepted step to the next.  _rk4_fns generates two functions per
-dimension from one stage template: the flow map (see hybrid.HybridSystem)
-gets each stage state as a list, and the stages and their combination are
-float arithmetic, the same IEEE operations in the same order as the array
-form, so the arcs keep its bits without its numpy temporaries on short
-vectors.  The flow stretch takes consecutive plain steps in one call, up
-to the horizon, the first proposal that enters D, leaves C or leaves the
-bounds, or the first final sample outside the watch, and stores the
-accepted samples itself.  Its first stage f(x) + d of the step that ends
-it is shared by every bisection probe of that step, a call of the step
-function, which then costs three flow calls.  solve binds each set's own
-membership test (region.contains) once per run; only the checks of x0 go
-through geometry.contains.  Membership reads the lists, and the
-disturbance sampler returns lists.
+accepted step to the next.  _rk4_fns generates two functions per system
+shape from one stage template: the stages and their combination are float
+arithmetic, the same IEEE operations in the same order as the array form,
+so the arcs keep its bits without its numpy temporaries on short vectors.
+The flow stretch takes consecutive plain steps in one call, up to the
+horizon, the first proposal that enters D, leaves C or leaves the bounds,
+or the first final sample outside the watch, and stores the accepted
+samples itself.  Its first stage f(x) + d of the step that ends it is
+shared by every bisection probe of that step, a call of the step
+function, which then costs three flow calls.
+
+The shape is what the generator writes into both functions: the
+expressions of a flow map compiled by expressions.vector_fn, the face
+tests of an AxisBox, and the expression of an Implicit set whose
+predicate came from expressions.predicate_fn (where no sdf widens it).
+Every other flow map (see hybrid.HybridSystem) is called on each stage
+state as a list, and every other set through its own membership test
+(region.contains), which solve binds once per run; only the checks of x0
+go through geometry.contains.  Membership reads the lists, and the
+disturbance sampler returns lists.  Functions of one source are generated
+once and kept, up to a fixed number.
 
 Arrays are built only where they are needed: at jumps, for an event
 bisection's gap norm when it lies within rounding of event_tol, and once
 per phase of the returned arc.
 """
 
+import ast
+import copy
 import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import UnsupportedDistance, contains, dist_to_set, sample_region
+from .expressions import CONSTANTS, FUNCTIONS, compiled_form
+from .geometry import (
+    AxisBox,
+    Implicit,
+    UnsupportedDistance,
+    contains,
+    dist_to_set,
+    sample_region,
+)
 from .hybrid import (
     DimensionMismatch,
     Disturbance,
@@ -88,10 +105,15 @@ class SimConfig:
 
 @dataclass
 class SolveReport:
+    """A solve's arc and totals.  stopped_by names the bound that ended a
+    HORIZON_REACHED run, "T_max" or "J_max"; it is None for every other
+    ending."""
+
     arc: HybridArc
     flow_time: float
     jump_count: int
     zeno_snapped: bool = False
+    stopped_by: str | None = None
 
     @property
     def termination(self):
@@ -101,11 +123,18 @@ class SolveReport:
 # what ends a stretch of plain steps (see _rk4_fns)
 _HORIZON, _WATCH, _JUMP, _FLOW, _BOUNDS = range(5)
 
+# at most this many generated kernels are kept, by their source
+_KERNELS = 64
+# the deepest expression tree written into a kernel: ast.unparse, deepcopy
+# and the compiler recurse once or more per level, and an expression that
+# expressions accepts may be nested some hundreds of levels deep
+_DEPTH = 100
 
-@functools.cache
-def _rk4_fns(dim):
-    """The RK4 functions (step, stretch) on states of dim floats, generated
-    once per dimension from one stage template.
+
+def _rk4_fns(dim, f, in_jump, in_flow, in_bounds):
+    """The RK4 functions (step, stretch) on states of dim floats for the
+    flow map f and the membership tests in_jump, in_flow and in_bounds
+    (bound contains methods), generated from one stage template.
 
     step(f, x, k1, dt, d) is one classical RK4 step over dt from x with
     first stage k1 = f(x) + d: x + (dt/6) ((k1 + 2 k2) + 2 k3 + k4),
@@ -128,9 +157,17 @@ def _rk4_fns(dim):
     dt, d, k1 and x_prop are None at _HORIZON and _WATCH.
 
     The source is written out entry by entry, so a step runs no Python
-    loop; every value of f is checked for its length before it is
-    unpacked, and every list f gets is fresh.
+    loop, and the code of three forms is written into it (_written_map,
+    _written_test): a flow map compiled by expressions.vector_fn, an
+    AxisBox's test and an Implicit's test by an expressions.predicate_fn
+    predicate.  Any other map or test is called, through the f, in_jump,
+    in_flow and in_bounds that step and stretch are given; every value of
+    a called f is checked for its length before it is unpacked, and every
+    list f gets is fresh.  Either way the same IEEE operations run in the
+    same order, so the arc keeps its bits.  The functions are kept by their
+    source, _KERNELS at most: systems of one shape share them.
     """
+    form = _written_map(f, dim)
 
     def rows(pattern):
         return [pattern.replace("#", str(i)) for i in range(dim)]
@@ -139,16 +176,42 @@ def _rk4_fns(dim):
         return ", ".join(rows(pattern))
 
     def stage(into, arg):
-        # f at the list of arg, its length checked, plus d: into0, into1, ...
+        # f at the list of arg plus d: into0, into1, ...
+        if form is None:
+            return [
+                "y = f([%s])" % each(arg),
+                "if len(y) != %d:" % dim,
+                "    raise DimensionMismatch(%r %% len(y))"
+                % ("flow map returned shape (%%d,), wanted (%d,)" % dim),
+                "%s, = y" % each("y#"),
+                *rows("%s# = y# + d#" % into),
+            ]
+        # the entries are all evaluated before any is converted, as in
+        # the compiled map, which is called to raise its own error
+        names = rows("x#" if arg == "x#" else "p#")
+        values = _written(form, tuple(names))
+        lines = [] if arg == "x#" else rows("p# = %s" % arg)
         return [
-            "y = f([%s])" % each(arg),
-            "if len(y) != %d:" % dim,
-            "    raise DimensionMismatch(WRONG % len(y))",
-            "%s, = y" % each("y#"),
-            *rows("%s# = y# + d#" % into),
+            *lines,
+            "try:",
+            *["    y%d = %s" % (i, v) for i, (v, _) in enumerate(values)],
+            "except ArithmeticError:",
+            "    f([%s])" % ", ".join(names),
+            "    raise",
+            *["%s%d = %s + d%d" % (into, i, "y%d" % i if is_float
+                                   else "float(y%d)" % i, i)
+              for i, (_, is_float) in enumerate(values)],
         ]
 
-    # k2, k3 and k4 from x#, a# (k1) and d# over dt, and the step's sum
+    def ends(fired, member, name, tol, hit):
+        # the stretch ends with fired where member(x_prop, tol) is hit
+        return [
+            *_written_test(member, name, tol, dim),
+            "if %shit:" % ("" if hit else "not "),
+            "    return %s, t, x, dt, d, [%s], x_prop" % (fired, each("a#")),
+        ]
+
+    # k2, k3 and k4 from x#, a# (k1) and d# over dt
     stages = [
         "half = 0.5 * dt",
         *stage("b", "x# + half * a#"),
@@ -156,7 +219,7 @@ def _rk4_fns(dim):
         *stage("e", "x# + dt * c#"),
         "w = dt / 6.0",
     ]
-    new_x = "[%s]" % each("(((a# + 2.0 * b#) + 2.0 * c#) + e#) * w + x#")
+    sum_ = "(((a# + 2.0 * b#) + 2.0 * c#) + e#) * w + x#"
 
     def block(depth, lines):
         return ["    " * depth + line for line in lines]
@@ -168,7 +231,7 @@ def _rk4_fns(dim):
             "%s, = k1" % each("a#"),
             "%s, = d" % each("d#"),
             *stages,
-            "return " + new_x,
+            "return [%s]" % each(sum_),
         ]),
         "def stretch(f, draw, t, x, j, t_end, h, tol, in_jump, in_flow,"
         " in_bounds, in_watch, times, states):",
@@ -181,42 +244,142 @@ def _rk4_fns(dim):
                 "%s, = d" % each("d#"),
                 *stage("a", "x#"),
                 *stages,
-                "x_prop = " + new_x,
-                "if in_jump(x_prop, 0.0):",
-                "    fired = JUMP",
-                "elif not in_flow(x_prop, tol):",
-                "    fired = FLOW",
-                "elif not in_bounds(x_prop, 0.0):",
-                "    fired = BOUNDS",
+                *rows("n# = " + sum_),
+                "x_prop = [%s]" % each("n#"),
+                *ends("JUMP", in_jump, "in_jump", "0.0", True),
+                *ends("FLOW", in_flow, "in_flow", "tol", False),
+                *ends("BOUNDS", in_bounds, "in_bounds", "0.0", False),
+                "t += dt",
+                # _ArcBuilder.append: fold, or test the last sample, now
+                # final, against the watch before storing
+                "if t <= times[-1]:",
+                "    states[-1] = x_prop",
+                "elif in_watch is None or in_watch(states[-1], 0.0):",
+                "    times.append(t)",
+                "    states.append(x_prop)",
                 "else:",
-                *block(1, [
-                    "t += dt",
-                    # _ArcBuilder.append: fold, or test the last sample,
-                    # now final, against the watch before storing
-                    "if t <= times[-1]:",
-                    "    states[-1] = x_prop",
-                    "elif in_watch is None or in_watch(states[-1], 0.0):",
-                    "    times.append(t)",
-                    "    states.append(x_prop)",
-                    "else:",
-                    "    return WATCH, t, x_prop, None, None, None, None",
-                    "x = x_prop",
-                    "%s, = x" % each("x#"),
-                    "continue",
-                ]),
-                "return fired, t, x, dt, d, [%s], x_prop" % each("a#"),
+                "    return WATCH, t, x_prop, None, None, None, None",
+                "x = x_prop",
+                *rows("x# = n#"),
             ]),
             "return HORIZON, t, x, None, None, None, None",
         ]),
     ]
+    return _kernel("\n".join(lines))
+
+
+@functools.lru_cache(maxsize=_KERNELS)
+def _kernel(source):
+    """(step, stretch) of the source _rk4_fns writes."""
     scope = {
+        **FUNCTIONS, **CONSTANTS,
         "DimensionMismatch": DimensionMismatch,
-        "WRONG": "flow map returned shape (%%d,), wanted (%d,)" % dim,
         "HORIZON": _HORIZON, "WATCH": _WATCH,
         "JUMP": _JUMP, "FLOW": _FLOW, "BOUNDS": _BOUNDS,
     }
-    exec(compile("\n".join(lines), "<rk4 dim %d>" % dim, "exec"), scope)
+    exec(compile(source, "<rk4 kernel>", "exec"), scope)
     return scope["step"], scope["stretch"]
+
+
+def _written_map(f, dim):
+    """f's CompiledForm where the kernel writes f's code in: a function of
+    vector_fn itself, of dim variables and dim entries, none nested too
+    deeply (_shallow); None else."""
+    form = compiled_form(f)
+    if (form is not None and form.kind == "vector_fn"
+            and len(form.variables) == len(form.sources) == dim
+            and _shallow(form)):
+        return form
+    return None
+
+
+def _written_test(member, name, tol, dim):
+    """Lines that set hit to member(x_prop, tol), the test being the bound
+    method named name; the proposal's entries are n0, n1, ...
+
+    An AxisBox's own contains is written in as its branches: every face
+    screens, True; a face beyond tol, False; otherwise (a borderline or
+    NaN coordinate) the call.  An Implicit's own contains, where its
+    predicate is a function of predicate_fn itself of dim variables, not
+    nested too deeply (_shallow), and an sdf cannot widen the set (there
+    is none, or tol is "0.0"), is the predicate's truth; an
+    ArithmeticError calls the test, so that the predicate raises its own
+    ExpressionError.  Any other test is called.  tol is text: "0.0", or
+    "tol" for the stretch's event tolerance, at which an sdf may widen.
+    """
+    call = "%s(x_prop, %s)" % (name, tol)
+    region = getattr(member, "__self__", None)
+    test = getattr(member, "__func__", None)
+    if test is AxisBox.contains and len(region._faces) == dim:
+        faces = [(i, "(%r)" % lo, "(%r)" % hi) for i, lo, hi in region._faces]
+        screen = " and ".join("%s <= n%d <= %s" % (lo, i, hi)
+                              for i, lo, hi in faces)
+        beyond = " or ".join("%s - n%d > %s or n%d - %s > %s"
+                             % (lo, i, tol, i, hi, tol)
+                             for i, lo, hi in faces)
+        return ["hit = %s or not (%s) and %s" % (screen, beyond, call)]
+    if test is Implicit.contains and (region.sdf is None or tol == "0.0"):
+        form = compiled_form(region.pred)
+        if (form is not None and form.kind == "predicate_fn"
+                and len(form.variables) == dim and _shallow(form)):
+            (value, _), = _written(form, tuple("n%d" % i
+                                                for i in range(dim)))
+            return ["try:", "    hit = " + value,
+                    "except ArithmeticError:", "    " + call, "    raise"]
+    return ["hit = " + call]
+
+
+def _shallow(form):
+    """Whether no tree of form is deeper than _DEPTH levels."""
+    level = list(form.bodies)
+    for _ in range(_DEPTH):
+        level = [c for node in level for c in ast.iter_child_nodes(node)]
+        if not level:
+            return True
+    return False
+
+
+class _Rename(ast.NodeTransformer):
+    """Gives each variable of an expression its name in the kernel."""
+
+    def __init__(self, names):
+        self.names = names
+
+    def visit_Name(self, node):
+        if node.id in self.names:
+            return ast.copy_location(ast.Name(self.names[node.id]), node)
+        return node
+
+
+def _floating(node, variables):
+    """Whether node's value is a float wherever it has one, the variables
+    being floats: float() of it is the value itself and may be left out."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is float
+    if isinstance(node, ast.Name):
+        return node.id in variables or node.id in CONSTANTS
+    if isinstance(node, ast.UnaryOp):
+        return (isinstance(node.op, (ast.UAdd, ast.USub))
+                and _floating(node.operand, variables))
+    if isinstance(node, ast.BinOp):
+        # a power of a negative base may be complex
+        return (not isinstance(node.op, ast.Pow)
+                and _floating(node.left, variables)
+                and _floating(node.right, variables))
+    return False
+
+
+@functools.lru_cache(maxsize=_KERNELS)
+def _written(form, names):
+    """Per source of form: (its validated tree as source text, the
+    variables renamed to names in the tree, and whether its value is a
+    float as it is, see _floating)."""
+    rename = _Rename(dict(zip(form.variables, names)))
+    return tuple(
+        ("(%s)" % ast.unparse(rename.visit(copy.deepcopy(body))),
+         _floating(body, form.variables))
+        for body in form.bodies
+    )
 
 
 def _gap_norm(a, b):
@@ -349,25 +512,26 @@ def solve(system: HybridSystem, x0, config: SimConfig,
         raise BadInitialCondition("x0 outside both flow and jump sets")
 
     f = system.flow_map
-    step, stretch = _rk4_fns(system.dim)
     draw = config.disturbance.start(system.dim, system.delta)
     # each set's own membership test, bound once for the whole run
     in_flow, in_jump = flow_set.contains, jump_set.contains
     in_bounds = bounds.contains
+    step, stretch = _rk4_fns(system.dim, f, in_jump, in_flow, in_bounds)
     x = x0.tolist()
     builder = _ArcBuilder(0.0, x, watch)
     t, j = 0.0, 0
     zeno_snapped = False
     last_jump_t = -math.inf  # no gap before the first jump is short
-    termination = None
+    termination = stopped_by = None
 
     while termination is None and not builder.left:
         if t >= config.T_max:
-            termination = Termination.HORIZON_REACHED
+            termination, stopped_by = Termination.HORIZON_REACHED, "T_max"
             break
         if in_jump(x, 0.0):
             if j >= config.J_max:
                 termination = Termination.HORIZON_REACHED
+                stopped_by = "J_max"
                 break
             snap = 0.0 < t - last_jump_t < config.t_min
             if snap and system.zeno_map is None:
@@ -419,7 +583,7 @@ def solve(system: HybridSystem, x0, config: SimConfig,
             builder.left = True
             break
         else:
-            termination = Termination.HORIZON_REACHED
+            termination, stopped_by = Termination.HORIZON_REACHED, "T_max"
             break
 
         th_in, x_in, th_out, x_out = _bisect_event(
@@ -445,7 +609,8 @@ def solve(system: HybridSystem, x0, config: SimConfig,
     arc = builder.build(termination)
     flow_time = sum(times[-1] - times[0] for times, _ in arc.phases)
     return SolveReport(
-        arc=arc, flow_time=flow_time, jump_count=j, zeno_snapped=zeno_snapped
+        arc=arc, flow_time=flow_time, jump_count=j, zeno_snapped=zeno_snapped,
+        stopped_by=stopped_by,
     )
 
 

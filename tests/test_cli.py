@@ -177,6 +177,7 @@ def test_example_bouncing_ball(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["check_pair_vb"]["verdict"] == "PASS"
     assert report["simulate"]["termination"] == "HorizonReached"
+    assert report["simulate"]["stopped_by"] == "T_max"
     header = (out / "barrier_series.csv").read_text().splitlines()[0]
     assert header == "j,t,V,B"
     # many short phases and Zeno snaps, the bytes csv.writer gave them
@@ -937,6 +938,7 @@ def test_simulate_named_system(tmp_path):
     }
     report = json.loads((out / "report.json").read_text())
     assert report["termination"] == "HorizonReached"
+    assert report["stopped_by"] == "T_max"
     assert report["jump_count"] == 1  # one bounce happens before t = 2
 
 

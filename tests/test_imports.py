@@ -1,8 +1,10 @@
 """Import hygiene: every module-level import in the package is used, every
 exported name is used by another module or by a test, every default of the
 public API is overridden by some call, every array form a region defines
-for itself is run by a benchmark workload, every JSON dump refuses NaN
-and inf, and the package runs without scipy, which only the tests need."""
+for itself and every form the solver's kernel writes in is run by a
+benchmark workload, no name of the kernel shadows one an expression reads,
+every JSON dump refuses NaN and inf, and the package runs without scipy,
+which only the tests need."""
 
 import ast
 import collections
@@ -183,6 +185,76 @@ def test_every_array_form_of_a_region_has_a_workload():
     names = {w["name"] for w in json.loads(
         (REPO / "BENCHMARK.json").read_text())["workloads"]}
     assert {w for ws in ARRAY_FORM_WORKLOADS.values() for w in ws} <= names
+
+
+# the benchmark workloads that run each form whose code the solver's RK4
+# kernel writes in (simulate._written_map and _written_test): an AxisBox's
+# contains, an Implicit's contains with a predicate_fn predicate, and a
+# vector_fn map.  Each is a second copy of code that the kernel would
+# otherwise call, kept only where a workload runs it
+INLINE_FORM_WORKLOADS = {
+    "AxisBox.contains": ("mg-loop", "ball-sweep"),
+    "Implicit.contains": ("ball-sweep",),
+    "predicate_fn": ("ball-sweep",),
+    "vector_fn": ("ball-sweep",),
+}
+
+
+def inline_forms(source, classes):
+    """The forms source tells apart: each Class.contains of one of
+    classes, and each string it compares a .kind with."""
+    forms = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "contains"
+                and getattr(node.value, "id", None) in classes):
+            forms.add(node.value.id + ".contains")
+        elif (isinstance(node, ast.Compare)
+              and getattr(node.left, "attr", None) == "kind"):
+            forms.update(c.value for c in node.comparators
+                         if isinstance(c, ast.Constant))
+    return sorted(forms)
+
+
+def test_inline_form_scan_finds_identities_and_kinds():
+    source = ("if f is Box.contains and g.kind == 'vector_fn':\n"
+              "    r = Other.contains\n"
+              "x = Box.distance\n"
+              "y = kind == 'predicate_fn'\n")
+    assert inline_forms(source, {"Box"}) == ["Box.contains", "vector_fn"]
+
+
+def test_every_inline_form_of_the_kernel_has_a_workload():
+    classes = {node.name for node in ast.parse(
+        (PACKAGE_DIR / "geometry.py").read_text()).body
+        if isinstance(node, ast.ClassDef)}
+    source = (PACKAGE_DIR / "simulate.py").read_text()
+    assert inline_forms(source, classes) == sorted(INLINE_FORM_WORKLOADS)
+    names = {w["name"] for w in json.loads(
+        (REPO / "BENCHMARK.json").read_text())["workloads"]}
+    assert {w for ws in INLINE_FORM_WORKLOADS.values() for w in ws} <= names
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_no_kernel_name_shadows_an_expression_name(dim):
+    # the kernel runs the written-in expressions in its own frame: a local
+    # or global of its own named like a function or constant of the
+    # expression language would take that name's place
+    from hybridcert import AxisBox, Implicit, predicate_fn, vector_fn
+    from hybridcert.expressions import CONSTANTS, FUNCTIONS
+    from hybridcert.simulate import _rk4_fns
+
+    names = ["x%d" % i for i in range(dim)]
+    box = AxisBox([-1.0] * dim, [1.0] * dim)
+    jump_set = Implicit(predicate_fn("x0 > 0", names), box)
+    f = vector_fn(["%s * pi + e" % v for v in names], names)
+    for fn in _rk4_fns(dim, f, jump_set.contains, box.contains,
+                       box.contains):
+        code = fn.__code__
+        bound = set(code.co_varnames) | set(code.co_cellvars)
+        own = {k for k, v in fn.__globals__.items()
+               if k != "__builtins__" and FUNCTIONS.get(
+                   k, CONSTANTS.get(k)) is not v}
+        assert not (bound | own) & (set(FUNCTIONS) | set(CONSTANTS))
 
 
 IMPORT_CALLS = {"__import__", "import_module"}

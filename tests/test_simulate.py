@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import grid_reference
 import solver_reference
+from test_expressions import sources_over
 
 from hybridcert import (
     AxisBox,
@@ -136,8 +137,8 @@ def counted_rk4_steps(monkeypatch):
     work = []
     rk4_fns = simulate._rk4_fns
 
-    def counted_rk4_fns(dim):
-        step, stretch = rk4_fns(dim)
+    def counted_rk4_fns(*shape):
+        step, stretch = rk4_fns(*shape)
 
         def counted_step(f, x, k1, dt, d):
             work.append("probe")
@@ -253,7 +254,8 @@ def float_rk4(f, x, dt, d):
     array."""
     xs, d = x.tolist(), d.tolist()
     k1 = [y + e for y, e in zip(f(xs), d)]
-    return np.array(_rk4_fns(len(xs))[0](f, xs, k1, dt, d))
+    return np.array(_rk4_fns(len(xs), f, None, None, None)[0](
+        f, xs, k1, dt, d))
 
 
 def stretch_rk4(f, x, dt, d):
@@ -262,10 +264,10 @@ def stretch_rk4(f, x, dt, d):
     the sample it stores at dt is the step's."""
     xs, d = x.tolist(), d.tolist()
     times, states = [0.0], [xs]
-    fired, *_ = _rk4_fns(len(xs))[1](
-        f, lambda t, j: d, 0.0, xs, 0, dt, dt, 0.0,
-        lambda y, tol: False, lambda y, tol: True, lambda y, tol: True,
-        None, times, states)
+    tests = (lambda y, tol: False, lambda y, tol: True, lambda y, tol: True)
+    fired, *_ = _rk4_fns(len(xs), f, *tests)[1](
+        f, lambda t, j: d, 0.0, xs, 0, dt, dt, 0.0, *tests, None, times,
+        states)
     assert fired == simulate._HORIZON and times == [0.0, dt]
     return np.array(states[-1])
 
@@ -337,6 +339,34 @@ def test_rk4_step_matches_the_array_form_bitwise(data, dim, dt):
         assert form[~nan].tobytes() == want[~nan].tobytes()
 
 
+def compiled_mass():
+    """The README's falling mass in the forms the kernel writes in: a
+    vector_fn map, AxisBox flow set and bounds, and an Implicit jump set
+    with a predicate_fn predicate."""
+    variables = ("y", "z")
+    return HybridSystem(
+        dim=2,
+        flow_set=AxisBox([0.0, -50.0], [100.0, 50.0]),
+        flow_map=vector_fn(["z", "-9.8"], variables),
+        jump_set=Implicit(predicate_fn("y <= 0 and z < 0", variables),
+                          AxisBox([-1.0, -50.0], [0.0, 0.0])),
+        jump_map=lambda xs: [[xs[0], -0.8 * xs[1]]],
+        bounds=AxisBox([-1.0, -50.0], [100.0, 50.0]),
+    )
+
+
+class CountedBox(AxisBox):
+    """An AxisBox whose own contains counts the questions asked of it."""
+
+    def __init__(self, box):
+        super().__init__(box.lo, box.hi)
+        self.calls = 0
+
+    def contains(self, x, tol=1e-9):
+        self.calls += 1
+        return super().contains(x, tol)
+
+
 def test_a_replaced_flow_map_is_never_bypassed(monkeypatch):
     # a map put in place of the ball's, or a functools.wraps wrapper of
     # it, is called at every stage, with the same arc as a result
@@ -363,6 +393,163 @@ def test_a_replaced_flow_map_is_never_bypassed(monkeypatch):
         assert got.jump_count >= 2 and probes > 0
         assert len(calls) == 4 * steps + 3 * probes
         assert same_arcs(got.arc, want)
+
+    # the kernel writes in the compiled map, the boxes and the compiled
+    # predicate; a functools.wraps wrapper of the map, an AxisBox subclass
+    # with its own contains and a CountingRegion are each called as often
+    # as they are where no form is written in, with the same arc
+    mass = compiled_mass()
+    x0 = np.array([5.0, 0.0])
+    cfg = SimConfig(h=1e-3, T_max=4.0)
+    want = solve(mass, x0, cfg).arc
+    # every set a CountingRegion: nothing written in but the map
+    sets = [CountingRegion(r)
+            for r in (mass.flow_set, mass.jump_set, mass.bounds)]
+    solve(dataclasses.replace(mass, flow_set=sets[0], jump_set=sets[1],
+                              bounds=sets[2]), x0, cfg)
+    flow_asks, jump_asks = sets[0].calls, sets[1].calls
+    assert flow_asks > 0 and jump_asks > 0
+
+    flows = []
+
+    @functools.wraps(mass.flow_map)
+    def wrapped_map(xs):
+        flows.append(1)
+        return mass.flow_map(xs)
+
+    work.clear()
+    got = solve(dataclasses.replace(mass, flow_map=wrapped_map), x0, cfg)
+    steps = work.count("step")
+    probes = len(work) - steps
+    assert got.jump_count >= 2 and probes > 0
+    assert len(flows) == 4 * steps + 3 * probes
+    assert same_arcs(got.arc, want)
+
+    box = CountedBox(mass.flow_set)
+    got = solve(dataclasses.replace(mass, flow_set=box), x0, cfg)
+    assert box.calls == flow_asks and same_arcs(got.arc, want)
+
+    jump_set = CountingRegion(mass.jump_set)
+    got = solve(dataclasses.replace(mass, jump_set=jump_set), x0, cfg)
+    assert jump_set.calls == jump_asks and same_arcs(got.arc, want)
+
+
+PARITY_NAMES = ("u", "v", "w")
+# the expressions over each pair of the names, one strategy per pair
+PARITY_SOURCES = {(a, b): sources_over(a, b)
+                  for a in PARITY_NAMES for b in PARITY_NAMES}
+
+
+@st.composite
+def compiled_systems(draw):
+    """(system, x0): dim 1 to 3; a vector_fn flow map and a predicate_fn
+    jump predicate drawn from test_expressions' strategy, with its raising
+    operators; an AxisBox flow set inside AxisBox bounds, some of their
+    faces infinite; and a start inside the flow set, on or within
+    event_tol past one of its faces, or not finite."""
+    dim = draw(st.integers(1, 3))
+    names = PARITY_NAMES[:dim]
+    pairs = st.sampled_from([p for p in PARITY_SOURCES if p[1] in names
+                             and p[0] in names])
+
+    def expression():
+        return draw(PARITY_SOURCES[draw(pairs)])
+
+    # an entry 0 holds its coordinate, on a face or off it, without
+    # disturbance: every proposal then screens as x0 does
+    entries = [draw(st.sampled_from([expression(), "0"]))
+               for _ in range(dim)]
+    # true on about half the states, where it evaluates
+    predicate = "(%s) > 1.0" % expression()
+    half = st.one_of(st.just(math.inf), st.floats(0.5, 3.0))
+    lo = [-draw(half) for _ in range(dim)]
+    hi = [draw(half) for _ in range(dim)]
+    margin = st.one_of(st.just(math.inf), st.floats(0.0, 2.0))
+    bounds_lo = [v - draw(margin) for v in lo]
+    bounds_hi = [v + draw(margin) for v in hi]
+    x0 = []
+    for a, b in zip(lo, hi):
+        faces = [v for v in (a, b, a - 5e-10, b + 5e-10) if math.isfinite(v)]
+        x0.append(draw(st.one_of(st.floats(-0.5, 0.5),
+                                 st.sampled_from(faces or [0.0]))))
+    # rarely: a draw near the front of sampled_from's list is the likelier
+    special = draw(st.sampled_from([None] * 12
+                                   + [math.nan, math.inf, -math.inf]))
+    if special is not None:
+        x0[draw(st.integers(0, dim - 1))] = special
+    system = HybridSystem(
+        dim=dim,
+        flow_set=AxisBox(lo, hi),
+        flow_map=vector_fn(entries, names),
+        jump_set=Implicit(predicate_fn(predicate, names),
+                          AxisBox([-1.0] * dim, [1.0] * dim)),
+        jump_map=lambda xs: [[0.5 * v for v in xs]],
+        bounds=AxisBox(bounds_lo, bounds_hi),
+        delta=draw(st.sampled_from([0.0, 0.05])),
+    )
+    return system, np.array(x0)
+
+
+def solve_result(system, x0, cfg):
+    """The solve's stop, jumps and phase bytes, or the type and message of
+    the exception it raised."""
+    try:
+        rep = solve(system, x0, cfg)
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc)
+    return (rep.termination, rep.stopped_by, rep.jump_count,
+            [(t.tobytes(), x.tobytes()) for t, x in rep.arc.phases])
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(case=compiled_systems())
+def test_written_in_forms_solve_as_the_calls_they_replace(case):
+    # the same system with its map and sets behind plain wrappers, which
+    # the kernel calls: the same arc bit for bit, or the same error
+    system, x0 = case
+    called = dataclasses.replace(
+        system, flow_map=lambda xs: system.flow_map(xs),
+        flow_set=CountingRegion(system.flow_set),
+        jump_set=CountingRegion(system.jump_set),
+        bounds=CountingRegion(system.bounds))
+    cfg = SimConfig(h=0.05, T_max=0.5, J_max=4,
+                    disturbance=Disturbance(seed=7))
+    # an event bisection between infinite states subtracts inf from inf
+    with np.errstate(invalid="ignore"):
+        assert solve_result(system, x0, cfg) == solve_result(called, x0,
+                                                             cfg)
+
+
+def test_a_deeply_nested_map_is_called():
+    # too deep to be written out again, and as the compiled map has it
+    for source in ["-" * 400 + "y", "y" + " + y" * 400]:
+        f = vector_fn([source], ["y"])
+        system = HybridSystem(1, AxisBox([-1e9], [1e9]), f, EmptySet(),
+                              lambda xs: [], AxisBox([-2e9], [2e9]))
+        called = dataclasses.replace(system, flow_map=lambda xs: f(xs))
+        cfg = SimConfig(h=0.1, T_max=0.5)
+        assert solve_result(system, [0.5], cfg) == solve_result(
+            called, [0.5], cfg)
+
+
+def test_kernels_are_kept_by_source_up_to_their_bound():
+    # a map compiled again (a scenario parsed again) is a new function
+    # with the old kernel; distinct maps fill the cache to its bound only
+    def decay(rate):
+        return HybridSystem(1, AxisBox([-1.0], [1.0]),
+                            vector_fn(["-%r * y" % rate], ["y"]), EmptySet(),
+                            lambda xs: [], AxisBox([-2.0], [2.0]))
+
+    cfg = SimConfig(h=0.1, T_max=0.2)
+    solve(decay(0.5), [0.5], cfg)
+    misses = simulate._kernel.cache_info().misses
+    solve(decay(0.5), [0.5], cfg)
+    assert simulate._kernel.cache_info().misses == misses
+    for k in range(2 * simulate._KERNELS):
+        solve(decay(k + 0.25), [0.5], cfg)
+    for cache in (simulate._kernel, simulate._written):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize == simulate._KERNELS
 
 
 def bits(values):
@@ -410,6 +597,18 @@ def test_first_impact_matches_quadratic_root():
     assert abs(t1 - FIRST_IMPACT) <= 1e-6
     z0, a, y0 = 0.8, 9.8, 9.0
     assert FIRST_IMPACT == (z0 + math.sqrt(z0 * z0 + 2 * a * y0)) / a
+
+
+@pytest.mark.parametrize("J_max, T_max, stopped_by",
+                         [(3, 20.0, "J_max"), (200, 2.0, "T_max")])
+def test_a_horizon_stop_names_its_bound(J_max, T_max, stopped_by):
+    system, _, spec = bouncing_ball()
+    rep = solve(system, np.asarray(spec.x0[0]),
+                SimConfig(h=1e-3, T_max=T_max, J_max=J_max))
+    assert rep.termination == Termination.HORIZON_REACHED
+    assert rep.stopped_by == stopped_by
+    t_end, j_end, _ = rep.arc.last()
+    assert (j_end == 3) if stopped_by == "J_max" else (t_end == 2.0)
 
 
 def test_linear_flow_matches_exponential():
@@ -963,6 +1162,9 @@ def test_solve_matches_the_array_reference(case):
     want = solver_reference.solve(system, np.array(x0), cfg, watch=watch)
     same_solves(got, want)
     assert got.termination == termination
+    # only a horizon stop names a bound
+    assert (got.stopped_by is None) == (
+        termination != Termination.HORIZON_REACHED)
     if case == "ball-zeno-snap":
         assert got.zeno_snapped and got.jump_count > 10
     elif case != "left-flow-and-jump-sets" and "escape" not in case:
