@@ -107,6 +107,13 @@ def _clip0(d):
     return 0.0 if d <= 0.0 else d
 
 
+def _nan_wins(pick, ds):
+    """pick(ds), pick being min or max, but the first NaN of ds wherever it
+    stands: Python's min and max keep a NaN only in front."""
+    nans = [d for d in ds if d != d]
+    return nans[0] if nans else pick(ds)
+
+
 class SetRegion:
     """Base region. Subclasses override distance and/or a membership predicate.
 
@@ -197,12 +204,13 @@ class AxisBox(SetRegion):
         # then fails the screen and goes to the exact distance, which is
         # NaN or inf there, as it is for every coordinate beyond a face.
         # The simulator's generated step writes these faces and the
-        # branches of contains into its own code (simulate._written_test)
-        self._faces = [
+        # branches of contains into its own code (simulate._written_test),
+        # and finds that code by them (simulate._test_key)
+        self._faces = tuple(
             (i, max(lo, -_FLOAT64_MAX), min(hi, _FLOAT64_MAX))
             for i, (lo, hi) in enumerate(zip(self.lo.tolist(),
                                              self.hi.tolist()))
-        ]
+        )
 
     def distance(self, x):
         v = as_vector(x)
@@ -356,7 +364,7 @@ class Union(SetRegion):
         return any(p.runs_user_code for p in self.parts)
 
     def distance(self, x):
-        return min(p.distance(x) for p in self.parts)
+        return _nan_wins(min, [p.distance(x) for p in self.parts])
 
     def contains(self, x, tol=DEFAULT_TOL):
         return any(p.contains(x, tol) for p in self.parts)
@@ -385,7 +393,7 @@ class Intersection(SetRegion):
         return any(p.runs_user_code for p in self.parts)
 
     def distance(self, x):
-        return max(p.distance(x) for p in self.parts)
+        return _nan_wins(max, [p.distance(x) for p in self.parts])
 
     def contains(self, x, tol=DEFAULT_TOL):
         return all(p.contains(x, tol) for p in self.parts)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import GridSpec
+from .certificates import GridSpec, _worse
 from .geometry import (
     Complement,
     Inflated,
@@ -169,7 +169,8 @@ def check_forward_invariance(system, K, n_init, config, seed=0):
         if escape is not None:
             j, t, x = escape
             margin = _membership_margin(K, x, config.event_tol)
-            worst = max(worst, margin)
+            if _worse(margin, worst):
+                worst = margin
             ces.append(
                 Counterexample("invariance", x, margin=margin, witness=(j, t))
             )

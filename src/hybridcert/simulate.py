@@ -26,8 +26,9 @@ Every other flow map (see hybrid.HybridSystem) is called on each stage
 state as a list, and every other set through its own membership test
 (region.contains), which solve binds once per run; only the checks of x0
 go through geometry.contains.  Membership reads the lists, and the
-disturbance sampler returns lists.  Functions of one source are generated
-once and kept, up to a fixed number.
+disturbance sampler returns lists.  The functions of one shape are
+generated once and kept, up to a fixed number; a solve finds them by the
+forms they write in, without writing their source again.
 
 Arrays are built only where they are needed: at jumps, for an event
 bisection's gap norm when it lies within rounding of event_tol, and once
@@ -123,7 +124,7 @@ class SolveReport:
 # what ends a stretch of plain steps (see _rk4_fns)
 _HORIZON, _WATCH, _JUMP, _FLOW, _BOUNDS = range(5)
 
-# at most this many generated kernels are kept, by their source
+# at most this many generated kernels are kept, by the forms they write in
 _KERNELS = 64
 # the deepest expression tree written into a kernel: ast.unparse, deepcopy
 # and the compiler recurse once or more per level, and an expression that
@@ -148,26 +149,65 @@ def _rk4_fns(dim, f, in_jump, in_flow, in_bounds):
     under d = draw(t, j), with the stages and the operations of step.  A
     proposal in D (in_jump at 0), outside C (in_flow at tol) or outside the
     bounds (in_bounds at 0) ends the stretch unaccepted; an accepted one is
-    stored in the phase's lists times and states under _ArcBuilder.append's
-    rules, and the stretch ends at the first final sample outside the
-    watch (in_watch at 0, None for no watch).  It returns (fired, t, x,
-    dt, d, k1, x_prop), (t, x) being the last state it accepted: fired is
-    _HORIZON, _WATCH, or the set test (_JUMP, _FLOW, _BOUNDS) that x_prop,
-    the proposal from (t, x) over dt under d with first stage k1, failed;
-    dt, d, k1 and x_prop are None at _HORIZON and _WATCH.
+    stored in the phase's lists times and states under solve's rules (fold
+    a sample at the last time into the last one, else test the last
+    sample, now final, against the watch before storing), and the stretch
+    ends at the first final sample outside the watch (in_watch at 0, None
+    for no watch).  It returns (fired, t, x, dt, d, k1, x_prop), (t, x)
+    being the last state it accepted: fired is _HORIZON, _WATCH, or the
+    set test (_JUMP, _FLOW, _BOUNDS) that x_prop, the proposal from (t, x)
+    over dt under d with first stage k1, failed; dt, d, k1 and x_prop are
+    None at _HORIZON and _WATCH.
 
     The source is written out entry by entry, so a step runs no Python
-    loop, and the code of three forms is written into it (_written_map,
+    loop, and the code of three forms is written into it (_generated,
     _written_test): a flow map compiled by expressions.vector_fn, an
     AxisBox's test and an Implicit's test by an expressions.predicate_fn
     predicate.  Any other map or test is called, through the f, in_jump,
     in_flow and in_bounds that step and stretch are given; every value of
     a called f is checked for its length before it is unpacked, and every
     list f gets is fresh.  Either way the same IEEE operations run in the
-    same order, so the arc keeps its bits.  The functions are kept by their
-    source, _KERNELS at most: systems of one shape share them.
+    same order, so the arc keeps its bits.  The functions are kept by dim
+    and the forms they may write in (the map's CompiledForm, _test_key),
+    _KERNELS at most: systems of one shape share them, and a kept kernel
+    is found without writing its source.
     """
-    form = _written_map(f, dim)
+    form = compiled_form(f)
+    return _generated(
+        dim, form if form is not None and form.kind == "vector_fn" else None,
+        _test_key(in_jump, False), _test_key(in_flow, True),
+        _test_key(in_bounds, False))
+
+
+def _test_key(member, at_tol):
+    """What the kernel may write in for the bound membership test member,
+    asked at the event tolerance (at_tol) or at 0: ("box", faces) for an
+    AxisBox's own contains; ("pred", form) for an Implicit's own contains
+    whose predicate is a function of predicate_fn itself, with the
+    predicate's CompiledForm, where an sdf cannot widen the set (there is
+    none, or the test is at 0); None for any other test."""
+    region = getattr(member, "__self__", None)
+    test = getattr(member, "__func__", None)
+    if test is AxisBox.contains:
+        return "box", region._faces
+    if test is Implicit.contains and (region.sdf is None or not at_tol):
+        form = compiled_form(region.pred)
+        if form is not None and form.kind == "predicate_fn":
+            return "pred", form
+    return None
+
+
+@functools.lru_cache(maxsize=_KERNELS)
+def _generated(dim, form, jump, flow, bounds):
+    """(step, stretch) of _rk4_fns on dim floats, for a flow map of form
+    (a vector_fn's CompiledForm, or None) and set tests of the keys jump,
+    flow and bounds (_test_key).  The map's code is written in where it
+    has dim variables and dim entries, none nested too deeply (_shallow);
+    otherwise f is called."""
+    if form is not None and not (
+            len(form.variables) == len(form.sources) == dim
+            and _shallow(form)):
+        form = None
 
     def rows(pattern):
         return [pattern.replace("#", str(i)) for i in range(dim)]
@@ -203,10 +243,10 @@ def _rk4_fns(dim, f, in_jump, in_flow, in_bounds):
               for i, (_, is_float) in enumerate(values)],
         ]
 
-    def ends(fired, member, name, tol, hit):
-        # the stretch ends with fired where member(x_prop, tol) is hit
+    def ends(fired, key, name, tol, hit):
+        # the stretch ends with fired where name(x_prop, tol) is hit
         return [
-            *_written_test(member, name, tol, dim),
+            *_written_test(key, name, tol, dim),
             "if %shit:" % ("" if hit else "not "),
             "    return %s, t, x, dt, d, [%s], x_prop" % (fired, each("a#")),
         ]
@@ -246,12 +286,12 @@ def _rk4_fns(dim, f, in_jump, in_flow, in_bounds):
                 *stages,
                 *rows("n# = " + sum_),
                 "x_prop = [%s]" % each("n#"),
-                *ends("JUMP", in_jump, "in_jump", "0.0", True),
-                *ends("FLOW", in_flow, "in_flow", "tol", False),
-                *ends("BOUNDS", in_bounds, "in_bounds", "0.0", False),
+                *ends("JUMP", jump, "in_jump", "0.0", True),
+                *ends("FLOW", flow, "in_flow", "tol", False),
+                *ends("BOUNDS", bounds, "in_bounds", "0.0", False),
                 "t += dt",
-                # _ArcBuilder.append: fold, or test the last sample, now
-                # final, against the watch before storing
+                # solve's rule: fold, or test the last sample, now final,
+                # against the watch before storing
                 "if t <= times[-1]:",
                 "    states[-1] = x_prop",
                 "elif in_watch is None or in_watch(states[-1], 0.0):",
@@ -265,67 +305,42 @@ def _rk4_fns(dim, f, in_jump, in_flow, in_bounds):
             "return HORIZON, t, x, None, None, None, None",
         ]),
     ]
-    return _kernel("\n".join(lines))
-
-
-@functools.lru_cache(maxsize=_KERNELS)
-def _kernel(source):
-    """(step, stretch) of the source _rk4_fns writes."""
     scope = {
         **FUNCTIONS, **CONSTANTS,
         "DimensionMismatch": DimensionMismatch,
         "HORIZON": _HORIZON, "WATCH": _WATCH,
         "JUMP": _JUMP, "FLOW": _FLOW, "BOUNDS": _BOUNDS,
     }
-    exec(compile(source, "<rk4 kernel>", "exec"), scope)
+    exec(compile("\n".join(lines), "<rk4 kernel>", "exec"), scope)
     return scope["step"], scope["stretch"]
 
 
-def _written_map(f, dim):
-    """f's CompiledForm where the kernel writes f's code in: a function of
-    vector_fn itself, of dim variables and dim entries, none nested too
-    deeply (_shallow); None else."""
-    form = compiled_form(f)
-    if (form is not None and form.kind == "vector_fn"
-            and len(form.variables) == len(form.sources) == dim
-            and _shallow(form)):
-        return form
-    return None
+def _written_test(key, name, tol, dim):
+    """Lines that set hit to name(x_prop, tol), for the test of key (see
+    _test_key); the proposal's entries are n0, n1, ...
 
-
-def _written_test(member, name, tol, dim):
-    """Lines that set hit to member(x_prop, tol), the test being the bound
-    method named name; the proposal's entries are n0, n1, ...
-
-    An AxisBox's own contains is written in as its branches: every face
-    screens, True; a face beyond tol, False; otherwise (a borderline or
-    NaN coordinate) the call.  An Implicit's own contains, where its
-    predicate is a function of predicate_fn itself of dim variables, not
-    nested too deeply (_shallow), and an sdf cannot widen the set (there
-    is none, or tol is "0.0"), is the predicate's truth; an
-    ArithmeticError calls the test, so that the predicate raises its own
-    ExpressionError.  Any other test is called.  tol is text: "0.0", or
-    "tol" for the stretch's event tolerance, at which an sdf may widen.
+    An AxisBox's test of dim faces is written in as its branches: every
+    face screens, True; a face beyond tol, False; otherwise (a borderline
+    or NaN coordinate) the call.  An Implicit's test by a predicate of dim
+    variables, not nested too deeply (_shallow), is the predicate's truth;
+    an ArithmeticError calls the test, so that the predicate raises its
+    own ExpressionError.  Any other test is called.  tol is text: "0.0",
+    or "tol" for the stretch's event tolerance.
     """
     call = "%s(x_prop, %s)" % (name, tol)
-    region = getattr(member, "__self__", None)
-    test = getattr(member, "__func__", None)
-    if test is AxisBox.contains and len(region._faces) == dim:
-        faces = [(i, "(%r)" % lo, "(%r)" % hi) for i, lo, hi in region._faces]
+    written, of = key or (None, None)
+    if written == "box" and len(of) == dim:
+        faces = [(i, "(%r)" % lo, "(%r)" % hi) for i, lo, hi in of]
         screen = " and ".join("%s <= n%d <= %s" % (lo, i, hi)
                               for i, lo, hi in faces)
         beyond = " or ".join("%s - n%d > %s or n%d - %s > %s"
                              % (lo, i, tol, i, hi, tol)
                              for i, lo, hi in faces)
         return ["hit = %s or not (%s) and %s" % (screen, beyond, call)]
-    if test is Implicit.contains and (region.sdf is None or tol == "0.0"):
-        form = compiled_form(region.pred)
-        if (form is not None and form.kind == "predicate_fn"
-                and len(form.variables) == dim and _shallow(form)):
-            (value, _), = _written(form, tuple("n%d" % i
-                                                for i in range(dim)))
-            return ["try:", "    hit = " + value,
-                    "except ArithmeticError:", "    " + call, "    raise"]
+    if written == "pred" and len(of.variables) == dim and _shallow(of):
+        (value, _), = _written(of, tuple("n%d" % i for i in range(dim)))
+        return ["try:", "    hit = " + value,
+                "except ArithmeticError:", "    " + call, "    raise"]
     return ["hit = " + call]
 
 
@@ -369,7 +384,6 @@ def _floating(node, variables):
     return False
 
 
-@functools.lru_cache(maxsize=_KERNELS)
 def _written(form, names):
     """Per source of form: (its validated tree as source text, the
     variables renamed to names in the tree, and whether its value is a
@@ -434,55 +448,6 @@ def _bisect_event(f, step, x0, k1, dt, d, pred, x_full, event_tol):
     return lo, x_lo, hi, x_hi
 
 
-class _ArcBuilder:
-    """Accumulates phases sample by sample, tolerating zero-length phases.
-
-    States are lists of floats, kept as given, not copied: the solver hands
-    over lists that nothing writes to afterwards.  Each phase becomes one
-    float array when it is closed.  With a watch region, a sample is tested
-    against it once it is final: when a sample at a later time or a jump
-    follows it (until then an append at the same time may still replace
-    it).  The first final sample outside the watch sets ``left``, and
-    nothing is stored after it.  The flow stretch of _rk4_fns appends to
-    times and states under the same rules, through in_watch.
-    """
-
-    def __init__(self, t0, x0, watch=None):
-        self.phases = []
-        self.times = [t0]
-        self.states = [x0]
-        # the watch's own membership test, or None
-        self.in_watch = None if watch is None else watch.contains
-        self.left = False
-
-    def append(self, t, x):
-        if t <= self.times[-1]:
-            # Event refinement can land within float resolution of the last
-            # accepted sample; fold it in rather than storing a dead segment.
-            self.states[-1] = x
-        elif self.keeps_last():
-            self.times.append(t)
-            self.states.append(x)
-
-    def keeps_last(self):
-        """Test the last sample, which is now final, against the watch;
-        False once a final sample lies outside it."""
-        if self.in_watch is not None:
-            self.left = not self.in_watch(self.states[-1], 0.0)
-        return not self.left
-
-    def new_phase(self, t, x_plus):
-        self.phases.append((np.array(self.times),
-                            np.array(self.states, dtype=float)))
-        self.times = [t]
-        self.states = [x_plus]
-
-    def build(self, termination):
-        self.phases.append((np.array(self.times),
-                            np.array(self.states, dtype=float)))
-        return HybridArc(self.phases, termination=termination)
-
-
 def solve(system: HybridSystem, x0, config: SimConfig,
           watch=None) -> SolveReport:
     """Integrate one maximal solution from x0 under the stop rules in config.
@@ -495,7 +460,9 @@ def solve(system: HybridSystem, x0, config: SimConfig,
 
     With a watch region the run also ends at the first stored sample outside
     it, without bisection, as LEFT_WATCH_REGION: the arc is then the prefix
-    of the unwatched arc up to and including that sample.
+    of the unwatched arc up to and including that sample.  A sample is
+    tested once final, when a later sample or a jump follows it; the
+    sample or jump that made it final is not stored.
     """
     x0 = as_vector(x0)
     if x0.shape != (system.dim,):
@@ -517,14 +484,18 @@ def solve(system: HybridSystem, x0, config: SimConfig,
     in_flow, in_jump = flow_set.contains, jump_set.contains
     in_bounds = bounds.contains
     step, stretch = _rk4_fns(system.dim, f, in_jump, in_flow, in_bounds)
+    # the watch's own membership test, or None
+    in_watch = None if watch is None else watch.contains
     x = x0.tolist()
-    builder = _ArcBuilder(0.0, x, watch)
+    # the phase being built, which the stretch appends to, keeps its states
+    # as given; it becomes two arrays when it is closed
+    phases, times, states = [], [0.0], [x]
     t, j = 0.0, 0
     zeno_snapped = False
     last_jump_t = -math.inf  # no gap before the first jump is short
     termination = stopped_by = None
 
-    while termination is None and not builder.left:
+    while termination is None:
         if t >= config.T_max:
             termination, stopped_by = Termination.HORIZON_REACHED, "T_max"
             break
@@ -537,7 +508,8 @@ def solve(system: HybridSystem, x0, config: SimConfig,
             if snap and system.zeno_map is None:
                 termination = Termination.ZENO_ACCUMULATION
                 break
-            if not builder.keeps_last():
+            if in_watch is not None and not in_watch(states[-1], 0.0):
+                termination = Termination.LEFT_WATCH_REGION
                 break
             if snap:
                 # a copy: no map holds the solver's own state
@@ -556,7 +528,8 @@ def solve(system: HybridSystem, x0, config: SimConfig,
             if not snap:
                 x_plus = x_plus + draw(t, j)
             x = x_plus.tolist()
-            builder.new_phase(t, x)
+            phases.append((np.array(times), np.array(states, dtype=float)))
+            times, states = [t], [x]
             j += 1
             last_jump_t = t
             continue
@@ -567,7 +540,7 @@ def solve(system: HybridSystem, x0, config: SimConfig,
         # plain steps up to the first proposal that fails a set test
         fired, t, x, dt, d, k1, x_prop = stretch(
             f, draw, t, x, j, config.T_max, config.h, tol, in_jump, in_flow,
-            in_bounds, builder.in_watch, builder.times, builder.states,
+            in_bounds, in_watch, times, states,
         )
         # pred is True past the event; stop is the run's end at it
         if fired == _JUMP:
@@ -580,7 +553,7 @@ def solve(system: HybridSystem, x0, config: SimConfig,
             pred = lambda y: not in_bounds(y, 0.0)
             stop = Termination.ESCAPED_BOUNDS
         elif fired == _WATCH:
-            builder.left = True
+            termination = Termination.LEFT_WATCH_REGION
             break
         else:
             termination, stopped_by = Termination.HORIZON_REACHED, "T_max"
@@ -598,15 +571,19 @@ def solve(system: HybridSystem, x0, config: SimConfig,
         else:
             th, x = th_in, x_in
         t += th
-        builder.append(t, x)
+        if t <= times[-1]:
+            # the landing is within float resolution of the last sample:
+            # fold it in rather than storing a dead segment
+            states[-1] = x
+        elif in_watch is None or in_watch(states[-1], 0.0):
+            times.append(t)
+            states.append(x)
+        else:
+            stop = Termination.LEFT_WATCH_REGION
         termination = stop
 
-    if builder.left:
-        # the arc ends at its first final sample outside the watch; the
-        # sample or jump that made it final was not stored, and any stop
-        # reason set with it does not apply
-        termination = Termination.LEFT_WATCH_REGION
-    arc = builder.build(termination)
+    phases.append((np.array(times), np.array(states, dtype=float)))
+    arc = HybridArc(phases, termination=termination)
     flow_time = sum(times[-1] - times[0] for times, _ in arc.phases)
     return SolveReport(
         arc=arc, flow_time=flow_time, jump_count=j, zeno_snapped=zeno_snapped,

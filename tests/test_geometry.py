@@ -221,6 +221,20 @@ def test_union_and_intersection():
     assert not contains(i, np.array([0.5]), 0.0)
 
 
+@pytest.mark.parametrize("kind", [Union, Intersection])
+def test_a_nan_part_distance_wins_in_either_order(kind):
+    nan = Implicit(lambda p: False, AxisBox([0.0], [1.0]),
+                   sdf=lambda p: float("nan"))
+    box = AxisBox([5.0], [6.0])
+    for parts in ([nan, box], [box, nan]):
+        assert np.isnan(kind(parts).distance([2.0]))
+    # without a NaN part the nearest (union) or farthest (intersection)
+    # part gives the distance
+    near = AxisBox([2.5], [3.0])
+    assert kind([near, box]).distance([2.0]) == (
+        0.5 if kind is Union else 3.0)
+
+
 def test_union_bounding_box_spans_its_parts():
     u = Union([AxisBox([0.0, -1.0], [1.0, 0.0]), Ball((3.0, 0.0), 0.5)])
     bb = u.bounding_box()

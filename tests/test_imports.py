@@ -3,8 +3,8 @@ exported name is used by another module or by a test, every default of the
 public API is overridden by some call, every array form a region defines
 for itself and every form the solver's kernel writes in is run by a
 benchmark workload, no name of the kernel shadows one an expression reads,
-every JSON dump refuses NaN and inf, and the package runs without scipy,
-which only the tests need."""
+every JSON dump refuses NaN and inf, every cache is bounded, and the
+package runs without scipy, which only the tests need."""
 
 import ast
 import collections
@@ -255,6 +255,68 @@ def test_no_kernel_name_shadows_an_expression_name(dim):
                if k != "__builtins__" and FUNCTIONS.get(
                    k, CONSTANTS.get(k)) is not v}
         assert not (bound | own) & (set(FUNCTIONS) | set(CONSTANTS))
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def unbounded_caches(source):
+    """Lines that name functools.cache, or functools.lru_cache other than
+    as a call with a maxsize that is not None; imported names included."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name: alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "functools"
+                for alias in node.names if alias.name in CACHES}
+    sizes = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            given = node.args[:1] + [kw.value for kw in node.keywords
+                                     if kw.arg == "maxsize"]
+            sizes[id(node.func)] = given[0] if given else None
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in CACHES
+                and getattr(node.value, "id", None) == "functools"):
+            name = node.attr
+        elif isinstance(node, ast.Name) and node.id in imported:
+            name = imported[node.id]
+        else:
+            continue
+        size = sizes.get(id(node))
+        if name == "cache" or size is None or (
+                isinstance(size, ast.Constant) and size.value is None):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_cache_scan_finds_unbounded_caches():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache as lru\n"
+              "@functools.cache\n"
+              "def a(): pass\n"
+              "@functools.lru_cache\n"
+              "def b(): pass\n"
+              "@functools.lru_cache(maxsize=None)\n"
+              "def c(): pass\n"
+              "@lru(None)\n"
+              "def d(): pass\n"
+              "@cache\n"
+              "def e(): pass\n"
+              "@functools.lru_cache(maxsize=64)\n"
+              "def f(): pass\n"
+              "@lru(8)\n"
+              "def g(): pass\n"
+              "h = functools.lru_cache()(len)\n")
+    assert unbounded_caches(source) == [3, 5, 7, 9, 11, 17]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_every_cache_is_bounded(path):
+    # a cache keyed by what a caller passes grows with every distinct key
+    assert unbounded_caches(path.read_text()) == []
 
 
 IMPORT_CALLS = {"__import__", "import_module"}

@@ -335,6 +335,22 @@ def test_invariance_of_contracted_box():
     assert rep.stats["worst_margin"] == 0.0
 
 
+def test_invariance_reports_a_nan_margin_as_its_worst():
+    # K's sdf is NaN outside it: every escape has a NaN margin, which is
+    # the worst one whatever margins came before it
+    system = make_system(1, AxisBox([-10.0], [10.0]), lambda s: [1.0],
+                         EmptySet(), lambda s: [s], AxisBox([-10.0], [10.0]))
+    K = Implicit(lambda p: -1.0 <= p[0] <= 0.5, AxisBox([-1.0], [0.5]),
+                 sdf=lambda p: 0.0 if -1.0 <= p[0] <= 0.5 else math.nan)
+    rep = check_forward_invariance(system, K, 4,
+                                   SimConfig(h=0.01, T_max=3.0), seed=0)
+    assert rep.verdict == Verdict.FAIL
+    assert len(rep.counterexamples) == 4
+    assert all(math.isnan(ce.margin) for ce in rep.counterexamples)
+    assert math.isnan(rep.stats["worst_margin"])
+    assert rep.to_json_obj()["stats"]["worst_margin"] is None
+
+
 def test_invariance_fails_under_expansion():
     rep = check_forward_invariance(scalar_flow(1.0), Ball([0.0], 0.1),
                                    n_init=8, config=SimConfig(h=1e-2, T_max=3.0))

@@ -8,10 +8,12 @@ import struct
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import grid_reference
 import solver_reference
+from test_cli import FALLING_MASS_SCENARIO
 from test_expressions import sources_over
 
 from hybridcert import (
@@ -461,7 +463,9 @@ def compiled_systems(draw):
                for _ in range(dim)]
     # true on about half the states, where it evaluates
     predicate = "(%s) > 1.0" % expression()
-    half = st.one_of(st.just(math.inf), st.floats(0.5, 3.0))
+    # faces of 0.0 and -0.0 are equal keys: such boxes share a kernel
+    half = st.one_of(st.just(math.inf), st.floats(0.5, 3.0),
+                     st.sampled_from([0.0, -0.0]))
     lo = [-draw(half) for _ in range(dim)]
     hi = [draw(half) for _ in range(dim)]
     margin = st.one_of(st.just(math.inf), st.floats(0.0, 2.0))
@@ -532,7 +536,7 @@ def test_a_deeply_nested_map_is_called():
             called, [0.5], cfg)
 
 
-def test_kernels_are_kept_by_source_up_to_their_bound():
+def test_kernels_are_kept_by_their_forms_up_to_their_bound():
     # a map compiled again (a scenario parsed again) is a new function
     # with the old kernel; distinct maps fill the cache to its bound only
     def decay(rate):
@@ -542,14 +546,34 @@ def test_kernels_are_kept_by_source_up_to_their_bound():
 
     cfg = SimConfig(h=0.1, T_max=0.2)
     solve(decay(0.5), [0.5], cfg)
-    misses = simulate._kernel.cache_info().misses
+    misses = simulate._generated.cache_info().misses
     solve(decay(0.5), [0.5], cfg)
-    assert simulate._kernel.cache_info().misses == misses
+    assert simulate._generated.cache_info().misses == misses
     for k in range(2 * simulate._KERNELS):
         solve(decay(k + 0.25), [0.5], cfg)
-    for cache in (simulate._kernel, simulate._written):
-        info = cache.cache_info()
-        assert info.currsize == info.maxsize == simulate._KERNELS
+    info = simulate._generated.cache_info()
+    assert info.currsize == info.maxsize == simulate._KERNELS
+
+
+def test_a_scenario_parsed_again_finds_its_kernel_without_writing_it(
+        monkeypatch):
+    # its map, its predicate and its boxes are new objects of the old
+    # forms: the kept kernel is found by them, and no source is written
+    def falling_mass():
+        return cli.parse_scenario(yaml.safe_load(FALLING_MASS_SCENARIO))
+
+    first = falling_mass()
+    want = solve(first.system, [10.0, 0.0], first.sim)
+    misses = simulate._generated.cache_info().misses
+    written = []
+    real = simulate._written
+    monkeypatch.setattr(simulate, "_written",
+                        lambda *args: written.append(args) or real(*args))
+    again = falling_mass()
+    rep = solve(again.system, [10.0, 0.0], again.sim)
+    assert simulate._generated.cache_info().misses == misses
+    assert written == []
+    assert arc_digest(rep) == arc_digest(want)
 
 
 def bits(values):
